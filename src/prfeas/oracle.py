@@ -6,13 +6,21 @@ given ``y`` satisfies every constraint strictly (returns ``None``) or
 produces a :class:`WitnessedColumn`: a violated constraint's coefficient
 column together with a witness identifying which constraint it is.
 
-Built-in instance kinds:
+Built-in instance kinds, each with the violated constraint it selects:
 
-* :class:`FiniteLp` -- finitely many explicit columns.
+* :class:`FiniteLp` -- finitely many explicit columns; the query returns
+  the most violated column after normalization, ``argmin_t a_t^T y / s_t``
+  over the violated ``t`` (lowest index on ties).  The scale ``s_t``
+  defaults to ``||a_t||``; the solver passes ``||M^T a_t||`` for its
+  rescaling map ``M``, which makes the pick the deepest cut
+  ``argmin_t z^T (M^T a_t / ||M^T a_t||)`` at the rescaled point ``z``.
 * :class:`Sdp` -- ``sum_i y_i A_i`` positive definite; witnesses are unit
   vectors ``v`` with ``v^T X v <= 0`` and the column is ``(v^T A_i v)_i``.
+  The query returns the eigenvector of ``lambda_min(X)``, the most
+  violated unit ``v``.
 * :class:`Socp` -- ``A^T y`` interior to a product of second-order cones;
   witnesses are block-supported cone vectors and the column is ``A v``.
+  The query returns the first violated block.
 * :class:`CustomOracle` -- user callback, re-checked at every query.
 
 Boundary convention: ``a_t^T y = 0`` counts as a violation, so ``None`` means
@@ -114,10 +122,11 @@ class FiniteLp:
     """Finitely many constraint columns, stored as an (m, n) array.
 
     Column ``t`` of ``columns`` is the coefficient vector of constraint
-    ``a_t^T y > 0``.
+    ``a_t^T y > 0``; ``column_norms`` holds the ``||a_t||``.
     """
 
     columns: np.ndarray
+    column_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         cols = np.asarray(self.columns, dtype=float)
@@ -128,6 +137,7 @@ class FiniteLp:
         if not np.all(np.any(cols != 0.0, axis=0)):
             raise ValueError("every constraint column must be nonzero")
         object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "column_norms", np.linalg.norm(cols, axis=0))
 
     @property
     def m(self) -> int:
@@ -251,29 +261,45 @@ def _check_soundness(w: WitnessedColumn, y: np.ndarray) -> None:
         )
 
 
-def lp_query(instance: FiniteLp, y: np.ndarray) -> WitnessedColumn | None:
-    """Return the smallest-index column with a_t^T y <= 0, or None."""
+def lp_query(instance: FiniteLp, y: np.ndarray,
+             scales: np.ndarray | None = None) -> WitnessedColumn | None:
+    """Return the most violated column after normalization, or None.
+
+    Among the columns with ``a_t^T y <= 0`` this picks the argmin of
+    ``a_t^T y / s_t``, taking the lowest index on ties.  ``scales`` holds
+    one positive ``s_t`` per column and defaults to the column norms
+    ``||a_t||``.
+    """
     y = _checked_direction(y, instance.m)
+    if scales is None:
+        scales = instance.column_norms
+    else:
+        scales = np.asarray(scales, dtype=float)
+        if scales.shape != (instance.n,):
+            raise InvalidQuery(f"scales must have shape ({instance.n},)")
     margins = y @ instance.columns
     bad = np.flatnonzero(margins <= 0.0)
     if bad.size == 0:
         return None
-    t = int(bad[0])
+    t = int(bad[np.argmin(margins[bad] / scales[bad])])
     return WitnessedColumn(LpIndex(t), instance.columns[:, t].copy())
 
 
 def sdp_query(instance: Sdp, y: np.ndarray) -> WitnessedColumn | None:
-    """Factor sum_i y_i A_i; on failure return the witnessed quadratic column.
+    """Factor sum_i y_i A_i; on failure return the most violated direction.
 
-    The returned column is ``c_i = v^T A_i v`` for the certifying direction
-    ``v``, so ``c^T y = v^T (sum_i y_i A_i) v <= 0``.
+    When the certifying Cholesky factorization rejects ``X = sum_i y_i A_i``,
+    the witness ``v`` is the unit eigenvector of ``lambda_min(X)``, signed
+    so that its largest-magnitude entry is positive.  The returned column
+    is ``c_i = v^T A_i v``, so ``c^T y = v^T X v = lambda_min(X) <= 0``.
     """
     y = _checked_direction(y, instance.m)
     X = np.tensordot(y, instance.matrices, axes=(0, 0))
-    result = certifying_cholesky(X)
-    if result.is_pd:
+    if certifying_cholesky(X).is_pd:
         return None
-    v = result.witness
+    v = np.linalg.eigh(X)[1][:, 0]
+    if v[np.argmax(np.abs(v))] < 0.0:
+        v = -v
     column = np.einsum("ijk,j,k->i", instance.matrices, v, v)
     return WitnessedColumn(SdpVector(tuple(float(t) for t in v)), column)
 
@@ -304,21 +330,26 @@ def socp_query(instance: Socp, y: np.ndarray) -> WitnessedColumn | None:
     return None
 
 
-def query(instance: ProblemInstance, y: np.ndarray) -> WitnessedColumn | None:
+def query(instance: ProblemInstance, y: np.ndarray,
+          scales: np.ndarray | None = None) -> WitnessedColumn | None:
     """Dispatch a separation query and enforce the oracle contract.
 
     Returns ``None`` when ``y`` is strictly feasible for the instance,
-    otherwise a sound :class:`WitnessedColumn`.
+    otherwise a sound :class:`WitnessedColumn`.  ``scales`` are the column
+    scales of :func:`lp_query`; only a FiniteLp accepts them.
 
     Raises
     ------
     InvalidQuery
-        If ``y`` is zero, non-finite, or mis-shaped.
+        If ``y`` is zero, non-finite, or mis-shaped, or ``scales`` is given
+        for an instance that is not a FiniteLp.
     OracleContractViolation
         If the (custom) oracle's answer fails the separation check.
     """
     if isinstance(instance, FiniteLp):
-        w = lp_query(instance, y)
+        w = lp_query(instance, y, scales)
+    elif scales is not None:
+        raise InvalidQuery("column scales apply to FiniteLp instances only")
     elif isinstance(instance, Sdp):
         w = sdp_query(instance, y)
     elif isinstance(instance, Socp):

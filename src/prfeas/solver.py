@@ -35,13 +35,14 @@ from .linalg import (
     inverse_with_factorization,
     smw_inverse_update,
 )
-from .oracle import ProblemInstance, Witness, WitnessedColumn, query
+from .oracle import FiniteLp, ProblemInstance, Witness, WitnessedColumn, query
 
 __all__ = [
     "ConfigError",
     "DegenerateColumn",
     "CoincidentPoints",
     "IterationBoundViolated",
+    "OracleInconsistency",
     "RescalingState",
     "ConvexCombination",
     "SolverConfig",
@@ -94,6 +95,10 @@ class CoincidentPoints(RuntimeError):
 
 class IterationBoundViolated(RuntimeError):
     """Inner loop exceeded its proven iteration bound; indicates a solver bug."""
+
+
+class OracleInconsistency(RuntimeError):
+    """A verified-at-source artifact failed its final re-verification."""
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +173,16 @@ class RescalingState:
         for a in self.factors:
             v += a * (a @ v)
         return v
+
+    def column_norms(self, columns: np.ndarray) -> np.ndarray:
+        """Return ``||M^T a_t||`` for every column of ``columns`` at once."""
+        if self.M is not None:
+            V = self.M.T @ columns
+        else:
+            V = np.array(columns, dtype=float)
+            for a in self.factors:
+                V -= 0.5 * np.outer(a, a @ V)
+        return np.linalg.norm(V, axis=0)
 
     def normalize(self, a_col: np.ndarray) -> tuple[np.ndarray, float]:
         """Return ``(M^T a / ||M^T a||, ||M^T a||)``.
@@ -543,6 +558,18 @@ def basic_procedure(
     the oracle accepts a query (feasible), ``z`` hits (numerical) zero with
     a verified positive combination (dual), or ``||z|| <= mu/(m+1)``.
 
+    That bound holds for any violated column, but a step gains most from
+    the most violated one, so the built-in oracles return their deepest cut
+    in the rescaled space where that is cheap:
+
+    * FiniteLp: the column minimizing ``z^T a_hat_t`` with
+      ``a_hat_t = M^T a_t / ||M^T a_t||``; the ``n`` scales ``||M^T a_t||``
+      are computed once per call (once per rescaling) and passed to the
+      query;
+    * Sdp: the eigenvector of ``lambda_min(sum_i y_i A_i)``;
+    * Socp: the first violated cone block;
+    * CustomOracle: whatever violated column the callback returns.
+
     Raises
     ------
     IterationBoundViolated
@@ -560,8 +587,11 @@ def basic_procedure(
         np.asarray(initial_direction, dtype=float)
     bound = math.ceil((m + 1) ** 2 / mu**2) + 1
     small_threshold = mu / (m + 1)
+    # at s = 0 the scales are the instance's own column norms, the default
+    scales = state.column_norms(instance.columns) \
+        if isinstance(instance, FiniteLp) and state.s > 0 else None
     oracle_calls = 1
-    w = query(instance, state.apply(y0))
+    w = query(instance, state.apply(y0), scales)
     if w is None:
         return BasicProcedureResult("feasible", y0.copy(), None, 0, oracle_calls)
     cc = ConvexCombination(m, g_recheck_interval)
@@ -580,7 +610,7 @@ def basic_procedure(
             return BasicProcedureResult("small_aggregate", None, cc,
                                         iterations, oracle_calls)
         oracle_calls += 1
-        w = query(instance, state.apply(cc.z))
+        w = query(instance, state.apply(cc.z), scales)
         if w is None:
             return BasicProcedureResult("feasible", cc.z.copy(), cc,
                                         iterations, oracle_calls)
@@ -737,7 +767,3 @@ def main_algorithm(
         else (math.sqrt(math.e) / 2.0) ** counters.rescalings
     return SolveOutcome("epsilon_declared", None, None, certified, budget,
                         counters, None, elapsed_ms())
-
-
-class OracleInconsistency(RuntimeError):
-    """A verified-at-source artifact failed its final re-verification."""

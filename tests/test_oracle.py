@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from prfeas.linalg import certifying_cholesky
 from prfeas.oracle import (
     CustomOracle,
     CustomWitness,
@@ -35,10 +36,30 @@ class TestFiniteLpQuery:
         assert w.witness == LpIndex(1)
         assert_allclose(w.column, np.array([0.0, 1.0]), atol=0)
 
-    def test_smallest_violating_index(self):
+    def test_most_violated_normalized_index(self):
+        # normalized margins (1, -0.447, -1.342): column 1 is the first
+        # violated one, column 2 the most violated
         cols = np.array([[1.0, -1.0, -1.0], [0.0, 0.5, -0.5]])
         w = lp_query(FiniteLp(cols), np.array([1.0, 1.0]))
+        assert w.witness == LpIndex(2)
+
+    def test_tie_takes_lowest_index(self):
+        # normalized margins (1, -1, -1, -0.5): columns 1 and 2 tie
+        cols = np.array([[1.0, -1.0, -2.0, -0.5], [0.0, 0.0, 0.0, 0.0]])
+        cols[1, 3] = 0.5 * np.sqrt(3.0)
+        w = lp_query(FiniteLp(cols), np.array([1.0, 0.0]))
         assert w.witness == LpIndex(1)
+
+    def test_scales_replace_column_norms(self):
+        cols = np.array([[1.0, -1.0, -1.0], [0.0, 0.5, -0.5]])
+        inst = FiniteLp(cols)
+        y = np.array([1.0, 1.0])
+        # raw margins (1, -0.5, -1.5) divided by (1, 0.1, 1): column 1
+        w = lp_query(inst, y, np.array([1.0, 0.1, 1.0]))
+        assert w.witness == LpIndex(1)
+        assert query(inst, y, np.array([1.0, 0.1, 1.0])).witness == LpIndex(1)
+        with pytest.raises(InvalidQuery):
+            lp_query(inst, y, np.ones(2))
 
     def test_repeat_queries_identical(self):
         rng = np.random.default_rng(4)
@@ -89,6 +110,36 @@ class TestSdpQuery:
                 assert w is None
             elif min_eig < -1e-10 * scale:
                 assert w is not None
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_witness_is_minimum_eigenvector(self, n):
+        rng = np.random.default_rng(80 + n)
+        m = 3
+        mats = np.array([0.5 * (B + B.T) for B in rng.standard_normal((m, n, n))])
+        inst = Sdp(mats)
+        rejected = 0
+        for _ in range(100):
+            y = rng.standard_normal(m)
+            w = sdp_query(inst, y)
+            if w is None:
+                continue
+            rejected += 1
+            X = np.tensordot(y, inst.matrices, axes=(0, 0))
+            tol = 1e-10 * (1.0 + np.max(np.abs(X)))
+            v = np.asarray(w.witness.v)
+            value = v @ X @ v
+            assert abs(value - np.min(np.linalg.eigvalsh(X))) <= tol
+            assert abs(w.column @ y - value) <= tol
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+            assert v[np.argmax(np.abs(v))] > 0.0
+            chol = certifying_cholesky(X).witness
+            assert value <= chol @ X @ chol + tol
+        assert rejected > 0
+
+    def test_scales_rejected(self):
+        inst = Sdp(np.array([np.eye(2)]))
+        with pytest.raises(InvalidQuery):
+            query(inst, np.array([-1.0]), np.ones(1))
 
     def test_symmetry_validation(self):
         with pytest.raises(ValueError):

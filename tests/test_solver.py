@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import prfeas.solver
+from prfeas.certify import generate_planted
 from prfeas.oracle import CustomWitness, FiniteLp, LpIndex, WitnessedColumn
 from prfeas.solver import (
     BpTrace,
@@ -15,6 +17,7 @@ from prfeas.solver import (
     SolveTrace,
     apply_scaling,
     basic_procedure,
+    main_algorithm,
     normalize_column,
     rescale_budget,
     rescale_matrix,
@@ -342,3 +345,59 @@ class TestBasicProcedure:
         assert steps
         for before, after in steps:
             assert after - before >= 1.0 - 1e-9
+
+
+class TestDeepestCut:
+    @pytest.mark.parametrize("mode", ["dense", "factored"])
+    def test_lp_pick_is_most_violated_rescaled_column(self, mode,
+                                                       monkeypatch):
+        rng = np.random.default_rng(23)
+        m, n = 5, 40
+        inst = FiniteLp(rng.standard_normal((m, n)))
+        state = RescalingState(m, mode)
+        for _ in range(3):
+            a = rng.standard_normal(m)
+            state.rescale(a / np.linalg.norm(a))
+        M = np.eye(m)
+        for a in state.factors:
+            M = M - 0.5 * np.outer(M @ a, a)
+        a_hat = M.T @ inst.columns
+        a_hat /= np.linalg.norm(a_hat, axis=0)
+
+        points, picks = [], []
+        apply, query = state.apply, prfeas.solver.query
+
+        def recording_apply(z):
+            points.append(np.array(z))
+            return apply(z)
+
+        def recording_query(*args):
+            picks.append(query(*args))
+            return picks[-1]
+
+        monkeypatch.setattr(state, "apply", recording_apply)
+        monkeypatch.setattr(prfeas.solver, "query", recording_query)
+        basic_procedure(inst, state, mu=1.0 / math.sqrt(3.0 * m))
+        assert len(picks) == len(points) > 3
+        for z, w in zip(points, picks):
+            if w is not None:
+                assert w.witness == LpIndex(int(np.argmin(z @ a_hat)))
+
+    def test_column_norms_match_per_column_normalization(self):
+        rng = np.random.default_rng(29)
+        cols = rng.standard_normal((4, 9))
+        for mode in ("dense", "factored"):
+            state = RescalingState(4, mode)
+            for _ in range(3):
+                a = rng.standard_normal(4)
+                state.rescale(a / np.linalg.norm(a))
+            expected = [state.normalize(c)[1] for c in cols.T]
+            assert_allclose(state.column_norms(cols), expected, rtol=1e-14)
+
+    def test_oracle_call_count_guard(self):
+        # planted-p LP m=10 n=200, seed 101: 2,068 oracle calls with the
+        # most-violated rule (16,238 with the first-violated rule)
+        inst = generate_planted("lp", 10, 200, 101, "feasible_p")[0]
+        out = main_algorithm(inst, epsilon=1e-6)
+        assert out.counters.rescalings == 72
+        assert out.counters.oracle_calls <= 2 * 2068
