@@ -109,6 +109,9 @@ def load_problem(data: object) -> ProblemInstance:
             return Socp(A, blocks)
     except KeyError as exc:
         raise DataError(f"problem document is missing {exc.args[0]!r}") from exc
+    except (TypeError, OverflowError) as exc:
+        raise DataError(f"problem document has a field of the wrong type: "
+                        f"{exc}") from exc
     raise DataError(f"unknown problem type {kind!r}")
 
 
@@ -167,7 +170,11 @@ def load_certificate(data: object) -> Certificate:
         raise DataError("certificate document must carry \"schema\": 1")
     kind = data.get("kind")
     if kind == "d":
-        y = np.asarray(data.get("y", []), dtype=float)
+        try:
+            y = np.asarray(data.get("y", []), dtype=float)
+        except TypeError as exc:
+            raise DataError(f"\"y\" must be a vector of numbers: {exc}") \
+                from exc
         if y.ndim != 1 or y.size == 0:
             raise DataError("\"y\" must be a nonempty vector")
         return Certificate(kind="d", y=y, weights=None)
@@ -180,7 +187,8 @@ def load_certificate(data: object) -> Certificate:
             try:
                 witness, column = witness_from_json(e["witness"])
                 x = float(e["x"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError,
+                    AttributeError) as exc:
                 raise DataError(f"malformed weight entry: {exc}") from exc
             if column is not None:
                 weights.append((WitnessedColumn(witness, column), x))
@@ -245,7 +253,6 @@ def cmd_solve(args) -> int:
     config = SolverConfig(
         mu_override=args.mu_override,
         max_rescalings=args.max_rescalings,
-        mode=args.mode,
     )
     outcome = main_algorithm(instance, epsilon=args.epsilon, config=config)
     log.info("solve finished with status %s", outcome.status)
@@ -326,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the certificate JSON here when one exists")
     p.add_argument("--mu-override", type=float, default=None)
     p.add_argument("--max-rescalings", type=int, default=None)
-    p.add_argument("--mode", default="auto",
-                   choices=["dense", "factored", "auto"])
     p.add_argument("--timing", action="store_true",
                    help="report wall clock time (off keeps output "
                         "byte-reproducible)")

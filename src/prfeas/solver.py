@@ -51,9 +51,6 @@ __all__ = [
     "BasicProcedureResult",
     "SolveTrace",
     "step_alpha",
-    "normalize_column",
-    "apply_scaling",
-    "rescale_matrix",
     "rescale_budget",
     "basic_procedure",
     "main_algorithm",
@@ -82,7 +79,7 @@ BASIS_RANK_TOL = 1e-12
 
 
 class ConfigError(ValueError):
-    """Invalid solver configuration (epsilon, mu, mode, ...)."""
+    """Invalid solver configuration (epsilon, mu, max_rescalings)."""
 
 
 class DegenerateColumn(RuntimeError):
@@ -106,83 +103,37 @@ class OracleInconsistency(RuntimeError):
 
 
 class RescalingState:
-    """The cumulative rescaling map M = D_1 D_2 ... D_s.
+    """The cumulative rescaling map M = D_1 D_2 ... D_s as a dense matrix.
 
-    Each factor is ``D = I - (1/2) a a^T`` for a unit vector ``a``.  The map
-    is kept either as the list of factor directions (``factored``, products
-    cost O(m s)) or as a dense matrix (``dense``, O(m^2)).  In ``auto`` mode
-    it stays factored while ``s <= m`` and is materialized afterwards.
+    Each factor is ``D = I - (1/2) a a^T`` for a unit vector ``a``, so
+    ``det M = 2^-s`` and every product costs O(m^2).  ``s`` is at most the
+    contraction budget (72 at epsilon = 1e-6).
     """
 
-    def __init__(self, m: int, mode: str = "auto",
-                 dense_threshold: int | None = None):
-        if mode not in ("auto", "dense", "factored"):
-            raise ConfigError(f"unknown rescaling mode {mode!r}")
+    def __init__(self, m: int):
         if m < 1:
             raise ConfigError("dimension m must be at least 1")
         self.m = m
-        self.mode = mode
-        self.factors: list[np.ndarray] = []
-        self.dense_threshold = m if dense_threshold is None else dense_threshold
-        self.M: np.ndarray | None = np.eye(m) if mode == "dense" else None
-
-    @property
-    def s(self) -> int:
-        """Number of contractions applied so far."""
-        return len(self.factors)
+        self.M = np.eye(m)
+        self.s = 0
 
     def rescale(self, a_scaled: np.ndarray) -> None:
         """Right-multiply by ``I - (1/2) a a^T`` for the unit vector given."""
-        a = np.asarray(a_scaled, dtype=float).copy()
-        self.factors.append(a)
-        if self.M is not None:
-            self.M = self.M - 0.5 * np.outer(self.M @ a, a)
-        elif self.mode == "auto" and self.s > self.dense_threshold:
-            self.materialize()
-
-    def materialize(self) -> None:
-        """Multiply the factors out into a dense matrix."""
-        M = np.eye(self.m)
-        for a in self.factors:
-            M = M - 0.5 * np.outer(M @ a, a)
-        self.M = M
+        a = np.asarray(a_scaled, dtype=float)
+        self.M = self.M - 0.5 * np.outer(self.M @ a, a)
+        self.s += 1
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         """Return ``M z``."""
-        if self.M is not None:
-            return self.M @ z
-        v = np.asarray(z, dtype=float).copy()
-        for a in reversed(self.factors):
-            v -= 0.5 * a * (a @ v)
-        return v
+        return self.M @ z
 
     def apply_transpose(self, a_col: np.ndarray) -> np.ndarray:
         """Return ``M^T a``."""
-        if self.M is not None:
-            return self.M.T @ a_col
-        v = np.asarray(a_col, dtype=float).copy()
-        for a in self.factors:
-            v -= 0.5 * a * (a @ v)
-        return v
-
-    def apply_inverse(self, z: np.ndarray) -> np.ndarray:
-        """Return ``M^{-1} z`` (each factor inverts to ``I + a a^T``)."""
-        if self.M is not None:
-            return np.linalg.solve(self.M, z)
-        v = np.asarray(z, dtype=float).copy()
-        for a in self.factors:
-            v += a * (a @ v)
-        return v
+        return self.M.T @ a_col
 
     def column_norms(self, columns: np.ndarray) -> np.ndarray:
         """Return ``||M^T a_t||`` for every column of ``columns`` at once."""
-        if self.M is not None:
-            V = self.M.T @ columns
-        else:
-            V = np.array(columns, dtype=float)
-            for a in self.factors:
-                V -= 0.5 * np.outer(a, a @ V)
-        return np.linalg.norm(V, axis=0)
+        return np.linalg.norm(self.M.T @ columns, axis=0)
 
     def normalize(self, a_col: np.ndarray) -> tuple[np.ndarray, float]:
         """Return ``(M^T a / ||M^T a||, ||M^T a||)``.
@@ -197,28 +148,6 @@ class RescalingState:
         if nrm < DEGENERATE_COLUMN_TOL:
             raise DegenerateColumn("rescaled column norm underflowed")
         return v / nrm, nrm
-
-
-def normalize_column(a_col: np.ndarray, state: RescalingState) -> np.ndarray:
-    """Unit vector along ``M^T a`` for the current rescaling map."""
-    unit, _ = state.normalize(a_col)
-    return unit
-
-
-def apply_scaling(state: RescalingState, z: np.ndarray) -> np.ndarray:
-    """Map a point from the rescaled space back: returns ``M z``."""
-    return state.apply(z)
-
-
-def rescale_matrix(a_scaled: np.ndarray) -> np.ndarray:
-    """Dense contraction matrix ``I - (1/2) a a^T`` for unit ``a``.
-
-    Its determinant is exactly 1/2 and its inverse is ``I + a a^T``.
-    """
-    a = np.asarray(a_scaled, dtype=float)
-    if abs(np.linalg.norm(a) - 1.0) > 1e-8:
-        raise ValueError("rescale direction must be a unit vector")
-    return np.eye(a.shape[0]) - 0.5 * np.outer(a, a)
 
 
 def rescale_budget(epsilon: float, m: int) -> int:
@@ -286,7 +215,6 @@ class BpTrace:
 @dataclass
 class RescaleRecord:
     a_scaled: np.ndarray
-    factors_before: list[np.ndarray]
 
 
 @dataclass
@@ -322,14 +250,13 @@ class ConvexCombination:
     rank-one updates and rebuilt from scratch when that path degenerates.
     """
 
-    def __init__(self, m: int, g_recheck_interval: int = G_RECHECK_INTERVAL):
+    def __init__(self, m: int):
         self.m = m
         self.entries: list[ActiveTerm] = []
         self.z = np.zeros(m)
         self.G: np.ndarray | None = None
         self._by_witness: dict[Witness, ActiveTerm] = {}
         self._elim_count = 0
-        self._recheck = max(1, g_recheck_interval)
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -457,7 +384,7 @@ class ConvexCombination:
             except SingularUpdate:
                 self._rebuild_g()
         self._elim_count += 1
-        if self.G is not None and self._elim_count % self._recheck == 0:
+        if self.G is not None and self._elim_count % G_RECHECK_INTERVAL == 0:
             res = self.g_residual()
             if res is not None and res > G_RESIDUAL_TOL:
                 self._rebuild_g()
@@ -545,15 +472,14 @@ def basic_procedure(
     instance: ProblemInstance,
     state: RescalingState,
     mu: float,
-    initial_direction: np.ndarray | None = None,
-    g_recheck_interval: int = G_RECHECK_INTERVAL,
     trace: SolveTrace | None = None,
 ) -> BasicProcedureResult:
     """Drive the aggregate of rescaled columns toward zero.
 
-    Starting from a first violated column, repeatedly queries the oracle at
-    the mapped aggregate ``M z`` and takes the minimum-norm step toward the
-    violated column.  Every step increases ``1/||z||^2`` by at least 1, so
+    Queries the oracle first at ``M 1`` (the all-ones direction mapped
+    through the dense map ``state.M``), then repeatedly at the mapped
+    aggregate ``M z``, taking the minimum-norm step toward each violated
+    column.  Every step increases ``1/||z||^2`` by at least 1, so
     within ``ceil((m+1)^2 / mu^2)`` iterations one of three things happens:
     the oracle accepts a query (feasible), ``z`` hits (numerical) zero with
     a verified positive combination (dual), or ``||z|| <= mu/(m+1)``.
@@ -563,9 +489,9 @@ def basic_procedure(
     in the rescaled space where that is cheap:
 
     * FiniteLp: the column minimizing ``z^T a_hat_t`` with
-      ``a_hat_t = M^T a_t / ||M^T a_t||``; the ``n`` scales ``||M^T a_t||``
-      are computed once per call (once per rescaling) and passed to the
-      query;
+      ``a_hat_t = M^T a_t / ||M^T a_t||``; once ``state.s > 0`` the ``n``
+      scales ``||M^T a_t||`` are computed once per call (once per
+      rescaling) and passed to the query;
     * Sdp: the eigenvector of ``lambda_min(sum_i y_i A_i)``;
     * Socp: the first violated cone block;
     * CustomOracle: whatever violated column the callback returns.
@@ -583,8 +509,7 @@ def basic_procedure(
     if trace is not None:
         bp_trace = BpTrace()
         trace.bp.append(bp_trace)
-    y0 = np.ones(m) if initial_direction is None else \
-        np.asarray(initial_direction, dtype=float)
+    y0 = np.ones(m)
     bound = math.ceil((m + 1) ** 2 / mu**2) + 1
     small_threshold = mu / (m + 1)
     # at s = 0 the scales are the instance's own column norms, the default
@@ -593,8 +518,8 @@ def basic_procedure(
     oracle_calls = 1
     w = query(instance, state.apply(y0), scales)
     if w is None:
-        return BasicProcedureResult("feasible", y0.copy(), None, 0, oracle_calls)
-    cc = ConvexCombination(m, g_recheck_interval)
+        return BasicProcedureResult("feasible", y0, None, 0, oracle_calls)
+    cc = ConvexCombination(m)
     a_scaled, nrm = state.normalize(w.column)
     cc.add_term(w, a_scaled, nrm, 1.0, bp_trace)
     cc.z = a_scaled.copy()
@@ -641,17 +566,12 @@ class SolverConfig:
     """Tuning knobs for :func:`main_algorithm`.
 
     ``mu_override`` replaces the default inner threshold 1/sqrt(3 m);
-    ``max_rescalings`` caps the contraction budget (the declared epsilon is
-    then the value actually certified); ``mode`` selects the rescaling-map
-    representation; ``initial_direction`` seeds each inner run (default:
-    all ones).
+    ``max_rescalings`` (at least 0) caps the contraction budget, and the
+    declared epsilon is then the value actually certified.
     """
 
     mu_override: float | None = None
     max_rescalings: int | None = None
-    mode: str = "auto"
-    initial_direction: np.ndarray | None = None
-    g_recheck_interval: int = G_RECHECK_INTERVAL
 
 
 @dataclass
@@ -709,10 +629,12 @@ def main_algorithm(
         else 1.0 / math.sqrt(3.0 * m)
     if mu <= 0.0:
         raise ConfigError("mu must be positive")
+    if config.max_rescalings is not None and config.max_rescalings < 0:
+        raise ConfigError("max_rescalings must be at least 0")
     budget = rescale_budget(epsilon, m)
     loops = budget if config.max_rescalings is None \
         else min(budget, config.max_rescalings)
-    state = RescalingState(m, config.mode)
+    state = RescalingState(m)
     counters = SolveCounters()
     start = time.perf_counter()
 
@@ -720,12 +642,7 @@ def main_algorithm(
         return (time.perf_counter() - start) * 1000.0
 
     for _ in range(loops):
-        result = basic_procedure(
-            instance, state, mu,
-            initial_direction=config.initial_direction,
-            g_recheck_interval=config.g_recheck_interval,
-            trace=trace,
-        )
+        result = basic_procedure(instance, state, mu, trace=trace)
         counters.bp_calls += 1
         counters.bp_iterations += result.iterations
         counters.oracle_calls += result.oracle_calls
@@ -756,10 +673,7 @@ def main_algorithm(
                        key=lambda t: (cc.entries[t].weight, -t))
         direction = cc.entries[heaviest].a_scaled
         if trace is not None:
-            trace.rescales.append(RescaleRecord(
-                a_scaled=direction.copy(),
-                factors_before=[f.copy() for f in state.factors],
-            ))
+            trace.rescales.append(RescaleRecord(a_scaled=direction.copy()))
         state.rescale(direction)
         counters.rescalings += 1
 

@@ -88,6 +88,34 @@ class TestProblemFileFormat:
         with pytest.raises(ValueError):
             load_problem(doc)
 
+    @pytest.mark.parametrize("kind,doc", [
+        ("problem", {"schema": 1, "type": "socp", "m": 1, "blocks": 5,
+                     "A": [[1.0, 0.0, 0.0, 0.0, 0.0]]}),
+        ("problem", {"schema": 1, "type": "lp", "m": None,
+                     "columns": [[1.0]]}),
+        ("problem", {"schema": 1, "type": "sdp", "m": 1, "n": [2],
+                     "matrices": [[[1.0, 0.0], [0.0, 1.0]]]}),
+        ("problem", {"schema": 1, "type": "lp", "m": float("inf"),
+                     "columns": [[1.0]]}),
+        ("certificate", {"schema": 1, "kind": "d", "y": {"a": 1}}),
+        ("certificate", {"schema": 1, "kind": "p",
+                         "weights": [{"witness": 5, "x": 1.0}]}),
+        ("certificate", {"schema": 1, "kind": "p", "weights": [
+            {"witness": {"type": "lp_index", "i": float("inf")},
+             "x": 1.0}]}),
+    ])
+    def test_wrongly_typed_fields_are_data_errors(self, tmp_path, capsys,
+                                                  kind, doc):
+        path = write_json(tmp_path / "doc.json", doc)
+        if kind == "problem":
+            argv = ["solve", "--input", path]
+        else:
+            argv = ["verify", "--input", axes_problem(tmp_path),
+                    "--certificate", path]
+        code, out = invoke(capsys, *argv)
+        assert code == EXIT_DATA
+        assert "error" in json.loads(out)
+
 
 class TestSolveCommand:
     def test_feasible_exit_zero(self, tmp_path, capsys):
@@ -142,6 +170,12 @@ class TestSolveCommand:
     def test_invalid_epsilon_is_usage_error(self, tmp_path, capsys):
         code, out = invoke(capsys, "solve", "--input",
                            axes_problem(tmp_path), "--epsilon", "2.0")
+        assert code == EXIT_USAGE
+        assert "error" in json.loads(out)
+
+    def test_negative_max_rescalings_is_usage_error(self, tmp_path, capsys):
+        code, out = invoke(capsys, "solve", "--input",
+                           axes_problem(tmp_path), "--max-rescalings", "-3")
         assert code == EXIT_USAGE
         assert "error" in json.loads(out)
 
@@ -264,6 +298,14 @@ class TestUsageErrors:
     def test_bad_choice(self, capsys):
         assert invoke(capsys, "generate", "--kind", "milp",
                       "--m", "2", "--n", "2")[0] == EXIT_USAGE
+
+    def test_solve_help_lists_no_mode(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--max-rescalings" in out
+        assert "--mode" not in out
 
 
 class TestModuleEntry:

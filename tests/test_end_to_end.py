@@ -13,7 +13,6 @@ from prfeas.oracle import (
 )
 from prfeas.solver import (
     ConfigError,
-    RescalingState,
     SolverConfig,
     SolveTrace,
     main_algorithm,
@@ -146,6 +145,11 @@ class TestMainAlgorithmOutcomes:
             main_algorithm(FiniteLp(np.eye(2)), epsilon=0.5,
                            config=SolverConfig(mu_override=-1.0))
 
+    def test_negative_max_rescalings_rejected(self):
+        with pytest.raises(ConfigError):
+            main_algorithm(FiniteLp(np.eye(2)), epsilon=0.5,
+                           config=SolverConfig(max_rescalings=-3))
+
 
 class TestSemiInfiniteOracles:
     def test_closed_half_arc_exhausts_budget(self):
@@ -198,30 +202,27 @@ class TestContractionProperties:
         y_star = np.array([0.0, 1.0])
         _, trace = self.run_traced(1e-3)
         assert trace.rescales
+        y_tilde = y_star.copy()
         for rec in trace.rescales:
-            st = RescalingState(m, mode="factored")
-            for f in rec.factors_before:
-                st.rescale(f)
-            y_tilde = st.apply_inverse(y_star)
             n_y = np.linalg.norm(y_tilde)
-            val = float(rec.a_scaled @ y_tilde)
+            a = rec.a_scaled
+            val = float(a @ y_tilde)
             assert val > 0.0
             assert val <= mu * n_y + 1e-9 * n_y
+            y_tilde = y_tilde + a * (a @ y_tilde)  # (I - a a^T / 2)^-1
 
     def test_feasible_points_grow_slowly_under_inverse_contraction(self):
         # |(I + a a^T) y| <= |y| sqrt(1 + 1/m) along the chosen direction
         m = 2
         y_star = np.array([0.0, 1.0])
         _, trace = self.run_traced(1e-3)
+        y_tilde = y_star.copy()
         for rec in trace.rescales:
-            st = RescalingState(m, mode="factored")
-            for f in rec.factors_before:
-                st.rescale(f)
-            y_tilde = st.apply_inverse(y_star)
             a = rec.a_scaled
             grown = y_tilde + a * (a @ y_tilde)
             bound = np.linalg.norm(y_tilde) * math.sqrt(1.0 + 1.0 / m)
             assert np.linalg.norm(grown) <= bound + 1e-9
+            y_tilde = grown
 
     def test_potential_steps_recorded_per_inner_run(self):
         out, trace = self.run_traced(1e-2)
@@ -242,11 +243,3 @@ class TestDeterminism:
         assert a.status == b.status
         assert np.array_equal(a.y, b.y)
         assert a.counters == b.counters
-
-    def test_modes_agree_on_status(self):
-        inst = thin_wedge(1e-2)
-        outs = [main_algorithm(inst, epsilon=1e-3,
-                               config=SolverConfig(mode=mode))
-                for mode in ("dense", "factored", "auto")]
-        assert len({o.status for o in outs}) == 1
-        assert len({o.counters.rescalings for o in outs}) == 1

@@ -1,0 +1,19 @@
+import prfeas
+
+REMOVED = ("normalize_column", "apply_scaling", "rescale_matrix",
+           "solve_with_factorization")
+
+
+def test_every_exported_name_resolves():
+    for name in prfeas.__all__:
+        assert getattr(prfeas, name, None) is not None, name
+
+
+def test_no_duplicate_exports():
+    assert len(prfeas.__all__) == len(set(prfeas.__all__))
+
+
+def test_removed_names_absent():
+    for name in REMOVED:
+        assert name not in prfeas.__all__
+        assert not hasattr(prfeas, name), name

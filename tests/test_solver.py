@@ -15,12 +15,9 @@ from prfeas.solver import (
     DegenerateColumn,
     RescalingState,
     SolveTrace,
-    apply_scaling,
     basic_procedure,
     main_algorithm,
-    normalize_column,
     rescale_budget,
-    rescale_matrix,
     step_alpha,
 )
 
@@ -71,9 +68,9 @@ class TestStepAlpha:
 
 class TestRescaleMatrix:
     def test_worked_example(self):
-        a = np.array([1.0, 1.0]) / SQRT2
-        D = rescale_matrix(a)
-        assert_allclose(D, np.array([[0.75, -0.25], [-0.25, 0.75]]),
+        state = RescalingState(2)
+        state.rescale(np.array([1.0, 1.0]) / SQRT2)
+        assert_allclose(state.M, np.array([[0.75, -0.25], [-0.25, 0.75]]),
                         atol=1e-15)
 
     def test_determinant_and_inverse(self):
@@ -82,14 +79,11 @@ class TestRescaleMatrix:
             m = int(rng.integers(1, 9))
             a = rng.standard_normal(m)
             a /= np.linalg.norm(a)
-            D = rescale_matrix(a)
-            assert abs(np.linalg.det(D) - 0.5) <= 1e-12
-            assert_allclose(D @ (np.eye(m) + np.outer(a, a)), np.eye(m),
-                            atol=1e-12)
-
-    def test_non_unit_direction_rejected(self):
-        with pytest.raises(ValueError):
-            rescale_matrix(np.array([1.0, 1.0]))
+            state = RescalingState(m)
+            state.rescale(a)
+            assert abs(np.linalg.det(state.M) - 0.5) <= 1e-12
+            assert_allclose(state.M @ (np.eye(m) + np.outer(a, a)),
+                            np.eye(m), atol=1e-12)
 
 
 class TestRescaleBudget:
@@ -115,71 +109,40 @@ class TestRescaleBudget:
 
 class TestRescalingState:
     def test_factored_transpose_normalization(self):
-        state = RescalingState(2, mode="factored")
+        state = RescalingState(2)
         state.rescale(np.array([1.0, 0.0]))
-        unit = normalize_column(np.array([1.0, 1.0]), state)
+        unit, _ = state.normalize(np.array([1.0, 1.0]))
         assert_allclose(unit, np.array([1.0, 2.0]) / math.sqrt(5.0),
                         atol=1e-15)
 
     def test_factored_apply(self):
-        state = RescalingState(2, mode="factored")
+        state = RescalingState(2)
         state.rescale(np.array([1.0, 0.0]))
-        assert_allclose(apply_scaling(state, np.array([2.0, 3.0])),
+        assert_allclose(state.apply(np.array([2.0, 3.0])),
                         np.array([1.0, 3.0]), atol=0)
 
     def test_dense_factored_agreement(self):
+        # the dense map against the explicit product of its factors
         rng = np.random.default_rng(9)
         m = 6
-        dense = RescalingState(m, mode="dense")
-        fact = RescalingState(m, mode="factored")
+        state = RescalingState(m)
+        product = np.eye(m)
         for _ in range(10):
             a = rng.standard_normal(m)
             a /= np.linalg.norm(a)
-            dense.rescale(a)
-            fact.rescale(a)
+            state.rescale(a)
+            product = product @ (np.eye(m) - 0.5 * np.outer(a, a))
+        assert state.s == 10
         for _ in range(20):
             z = rng.standard_normal(m)
-            assert np.max(np.abs(dense.apply(z) - fact.apply(z))) <= 1e-12
-            assert np.max(np.abs(dense.apply_transpose(z)
-                                 - fact.apply_transpose(z))) <= 1e-12
-
-    def test_auto_materializes_after_m(self):
-        m = 3
-        state = RescalingState(m, mode="auto")
-        rng = np.random.default_rng(1)
-        for s in range(m + 2):
-            a = rng.standard_normal(m)
-            a /= np.linalg.norm(a)
-            state.rescale(a)
-            if s + 1 <= m:
-                assert state.M is None
-        assert state.M is not None
-        fact = RescalingState(m, mode="factored")
-        for a in state.factors:
-            fact.rescale(a)
-        z = rng.standard_normal(m)
-        assert np.max(np.abs(state.apply(z) - fact.apply(z))) <= 1e-12
-
-    def test_apply_inverse_round_trip(self):
-        rng = np.random.default_rng(14)
-        for mode in ("dense", "factored"):
-            state = RescalingState(4, mode=mode)
-            for _ in range(6):
-                a = rng.standard_normal(4)
-                a /= np.linalg.norm(a)
-                state.rescale(a)
-            z = rng.standard_normal(4)
-            assert_allclose(state.apply(state.apply_inverse(z)), z,
-                            atol=1e-10)
+            assert np.max(np.abs(state.apply(z) - product @ z)) <= 1e-12
+            assert np.max(np.abs(state.apply_transpose(z)
+                                 - product.T @ z)) <= 1e-12
 
     def test_degenerate_column(self):
         state = RescalingState(2)
         with pytest.raises(DegenerateColumn):
             state.normalize(np.array([1e-308, 0.0]))
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            RescalingState(2, mode="sparse")
 
 
 class TestConvexCombinationElimination:
@@ -348,19 +311,17 @@ class TestBasicProcedure:
 
 
 class TestDeepestCut:
-    @pytest.mark.parametrize("mode", ["dense", "factored"])
-    def test_lp_pick_is_most_violated_rescaled_column(self, mode,
-                                                       monkeypatch):
+    def test_lp_pick_is_most_violated_rescaled_column(self, monkeypatch):
         rng = np.random.default_rng(23)
         m, n = 5, 40
         inst = FiniteLp(rng.standard_normal((m, n)))
-        state = RescalingState(m, mode)
+        state = RescalingState(m)
+        M = np.eye(m)
         for _ in range(3):
             a = rng.standard_normal(m)
-            state.rescale(a / np.linalg.norm(a))
-        M = np.eye(m)
-        for a in state.factors:
-            M = M - 0.5 * np.outer(M @ a, a)
+            a /= np.linalg.norm(a)
+            state.rescale(a)
+            M = M @ (np.eye(m) - 0.5 * np.outer(a, a))
         a_hat = M.T @ inst.columns
         a_hat /= np.linalg.norm(a_hat, axis=0)
 
@@ -386,17 +347,17 @@ class TestDeepestCut:
     def test_column_norms_match_per_column_normalization(self):
         rng = np.random.default_rng(29)
         cols = rng.standard_normal((4, 9))
-        for mode in ("dense", "factored"):
-            state = RescalingState(4, mode)
-            for _ in range(3):
-                a = rng.standard_normal(4)
-                state.rescale(a / np.linalg.norm(a))
-            expected = [state.normalize(c)[1] for c in cols.T]
-            assert_allclose(state.column_norms(cols), expected, rtol=1e-14)
+        state = RescalingState(4)
+        for _ in range(3):
+            a = rng.standard_normal(4)
+            state.rescale(a / np.linalg.norm(a))
+        expected = [state.normalize(c)[1] for c in cols.T]
+        assert_allclose(state.column_norms(cols), expected, rtol=1e-14)
 
     def test_oracle_call_count_guard(self):
-        # planted-p LP m=10 n=200, seed 101: 2,068 oracle calls with the
-        # most-violated rule (16,238 with the first-violated rule)
+        # planted-p LP m=10 n=200, seed 101: 2,111 oracle calls with the
+        # most-violated rule and the dense map (16,238 with the
+        # first-violated rule)
         inst = generate_planted("lp", 10, 200, 101, "feasible_p")[0]
         out = main_algorithm(inst, epsilon=1e-6)
         assert out.counters.rescalings == 72
