@@ -100,9 +100,12 @@ def _accepted_margin(instance: ProblemInstance, y: np.ndarray) -> float | None:
         return float(np.min(np.linalg.eigvalsh(X)))
     if isinstance(instance, Socp):
         x = instance.A.T @ y
-        margins = [x[sl][0] - float(np.linalg.norm(x[sl][1:]))
-                   for sl in instance.block_slices()]
-        return float(min(margins))
+        b = int(np.argmin(x[instance.starts] - instance.tail_norms(x)))
+        # the reported margin takes the block's tail norm from
+        # np.linalg.norm, as the oracle's witness does, so reports keep
+        # their bits whatever order the array pass sums in
+        sl = instance.block_slice(b)
+        return float(x[sl.start] - np.linalg.norm(x[sl.start + 1 : sl.stop]))
     return None
 
 
@@ -169,19 +172,14 @@ def resolve_witness_column(
         v = np.asarray(witness.v, dtype=float)
         if v.shape != (instance.n,):
             raise UnresolvableWitness("socp witness has the wrong dimension")
-        active = 0
-        for sl in instance.block_slices():
-            vb = v[sl]
-            if not np.any(vb != 0.0):
-                continue
-            active += 1
-            if abs(vb[0] - 1.0) > 1e-12 or \
-                    np.linalg.norm(vb[1:]) > 1.0 + 1e-12:
-                raise UnresolvableWitness(
-                    "socp witness block must be (1, u) with ||u|| <= 1"
-                )
-        if active == 0:
+        active = np.logical_or.reduceat(v != 0.0, instance.starts)
+        if not np.any(active):
             raise UnresolvableWitness("socp witness is identically zero")
+        if np.any(np.abs(v[instance.starts][active] - 1.0) > 1e-12) or \
+                np.any(instance.tail_norms(v)[active] > 1.0 + 1e-12):
+            raise UnresolvableWitness(
+                "socp witness block must be (1, u) with ||u|| <= 1"
+            )
         return witness, instance.A @ v
     if isinstance(witness, CustomWitness):
         if not isinstance(instance, CustomOracle):
@@ -305,7 +303,7 @@ def _planted_sdp(rng, m, n, target):
     for i in range(m):
         B = _random_symmetric(rng, n)
         mats[i] = B - (float(np.sum(B * C)) / c_norm2) * C
-    pairs = [(SdpVector(tuple(float(t) for t in v)), float(x))
+    pairs = [(SdpVector(tuple(v.tolist())), float(x))
              for v, x in zip(vs, xs)]
     return Sdp(mats), Certificate("p", weights=pairs)
 
@@ -355,7 +353,7 @@ def _planted_socp(rng, m, n, target):
         w += x * v
     A = rng.standard_normal((m, n))
     A -= np.outer(A @ w, w) / float(w @ w)
-    pairs = [(SocpVector(tuple(float(t) for t in v)), float(x))
+    pairs = [(SocpVector(tuple(v.tolist())), float(x))
              for v, x in zip(vs, xs)]
     return Socp(A, blocks), Certificate("p", weights=pairs)
 

@@ -37,6 +37,7 @@ from .oracle import (
     Socp,
     Witness,
     WitnessedColumn,
+    strict_int,
     witness_from_json,
     witness_to_json,
 )
@@ -87,26 +88,25 @@ def load_problem(data: object) -> ProblemInstance:
     kind = data.get("type")
     try:
         if kind == "lp":
-            m = int(data["m"])
+            m = strict_int(data["m"], "m")
             cols = np.asarray(data["columns"], dtype=float)
             if cols.ndim != 2 or cols.shape[1] != m:
                 raise DataError(
                     "\"columns\" must be a list of length-m columns")
             return FiniteLp(cols.T)
         if kind == "sdp":
-            m = int(data["m"])
-            n = int(data["n"])
+            m = strict_int(data["m"], "m")
+            n = strict_int(data["n"], "n")
             mats = np.asarray(data["matrices"], dtype=float)
             if mats.shape != (m, n, n):
                 raise DataError("\"matrices\" must be m matrices of size n*n")
             return Sdp(mats)
         if kind == "socp":
-            m = int(data["m"])
-            blocks = tuple(int(b) for b in data["blocks"])
+            m = strict_int(data["m"], "m")
             A = np.asarray(data["A"], dtype=float)
             if A.ndim != 2 or A.shape[0] != m:
                 raise DataError("\"A\" must be an m-row matrix")
-            return Socp(A, blocks)
+            return Socp(A, data["blocks"])
     except KeyError as exc:
         raise DataError(f"problem document is missing {exc.args[0]!r}") from exc
     except (TypeError, OverflowError) as exc:

@@ -20,7 +20,8 @@ Built-in instance kinds, each with the violated constraint it selects:
   violated unit ``v``.
 * :class:`Socp` -- ``A^T y`` interior to a product of second-order cones;
   witnesses are block-supported cone vectors and the column is ``A v``.
-  The query returns the first violated block.
+  The query returns the first violated block, found in one array pass
+  over all blocks (:meth:`Socp.tail_norms`).
 * :class:`CustomOracle` -- user callback, re-checked at every query.
 
 Boundary convention: ``a_t^T y = 0`` counts as a violation, so ``None`` means
@@ -29,6 +30,8 @@ strict feasibility.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -71,6 +74,20 @@ class InvalidQuery(ValueError):
 
 class OracleContractViolation(RuntimeError):
     """An oracle returned a column that does not separate the queried point."""
+
+
+def strict_int(value: object, what: str) -> int:
+    """Return ``value`` as an int if it is an integer or an integral float.
+
+    Booleans, fractional or non-finite floats and every other type raise
+    TypeError instead of being truncated by ``int()``.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and math.isfinite(value) \
+            and value.is_integer():
+        return int(value)
+    raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -184,16 +201,18 @@ class Socp:
     """Second-order cone interior constraint on x = A^T y.
 
     ``A`` is (m, n); ``blocks`` partitions the n coordinates of x into
-    consecutive cones.  Within each block ``(x0, xt)`` feasibility means
-    ``x0 > ||xt||``.
+    consecutive cones of positive integer sizes.  Within each block
+    ``(x0, xt)`` feasibility means ``x0 > ||xt||``.  ``starts`` holds the
+    index of each block's leading coordinate ``x0``.
     """
 
     A: np.ndarray
     blocks: tuple[int, ...]
+    starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         A = np.asarray(self.A, dtype=float)
-        blocks = tuple(int(b) for b in self.blocks)
+        blocks = tuple(strict_int(b, "block size") for b in self.blocks)
         if A.ndim != 2 or A.shape[0] == 0:
             raise ValueError("A must be a nonempty (m, n) array")
         if not np.all(np.isfinite(A)):
@@ -204,6 +223,8 @@ class Socp:
             raise ValueError("block sizes must sum to the column count of A")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "starts",
+                           np.cumsum((0,) + blocks[:-1], dtype=np.intp))
 
     @property
     def m(self) -> int:
@@ -214,11 +235,25 @@ class Socp:
         return self.A.shape[1]
 
     def block_slices(self) -> list[slice]:
-        out, start = [], 0
-        for b in self.blocks:
-            out.append(slice(start, start + b))
-            start += b
-        return out
+        return [slice(int(s), int(s) + b)
+                for s, b in zip(self.starts, self.blocks)]
+
+    def block_slice(self, b: int) -> slice:
+        """The coordinates of block ``b``."""
+        start = int(self.starts[b])
+        return slice(start, start + self.blocks[b])
+
+    def tail_norms(self, x: np.ndarray) -> np.ndarray:
+        """Per-block tail norms ``||xt_b||`` of a length-n vector, in one pass.
+
+        The sums of squares may differ from ``np.linalg.norm`` of a block's
+        tail in the last bit, because they are accumulated in another order.
+        """
+        sq = x * x
+        sq[self.starts] = 0.0
+        # reduceat sums sq[starts[b]:starts[b+1]]; an empty block would get
+        # sq[starts[b]] instead of 0, which __post_init__ rules out
+        return np.sqrt(np.add.reduceat(sq, self.starts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,33 +336,32 @@ def sdp_query(instance: Sdp, y: np.ndarray) -> WitnessedColumn | None:
     if v[np.argmax(np.abs(v))] < 0.0:
         v = -v
     column = np.einsum("ijk,j,k->i", instance.matrices, v, v)
-    return WitnessedColumn(SdpVector(tuple(float(t) for t in v)), column)
+    return WitnessedColumn(SdpVector(tuple(v.tolist())), column)
 
 
 def socp_query(instance: Socp, y: np.ndarray) -> WitnessedColumn | None:
-    """Check each cone block of x = A^T y; witness the first violated one.
+    """Check every cone block of x = A^T y; witness the first violated one.
 
-    For a violated block ``(x0, xt)`` the witness vector carries
-    ``(1, -xt/||xt||)`` on that block (or ``(1, 0, ...)`` when ``xt = 0``)
-    and zeros on every other block; its column is ``A v``, with value
+    All tail norms come from one :meth:`Socp.tail_norms` pass, and the
+    first block with ``x0 <= ||xt||`` is taken.  Its witness vector
+    carries ``(1, -xt/||xt||)`` on that block (or ``(1, 0, ...)`` when
+    ``xt = 0``), with ``||xt||`` recomputed by ``np.linalg.norm``, and
+    zeros on every other block; its column is ``A v``, with value
     ``v^T x = x0 - ||xt||  <= 0``.
     """
     y = _checked_direction(y, instance.m)
     x = instance.A.T @ y
-    for sl in instance.block_slices():
-        xb = x[sl]
-        x0 = xb[0]
-        tail = xb[1:]
-        tail_norm = float(np.linalg.norm(tail))
-        if x0 > tail_norm:
-            continue
-        v = np.zeros(instance.n)
-        v[sl.start] = 1.0
-        if tail_norm > 0.0:
-            v[sl.start + 1 : sl.stop] = -tail / tail_norm
-        return WitnessedColumn(SocpVector(tuple(float(t) for t in v)),
-                               instance.A @ v)
-    return None
+    bad = np.flatnonzero(x[instance.starts] <= instance.tail_norms(x))
+    if bad.size == 0:
+        return None
+    sl = instance.block_slice(int(bad[0]))
+    tail = x[sl.start + 1 : sl.stop]
+    tail_norm = float(np.linalg.norm(tail))
+    v = np.zeros(instance.n)
+    v[sl.start] = 1.0
+    if tail_norm > 0.0:
+        v[sl.start + 1 : sl.stop] = -tail / tail_norm
+    return WitnessedColumn(SocpVector(tuple(v.tolist())), instance.A @ v)
 
 
 def query(instance: ProblemInstance, y: np.ndarray,
@@ -393,7 +427,7 @@ def witness_from_json(obj: dict) -> tuple[Witness, np.ndarray | None]:
     """Parse the JSON certificate encoding; returns (witness, column-or-None)."""
     kind = obj.get("type")
     if kind == "lp_index":
-        return LpIndex(int(obj["i"])), None
+        return LpIndex(strict_int(obj["i"], "column index")), None
     if kind == "sdp_vector":
         return SdpVector(tuple(float(t) for t in obj["v"])), None
     if kind == "socp_vector":

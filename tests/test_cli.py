@@ -103,6 +103,18 @@ class TestProblemFileFormat:
         ("certificate", {"schema": 1, "kind": "p", "weights": [
             {"witness": {"type": "lp_index", "i": float("inf")},
              "x": 1.0}]}),
+        ("problem", {"schema": 1, "type": "lp", "m": 2.7,
+                     "columns": [[1.0, 0.0]]}),
+        ("problem", {"schema": 1, "type": "lp", "m": True,
+                     "columns": [[1.0]]}),
+        ("problem", {"schema": 1, "type": "sdp", "m": 1, "n": 2.5,
+                     "matrices": [[[1.0, 0.0], [0.0, 1.0]]]}),
+        ("problem", {"schema": 1, "type": "socp", "m": 1, "blocks": [2.9],
+                     "A": [[1.0, 0.0]]}),
+        ("certificate", {"schema": 1, "kind": "p", "weights": [
+            {"witness": {"type": "lp_index", "i": 1.9}, "x": 1.0}]}),
+        ("certificate", {"schema": 1, "kind": "p", "weights": [
+            {"witness": {"type": "lp_index", "i": True}, "x": 1.0}]}),
     ])
     def test_wrongly_typed_fields_are_data_errors(self, tmp_path, capsys,
                                                   kind, doc):

@@ -2,6 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from prfeas.certify import (
+    UnresolvableWitness,
+    _accepted_margin,
+    resolve_witness_column,
+)
 from prfeas.linalg import certifying_cholesky
 from prfeas.oracle import (
     CustomOracle,
@@ -204,6 +209,171 @@ class TestSocpQuery:
     def test_block_validation(self):
         with pytest.raises(ValueError):
             Socp(np.ones((2, 3)), (2, 2))
+
+    @pytest.mark.parametrize("blocks", [(1.5, 1.5), (2.9, 1), (True, 2),
+                                        ("2", 1), (float("nan"), 1)])
+    def test_block_sizes_must_be_integers(self, blocks):
+        with pytest.raises(TypeError):
+            Socp(np.ones((2, 3)), blocks)
+
+    def test_integral_block_sizes_accepted(self):
+        inst = Socp(np.ones((2, 3)), [2.0, np.int64(1)])
+        assert inst.blocks == (2, 1)
+        assert all(type(b) is int for b in inst.blocks)
+        assert inst.starts.tolist() == [0, 2]
+
+
+# The per-block loops that socp_query, _accepted_margin and
+# resolve_witness_column ran before the single array pass; the array pass
+# must reproduce them bit for bit.
+
+def loop_slices(instance):
+    out, start = [], 0
+    for b in instance.blocks:
+        out.append(slice(start, start + b))
+        start += b
+    return out
+
+
+def loop_socp_query(instance, y):
+    x = instance.A.T @ y
+    for sl in loop_slices(instance):
+        xb = x[sl]
+        x0 = xb[0]
+        tail = xb[1:]
+        tail_norm = float(np.linalg.norm(tail))
+        if x0 > tail_norm:
+            continue
+        v = np.zeros(instance.n)
+        v[sl.start] = 1.0
+        if tail_norm > 0.0:
+            v[sl.start + 1 : sl.stop] = -tail / tail_norm
+        return WitnessedColumn(SocpVector(tuple(float(t) for t in v)),
+                               instance.A @ v)
+    return None
+
+
+def loop_accepted_margin(instance, y):
+    x = instance.A.T @ y
+    margins = [x[sl][0] - float(np.linalg.norm(x[sl][1:]))
+               for sl in loop_slices(instance)]
+    return float(min(margins))
+
+
+def loop_resolves(instance, v):
+    active = 0
+    for sl in loop_slices(instance):
+        vb = v[sl]
+        if not np.any(vb != 0.0):
+            continue
+        active += 1
+        if abs(vb[0] - 1.0) > 1e-12 or \
+                np.linalg.norm(vb[1:]) > 1.0 + 1e-12:
+            return False
+    return active > 0
+
+
+def random_socp(rng):
+    """Blocks of sizes 1-5 (at least one of size 1), some zero tails.
+
+    Row 0 of ``A`` is ``x = A^T e_0``; it is filled so that most blocks
+    are strictly feasible, some are violated (zero tails with ``x0 < 0``,
+    or ``x0 = 0``) and one lies exactly on the boundary, ``(5, 3, 4)``.
+    """
+    blocks = [1, 3] + [int(b) for b in rng.integers(1, 6, rng.integers(1, 9))]
+    rng.shuffle(blocks)
+    m, n = int(rng.integers(2, 5)), sum(blocks)
+    A = rng.standard_normal((m, n))
+    row = np.empty(n)
+    boundary = blocks.index(3)
+    for b, sl in enumerate(loop_slices(Socp(A, blocks))):
+        size = blocks[b]
+        if b == boundary:
+            row[sl] = (5.0, 3.0, 4.0)
+            continue
+        if size == 1 or rng.random() < 0.3:   # zero tail, x0 of either sign
+            A[:, sl.start + 1 : sl.stop] = 0.0
+            row[sl] = 0.0
+            row[sl.start] = rng.choice([-1.0, 1.0]) * (0.5 + rng.random())
+            continue
+        row[sl.start + 1 : sl.stop] = rng.standard_normal(size - 1)
+        row[sl.start] = np.linalg.norm(row[sl.start + 1 : sl.stop]) \
+            * (1.0 + rng.random()) if rng.random() < 0.8 else 0.0
+    A[0] = row
+    return Socp(A, blocks)
+
+
+class TestSocpKernelMatchesLoop:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_query_and_margin(self, seed):
+        rng = np.random.default_rng(seed)
+        inst = random_socp(rng)
+        ys = [np.eye(inst.m)[0]] + [rng.standard_normal(inst.m)
+                                    for _ in range(5)]
+        for y in ys:
+            w, ref = socp_query(inst, y), loop_socp_query(inst, y)
+            assert (w is None) == (ref is None)
+            if w is not None:
+                assert w.witness == ref.witness
+                assert np.asarray(w.witness.v).tobytes() == \
+                    np.asarray(ref.witness.v).tobytes()
+                assert w.column.tobytes() == ref.column.tobytes()
+            assert _accepted_margin(inst, y) == loop_accepted_margin(inst, y)
+
+    def test_boundary_block_is_violated(self):
+        A = np.zeros((2, 5))
+        A[0] = (1.0, 5.0, 3.0, 4.0, 2.0)   # blocks (1), (5, 3, 4), (2)
+        A[1, 1] = 1.0
+        inst = Socp(A, (1, 3, 1))
+        y = np.array([1.0, 0.0])
+        w = socp_query(inst, y)
+        assert w.witness == SocpVector((0.0, 1.0, -0.6, -0.8, 0.0))
+        assert w.witness == loop_socp_query(inst, y).witness
+
+    def test_strictly_feasible_returns_none(self):
+        A = np.zeros((1, 6))
+        A[0] = (1.0, 2.0, 0.0, 5.0, 3.0, 3.9)   # blocks (1), (2, 0), (5, 3, 3.9)
+        inst = Socp(A, (1, 2, 3))
+        y = np.ones(1)
+        assert socp_query(inst, y) is None
+        assert loop_socp_query(inst, y) is None
+        assert _accepted_margin(inst, y) == loop_accepted_margin(inst, y)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_witness_validation(self, seed):
+        rng = np.random.default_rng(seed)
+        inst = random_socp(rng)
+        candidates = []
+        for y in [np.eye(inst.m)[0], rng.standard_normal(inst.m)]:
+            w = socp_query(inst, y)
+            if w is not None:
+                candidates.append(np.asarray(w.witness.v))
+        v = np.zeros(inst.n)
+        for sl in inst.block_slices():     # a witness on several blocks
+            if rng.random() < 0.5:
+                u = rng.standard_normal(sl.stop - sl.start - 1)
+                v[sl.start] = 1.0
+                v[sl.start + 1 : sl.stop] = u * rng.random() \
+                    / max(np.linalg.norm(u), 1e-300)
+        candidates.append(v)
+        for v in list(candidates):
+            for j, delta in [(0, 1e-9), (-1, 1e-9), (-1, 0.5)]:
+                nz = np.flatnonzero(v)
+                if nz.size:
+                    bad = v.copy()
+                    bad[nz[j]] += delta
+                    candidates.append(bad)
+            candidates.append(2.0 * v)
+        candidates.append(np.zeros(inst.n))
+        for v in candidates:
+            try:
+                _, column = resolve_witness_column(
+                    inst, SocpVector(tuple(v.tolist())))
+                accepted = True
+                assert column.tobytes() == (inst.A @ v).tobytes()
+            except UnresolvableWitness:
+                accepted = False
+            assert accepted == loop_resolves(inst, v)
 
 
 class TestQueryDispatch:
