@@ -1,10 +1,11 @@
 """Finding a positive definite combination of symmetric matrices.
 
 Here the constraint set is infinite: every unit vector v contributes the
-constraint v^T (sum_i y_i A_i) v > 0.  The separation oracle runs a
-pivoted Cholesky factorization; when a pivot fails it assembles the
-offending direction v from the partial factor, so each oracle call costs
-one factorization attempt.
+constraint v^T (sum_i y_i A_i) v > 0.  The separation oracle makes one
+symmetric eigendecomposition of the combination per call: a smallest
+eigenvalue above 1e-12 times the largest diagonal entry certifies it,
+and otherwise that eigenvalue's unit eigenvector is the most violated
+direction v.
 """
 
 import numpy as np

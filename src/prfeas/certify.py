@@ -145,12 +145,16 @@ def resolve_witness_column(
     ------
     UnresolvableWitness
         If the witness does not belong to the instance (wrong kind, index
-        out of range, malformed cone vector, missing custom column).
+        out of range, non-finite or malformed vector, missing custom
+        column).
     """
     stored: np.ndarray | None = None
     if isinstance(witness, WitnessedColumn):
         stored = witness.column
         witness = witness.witness
+    if isinstance(witness, (SdpVector, SocpVector)) \
+            and not np.all(np.isfinite(witness.v)):
+        raise UnresolvableWitness("witness vector must be finite")
     if isinstance(witness, LpIndex):
         if not isinstance(instance, FiniteLp):
             raise UnresolvableWitness("lp_index witness on a non-LP instance")

@@ -1,14 +1,15 @@
-"""Deterministic dense linear-algebra kernels.
+"""Deterministic dense linear-algebra kernels of the support reduction.
 
-All matrices are dense float64 numpy arrays in C (row-major) order.  Every
-routine uses a fixed operation order and no parallel reductions, so repeated
-calls on identical inputs produce bit-identical results.
+The solver keeps the inverse of its basis matrix up to date with rank-one
+updates and rebuilds it through a checked LU factorization.  All matrices
+are dense float64 numpy arrays in C (row-major) order.  Every routine uses
+a fixed operation order and no parallel reductions, so repeated calls on
+identical inputs produce bit-identical results.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -18,22 +19,12 @@ class SingularUpdate(Exception):
     """Rank-one column replacement would make the matrix singular."""
 
 
-class NonSymmetric(Exception):
-    """Matrix expected to be symmetric is not, beyond tolerance."""
-
-
 class Singular(Exception):
     """Linear system factorization met a negligible pivot."""
 
 
 #: Relative threshold on the rank-one update denominator.
 SMW_TOL = 1e-10
-
-#: Cholesky pivot threshold, relative to the largest initial diagonal entry.
-CHOLESKY_PIVOT_TOL = 1e-12
-
-#: Relative symmetry tolerance for certifying_cholesky input.
-SYMMETRY_TOL = 1e-12
 
 #: LU pivot threshold, relative to the largest absolute entry of the matrix.
 LU_PIVOT_TOL = 1e-13
@@ -79,78 +70,23 @@ def smw_inverse_update(G: np.ndarray, u: np.ndarray, e_idx: int) -> np.ndarray:
     return G - np.outer(Gu, G[e_idx]) / denom
 
 
-@dataclass
-class CholeskyResult:
-    """Outcome of a certifying Cholesky factorization.
-
-    Exactly one of ``factor`` and ``witness`` is set.  ``factor`` is the lower
-    triangular L with ``X = L L^T``; ``witness`` is a unit 2-norm vector v
-    with ``v^T X v <= 0`` up to the pivot tolerance band.
-    """
-
-    is_pd: bool
-    factor: np.ndarray | None = None
-    witness: np.ndarray | None = None
-
-
-def certifying_cholesky(X: np.ndarray) -> CholeskyResult:
-    """Factor a symmetric matrix or certify that it is not positive definite.
-
-    Runs the standard left-looking Cholesky recursion with a pivot threshold
-    ``CHOLESKY_PIVOT_TOL * max(diag(X), 0)``.  When pivot k fails, the partial
-    factor is solved backwards so the returned direction zeroes the already
-    eliminated part, giving ``v^T X v`` equal to the failed pivot.
+def inverse_with_factorization(B: np.ndarray) -> np.ndarray:
+    """Dense inverse of ``B`` through a pivoted LU factorization.
 
     Parameters
     ----------
-    X : ndarray, shape (n, n)
-        Symmetric matrix.  Symmetrized internally as ``(X + X^T)/2``.
+    B : ndarray, shape (k, k)
 
     Returns
     -------
-    CholeskyResult
-        ``is_pd=True`` with the lower-triangular factor, or ``is_pd=False``
-        with a unit-norm witness ``v`` such that ``v^T X v <= 0`` within the
-        pivot tolerance band.
+    ndarray, shape (k, k)
+        ``inv(B)``, solved from the LU factors against the identity.
 
     Raises
     ------
-    NonSymmetric
-        If ``max|X - X^T| > SYMMETRY_TOL * max|X|``.
+    Singular
+        If any LU pivot is below ``LU_PIVOT_TOL * max|B|``.
     """
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    if X.shape != (n, n):
-        raise NonSymmetric(f"expected a square matrix, got shape {X.shape}")
-    scale = np.max(np.abs(X), initial=0.0)
-    if np.max(np.abs(X - X.T), initial=0.0) > SYMMETRY_TOL * scale:
-        raise NonSymmetric("input is not symmetric to working precision")
-    X = 0.5 * (X + X.T)
-
-    tol = CHOLESKY_PIVOT_TOL * max(float(np.max(np.diag(X), initial=0.0)), 0.0)
-    L = np.zeros_like(X)
-    for k in range(n):
-        pivot = X[k, k] - L[k, :k] @ L[k, :k]
-        if pivot <= tol:
-            # v = (-u, 1, 0, ..., 0) with X[:k,:k] u = X[:k,k] zeroes the
-            # eliminated block, so v^T X v reproduces the failed pivot.
-            v = np.zeros(n)
-            v[k] = 1.0
-            if k > 0:
-                c = scipy.linalg.solve_triangular(
-                    L[:k, :k], L[k, :k], trans="T", lower=True
-                )
-                v[:k] = -c
-            v /= np.linalg.norm(v)
-            return CholeskyResult(is_pd=False, witness=v)
-        L[k, k] = np.sqrt(pivot)
-        if k + 1 < n:
-            L[k + 1 :, k] = (X[k + 1 :, k] - L[k + 1 :, :k] @ L[k, :k]) / L[k, k]
-    return CholeskyResult(is_pd=True, factor=L)
-
-
-def _lu_factor_checked(B: np.ndarray):
-    """Pivoted LU factorization, rejecting negligible pivots."""
     B = np.asarray(B, dtype=float)
     scale = np.max(np.abs(B), initial=0.0)
     with warnings.catch_warnings():
@@ -159,33 +95,5 @@ def _lu_factor_checked(B: np.ndarray):
         lu, piv = scipy.linalg.lu_factor(B, check_finite=False)
     if np.min(np.abs(np.diag(lu))) < LU_PIVOT_TOL * scale:
         raise Singular("matrix is singular to working precision")
-    return lu, piv
-
-
-def solve_with_factorization(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``B x = rhs`` through a pivoted LU factorization.
-
-    Parameters
-    ----------
-    B : ndarray, shape (k, k)
-    rhs : ndarray, shape (k,) or (k, r)
-
-    Returns
-    -------
-    ndarray
-        Solution with the same trailing shape as ``rhs``.
-
-    Raises
-    ------
-    Singular
-        If any LU pivot is below ``LU_PIVOT_TOL * max|B|``.
-    """
-    lu, piv = _lu_factor_checked(B)
-    return scipy.linalg.lu_solve((lu, piv), np.asarray(rhs, dtype=float),
+    return scipy.linalg.lu_solve((lu, piv), np.eye(B.shape[0]),
                                  check_finite=False)
-
-
-def inverse_with_factorization(B: np.ndarray) -> np.ndarray:
-    """Dense inverse through the same checked LU path as the solver."""
-    B = np.asarray(B, dtype=float)
-    return solve_with_factorization(B, np.eye(B.shape[0]))

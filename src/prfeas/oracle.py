@@ -16,8 +16,9 @@ Built-in instance kinds, each with the violated constraint it selects:
   ``argmin_t z^T (M^T a_t / ||M^T a_t||)`` at the rescaled point ``z``.
 * :class:`Sdp` -- ``sum_i y_i A_i`` positive definite; witnesses are unit
   vectors ``v`` with ``v^T X v <= 0`` and the column is ``(v^T A_i v)_i``.
-  The query returns the eigenvector of ``lambda_min(X)``, the most
-  violated unit ``v``.
+  One symmetric eigendecomposition of ``X`` answers the query: it decides
+  definiteness from ``lambda_min(X)`` and returns that eigenvalue's
+  eigenvector, the most violated unit ``v``.
 * :class:`Socp` -- ``A^T y`` interior to a product of second-order cones;
   witnesses are block-supported cone vectors and the column is ``A v``.
   The query returns the first violated block, found in one array pass
@@ -36,8 +37,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-
-from .linalg import certifying_cholesky
 
 __all__ = [
     "InvalidQuery",
@@ -66,6 +65,9 @@ SOUNDNESS_TOL = 1e-12
 
 #: Relative symmetry tolerance for Sdp constraint matrices.
 SDP_SYMMETRY_TOL = 1e-12
+
+#: Sdp definiteness threshold on lambda_min(X), relative to max(diag(X), 0).
+SDP_DEFINITENESS_TOL = 1e-12
 
 
 class InvalidQuery(ValueError):
@@ -176,7 +178,7 @@ class Sdp:
 
     def __post_init__(self) -> None:
         mats = np.asarray(self.matrices, dtype=float)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[0] == 0:
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or 0 in mats.shape:
             raise ValueError("matrices must be a nonempty (m, n, n) stack")
         if not np.all(np.isfinite(mats)):
             raise ValueError("matrices must be finite")
@@ -321,18 +323,20 @@ def lp_query(instance: FiniteLp, y: np.ndarray,
 
 
 def sdp_query(instance: Sdp, y: np.ndarray) -> WitnessedColumn | None:
-    """Factor sum_i y_i A_i; on failure return the most violated direction.
+    """Decide ``X = sum_i y_i A_i`` positive definite with one ``eigh``.
 
-    When the certifying Cholesky factorization rejects ``X = sum_i y_i A_i``,
-    the witness ``v`` is the unit eigenvector of ``lambda_min(X)``, signed
-    so that its largest-magnitude entry is positive.  The returned column
-    is ``c_i = v^T A_i v``, so ``c^T y = v^T X v = lambda_min(X) <= 0``.
+    ``X`` is accepted when ``lambda_min(X)`` exceeds ``SDP_DEFINITENESS_TOL
+    * max(diag(X), 0)``; otherwise the witness ``v`` is the unit eigenvector
+    of ``lambda_min(X)``, signed so that its largest-magnitude entry is
+    positive.  The returned column is ``c_i = v^T A_i v``, so
+    ``c^T y = v^T X v = lambda_min(X)``.
     """
     y = _checked_direction(y, instance.m)
     X = np.tensordot(y, instance.matrices, axes=(0, 0))
-    if certifying_cholesky(X).is_pd:
+    eigvals, eigvecs = np.linalg.eigh(X)
+    if eigvals[0] > SDP_DEFINITENESS_TOL * max(float(np.max(np.diag(X))), 0.0):
         return None
-    v = np.linalg.eigh(X)[1][:, 0]
+    v = eigvecs[:, 0]
     if v[np.argmax(np.abs(v))] < 0.0:
         v = -v
     column = np.einsum("ijk,j,k->i", instance.matrices, v, v)

@@ -35,7 +35,14 @@ from .linalg import (
     inverse_with_factorization,
     smw_inverse_update,
 )
-from .oracle import FiniteLp, ProblemInstance, Witness, WitnessedColumn, query
+from .oracle import (
+    CustomWitness,
+    FiniteLp,
+    ProblemInstance,
+    Witness,
+    WitnessedColumn,
+    query,
+)
 
 __all__ = [
     "ConfigError",
@@ -319,14 +326,11 @@ class ConvexCombination:
         when the current leading block is singular.  Returns False when no
         m+1 terms are affinely independent yet; elimination is postponed.
         """
+        if self.G is None:
+            self._rebuild_g()
         if self.G is not None:
             return True
         k = self.m + 1
-        try:
-            self.G = inverse_with_factorization(self.basis_matrix())
-            return True
-        except Singular:
-            pass
         B = np.ones((k, len(self.entries)))
         for j, e in enumerate(self.entries):
             B[: self.m, j] = e.a_scaled
@@ -339,14 +343,11 @@ class ConvexCombination:
         chosen = [int(j) for j in piv[:k]]
         rest = [j for j in range(len(self.entries)) if j not in set(chosen)]
         self.entries = [self.entries[j] for j in chosen + rest]
-        try:
-            self.G = inverse_with_factorization(self.basis_matrix())
-        except Singular:
-            self.G = None
-            return False
-        return True
+        self._rebuild_g()
+        return self.G is not None
 
     def _rebuild_g(self) -> None:
+        """Invert the basis matrix afresh; G is None when it is singular."""
         try:
             self.G = inverse_with_factorization(self.basis_matrix())
         except Singular:
@@ -588,14 +589,17 @@ class SolveOutcome:
 
     ``status`` is ``"feasible"`` (with ``y``), ``"dual_certificate"`` (with
     ``weights`` as (witness, x) pairs mapped back to the original columns),
-    or ``"epsilon_declared"``.  ``epsilon`` is the declared bound actually
-    certified, ``s_star`` the full contraction budget for the requested
-    epsilon.  ``verification`` embeds the re-check of the returned artifact.
+    or ``"epsilon_declared"``.  A built-in witness stands alone; a
+    :class:`CustomWitness` is kept inside its :class:`WitnessedColumn`,
+    because only the column lets ``verify_p_certificate`` re-check it.
+    ``epsilon`` is the declared bound actually certified, ``s_star`` the
+    full contraction budget for the requested epsilon.  ``verification``
+    embeds the re-check of the returned artifact.
     """
 
     status: str
     y: np.ndarray | None
-    weights: list[tuple[Witness, float]] | None
+    weights: list[tuple[Witness | WitnessedColumn, float]] | None
     epsilon: float
     s_star: int
     counters: SolveCounters
@@ -664,7 +668,8 @@ def main_algorithm(
                 raise OracleInconsistency(
                     "dual certificate verification rejected the candidate"
                 )
-            weights = [(wc.witness, u) for wc, u in pairs]
+            weights = [(wc if isinstance(wc.witness, CustomWitness)
+                        else wc.witness, u) for wc, u in pairs]
             return SolveOutcome("dual_certificate", None, weights, epsilon,
                                 budget, counters, report, elapsed_ms())
         # small aggregate: contract along the heaviest term's direction

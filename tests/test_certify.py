@@ -175,6 +175,14 @@ class TestResolveWitnessColumn:
         with pytest.raises(UnresolvableWitness):
             resolve_witness_column(axes_lp(), CustomWitness(1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        with pytest.raises(UnresolvableWitness):
+            resolve_witness_column(indefinite_sdp(), SdpVector((bad, 1.0)))
+        socp = Socp(np.array([[1.0, 0.5]]), blocks=(2,))
+        with pytest.raises(UnresolvableWitness):
+            resolve_witness_column(socp, SocpVector((1.0, bad)))
+
 
 class TestGeneratePlanted:
     KINDS = ["lp", "sdp", "socp"]

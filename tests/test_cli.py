@@ -247,6 +247,30 @@ class TestVerifyCommand:
                          "--certificate", cert)
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("problem,witness", [
+        ({"schema": 1, "type": "sdp", "m": 1, "n": 2,
+          "matrices": [[[1.0, 0.0], [0.0, -1.0]]]},
+         {"type": "sdp_vector", "v": [float("nan"), 1.0]}),
+        ({"schema": 1, "type": "socp", "m": 1, "blocks": [2],
+          "A": [[1.0, 0.5]]},
+         {"type": "socp_vector", "v": [1.0, float("nan")]}),
+    ], ids=["sdp", "socp"])
+    def test_non_finite_witness_vector_is_data_error(self, tmp_path, capsys,
+                                                     problem, witness):
+        inp = write_json(tmp_path / "p.json", problem)
+        cert = write_json(tmp_path / "c.json", {
+            "schema": 1, "kind": "p",
+            "weights": [{"witness": witness, "x": 1.0}],
+        })
+        code, out = invoke(capsys, "verify", "--input", inp,
+                           "--certificate", cert)
+        assert code == EXIT_DATA
+
+        def reject_constant(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        assert "error" in json.loads(out, parse_constant=reject_constant)
+
     def test_unknown_witness_type_is_data_error(self, tmp_path, capsys):
         cert = write_json(tmp_path / "c.json", {
             "schema": 1, "kind": "p",

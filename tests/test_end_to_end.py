@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
-from prfeas.certify import generate_planted
+from prfeas import oracle
+from prfeas.certify import generate_planted, verify_p_certificate
 from prfeas.oracle import (
     CustomOracle,
     CustomWitness,
     FiniteLp,
     LpIndex,
+    Sdp,
     WitnessedColumn,
 )
 from prfeas.solver import (
@@ -149,6 +152,64 @@ class TestMainAlgorithmOutcomes:
         with pytest.raises(ConfigError):
             main_algorithm(FiniteLp(np.eye(2)), epsilon=0.5,
                            config=SolverConfig(max_rescalings=-3))
+
+    def test_custom_dual_certificate_reverifies(self):
+        # a custom oracle over the columns +-e1, +-e2: the returned
+        # certificate keeps each custom witness's column, so it can be
+        # checked again from the outcome alone
+        cols = {"+e1": np.array([1.0, 0.0]), "-e1": np.array([-1.0, 0.0]),
+                "+e2": np.array([0.0, 1.0]), "-e2": np.array([0.0, -1.0])}
+
+        def fn(y):
+            label = min(cols, key=lambda k: (cols[k] @ y, k))
+            if cols[label] @ y > 0.0:
+                return None
+            return WitnessedColumn(CustomWitness(label), cols[label])
+
+        inst = CustomOracle(2, fn)
+        out = main_algorithm(inst, epsilon=1e-2)
+        assert out.status == "dual_certificate"
+        for wc, _ in out.weights:
+            assert isinstance(wc, WitnessedColumn)
+            assert_array_equal(wc.column, cols[wc.witness.label])
+        report = verify_p_certificate(inst, out.weights)
+        assert report.accepted
+        assert report.residual == out.verification.residual
+
+
+class TestSdpScalingInvariance:
+    """Scaling every matrix by 4**k scales X = sum_i y_i A_i and its
+    eigenvalues exactly, so the SDP oracle decides the same and picks the
+    same witnesses, and the scaled solve repeats the original one."""
+
+    @staticmethod
+    def solve_recording(inst, monkeypatch):
+        witnesses = []
+        sdp_query = oracle.sdp_query
+
+        def recording(instance, y):
+            w = sdp_query(instance, y)
+            witnesses.append(None if w is None else w.witness)
+            return w
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "sdp_query", recording)
+            out = main_algorithm(inst, epsilon=1e-2)
+        return out, witnesses
+
+    @pytest.mark.parametrize("target", ["feasible_d", "feasible_p"])
+    @pytest.mark.parametrize("k", [-1, 1, 2])
+    def test_power_of_four_scaling(self, monkeypatch, target, k):
+        base, _ = generate_planted("sdp", m=4, n=6, seed=3, target=target)
+        scaled = Sdp(4.0 ** k * base.matrices)
+        out, seen = self.solve_recording(base, monkeypatch)
+        out_k, seen_k = self.solve_recording(scaled, monkeypatch)
+        assert out_k.status == out.status
+        assert out_k.counters == out.counters
+        assert len(seen) == out.counters.oracle_calls
+        assert seen_k == seen
+        if out.y is not None:
+            assert_array_equal(out_k.y, out.y)
 
 
 class TestSemiInfiniteOracles:

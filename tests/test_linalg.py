@@ -3,14 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from prfeas.linalg import (
-    NonSymmetric,
     Singular,
     SingularUpdate,
-    certifying_cholesky,
     inverse_with_factorization,
     smw_inverse_update,
-    solve_with_factorization,
 )
+from prfeas.oracle import Sdp, sdp_query
 
 
 class TestSmwInverseUpdate:
@@ -63,43 +61,59 @@ class TestSmwInverseUpdate:
             assert np.max(np.abs(out @ B_new - np.eye(k))) <= 1e-9
 
 
+def one_matrix_query(X):
+    """sdp_query on the one-matrix instance Sdp([X]) at y = [1], where X is
+    exactly the queried combination."""
+    return sdp_query(Sdp(np.array([X])), np.array([1.0]))
+
+
 class TestCertifyingCholesky:
+    """The SDP oracle's certifying definiteness decision.
+
+    A hand-written Cholesky once made this decision; one ``eigh`` in
+    ``sdp_query`` makes it now, and these cases check it there.
+    """
+
     def test_identity_is_pd(self):
-        res = certifying_cholesky(np.eye(3))
-        assert res.is_pd
-        assert_allclose(res.factor, np.eye(3), atol=0)
+        assert one_matrix_query(np.eye(3)) is None
 
     def test_known_indefinite_matrix_witness(self):
-        # pivot 2 of [[1,2],[2,1]] is 1 - 4 = -3, reached along (-2, 1).
+        # eigenvalues of [[1,2],[2,1]] are -1 along (1,-1) and 3 along (1,1)
         X = np.array([[1.0, 2.0], [2.0, 1.0]])
-        res = certifying_cholesky(X)
-        assert not res.is_pd
-        v = res.witness
+        w = one_matrix_query(X)
+        assert w is not None
+        v = np.asarray(w.witness.v)
         assert_allclose(np.linalg.norm(v), 1.0, atol=1e-14)
-        assert_allclose(v / v[1], np.array([-2.0, 1.0]), atol=1e-12)
-        assert_allclose(v @ X @ v, -3.0 / 5.0, atol=1e-12)
+        assert_allclose(v, np.array([1.0, -1.0]) / np.sqrt(2.0), atol=1e-12)
+        assert_allclose(v @ X @ v, -1.0, atol=1e-12)
+        assert_allclose(w.column, [v @ X @ v], atol=0)
 
     def test_diagonal_indefinite_witness(self):
-        res = certifying_cholesky(np.diag([1.0, -1.0]))
-        assert not res.is_pd
-        assert_allclose(res.witness, np.array([0.0, 1.0]), atol=0)
+        w = one_matrix_query(np.diag([1.0, -1.0]))
+        assert w is not None
+        assert_allclose(w.witness.v, np.array([0.0, 1.0]), atol=0)
 
     def test_zero_matrix_is_not_pd(self):
-        res = certifying_cholesky(np.zeros((3, 3)))
-        assert not res.is_pd
-        assert res.witness @ res.witness == pytest.approx(1.0)
+        # X = I - I = 0: lambda_min = 0 sits on the boundary, a violation
+        w = sdp_query(Sdp(np.array([np.eye(3), np.eye(3)])),
+                      np.array([1.0, -1.0]))
+        assert w is not None
+        v = np.asarray(w.witness.v)
+        assert v @ v == pytest.approx(1.0)
+        assert w.column @ np.array([1.0, -1.0]) == 0.0
 
     def test_first_pivot_failure(self):
         X = np.array([[-2.0, 0.5], [0.5, 3.0]])
-        res = certifying_cholesky(X)
-        assert not res.is_pd
-        assert_allclose(np.abs(res.witness), np.array([1.0, 0.0]), atol=0)
+        w = one_matrix_query(X)
+        assert w is not None
+        v = np.asarray(w.witness.v)
+        assert_allclose(v @ X @ v, np.min(np.linalg.eigvalsh(X)), atol=1e-12)
 
     def test_non_symmetric_rejected(self):
-        with pytest.raises(NonSymmetric):
-            certifying_cholesky(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        with pytest.raises(NonSymmetric):
-            certifying_cholesky(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            Sdp(np.array([[[1.0, 2.0], [0.0, 1.0]]]))
+        with pytest.raises(ValueError):
+            Sdp(np.ones((1, 2, 3)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_matches_eigenvalue_check(self, n):
@@ -108,43 +122,33 @@ class TestCertifyingCholesky:
         for _ in range(200):
             B = rng.standard_normal((n, n))
             X = 0.5 * (B + B.T)
-            res = certifying_cholesky(X)
+            w = one_matrix_query(X)
             min_eig = np.min(np.linalg.eigvalsh(X))
             scale = max(np.max(np.abs(X)), 1e-30)
             if min_eig > 1e-10 * scale:
-                assert res.is_pd
+                assert w is None
             elif min_eig < -1e-10 * scale:
-                assert not res.is_pd
-            if res.is_pd:
-                assert np.max(np.abs(res.factor @ res.factor.T - X)) \
-                    <= 1e-10 * scale
-            else:
-                v = res.witness
+                assert w is not None
+            if w is not None:
+                v = np.asarray(w.witness.v)
                 assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
                 assert v @ X @ v <= 1e-12 * scale
 
-    def test_pd_factor_reconstructs(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            B = rng.standard_normal((5, 5))
-            X = B @ B.T + 0.5 * np.eye(5)
-            res = certifying_cholesky(X)
-            assert res.is_pd
-            assert np.max(np.abs(res.factor @ res.factor.T - X)) \
-                <= 1e-10 * np.max(np.abs(X))
-
 
 class TestSolveWithFactorization:
+    """Solves through ``inverse_with_factorization``, the checked LU path
+    the solver rebuilds its basis inverse with."""
+
     def test_solves_small_system(self):
         B = np.array([[2.0, 1.0], [1.0, 3.0]])
         rhs = np.array([3.0, 5.0])
-        x = solve_with_factorization(B, rhs)
+        x = inverse_with_factorization(B) @ rhs
         assert np.linalg.norm(B @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_singular_matrix_rejected(self):
         B = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(Singular):
-            solve_with_factorization(B, np.ones(2))
+            inverse_with_factorization(B)
 
     def test_inverse_helper(self):
         rng = np.random.default_rng(11)
@@ -158,6 +162,6 @@ class TestSolveWithFactorization:
         for _ in range(25):
             B = rng.standard_normal((k, k)) + 3.0 * np.eye(k)
             rhs = rng.standard_normal(k)
-            x = solve_with_factorization(B, rhs)
+            x = inverse_with_factorization(B) @ rhs
             assert np.linalg.norm(B @ x - rhs) \
                 <= 1e-10 * max(np.linalg.norm(rhs), 1.0)

@@ -7,7 +7,6 @@ from prfeas.certify import (
     _accepted_margin,
     resolve_witness_column,
 )
-from prfeas.linalg import certifying_cholesky
 from prfeas.oracle import (
     CustomOracle,
     CustomWitness,
@@ -137,8 +136,8 @@ class TestSdpQuery:
             assert abs(w.column @ y - value) <= tol
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
             assert v[np.argmax(np.abs(v))] > 0.0
-            chol = certifying_cholesky(X).witness
-            assert value <= chol @ X @ chol + tol
+            # no coordinate direction is deeper than the eigenvector
+            assert value <= np.min(np.diag(X)) + tol
         assert rejected > 0
 
     def test_scales_rejected(self):
@@ -149,6 +148,20 @@ class TestSdpQuery:
     def test_symmetry_validation(self):
         with pytest.raises(ValueError):
             Sdp(np.array([[[1.0, 2.0], [0.0, 1.0]]]))
+
+    def test_zero_size_matrices_rejected(self):
+        with pytest.raises(ValueError):
+            Sdp(np.zeros((2, 0, 0)))
+
+    def test_definiteness_threshold_scales_with_diagonal(self):
+        # X is rejected when lambda_min(X) <= 1e-12 * max(diag(X), 0)
+        for scale in (1e-6, 1.0, 1e6):
+            inst = Sdp(np.array([scale * np.diag([1.0, 2e-12])]))
+            assert sdp_query(inst, np.array([1.0])) is None
+            inst = Sdp(np.array([scale * np.diag([1.0, 5e-13])]))
+            w = sdp_query(inst, np.array([1.0]))
+            assert w is not None
+            assert w.witness.v == (0.0, 1.0)
 
 
 class TestSocpQuery:

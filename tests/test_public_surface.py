@@ -1,7 +1,9 @@
 import prfeas
 
 REMOVED = ("normalize_column", "apply_scaling", "rescale_matrix",
-           "solve_with_factorization")
+           "solve_with_factorization", "CholeskyResult", "NonSymmetric",
+           "certifying_cholesky", "Singular", "SingularUpdate",
+           "smw_inverse_update")
 
 
 def test_every_exported_name_resolves():
