@@ -13,10 +13,14 @@ oracle, between three outcomes:
   absolute determinant at most epsilon.
 
 The inner loop maintains a convex combination z of rescaled, normalized
-constraint columns and drives ||z|| down; each failed inner run supplies a
-direction along which the space is contracted by one half, which inflates
-the (rescaled) feasible cone until either outcome becomes easy to find or
-the budget of contractions certifies the epsilon declaration.
+constraint columns and drives ||z|| down.  An inner run that ends with a
+small aggregate first asks whether its support (at most m+1 columns)
+already holds a dual certificate: one least-squares solve gives the exact
+weights that make the support's columns vanish.  If they do not certify,
+the run supplies a direction along which the space is contracted by one
+half, which inflates the (rescaled) feasible cone until either outcome
+becomes easy to find or the budget of contractions certifies the epsilon
+declaration.
 """
 
 from __future__ import annotations
@@ -437,8 +441,10 @@ class BasicProcedureResult:
 
     ``status`` is ``"feasible"`` (``y_scaled`` passes the oracle after
     mapping through M), ``"dual"`` (the combination's weights certify the
-    alternative system), or ``"small_aggregate"`` (||z|| fell below
-    mu/(m+1); the heaviest term indicates the contraction direction).
+    alternative system: the exact weights on the support of a small
+    aggregate make it vanish), or ``"small_aggregate"`` (||z|| fell below
+    mu/(m+1) and the support holds no certificate; the heaviest term
+    indicates the contraction direction).
     """
 
     status: str
@@ -453,20 +459,55 @@ def _unscaled_weights(cc: ConvexCombination) -> list[tuple[ActiveTerm, float]]:
     return [(e, e.weight / e.scale_norm) for e in cc.entries if e.weight > 0.0]
 
 
-def _dual_residual(cc: ConvexCombination) -> float:
+def _dual_residual(pairs: list[tuple[ActiveTerm, float]]) -> float:
     """Relative residual of the unscaled positive combination."""
-    pairs = _unscaled_weights(cc)
-    if not pairs:
-        return math.inf
-    m = cc.m
-    num = np.zeros(m)
-    den = 0.0
-    for e, u in pairs:
-        num += u * e.witnessed.column
-        den += u * float(np.linalg.norm(e.witnessed.column))
+    num = sum(u * e.witnessed.column for e, u in pairs)
+    den = sum(u * float(np.linalg.norm(e.witnessed.column)) for e, u in pairs)
     if den == 0.0:
         return math.inf
     return float(np.linalg.norm(num)) / den
+
+
+def _reweight_to_dual(cc: ConvexCombination) -> bool:
+    """Replace the weights by a vanishing combination of the support, if any.
+
+    Solves ``[a_hat_1 ... a_hat_k; 1 ... 1] x = e_{m+1}`` by least squares
+    over the original normalized columns ``a_hat_t = a_t / ||a_t||``.  When
+    every ``x_t`` is positive, the rescaled weights ``x_t ||M^T a_t|| /
+    ||a_t||``, normalized to sum 1, must pass the zero-aggregate test:
+    rescaled aggregate at most ``ZERO_AGGREGATE_TOL`` and original-space
+    residual at most ``DUAL_RESIDUAL_TOL``.  The latter alone cannot tell
+    a finite certificate from columns that only approach dependence: the
+    closed semicircle's ``(1, 4.4e-16)`` and ``(-1, 1.2e-16)`` give 3e-16
+    there, but mapped through ``M^T`` their combination stays far from
+    zero.
+
+    Returns True with the new weights and ``z`` written into ``cc``;
+    otherwise ``cc`` is left exactly as it was.  A support of more than
+    ``m + 1`` terms (postponed eliminations) is not attempted.
+    """
+    k = len(cc.entries)
+    if k > cc.m + 1:
+        return False
+    cols = np.column_stack([e.witnessed.column for e in cc.entries])
+    norms = np.linalg.norm(cols, axis=0)
+    rhs = np.zeros(cc.m + 1)
+    rhs[-1] = 1.0
+    x = np.linalg.lstsq(np.vstack([cols / norms, np.ones(k)]), rhs,
+                        rcond=None)[0]
+    if not np.all(x > 0.0):
+        return False
+    w = x * np.array([e.scale_norm for e in cc.entries]) / norms
+    w /= w.sum()
+    z = np.column_stack([e.a_scaled for e in cc.entries]) @ w
+    pairs = [(e, wt / e.scale_norm) for e, wt in zip(cc.entries, w)]
+    if float(np.linalg.norm(z)) > ZERO_AGGREGATE_TOL or \
+            _dual_residual(pairs) > certify.DUAL_RESIDUAL_TOL:
+        return False
+    for e, wt in zip(cc.entries, w):
+        e.weight = float(wt)
+    cc.z = z
+    return True
 
 
 def basic_procedure(
@@ -481,9 +522,8 @@ def basic_procedure(
     through the dense map ``state.M``), then repeatedly at the mapped
     aggregate ``M z``, taking the minimum-norm step toward each violated
     column.  Every step increases ``1/||z||^2`` by at least 1, so
-    within ``ceil((m+1)^2 / mu^2)`` iterations one of three things happens:
-    the oracle accepts a query (feasible), ``z`` hits (numerical) zero with
-    a verified positive combination (dual), or ``||z|| <= mu/(m+1)``.
+    within ``ceil((m+1)^2 / mu^2)`` iterations one of two things happens:
+    the oracle accepts a query (feasible), or ``||z|| <= mu/(m+1)``.
 
     That bound holds for any violated column, but a step gains most from
     the most violated one, so the built-in oracles return their deepest cut
@@ -496,6 +536,16 @@ def basic_procedure(
     * Sdp: the eigenvector of ``lambda_min(sum_i y_i A_i)``;
     * Socp: the first violated cone block;
     * CustomOracle: whatever violated column the callback returns.
+
+    When ``||z|| <= mu/(m+1)`` the run returns ``dual`` if the exact
+    weights on the support (:func:`_reweight_to_dual`) pass the
+    zero-aggregate test, in both spaces: rescaled aggregate at most
+    ``ZERO_AGGREGATE_TOL`` and original-space residual at most
+    ``DUAL_RESIDUAL_TOL``.  Only the rescaled test rejects a support that
+    is dependent in the original space to rounding alone, such as the
+    nearly antipodal columns the closed semicircle offers after many
+    contractions.  Otherwise it returns ``small_aggregate`` with the
+    combination untouched.  This is the only exit that returns ``dual``.
 
     Raises
     ------
@@ -527,14 +577,10 @@ def basic_procedure(
     iterations = 0
     while True:
         z_norm = float(np.linalg.norm(cc.z))
-        if z_norm <= ZERO_AGGREGATE_TOL and \
-                _dual_residual(cc) <= certify.DUAL_RESIDUAL_TOL:
-            cc._drop_negligible()
-            return BasicProcedureResult("dual", None, cc, iterations,
-                                        oracle_calls)
         if z_norm <= small_threshold:
-            return BasicProcedureResult("small_aggregate", None, cc,
-                                        iterations, oracle_calls)
+            status = "dual" if _reweight_to_dual(cc) else "small_aggregate"
+            return BasicProcedureResult(status, None, cc, iterations,
+                                        oracle_calls)
         oracle_calls += 1
         w = query(instance, state.apply(cc.z), scales)
         if w is None:

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -215,21 +217,28 @@ class TestSdpScalingInvariance:
 class TestSemiInfiniteOracles:
     def test_closed_half_arc_exhausts_budget(self):
         # neither a feasible direction nor a finite zero combination
-        # exists, so the solver must run down the whole budget
+        # exists, so the solver must run down the whole budget; at 1e-4,
+        # after 28 contractions, the support holds (1, 4.4e-16) and
+        # (-1, 1.2e-16): dependent in the original space to rounding, far
+        # from it once mapped through M^T, so no certificate is extracted
         inst = CustomOracle(2, make_semicircle(True))
-        out = main_algorithm(inst, epsilon=1e-2)
-        assert out.status == "epsilon_declared"
-        assert out.epsilon == pytest.approx(1e-2)
-        assert out.counters.rescalings == out.s_star == 24
+        for epsilon, s_star in [(1e-2, 24), (1e-4, 48)]:
+            out = main_algorithm(inst, epsilon=epsilon)
+            assert out.status == "epsilon_declared"
+            assert out.epsilon == pytest.approx(epsilon)
+            assert out.counters.rescalings == out.s_star == s_star
 
     def test_open_half_arc_never_dual(self):
         # (0, pi) admits y = (0, 1) but the feasible set has empty
-        # interior, so a declaration is also a correct answer
+        # interior, so a declaration is also a correct answer at 1e-2;
+        # at 1e-6 the solver reaches y
         inst = CustomOracle(2, make_semicircle(False))
-        out = main_algorithm(inst, epsilon=1e-2)
-        assert out.status in ("feasible", "epsilon_declared")
-        if out.status == "feasible":
-            assert out.verification.accepted
+        for epsilon, allowed in [(1e-2, ("feasible", "epsilon_declared")),
+                                 (1e-6, ("feasible",))]:
+            out = main_algorithm(inst, epsilon=epsilon)
+            assert out.status in allowed
+            if out.status == "feasible":
+                assert out.verification.accepted
 
     def test_rescaling_cap_reports_certified_epsilon(self):
         inst = CustomOracle(2, make_semicircle(True))
@@ -240,6 +249,29 @@ class TestSemiInfiniteOracles:
         assert out.s_star == 24
         assert out.epsilon == pytest.approx(
             (math.sqrt(math.e) / 2.0) ** 5, rel=1e-12)
+
+
+class TestDualExtraction:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kind,m,n", [("lp", 5, 50), ("sdp", 4, 10),
+                                          ("socp", 5, 40)])
+    def test_planted_p_returns_dual_certificate(self, kind, m, n, seed):
+        inst, _ = generate_planted(kind, m, n, seed, "feasible_p")
+        out = main_algorithm(inst, epsilon=1e-6)
+        assert out.status == "dual_certificate"
+        assert len(out.weights) <= m + 1
+        assert verify_p_certificate(inst, out.weights).accepted
+
+    def test_solve_does_not_import_scipy_optimize(self):
+        code = ("import sys\n"
+                "from prfeas import generate_planted, main_algorithm\n"
+                "inst = generate_planted('lp', 5, 50, 0, 'feasible_p')[0]\n"
+                "out = main_algorithm(inst, epsilon=1e-6)\n"
+                "assert out.status == 'dual_certificate', out.status\n"
+                "assert 'scipy.optimize' not in sys.modules\n")
+        res = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
 
 
 class TestContractionProperties:

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import prfeas.solver
-from prfeas.certify import generate_planted
+from prfeas.certify import generate_planted, verify_p_certificate
 from prfeas.oracle import CustomWitness, FiniteLp, LpIndex, WitnessedColumn
 from prfeas.solver import (
     BpTrace,
@@ -355,10 +355,27 @@ class TestDeepestCut:
         assert_allclose(state.column_norms(cols), expected, rtol=1e-14)
 
     def test_oracle_call_count_guard(self):
-        # planted-p LP m=10 n=200, seed 101: 2,111 oracle calls with the
-        # most-violated rule and the dense map (16,238 with the
-        # first-violated rule)
+        # planted-p LP m=10 n=200, seed 101: the support holds a verified
+        # certificate after 5 rescalings and 85 oracle calls (the whole
+        # 72-contraction budget and 2,111 calls without the extraction)
         inst = generate_planted("lp", 10, 200, 101, "feasible_p")[0]
         out = main_algorithm(inst, epsilon=1e-6)
+        assert out.status == "dual_certificate"
+        assert verify_p_certificate(inst, out.weights).accepted
+        assert out.counters.oracle_calls <= 2 * 85
+
+    def test_full_budget_count_guard(self):
+        # thin LP m=10 n=200, seed 106: Gaussian columns in the hyperplane
+        # y^perp lifted by 1e-5 y leave a cone thinner than epsilon and no
+        # finite certificate, so every candidate support must be rejected
+        # and every contraction runs; 1,470 oracle calls
+        rng = np.random.default_rng(106)
+        y = rng.standard_normal(10)
+        y /= np.linalg.norm(y)
+        cols = rng.standard_normal((10, 200))
+        cols -= np.outer(y, y @ cols)
+        out = main_algorithm(FiniteLp(cols + 1e-5 * y[:, None]),
+                             epsilon=1e-6)
+        assert out.status == "epsilon_declared"
         assert out.counters.rescalings == 72
-        assert out.counters.oracle_calls <= 2 * 2068
+        assert out.counters.oracle_calls <= 2 * 1470
