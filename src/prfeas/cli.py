@@ -8,6 +8,13 @@ Problem files, solve reports, and certificates are JSON documents with a
 ``"schema": 1`` marker.  Exactly one JSON document is written to stdout
 per invocation; diagnostics go to stderr.
 
+Input files are read as RFC 8259 JSON in UTF-8 by the compiled parser of
+``pydantic-core``.  As with Python's ``json`` module, the extensions
+``NaN``, ``Infinity`` and ``-Infinity`` are accepted by the parser (the
+loaders then reject non-finite numbers where a field must be finite).
+Nesting depth is limited: a file nested too deeply is malformed input
+(exit 65).  Output is written with Python's ``json`` module.
+
 Exit codes: 0 feasible / verified / generated, 1 dual certificate,
 2 epsilon declaration, 3 certificate rejected, 64 usage error,
 65 malformed input, 70 internal error.
@@ -231,12 +238,14 @@ def solve_report(outcome: SolveOutcome, timing: bool) -> dict:
 
 def _read_json(path: str) -> object:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    # deferred: the import costs ~10 MB and ~55 ms, paid only to read a file
+    from pydantic_core import from_json
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return from_json(data)
+    except ValueError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
 
 

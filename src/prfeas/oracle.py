@@ -289,9 +289,17 @@ def _checked_direction(y: np.ndarray, m: int) -> np.ndarray:
     return y
 
 
-def _check_soundness(w: WitnessedColumn, y: np.ndarray) -> None:
+def _sdp_band(diag_x: np.ndarray) -> float:
+    """Band of ``lambda_min(X)`` values that count as not definite."""
+    return SDP_DEFINITENESS_TOL * max(float(np.max(diag_x)), 0.0)
+
+
+def _check_soundness(w: WitnessedColumn, y: np.ndarray,
+                     band: float = 0.0) -> None:
+    """Require ``column^T y <= 0`` up to rounding and the oracle's ``band``."""
     val = float(w.column @ y)
-    tol = SOUNDNESS_TOL * (1.0 + np.linalg.norm(w.column) * np.linalg.norm(y))
+    scale = 1.0 + np.linalg.norm(w.column) * np.linalg.norm(y)
+    tol = SOUNDNESS_TOL * scale + band
     if val > tol:
         raise OracleContractViolation(
             f"returned column has positive inner product {val:.3e} with the query"
@@ -334,7 +342,7 @@ def sdp_query(instance: Sdp, y: np.ndarray) -> WitnessedColumn | None:
     y = _checked_direction(y, instance.m)
     X = np.tensordot(y, instance.matrices, axes=(0, 0))
     eigvals, eigvecs = np.linalg.eigh(X)
-    if eigvals[0] > SDP_DEFINITENESS_TOL * max(float(np.max(np.diag(X))), 0.0):
+    if eigvals[0] > _sdp_band(np.diag(X)):
         return None
     v = eigvecs[:, 0]
     if v[np.argmax(np.abs(v))] < 0.0:
@@ -384,12 +392,17 @@ def query(instance: ProblemInstance, y: np.ndarray,
     OracleContractViolation
         If the (custom) oracle's answer fails the separation check.
     """
+    band = 0.0
     if isinstance(instance, FiniteLp):
         w = lp_query(instance, y, scales)
     elif scales is not None:
         raise InvalidQuery("column scales apply to FiniteLp instances only")
     elif isinstance(instance, Sdp):
         w = sdp_query(instance, y)
+        if w is not None:
+            # sdp_query rejects lambda_min(X) = c^T y up to this band
+            band = _sdp_band(
+                y @ np.diagonal(instance.matrices, axis1=1, axis2=2))
     elif isinstance(instance, Socp):
         w = socp_query(instance, y)
     elif isinstance(instance, CustomOracle):
@@ -407,7 +420,7 @@ def query(instance: ProblemInstance, y: np.ndarray,
     else:
         raise TypeError(f"unknown instance type {type(instance).__name__}")
     if w is not None:
-        _check_soundness(w, np.asarray(y, dtype=float))
+        _check_soundness(w, np.asarray(y, dtype=float), band)
     return w
 
 

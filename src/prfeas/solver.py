@@ -442,9 +442,11 @@ class BasicProcedureResult:
     ``status`` is ``"feasible"`` (``y_scaled`` passes the oracle after
     mapping through M), ``"dual"`` (the combination's weights certify the
     alternative system: the exact weights on the support of a small
-    aggregate make it vanish), or ``"small_aggregate"`` (||z|| fell below
+    aggregate make it vanish), ``"small_aggregate"`` (||z|| fell below
     mu/(m+1) and the support holds no certificate; the heaviest term
-    indicates the contraction direction).
+    indicates the contraction direction), or ``"stalled"`` (the oracle
+    rejected ``M z`` with a column that does not cut the aggregate, so no
+    step can shrink ``z``).
     """
 
     status: str
@@ -547,6 +549,12 @@ def basic_procedure(
     contractions.  Otherwise it returns ``small_aggregate`` with the
     combination untouched.  This is the only exit that returns ``dual``.
 
+    An oracle may reject a query within a tolerance band, as the Sdp
+    oracle does for ``0 < lambda_min(X) <= 1e-12 max diag X``; its column
+    then has a small positive margin.  When that margin reaches
+    ``||z||^2`` the minimum-norm step would not move ``z``, and the run
+    returns ``stalled`` instead of stepping.
+
     Raises
     ------
     IterationBoundViolated
@@ -594,6 +602,9 @@ def basic_procedure(
                 f"{iterations} iterations exceed the bound {bound}"
             )
         a_scaled, nrm = state.normalize(w.column)
+        if float(a_scaled @ cc.z) >= z_norm**2:
+            return BasicProcedureResult("stalled", None, cc, iterations,
+                                        oracle_calls)
         alpha, z_new = step_alpha(cc.z, a_scaled)
         if bp_trace is not None:
             bp_trace.potential_steps.append(
@@ -664,6 +675,8 @@ def main_algorithm(
     Runs the inner procedure against a growing product of rank-one
     contractions.  Every returned artifact is re-verified before it is
     reported; a dual candidate that fails verification never escapes.
+    A ``stalled`` inner run ends the solve with the epsilon that the
+    contractions completed so far certify, as ``max_rescalings`` does.
 
     Raises
     ------
@@ -718,6 +731,8 @@ def main_algorithm(
                         else wc.witness, u) for wc, u in pairs]
             return SolveOutcome("dual_certificate", None, weights, epsilon,
                                 budget, counters, report, elapsed_ms())
+        if result.status == "stalled":
+            break
         # small aggregate: contract along the heaviest term's direction
         cc = result.combination
         heaviest = max(range(len(cc.entries)),
@@ -728,7 +743,7 @@ def main_algorithm(
         state.rescale(direction)
         counters.rescalings += 1
 
-    certified = epsilon if loops == budget \
+    certified = epsilon if counters.rescalings == budget \
         else (math.sqrt(math.e) / 2.0) ** counters.rescalings
     return SolveOutcome("epsilon_declared", None, None, certified, budget,
                         counters, None, elapsed_ms())

@@ -1,9 +1,14 @@
 import json
 import subprocess
 import sys
+import tempfile
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prfeas.cli import (
     EXIT_DATA,
@@ -11,6 +16,7 @@ from prfeas.cli import (
     EXIT_EPSILON,
     EXIT_REJECTED,
     EXIT_USAGE,
+    _read_json,
     dump_problem,
     load_problem,
     main,
@@ -73,6 +79,24 @@ class TestProblemFileFormat:
         assert again.blocks == inst.blocks
         assert np.array_equal(again.A, inst.A)
 
+    def test_lp_file_round_trip_is_exact(self, tmp_path):
+        cols = np.random.default_rng(3).standard_normal((20, 2000))
+        inst = FiniteLp(cols)
+        path = write_json(tmp_path / "lp.json", dump_problem(inst))
+        again = load_problem(_read_json(path))
+        assert again.columns.tobytes() == inst.columns.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    max_size=40))
+    def test_finite_doubles_read_back_bit_identical(self, values):
+        with tempfile.TemporaryDirectory() as d:
+            path = write_json(Path(d) / "v.json", values)
+            back = _read_json(path)
+        assert all(type(v) is float for v in back)
+        assert np.array(back, dtype=float).tobytes() == \
+            np.array(values, dtype=float).tobytes()
+
     @pytest.mark.parametrize("doc", [
         [],
         {"schema": 2, "type": "lp", "m": 1, "columns": [[1.0]]},
@@ -115,6 +139,8 @@ class TestProblemFileFormat:
             {"witness": {"type": "lp_index", "i": 1.9}, "x": 1.0}]}),
         ("certificate", {"schema": 1, "kind": "p", "weights": [
             {"witness": {"type": "lp_index", "i": True}, "x": 1.0}]}),
+        ("problem", {"schema": 1, "type": "lp", "m": 2,
+                     "columns": [[1.0, float("nan")]]}),
     ])
     def test_wrongly_typed_fields_are_data_errors(self, tmp_path, capsys,
                                                   kind, doc):
@@ -197,12 +223,32 @@ class TestSolveCommand:
         assert code == EXIT_DATA
         assert "error" in json.loads(out)
 
-    def test_unparseable_json_is_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        '{"schema": 1, "type": "lp", "m": 2, "columns": [[1.0, 0.0], [0.',
+        "[" * 5000 + "]" * 5000,
+    ], ids=["not-json", "truncated-mid-array", "nested-5000-deep"])
+    def test_unparseable_json_is_data_error(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_text(text)
         code, out = invoke(capsys, "solve", "--input", str(bad))
         assert code == EXIT_DATA
-        assert "error" in json.loads(out)
+        assert "is not valid JSON" in json.loads(out)["error"]
+
+    def test_sdp_inside_definiteness_band_declares_epsilon(self, tmp_path,
+                                                           capsys):
+        # lambda_min = 1e-7 <= 1e-12 * 1e6: the oracle rejects the only
+        # direction with a column of positive margin, which cuts nothing
+        prob = write_json(tmp_path / "band.json", {
+            "schema": 1, "type": "sdp", "m": 1, "n": 2,
+            "matrices": [[[1e6, 0.0], [0.0, 1e-7]]],
+        })
+        code, out = invoke(capsys, "solve", "--input", prob)
+        report = json.loads(out)
+        assert code == EXIT_EPSILON
+        assert report["status"] == "epsilon_declared"
+        assert report["epsilon"] == 1.0
+        assert report["counters"]["rescalings"] == 0
 
 
 class TestVerifyCommand:
@@ -356,6 +402,25 @@ class TestModuleEntry:
         report = json.loads(res.stdout)  # stdout is exactly one document
         assert report["status"] == "feasible"
         assert "solve finished" in res.stderr
+
+    def test_json_reader_imported_on_first_read(self, tmp_path):
+        script = textwrap.dedent(f"""
+            import sys
+            import prfeas, prfeas.cli
+            before = "pydantic_core" in sys.modules
+            prob = {str(tmp_path / "p.json")!r}
+            cert = {str(tmp_path / "c.json")!r}
+            prfeas.cli.main(["generate", "--kind", "lp", "--m", "3", "--n",
+                             "10", "--output", prob, "--certificate", cert])
+            generated = "pydantic_core" in sys.modules
+            code = prfeas.cli.main(["verify", "--input", prob,
+                                    "--certificate", cert])
+            print(before, generated, code, "pydantic_core" in sys.modules)
+        """)
+        res = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "False False 0 True"
 
     def test_help_exits_zero(self):
         res = subprocess.run(

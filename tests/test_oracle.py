@@ -413,6 +413,19 @@ class TestQueryDispatch:
         w = query(honest, np.array([0.3, 0.4]))
         assert w is not None and w.witness.label == "neg"
 
+    def test_sdp_band_is_sound_for_sdp_only(self):
+        # lambda_min = 1e-7 lies inside sdp_query's band 1e-12 * 1e6
+        inst = Sdp(np.array([np.diag([1e6, 1e-7])]))
+        w = query(inst, np.array([1.0]))
+        assert w is not None and w.witness.v == (0.0, 1.0)
+        assert float(w.column[0]) == pytest.approx(1e-7)
+        # the same positive margin from a custom oracle is still unsound
+        echo = CustomOracle(
+            1, lambda y: WitnessedColumn(CustomWitness("band"), w.column)
+        )
+        with pytest.raises(OracleContractViolation):
+            query(echo, np.array([1.0]))
+
     def test_custom_oracle_bad_shape_rejected(self):
         bad = CustomOracle(
             2, lambda y: WitnessedColumn(CustomWitness("s"), np.array([-1.0]))

@@ -6,7 +6,13 @@ from numpy.testing import assert_allclose
 
 import prfeas.solver
 from prfeas.certify import generate_planted, verify_p_certificate
-from prfeas.oracle import CustomWitness, FiniteLp, LpIndex, WitnessedColumn
+from prfeas.oracle import (
+    CustomWitness,
+    FiniteLp,
+    LpIndex,
+    Sdp,
+    WitnessedColumn,
+)
 from prfeas.solver import (
     BpTrace,
     CoincidentPoints,
@@ -291,6 +297,15 @@ class TestBasicProcedure:
                               trace=trace)
         assert res.status in ("feasible", "dual", "small_aggregate")
         assert res.iterations <= 54  # ceil((m+1)^2 / mu^2) with m = 2
+
+    def test_column_inside_the_oracle_band_stalls(self):
+        # lambda_min = 1e-7 of diag(1e6, 1e-7) lies inside the Sdp oracle's
+        # band, so its column's margin equals ||z||^2 = 1 and cuts nothing
+        inst = Sdp(np.array([np.diag([1e6, 1e-7])]))
+        res = basic_procedure(inst, RescalingState(1),
+                              mu=1.0 / math.sqrt(3.0))
+        assert res.status == "stalled"
+        assert res.iterations == 1 and res.oracle_calls == 2
 
     def test_potential_increases_by_one_each_step(self):
         rng = np.random.default_rng(17)
