@@ -40,7 +40,6 @@ from .solver import (
     BasicProcedureResult,
     CoincidentPoints,
     ConfigError,
-    ConvexCombination,
     DegenerateColumn,
     IterationBoundViolated,
     OracleInconsistency,
@@ -85,7 +84,6 @@ __all__ = [
     "BasicProcedureResult",
     "CoincidentPoints",
     "ConfigError",
-    "ConvexCombination",
     "DegenerateColumn",
     "IterationBoundViolated",
     "OracleInconsistency",

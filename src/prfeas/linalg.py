@@ -58,8 +58,6 @@ def smw_inverse_update(G: np.ndarray, u: np.ndarray, e_idx: int) -> np.ndarray:
         If ``|1 + e^T G u|`` is below ``SMW_TOL * (1 + ||G||_inf ||u||_inf)``,
         i.e. the updated matrix is singular to working precision.
     """
-    G = np.asarray(G, dtype=float)
-    u = np.asarray(u, dtype=float)
     Gu = G @ u
     denom = 1.0 + Gu[e_idx]
     scale = 1.0 + np.linalg.norm(G, np.inf) * np.max(np.abs(u), initial=0.0)

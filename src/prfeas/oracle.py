@@ -132,7 +132,7 @@ class WitnessedColumn:
 
     def __post_init__(self) -> None:
         self.column = np.asarray(self.column, dtype=float)
-        if self.column.ndim != 1 or not np.any(self.column != 0.0):
+        if self.column.ndim != 1 or not self.column.any():
             raise ValueError("witnessed column must be a nonzero vector")
 
 
@@ -282,9 +282,9 @@ def _checked_direction(y: np.ndarray, m: int) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (m,):
         raise InvalidQuery(f"query direction must have shape ({m},), got {y.shape}")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise InvalidQuery("query direction must be finite")
-    if not np.any(y != 0.0):
+    if not y.any():
         raise InvalidQuery("query direction must be nonzero")
     return y
 
@@ -298,7 +298,7 @@ def _check_soundness(w: WitnessedColumn, y: np.ndarray,
                      band: float = 0.0) -> None:
     """Require ``column^T y <= 0`` up to rounding and the oracle's ``band``."""
     val = float(w.column @ y)
-    scale = 1.0 + np.linalg.norm(w.column) * np.linalg.norm(y)
+    scale = 1.0 + math.sqrt(w.column @ w.column) * math.sqrt(y @ y)
     tol = SOUNDNESS_TOL * scale + band
     if val > tol:
         raise OracleContractViolation(
@@ -313,7 +313,8 @@ def lp_query(instance: FiniteLp, y: np.ndarray,
     Among the columns with ``a_t^T y <= 0`` this picks the argmin of
     ``a_t^T y / s_t``, taking the lowest index on ties.  ``scales`` holds
     one positive ``s_t`` per column and defaults to the column norms
-    ``||a_t||``.
+    ``||a_t||``.  One argmin runs over all ratios, with the columns that
+    are not violated set to infinity.
     """
     y = _checked_direction(y, instance.m)
     if scales is None:
@@ -323,10 +324,10 @@ def lp_query(instance: FiniteLp, y: np.ndarray,
         if scales.shape != (instance.n,):
             raise InvalidQuery(f"scales must have shape ({instance.n},)")
     margins = y @ instance.columns
-    bad = np.flatnonzero(margins <= 0.0)
-    if bad.size == 0:
+    violated = margins <= 0.0
+    t = int(np.argmin(np.where(violated, margins / scales, np.inf)))
+    if not violated[t]:
         return None
-    t = int(bad[np.argmin(margins[bad] / scales[bad])])
     return WitnessedColumn(LpIndex(t), instance.columns[:, t].copy())
 
 

@@ -14,13 +14,13 @@ oracle, between three outcomes:
 
 The inner loop maintains a convex combination z of rescaled, normalized
 constraint columns and drives ||z|| down.  An inner run that ends with a
-small aggregate first asks whether its support (at most m+1 columns)
-already holds a dual certificate: one least-squares solve gives the exact
-weights that make the support's columns vanish.  If they do not certify,
-the run supplies a direction along which the space is contracted by one
-half, which inflates the (rescaled) feasible cone until either outcome
-becomes easy to find or the budget of contractions certifies the epsilon
-declaration.
+small aggregate first asks whether its support, when it has at most m+1
+columns, already holds a dual certificate: one least-squares solve gives
+the exact weights that make the support's columns vanish.  If they do not
+certify, the run supplies a direction along which the space is contracted
+by one half, which inflates the (rescaled) feasible cone until either
+outcome becomes easy to find or the budget of contractions certifies the
+epsilon declaration.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ class RescalingState:
             If ``||M^T a||`` is below ``DEGENERATE_COLUMN_TOL``.
         """
         v = self.apply_transpose(a_col)
-        nrm = float(np.linalg.norm(v))
+        nrm = math.sqrt(v @ v)
         if nrm < DEGENERATE_COLUMN_TOL:
             raise DegenerateColumn("rescaled column norm underflowed")
         return v / nrm, nrm
@@ -240,44 +240,89 @@ class SolveTrace:
 # convex combination with bounded support
 
 
+class _WitnessKey:
+    """A witness with its hash computed once, for the support's index.
+
+    Sdp and Socp witnesses are tuples of n floats, so a dict keyed by the
+    witness itself would rehash them on every lookup, insertion and
+    deletion.  Equality still compares the witnesses themselves.
+    """
+
+    __slots__ = ("witness", "hash")
+
+    def __init__(self, witness: Witness):
+        self.witness = witness
+        self.hash = hash(witness)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _WitnessKey) and self.witness == other.witness
+
+
 @dataclass(eq=False)
 class ActiveTerm:
+    """One support term.  ``basis_col`` is ``[a_scaled; 1]``, built once
+    when the term is inserted; ``a_scaled`` is a view of its first m
+    entries."""
+
     witnessed: WitnessedColumn
-    a_scaled: np.ndarray
+    key: _WitnessKey
+    basis_col: np.ndarray
     scale_norm: float
-    weight: float
+    a_scaled: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.a_scaled = self.basis_col[:-1]
 
 
 class ConvexCombination:
-    """Convex combination of unit columns with support capped at m+1.
+    """Convex combination of unit columns, reduced toward m+1 terms.
 
-    Maintains terms ``(a_t, x_t)`` with ``x_t >= 0`` and ``sum x_t = 1``
-    alongside the aggregate ``z = sum x_t a_t``.  Whenever the support would
-    exceed ``m + 1`` one term is eliminated: with ``G`` the inverse of the
-    basis matrix ``[A; 1^T]``, the coefficients ``gamma = G (a_in; 1)``
-    rewrite the incoming column over the basis, and a ratio test
-    ``beta* = min(-x_t / gamma_t : gamma_t < 0)`` decides whether the
-    incoming term or the blocking basis term leaves.  ``G`` is maintained by
-    rank-one updates and rebuilt from scratch when that path degenerates.
+    Maintains terms ``a_t`` (the list ``entries``) with weights ``x_t >= 0``
+    and ``sum x_t = 1`` (the float64 array ``weights``, aligned with
+    ``entries``) alongside the aggregate ``z = sum x_t a_t``.  Whenever
+    the support exceeds ``m + 1`` one term is eliminated: with ``G`` the
+    inverse of the basis matrix ``[A; 1^T]`` over the first ``m + 1``
+    terms, the coefficients ``gamma = G (a_in; 1)`` rewrite the incoming
+    column over the basis, and a ratio test ``beta* = min(-x_t / gamma_t :
+    gamma_t < 0)`` decides whether the incoming term or the blocking basis
+    term leaves.  ``G`` is maintained by rank-one updates and rebuilt from
+    scratch when that path degenerates.  While the active columns are
+    affinely dependent, no ``m + 1`` of them form an invertible basis and
+    eliminations are postponed, so the support may exceed ``m + 1`` until
+    an independent column arrives.
+
+    Each term keeps its basis column ``[a_t; 1]`` and its witness key;
+    ``weights`` is a view into a buffer that grows by doubling, so the
+    weight updates of an elimination are single array operations.
     """
 
     def __init__(self, m: int):
         self.m = m
         self.entries: list[ActiveTerm] = []
+        self._w = np.zeros(m + 2)
         self.z = np.zeros(m)
         self.G: np.ndarray | None = None
-        self._by_witness: dict[Witness, ActiveTerm] = {}
+        self._by_witness: dict[_WitnessKey, ActiveTerm] = {}
         self._elim_count = 0
 
     # -- bookkeeping ------------------------------------------------------
 
+    @property
+    def weights(self) -> np.ndarray:
+        """The weights ``x_t`` of ``entries``, position for position."""
+        return self._w[: len(self.entries)]
+
     def weight_sum(self) -> float:
-        return float(sum(e.weight for e in self.entries))
+        # summed in term order, not pairwise, so the bits are stable
+        return float(sum(self.weights.tolist()))
 
     def combination(self) -> np.ndarray:
         out = np.zeros(self.m)
-        for e in self.entries:
-            out += e.weight * e.a_scaled
+        for e, x in zip(self.entries, self.weights.tolist()):
+            out += x * e.a_scaled
         return out
 
     def combination_error(self) -> float:
@@ -285,11 +330,8 @@ class ConvexCombination:
 
     def basis_matrix(self) -> np.ndarray:
         """[A; 1^T] over the first m+1 terms (valid when G is present)."""
-        k = self.m + 1
-        B = np.ones((k, k))
-        for j, e in enumerate(self.entries[:k]):
-            B[: self.m, j] = e.a_scaled
-        return B
+        return np.column_stack(
+            [e.basis_col for e in self.entries[: self.m + 1]])
 
     def g_residual(self) -> float | None:
         if self.G is None:
@@ -298,8 +340,7 @@ class ConvexCombination:
         return float(np.max(np.abs(R)))
 
     def scale_weights(self, alpha: float) -> None:
-        for e in self.entries:
-            e.weight *= alpha
+        self._w[: len(self.entries)] *= alpha
 
     # -- insertion and elimination ----------------------------------------
 
@@ -307,21 +348,28 @@ class ConvexCombination:
                  scale_norm: float, add_weight: float,
                  trace: BpTrace | None = None) -> None:
         """Add weight on a witnessed column, eliminating on overflow."""
-        existing = self._by_witness.get(witnessed.witness)
+        key = _WitnessKey(witnessed.witness)
+        existing = self._by_witness.get(key)
         if existing is not None:
-            existing.weight += add_weight
+            self._w[self.entries.index(existing)] += add_weight
             return
-        term = ActiveTerm(witnessed, np.asarray(a_scaled, dtype=float).copy(),
-                          scale_norm, add_weight)
+        basis_col = np.empty(self.m + 1)
+        basis_col[:-1] = a_scaled
+        basis_col[-1] = 1.0
+        n = len(self.entries)
+        if n == self._w.size:
+            self._w = np.concatenate([self._w, np.zeros(n)])
+        self._w[n] = add_weight
+        term = ActiveTerm(witnessed, key, basis_col, scale_norm)
         self.entries.append(term)
-        self._by_witness[witnessed.witness] = term
+        self._by_witness[key] = term
         self._reduce(trace)
 
-    def _remove_at(self, pos: int) -> None:
-        term = self.entries.pop(pos)
-        del self._by_witness[term.witnessed.witness]
-        if pos <= self.m:
-            self.G = None
+    def _pop(self, pos: int) -> ActiveTerm:
+        """Remove the term at ``pos`` from ``entries`` and ``weights``."""
+        n = len(self.entries)
+        self._w[pos : n - 1] = self._w[pos + 1 : n]
+        return self.entries.pop(pos)
 
     def _ensure_basis(self) -> bool:
         """Make G the inverse of [A; 1^T] over the first m+1 terms.
@@ -335,18 +383,18 @@ class ConvexCombination:
         if self.G is not None:
             return True
         k = self.m + 1
-        B = np.ones((k, len(self.entries)))
-        for j, e in enumerate(self.entries):
-            B[: self.m, j] = e.a_scaled
+        B = np.column_stack([e.basis_col for e in self.entries])
         _, R, piv = scipy.linalg.qr(B, mode="economic", pivoting=True)
         diag = np.abs(np.diag(R))
         lead = diag[0] if diag.size else 0.0
         rank = int(np.sum(diag > BASIS_RANK_TOL * lead)) if lead > 0.0 else 0
         if rank < k:
             return False
-        chosen = [int(j) for j in piv[:k]]
-        rest = [j for j in range(len(self.entries)) if j not in set(chosen)]
-        self.entries = [self.entries[j] for j in chosen + rest]
+        # the chosen columns lead; the rest keep their relative order
+        order = np.concatenate([piv[:k], np.sort(piv[k:])])
+        self.entries = [self.entries[j] for j in order]
+        w = self.weights
+        w[:] = w[order]
         self._rebuild_g()
         return self.G is not None
 
@@ -360,32 +408,27 @@ class ConvexCombination:
     def _eliminate_one(self, trace: BpTrace | None) -> None:
         k = self.m + 1
         incoming = self.entries[k]
-        gamma = self.G @ np.append(incoming.a_scaled, 1.0)
-        ratios = np.full(k, np.inf)
+        w = self.weights
+        gamma = self.G @ incoming.basis_col
         neg = gamma < 0.0
-        weights = np.array([e.weight for e in self.entries[:k]])
-        ratios[neg] = -weights[neg] / gamma[neg]
+        ratios = np.divide(-w[:k], gamma, out=np.full(k, np.inf), where=neg)
         t_star = int(np.argmin(ratios))
         beta = float(ratios[t_star])
-        x_in = incoming.weight
+        x_in = float(w[k])
         if beta >= x_in:
             # the incoming term leaves; its mass is rewritten over the basis
-            for t in range(k):
-                self.entries[t].weight += x_in * gamma[t]
-            self._remove_at(k)
+            w[:k] += x_in * gamma
+            del self._by_witness[self._pop(k).key]
         else:
             # the blocking basis term leaves; the incoming term takes its slot
-            for t in range(k):
-                if t != t_star:
-                    self.entries[t].weight += beta * gamma[t]
-            incoming.weight = x_in - beta
+            w[:k] += beta * gamma
+            w[t_star] = x_in - beta
             leaving = self.entries[t_star]
-            abar = np.append(incoming.a_scaled - leaving.a_scaled, 0.0)
-            self.entries[t_star] = incoming
-            del self.entries[k]
-            del self._by_witness[leaving.witnessed.witness]
+            self.entries[t_star] = self._pop(k)
+            del self._by_witness[leaving.key]
             try:
-                self.G = smw_inverse_update(self.G, abar, t_star)
+                self.G = smw_inverse_update(
+                    self.G, incoming.basis_col - leaving.basis_col, t_star)
             except SingularUpdate:
                 self._rebuild_g()
         self._elim_count += 1
@@ -396,28 +439,31 @@ class ConvexCombination:
         if trace is not None:
             trace.eliminations.append(EliminationRecord(
                 size=len(self.entries),
-                min_weight=float(min(e.weight for e in self.entries)),
+                min_weight=float(self.weights.min()),
                 weight_sum_error=abs(self.weight_sum() - 1.0),
                 combination_error=self.combination_error(),
                 g_residual=self.g_residual(),
             ))
 
     def _drop_negligible(self) -> None:
-        if all(e.weight > WEIGHT_FLOOR for e in self.entries):
+        w = self.weights
+        keep = w > WEIGHT_FLOOR
+        if keep.all():
             return
-        keep = []
-        for e in self.entries:
-            if e.weight > WEIGHT_FLOOR:
-                keep.append(e)
+        kept = []
+        for e, x, stays in zip(self.entries, w.tolist(), keep.tolist()):
+            if stays:
+                kept.append(e)
             else:
-                self.z = self.z - e.weight * e.a_scaled
-                del self._by_witness[e.witnessed.witness]
-        self.entries = keep
+                self.z = self.z - x * e.a_scaled
+                del self._by_witness[e.key]
+        self._w[: len(kept)] = w[keep]
+        self.entries = kept
         self.G = None
         total = self.weight_sum()
         if total > 0.0:
-            for e in self.entries:
-                e.weight /= total
+            w = self.weights
+            w /= total
             self.z = self.z / total
 
     def _reduce(self, trace: BpTrace | None) -> None:
@@ -458,7 +504,8 @@ class BasicProcedureResult:
 
 def _unscaled_weights(cc: ConvexCombination) -> list[tuple[ActiveTerm, float]]:
     """Map weights back through the rescaling: x_t / ||M^T a_t||."""
-    return [(e, e.weight / e.scale_norm) for e in cc.entries if e.weight > 0.0]
+    return [(e, x / e.scale_norm)
+            for e, x in zip(cc.entries, cc.weights.tolist()) if x > 0.0]
 
 
 def _dual_residual(pairs: list[tuple[ActiveTerm, float]]) -> float:
@@ -506,8 +553,7 @@ def _reweight_to_dual(cc: ConvexCombination) -> bool:
     if float(np.linalg.norm(z)) > ZERO_AGGREGATE_TOL or \
             _dual_residual(pairs) > certify.DUAL_RESIDUAL_TOL:
         return False
-    for e, wt in zip(cc.entries, w):
-        e.weight = float(wt)
+    cc.weights[:] = w
     cc.z = z
     return True
 
@@ -584,7 +630,7 @@ def basic_procedure(
     cc.z = a_scaled.copy()
     iterations = 0
     while True:
-        z_norm = float(np.linalg.norm(cc.z))
+        z_norm = math.sqrt(cc.z @ cc.z)
         if z_norm <= small_threshold:
             status = "dual" if _reweight_to_dual(cc) else "small_aggregate"
             return BasicProcedureResult(status, None, cc, iterations,
@@ -735,8 +781,8 @@ def main_algorithm(
             break
         # small aggregate: contract along the heaviest term's direction
         cc = result.combination
-        heaviest = max(range(len(cc.entries)),
-                       key=lambda t: (cc.entries[t].weight, -t))
+        # argmax takes the first maximum: the lowest index on ties
+        heaviest = int(np.argmax(cc.weights))
         direction = cc.entries[heaviest].a_scaled
         if trace is not None:
             trace.rescales.append(RescaleRecord(a_scaled=direction.copy()))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -18,6 +20,7 @@ from prfeas.cli import (
     EXIT_USAGE,
     _read_json,
     dump_problem,
+    load_certificate,
     load_problem,
     main,
 )
@@ -153,6 +156,139 @@ class TestProblemFileFormat:
         code, out = invoke(capsys, *argv)
         assert code == EXIT_DATA
         assert "error" in json.loads(out)
+
+
+# Arbitrary JSON values, and documents shaped like problem and certificate
+# files whose fields are drawn from plausible and arbitrary values alike.
+JSON_SCALARS = (st.none() | st.booleans()
+                | st.integers(min_value=-2**70, max_value=2**70)
+                | st.floats() | st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+NUMBERS = st.integers(min_value=-3, max_value=3) | st.floats()
+ARRAYS = st.recursive(NUMBERS, lambda inner: st.lists(inner, max_size=4),
+                      max_leaves=24) | JSON_VALUES
+SIZES = st.integers(min_value=-1, max_value=4) | JSON_VALUES
+DIMS = st.integers(min_value=1, max_value=3)
+
+
+def vectors(size):
+    return st.lists(NUMBERS, min_size=size, max_size=size)
+
+
+@st.composite
+def shaped_problems(draw):
+    """Documents of the right shape, whose numbers may still be invalid."""
+    kind = draw(st.sampled_from(["lp", "sdp", "socp"]))
+    m = draw(DIMS)
+    if kind == "lp":
+        cols = draw(st.lists(vectors(m), min_size=1, max_size=3))
+        return {"schema": 1, "type": "lp", "m": m, "columns": cols}
+    if kind == "sdp":
+        n = draw(DIMS)
+        mats = []
+        for _ in range(m):
+            X = np.zeros((n, n))
+            X[np.triu_indices(n)] = draw(vectors(n * (n + 1) // 2))
+            mats.append(np.triu(X, 1).T + np.triu(X))
+        return {"schema": 1, "type": "sdp", "m": m, "n": n,
+                "matrices": [X.tolist() for X in mats]}
+    blocks = draw(st.lists(DIMS, min_size=1, max_size=3))
+    return {"schema": 1, "type": "socp", "m": m, "blocks": blocks,
+            "A": [draw(vectors(sum(blocks))) for _ in range(m)]}
+
+
+PROBLEM_DOCS = shaped_problems() | st.fixed_dictionaries(
+    {"schema": st.just(1),
+     "type": st.sampled_from(["lp", "sdp", "socp"]) | JSON_VALUES},
+    optional={"m": SIZES, "n": SIZES, "columns": ARRAYS, "matrices": ARRAYS,
+              "A": ARRAYS, "blocks": ARRAYS})
+WITNESSES = st.one_of(
+    st.fixed_dictionaries({"type": st.just("lp_index"), "i": SIZES}),
+    st.fixed_dictionaries({"type": st.sampled_from(["sdp_vector",
+                                                    "socp_vector"]),
+                           "v": st.lists(NUMBERS, max_size=3)}),
+    st.fixed_dictionaries({"type": st.just("custom"), "label": JSON_VALUES},
+                          optional={"column": st.lists(NUMBERS,
+                                                       max_size=3)}),
+    st.fixed_dictionaries(
+        {"type": st.sampled_from(["lp_index", "sdp_vector", "socp_vector",
+                                  "custom"]) | JSON_VALUES},
+        optional={"i": SIZES, "v": ARRAYS, "label": JSON_VALUES,
+                  "column": ARRAYS}),
+    JSON_VALUES)
+WEIGHT_ENTRIES = st.fixed_dictionaries(
+    {"witness": WITNESSES, "x": NUMBERS}) | st.fixed_dictionaries(
+    {}, optional={"witness": WITNESSES, "x": NUMBERS | JSON_VALUES})
+CERTIFICATE_DOCS = st.one_of(
+    st.fixed_dictionaries({"schema": st.just(1), "kind": st.just("d"),
+                           "y": st.lists(NUMBERS, max_size=3)}),
+    st.fixed_dictionaries({"schema": st.just(1), "kind": st.just("p"),
+                           "weights": st.lists(WEIGHT_ENTRIES, min_size=1,
+                                               max_size=3)}),
+    st.fixed_dictionaries(
+        {"schema": st.just(1),
+         "kind": st.sampled_from(["d", "p"]) | JSON_VALUES},
+        optional={"y": ARRAYS, "weights": st.lists(WEIGHT_ENTRIES,
+                                                   max_size=3)
+                  | JSON_VALUES}))
+
+
+def rejects(loader, doc):
+    """True when ``loader`` rejects ``doc``; any error but ValueError
+    (DataError is one) escapes and fails the calling test."""
+    try:
+        loader(doc)
+    except ValueError:
+        return True
+    return False
+
+
+def run_cli(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    json.loads(out.getvalue())  # stdout is exactly one document
+    return code
+
+
+class TestLoaderProperties:
+    @settings(max_examples=250, deadline=None)
+    @given(JSON_VALUES | PROBLEM_DOCS)
+    def test_problem_loads_or_is_a_data_error(self, doc):
+        rejects(load_problem, doc)
+
+    @settings(max_examples=250, deadline=None)
+    @given(JSON_VALUES | CERTIFICATE_DOCS)
+    def test_certificate_loads_or_is_a_data_error(self, doc):
+        rejects(load_certificate, doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(JSON_VALUES | PROBLEM_DOCS)
+    def test_solve_exits_65_on_a_rejected_problem(self, doc):
+        # --max-rescalings 0 declares epsilon = 1 without solving, so only
+        # the reader, the loader and the exit-code mapping run
+        with tempfile.TemporaryDirectory() as d:
+            path = write_json(Path(d) / "p.json", doc)
+            rejected = rejects(load_problem, _read_json(path))
+            code = run_cli(["solve", "--input", path, "--max-rescalings",
+                            "0", "--log-level", "error"])
+        assert code == (EXIT_DATA if rejected else EXIT_EPSILON)
+
+    @settings(max_examples=100, deadline=None)
+    @given(JSON_VALUES | CERTIFICATE_DOCS)
+    def test_verify_exits_65_on_a_rejected_certificate(self, doc):
+        with tempfile.TemporaryDirectory() as d:
+            prob = axes_problem(Path(d))
+            path = write_json(Path(d) / "c.json", doc)
+            rejected = rejects(load_certificate, _read_json(path))
+            code = run_cli(["verify", "--input", prob, "--certificate", path,
+                            "--log-level", "error"])
+        # a certificate that loads may still name no column of the problem
+        assert code in (0, EXIT_REJECTED, EXIT_DATA)
+        assert code == EXIT_DATA or not rejected
 
 
 class TestSolveCommand:

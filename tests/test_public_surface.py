@@ -3,7 +3,7 @@ import prfeas
 REMOVED = ("normalize_column", "apply_scaling", "rescale_matrix",
            "solve_with_factorization", "CholeskyResult", "NonSymmetric",
            "certifying_cholesky", "Singular", "SingularUpdate",
-           "smw_inverse_update", "dstar_lower_bound")
+           "smw_inverse_update", "dstar_lower_bound", "ConvexCombination")
 
 
 def test_every_exported_name_resolves():

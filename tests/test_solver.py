@@ -1,24 +1,39 @@
 import math
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 import prfeas.solver
 from prfeas.certify import generate_planted, verify_p_certificate
+from prfeas.linalg import (
+    Singular,
+    SingularUpdate,
+    inverse_with_factorization,
+    smw_inverse_update,
+)
 from prfeas.oracle import (
     CustomWitness,
     FiniteLp,
     LpIndex,
     Sdp,
+    SocpVector,
     WitnessedColumn,
 )
 from prfeas.solver import (
+    BASIS_RANK_TOL,
+    G_RECHECK_INTERVAL,
+    G_RESIDUAL_TOL,
+    WEIGHT_FLOOR,
     BpTrace,
     CoincidentPoints,
     ConfigError,
     ConvexCombination,
     DegenerateColumn,
+    EliminationRecord,
     RescalingState,
     SolveTrace,
     basic_procedure,
@@ -33,6 +48,223 @@ SQRT2 = math.sqrt(2.0)
 def term(label, vec, weight):
     vec = np.asarray(vec, dtype=float)
     return WitnessedColumn(CustomWitness(label), vec), vec, weight
+
+
+# ---------------------------------------------------------------------------
+# list-backed reference support: one Python float per term, one loop per
+# update, as the support was written before its weights became an array.
+# It also counts which paths ran, so the comparison can show it covered
+# them.
+
+
+@dataclass(eq=False)
+class ListTerm:
+    witnessed: WitnessedColumn
+    a_scaled: np.ndarray
+    scale_norm: float
+    weight: float
+
+
+class ListConvexCombination:
+    def __init__(self, m):
+        self.m = m
+        self.entries = []
+        self.z = np.zeros(m)
+        self.G = None
+        self._by_witness = {}
+        self._elim_count = 0
+        self.events = Counter()
+
+    def weight_sum(self):
+        return float(sum(e.weight for e in self.entries))
+
+    def combination(self):
+        out = np.zeros(self.m)
+        for e in self.entries:
+            out += e.weight * e.a_scaled
+        return out
+
+    def combination_error(self):
+        return float(np.linalg.norm(self.combination() - self.z))
+
+    def basis_matrix(self):
+        k = self.m + 1
+        B = np.ones((k, k))
+        for j, e in enumerate(self.entries[:k]):
+            B[: self.m, j] = e.a_scaled
+        return B
+
+    def g_residual(self):
+        if self.G is None:
+            return None
+        R = self.G @ self.basis_matrix() - np.eye(self.m + 1)
+        return float(np.max(np.abs(R)))
+
+    def scale_weights(self, alpha):
+        for e in self.entries:
+            e.weight *= alpha
+
+    def add_term(self, witnessed, a_scaled, scale_norm, add_weight,
+                 trace=None):
+        existing = self._by_witness.get(witnessed.witness)
+        if existing is not None:
+            self.events["repeated"] += 1
+            existing.weight += add_weight
+            return
+        term = ListTerm(witnessed, np.asarray(a_scaled, dtype=float).copy(),
+                        scale_norm, add_weight)
+        self.entries.append(term)
+        self._by_witness[witnessed.witness] = term
+        self._reduce(trace)
+
+    def _remove_at(self, pos):
+        term = self.entries.pop(pos)
+        del self._by_witness[term.witnessed.witness]
+        if pos <= self.m:
+            self.G = None
+
+    def _ensure_basis(self):
+        if self.G is None:
+            self._rebuild_g()
+        if self.G is not None:
+            return True
+        k = self.m + 1
+        B = np.ones((k, len(self.entries)))
+        for j, e in enumerate(self.entries):
+            B[: self.m, j] = e.a_scaled
+        _, R, piv = scipy.linalg.qr(B, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(R))
+        lead = diag[0] if diag.size else 0.0
+        rank = int(np.sum(diag > BASIS_RANK_TOL * lead)) if lead > 0.0 else 0
+        if rank < k:
+            self.events["postponed"] += 1
+            return False
+        chosen = [int(j) for j in piv[:k]]
+        rest = [j for j in range(len(self.entries)) if j not in set(chosen)]
+        if chosen + rest != list(range(len(self.entries))):
+            self.events["reordered"] += 1
+        self.entries = [self.entries[j] for j in chosen + rest]
+        self._rebuild_g()
+        return self.G is not None
+
+    def _rebuild_g(self):
+        try:
+            self.G = inverse_with_factorization(self.basis_matrix())
+        except Singular:
+            self.G = None
+
+    def _eliminate_one(self, trace):
+        k = self.m + 1
+        incoming = self.entries[k]
+        gamma = self.G @ np.append(incoming.a_scaled, 1.0)
+        ratios = np.full(k, np.inf)
+        neg = gamma < 0.0
+        weights = np.array([e.weight for e in self.entries[:k]])
+        ratios[neg] = -weights[neg] / gamma[neg]
+        t_star = int(np.argmin(ratios))
+        beta = float(ratios[t_star])
+        x_in = incoming.weight
+        if beta >= x_in:
+            self.events["absorbed"] += 1
+            for t in range(k):
+                self.entries[t].weight += x_in * gamma[t]
+            self._remove_at(k)
+        else:
+            self.events["swapped"] += 1
+            for t in range(k):
+                if t != t_star:
+                    self.entries[t].weight += beta * gamma[t]
+            incoming.weight = x_in - beta
+            leaving = self.entries[t_star]
+            abar = np.append(incoming.a_scaled - leaving.a_scaled, 0.0)
+            self.entries[t_star] = incoming
+            del self.entries[k]
+            del self._by_witness[leaving.witnessed.witness]
+            try:
+                self.G = smw_inverse_update(self.G, abar, t_star)
+            except SingularUpdate:
+                self._rebuild_g()
+        self._elim_count += 1
+        if self.G is not None and self._elim_count % G_RECHECK_INTERVAL == 0:
+            res = self.g_residual()
+            if res is not None and res > G_RESIDUAL_TOL:
+                self._rebuild_g()
+        if trace is not None:
+            trace.eliminations.append(EliminationRecord(
+                size=len(self.entries),
+                min_weight=float(min(e.weight for e in self.entries)),
+                weight_sum_error=abs(self.weight_sum() - 1.0),
+                combination_error=self.combination_error(),
+                g_residual=self.g_residual(),
+            ))
+
+    def _drop_negligible(self):
+        if all(e.weight > WEIGHT_FLOOR for e in self.entries):
+            return
+        self.events["dropped"] += 1
+        keep = []
+        for e in self.entries:
+            if e.weight > WEIGHT_FLOOR:
+                keep.append(e)
+            else:
+                self.z = self.z - e.weight * e.a_scaled
+                del self._by_witness[e.witnessed.witness]
+        self.entries = keep
+        self.G = None
+        total = self.weight_sum()
+        if total > 0.0:
+            for e in self.entries:
+                e.weight /= total
+            self.z = self.z / total
+
+    def _reduce(self, trace):
+        reduced = False
+        while len(self.entries) > self.m + 1:
+            if not self._ensure_basis():
+                return
+            self._eliminate_one(trace)
+            reduced = True
+        if reduced:
+            self._drop_negligible()
+
+
+def unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def support_sequence(rng, m, steps=160):
+    """Seeded (witnessed column, a_scaled, scale_norm, alpha) steps.
+
+    The first steps lie in a subspace where no m+1 columns are affinely
+    independent, so eliminations wait; about one step in six repeats an
+    earlier witness (half of them as an equal, distinct witness object);
+    about one in twelve scales the old weights below the drop floor.
+    """
+    flat = 4 + int(rng.integers(0, 4))
+    seen = []
+    out = []
+    for i in range(steps):
+        if seen and rng.random() < 1.0 / 6.0:
+            wc, v = seen[int(rng.integers(len(seen)))]
+            if isinstance(wc.witness, SocpVector) and rng.random() < 0.5:
+                wc = WitnessedColumn(SocpVector(wc.witness.v), wc.column)
+        else:
+            if i < flat:
+                v = np.zeros(m)
+                v[0] = 1.0
+                if m > 1:
+                    v[: m - 1] = unit(rng.standard_normal(m - 1))
+            else:
+                v = unit(rng.standard_normal(m))
+            witness = SocpVector(tuple(v.tolist())) if rng.random() < 0.5 \
+                else CustomWitness(i)
+            wc = WitnessedColumn(witness, v)
+            seen.append((wc, v))
+        alpha = 1e-17 if rng.random() < 1.0 / 12.0 \
+            else float(rng.uniform(0.3, 0.95))
+        out.append((wc, v, float(rng.uniform(0.5, 2.0)), alpha))
+    return out
 
 
 class TestStepAlpha:
@@ -163,7 +395,8 @@ class TestConvexCombinationElimination:
         return cc
 
     def weights_by_label(self, cc):
-        return {e.witnessed.witness.label: e.weight for e in cc.entries}
+        return {e.witnessed.witness.label: x
+                for e, x in zip(cc.entries, cc.weights.tolist())}
 
     def test_duplicate_direction_one_dim(self):
         # basis {+1, -1} with weights (0.3, 0.2); incoming +1 with 0.5:
@@ -270,6 +503,43 @@ class TestConvexCombinationElimination:
                 assert rec.g_residual <= 1e-8
 
 
+    def test_matches_list_backed_reference(self):
+        # the array-backed support must reproduce the list-backed one bit
+        # for bit: weights, aggregate, basis inverse, term order, records
+        events = Counter()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            m = 1 + seed % 4
+            ref, cc = ListConvexCombination(m), ConvexCombination(m)
+            ref_trace, trace = BpTrace(), BpTrace()
+            for i, (wc, v, nrm, alpha) in enumerate(support_sequence(rng, m)):
+                if i == 0:
+                    ref.add_term(wc, v, nrm, 1.0, ref_trace)
+                    cc.add_term(wc, v, nrm, 1.0, trace)
+                    ref.z, cc.z = v.copy(), v.copy()
+                else:
+                    ref.scale_weights(alpha)
+                    cc.scale_weights(alpha)
+                    z = alpha * ref.z + (1.0 - alpha) * v
+                    ref.z, cc.z = z, z.copy()
+                    ref.add_term(wc, v, nrm, 1.0 - alpha, ref_trace)
+                    cc.add_term(wc, v, nrm, 1.0 - alpha, trace)
+                assert [e.witnessed for e in cc.entries] == \
+                    [e.witnessed for e in ref.entries]
+                assert cc.weights.tobytes() == np.array(
+                    [e.weight for e in ref.entries], dtype=float).tobytes()
+                assert cc.z.tobytes() == ref.z.tobytes()
+                assert (cc.G is None) == (ref.G is None)
+                if cc.G is not None:
+                    assert cc.G.tobytes() == ref.G.tobytes()
+                assert cc.weight_sum() == ref.weight_sum()
+            assert trace.eliminations == ref_trace.eliminations
+            events += ref.events
+        for path in ("repeated", "absorbed", "swapped", "dropped",
+                     "reordered", "postponed"):
+            assert events[path] > 0, path
+
+
 class TestBasicProcedure:
     def test_immediate_feasible(self):
         inst = FiniteLp(np.eye(2))
@@ -284,8 +554,9 @@ class TestBasicProcedure:
         state = RescalingState(2)
         res = basic_procedure(inst, state, mu=1.0 / math.sqrt(6.0))
         assert res.status == "dual"
-        weights = {e.witnessed.witness: e.weight for e in
-                   res.combination.entries}
+        cc = res.combination
+        weights = {e.witnessed.witness: x
+                   for e, x in zip(cc.entries, cc.weights.tolist())}
         assert weights[LpIndex(0)] == pytest.approx(0.5)
         assert weights[LpIndex(1)] == pytest.approx(0.5)
 
