@@ -13,7 +13,6 @@ from .certify import (
     UnresolvableWitness,
     VerificationReport,
     generate_planted,
-    resolve_witness_column,
     verify_d_solution,
     verify_p_certificate,
 )
@@ -31,13 +30,9 @@ from .oracle import (
     SocpVector,
     Witness,
     WitnessedColumn,
-    lp_query,
     query,
-    sdp_query,
-    socp_query,
 )
 from .solver import (
-    BasicProcedureResult,
     CoincidentPoints,
     ConfigError,
     DegenerateColumn,
@@ -46,12 +41,10 @@ from .solver import (
     RescalingState,
     SolveCounters,
     SolveOutcome,
-    SolveTrace,
     SolverConfig,
     basic_procedure,
     main_algorithm,
     rescale_budget,
-    step_alpha,
 )
 
 __version__ = "0.1.0"
@@ -61,7 +54,6 @@ __all__ = [
     "UnresolvableWitness",
     "VerificationReport",
     "generate_planted",
-    "resolve_witness_column",
     "verify_d_solution",
     "verify_p_certificate",
     "CustomOracle",
@@ -77,11 +69,7 @@ __all__ = [
     "SocpVector",
     "Witness",
     "WitnessedColumn",
-    "lp_query",
     "query",
-    "sdp_query",
-    "socp_query",
-    "BasicProcedureResult",
     "CoincidentPoints",
     "ConfigError",
     "DegenerateColumn",
@@ -90,10 +78,8 @@ __all__ = [
     "RescalingState",
     "SolveCounters",
     "SolveOutcome",
-    "SolveTrace",
     "SolverConfig",
     "basic_procedure",
     "main_algorithm",
     "rescale_budget",
-    "step_alpha",
 ]

@@ -186,7 +186,9 @@ class Sdp:
         skew = np.max(np.abs(mats - mats.transpose(0, 2, 1)), initial=0.0)
         if skew > SDP_SYMMETRY_TOL * max(scale, 1.0):
             raise ValueError("constraint matrices must be symmetric")
-        mats = 0.5 * (mats + mats.transpose(0, 2, 1))
+        # halved before the sum, which cannot then overflow; halving is
+        # exact above the subnormal range, so the bits match 0.5 * (a + b)
+        mats = 0.5 * mats + 0.5 * mats.transpose(0, 2, 1)
         object.__setattr__(self, "matrices", mats)
 
     @property

@@ -26,7 +26,6 @@ epsilon declaration.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +59,6 @@ __all__ = [
     "SolveCounters",
     "SolveOutcome",
     "BasicProcedureResult",
-    "SolveTrace",
     "step_alpha",
     "rescale_budget",
     "basic_procedure",
@@ -204,39 +202,6 @@ def step_alpha(z: np.ndarray, a: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# trace instrumentation
-
-
-@dataclass
-class EliminationRecord:
-    size: int
-    min_weight: float
-    weight_sum_error: float
-    combination_error: float
-    g_residual: float | None
-
-
-@dataclass
-class BpTrace:
-    iterations: int = 0
-    potential_steps: list[tuple[float, float]] = field(default_factory=list)
-    eliminations: list[EliminationRecord] = field(default_factory=list)
-
-
-@dataclass
-class RescaleRecord:
-    a_scaled: np.ndarray
-
-
-@dataclass
-class SolveTrace:
-    """Optional recorder for per-iteration solver internals."""
-
-    bp: list[BpTrace] = field(default_factory=list)
-    rescales: list[RescaleRecord] = field(default_factory=list)
-
-
-# ---------------------------------------------------------------------------
 # convex combination with bounded support
 
 
@@ -325,9 +290,6 @@ class ConvexCombination:
             out += x * e.a_scaled
         return out
 
-    def combination_error(self) -> float:
-        return float(np.linalg.norm(self.combination() - self.z))
-
     def basis_matrix(self) -> np.ndarray:
         """[A; 1^T] over the first m+1 terms (valid when G is present)."""
         return np.column_stack(
@@ -345,8 +307,7 @@ class ConvexCombination:
     # -- insertion and elimination ----------------------------------------
 
     def add_term(self, witnessed: WitnessedColumn, a_scaled: np.ndarray,
-                 scale_norm: float, add_weight: float,
-                 trace: BpTrace | None = None) -> None:
+                 scale_norm: float, add_weight: float) -> None:
         """Add weight on a witnessed column, eliminating on overflow."""
         key = _WitnessKey(witnessed.witness)
         existing = self._by_witness.get(key)
@@ -363,7 +324,7 @@ class ConvexCombination:
         term = ActiveTerm(witnessed, key, basis_col, scale_norm)
         self.entries.append(term)
         self._by_witness[key] = term
-        self._reduce(trace)
+        self._reduce()
 
     def _pop(self, pos: int) -> ActiveTerm:
         """Remove the term at ``pos`` from ``entries`` and ``weights``."""
@@ -405,7 +366,7 @@ class ConvexCombination:
         except Singular:
             self.G = None
 
-    def _eliminate_one(self, trace: BpTrace | None) -> None:
+    def _eliminate_one(self) -> None:
         k = self.m + 1
         incoming = self.entries[k]
         w = self.weights
@@ -436,14 +397,6 @@ class ConvexCombination:
             res = self.g_residual()
             if res is not None and res > G_RESIDUAL_TOL:
                 self._rebuild_g()
-        if trace is not None:
-            trace.eliminations.append(EliminationRecord(
-                size=len(self.entries),
-                min_weight=float(self.weights.min()),
-                weight_sum_error=abs(self.weight_sum() - 1.0),
-                combination_error=self.combination_error(),
-                g_residual=self.g_residual(),
-            ))
 
     def _drop_negligible(self) -> None:
         w = self.weights
@@ -466,12 +419,12 @@ class ConvexCombination:
             w /= total
             self.z = self.z / total
 
-    def _reduce(self, trace: BpTrace | None) -> None:
+    def _reduce(self) -> None:
         reduced = False
         while len(self.entries) > self.m + 1:
             if not self._ensure_basis():
                 return  # postponed until enough independent columns exist
-            self._eliminate_one(trace)
+            self._eliminate_one()
             reduced = True
         if reduced:
             self._drop_negligible()
@@ -562,7 +515,6 @@ def basic_procedure(
     instance: ProblemInstance,
     state: RescalingState,
     mu: float,
-    trace: SolveTrace | None = None,
 ) -> BasicProcedureResult:
     """Drive the aggregate of rescaled columns toward zero.
 
@@ -610,10 +562,6 @@ def basic_procedure(
     m = instance.m
     if not (0.0 < mu):
         raise ConfigError("mu must be positive")
-    bp_trace = None
-    if trace is not None:
-        bp_trace = BpTrace()
-        trace.bp.append(bp_trace)
     y0 = np.ones(m)
     bound = math.ceil((m + 1) ** 2 / mu**2) + 1
     small_threshold = mu / (m + 1)
@@ -626,7 +574,7 @@ def basic_procedure(
         return BasicProcedureResult("feasible", y0, None, 0, oracle_calls)
     cc = ConvexCombination(m)
     a_scaled, nrm = state.normalize(w.column)
-    cc.add_term(w, a_scaled, nrm, 1.0, bp_trace)
+    cc.add_term(w, a_scaled, nrm, 1.0)
     cc.z = a_scaled.copy()
     iterations = 0
     while True:
@@ -641,8 +589,6 @@ def basic_procedure(
             return BasicProcedureResult("feasible", cc.z.copy(), cc,
                                         iterations, oracle_calls)
         iterations += 1
-        if bp_trace is not None:
-            bp_trace.iterations = iterations
         if iterations > bound:
             raise IterationBoundViolated(
                 f"{iterations} iterations exceed the bound {bound}"
@@ -652,13 +598,9 @@ def basic_procedure(
             return BasicProcedureResult("stalled", None, cc, iterations,
                                         oracle_calls)
         alpha, z_new = step_alpha(cc.z, a_scaled)
-        if bp_trace is not None:
-            bp_trace.potential_steps.append(
-                (1.0 / z_norm**2, 1.0 / float(z_new @ z_new))
-            )
         cc.scale_weights(alpha)
         cc.z = z_new
-        cc.add_term(w, a_scaled, nrm, 1.0 - alpha, bp_trace)
+        cc.add_term(w, a_scaled, nrm, 1.0 - alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +622,13 @@ class SolverConfig:
 
 @dataclass
 class SolveCounters:
+    """Inner runs, their iterations, oracle calls and contractions of a solve.
+
+    This is the solver's only instrumentation.  Finer detail (per-step
+    potentials, per-elimination invariants, timings) is observed from
+    outside by wrapping the module's functions.
+    """
+
     bp_calls: int = 0
     bp_iterations: int = 0
     oracle_calls: int = 0
@@ -697,7 +646,8 @@ class SolveOutcome:
     because only the column lets ``verify_p_certificate`` re-check it.
     ``epsilon`` is the declared bound actually certified, ``s_star`` the
     full contraction budget for the requested epsilon.  ``verification``
-    embeds the re-check of the returned artifact.
+    embeds the re-check of the returned artifact.  Every field is a
+    function of the instance, the requested epsilon and the config alone.
     """
 
     status: str
@@ -707,14 +657,12 @@ class SolveOutcome:
     s_star: int
     counters: SolveCounters
     verification: "certify.VerificationReport | None"
-    wall_ms: float
 
 
 def main_algorithm(
     instance: ProblemInstance,
     epsilon: float = 1e-6,
     config: SolverConfig | None = None,
-    trace: SolveTrace | None = None,
 ) -> SolveOutcome:
     """Decide feasibility, produce a dual certificate, or declare epsilon.
 
@@ -745,13 +693,8 @@ def main_algorithm(
         else min(budget, config.max_rescalings)
     state = RescalingState(m)
     counters = SolveCounters()
-    start = time.perf_counter()
-
-    def elapsed_ms() -> float:
-        return (time.perf_counter() - start) * 1000.0
-
     for _ in range(loops):
-        result = basic_procedure(instance, state, mu, trace=trace)
+        result = basic_procedure(instance, state, mu)
         counters.bp_calls += 1
         counters.bp_iterations += result.iterations
         counters.oracle_calls += result.oracle_calls
@@ -764,7 +707,7 @@ def main_algorithm(
                     "final feasibility verification rejected the solution"
                 )
             return SolveOutcome("feasible", y, None, epsilon, budget,
-                                counters, report, elapsed_ms())
+                                counters, report)
         if result.status == "dual":
             cc = result.combination
             pairs = [(e.witnessed, u) for e, u in _unscaled_weights(cc)]
@@ -776,20 +719,17 @@ def main_algorithm(
             weights = [(wc if isinstance(wc.witness, CustomWitness)
                         else wc.witness, u) for wc, u in pairs]
             return SolveOutcome("dual_certificate", None, weights, epsilon,
-                                budget, counters, report, elapsed_ms())
+                                budget, counters, report)
         if result.status == "stalled":
             break
         # small aggregate: contract along the heaviest term's direction
         cc = result.combination
         # argmax takes the first maximum: the lowest index on ties
         heaviest = int(np.argmax(cc.weights))
-        direction = cc.entries[heaviest].a_scaled
-        if trace is not None:
-            trace.rescales.append(RescaleRecord(a_scaled=direction.copy()))
-        state.rescale(direction)
+        state.rescale(cc.entries[heaviest].a_scaled)
         counters.rescalings += 1
 
     certified = epsilon if counters.rescalings == budget \
         else (math.sqrt(math.e) / 2.0) ** counters.rescalings
     return SolveOutcome("epsilon_declared", None, None, certified, budget,
-                        counters, None, elapsed_ms())
+                        counters, None)

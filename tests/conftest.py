@@ -1,0 +1,114 @@
+"""The ``solve_probe`` fixture: observes solves from outside the solver.
+
+The solver keeps no record of its steps.  The probe wraps four of its
+functions with ``monkeypatch`` and records one thing from each call, so
+the guarantee tests can check per-step and per-elimination invariants
+without the solver carrying any instrumentation of its own.
+"""
+
+from dataclasses import dataclass, field
+
+import numpy as np
+import pytest
+
+import prfeas.solver
+from prfeas.solver import ConvexCombination, RescalingState
+
+
+@dataclass(frozen=True)
+class Elimination:
+    """A support right after one elimination.
+
+    The first five fields are the invariants the guarantee tests check.
+    ``state`` holds the term order and the bytes of the weights, ``z`` and
+    ``G``, so two supports can be compared bit for bit; ``support`` is the
+    support that eliminated and takes no part in comparisons.
+    """
+
+    size: int
+    min_weight: float
+    weight_sum_error: float
+    combination_error: float
+    g_residual: float | None
+    state: tuple = field(repr=False)
+    support: object = field(compare=False, repr=False)
+
+
+def observe(support) -> Elimination:
+    """Compute an :class:`Elimination` from a support's current state."""
+    weights = np.asarray(support.weights, dtype=float)
+    return Elimination(
+        size=len(support.entries),
+        min_weight=float(weights.min()),
+        weight_sum_error=abs(support.weight_sum() - 1.0),
+        combination_error=float(
+            np.linalg.norm(support.combination() - support.z)),
+        g_residual=support.g_residual(),
+        state=(tuple(e.witnessed for e in support.entries),
+               weights.tobytes(), support.z.tobytes(),
+               None if support.G is None else support.G.tobytes()),
+        support=support,
+    )
+
+
+class SolveProbe:
+    """What the wrapped solver functions did since the last :meth:`clear`.
+
+    * ``runs``: ``iterations`` of each ``basic_procedure`` result;
+    * ``steps``: ``(1/||z||^2, 1/||z_new||^2)`` of each ``step_alpha`` call;
+    * ``eliminations``: an :class:`Elimination` after each
+      ``_eliminate_one`` call;
+    * ``rescales``: a copy of each direction ``RescalingState.rescale``
+      contracts along.
+    """
+
+    def __init__(self, monkeypatch):
+        self._monkeypatch = monkeypatch
+        self.clear()
+        basic_procedure = prfeas.solver.basic_procedure
+        step_alpha = prfeas.solver.step_alpha
+        rescale = RescalingState.rescale
+
+        def recording_basic_procedure(*args, **kwargs):
+            result = basic_procedure(*args, **kwargs)
+            self.runs.append(result.iterations)
+            return result
+
+        def recording_step_alpha(z, a):
+            alpha, z_new = step_alpha(z, a)
+            self.steps.append((1.0 / float(z @ z),
+                               1.0 / float(z_new @ z_new)))
+            return alpha, z_new
+
+        def recording_rescale(state, a_scaled):
+            self.rescales.append(np.array(a_scaled, dtype=float))
+            rescale(state, a_scaled)
+
+        monkeypatch.setattr(prfeas.solver, "basic_procedure",
+                            recording_basic_procedure)
+        monkeypatch.setattr(prfeas.solver, "step_alpha", recording_step_alpha)
+        monkeypatch.setattr(RescalingState, "rescale", recording_rescale)
+        self.watch_support(ConvexCombination)
+
+    def clear(self) -> None:
+        """Start new record lists; lists taken earlier keep their contents."""
+        self.runs = []
+        self.steps = []
+        self.eliminations = []
+        self.rescales = []
+
+    def watch_support(self, cls) -> None:
+        """Record the eliminations of every support of class ``cls``."""
+        eliminate_one = cls._eliminate_one
+
+        def recording_eliminate_one(support):
+            eliminate_one(support)
+            self.eliminations.append(observe(support))
+
+        self._monkeypatch.setattr(cls, "_eliminate_one",
+                                  recording_eliminate_one)
+
+
+@pytest.fixture
+def solve_probe(monkeypatch):
+    return SolveProbe(monkeypatch)

@@ -26,7 +26,6 @@ from prfeas.oracle import (
 )
 from prfeas.solver import (
     RescalingState,
-    SolveTrace,
     main_algorithm,
     step_alpha,
 )
@@ -85,8 +84,9 @@ def planted_lp_corpus():
         yield seed, m, inst
 
 
-def traced_corpus(include_banded_custom=False):
-    """Instances that exercise rescaling and elimination, with traces.
+def traced_corpus(probe, include_banded_custom=False):
+    """Instances that exercise rescaling and elimination, observed by the
+    probe: one ``(m, steps, eliminations)`` per solve.
 
     The semicircle oracle answers within a tolerance band around zero
     margin, which weakens the per-step growth guarantee by the width of
@@ -94,36 +94,34 @@ def traced_corpus(include_banded_custom=False):
     depend on exact-margin answers.
     """
     runs = []
+
+    def observed(m, inst, epsilon):
+        probe.clear()
+        main_algorithm(inst, epsilon=epsilon)
+        runs.append((m, probe.steps, probe.eliminations))
+
     for seed in range(40):
         m = 2 + seed % 4
         inst, _ = generate_planted("lp", m=m, n=m + 4 + seed % 9, seed=seed,
                                    target="feasible_p")
-        trace = SolveTrace()
-        main_algorithm(inst, epsilon=1e-2, trace=trace)
-        runs.append((m, trace))
-    wedge = FiniteLp(np.array([[1.0, -1.0], [1e-3, 1e-3]]))
-    trace = SolveTrace()
-    main_algorithm(wedge, epsilon=1e-6, trace=trace)
-    runs.append((2, trace))
+        observed(m, inst, 1e-2)
+    observed(2, FiniteLp(np.array([[1.0, -1.0], [1e-3, 1e-3]])), 1e-6)
     if include_banded_custom:
-        trace = SolveTrace()
-        main_algorithm(CustomOracle(2, make_semicircle(True)), epsilon=1e-2,
-                       trace=trace)
-        runs.append((2, trace))
+        observed(2, CustomOracle(2, make_semicircle(True)), 1e-2)
     return runs
 
 
-def test_criterion_01_iteration_bound_on_planted_corpus(capsys):
+def test_criterion_01_iteration_bound_on_planted_corpus(capsys, solve_probe):
     # every inner run halts within ceil(3 m (m+1)^2) iterations and the
     # 200-instance corpus solves, verified, in under a minute
     start = time.perf_counter()
     ok = True
     detail = ""
     for seed, m, inst in planted_lp_corpus():
-        trace = SolveTrace()
-        out = main_algorithm(inst, epsilon=1e-2, trace=trace)
+        solve_probe.clear()
+        out = main_algorithm(inst, epsilon=1e-2)
         bound = math.ceil(3 * m * (m + 1) ** 2)
-        worst = max((t.iterations for t in trace.bp), default=0)
+        worst = max(solve_probe.runs, default=0)
         if out.status != "feasible" or not out.verification.accepted \
                 or worst > bound:
             ok = False
@@ -135,39 +133,38 @@ def test_criterion_01_iteration_bound_on_planted_corpus(capsys):
     verdict(capsys, 1, ok, detail or f"200 instances in {elapsed:.1f}s")
 
 
-def test_criterion_02_potential_growth(capsys):
+def test_criterion_02_potential_growth(capsys, solve_probe):
     ok = True
     detail = ""
     steps = 0
-    for m, trace in traced_corpus():
-        for bp in trace.bp:
-            for before, after in bp.potential_steps:
-                steps += 1
-                if after - before < 1.0 - 1e-9:
-                    ok = False
-                    detail = f"step gained {after - before:.3e}"
+    for m, potential_steps, _ in traced_corpus(solve_probe):
+        for before, after in potential_steps:
+            steps += 1
+            if after - before < 1.0 - 1e-9:
+                ok = False
+                detail = f"step gained {after - before:.3e}"
     if steps == 0:
         ok, detail = False, "no steps recorded"
     verdict(capsys, 2, ok, detail or f"{steps} steps, each gained >= 1")
 
 
-def test_criterion_03_elimination_invariants(capsys):
+def test_criterion_03_elimination_invariants(capsys, solve_probe):
     ok = True
     detail = ""
     count = 0
-    for m, trace in traced_corpus(include_banded_custom=True):
-        for bp in trace.bp:
-            for rec in bp.eliminations:
-                count += 1
-                if rec.size > m + 1 or rec.min_weight < -1e-12 \
-                        or rec.weight_sum_error > 1e-10 \
-                        or rec.combination_error > 1e-10 \
-                        or (rec.g_residual is not None
-                            and rec.g_residual > 1e-8):
-                    ok = False
-                    detail = (f"size={rec.size} min_w={rec.min_weight:.1e} "
-                              f"sum={rec.weight_sum_error:.1e} "
-                              f"comb={rec.combination_error:.1e}")
+    for m, _, eliminations in traced_corpus(solve_probe,
+                                            include_banded_custom=True):
+        for rec in eliminations:
+            count += 1
+            if rec.size > m + 1 or rec.min_weight < -1e-12 \
+                    or rec.weight_sum_error > 1e-10 \
+                    or rec.combination_error > 1e-10 \
+                    or (rec.g_residual is not None
+                        and rec.g_residual > 1e-8):
+                ok = False
+                detail = (f"size={rec.size} min_w={rec.min_weight:.1e} "
+                          f"sum={rec.weight_sum_error:.1e} "
+                          f"comb={rec.combination_error:.1e}")
     if count == 0:
         ok, detail = False, "no eliminations recorded"
     verdict(capsys, 3, ok, detail or f"{count} eliminations checked")

@@ -330,10 +330,16 @@ class TestSolveCommand:
         assert report["verification"] is None
 
     def test_timing_flag_fills_wall_ms(self, tmp_path, capsys):
-        code, out = invoke(capsys, "solve", "--input",
-                           axes_problem(tmp_path), "--timing")
+        # the flag changes the wall_ms value and not one other byte
+        prob = wedge_problem(tmp_path)
+        code, timed = invoke(capsys, "solve", "--input", prob, "--timing")
         assert code == 0
-        assert json.loads(out)["wall_ms"] > 0.0
+        _, plain = invoke(capsys, "solve", "--input", prob)
+        wall_ms = json.loads(timed)["wall_ms"]
+        assert wall_ms > 0.0
+        assert json.loads(plain)["wall_ms"] is None
+        assert timed.replace(f'"wall_ms": {json.dumps(wall_ms)}',
+                             '"wall_ms": null') == plain
 
     def test_repeat_runs_byte_identical(self, tmp_path, capsys):
         prob = wedge_problem(tmp_path)
@@ -385,6 +391,18 @@ class TestSolveCommand:
         assert report["status"] == "epsilon_declared"
         assert report["epsilon"] == 1.0
         assert report["counters"]["rescalings"] == 0
+
+    def test_sdp_entry_near_float_max_solves(self, tmp_path, capsys):
+        # symmetrizing 1.5e308 must not overflow to an infinite matrix
+        prob = write_json(tmp_path / "huge.json", {
+            "schema": 1, "type": "sdp", "m": 1, "n": 1,
+            "matrices": [[[1.5e308]]],
+        })
+        code, out = invoke(capsys, "solve", "--input", prob)
+        report = json.loads(out)
+        assert code == 0
+        assert report["status"] == "feasible"
+        assert report["verification"]["accepted"] is True
 
 
 class TestVerifyCommand:

@@ -19,7 +19,6 @@ from prfeas.oracle import (
 from prfeas.solver import (
     ConfigError,
     SolverConfig,
-    SolveTrace,
     main_algorithm,
 )
 
@@ -275,56 +274,50 @@ class TestDualExtraction:
 
 
 class TestContractionProperties:
-    def run_traced(self, delta):
-        trace = SolveTrace()
-        out = main_algorithm(thin_wedge(delta), epsilon=1e-6, trace=trace)
-        return out, trace
-
-    def test_thin_wedge_eventually_feasible(self):
-        out, trace = self.run_traced(1e-3)
+    def test_thin_wedge_eventually_feasible(self, solve_probe):
+        out = main_algorithm(thin_wedge(1e-3), epsilon=1e-6)
         assert out.status == "feasible"
         assert out.verification.accepted
         assert out.counters.rescalings >= 5
-        assert len(trace.rescales) == out.counters.rescalings
+        assert len(solve_probe.rescales) == out.counters.rescalings
 
-    def test_contraction_direction_nearly_orthogonal_to_feasible(self):
+    def test_contraction_direction_nearly_orthogonal_to_feasible(
+            self, solve_probe):
         # each chosen direction a satisfies 0 < a^T y <= mu |y| for every
         # feasible y of the current scaled system; checked at y = M^-1 y*
         m = 2
         mu = 1.0 / math.sqrt(3.0 * m)
         y_star = np.array([0.0, 1.0])
-        _, trace = self.run_traced(1e-3)
-        assert trace.rescales
+        main_algorithm(thin_wedge(1e-3), epsilon=1e-6)
+        assert solve_probe.rescales
         y_tilde = y_star.copy()
-        for rec in trace.rescales:
+        for a in solve_probe.rescales:
             n_y = np.linalg.norm(y_tilde)
-            a = rec.a_scaled
             val = float(a @ y_tilde)
             assert val > 0.0
             assert val <= mu * n_y + 1e-9 * n_y
             y_tilde = y_tilde + a * (a @ y_tilde)  # (I - a a^T / 2)^-1
 
-    def test_feasible_points_grow_slowly_under_inverse_contraction(self):
+    def test_feasible_points_grow_slowly_under_inverse_contraction(
+            self, solve_probe):
         # |(I + a a^T) y| <= |y| sqrt(1 + 1/m) along the chosen direction
         m = 2
         y_star = np.array([0.0, 1.0])
-        _, trace = self.run_traced(1e-3)
+        main_algorithm(thin_wedge(1e-3), epsilon=1e-6)
         y_tilde = y_star.copy()
-        for rec in trace.rescales:
-            a = rec.a_scaled
+        for a in solve_probe.rescales:
             grown = y_tilde + a * (a @ y_tilde)
             bound = np.linalg.norm(y_tilde) * math.sqrt(1.0 + 1.0 / m)
             assert np.linalg.norm(grown) <= bound + 1e-9
             y_tilde = grown
 
-    def test_potential_steps_recorded_per_inner_run(self):
-        out, trace = self.run_traced(1e-2)
-        assert out.counters.bp_calls == len(trace.bp)
-        total = sum(t.iterations for t in trace.bp)
-        assert total == out.counters.bp_iterations
-        for t in trace.bp:
-            for before, after in t.potential_steps:
-                assert after - before >= 1.0 - 1e-9
+    def test_potential_steps_recorded_per_inner_run(self, solve_probe):
+        out = main_algorithm(thin_wedge(1e-2), epsilon=1e-6)
+        assert out.counters.bp_calls == len(solve_probe.runs)
+        assert sum(solve_probe.runs) == out.counters.bp_iterations
+        assert solve_probe.steps
+        for before, after in solve_probe.steps:
+            assert after - before >= 1.0 - 1e-9
 
 
 class TestDeterminism:

@@ -3,7 +3,9 @@ import prfeas
 REMOVED = ("normalize_column", "apply_scaling", "rescale_matrix",
            "solve_with_factorization", "CholeskyResult", "NonSymmetric",
            "certifying_cholesky", "Singular", "SingularUpdate",
-           "smw_inverse_update", "dstar_lower_bound", "ConvexCombination")
+           "smw_inverse_update", "dstar_lower_bound", "ConvexCombination",
+           "SolveTrace", "BasicProcedureResult", "step_alpha",
+           "resolve_witness_column", "lp_query", "sdp_query", "socp_query")
 
 
 def test_every_exported_name_resolves():

@@ -28,14 +28,11 @@ from prfeas.solver import (
     G_RECHECK_INTERVAL,
     G_RESIDUAL_TOL,
     WEIGHT_FLOOR,
-    BpTrace,
     CoincidentPoints,
     ConfigError,
     ConvexCombination,
     DegenerateColumn,
-    EliminationRecord,
     RescalingState,
-    SolveTrace,
     basic_procedure,
     main_algorithm,
     rescale_budget,
@@ -75,6 +72,10 @@ class ListConvexCombination:
         self._elim_count = 0
         self.events = Counter()
 
+    @property
+    def weights(self):
+        return np.array([e.weight for e in self.entries], dtype=float)
+
     def weight_sum(self):
         return float(sum(e.weight for e in self.entries))
 
@@ -83,9 +84,6 @@ class ListConvexCombination:
         for e in self.entries:
             out += e.weight * e.a_scaled
         return out
-
-    def combination_error(self):
-        return float(np.linalg.norm(self.combination() - self.z))
 
     def basis_matrix(self):
         k = self.m + 1
@@ -104,8 +102,7 @@ class ListConvexCombination:
         for e in self.entries:
             e.weight *= alpha
 
-    def add_term(self, witnessed, a_scaled, scale_norm, add_weight,
-                 trace=None):
+    def add_term(self, witnessed, a_scaled, scale_norm, add_weight):
         existing = self._by_witness.get(witnessed.witness)
         if existing is not None:
             self.events["repeated"] += 1
@@ -115,7 +112,7 @@ class ListConvexCombination:
                         scale_norm, add_weight)
         self.entries.append(term)
         self._by_witness[witnessed.witness] = term
-        self._reduce(trace)
+        self._reduce()
 
     def _remove_at(self, pos):
         term = self.entries.pop(pos)
@@ -153,7 +150,7 @@ class ListConvexCombination:
         except Singular:
             self.G = None
 
-    def _eliminate_one(self, trace):
+    def _eliminate_one(self):
         k = self.m + 1
         incoming = self.entries[k]
         gamma = self.G @ np.append(incoming.a_scaled, 1.0)
@@ -189,14 +186,6 @@ class ListConvexCombination:
             res = self.g_residual()
             if res is not None and res > G_RESIDUAL_TOL:
                 self._rebuild_g()
-        if trace is not None:
-            trace.eliminations.append(EliminationRecord(
-                size=len(self.entries),
-                min_weight=float(min(e.weight for e in self.entries)),
-                weight_sum_error=abs(self.weight_sum() - 1.0),
-                combination_error=self.combination_error(),
-                g_residual=self.g_residual(),
-            ))
 
     def _drop_negligible(self):
         if all(e.weight > WEIGHT_FLOOR for e in self.entries):
@@ -217,12 +206,12 @@ class ListConvexCombination:
                 e.weight /= total
             self.z = self.z / total
 
-    def _reduce(self, trace):
+    def _reduce(self):
         reduced = False
         while len(self.entries) > self.m + 1:
             if not self._ensure_basis():
                 return
-            self._eliminate_one(trace)
+            self._eliminate_one()
             reduced = True
         if reduced:
             self._drop_negligible()
@@ -471,10 +460,9 @@ class TestConvexCombinationElimination:
         assert_allclose(cc.combination(), np.array([0.0, 0.2]), atol=1e-12)
         assert np.linalg.norm(cc.combination() - cc.z) <= 1e-12
 
-    def test_random_stress_keeps_invariants(self):
+    def test_random_stress_keeps_invariants(self, solve_probe):
         rng = np.random.default_rng(5)
         m = 4
-        trace = BpTrace()
         cc = ConvexCombination(m)
         vecs = []
         for i in range(3):
@@ -482,7 +470,7 @@ class TestConvexCombinationElimination:
             v /= np.linalg.norm(v)
             vecs.append(v)
             cc.add_term(WitnessedColumn(CustomWitness(i), v), v, 1.0,
-                        1.0 / 3.0, trace)
+                        1.0 / 3.0)
         cc.z = cc.combination().copy()
         for i in range(3, 400):
             v = rng.standard_normal(m)
@@ -491,10 +479,10 @@ class TestConvexCombinationElimination:
             cc.scale_weights(alpha)
             cc.z = alpha * cc.z + (1.0 - alpha) * v
             cc.add_term(WitnessedColumn(CustomWitness(i), v), v, 1.0,
-                        1.0 - alpha, trace)
+                        1.0 - alpha)
         assert len(cc.entries) <= m + 1
-        assert trace.eliminations  # reductions actually happened
-        for rec in trace.eliminations:
+        assert solve_probe.eliminations  # reductions actually happened
+        for rec in solve_probe.eliminations:
             assert rec.size <= m + 1
             assert rec.min_weight >= -1e-12
             assert rec.weight_sum_error <= 1e-10
@@ -502,38 +490,41 @@ class TestConvexCombinationElimination:
             if rec.g_residual is not None:
                 assert rec.g_residual <= 1e-8
 
-
-    def test_matches_list_backed_reference(self):
+    def test_matches_list_backed_reference(self, solve_probe):
         # the array-backed support must reproduce the list-backed one bit
-        # for bit: weights, aggregate, basis inverse, term order, records
+        # for bit: weights, aggregate, basis inverse and term order after
+        # every insertion and after every elimination
+        solve_probe.watch_support(ListConvexCombination)
         events = Counter()
         for seed in range(40):
             rng = np.random.default_rng(seed)
             m = 1 + seed % 4
             ref, cc = ListConvexCombination(m), ConvexCombination(m)
-            ref_trace, trace = BpTrace(), BpTrace()
+            solve_probe.clear()
             for i, (wc, v, nrm, alpha) in enumerate(support_sequence(rng, m)):
                 if i == 0:
-                    ref.add_term(wc, v, nrm, 1.0, ref_trace)
-                    cc.add_term(wc, v, nrm, 1.0, trace)
+                    ref.add_term(wc, v, nrm, 1.0)
+                    cc.add_term(wc, v, nrm, 1.0)
                     ref.z, cc.z = v.copy(), v.copy()
                 else:
                     ref.scale_weights(alpha)
                     cc.scale_weights(alpha)
                     z = alpha * ref.z + (1.0 - alpha) * v
                     ref.z, cc.z = z, z.copy()
-                    ref.add_term(wc, v, nrm, 1.0 - alpha, ref_trace)
-                    cc.add_term(wc, v, nrm, 1.0 - alpha, trace)
+                    ref.add_term(wc, v, nrm, 1.0 - alpha)
+                    cc.add_term(wc, v, nrm, 1.0 - alpha)
                 assert [e.witnessed for e in cc.entries] == \
                     [e.witnessed for e in ref.entries]
-                assert cc.weights.tobytes() == np.array(
-                    [e.weight for e in ref.entries], dtype=float).tobytes()
+                assert cc.weights.tobytes() == ref.weights.tobytes()
                 assert cc.z.tobytes() == ref.z.tobytes()
                 assert (cc.G is None) == (ref.G is None)
                 if cc.G is not None:
                     assert cc.G.tobytes() == ref.G.tobytes()
                 assert cc.weight_sum() == ref.weight_sum()
-            assert trace.eliminations == ref_trace.eliminations
+            # records compare term order and the bytes of weights, z and G
+            ours = [r for r in solve_probe.eliminations if r.support is cc]
+            theirs = [r for r in solve_probe.eliminations if r.support is ref]
+            assert ours == theirs
             events += ref.events
         for path in ("repeated", "absorbed", "swapped", "dropped",
                      "reordered", "postponed"):
@@ -560,14 +551,15 @@ class TestBasicProcedure:
         assert weights[LpIndex(0)] == pytest.approx(0.5)
         assert weights[LpIndex(1)] == pytest.approx(0.5)
 
-    def test_terminates_within_bound_on_thin_instance(self):
+    def test_terminates_within_bound_on_thin_instance(self, solve_probe):
         inst = FiniteLp(np.array([[1.0, -1.0], [1e-3, 1e-3]]))
-        trace = SolveTrace()
         state = RescalingState(2)
-        res = basic_procedure(inst, state, mu=1.0 / math.sqrt(6.0),
-                              trace=trace)
+        res = prfeas.solver.basic_procedure(inst, state,
+                                            mu=1.0 / math.sqrt(6.0))
         assert res.status in ("feasible", "dual", "small_aggregate")
         assert res.iterations <= 54  # ceil((m+1)^2 / mu^2) with m = 2
+        assert solve_probe.runs == [res.iterations]
+        assert len(solve_probe.steps) == res.iterations
 
     def test_column_inside_the_oracle_band_stalls(self):
         # lambda_min = 1e-7 of diag(1e6, 1e-7) lies inside the Sdp oracle's
@@ -578,9 +570,8 @@ class TestBasicProcedure:
         assert res.status == "stalled"
         assert res.iterations == 1 and res.oracle_calls == 2
 
-    def test_potential_increases_by_one_each_step(self):
+    def test_potential_increases_by_one_each_step(self, solve_probe):
         rng = np.random.default_rng(17)
-        trace = SolveTrace()
         cols = rng.standard_normal((4, 12))
         y_star = rng.standard_normal(4)
         y_star /= np.linalg.norm(y_star)
@@ -589,8 +580,8 @@ class TestBasicProcedure:
             cols[:, j] += 0.05 * y_star
         inst = FiniteLp(cols)
         state = RescalingState(4)
-        basic_procedure(inst, state, mu=1.0 / math.sqrt(12.0), trace=trace)
-        steps = trace.bp[0].potential_steps
+        basic_procedure(inst, state, mu=1.0 / math.sqrt(12.0))
+        steps = solve_probe.steps
         assert steps
         for before, after in steps:
             assert after - before >= 1.0 - 1e-9
