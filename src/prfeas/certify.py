@@ -1,4 +1,4 @@
-"""Certificate verification, planted instance generation, and diagnostics.
+"""Certificate verification and planted instance generation.
 
 Nothing here trusts the solver: feasible directions are re-queried through
 the oracle, dual weights are re-combined from the instance's own columns,
@@ -8,13 +8,13 @@ used on external input.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
 
+from .linalg import vector_norm
 from .oracle import (
     CustomOracle,
     CustomWitness,
@@ -38,7 +38,6 @@ __all__ = [
     "verify_p_certificate",
     "resolve_witness_column",
     "generate_planted",
-    "dstar_lower_bound",
     "DUAL_RESIDUAL_TOL",
     "PLANTED_MARGIN",
 ]
@@ -48,9 +47,6 @@ DUAL_RESIDUAL_TOL = 1e-9
 
 #: Interior margin planted into generated feasible instances.
 PLANTED_MARGIN = 0.1
-
-#: Subset budget multiplier for the determinant lower bound.
-DSTAR_SUBSET_BUDGET = 10
 
 
 class UnresolvableWitness(ValueError):
@@ -226,14 +222,15 @@ def verify_p_certificate(
             raise ValueError("certificate weights must be positive and finite")
         _, column = resolve_witness_column(instance, witness)
         num += x * column
-        den += x * float(np.linalg.norm(column))
-    residual = float(np.linalg.norm(num)) / den if den > 0.0 else math.inf
+        den += x * vector_norm(column)
+    absolute = vector_norm(num)
+    residual = absolute / den if den > 0.0 else math.inf
     return VerificationReport(
         kind="p",
         accepted=residual <= DUAL_RESIDUAL_TOL,
         residual=residual,
         details={
-            "absolute_residual": float(np.linalg.norm(num)),
+            "absolute_residual": absolute,
             "scale": den,
             "support": len(weights),
         },
@@ -405,54 +402,3 @@ def generate_planted(
     if kind == "sdp":
         return _planted_sdp(rng, m, n, target)
     return _planted_socp(rng, m, n, target)
-
-
-# ---------------------------------------------------------------------------
-# feasible-region thickness diagnostic
-
-
-def _greedy_volume_subset(S: np.ndarray, m: int) -> list[int]:
-    """Indices of an m-subset picked by largest orthogonal residual."""
-    residual = S.copy()
-    chosen: list[int] = []
-    available = list(range(S.shape[0]))
-    for _ in range(m):
-        norms = [float(np.linalg.norm(residual[i])) for i in available]
-        best = int(np.argmax(norms))
-        idx = available.pop(best)
-        chosen.append(idx)
-        u = residual[idx]
-        nrm = np.linalg.norm(u)
-        if nrm > 0:
-            u = u / nrm
-            for i in available:
-                residual[i] = residual[i] - (residual[i] @ u) * u
-    return chosen
-
-
-def dstar_lower_bound(samples: Sequence[np.ndarray], m: int) -> float:
-    """Empirical lower bound on the max |det| over m-tuples of samples.
-
-    Callers supply verified feasible directions with norm at most 1.  When
-    the number of m-subsets fits within ``10 m^2`` they are all evaluated;
-    otherwise a greedy volume-pivoting pass plus ``10 m^2`` seeded random
-    subsets are used.  Deterministic for a fixed sample list.
-    """
-    S = np.array([np.asarray(s, dtype=float) for s in samples], dtype=float)
-    if S.shape[0] < m:
-        return 0.0
-    k = S.shape[0]
-    budget = DSTAR_SUBSET_BUDGET * m * m
-    best = 0.0
-    if math.comb(k, m) <= budget:
-        subsets = itertools.combinations(range(k), m)
-        for idx in subsets:
-            best = max(best, abs(float(np.linalg.det(S[list(idx)]))))
-        return best
-    greedy = _greedy_volume_subset(S, m)
-    best = abs(float(np.linalg.det(S[greedy])))
-    rng = np.random.default_rng(0)
-    for _ in range(budget):
-        idx = rng.choice(k, size=m, replace=False)
-        best = max(best, abs(float(np.linalg.det(S[idx]))))
-    return best

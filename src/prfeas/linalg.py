@@ -1,18 +1,19 @@
 """Deterministic dense linear-algebra kernels of the support reduction.
 
 The solver keeps the inverse of its basis matrix up to date with rank-one
-updates and rebuilds it through a checked LU factorization.  All matrices
-are dense float64 numpy arrays in C (row-major) order.  Every routine uses
-a fixed operation order and no parallel reductions, so repeated calls on
-identical inputs produce bit-identical results.
+updates, rebuilds it with a checked dense inverse, and, when the leading
+columns of the support are dependent, picks a basis among all of them by
+greedy column pivoting.  Everything runs on numpy's own LAPACK.  All
+matrices are dense float64 numpy arrays in C (row-major) order.  Every
+routine uses a fixed operation order and no parallel reductions, so
+repeated calls on identical inputs produce bit-identical results.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 
 import numpy as np
-import scipy.linalg
 
 
 class SingularUpdate(Exception):
@@ -20,14 +21,33 @@ class SingularUpdate(Exception):
 
 
 class Singular(Exception):
-    """Linear system factorization met a negligible pivot."""
+    """Matrix is singular to working precision."""
 
 
 #: Relative threshold on the rank-one update denominator.
 SMW_TOL = 1e-10
 
-#: LU pivot threshold, relative to the largest absolute entry of the matrix.
+#: Smallest pivot accepted, relative to the largest absolute entry of the
+#: matrix; an inverse with ``max|G| >= 1 / (LU_PIVOT_TOL max|B|)`` is refused.
 LU_PIVOT_TOL = 1e-13
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of ``v`` that does not overflow for finite entries.
+
+    Returns ``sqrt(v @ v)``, bit for bit, whenever that square is finite.
+    Only when it overflows and every entry is finite is ``v`` divided by
+    ``max|v|`` before squaring, so vectors with entries near the float
+    maximum keep a finite norm.
+    """
+    sq = float(v @ v)
+    if sq < math.inf:
+        return math.sqrt(sq)
+    peak = float(np.max(np.abs(v), initial=0.0))
+    if not peak < math.inf:
+        return math.sqrt(sq)  # an infinite or NaN entry
+    u = v / peak
+    return peak * math.sqrt(u @ u)
 
 
 def smw_inverse_update(G: np.ndarray, u: np.ndarray, e_idx: int) -> np.ndarray:
@@ -69,7 +89,13 @@ def smw_inverse_update(G: np.ndarray, u: np.ndarray, e_idx: int) -> np.ndarray:
 
 
 def inverse_with_factorization(B: np.ndarray) -> np.ndarray:
-    """Dense inverse of ``B`` through a pivoted LU factorization.
+    """Dense inverse of ``B``, refused when ``B`` is singular.
+
+    ``np.linalg.inv`` solves against the identity from a pivoted LU
+    factorization (LAPACK ``gesv``).  The last pivot ``u`` of that
+    factorization satisfies ``max|inv(B)| >= 1/|u|``, so a matrix whose
+    pivot falls below ``LU_PIVOT_TOL * max|B|`` is refused through the size
+    of its inverse.
 
     Parameters
     ----------
@@ -78,20 +104,52 @@ def inverse_with_factorization(B: np.ndarray) -> np.ndarray:
     Returns
     -------
     ndarray, shape (k, k)
-        ``inv(B)``, solved from the LU factors against the identity.
+        ``inv(B)``.
 
     Raises
     ------
     Singular
-        If any LU pivot is below ``LU_PIVOT_TOL * max|B|``.
+        If LAPACK meets an exact zero pivot, or if
+        ``max|inv(B)| * max|B| * LU_PIVOT_TOL >= 1`` (or is not a number).
     """
     B = np.asarray(B, dtype=float)
-    scale = np.max(np.abs(B), initial=0.0)
-    with warnings.catch_warnings():
-        # zero pivots are reported through our own Singular check
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(B, check_finite=False)
-    if np.min(np.abs(np.diag(lu))) < LU_PIVOT_TOL * scale:
+    try:
+        G = np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        raise Singular("matrix is singular") from None
+    size = np.max(np.abs(G), initial=0.0) * np.max(np.abs(B), initial=0.0)
+    if not size * LU_PIVOT_TOL < 1.0:
         raise Singular("matrix is singular to working precision")
-    return scipy.linalg.lu_solve((lu, piv), np.eye(B.shape[0]),
-                                 check_finite=False)
+    return G
+
+
+def basis_columns(B: np.ndarray, rank_tol: float) -> tuple[int, list[int]]:
+    """Numerical rank of ``B`` and, when it is full, a basis among its columns.
+
+    The rank counts the singular values of ``B`` (shape ``(k, n)``) above
+    ``rank_tol`` times the largest.  Only when it equals ``k`` are ``k``
+    columns picked, greedily by Businger-Golub column pivoting: each pick
+    is the column with the largest residual after projecting out the
+    columns already picked, the lowest index on ties.
+
+    Returns
+    -------
+    (rank, picked)
+        ``picked`` lists the column indices in the order they were picked;
+        it is empty when ``rank < k``.
+    """
+    k = B.shape[0]
+    sv = np.linalg.svd(B, compute_uv=False)
+    rank = int(np.sum(sv > rank_tol * np.max(sv, initial=0.0)))
+    if rank < k:
+        return rank, []
+    R = np.array(B, dtype=float)
+    picked: list[int] = []
+    for _ in range(k):
+        sq = np.einsum("ij,ij->j", R, R)
+        sq[picked] = -1.0
+        j = int(np.argmax(sq))
+        picked.append(j)
+        u = R[:, j] / math.sqrt(sq[j])
+        R -= np.outer(u, u @ R)
+    return rank, picked

@@ -38,6 +38,8 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .linalg import vector_norm
+
 __all__ = [
     "InvalidQuery",
     "OracleContractViolation",
@@ -300,7 +302,7 @@ def _check_soundness(w: WitnessedColumn, y: np.ndarray,
                      band: float = 0.0) -> None:
     """Require ``column^T y <= 0`` up to rounding and the oracle's ``band``."""
     val = float(w.column @ y)
-    scale = 1.0 + math.sqrt(w.column @ w.column) * math.sqrt(y @ y)
+    scale = 1.0 + vector_norm(w.column) * vector_norm(y)
     tol = SOUNDNESS_TOL * scale + band
     if val > tol:
         raise OracleContractViolation(

@@ -29,14 +29,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import certify
 from .linalg import (
     Singular,
     SingularUpdate,
+    basis_columns,
     inverse_with_factorization,
     smw_inverse_update,
+    vector_norm,
 )
 from .oracle import (
     CustomWitness,
@@ -83,7 +84,7 @@ G_RESIDUAL_TOL = 1e-8
 #: How many eliminations between basis-inverse residual re-checks.
 G_RECHECK_INTERVAL = 64
 
-#: Rank threshold (relative to the leading pivot) for basis selection.
+#: Rank threshold (relative to the largest singular value) for basis selection.
 BASIS_RANK_TOL = 1e-12
 
 
@@ -153,7 +154,7 @@ class RescalingState:
             If ``||M^T a||`` is below ``DEGENERATE_COLUMN_TOL``.
         """
         v = self.apply_transpose(a_col)
-        nrm = math.sqrt(v @ v)
+        nrm = vector_norm(v)
         if nrm < DEGENERATE_COLUMN_TOL:
             raise DegenerateColumn("rescaled column norm underflowed")
         return v / nrm, nrm
@@ -335,7 +336,7 @@ class ConvexCombination:
     def _ensure_basis(self) -> bool:
         """Make G the inverse of [A; 1^T] over the first m+1 terms.
 
-        Falls back to a pivoted-QR column selection (reordering the terms)
+        Falls back to a pivoted column selection (reordering the terms)
         when the current leading block is singular.  Returns False when no
         m+1 terms are affinely independent yet; elimination is postponed.
         """
@@ -343,16 +344,14 @@ class ConvexCombination:
             self._rebuild_g()
         if self.G is not None:
             return True
-        k = self.m + 1
         B = np.column_stack([e.basis_col for e in self.entries])
-        _, R, piv = scipy.linalg.qr(B, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(R))
-        lead = diag[0] if diag.size else 0.0
-        rank = int(np.sum(diag > BASIS_RANK_TOL * lead)) if lead > 0.0 else 0
-        if rank < k:
+        _, picked = basis_columns(B, BASIS_RANK_TOL)
+        if not picked:
             return False
-        # the chosen columns lead; the rest keep their relative order
-        order = np.concatenate([piv[:k], np.sort(piv[k:])])
+        # the picked columns lead; the rest keep their relative order
+        rest = np.ones(len(self.entries), dtype=bool)
+        rest[picked] = False
+        order = np.concatenate([picked, np.flatnonzero(rest)])
         self.entries = [self.entries[j] for j in order]
         w = self.weights
         w[:] = w[order]
@@ -464,10 +463,10 @@ def _unscaled_weights(cc: ConvexCombination) -> list[tuple[ActiveTerm, float]]:
 def _dual_residual(pairs: list[tuple[ActiveTerm, float]]) -> float:
     """Relative residual of the unscaled positive combination."""
     num = sum(u * e.witnessed.column for e, u in pairs)
-    den = sum(u * float(np.linalg.norm(e.witnessed.column)) for e, u in pairs)
+    den = sum(u * vector_norm(e.witnessed.column) for e, u in pairs)
     if den == 0.0:
         return math.inf
-    return float(np.linalg.norm(num)) / den
+    return vector_norm(num) / den
 
 
 def _reweight_to_dual(cc: ConvexCombination) -> bool:
@@ -493,6 +492,8 @@ def _reweight_to_dual(cc: ConvexCombination) -> bool:
         return False
     cols = np.column_stack([e.witnessed.column for e in cc.entries])
     norms = np.linalg.norm(cols, axis=0)
+    for j in np.flatnonzero(norms == math.inf):
+        norms[j] = vector_norm(cols[:, j])  # the square overflowed
     rhs = np.zeros(cc.m + 1)
     rhs[-1] = 1.0
     x = np.linalg.lstsq(np.vstack([cols / norms, np.ones(k)]), rhs,

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ from numpy.testing import assert_allclose
 from prfeas.certify import (
     Certificate,
     UnresolvableWitness,
-    dstar_lower_bound,
     generate_planted,
     resolve_witness_column,
     verify_d_solution,
@@ -236,56 +234,6 @@ class TestGeneratePlanted:
     def test_invalid_requests_rejected(self, kwargs):
         with pytest.raises(ValueError):
             generate_planted(**kwargs)
-
-
-class TestDstarLowerBound:
-    def test_too_few_samples(self):
-        assert dstar_lower_bound([np.array([1.0, 0.0])], 2) == 0.0
-
-    def test_two_axis_samples(self):
-        s = [np.array([0.99, 0.0]), np.array([0.0, 0.99])]
-        assert dstar_lower_bound(s, 2) == pytest.approx(0.9801, abs=1e-15)
-
-    def test_scaling_by_delta_to_the_m(self):
-        rng = np.random.default_rng(8)
-        samples = [rng.uniform(-0.5, 0.5, size=2) for _ in range(5)]
-        base = dstar_lower_bound(samples, 2)
-        scaled = dstar_lower_bound([0.5 * s for s in samples], 2)
-        assert scaled == pytest.approx(0.25 * base, rel=1e-12)
-
-    def test_monotone_under_new_samples(self):
-        rng = np.random.default_rng(13)
-        samples = [rng.uniform(-0.5, 0.5, size=3) for _ in range(6)]
-        small = dstar_lower_bound(samples[:4], 3)
-        big = dstar_lower_bound(samples, 3)
-        assert big >= small - 1e-15
-
-    def test_linear_map_equivariance(self):
-        # applying M^-1 to every sample multiplies each m-subset
-        # determinant by det(M^-1) exactly
-        rng = np.random.default_rng(30)
-        M = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
-        Minv = np.linalg.inv(M)
-        samples = [rng.uniform(-0.4, 0.4, size=3) for _ in range(6)]
-        mapped = [Minv @ s for s in samples]
-        for idx in itertools.combinations(range(6), 3):
-            d0 = np.linalg.det(np.array([samples[i] for i in idx]))
-            d1 = np.linalg.det(np.array([mapped[i] for i in idx]))
-            assert d1 == pytest.approx(np.linalg.det(Minv) * d0, rel=1e-10)
-        lhs = dstar_lower_bound(mapped, 3)
-        rhs = abs(np.linalg.det(Minv)) * dstar_lower_bound(samples, 3)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-
-    def test_large_sample_set_stays_deterministic_lower_bound(self):
-        rng = np.random.default_rng(77)
-        samples = [rng.uniform(-0.5, 0.5, size=2) for _ in range(40)]
-        est = dstar_lower_bound(samples, 2)
-        exact = max(
-            abs(np.linalg.det(np.array([samples[i], samples[j]])))
-            for i, j in itertools.combinations(range(40), 2)
-        )
-        assert 0.0 < est <= exact + 1e-15
-        assert est == dstar_lower_bound(samples, 2)
 
 
 class TestCertificateContainer:

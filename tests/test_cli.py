@@ -404,6 +404,31 @@ class TestSolveCommand:
         assert report["status"] == "feasible"
         assert report["verification"]["accepted"] is True
 
+    def test_sdp_pair_near_float_max_gives_dual(self, tmp_path, capsys):
+        # diag(1.5e308, -1.5e308): the witnesses e2 and e1 give the columns
+        # -1.5e308 and 1.5e308, whose squares overflow
+        prob = write_json(tmp_path / "pair.json", {
+            "schema": 1, "type": "sdp", "m": 1, "n": 2,
+            "matrices": [[[1.5e308, 0], [0, -1.5e308]]],
+        })
+        cert = str(tmp_path / "pair.cert.json")
+
+        def reject_constant(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        with np.errstate(over="ignore"):
+            code, out = invoke(capsys, "solve", "--input", prob,
+                               "--certificate", cert)
+            report = json.loads(out, parse_constant=reject_constant)
+            assert code == EXIT_DUAL
+            assert report["status"] == "dual_certificate"
+            assert len(report["weights"]) == 2
+            assert report["verification"]["accepted"] is True
+            code, out = invoke(capsys, "verify", "--input", prob,
+                               "--certificate", cert)
+        assert code == 0
+        assert json.loads(out, parse_constant=reject_constant)["accepted"]
+
 
 class TestVerifyCommand:
     def test_rejected_certificate_exit_three(self, tmp_path, capsys):

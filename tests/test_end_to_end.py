@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -261,13 +262,30 @@ class TestDualExtraction:
         assert len(out.weights) <= m + 1
         assert verify_p_certificate(inst, out.weights).accepted
 
-    def test_solve_does_not_import_scipy_optimize(self):
-        code = ("import sys\n"
-                "from prfeas import generate_planted, main_algorithm\n"
-                "inst = generate_planted('lp', 5, 50, 0, 'feasible_p')[0]\n"
-                "out = main_algorithm(inst, epsilon=1e-6)\n"
-                "assert out.status == 'dual_certificate', out.status\n"
-                "assert 'scipy.optimize' not in sys.modules\n")
+    def test_solve_does_not_import_scipy_optimize(self, tmp_path):
+        # no scipy module at all: not on import, not in a solve, not in
+        # the CLI's solve and verify
+        code = textwrap.dedent(f"""\
+            import sys
+            import prfeas
+            from prfeas import generate_planted, main_algorithm
+            from prfeas.cli import main
+            inst = generate_planted('lp', 5, 50, 0, 'feasible_p')[0]
+            out = main_algorithm(inst, epsilon=1e-6)
+            assert out.status == 'dual_certificate', out.status
+            prob = {str(tmp_path / "p.json")!r}
+            cert = {str(tmp_path / "c.json")!r}
+            assert main(['generate', '--kind', 'lp', '--m', '3', '--n', '10',
+                         '--seed', '7', '--target', 'feasible_p',
+                         '--output', prob]) == 0
+            assert main(['solve', '--input', prob,
+                         '--certificate', cert]) == 1
+            assert main(['verify', '--input', prob,
+                         '--certificate', cert]) == 0
+            loaded = [name for name in sys.modules
+                      if name == 'scipy' or name.startswith('scipy.')]
+            assert not loaded, loaded
+            """)
         res = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr

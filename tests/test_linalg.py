@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,8 +7,10 @@ from numpy.testing import assert_allclose
 from prfeas.linalg import (
     Singular,
     SingularUpdate,
+    basis_columns,
     inverse_with_factorization,
     smw_inverse_update,
+    vector_norm,
 )
 from prfeas.oracle import Sdp, sdp_query
 
@@ -136,8 +140,8 @@ class TestCertifyingCholesky:
 
 
 class TestSolveWithFactorization:
-    """Solves through ``inverse_with_factorization``, the checked LU path
-    the solver rebuilds its basis inverse with."""
+    """Solves through ``inverse_with_factorization``, the checked dense
+    inverse the solver rebuilds its basis inverse with."""
 
     def test_solves_small_system(self):
         B = np.array([[2.0, 1.0], [1.0, 3.0]])
@@ -147,6 +151,13 @@ class TestSolveWithFactorization:
 
     def test_singular_matrix_rejected(self):
         B = np.array([[1.0, 2.0], [2.0, 4.0]])
+        with pytest.raises(Singular):
+            inverse_with_factorization(B)
+
+    def test_tiny_last_pivot_rejected(self):
+        # the last LU pivot is about 1e-15, below LU_PIVOT_TOL * max|B|,
+        # although the matrix is not exactly singular
+        B = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
         with pytest.raises(Singular):
             inverse_with_factorization(B)
 
@@ -165,3 +176,53 @@ class TestSolveWithFactorization:
             x = inverse_with_factorization(B) @ rhs
             assert np.linalg.norm(B @ x - rhs) \
                 <= 1e-10 * max(np.linalg.norm(rhs), 1.0)
+
+
+class TestBasisColumns:
+    """Rank test and greedy column pivoting of ``basis_columns``."""
+
+    def test_duplicate_column_is_skipped(self):
+        # columns 0 and 1 coincide; after picking 0 (lowest index on the
+        # tie) column 1 has no residual left, so column 2 completes it
+        B = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert basis_columns(B, 1e-12) == (2, [0, 2])
+
+    def test_rank_deficient_picks_nothing(self):
+        rng = np.random.default_rng(5)
+        top = rng.standard_normal((2, 6))
+        B = np.vstack([top, top[0] + top[1]])
+        assert basis_columns(B, 1e-12) == (2, [])
+
+    def test_full_rank_picks_largest_residuals(self):
+        # norms 1, 2, 3: column 2 first; projecting it out leaves column 0
+        # with nothing and column 1 with its full norm
+        B = np.array([[1.0, 0.0, 3.0], [0.0, 2.0, 0.0]])
+        assert basis_columns(B, 1e-12) == (2, [2, 1])
+
+    @pytest.mark.parametrize("k", [2, 4, 11])
+    def test_picked_columns_form_a_basis(self, k):
+        rng = np.random.default_rng(40 + k)
+        B = rng.standard_normal((k, k + 3))
+        rank, picked = basis_columns(B, 1e-12)
+        assert rank == k and sorted(picked) == sorted(set(picked))
+        assert len(picked) == k
+        assert np.linalg.matrix_rank(B[:, picked]) == k
+
+
+class TestVectorNorm:
+    def test_matches_plain_norm_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            v = rng.standard_normal(rng.integers(1, 40)) \
+                * 10.0 ** rng.uniform(-100, 100)
+            assert vector_norm(v) == math.sqrt(v @ v)
+
+    def test_entries_near_float_max_stay_finite(self):
+        with np.errstate(over="ignore"):
+            nrm = vector_norm(np.array([1.5e308, -1.5e308, 0.0]))
+        assert nrm == pytest.approx(1.5e308 * math.sqrt(2.0), rel=1e-15)
+
+    def test_non_finite_entries_stay_non_finite(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert vector_norm(np.array([math.inf, 1.0])) == math.inf
+            assert math.isnan(vector_norm(np.array([math.nan, 1.0])))

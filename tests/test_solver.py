@@ -4,7 +4,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-import scipy.linalg
 from numpy.testing import assert_allclose
 
 import prfeas.solver
@@ -12,6 +11,7 @@ from prfeas.certify import generate_planted, verify_p_certificate
 from prfeas.linalg import (
     Singular,
     SingularUpdate,
+    basis_columns,
     inverse_with_factorization,
     smw_inverse_update,
 )
@@ -129,14 +129,10 @@ class ListConvexCombination:
         B = np.ones((k, len(self.entries)))
         for j, e in enumerate(self.entries):
             B[: self.m, j] = e.a_scaled
-        _, R, piv = scipy.linalg.qr(B, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(R))
-        lead = diag[0] if diag.size else 0.0
-        rank = int(np.sum(diag > BASIS_RANK_TOL * lead)) if lead > 0.0 else 0
+        rank, chosen = basis_columns(B, BASIS_RANK_TOL)
         if rank < k:
             self.events["postponed"] += 1
             return False
-        chosen = [int(j) for j in piv[:k]]
         rest = [j for j in range(len(self.entries)) if j not in set(chosen)]
         if chosen + rest != list(range(len(self.entries))):
             self.events["reordered"] += 1
