@@ -199,7 +199,11 @@ def verify_p_certificate(
     """Check that positive weights combine instance columns to near zero.
 
     The residual is relative: ``||sum x_t a_t|| / sum x_t ||a_t||``;
-    acceptance means residual <= 1e-9.
+    acceptance means residual <= 1e-9.  When every column is exactly the
+    zero vector, which a valid nonzero cone witness of a built-in
+    instance can map to, the combination is exactly zero and the residual
+    is 0: no ``y`` satisfies ``0^T y > 0``.  A custom witness's column
+    never counts as such.
 
     Raises
     ------
@@ -217,14 +221,20 @@ def verify_p_certificate(
         )
     num = np.zeros(instance.m)
     den = 0.0
+    vanishing = True
     for witness, x in weights:
         if not (x > 0.0 and math.isfinite(x)):
             raise ValueError("certificate weights must be positive and finite")
-        _, column = resolve_witness_column(instance, witness)
+        resolved, column = resolve_witness_column(instance, witness)
         num += x * column
         den += x * vector_norm(column)
+        vanishing = vanishing and not column.any() \
+            and not isinstance(resolved, CustomWitness)
     absolute = vector_norm(num)
-    residual = absolute / den if den > 0.0 else math.inf
+    if den > 0.0:
+        residual = absolute / den
+    else:
+        residual = 0.0 if vanishing else math.inf
     return VerificationReport(
         kind="p",
         accepted=residual <= DUAL_RESIDUAL_TOL,

@@ -71,6 +71,12 @@ SDP_SYMMETRY_TOL = 1e-12
 #: Sdp definiteness threshold on lambda_min(X), relative to max(diag(X), 0).
 SDP_DEFINITENESS_TOL = 1e-12
 
+#: Power of two by which a FiniteLp scales its columns when a column norm
+#: overflows.  Scaled entries stay below 2^960, so their norms, and the
+#: margins ``y^T a_t`` of the solver's queries, stay finite; only entries
+#: below about 1e-304 underflow.
+OVERFLOW_SCALE = 2.0**-64
+
 
 class InvalidQuery(ValueError):
     """Query direction is zero, non-finite, or has the wrong dimension."""
@@ -134,7 +140,11 @@ class WitnessedColumn:
 
     def __post_init__(self) -> None:
         self.column = np.asarray(self.column, dtype=float)
-        if self.column.ndim != 1 or not self.column.any():
+        # a cone vector that the instance maps to zero is a sound witness,
+        # and alone a dual certificate; every other column must not vanish
+        if self.column.ndim != 1 or not (
+                self.column.any()
+                or isinstance(self.witness, (SdpVector, SocpVector))):
             raise ValueError("witnessed column must be a nonzero vector")
 
 
@@ -143,7 +153,12 @@ class FiniteLp:
     """Finitely many constraint columns, stored as an (m, n) array.
 
     Column ``t`` of ``columns`` is the coefficient vector of constraint
-    ``a_t^T y > 0``; ``column_norms`` holds the ``||a_t||``.
+    ``a_t^T y > 0``; ``column_norms`` holds the ``||a_t||``.  When some
+    ``||a_t||`` overflows (entries near the float maximum), every column
+    is stored multiplied by ``OVERFLOW_SCALE``.  One power of two applied
+    to all columns is exact and changes neither the feasible ``y`` nor
+    which weights certify the alternative, so every answer holds for the
+    columns as given.
     """
 
     columns: np.ndarray
@@ -155,10 +170,14 @@ class FiniteLp:
             raise ValueError("columns must be a nonempty (m, n) array")
         if not np.all(np.isfinite(cols)):
             raise ValueError("columns must be finite")
+        norms = np.linalg.norm(cols, axis=0)
+        if not np.all(norms < math.inf):
+            cols = cols * OVERFLOW_SCALE
+            norms = np.array([vector_norm(col) for col in cols.T])
         if not np.all(np.any(cols != 0.0, axis=0)):
             raise ValueError("every constraint column must be nonzero")
         object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "column_norms", np.linalg.norm(cols, axis=0))
+        object.__setattr__(self, "column_norms", norms)
 
     @property
     def m(self) -> int:

@@ -13,7 +13,15 @@ oracle, between three outcomes:
   absolute determinant at most epsilon.
 
 The inner loop maintains a convex combination z of rescaled, normalized
-constraint columns and drives ||z|| down.  An inner run that ends with a
+constraint columns and drives ||z|| down.  Each oracle step only promises
+that 1/||z||^2 grows by 1.  Once the support is a full basis of m+1
+columns with its inverse G at hand, Wolfe's minor cycle shrinks z further
+without an oracle call: G e_{m+1} gives the affine weights that make the
+basis vanish, and the weights move toward them until one reaches zero.
+The cycle runs only while the shrunk ||z|| stays above MINOR_CYCLE_GUARD
+times the exit threshold mu/(m+1), so it never ends a run itself; a
+smaller guard lets cycles reach the threshold and change which direction
+a run contracts along.  An inner run that ends with a
 small aggregate first asks whether its support, when it has at most m+1
 columns, already holds a dual certificate: one least-squares solve gives
 the exact weights that make the support's columns vanish.  If they do not
@@ -84,8 +92,16 @@ G_RESIDUAL_TOL = 1e-8
 #: How many eliminations between basis-inverse residual re-checks.
 G_RECHECK_INTERVAL = 64
 
+#: A column that refills a slot emptied by a minor cycle with a pivot this
+#: many times smaller than its largest coefficient triggers a residual check.
+REFILL_PIVOT_RATIO = 100.0
+
 #: Rank threshold (relative to the largest singular value) for basis selection.
 BASIS_RANK_TOL = 1e-12
+
+#: A minor cycle runs only while the cycled ``||z||`` stays above this
+#: multiple of the small-aggregate threshold ``mu/(m+1)``.
+MINOR_CYCLE_GUARD = 8.0
 
 
 class ConfigError(ValueError):
@@ -142,8 +158,15 @@ class RescalingState:
         return self.M.T @ a_col
 
     def column_norms(self, columns: np.ndarray) -> np.ndarray:
-        """Return ``||M^T a_t||`` for every column of ``columns`` at once."""
-        return np.linalg.norm(self.M.T @ columns, axis=0)
+        """Return ``||M^T a_t||`` for every column of ``columns`` at once.
+
+        A norm whose sum of squares overflows is taken again by
+        :func:`vector_norm`.
+        """
+        norms = np.linalg.norm(self.M.T @ columns, axis=0)
+        for t in np.flatnonzero(norms == math.inf):
+            norms[t] = vector_norm(self.M.T @ columns[:, t])
+        return norms
 
     def normalize(self, a_col: np.ndarray) -> tuple[np.ndarray, float]:
         """Return ``(M^T a / ||M^T a||, ||M^T a||)``.
@@ -263,6 +286,10 @@ class ConvexCombination:
     Each term keeps its basis column ``[a_t; 1]`` and its witness key;
     ``weights`` is a view into a buffer that grows by doubling, so the
     weight updates of an elimination are single array operations.
+
+    :meth:`minor_cycle` may empty one basis slot, leaving its term in
+    place with weight 0 so that ``G`` stays the basis inverse; the next
+    elimination puts the incoming term into that slot.
     """
 
     def __init__(self, m: int):
@@ -273,6 +300,7 @@ class ConvexCombination:
         self.G: np.ndarray | None = None
         self._by_witness: dict[_WitnessKey, ActiveTerm] = {}
         self._elim_count = 0
+        self._vacant: int | None = None
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -370,6 +398,10 @@ class ConvexCombination:
         incoming = self.entries[k]
         w = self.weights
         gamma = self.G @ incoming.basis_col
+        vacant, self._vacant = self._vacant, None
+        if vacant is not None and w[vacant] == 0.0 \
+                and self._refill(vacant, gamma):
+            return
         neg = gamma < 0.0
         ratios = np.divide(-w[:k], gamma, out=np.full(k, np.inf), where=neg)
         t_star = int(np.argmin(ratios))
@@ -391,11 +423,73 @@ class ConvexCombination:
                     self.G, incoming.basis_col - leaving.basis_col, t_star)
             except SingularUpdate:
                 self._rebuild_g()
+        self._count_elimination()
+
+    def _refill(self, t: int, gamma: np.ndarray) -> bool:
+        """Give the incoming term slot ``t``, which a minor cycle emptied.
+
+        The slot carries no weight, so no other weight moves and ``G``
+        follows by one rank-one update.  Its pivot is ``gamma_t``, with
+        ``gamma = G (a_in; 1)``; when ``|gamma_t|`` is below ``max|gamma|
+        / REFILL_PIVOT_RATIO`` the update magnifies the rounding error in
+        ``G`` about that much, so the residual is checked at once.
+        Returns False, changing nothing, when the update is singular.
+        """
+        k = self.m + 1
+        leaving = self.entries[t]
+        try:
+            self.G = smw_inverse_update(
+                self.G, self.entries[k].basis_col - leaving.basis_col, t)
+        except SingularUpdate:
+            return False
+        w = self.weights
+        w[t] = w[k]
+        self.entries[t] = self._pop(k)
+        del self._by_witness[leaving.key]
+        if abs(gamma[t]) * REFILL_PIVOT_RATIO < np.max(np.abs(gamma)):
+            self._check_residual()
+        self._count_elimination()
+        return True
+
+    def _count_elimination(self) -> None:
         self._elim_count += 1
         if self.G is not None and self._elim_count % G_RECHECK_INTERVAL == 0:
-            res = self.g_residual()
-            if res is not None and res > G_RESIDUAL_TOL:
-                self._rebuild_g()
+            self._check_residual()
+
+    def _check_residual(self) -> None:
+        """Rebuild ``G`` when its residual exceeds ``G_RESIDUAL_TOL``."""
+        if self.g_residual() > G_RESIDUAL_TOL:
+            self._rebuild_g()
+
+    def minor_cycle(self, z_norm: float, floor: float) -> float:
+        """Wolfe's minor cycle: shrink ``z`` without an oracle call.
+
+        ``lam = G e_{m+1}`` are the affine weights that combine the basis
+        to zero.  The weights move to ``x + theta (lam - x)`` with ``theta
+        = min x_t / (x_t - lam_t)`` over ``lam_t < x_t``, the largest step
+        that keeps them nonnegative, so ``z`` becomes ``(1 - theta) z`` and
+        the blocking term's weight reaches zero.  That term keeps its slot,
+        so ``G`` stays valid until the next elimination refills it.
+        Nothing changes unless the new ``||z||`` stays above ``floor``.
+
+        Call only with exactly ``m + 1`` terms and ``G`` valid.  Returns
+        ``||z||`` after the call.
+        """
+        lam = self.G[:, self.m]
+        w = self.weights
+        gap = w - lam
+        ratios = np.divide(w, gap, out=np.full(w.size, np.inf),
+                           where=gap > 0.0)
+        t = int(np.argmin(ratios))
+        theta = float(ratios[t])
+        if not (theta > 0.0 and (1.0 - theta) * z_norm > floor):
+            return z_norm
+        w -= theta * gap
+        np.maximum(w, 0.0, out=w)  # rounding on ties with the blocking term
+        w[t] = 0.0
+        self.z = (1.0 - theta) * self.z
+        self._vacant = t
+        return (1.0 - theta) * z_norm
 
     def _drop_negligible(self) -> None:
         w = self.weights
@@ -512,6 +606,19 @@ def _reweight_to_dual(cc: ConvexCombination) -> bool:
     return True
 
 
+def _vanishing_column(w: WitnessedColumn, m: int, iterations: int,
+                      oracle_calls: int) -> BasicProcedureResult:
+    """The ``dual`` result for an oracle column that is exactly zero.
+
+    No ``y`` satisfies ``0^T y > 0``, so the witness alone, with weight 1,
+    certifies the alternative.  A built-in oracle returns such a column
+    for a nonzero cone vector that the instance maps to zero.
+    """
+    cc = ConvexCombination(m)
+    cc.add_term(w, np.zeros(m), 1.0, 1.0)
+    return BasicProcedureResult("dual", None, cc, iterations, oracle_calls)
+
+
 def basic_procedure(
     instance: ProblemInstance,
     state: RescalingState,
@@ -525,6 +632,14 @@ def basic_procedure(
     column.  Every step increases ``1/||z||^2`` by at least 1, so
     within ``ceil((m+1)^2 / mu^2)`` iterations one of two things happens:
     the oracle accepts a query (feasible), or ``||z|| <= mu/(m+1)``.
+
+    After a step that leaves exactly ``m + 1`` terms with ``G`` valid, the
+    run takes one minor cycle (:meth:`ConvexCombination.minor_cycle`),
+    which scales ``z`` by ``1 - theta`` and empties one basis slot.  It is
+    skipped unless ``||z|| > MINOR_CYCLE_GUARD mu/(m+1)``, tested before
+    anything is computed, and unless the cycled ``||z||`` stays above that
+    floor.  ``||z||`` only shrinks, so the iteration bound and the ``m + 1``
+    support hold as before, and no run ends on a cycle.
 
     That bound holds for any violated column, but a step gains most from
     the most violated one, so the built-in oracles return their deepest cut
@@ -548,6 +663,10 @@ def basic_procedure(
     contractions.  Otherwise it returns ``small_aggregate`` with the
     combination untouched.  This is the only exit that returns ``dual``.
 
+    A column that is exactly zero (a nonzero cone vector that the
+    instance maps to zero) ends the run with ``dual`` at once: no ``y``
+    satisfies ``0^T y > 0``, so that witness alone is the certificate.
+
     An oracle may reject a query within a tolerance band, as the Sdp
     oracle does for ``0 < lambda_min(X) <= 1e-12 max diag X``; its column
     then has a small positive margin.  When that margin reaches
@@ -566,6 +685,7 @@ def basic_procedure(
     y0 = np.ones(m)
     bound = math.ceil((m + 1) ** 2 / mu**2) + 1
     small_threshold = mu / (m + 1)
+    cycle_floor = MINOR_CYCLE_GUARD * small_threshold
     # at s = 0 the scales are the instance's own column norms, the default
     scales = state.column_norms(instance.columns) \
         if isinstance(instance, FiniteLp) and state.s > 0 else None
@@ -574,12 +694,17 @@ def basic_procedure(
     if w is None:
         return BasicProcedureResult("feasible", y0, None, 0, oracle_calls)
     cc = ConvexCombination(m)
-    a_scaled, nrm = state.normalize(w.column)
+    try:
+        a_scaled, nrm = state.normalize(w.column)
+    except DegenerateColumn:
+        if w.column.any():
+            raise
+        return _vanishing_column(w, m, 0, oracle_calls)
     cc.add_term(w, a_scaled, nrm, 1.0)
     cc.z = a_scaled.copy()
+    z_norm = math.sqrt(cc.z @ cc.z)
     iterations = 0
     while True:
-        z_norm = math.sqrt(cc.z @ cc.z)
         if z_norm <= small_threshold:
             status = "dual" if _reweight_to_dual(cc) else "small_aggregate"
             return BasicProcedureResult(status, None, cc, iterations,
@@ -594,7 +719,12 @@ def basic_procedure(
             raise IterationBoundViolated(
                 f"{iterations} iterations exceed the bound {bound}"
             )
-        a_scaled, nrm = state.normalize(w.column)
+        try:
+            a_scaled, nrm = state.normalize(w.column)
+        except DegenerateColumn:
+            if w.column.any():
+                raise
+            return _vanishing_column(w, m, iterations, oracle_calls)
         if float(a_scaled @ cc.z) >= z_norm**2:
             return BasicProcedureResult("stalled", None, cc, iterations,
                                         oracle_calls)
@@ -602,6 +732,10 @@ def basic_procedure(
         cc.scale_weights(alpha)
         cc.z = z_new
         cc.add_term(w, a_scaled, nrm, 1.0 - alpha)
+        z_norm = math.sqrt(cc.z @ cc.z)
+        if z_norm > cycle_floor and cc.G is not None \
+                and len(cc.entries) == m + 1:
+            z_norm = cc.minor_cycle(z_norm, cycle_floor)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """The ``solve_probe`` fixture: observes solves from outside the solver.
 
-The solver keeps no record of its steps.  The probe wraps four of its
+The solver keeps no record of its steps.  The probe wraps five of its
 functions with ``monkeypatch`` and records one thing from each call, so
-the guarantee tests can check per-step and per-elimination invariants
-without the solver carrying any instrumentation of its own.
+the guarantee tests can check per-step, per-elimination and per-cycle
+invariants without the solver carrying any instrumentation of its own.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +17,7 @@ from prfeas.solver import ConvexCombination, RescalingState
 
 @dataclass(frozen=True)
 class Elimination:
-    """A support right after one elimination.
+    """A support right after one elimination or minor cycle.
 
     The first five fields are the invariants the guarantee tests check.
     ``state`` holds the term order and the bytes of the weights, ``z`` and
@@ -59,18 +59,24 @@ class SolveProbe:
     * ``eliminations``: an :class:`Elimination` after each
       ``_eliminate_one`` call;
     * ``rescales``: a copy of each direction ``RescalingState.rescale``
-      contracts along.
+      contracts along;
+    * ``cycles``: ``(record, mu, z_norm)`` for each minor cycle that moved
+      the weights, with the :class:`Elimination` record of the support
+      after it, the ``mu`` of its inner run and the ``||z||`` it returned.
     """
 
     def __init__(self, monkeypatch):
         self._monkeypatch = monkeypatch
+        self._mu = None
         self.clear()
         basic_procedure = prfeas.solver.basic_procedure
         step_alpha = prfeas.solver.step_alpha
         rescale = RescalingState.rescale
+        minor_cycle = ConvexCombination.minor_cycle
 
-        def recording_basic_procedure(*args, **kwargs):
-            result = basic_procedure(*args, **kwargs)
+        def recording_basic_procedure(instance, state, mu):
+            self._mu = mu
+            result = basic_procedure(instance, state, mu)
             self.runs.append(result.iterations)
             return result
 
@@ -84,10 +90,18 @@ class SolveProbe:
             self.rescales.append(np.array(a_scaled, dtype=float))
             rescale(state, a_scaled)
 
+        def recording_minor_cycle(support, z_norm, floor):
+            after = minor_cycle(support, z_norm, floor)
+            if after != z_norm:
+                self.cycles.append((observe(support), self._mu, after))
+            return after
+
         monkeypatch.setattr(prfeas.solver, "basic_procedure",
                             recording_basic_procedure)
         monkeypatch.setattr(prfeas.solver, "step_alpha", recording_step_alpha)
         monkeypatch.setattr(RescalingState, "rescale", recording_rescale)
+        monkeypatch.setattr(ConvexCombination, "minor_cycle",
+                            recording_minor_cycle)
         self.watch_support(ConvexCombination)
 
     def clear(self) -> None:
@@ -96,6 +110,7 @@ class SolveProbe:
         self.steps = []
         self.eliminations = []
         self.rescales = []
+        self.cycles = []
 
     def watch_support(self, cls) -> None:
         """Record the eliminations of every support of class ``cls``."""

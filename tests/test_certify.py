@@ -126,6 +126,21 @@ class TestVerifyPCertificate:
         ])
         assert rep.accepted
 
+    def test_vanishing_cone_column_is_a_certificate(self):
+        # (1, -3/5, -4/5) is a nonzero cone vector that A maps to zero
+        inst = Socp(np.array([[5.0, 3.0, 4.0]]), blocks=(3,))
+        zero = SocpVector((1.0, -0.6, -0.8))
+        _, column = resolve_witness_column(inst, zero)
+        assert not column.any()
+        rep = verify_p_certificate(inst, [(zero, 1.0)])
+        assert rep.accepted
+        assert rep.residual == 0.0
+        # beside a nonzero column the usual relative residual applies
+        rep = verify_p_certificate(inst, [(zero, 1.0),
+                                          (SocpVector((1.0, 0.0, 0.0)), 1.0)])
+        assert not rep.accepted
+        assert rep.residual == pytest.approx(1.0)
+
     def test_custom_witness_needs_stored_column(self):
         inst = CustomOracle(2, lambda y: None)
         with pytest.raises(UnresolvableWitness):

@@ -429,6 +429,49 @@ class TestSolveCommand:
         assert code == 0
         assert json.loads(out, parse_constant=reject_constant)["accepted"]
 
+    def test_lp_columns_near_float_max_give_dual(self, tmp_path, capsys):
+        # ||(1.5e308, 1.5e308)|| itself overflows; the two columns cancel
+        prob = write_json(tmp_path / "lp_huge.json", {
+            "schema": 1, "type": "lp", "m": 2,
+            "columns": [[1.5e308, 1.5e308], [-1.5e308, -1.5e308]],
+        })
+        cert = str(tmp_path / "lp_huge.cert.json")
+        with np.errstate(over="ignore"):
+            code, out = invoke(capsys, "solve", "--input", prob,
+                               "--certificate", cert)
+            report = json.loads(out)
+            assert code == EXIT_DUAL
+            assert report["status"] == "dual_certificate"
+            assert sorted(w["witness"]["i"] for w in report["weights"]) \
+                == [0, 1]
+            assert report["verification"]["accepted"] is True
+            code, out = invoke(capsys, "verify", "--input", prob,
+                               "--certificate", cert)
+        assert code == 0
+        assert json.loads(out)["accepted"] is True
+
+    def test_vanishing_socp_block_gives_one_atom_dual(self, tmp_path,
+                                                      capsys):
+        # A^T y = (5, 3, 4) y lies on the cone's boundary for y > 0, and
+        # its witness v = (1, -3/5, -4/5) gives A v = 0
+        prob = write_json(tmp_path / "socp_zero.json", {
+            "schema": 1, "type": "socp", "m": 1, "blocks": [3],
+            "A": [[5, 3, 4]],
+        })
+        cert = str(tmp_path / "socp_zero.cert.json")
+        code, out = invoke(capsys, "solve", "--input", prob,
+                           "--certificate", cert)
+        report = json.loads(out)
+        assert code == EXIT_DUAL
+        assert report["status"] == "dual_certificate"
+        assert len(report["weights"]) == 1
+        assert report["weights"][0]["witness"]["type"] == "socp_vector"
+        assert report["verification"]["accepted"] is True
+        code, out = invoke(capsys, "verify", "--input", prob,
+                           "--certificate", cert)
+        assert code == 0
+        assert json.loads(out)["accepted"] is True
+
 
 class TestVerifyCommand:
     def test_rejected_certificate_exit_three(self, tmp_path, capsys):

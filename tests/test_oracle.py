@@ -8,6 +8,7 @@ from prfeas.certify import (
     resolve_witness_column,
 )
 from prfeas.oracle import (
+    OVERFLOW_SCALE,
     CustomOracle,
     CustomWitness,
     FiniteLp,
@@ -77,6 +78,22 @@ class TestFiniteLpQuery:
     def test_column_validation(self):
         with pytest.raises(ValueError):
             FiniteLp(np.array([[1.0, 0.0], [0.0, 0.0]]))  # zero column
+
+    def test_columns_whose_norm_overflows_are_scaled(self):
+        cols = np.array([[1.5e308, -1.5e308, 1.0], [1.5e308, -1.5e308, 0.0]])
+        with np.errstate(over="ignore"):
+            inst = FiniteLp(cols)
+            w = lp_query(inst, np.array([1.0, 1.0]))
+        assert_allclose(inst.columns, cols * OVERFLOW_SCALE, rtol=0, atol=0)
+        assert np.all(np.isfinite(inst.column_norms))
+        assert w.witness == LpIndex(1)
+
+    def test_columns_with_finite_norms_are_kept(self):
+        cols = np.array([[1e150, -1.0], [1e150, 2.0]])
+        inst = FiniteLp(cols)
+        assert inst.columns.tobytes() == cols.tobytes()
+        assert inst.column_norms.tobytes() == \
+            np.linalg.norm(cols, axis=0).tobytes()
 
 
 class TestSdpQuery:
@@ -188,6 +205,13 @@ class TestSocpQuery:
         # the separation value is exactly x0 - ||x_tail||
         assert w.column @ y == pytest.approx(x[0] - np.linalg.norm(tail),
                                              abs=1e-14)
+
+    def test_block_mapped_to_zero_gives_zero_column(self):
+        # x = (5, 3, 4) is on the boundary, and A v = 0 for its witness
+        inst = Socp(np.array([[5.0, 3.0, 4.0]]), (3,))
+        w = socp_query(inst, np.array([1.0]))
+        assert_allclose(np.asarray(w.witness.v), [1.0, -0.6, -0.8], atol=0)
+        assert not w.column.any()
 
     def test_degenerate_tail_witness(self):
         # block value (0, 0): violated, with no tail direction to flip
@@ -436,6 +460,12 @@ class TestQueryDispatch:
     def test_witnessed_column_must_be_nonzero(self):
         with pytest.raises(ValueError):
             WitnessedColumn(LpIndex(0), np.zeros(2))
+
+    def test_only_cone_witness_columns_may_vanish(self):
+        with pytest.raises(ValueError):
+            WitnessedColumn(CustomWitness("c"), np.zeros(2))
+        for witness in (SdpVector((1.0, 0.0)), SocpVector((1.0, 0.0))):
+            assert not WitnessedColumn(witness, np.zeros(2)).column.any()
 
 
 class TestWitnessJson:

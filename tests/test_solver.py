@@ -627,6 +627,16 @@ class TestDeepestCut:
         expected = [state.normalize(c)[1] for c in cols.T]
         assert_allclose(state.column_norms(cols), expected, rtol=1e-14)
 
+    def test_column_norms_survive_overflowing_squares(self):
+        state = RescalingState(2)
+        state.rescale(np.array([0.6, 0.8]))
+        cols = np.array([[1e200, 1.0], [1e200, 0.0]])
+        expected = [state.normalize(c)[1] for c in cols.T]
+        with np.errstate(over="ignore"):
+            norms = state.column_norms(cols)
+        assert np.all(np.isfinite(norms))
+        assert_allclose(norms, expected, rtol=1e-14)
+
     def test_oracle_call_count_guard(self):
         # planted-p LP m=10 n=200, seed 101: the support holds a verified
         # certificate after 5 rescalings and 85 oracle calls (the whole
@@ -652,3 +662,102 @@ class TestDeepestCut:
         assert out.status == "epsilon_declared"
         assert out.counters.rescalings == 72
         assert out.counters.oracle_calls <= 2 * 1470
+
+
+class TestMinorCycle:
+    def full_support(self):
+        # lam = (1, 1, -1) combines the three columns to zero
+        cc = ConvexCombination(2)
+        for label, vec, weight in [("a", [1.0, 0.5], 0.3),
+                                   ("b", [-1.0, 0.5], 0.3),
+                                   ("c", [0.0, 1.0], 0.4)]:
+            wc, v, wt = term(label, vec, weight)
+            cc.add_term(wc, v, 1.0, wt)
+        cc.z = cc.combination()
+        cc.G = np.linalg.inv(cc.basis_matrix())
+        return cc
+
+    def test_cycle_moves_to_the_blocking_weight(self):
+        cc = self.full_support()
+        z_norm = float(np.linalg.norm(cc.z))  # 0.7
+        # theta = 0.4 / 1.4: x becomes (0.5, 0.5, 0) and z shrinks to 0.5
+        after = cc.minor_cycle(z_norm, 0.1)
+        assert after == pytest.approx(0.5, rel=1e-14)
+        assert_allclose(cc.weights, [0.5, 0.5, 0.0], atol=1e-15)
+        assert cc.weights[2] == 0.0
+        assert_allclose(cc.z, [0.0, 0.5], atol=1e-15)
+        assert np.linalg.norm(cc.combination() - cc.z) <= 1e-15
+
+    def test_cycle_that_would_cross_the_floor_does_nothing(self):
+        cc = self.full_support()
+        weights, z = cc.weights.copy(), cc.z.copy()
+        assert cc.minor_cycle(0.7, 0.6) == 0.7
+        assert cc.weights.tobytes() == weights.tobytes()
+        assert cc.z.tobytes() == z.tobytes()
+
+    def test_next_column_takes_the_emptied_slot(self, monkeypatch):
+        cc = self.full_support()
+        cc.minor_cycle(float(np.linalg.norm(cc.z)), 0.1)
+
+        def no_rebuild(B):
+            raise AssertionError("G was rebuilt")
+
+        monkeypatch.setattr(prfeas.solver, "inverse_with_factorization",
+                            no_rebuild)
+        wc, v, _ = term("d", [0.2, -1.0], 0.0)
+        cc.scale_weights(0.75)
+        cc.z = 0.75 * cc.z + 0.25 * v
+        cc.add_term(wc, v, 1.0, 0.25)
+        assert [e.witnessed.witness.label for e in cc.entries] == \
+            ["a", "b", "d"]
+        assert_allclose(cc.weights, [0.375, 0.375, 0.25], atol=1e-15)
+        assert cc.g_residual() <= 1e-14
+        assert np.linalg.norm(cc.combination() - cc.z) <= 1e-15
+
+    @pytest.mark.parametrize("kind,m,n,seed,target", [
+        ("lp", 30, 2000, 101, "feasible_d"),
+        ("sdp", 20, 40, 104, "feasible_d"),
+        ("socp", 20, 200, 105, "feasible_d"),
+        ("socp", 60, 1000, 106, "feasible_d"),
+        ("lp", 10, 200, 101, "feasible_p"),
+    ])
+    def test_every_cycle_keeps_the_invariants(self, solve_probe, kind, m, n,
+                                              seed, target):
+        inst = generate_planted(kind, m, n, seed, target)[0]
+        main_algorithm(inst, epsilon=1e-6)
+        if target == "feasible_d":
+            assert solve_probe.cycles
+        for rec, mu, z_norm in solve_probe.cycles:
+            assert rec.size == m + 1
+            assert rec.min_weight >= 0.0
+            assert rec.weight_sum_error <= 1e-10
+            assert rec.combination_error <= 1e-10
+            assert rec.g_residual <= G_RESIDUAL_TOL
+            # no cycle ends an inner run: ||z|| stays above mu/(m+1)
+            assert z_norm > mu / (m + 1)
+
+    def test_cycles_keep_the_basis_inverse(self, monkeypatch, solve_probe):
+        # the emptied slot is refilled by a rank-one update, so the whole
+        # run inverts its basis once, however many cycles it takes
+        rebuilds = []
+        inverse = prfeas.solver.inverse_with_factorization
+
+        def counting_inverse(B):
+            rebuilds.append(B.shape)
+            return inverse(B)
+
+        monkeypatch.setattr(prfeas.solver, "inverse_with_factorization",
+                            counting_inverse)
+        inst = generate_planted("socp", 20, 200, 105, "feasible_d")[0]
+        assert main_algorithm(inst, epsilon=1e-6).status == "feasible"
+        assert len(solve_probe.cycles) >= 15
+        assert len(rebuilds) <= 2
+
+    def test_oracle_call_count_guard(self):
+        # planted-d LP m=60 n=5000, seed 102: 276 oracle calls without the
+        # minor cycle, 105 with it
+        inst = generate_planted("lp", 60, 5000, 102, "feasible_d")[0]
+        out = main_algorithm(inst, epsilon=1e-6)
+        assert out.status == "feasible"
+        assert out.counters.bp_calls == 1
+        assert out.counters.oracle_calls <= 150
