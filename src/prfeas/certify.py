@@ -105,14 +105,29 @@ def _accepted_margin(instance: ProblemInstance, y: np.ndarray) -> float | None:
     return None
 
 
+def _unit_scaled(y: np.ndarray) -> np.ndarray:
+    """``y`` times the power of two that brings ``||y||`` into [1/2, 1).
+
+    Every margin is homogeneous in ``y``, and a power of two scales it
+    exactly, so a margin that overflowed at ``y`` can be taken here, where
+    Cauchy-Schwarz bounds it by the column norm.
+    """
+    return np.ldexp(y, -math.frexp(vector_norm(y))[1])
+
+
 def verify_d_solution(instance: ProblemInstance, y: np.ndarray) -> VerificationReport:
     """Re-query the oracle at ``y``; accept only strict feasibility.
 
-    A margin of exactly zero counts as a violation.
+    A margin of exactly zero, or one that is not a number, counts as a
+    violation.  A reported margin that is not finite at ``y`` is taken at
+    ``y`` scaled by a power of two to below unit norm instead.
     """
+    y = np.asarray(y, dtype=float)
     w = query(instance, y)
     if w is None:
         margin = _accepted_margin(instance, y)
+        if margin is not None and not math.isfinite(margin):
+            margin = _accepted_margin(instance, _unit_scaled(y))
         details: dict = {}
         if margin is not None:
             details["min_margin"] = margin
@@ -122,7 +137,9 @@ def verify_d_solution(instance: ProblemInstance, y: np.ndarray) -> VerificationR
             residual=0.0 if margin is None else margin,
             details=details,
         )
-    violation = float(w.column @ np.asarray(y, dtype=float))
+    violation = float(w.column @ y)
+    if not math.isfinite(violation):
+        violation = float(w.column @ _unit_scaled(y))
     return VerificationReport(
         kind="d",
         accepted=False,

@@ -263,10 +263,7 @@ def _emit(doc: dict, indent: int | None) -> None:
 
 def cmd_solve(args) -> int:
     instance = load_problem(_read_json(args.input))
-    config = SolverConfig(
-        mu_override=args.mu_override,
-        max_rescalings=args.max_rescalings,
-    )
+    config = SolverConfig(max_rescalings=args.max_rescalings)
     start = time.perf_counter()
     outcome = main_algorithm(instance, epsilon=args.epsilon, config=config)
     wall_ms = (time.perf_counter() - start) * 1000.0 if args.timing else None
@@ -346,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1e-6)
     p.add_argument("--certificate",
                    help="write the certificate JSON here when one exists")
-    p.add_argument("--mu-override", type=float, default=None)
     p.add_argument("--max-rescalings", type=int, default=None)
     p.add_argument("--timing", action="store_true",
                    help="report the solve call's wall clock time (off "

@@ -1,9 +1,8 @@
 """Deterministic dense linear-algebra kernels of the support reduction.
 
 The solver keeps the inverse of its basis matrix up to date with rank-one
-updates, rebuilds it with a checked dense inverse, and, when the leading
-columns of the support are dependent, picks a basis among all of them by
-greedy column pivoting.  Everything runs on numpy's own LAPACK.  All
+updates, rebuilds it with a checked dense inverse, and takes norms that do
+not overflow.  Everything runs on numpy's own LAPACK.  All
 matrices are dense float64 numpy arrays in C (row-major) order.  Every
 routine uses a fixed operation order and no parallel reductions, so
 repeated calls on identical inputs produce bit-identical results.
@@ -121,35 +120,3 @@ def inverse_with_factorization(B: np.ndarray) -> np.ndarray:
     if not size * LU_PIVOT_TOL < 1.0:
         raise Singular("matrix is singular to working precision")
     return G
-
-
-def basis_columns(B: np.ndarray, rank_tol: float) -> tuple[int, list[int]]:
-    """Numerical rank of ``B`` and, when it is full, a basis among its columns.
-
-    The rank counts the singular values of ``B`` (shape ``(k, n)``) above
-    ``rank_tol`` times the largest.  Only when it equals ``k`` are ``k``
-    columns picked, greedily by Businger-Golub column pivoting: each pick
-    is the column with the largest residual after projecting out the
-    columns already picked, the lowest index on ties.
-
-    Returns
-    -------
-    (rank, picked)
-        ``picked`` lists the column indices in the order they were picked;
-        it is empty when ``rank < k``.
-    """
-    k = B.shape[0]
-    sv = np.linalg.svd(B, compute_uv=False)
-    rank = int(np.sum(sv > rank_tol * np.max(sv, initial=0.0)))
-    if rank < k:
-        return rank, []
-    R = np.array(B, dtype=float)
-    picked: list[int] = []
-    for _ in range(k):
-        sq = np.einsum("ij,ij->j", R, R)
-        sq[picked] = -1.0
-        j = int(np.argmax(sq))
-        picked.append(j)
-        u = R[:, j] / math.sqrt(sq[j])
-        R -= np.outer(u, u @ R)
-    return rank, picked

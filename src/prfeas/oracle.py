@@ -337,7 +337,9 @@ def lp_query(instance: FiniteLp, y: np.ndarray,
     ``a_t^T y / s_t``, taking the lowest index on ties.  ``scales`` holds
     one positive ``s_t`` per column and defaults to the column norms
     ``||a_t||``.  One argmin runs over all ratios, with the columns that
-    are not violated set to infinity.
+    are not violated set to infinity.  A margin that is not a number
+    (its products overflowed with both signs) counts as violated, and the
+    first such column is returned.
     """
     y = _checked_direction(y, instance.m)
     if scales is None:
@@ -347,7 +349,7 @@ def lp_query(instance: FiniteLp, y: np.ndarray,
         if scales.shape != (instance.n,):
             raise InvalidQuery(f"scales must have shape ({instance.n},)")
     margins = y @ instance.columns
-    violated = margins <= 0.0
+    violated = ~(margins > 0.0)
     t = int(np.argmin(np.where(violated, margins / scales, np.inf)))
     if not violated[t]:
         return None

@@ -21,10 +21,12 @@ basis vanish, and the weights move toward them until one reaches zero.
 The cycle runs only while the shrunk ||z|| stays above MINOR_CYCLE_GUARD
 times the exit threshold mu/(m+1), so it never ends a run itself; a
 smaller guard lets cycles reach the threshold and change which direction
-a run contracts along.  An inner run that ends with a
-small aggregate first asks whether its support, when it has at most m+1
-columns, already holds a dual certificate: one least-squares solve gives
-the exact weights that make the support's columns vanish.  If they do not
+a run contracts along.  The support never exceeds m+1 columns: an
+insertion past that is undone by the basis ratio test or, when the basis
+is singular, by one Caratheodory null step.  An inner run that ends with
+a small aggregate first asks whether its support already holds a dual
+certificate: one least-squares solve gives the exact weights that make
+the support's columns vanish.  If they do not
 certify, the run supplies a direction along which the space is contracted
 by one half, which inflates the (rescaled) feasible cone until either
 outcome becomes easy to find or the budget of contractions certifies the
@@ -42,7 +44,6 @@ from . import certify
 from .linalg import (
     Singular,
     SingularUpdate,
-    basis_columns,
     inverse_with_factorization,
     smw_inverse_update,
     vector_norm,
@@ -95,9 +96,6 @@ G_RECHECK_INTERVAL = 64
 #: A column that refills a slot emptied by a minor cycle with a pivot this
 #: many times smaller than its largest coefficient triggers a residual check.
 REFILL_PIVOT_RATIO = 100.0
-
-#: Rank threshold (relative to the largest singular value) for basis selection.
-BASIS_RANK_TOL = 1e-12
 
 #: A minor cycle runs only while the cycled ``||z||`` stays above this
 #: multiple of the small-aggregate threshold ``mu/(m+1)``.
@@ -278,14 +276,15 @@ class ConvexCombination:
     column over the basis, and a ratio test ``beta* = min(-x_t / gamma_t :
     gamma_t < 0)`` decides whether the incoming term or the blocking basis
     term leaves.  ``G`` is maintained by rank-one updates and rebuilt from
-    scratch when that path degenerates.  While the active columns are
-    affinely dependent, no ``m + 1`` of them form an invertible basis and
-    eliminations are postponed, so the support may exceed ``m + 1`` until
-    an independent column arrives.
+    scratch when that path degenerates.  When the first ``m + 1`` terms
+    are affinely dependent, so that no ``G`` exists, one Caratheodory
+    null step (:meth:`_null_step`) drops a term instead.  Either way the
+    support never exceeds ``m + 1`` terms after an insertion.
 
     Each term keeps its basis column ``[a_t; 1]`` and its witness key;
-    ``weights`` is a view into a buffer that grows by doubling, so the
-    weight updates of an elimination are single array operations.
+    ``weights`` is a view into a buffer of ``m + 2`` entries, room for a
+    full support and the incoming term, so the weight updates of an
+    elimination are single array operations.
 
     :meth:`minor_cycle` may empty one basis slot, leaving its term in
     place with weight 0 so that ``G`` stays the basis inverse; the next
@@ -346,10 +345,7 @@ class ConvexCombination:
         basis_col = np.empty(self.m + 1)
         basis_col[:-1] = a_scaled
         basis_col[-1] = 1.0
-        n = len(self.entries)
-        if n == self._w.size:
-            self._w = np.concatenate([self._w, np.zeros(n)])
-        self._w[n] = add_weight
+        self._w[len(self.entries)] = add_weight
         term = ActiveTerm(witnessed, key, basis_col, scale_norm)
         self.entries.append(term)
         self._by_witness[key] = term
@@ -364,26 +360,11 @@ class ConvexCombination:
     def _ensure_basis(self) -> bool:
         """Make G the inverse of [A; 1^T] over the first m+1 terms.
 
-        Falls back to a pivoted column selection (reordering the terms)
-        when the current leading block is singular.  Returns False when no
-        m+1 terms are affinely independent yet; elimination is postponed.
+        Returns False when those terms are affinely dependent, so that no
+        G exists over them; :meth:`_null_step` then reduces the support.
         """
         if self.G is None:
             self._rebuild_g()
-        if self.G is not None:
-            return True
-        B = np.column_stack([e.basis_col for e in self.entries])
-        _, picked = basis_columns(B, BASIS_RANK_TOL)
-        if not picked:
-            return False
-        # the picked columns lead; the rest keep their relative order
-        rest = np.ones(len(self.entries), dtype=bool)
-        rest[picked] = False
-        order = np.concatenate([picked, np.flatnonzero(rest)])
-        self.entries = [self.entries[j] for j in order]
-        w = self.weights
-        w[:] = w[order]
-        self._rebuild_g()
         return self.G is not None
 
     def _rebuild_g(self) -> None:
@@ -512,15 +493,39 @@ class ConvexCombination:
             w /= total
             self.z = self.z / total
 
+    def _null_step(self) -> None:
+        """Caratheodory's reduction: drop one term, keep ``z``.
+
+        ``gamma``, the last right singular vector of ``[A; 1^T]`` over all
+        the terms, combines their columns to zero with coefficients that
+        sum to zero.  Signed so that the newest term's coefficient is
+        positive, the weights move to ``x - theta gamma`` with ``theta =
+        min x_t / gamma_t`` over ``gamma_t > 0``: the largest step that
+        keeps them nonnegative, which empties the blocking term.  When the
+        columns have full rank this is the ratio test of
+        :meth:`_eliminate_one`.
+        """
+        B = np.column_stack([e.basis_col for e in self.entries])
+        gamma = np.linalg.svd(B)[2][-1]
+        if gamma[-1] < 0.0:
+            gamma = -gamma
+        w = self.weights
+        ratios = np.divide(w, gamma, out=np.full(w.size, np.inf),
+                           where=gamma > 0.0)
+        t = int(np.argmin(ratios))
+        w -= ratios[t] * gamma
+        del self._by_witness[self._pop(t).key]
+        self.G = None
+
     def _reduce(self) -> None:
-        reduced = False
-        while len(self.entries) > self.m + 1:
-            if not self._ensure_basis():
-                return  # postponed until enough independent columns exist
+        # one insertion takes the support to at most m + 2 terms
+        if len(self.entries) <= self.m + 1:
+            return
+        if self._ensure_basis():
             self._eliminate_one()
-            reduced = True
-        if reduced:
-            self._drop_negligible()
+        else:
+            self._null_step()
+        self._drop_negligible()
 
 
 # ---------------------------------------------------------------------------
@@ -577,13 +582,11 @@ def _reweight_to_dual(cc: ConvexCombination) -> bool:
     there, but mapped through ``M^T`` their combination stays far from
     zero.
 
-    Returns True with the new weights and ``z`` written into ``cc``;
-    otherwise ``cc`` is left exactly as it was.  A support of more than
-    ``m + 1`` terms (postponed eliminations) is not attempted.
+    The support has at most ``m + 1`` terms, so the system is never
+    underdetermined.  Returns True with the new weights and ``z`` written
+    into ``cc``; otherwise ``cc`` is left exactly as it was.
     """
     k = len(cc.entries)
-    if k > cc.m + 1:
-        return False
     cols = np.column_stack([e.witnessed.column for e in cc.entries])
     norms = np.linalg.norm(cols, axis=0)
     for j in np.flatnonzero(norms == math.inf):
@@ -744,14 +747,12 @@ def basic_procedure(
 
 @dataclass
 class SolverConfig:
-    """Tuning knobs for :func:`main_algorithm`.
+    """Tuning knob for :func:`main_algorithm`.
 
-    ``mu_override`` replaces the default inner threshold 1/sqrt(3 m);
     ``max_rescalings`` (at least 0) caps the contraction budget, and the
     declared epsilon is then the value actually certified.
     """
 
-    mu_override: float | None = None
     max_rescalings: int | None = None
 
 
@@ -817,10 +818,7 @@ def main_algorithm(
     if not (0.0 < epsilon < 1.0):
         raise ConfigError("epsilon must lie strictly between 0 and 1")
     m = instance.m
-    mu = config.mu_override if config.mu_override is not None \
-        else 1.0 / math.sqrt(3.0 * m)
-    if mu <= 0.0:
-        raise ConfigError("mu must be positive")
+    mu = 1.0 / math.sqrt(3.0 * m)
     if config.max_rescalings is not None and config.max_rescalings < 0:
         raise ConfigError("max_rescalings must be at least 0")
     budget = rescale_budget(epsilon, m)

@@ -1,9 +1,10 @@
 """The ``solve_probe`` fixture: observes solves from outside the solver.
 
-The solver keeps no record of its steps.  The probe wraps five of its
+The solver keeps no record of its steps.  The probe wraps seven of its
 functions with ``monkeypatch`` and records one thing from each call, so
-the guarantee tests can check per-step, per-elimination and per-cycle
-invariants without the solver carrying any instrumentation of its own.
+the guarantee tests can check per-step, per-elimination, per-cycle and
+per-contraction invariants without the solver carrying any
+instrumentation of its own.
 """
 
 from dataclasses import dataclass, field
@@ -17,9 +18,11 @@ from prfeas.solver import ConvexCombination, RescalingState
 
 @dataclass(frozen=True)
 class Elimination:
-    """A support right after one elimination or minor cycle.
+    """A support right after one elimination, null step or minor cycle.
 
-    The first five fields are the invariants the guarantee tests check.
+    The first five fields are the invariants the guarantee tests check;
+    ``g_residual`` is None only after a null step, which ``null_step``
+    marks.
     ``state`` holds the term order and the bytes of the weights, ``z`` and
     ``G``, so two supports can be compared bit for bit; ``support`` is the
     support that eliminated and takes no part in comparisons.
@@ -30,11 +33,12 @@ class Elimination:
     weight_sum_error: float
     combination_error: float
     g_residual: float | None
+    null_step: bool
     state: tuple = field(repr=False)
     support: object = field(compare=False, repr=False)
 
 
-def observe(support) -> Elimination:
+def observe(support, null_step=False) -> Elimination:
     """Compute an :class:`Elimination` from a support's current state."""
     weights = np.asarray(support.weights, dtype=float)
     return Elimination(
@@ -44,6 +48,7 @@ def observe(support) -> Elimination:
         combination_error=float(
             np.linalg.norm(support.combination() - support.z)),
         g_residual=support.g_residual(),
+        null_step=null_step,
         state=(tuple(e.witnessed for e in support.entries),
                weights.tobytes(), support.z.tobytes(),
                None if support.G is None else support.G.tobytes()),
@@ -57,7 +62,11 @@ class SolveProbe:
     * ``runs``: ``iterations`` of each ``basic_procedure`` result;
     * ``steps``: ``(1/||z||^2, 1/||z_new||^2)`` of each ``step_alpha`` call;
     * ``eliminations``: an :class:`Elimination` after each
-      ``_eliminate_one`` call;
+      ``_eliminate_one`` and ``_null_step`` call;
+    * ``largest_support``: the most terms a ``ConvexCombination`` held
+      after any ``add_term`` call;
+    * ``contractions``: ``(||z||, mu, x_h)`` for each inner run that ended
+      ``small_aggregate``, with ``x_h`` its heaviest weight;
     * ``rescales``: a copy of each direction ``RescalingState.rescale``
       contracts along;
     * ``cycles``: ``(record, mu, z_norm)`` for each minor cycle that moved
@@ -73,12 +82,22 @@ class SolveProbe:
         step_alpha = prfeas.solver.step_alpha
         rescale = RescalingState.rescale
         minor_cycle = ConvexCombination.minor_cycle
+        add_term = ConvexCombination.add_term
 
         def recording_basic_procedure(instance, state, mu):
             self._mu = mu
             result = basic_procedure(instance, state, mu)
             self.runs.append(result.iterations)
+            if result.status == "small_aggregate":
+                cc = result.combination
+                self.contractions.append((float(np.linalg.norm(cc.z)), mu,
+                                          float(np.max(cc.weights))))
             return result
+
+        def recording_add_term(support, *args):
+            add_term(support, *args)
+            self.largest_support = max(self.largest_support,
+                                       len(support.entries))
 
         def recording_step_alpha(z, a):
             alpha, z_new = step_alpha(z, a)
@@ -102,6 +121,7 @@ class SolveProbe:
         monkeypatch.setattr(RescalingState, "rescale", recording_rescale)
         monkeypatch.setattr(ConvexCombination, "minor_cycle",
                             recording_minor_cycle)
+        monkeypatch.setattr(ConvexCombination, "add_term", recording_add_term)
         self.watch_support(ConvexCombination)
 
     def clear(self) -> None:
@@ -109,19 +129,28 @@ class SolveProbe:
         self.runs = []
         self.steps = []
         self.eliminations = []
+        self.largest_support = 0
+        self.contractions = []
         self.rescales = []
         self.cycles = []
 
     def watch_support(self, cls) -> None:
-        """Record the eliminations of every support of class ``cls``."""
+        """Record the eliminations and null steps of every support of
+        class ``cls``."""
         eliminate_one = cls._eliminate_one
+        null_step = cls._null_step
 
         def recording_eliminate_one(support):
             eliminate_one(support)
             self.eliminations.append(observe(support))
 
+        def recording_null_step(support):
+            null_step(support)
+            self.eliminations.append(observe(support, null_step=True))
+
         self._monkeypatch.setattr(cls, "_eliminate_one",
                                   recording_eliminate_one)
+        self._monkeypatch.setattr(cls, "_null_step", recording_null_step)
 
 
 @pytest.fixture

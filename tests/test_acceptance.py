@@ -86,7 +86,7 @@ def planted_lp_corpus():
 
 def traced_corpus(probe, include_banded_custom=False):
     """Instances that exercise rescaling and elimination, observed by the
-    probe: one ``(m, steps, eliminations)`` per solve.
+    probe: one ``(m, steps, eliminations, largest_support)`` per solve.
 
     The semicircle oracle answers within a tolerance band around zero
     margin, which weakens the per-step growth guarantee by the width of
@@ -98,7 +98,8 @@ def traced_corpus(probe, include_banded_custom=False):
     def observed(m, inst, epsilon):
         probe.clear()
         main_algorithm(inst, epsilon=epsilon)
-        runs.append((m, probe.steps, probe.eliminations))
+        runs.append((m, probe.steps, probe.eliminations,
+                     probe.largest_support))
 
     for seed in range(40):
         m = 2 + seed % 4
@@ -137,7 +138,7 @@ def test_criterion_02_potential_growth(capsys, solve_probe):
     ok = True
     detail = ""
     steps = 0
-    for m, potential_steps, _ in traced_corpus(solve_probe):
+    for m, potential_steps, _, _ in traced_corpus(solve_probe):
         for before, after in potential_steps:
             steps += 1
             if after - before < 1.0 - 1e-9:
@@ -152,13 +153,16 @@ def test_criterion_03_elimination_invariants(capsys, solve_probe):
     ok = True
     detail = ""
     count = 0
-    for m, _, eliminations in traced_corpus(solve_probe,
-                                            include_banded_custom=True):
+    for m, _, eliminations, largest in traced_corpus(
+            solve_probe, include_banded_custom=True):
+        if largest > m + 1:
+            ok, detail = False, f"support of {largest} terms, m={m}"
         for rec in eliminations:
             count += 1
             if rec.size > m + 1 or rec.min_weight < -1e-12 \
                     or rec.weight_sum_error > 1e-10 \
                     or rec.combination_error > 1e-10 \
+                    or (rec.g_residual is None and not rec.null_step) \
                     or (rec.g_residual is not None
                         and rec.g_residual > 1e-8):
                 ok = False

@@ -539,6 +539,47 @@ class TestVerifyCommand:
 
         assert "error" in json.loads(out, parse_constant=reject_constant)
 
+    def test_margin_that_overflows_to_nan_is_rejected(self, tmp_path,
+                                                      capsys):
+        # y @ a_0 is inf + inf - inf - inf = NaN, while the true margin is
+        # exactly 0: a violation, reported as a finite number
+        inp = write_json(tmp_path / "p.json", {
+            "schema": 1, "type": "lp", "m": 4,
+            "columns": [[1e308, 1e308, -1e308, -1e308], [1, 1, 1, 1]],
+        })
+        cert = write_json(tmp_path / "c.json", {
+            "schema": 1, "kind": "d", "y": [1e30, 1e30, 1e30, 1e30]})
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out = invoke(capsys, "verify", "--input", inp,
+                               "--certificate", cert)
+        assert code == EXIT_REJECTED
+
+        def reject_constant(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        report = json.loads(out, parse_constant=reject_constant)
+        assert report["accepted"] is False
+
+    def test_margin_that_overflows_to_infinity_is_reported_finite(
+            self, tmp_path, capsys):
+        # y @ a = 2e308 overflows; the margin is reported at y scaled by
+        # a power of two to below unit norm
+        inp = write_json(tmp_path / "p.json", {
+            "schema": 1, "type": "lp", "m": 2, "columns": [[1.0, 1.0]]})
+        cert = write_json(tmp_path / "c.json", {
+            "schema": 1, "kind": "d", "y": [1e308, 1e308]})
+        with np.errstate(over="ignore"):
+            code, out = invoke(capsys, "verify", "--input", inp,
+                               "--certificate", cert)
+        assert code == 0
+
+        def reject_constant(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        report = json.loads(out, parse_constant=reject_constant)
+        assert report["accepted"] is True
+        assert 0.0 < report["residual"] <= 2.0
+
     def test_unknown_witness_type_is_data_error(self, tmp_path, capsys):
         cert = write_json(tmp_path / "c.json", {
             "schema": 1, "kind": "p",

@@ -145,11 +145,6 @@ class TestMainAlgorithmOutcomes:
         with pytest.raises(ConfigError):
             main_algorithm(FiniteLp(np.eye(2)), epsilon=eps)
 
-    def test_invalid_mu_rejected(self):
-        with pytest.raises(ConfigError):
-            main_algorithm(FiniteLp(np.eye(2)), epsilon=0.5,
-                           config=SolverConfig(mu_override=-1.0))
-
     def test_negative_max_rescalings_rejected(self):
         with pytest.raises(ConfigError):
             main_algorithm(FiniteLp(np.eye(2)), epsilon=0.5,
@@ -261,6 +256,23 @@ class TestDualExtraction:
         assert out.status == "dual_certificate"
         assert len(out.weights) <= m + 1
         assert verify_p_certificate(inst, out.weights).accepted
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_planted_socp_support_stays_within_m_plus_one(self, solve_probe,
+                                                          seed):
+        # affinely dependent cone columns: the support never grows past
+        # m+1 terms, so every contraction has ||z|| <= mu x_h with its
+        # heaviest weight x_h >= 1/(m+1)
+        m = 20
+        inst, _ = generate_planted("socp", m, 200, seed, "feasible_p")
+        out = main_algorithm(inst, epsilon=1e-6)
+        assert solve_probe.largest_support <= m + 1
+        for z_norm, mu, x_h in solve_probe.contractions:
+            assert z_norm <= mu * x_h
+        if seed == 1:
+            assert out.status == "dual_certificate"
+            assert len(out.weights) <= m + 1
+            assert verify_p_certificate(inst, out.weights).accepted
 
     def test_solve_does_not_import_scipy_optimize(self, tmp_path):
         # no scipy module at all: not on import, not in a solve, not in

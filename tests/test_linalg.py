@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from prfeas.linalg import (
     Singular,
     SingularUpdate,
-    basis_columns,
     inverse_with_factorization,
     smw_inverse_update,
     vector_norm,
@@ -176,37 +175,6 @@ class TestSolveWithFactorization:
             x = inverse_with_factorization(B) @ rhs
             assert np.linalg.norm(B @ x - rhs) \
                 <= 1e-10 * max(np.linalg.norm(rhs), 1.0)
-
-
-class TestBasisColumns:
-    """Rank test and greedy column pivoting of ``basis_columns``."""
-
-    def test_duplicate_column_is_skipped(self):
-        # columns 0 and 1 coincide; after picking 0 (lowest index on the
-        # tie) column 1 has no residual left, so column 2 completes it
-        B = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert basis_columns(B, 1e-12) == (2, [0, 2])
-
-    def test_rank_deficient_picks_nothing(self):
-        rng = np.random.default_rng(5)
-        top = rng.standard_normal((2, 6))
-        B = np.vstack([top, top[0] + top[1]])
-        assert basis_columns(B, 1e-12) == (2, [])
-
-    def test_full_rank_picks_largest_residuals(self):
-        # norms 1, 2, 3: column 2 first; projecting it out leaves column 0
-        # with nothing and column 1 with its full norm
-        B = np.array([[1.0, 0.0, 3.0], [0.0, 2.0, 0.0]])
-        assert basis_columns(B, 1e-12) == (2, [2, 1])
-
-    @pytest.mark.parametrize("k", [2, 4, 11])
-    def test_picked_columns_form_a_basis(self, k):
-        rng = np.random.default_rng(40 + k)
-        B = rng.standard_normal((k, k + 3))
-        rank, picked = basis_columns(B, 1e-12)
-        assert rank == k and sorted(picked) == sorted(set(picked))
-        assert len(picked) == k
-        assert np.linalg.matrix_rank(B[:, picked]) == k
 
 
 class TestVectorNorm:

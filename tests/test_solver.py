@@ -11,7 +11,6 @@ from prfeas.certify import generate_planted, verify_p_certificate
 from prfeas.linalg import (
     Singular,
     SingularUpdate,
-    basis_columns,
     inverse_with_factorization,
     smw_inverse_update,
 )
@@ -24,7 +23,6 @@ from prfeas.oracle import (
     WitnessedColumn,
 )
 from prfeas.solver import (
-    BASIS_RANK_TOL,
     G_RECHECK_INTERVAL,
     G_RESIDUAL_TOL,
     WEIGHT_FLOOR,
@@ -123,21 +121,6 @@ class ListConvexCombination:
     def _ensure_basis(self):
         if self.G is None:
             self._rebuild_g()
-        if self.G is not None:
-            return True
-        k = self.m + 1
-        B = np.ones((k, len(self.entries)))
-        for j, e in enumerate(self.entries):
-            B[: self.m, j] = e.a_scaled
-        rank, chosen = basis_columns(B, BASIS_RANK_TOL)
-        if rank < k:
-            self.events["postponed"] += 1
-            return False
-        rest = [j for j in range(len(self.entries)) if j not in set(chosen)]
-        if chosen + rest != list(range(len(self.entries))):
-            self.events["reordered"] += 1
-        self.entries = [self.entries[j] for j in chosen + rest]
-        self._rebuild_g()
         return self.G is not None
 
     def _rebuild_g(self):
@@ -202,12 +185,30 @@ class ListConvexCombination:
                 e.weight /= total
             self.z = self.z / total
 
+    def _null_step(self):
+        self.events["null_step"] += 1
+        B = np.ones((self.m + 1, len(self.entries)))
+        for j, e in enumerate(self.entries):
+            B[: self.m, j] = e.a_scaled
+        gamma = np.linalg.svd(B)[2][-1]
+        if gamma[-1] < 0.0:
+            gamma = -gamma
+        t_star, theta = None, math.inf
+        for t, e in enumerate(self.entries):
+            if gamma[t] > 0.0 and e.weight / gamma[t] < theta:
+                t_star, theta = t, e.weight / gamma[t]
+        for t, e in enumerate(self.entries):
+            e.weight -= theta * gamma[t]
+        self._remove_at(t_star)
+        self.G = None
+
     def _reduce(self):
         reduced = False
         while len(self.entries) > self.m + 1:
-            if not self._ensure_basis():
-                return
-            self._eliminate_one()
+            if self._ensure_basis():
+                self._eliminate_one()
+            else:
+                self._null_step()
             reduced = True
         if reduced:
             self._drop_negligible()
@@ -222,9 +223,10 @@ def support_sequence(rng, m, steps=160):
     """Seeded (witnessed column, a_scaled, scale_norm, alpha) steps.
 
     The first steps lie in a subspace where no m+1 columns are affinely
-    independent, so eliminations wait; about one step in six repeats an
-    earlier witness (half of them as an equal, distinct witness object);
-    about one in twelve scales the old weights below the drop floor.
+    independent, so the support reduces by null steps; about one step in
+    six repeats an earlier witness (half of them as an equal, distinct
+    witness object); about one in twelve scales the old weights below the
+    drop floor.
     """
     flat = 4 + int(rng.integers(0, 4))
     seen = []
@@ -436,25 +438,29 @@ class TestConvexCombinationElimination:
         assert np.linalg.norm(cc.combination() - cc.z) <= 1e-12
         assert cc.g_residual() <= 1e-8
 
-    def test_rank_deficient_insertions_postpone(self):
-        # all columns on one line: no invertible basis exists, the support
-        # may temporarily exceed m+1 until an independent column arrives
-        cc = self.build(2, [
-            ("a", [1.0, 0.0], 0.2),
-            ("b", [-1.0, 0.0], 0.2),
-            ("c", [1.0, 0.0], 0.2),
-        ])
-        wc, v, wt = term("e", [-1.0, 0.0], 0.2)
-        cc.z = cc.z + wt * v
-        cc.add_term(wc, v, 1.0, wt)
-        assert len(cc.entries) == 4
-        wc, v, wt = term("f", [0.0, 1.0], 0.2)
-        cc.z = cc.z + wt * v
-        cc.add_term(wc, v, 1.0, wt)
-        assert len(cc.entries) <= 3
-        assert cc.weight_sum() == pytest.approx(1.0, abs=1e-12)
-        assert_allclose(cc.combination(), np.array([0.0, 0.2]), atol=1e-12)
-        assert np.linalg.norm(cc.combination() - cc.z) <= 1e-12
+    def test_rank_deficient_insertions_take_null_steps(self):
+        # all columns on one line: no invertible basis exists, so each
+        # insertion past m+1 terms drops one by a null step, keeping z
+        m = 2
+        cc = ConvexCombination(m)
+        for i, (label, vec) in enumerate([("a", [1.0, 0.0]),
+                                          ("b", [-1.0, 0.0]),
+                                          ("c", [1.0, 0.0]),
+                                          ("e", [-1.0, 0.0]),
+                                          ("f", [0.0, 1.0])]):
+            wc, v, _ = term(label, vec, 0.0)
+            if i == 0:
+                cc.add_term(wc, v, 1.0, 1.0)
+                cc.z = v.copy()
+            else:
+                alpha = 1.0 - 1.0 / (i + 1)
+                cc.scale_weights(alpha)
+                cc.z = alpha * cc.z + (1.0 - alpha) * v
+                cc.add_term(wc, v, 1.0, 1.0 - alpha)
+            assert len(cc.entries) <= m + 1
+            assert cc.weight_sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(cc.combination() - cc.z) <= 1e-12
+        assert_allclose(cc.z, np.array([0.0, 0.2]), atol=1e-12)
 
     def test_random_stress_keeps_invariants(self, solve_probe):
         rng = np.random.default_rng(5)
@@ -483,7 +489,9 @@ class TestConvexCombinationElimination:
             assert rec.min_weight >= -1e-12
             assert rec.weight_sum_error <= 1e-10
             assert rec.combination_error <= 1e-10
-            if rec.g_residual is not None:
+            if rec.g_residual is None:
+                assert rec.null_step
+            else:
                 assert rec.g_residual <= 1e-8
 
     def test_matches_list_backed_reference(self, solve_probe):
@@ -523,7 +531,7 @@ class TestConvexCombinationElimination:
             assert ours == theirs
             events += ref.events
         for path in ("repeated", "absorbed", "swapped", "dropped",
-                     "reordered", "postponed"):
+                     "null_step"):
             assert events[path] > 0, path
 
 
@@ -535,6 +543,11 @@ class TestBasicProcedure:
         assert res.status == "feasible"
         assert_allclose(res.y_scaled, np.array([1.0, 1.0]), atol=0)
         assert res.iterations == 0
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0])
+    def test_nonpositive_mu_rejected(self, mu):
+        with pytest.raises(ConfigError):
+            basic_procedure(FiniteLp(np.eye(2)), RescalingState(2), mu)
 
     def test_antipodal_columns_give_dual(self):
         inst = FiniteLp(np.array([[1.0, -1.0], [0.0, 0.0]]))
