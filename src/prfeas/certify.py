@@ -14,7 +14,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .linalg import vector_norm
 from .oracle import (
     CustomOracle,
     CustomWitness,
@@ -28,6 +27,7 @@ from .oracle import (
     Witness,
     WitnessedColumn,
     query,
+    vector_norm,
 )
 
 __all__ = [

@@ -38,8 +38,6 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .linalg import vector_norm
-
 __all__ = [
     "InvalidQuery",
     "OracleContractViolation",
@@ -76,6 +74,34 @@ SDP_DEFINITENESS_TOL = 1e-12
 #: margins ``y^T a_t`` of the solver's queries, stay finite; only entries
 #: below about 1e-304 underflow.
 OVERFLOW_SCALE = 2.0**-64
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of ``v`` that does not overflow for finite entries.
+
+    Returns ``sqrt(v @ v)``, bit for bit, whenever that square is finite.
+    Only when it overflows and every entry is finite is ``v`` divided by
+    ``max|v|`` before squaring, so vectors with entries near the float
+    maximum keep a finite norm.
+    """
+    sq = float(v @ v)
+    if sq < math.inf:
+        return math.sqrt(sq)
+    peak = float(np.max(np.abs(v), initial=0.0))
+    if not peak < math.inf:
+        return math.sqrt(sq)  # an infinite or NaN entry
+    u = v / peak
+    return peak * math.sqrt(u @ u)
+
+
+def column_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the columns of ``X``, as ``np.linalg.norm`` takes
+    them; a norm whose sum of squares overflows is taken by
+    :func:`vector_norm` instead."""
+    norms = np.linalg.norm(X, axis=0)
+    for t in np.flatnonzero(norms == math.inf):
+        norms[t] = vector_norm(X[:, t])
+    return norms
 
 
 class InvalidQuery(ValueError):
@@ -173,7 +199,7 @@ class FiniteLp:
         norms = np.linalg.norm(cols, axis=0)
         if not np.all(norms < math.inf):
             cols = cols * OVERFLOW_SCALE
-            norms = np.array([vector_norm(col) for col in cols.T])
+            norms = column_norms(cols)
         if not np.all(np.any(cols != 0.0, axis=0)):
             raise ValueError("every constraint column must be nonzero")
         object.__setattr__(self, "columns", cols)

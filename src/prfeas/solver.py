@@ -14,19 +14,26 @@ oracle, between three outcomes:
 
 The inner loop maintains a convex combination z of rescaled, normalized
 constraint columns and drives ||z|| down.  Each oracle step only promises
-that 1/||z||^2 grows by 1.  Once the support is a full basis of m+1
-columns with its inverse G at hand, Wolfe's minor cycle shrinks z further
-without an oracle call: G e_{m+1} gives the affine weights that make the
-basis vanish, and the weights move toward them until one reaches zero.
-The cycle runs only while the shrunk ||z|| stays above MINOR_CYCLE_GUARD
-times the exit threshold mu/(m+1), so it never ends a run itself; a
-smaller guard lets cycles reach the threshold and change which direction
-a run contracts along.  The support never exceeds m+1 columns: an
-insertion past that is undone by the basis ratio test or, when the basis
-is singular, by one Caratheodory null step.  An inner run that ends with
-a small aggregate first asks whether its support already holds a dual
-certificate: one least-squares solve gives the exact weights that make
-the support's columns vanish.  If they do not
+that 1/||z||^2 grows by 1.  The support never exceeds m+1 columns
+(Caratheodory): an insertion past that is undone by one step along a null
+vector g of [A; 1^T] over the m+2 columns, x <- x - theta g, which keeps z
+and empties the weight that blocks the step.  With the inverse G of the
+basis [A; 1^T] over m+1 columns at hand, g costs one product with G and G
+follows the exchange by one rank-one update; when those columns are
+affinely dependent, g comes from an SVD.
+
+Once the support is a full basis with G at hand, Wolfe's minor cycle
+shrinks z further without an oracle call: G e_{m+1} gives the affine
+weights that make the basis vanish, and the weights move toward them until
+one reaches zero; the next insertion takes that empty slot.  The cycle
+runs only while the shrunk ||z|| stays above MINOR_CYCLE_GUARD times the
+exit threshold mu/(m+1), so it never ends a run itself; a smaller guard
+lets cycles reach the threshold and change which direction a run
+contracts along.
+
+An inner run that ends with a small aggregate first asks whether its
+support already holds a dual certificate: one least-squares solve gives
+the exact weights that make the support's columns vanish.  If they do not
 certify, the run supplies a direction along which the space is contracted
 by one half, which inflates the (rescaled) feasible cone until either
 outcome becomes easy to find or the budget of contractions certifies the
@@ -41,20 +48,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import certify
-from .linalg import (
-    Singular,
-    SingularUpdate,
-    inverse_with_factorization,
-    smw_inverse_update,
-    vector_norm,
-)
 from .oracle import (
     CustomWitness,
     FiniteLp,
     ProblemInstance,
     Witness,
     WitnessedColumn,
+    column_norms,
     query,
+    vector_norm,
 )
 
 __all__ = [
@@ -90,12 +92,19 @@ WEIGHT_FLOOR = 1e-15
 #: Tolerance on ||G B - I||_inf for the maintained basis inverse.
 G_RESIDUAL_TOL = 1e-8
 
-#: How many eliminations between basis-inverse residual re-checks.
+#: How many reductions between basis-inverse residual re-checks.
 G_RECHECK_INTERVAL = 64
 
-#: A column that refills a slot emptied by a minor cycle with a pivot this
-#: many times smaller than its largest coefficient triggers a residual check.
+#: A rank-one update of ``G`` whose pivot is this many times smaller than
+#: the largest entry of the null vector triggers a residual check.
 REFILL_PIVOT_RATIO = 100.0
+
+#: Relative threshold on the rank-one update denominator.
+SMW_TOL = 1e-10
+
+#: Smallest pivot accepted, relative to the largest absolute entry of the
+#: matrix; an inverse with ``max|G| >= 1 / (LU_PIVOT_TOL max|B|)`` is refused.
+LU_PIVOT_TOL = 1e-13
 
 #: A minor cycle runs only while the cycled ``||z||`` stays above this
 #: multiple of the small-aggregate threshold ``mu/(m+1)``.
@@ -156,15 +165,9 @@ class RescalingState:
         return self.M.T @ a_col
 
     def column_norms(self, columns: np.ndarray) -> np.ndarray:
-        """Return ``||M^T a_t||`` for every column of ``columns`` at once.
-
-        A norm whose sum of squares overflows is taken again by
-        :func:`vector_norm`.
-        """
-        norms = np.linalg.norm(self.M.T @ columns, axis=0)
-        for t in np.flatnonzero(norms == math.inf):
-            norms[t] = vector_norm(self.M.T @ columns[:, t])
-        return norms
+        """Return ``||M^T a_t||`` for every column of ``columns`` at once,
+        overflow-safe (:func:`prfeas.oracle.column_norms`)."""
+        return column_norms(self.M.T @ columns)
 
     def normalize(self, a_col: np.ndarray) -> tuple[np.ndarray, float]:
         """Return ``(M^T a / ||M^T a||, ||M^T a||)``.
@@ -227,6 +230,47 @@ def step_alpha(z: np.ndarray, a: np.ndarray) -> tuple[float, np.ndarray]:
 # convex combination with bounded support
 
 
+def smw_inverse_update(G: np.ndarray, u: np.ndarray,
+                       e_idx: int) -> np.ndarray | None:
+    """Update an inverse after adding ``u`` to one column of the base matrix.
+
+    Given ``G = inv(B)``, returns ``inv(B + u e^T)`` where ``e`` is the
+    ``e_idx``-th standard basis vector, via the rank-one identity
+
+        inv(B + u e^T) = G - (G u) (e^T G) / (1 + e^T G u).
+
+    Returns None when ``|1 + e^T G u|`` is below ``SMW_TOL * (1 +
+    ||G||_inf ||u||_inf)``, i.e. the updated matrix is singular to working
+    precision.
+    """
+    Gu = G @ u
+    denom = 1.0 + Gu[e_idx]
+    scale = 1.0 + np.linalg.norm(G, np.inf) * np.max(np.abs(u), initial=0.0)
+    if abs(denom) < SMW_TOL * scale:
+        return None
+    return G - np.outer(Gu, G[e_idx]) / denom
+
+
+def inverse_with_factorization(B: np.ndarray) -> np.ndarray | None:
+    """Dense inverse of ``B``, or None when ``B`` is singular.
+
+    ``np.linalg.inv`` solves against the identity from a pivoted LU
+    factorization (LAPACK ``gesv``).  The last pivot ``u`` of that
+    factorization satisfies ``max|inv(B)| >= 1/|u|``, so a matrix whose
+    pivot falls below ``LU_PIVOT_TOL * max|B|`` is refused through the size
+    of its inverse: the result is None when LAPACK meets an exact zero
+    pivot or when ``max|inv(B)| * max|B| * LU_PIVOT_TOL >= 1`` (or is not a
+    number).
+    """
+    B = np.asarray(B, dtype=float)
+    try:
+        G = np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        return None
+    size = np.max(np.abs(G), initial=0.0) * np.max(np.abs(B), initial=0.0)
+    return G if size * LU_PIVOT_TOL < 1.0 else None
+
+
 class _WitnessKey:
     """A witness with its hash computed once, for the support's index.
 
@@ -265,30 +309,32 @@ class ActiveTerm:
 
 
 class ConvexCombination:
-    """Convex combination of unit columns, reduced toward m+1 terms.
+    """Convex combination of unit columns with at most m+1 terms.
 
     Maintains terms ``a_t`` (the list ``entries``) with weights ``x_t >= 0``
     and ``sum x_t = 1`` (the float64 array ``weights``, aligned with
-    ``entries``) alongside the aggregate ``z = sum x_t a_t``.  Whenever
-    the support exceeds ``m + 1`` one term is eliminated: with ``G`` the
-    inverse of the basis matrix ``[A; 1^T]`` over the first ``m + 1``
-    terms, the coefficients ``gamma = G (a_in; 1)`` rewrite the incoming
-    column over the basis, and a ratio test ``beta* = min(-x_t / gamma_t :
-    gamma_t < 0)`` decides whether the incoming term or the blocking basis
-    term leaves.  ``G`` is maintained by rank-one updates and rebuilt from
-    scratch when that path degenerates.  When the first ``m + 1`` terms
-    are affinely dependent, so that no ``G`` exists, one Caratheodory
-    null step (:meth:`_null_step`) drops a term instead.  Either way the
-    support never exceeds ``m + 1`` terms after an insertion.
+    ``entries``) alongside the aggregate ``z = sum x_t a_t``.  An insertion
+    that makes ``m + 2`` terms is undone by one Caratheodory step
+    (:meth:`_reduce`): along a null vector ``g`` of ``[A; 1^T]`` over all
+    of them the weights move to ``x - theta g``, which keeps ``z`` and the
+    weight sum, and the ratio test that picks ``theta`` empties one term,
+    which leaves.
+
+    ``G``, the inverse of ``[A; 1^T]`` over the first ``m + 1`` terms,
+    gives that null vector at O(m^2) cost, and the incoming term takes the
+    emptied slot so that ``G`` follows by one rank-one update.  ``G`` is
+    rebuilt when the update degenerates or its residual grows.  When those
+    terms are affinely dependent, so that no ``G`` exists, the null vector
+    comes from an SVD instead.
 
     Each term keeps its basis column ``[a_t; 1]`` and its witness key;
     ``weights`` is a view into a buffer of ``m + 2`` entries, room for a
-    full support and the incoming term, so the weight updates of an
-    elimination are single array operations.
+    full support and the incoming term, so each weight update is a single
+    array operation.
 
     :meth:`minor_cycle` may empty one basis slot, leaving its term in
     place with weight 0 so that ``G`` stays the basis inverse; the next
-    elimination puts the incoming term into that slot.
+    reduction gives that slot to the incoming term.
     """
 
     def __init__(self, m: int):
@@ -298,7 +344,7 @@ class ConvexCombination:
         self.z = np.zeros(m)
         self.G: np.ndarray | None = None
         self._by_witness: dict[_WitnessKey, ActiveTerm] = {}
-        self._elim_count = 0
+        self._reductions = 0
         self._vacant: int | None = None
 
     # -- bookkeeping ------------------------------------------------------
@@ -332,11 +378,11 @@ class ConvexCombination:
     def scale_weights(self, alpha: float) -> None:
         self._w[: len(self.entries)] *= alpha
 
-    # -- insertion and elimination ----------------------------------------
+    # -- insertion and reduction ------------------------------------------
 
     def add_term(self, witnessed: WitnessedColumn, a_scaled: np.ndarray,
                  scale_norm: float, add_weight: float) -> None:
-        """Add weight on a witnessed column, eliminating on overflow."""
+        """Add weight on a witnessed column, reducing past m+1 terms."""
         key = _WitnessKey(witnessed.witness)
         existing = self._by_witness.get(key)
         if existing is not None:
@@ -349,7 +395,9 @@ class ConvexCombination:
         term = ActiveTerm(witnessed, key, basis_col, scale_norm)
         self.entries.append(term)
         self._by_witness[key] = term
-        self._reduce()
+        if len(self.entries) > self.m + 1:
+            self._reduce()
+            self._drop_negligible()
 
     def _pop(self, pos: int) -> ActiveTerm:
         """Remove the term at ``pos`` from ``entries`` and ``weights``."""
@@ -357,90 +405,71 @@ class ConvexCombination:
         self._w[pos : n - 1] = self._w[pos + 1 : n]
         return self.entries.pop(pos)
 
-    def _ensure_basis(self) -> bool:
-        """Make G the inverse of [A; 1^T] over the first m+1 terms.
+    def _reduce(self) -> None:
+        """Remove one of the ``m + 2`` terms along a null vector; keep ``z``.
 
-        Returns False when those terms are affinely dependent, so that no
-        G exists over them; :meth:`_null_step` then reduces the support.
+        ``g`` combines the columns ``[a_t; 1]`` of all the terms to zero,
+        with a nonnegative coefficient on the incoming (last) one: ``g =
+        (-G (a_in; 1), 1)`` when ``G`` exists, else the last right singular
+        vector, signed so.  The weights move to ``x - theta g`` with ``theta
+        = min x_t / g_t`` over ``g_t > 0`` (the earliest term on ties): the
+        largest step that keeps them nonnegative, which empties the
+        blocking term ``t``.  A slot that :meth:`minor_cycle` emptied is
+        taken with ``theta = 0``, whatever the sign of its ``g_t``.
+
+        With ``G``, the incoming term takes slot ``t`` (or leaves, when it
+        blocks) and ``G`` follows by one rank-one update with pivot ``g_t``.
+        A pivot under ``max|g| / REFILL_PIVOT_RATIO`` magnifies the rounding
+        error in ``G`` about that much, so the residual is checked at once,
+        as it is every ``G_RECHECK_INTERVAL`` reductions; ``G`` is rebuilt
+        when the update is singular or the residual is too large.  Without
+        ``G``, term ``t`` is removed from the list.
         """
+        k = self.m + 1
         if self.G is None:
-            self._rebuild_g()
-        return self.G is not None
-
-    def _rebuild_g(self) -> None:
-        """Invert the basis matrix afresh; G is None when it is singular."""
-        try:
             self.G = inverse_with_factorization(self.basis_matrix())
-        except Singular:
-            self.G = None
-
-    def _eliminate_one(self) -> None:
-        k = self.m + 1
-        incoming = self.entries[k]
-        w = self.weights
-        gamma = self.G @ incoming.basis_col
-        vacant, self._vacant = self._vacant, None
-        if vacant is not None and w[vacant] == 0.0 \
-                and self._refill(vacant, gamma):
-            return
-        neg = gamma < 0.0
-        ratios = np.divide(-w[:k], gamma, out=np.full(k, np.inf), where=neg)
-        t_star = int(np.argmin(ratios))
-        beta = float(ratios[t_star])
-        x_in = float(w[k])
-        if beta >= x_in:
-            # the incoming term leaves; its mass is rewritten over the basis
-            w[:k] += x_in * gamma
-            del self._by_witness[self._pop(k).key]
+        if self.G is None:
+            B = np.column_stack([e.basis_col for e in self.entries])
+            g = np.linalg.svd(B)[2][-1]
+            if g[-1] < 0.0:
+                g = -g
         else:
-            # the blocking basis term leaves; the incoming term takes its slot
-            w[:k] += beta * gamma
-            w[t_star] = x_in - beta
-            leaving = self.entries[t_star]
-            self.entries[t_star] = self._pop(k)
-            del self._by_witness[leaving.key]
-            try:
-                self.G = smw_inverse_update(
-                    self.G, incoming.basis_col - leaving.basis_col, t_star)
-            except SingularUpdate:
-                self._rebuild_g()
-        self._count_elimination()
-
-    def _refill(self, t: int, gamma: np.ndarray) -> bool:
-        """Give the incoming term slot ``t``, which a minor cycle emptied.
-
-        The slot carries no weight, so no other weight moves and ``G``
-        follows by one rank-one update.  Its pivot is ``gamma_t``, with
-        ``gamma = G (a_in; 1)``; when ``|gamma_t|`` is below ``max|gamma|
-        / REFILL_PIVOT_RATIO`` the update magnifies the rounding error in
-        ``G`` about that much, so the residual is checked at once.
-        Returns False, changing nothing, when the update is singular.
-        """
-        k = self.m + 1
-        leaving = self.entries[t]
-        try:
-            self.G = smw_inverse_update(
-                self.G, self.entries[k].basis_col - leaving.basis_col, t)
-        except SingularUpdate:
-            return False
+            g = np.empty(k + 1)  # (G (a_in; 1), -1), then negated in place
+            np.matmul(self.G, self.entries[k].basis_col, out=g[:k])
+            g[k] = -1.0
+            np.negative(g, out=g)
         w = self.weights
-        w[t] = w[k]
-        self.entries[t] = self._pop(k)
+        vacant, self._vacant = self._vacant, None
+        if vacant is not None and w[vacant] == 0.0:
+            t, theta = vacant, 0.0
+        else:
+            ratios = np.divide(w, g, out=np.full(k + 1, np.inf),
+                               where=g > 0.0)
+            t = int(np.argmin(ratios))
+            theta = float(ratios[t])
+        if theta > 0.0:
+            w -= theta * g
+        leaving = self.entries[t]
         del self._by_witness[leaving.key]
-        if abs(gamma[t]) * REFILL_PIVOT_RATIO < np.max(np.abs(gamma)):
-            self._check_residual()
-        self._count_elimination()
-        return True
-
-    def _count_elimination(self) -> None:
-        self._elim_count += 1
-        if self.G is not None and self._elim_count % G_RECHECK_INTERVAL == 0:
+        if self.G is None or t == k:
+            self._pop(t)
+        else:
+            w[t] = w[k]
+            self.entries[t] = self._pop(k)
+            self.G = smw_inverse_update(
+                self.G, self.entries[t].basis_col - leaving.basis_col, t)
+            if self.G is None \
+                    or abs(g[t]) * REFILL_PIVOT_RATIO < np.max(np.abs(g)):
+                self._check_residual()
+        self._reductions += 1
+        if self.G is not None and self._reductions % G_RECHECK_INTERVAL == 0:
             self._check_residual()
 
     def _check_residual(self) -> None:
-        """Rebuild ``G`` when its residual exceeds ``G_RESIDUAL_TOL``."""
-        if self.g_residual() > G_RESIDUAL_TOL:
-            self._rebuild_g()
+        """Rebuild ``G`` unless it exists with a residual within
+        ``G_RESIDUAL_TOL``."""
+        if self.G is None or self.g_residual() > G_RESIDUAL_TOL:
+            self.G = inverse_with_factorization(self.basis_matrix())
 
     def minor_cycle(self, z_norm: float, floor: float) -> float:
         """Wolfe's minor cycle: shrink ``z`` without an oracle call.
@@ -450,7 +479,7 @@ class ConvexCombination:
         = min x_t / (x_t - lam_t)`` over ``lam_t < x_t``, the largest step
         that keeps them nonnegative, so ``z`` becomes ``(1 - theta) z`` and
         the blocking term's weight reaches zero.  That term keeps its slot,
-        so ``G`` stays valid until the next elimination refills it.
+        so ``G`` stays valid until the next reduction refills it.
         Nothing changes unless the new ``||z||`` stays above ``floor``.
 
         Call only with exactly ``m + 1`` terms and ``G`` valid.  Returns
@@ -492,40 +521,6 @@ class ConvexCombination:
             w = self.weights
             w /= total
             self.z = self.z / total
-
-    def _null_step(self) -> None:
-        """Caratheodory's reduction: drop one term, keep ``z``.
-
-        ``gamma``, the last right singular vector of ``[A; 1^T]`` over all
-        the terms, combines their columns to zero with coefficients that
-        sum to zero.  Signed so that the newest term's coefficient is
-        positive, the weights move to ``x - theta gamma`` with ``theta =
-        min x_t / gamma_t`` over ``gamma_t > 0``: the largest step that
-        keeps them nonnegative, which empties the blocking term.  When the
-        columns have full rank this is the ratio test of
-        :meth:`_eliminate_one`.
-        """
-        B = np.column_stack([e.basis_col for e in self.entries])
-        gamma = np.linalg.svd(B)[2][-1]
-        if gamma[-1] < 0.0:
-            gamma = -gamma
-        w = self.weights
-        ratios = np.divide(w, gamma, out=np.full(w.size, np.inf),
-                           where=gamma > 0.0)
-        t = int(np.argmin(ratios))
-        w -= ratios[t] * gamma
-        del self._by_witness[self._pop(t).key]
-        self.G = None
-
-    def _reduce(self) -> None:
-        # one insertion takes the support to at most m + 2 terms
-        if len(self.entries) <= self.m + 1:
-            return
-        if self._ensure_basis():
-            self._eliminate_one()
-        else:
-            self._null_step()
-        self._drop_negligible()
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +583,7 @@ def _reweight_to_dual(cc: ConvexCombination) -> bool:
     """
     k = len(cc.entries)
     cols = np.column_stack([e.witnessed.column for e in cc.entries])
-    norms = np.linalg.norm(cols, axis=0)
-    for j in np.flatnonzero(norms == math.inf):
-        norms[j] = vector_norm(cols[:, j])  # the square overflowed
+    norms = column_norms(cols)
     rhs = np.zeros(cc.m + 1)
     rhs[-1] = 1.0
     x = np.linalg.lstsq(np.vstack([cols / norms, np.ones(k)]), rhs,
@@ -761,7 +754,7 @@ class SolveCounters:
     """Inner runs, their iterations, oracle calls and contractions of a solve.
 
     This is the solver's only instrumentation.  Finer detail (per-step
-    potentials, per-elimination invariants, timings) is observed from
+    potentials, per-reduction invariants, timings) is observed from
     outside by wrapping the module's functions.
     """
 

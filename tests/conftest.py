@@ -1,8 +1,8 @@
 """The ``solve_probe`` fixture: observes solves from outside the solver.
 
-The solver keeps no record of its steps.  The probe wraps seven of its
+The solver keeps no record of its steps.  The probe wraps six of its
 functions with ``monkeypatch`` and records one thing from each call, so
-the guarantee tests can check per-step, per-elimination, per-cycle and
+the guarantee tests can check per-step, per-reduction, per-cycle and
 per-contraction invariants without the solver carrying any
 instrumentation of its own.
 """
@@ -13,19 +13,24 @@ import numpy as np
 import pytest
 
 import prfeas.solver
-from prfeas.solver import ConvexCombination, RescalingState
+from prfeas.solver import (
+    ConvexCombination,
+    RescalingState,
+    inverse_with_factorization,
+)
 
 
 @dataclass(frozen=True)
 class Elimination:
-    """A support right after one elimination, null step or minor cycle.
+    """A support right after one reduction or minor cycle.
 
     The first five fields are the invariants the guarantee tests check;
-    ``g_residual`` is None only after a null step, which ``null_step``
+    ``g_residual`` is None only after a reduction that found no basis
+    inverse and took its null vector from an SVD, which ``null_step``
     marks.
     ``state`` holds the term order and the bytes of the weights, ``z`` and
     ``G``, so two supports can be compared bit for bit; ``support`` is the
-    support that eliminated and takes no part in comparisons.
+    support that reduced and takes no part in comparisons.
     """
 
     size: int
@@ -61,8 +66,8 @@ class SolveProbe:
 
     * ``runs``: ``iterations`` of each ``basic_procedure`` result;
     * ``steps``: ``(1/||z||^2, 1/||z_new||^2)`` of each ``step_alpha`` call;
-    * ``eliminations``: an :class:`Elimination` after each
-      ``_eliminate_one`` and ``_null_step`` call;
+    * ``eliminations``: an :class:`Elimination` after each ``_reduce``
+      call, taken before ``add_term`` drops negligible weights;
     * ``largest_support``: the most terms a ``ConvexCombination`` held
       after any ``add_term`` call;
     * ``contractions``: ``(||z||, mu, x_h)`` for each inner run that ended
@@ -135,22 +140,23 @@ class SolveProbe:
         self.cycles = []
 
     def watch_support(self, cls) -> None:
-        """Record the eliminations and null steps of every support of
-        class ``cls``."""
-        eliminate_one = cls._eliminate_one
-        null_step = cls._null_step
+        """Record the reductions of every support of class ``cls``.
 
-        def recording_eliminate_one(support):
-            eliminate_one(support)
-            self.eliminations.append(observe(support))
+        Whether a reduction takes the SVD path is decided before the call,
+        as ``_reduce`` decides it: no ``G``, and none can be built over the
+        first ``m + 1`` terms.  The inverse is the one imported here, so a
+        test that counts or forbids the solver's rebuilds does not see the
+        probe's.
+        """
+        reduce = cls._reduce
 
-        def recording_null_step(support):
-            null_step(support)
-            self.eliminations.append(observe(support, null_step=True))
+        def recording_reduce(support):
+            null_step = support.G is None and \
+                inverse_with_factorization(support.basis_matrix()) is None
+            reduce(support)
+            self.eliminations.append(observe(support, null_step))
 
-        self._monkeypatch.setattr(cls, "_eliminate_one",
-                                  recording_eliminate_one)
-        self._monkeypatch.setattr(cls, "_null_step", recording_null_step)
+        self._monkeypatch.setattr(cls, "_reduce", recording_reduce)
 
 
 @pytest.fixture

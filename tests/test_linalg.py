@@ -1,17 +1,15 @@
+"""Dense linear-algebra kernels: the support's rank-one inverse update and
+checked inverse (``prfeas.solver``), the overflow-safe norms
+(``prfeas.oracle``) and the Sdp oracle's definiteness test."""
+
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from prfeas.linalg import (
-    Singular,
-    SingularUpdate,
-    inverse_with_factorization,
-    smw_inverse_update,
-    vector_norm,
-)
-from prfeas.oracle import Sdp, sdp_query
+from prfeas.oracle import Sdp, column_norms, sdp_query, vector_norm
+from prfeas.solver import inverse_with_factorization, smw_inverse_update
 
 
 class TestSmwInverseUpdate:
@@ -39,14 +37,12 @@ class TestSmwInverseUpdate:
         # so no inverse exists and the update denominator hits zero.
         G = 0.5 * np.array([[1.0, 1.0], [-1.0, 1.0]])
         u = np.array([2.0, 0.0])
-        with pytest.raises(SingularUpdate):
-            smw_inverse_update(G, u, 1)
+        assert smw_inverse_update(G, u, 1) is None
 
     def test_near_singular_update_is_rejected(self):
         G = np.eye(2)
         u = np.array([-1.0 + 1e-14, 0.0])
-        with pytest.raises(SingularUpdate):
-            smw_inverse_update(G, u, 0)
+        assert smw_inverse_update(G, u, 0) is None
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8, 12])
     def test_random_replacements_match_dense_inverse(self, k):
@@ -150,15 +146,13 @@ class TestSolveWithFactorization:
 
     def test_singular_matrix_rejected(self):
         B = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(Singular):
-            inverse_with_factorization(B)
+        assert inverse_with_factorization(B) is None
 
     def test_tiny_last_pivot_rejected(self):
         # the last LU pivot is about 1e-15, below LU_PIVOT_TOL * max|B|,
         # although the matrix is not exactly singular
         B = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
-        with pytest.raises(Singular):
-            inverse_with_factorization(B)
+        assert inverse_with_factorization(B) is None
 
     def test_inverse_helper(self):
         rng = np.random.default_rng(11)
@@ -194,3 +188,21 @@ class TestVectorNorm:
         with np.errstate(over="ignore", invalid="ignore"):
             assert vector_norm(np.array([math.inf, 1.0])) == math.inf
             assert math.isnan(vector_norm(np.array([math.nan, 1.0])))
+
+
+class TestColumnNorms:
+    def test_matches_numpy_norm_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            X = rng.standard_normal((rng.integers(1, 20), rng.integers(1, 20)))
+            X *= 10.0 ** rng.uniform(-100, 100)
+            expected = np.linalg.norm(X, axis=0)
+            assert column_norms(X).tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_column_is_taken_by_vector_norm(self):
+        X = np.array([[1.5e308, 3.0], [1.5e308, 4.0]])
+        norms = column_norms(X)
+        assert norms[0] == vector_norm(X[:, 0])
+        assert norms[0] == pytest.approx(1.5e308 * math.sqrt(2.0), rel=1e-15)
+        assert norms[1] == 5.0

@@ -1,4 +1,9 @@
+import importlib.util
+
 import prfeas
+import prfeas.certify
+import prfeas.oracle
+import prfeas.solver
 
 REMOVED = ("normalize_column", "apply_scaling", "rescale_matrix",
            "solve_with_factorization", "CholeskyResult", "NonSymmetric",
@@ -21,3 +26,10 @@ def test_removed_names_absent():
     for name in REMOVED:
         assert name not in prfeas.__all__
         assert not hasattr(prfeas, name), name
+
+
+def test_linalg_module_folded_away():
+    assert importlib.util.find_spec("prfeas.linalg") is None
+    for module in (prfeas.certify, prfeas.oracle, prfeas.solver):
+        for name in ("Singular", "SingularUpdate"):
+            assert not hasattr(module, name), (module.__name__, name)

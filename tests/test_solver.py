@@ -8,12 +8,6 @@ from numpy.testing import assert_allclose
 
 import prfeas.solver
 from prfeas.certify import generate_planted, verify_p_certificate
-from prfeas.linalg import (
-    Singular,
-    SingularUpdate,
-    inverse_with_factorization,
-    smw_inverse_update,
-)
 from prfeas.oracle import (
     CustomWitness,
     FiniteLp,
@@ -25,6 +19,7 @@ from prfeas.oracle import (
 from prfeas.solver import (
     G_RECHECK_INTERVAL,
     G_RESIDUAL_TOL,
+    REFILL_PIVOT_RATIO,
     WEIGHT_FLOOR,
     CoincidentPoints,
     ConfigError,
@@ -32,8 +27,10 @@ from prfeas.solver import (
     DegenerateColumn,
     RescalingState,
     basic_procedure,
+    inverse_with_factorization,
     main_algorithm,
     rescale_budget,
+    smw_inverse_update,
     step_alpha,
 )
 
@@ -49,7 +46,8 @@ def term(label, vec, weight):
 # list-backed reference support: one Python float per term, one loop per
 # update, as the support was written before its weights became an array.
 # It also counts which paths ran, so the comparison can show it covered
-# them.
+# them; a refill counts apart by the sign of the emptied slot's g_t, since
+# with g_t <= 0 the plain ratio test would not have picked that slot.
 
 
 @dataclass(eq=False)
@@ -67,7 +65,8 @@ class ListConvexCombination:
         self.z = np.zeros(m)
         self.G = None
         self._by_witness = {}
-        self._elim_count = 0
+        self._reductions = 0
+        self._vacant = None
         self.events = Counter()
 
     @property
@@ -110,61 +109,78 @@ class ListConvexCombination:
                         scale_norm, add_weight)
         self.entries.append(term)
         self._by_witness[witnessed.witness] = term
-        self._reduce()
+        if len(self.entries) > self.m + 1:
+            self._reduce()
+            self._drop_negligible()
 
-    def _remove_at(self, pos):
-        term = self.entries.pop(pos)
-        del self._by_witness[term.witnessed.witness]
-        if pos <= self.m:
-            self.G = None
-
-    def _ensure_basis(self):
-        if self.G is None:
-            self._rebuild_g()
-        return self.G is not None
-
-    def _rebuild_g(self):
-        try:
-            self.G = inverse_with_factorization(self.basis_matrix())
-        except Singular:
-            self.G = None
-
-    def _eliminate_one(self):
+    def _reduce(self):
         k = self.m + 1
-        incoming = self.entries[k]
-        gamma = self.G @ np.append(incoming.a_scaled, 1.0)
-        ratios = np.full(k, np.inf)
-        neg = gamma < 0.0
-        weights = np.array([e.weight for e in self.entries[:k]])
-        ratios[neg] = -weights[neg] / gamma[neg]
-        t_star = int(np.argmin(ratios))
-        beta = float(ratios[t_star])
-        x_in = incoming.weight
-        if beta >= x_in:
-            self.events["absorbed"] += 1
-            for t in range(k):
-                self.entries[t].weight += x_in * gamma[t]
-            self._remove_at(k)
+        if self.G is None:
+            self.G = inverse_with_factorization(self.basis_matrix())
+        if self.G is None:
+            self.events["null_step"] += 1
+            B = np.ones((k, k + 1))
+            for j, e in enumerate(self.entries):
+                B[: self.m, j] = e.a_scaled
+            g = np.linalg.svd(B)[2][-1].tolist()
+            if g[-1] < 0.0:
+                g = [-x for x in g]
         else:
-            self.events["swapped"] += 1
-            for t in range(k):
-                if t != t_star:
-                    self.entries[t].weight += beta * gamma[t]
-            incoming.weight = x_in - beta
-            leaving = self.entries[t_star]
-            abar = np.append(incoming.a_scaled - leaving.a_scaled, 0.0)
-            self.entries[t_star] = incoming
-            del self.entries[k]
-            del self._by_witness[leaving.witnessed.witness]
-            try:
-                self.G = smw_inverse_update(self.G, abar, t_star)
-            except SingularUpdate:
-                self._rebuild_g()
-        self._elim_count += 1
-        if self.G is not None and self._elim_count % G_RECHECK_INTERVAL == 0:
-            res = self.g_residual()
-            if res is not None and res > G_RESIDUAL_TOL:
-                self._rebuild_g()
+            gamma = self.G @ np.append(self.entries[k].a_scaled, 1.0)
+            g = [-x for x in gamma.tolist()] + [1.0]
+        vacant, self._vacant = self._vacant, None
+        if vacant is not None and self.entries[vacant].weight == 0.0:
+            t, theta = vacant, 0.0
+            self.events["refilled, g_t > 0" if g[t] > 0.0
+                        else "refilled, g_t <= 0"] += 1
+        else:
+            t, theta = None, math.inf
+            for j, e in enumerate(self.entries):
+                if g[j] > 0.0 and e.weight / g[j] < theta:
+                    t, theta = j, e.weight / g[j]
+            if self.G is not None:
+                self.events["absorbed" if t == k else "swapped"] += 1
+        for j, e in enumerate(self.entries):
+            e.weight -= theta * g[j]
+        leaving = self.entries[t]
+        del self._by_witness[leaving.witnessed.witness]
+        if self.G is None or t == k:
+            del self.entries[t]
+        else:
+            incoming = self.entries.pop()
+            self.entries[t] = incoming
+            self.G = smw_inverse_update(
+                self.G, np.append(incoming.a_scaled - leaving.a_scaled, 0.0),
+                t)
+            if self.G is None \
+                    or abs(g[t]) * REFILL_PIVOT_RATIO < max(map(abs, g)):
+                self._check_residual()
+        self._reductions += 1
+        if self.G is not None and self._reductions % G_RECHECK_INTERVAL == 0:
+            self._check_residual()
+
+    def _check_residual(self):
+        if self.G is None or self.g_residual() > G_RESIDUAL_TOL:
+            self.G = inverse_with_factorization(self.basis_matrix())
+
+    def minor_cycle(self, z_norm, floor):
+        lam = self.G[:, self.m].tolist()
+        t, theta = None, math.inf
+        for j, e in enumerate(self.entries):
+            gap = e.weight - lam[j]
+            if gap > 0.0 and e.weight / gap < theta:
+                t, theta = j, e.weight / gap
+        if not (theta > 0.0 and (1.0 - theta) * z_norm > floor):
+            return z_norm
+        self.events["cycled"] += 1
+        for j, e in enumerate(self.entries):
+            e.weight -= theta * (e.weight - lam[j])
+            if e.weight < 0.0:
+                e.weight = 0.0
+        self.entries[t].weight = 0.0
+        self.z = (1.0 - theta) * self.z
+        self._vacant = t
+        return (1.0 - theta) * z_norm
 
     def _drop_negligible(self):
         if all(e.weight > WEIGHT_FLOOR for e in self.entries):
@@ -185,34 +201,6 @@ class ListConvexCombination:
                 e.weight /= total
             self.z = self.z / total
 
-    def _null_step(self):
-        self.events["null_step"] += 1
-        B = np.ones((self.m + 1, len(self.entries)))
-        for j, e in enumerate(self.entries):
-            B[: self.m, j] = e.a_scaled
-        gamma = np.linalg.svd(B)[2][-1]
-        if gamma[-1] < 0.0:
-            gamma = -gamma
-        t_star, theta = None, math.inf
-        for t, e in enumerate(self.entries):
-            if gamma[t] > 0.0 and e.weight / gamma[t] < theta:
-                t_star, theta = t, e.weight / gamma[t]
-        for t, e in enumerate(self.entries):
-            e.weight -= theta * gamma[t]
-        self._remove_at(t_star)
-        self.G = None
-
-    def _reduce(self):
-        reduced = False
-        while len(self.entries) > self.m + 1:
-            if self._ensure_basis():
-                self._eliminate_one()
-            else:
-                self._null_step()
-            reduced = True
-        if reduced:
-            self._drop_negligible()
-
 
 def unit(v):
     v = np.asarray(v, dtype=float)
@@ -220,13 +208,14 @@ def unit(v):
 
 
 def support_sequence(rng, m, steps=160):
-    """Seeded (witnessed column, a_scaled, scale_norm, alpha) steps.
+    """Seeded (witnessed column, a_scaled, scale_norm, alpha, cycle) steps.
 
     The first steps lie in a subspace where no m+1 columns are affinely
     independent, so the support reduces by null steps; about one step in
     six repeats an earlier witness (half of them as an equal, distinct
     witness object); about one in twelve scales the old weights below the
-    drop floor.
+    drop floor; about one in three asks for a minor cycle after the
+    insertion.
     """
     flat = 4 + int(rng.integers(0, 4))
     seen = []
@@ -250,7 +239,8 @@ def support_sequence(rng, m, steps=160):
             seen.append((wc, v))
         alpha = 1e-17 if rng.random() < 1.0 / 12.0 \
             else float(rng.uniform(0.3, 0.95))
-        out.append((wc, v, float(rng.uniform(0.5, 2.0)), alpha))
+        out.append((wc, v, float(rng.uniform(0.5, 2.0)), alpha,
+                    rng.random() < 1.0 / 3.0))
     return out
 
 
@@ -497,15 +487,27 @@ class TestConvexCombinationElimination:
     def test_matches_list_backed_reference(self, solve_probe):
         # the array-backed support must reproduce the list-backed one bit
         # for bit: weights, aggregate, basis inverse and term order after
-        # every insertion and after every elimination
+        # every insertion, every minor cycle and every reduction
         solve_probe.watch_support(ListConvexCombination)
         events = Counter()
+
+        def assert_same(cc, ref):
+            assert [e.witnessed for e in cc.entries] == \
+                [e.witnessed for e in ref.entries]
+            assert cc.weights.tobytes() == ref.weights.tobytes()
+            assert cc.z.tobytes() == ref.z.tobytes()
+            assert (cc.G is None) == (ref.G is None)
+            if cc.G is not None:
+                assert cc.G.tobytes() == ref.G.tobytes()
+            assert cc.weight_sum() == ref.weight_sum()
+
         for seed in range(40):
             rng = np.random.default_rng(seed)
             m = 1 + seed % 4
             ref, cc = ListConvexCombination(m), ConvexCombination(m)
             solve_probe.clear()
-            for i, (wc, v, nrm, alpha) in enumerate(support_sequence(rng, m)):
+            for i, (wc, v, nrm, alpha, cycle) in enumerate(
+                    support_sequence(rng, m)):
                 if i == 0:
                     ref.add_term(wc, v, nrm, 1.0)
                     cc.add_term(wc, v, nrm, 1.0)
@@ -517,21 +519,20 @@ class TestConvexCombinationElimination:
                     ref.z, cc.z = z, z.copy()
                     ref.add_term(wc, v, nrm, 1.0 - alpha)
                     cc.add_term(wc, v, nrm, 1.0 - alpha)
-                assert [e.witnessed for e in cc.entries] == \
-                    [e.witnessed for e in ref.entries]
-                assert cc.weights.tobytes() == ref.weights.tobytes()
-                assert cc.z.tobytes() == ref.z.tobytes()
-                assert (cc.G is None) == (ref.G is None)
-                if cc.G is not None:
-                    assert cc.G.tobytes() == ref.G.tobytes()
-                assert cc.weight_sum() == ref.weight_sum()
+                assert_same(cc, ref)
+                if cycle and cc.G is not None and len(cc.entries) == m + 1:
+                    z_norm = float(np.linalg.norm(cc.z))
+                    assert cc.minor_cycle(z_norm, 0.0) == \
+                        ref.minor_cycle(z_norm, 0.0)
+                    assert_same(cc, ref)
             # records compare term order and the bytes of weights, z and G
             ours = [r for r in solve_probe.eliminations if r.support is cc]
             theirs = [r for r in solve_probe.eliminations if r.support is ref]
             assert ours == theirs
             events += ref.events
         for path in ("repeated", "absorbed", "swapped", "dropped",
-                     "null_step"):
+                     "null_step", "cycled", "refilled, g_t > 0",
+                     "refilled, g_t <= 0"):
             assert events[path] > 0, path
 
 
