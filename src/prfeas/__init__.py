@@ -41,7 +41,6 @@ from .solver import (
     RescalingState,
     SolveCounters,
     SolveOutcome,
-    SolverConfig,
     basic_procedure,
     main_algorithm,
     rescale_budget,
@@ -78,7 +77,6 @@ __all__ = [
     "RescalingState",
     "SolveCounters",
     "SolveOutcome",
-    "SolverConfig",
     "basic_procedure",
     "main_algorithm",
     "rescale_budget",

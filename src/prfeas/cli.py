@@ -51,7 +51,7 @@ from .oracle import (
     witness_from_json,
     witness_to_json,
 )
-from .solver import ConfigError, SolveOutcome, SolverConfig, main_algorithm
+from .solver import ConfigError, SolveOutcome, main_algorithm
 
 log = logging.getLogger("prfeas.cli")
 
@@ -263,9 +263,9 @@ def _emit(doc: dict, indent: int | None) -> None:
 
 def cmd_solve(args) -> int:
     instance = load_problem(_read_json(args.input))
-    config = SolverConfig(max_rescalings=args.max_rescalings)
     start = time.perf_counter()
-    outcome = main_algorithm(instance, epsilon=args.epsilon, config=config)
+    outcome = main_algorithm(instance, epsilon=args.epsilon,
+                             max_rescalings=args.max_rescalings)
     wall_ms = (time.perf_counter() - start) * 1000.0 if args.timing else None
     log.info("solve finished with status %s", outcome.status)
     if args.certificate:

@@ -67,7 +67,6 @@ __all__ = [
     "OracleInconsistency",
     "RescalingState",
     "ConvexCombination",
-    "SolverConfig",
     "SolveCounters",
     "SolveOutcome",
     "BasicProcedureResult",
@@ -85,9 +84,6 @@ COINCIDENT_TOL = 1e-14
 
 #: Scaled column norms below this cannot be normalized meaningfully.
 DEGENERATE_COLUMN_TOL = 1e-300
-
-#: Weights at or below this are clamped to zero and dropped.
-WEIGHT_FLOOR = 1e-15
 
 #: Tolerance on ||G B - I||_inf for the maintained basis inverse.
 G_RESIDUAL_TOL = 1e-8
@@ -112,7 +108,8 @@ MINOR_CYCLE_GUARD = 8.0
 
 
 class ConfigError(ValueError):
-    """Invalid solver configuration (epsilon, mu, max_rescalings)."""
+    """An invalid solver argument: epsilon, mu, max_rescalings or the
+    dimension m."""
 
 
 class DegenerateColumn(RuntimeError):
@@ -184,17 +181,15 @@ class RescalingState:
         return v / nrm, nrm
 
 
-def rescale_budget(epsilon: float, m: int) -> int:
+def rescale_budget(epsilon: float) -> int:
     """Number of contractions after which d* <= epsilon is certified.
 
     Each failed inner run shrinks the determinant measure by sqrt(e)/2, so
-    the budget is ``ceil(ln(1/eps) / ln(2/sqrt(e)))`` (at least 1).  The
-    dimension does not enter the count; it is validated only.
+    the budget is ``ceil(ln(1/eps) / ln(2/sqrt(e)))`` (at least 1),
+    whatever the dimension.
     """
     if not (0.0 < epsilon < 1.0):
         raise ConfigError("epsilon must lie strictly between 0 and 1")
-    if m < 1:
-        raise ConfigError("dimension m must be at least 1")
     return max(1, math.ceil(math.log(1.0 / epsilon) / (math.log(2.0) - 0.5)))
 
 
@@ -204,9 +199,14 @@ def step_alpha(z: np.ndarray, a: np.ndarray) -> tuple[float, np.ndarray]:
     For a unit column ``a`` with ``a^T z <= 0`` the minimizing coefficient
 
         alpha = a^T (a - z) / ||a - z||^2
+              = (1 - a^T z) / (1 - 2 a^T z + ||z||^2)
 
     lies in [0, 1] and the new point ``alpha z + (1 - alpha) a`` satisfies
-    ``1/||z_new||^2 >= 1/||z||^2 + 1``.
+    ``1/||z_new||^2 >= 1/||z||^2 + 1``.  When ``||z|| <= 1``, as for every
+    convex combination of unit columns, and ``a^T z < ||z||^2``, alpha lies
+    in [1/2, 1].  That covers the columns inside an oracle's tolerance
+    band, ``0 < a^T z < ||z||^2``, which the solver still steps toward; such
+    a step may raise ``1/||z||^2`` by less than 1.
 
     Returns
     -------
@@ -397,7 +397,6 @@ class ConvexCombination:
         self._by_witness[key] = term
         if len(self.entries) > self.m + 1:
             self._reduce()
-            self._drop_negligible()
 
     def _pop(self, pos: int) -> ActiveTerm:
         """Remove the term at ``pos`` from ``entries`` and ``weights``."""
@@ -424,6 +423,20 @@ class ConvexCombination:
         as it is every ``G_RECHECK_INTERVAL`` reductions; ``G`` is rebuilt
         when the update is singular or the residual is too large.  Without
         ``G``, term ``t`` is removed from the list.
+
+        No weight is dropped for being negligible:
+
+        * a step scales the old weights by its ``alpha``, at least 1/2 in
+          the solver (:func:`step_alpha`), so one step never takes a weight
+          from sizeable to negligible; a weight that shrinks over many
+          steps stays positive and meets the ratio test like any other;
+        * ``x - theta g`` can leave only a rounding-size weight, on a term
+          that nearly ties the blocking one.  The next ratio test removes
+          that term, with ``theta <= 0`` if its weight came out negative,
+          or its ``g_t <= 0`` makes the weight grow;
+        * every artifact the solver returns is re-verified independently;
+        * the guarantee tests check the support's size and weights as each
+          reduction leaves it, which never relied on a drop.
         """
         k = self.m + 1
         if self.G is None:
@@ -501,27 +514,6 @@ class ConvexCombination:
         self._vacant = t
         return (1.0 - theta) * z_norm
 
-    def _drop_negligible(self) -> None:
-        w = self.weights
-        keep = w > WEIGHT_FLOOR
-        if keep.all():
-            return
-        kept = []
-        for e, x, stays in zip(self.entries, w.tolist(), keep.tolist()):
-            if stays:
-                kept.append(e)
-            else:
-                self.z = self.z - x * e.a_scaled
-                del self._by_witness[e.key]
-        self._w[: len(kept)] = w[keep]
-        self.entries = kept
-        self.G = None
-        total = self.weight_sum()
-        if total > 0.0:
-            w = self.weights
-            w /= total
-            self.z = self.z / total
-
 
 # ---------------------------------------------------------------------------
 # inner procedure
@@ -538,12 +530,13 @@ class BasicProcedureResult:
     mu/(m+1) and the support holds no certificate; the heaviest term
     indicates the contraction direction), or ``"stalled"`` (the oracle
     rejected ``M z`` with a column that does not cut the aggregate, so no
-    step can shrink ``z``).
+    step can shrink ``z``).  ``combination`` is empty when the first query
+    is accepted.
     """
 
     status: str
     y_scaled: np.ndarray | None
-    combination: ConvexCombination | None
+    combination: ConvexCombination
     iterations: int
     oracle_calls: int
 
@@ -577,9 +570,13 @@ def _reweight_to_dual(cc: ConvexCombination) -> bool:
     there, but mapped through ``M^T`` their combination stays far from
     zero.
 
-    The support has at most ``m + 1`` terms, so the system is never
-    underdetermined.  Returns True with the new weights and ``z`` written
-    into ``cc``; otherwise ``cc`` is left exactly as it was.
+    The support has at most ``m + 1`` terms, but they may be affinely
+    dependent (SOCP supports on few cone blocks, the degenerate LP); the
+    system is then underdetermined and ``lstsq`` returns its minimum-norm
+    solution, which can have a negative entry while a positive solution
+    exists, so such a support is not certified here.  Returns True with the
+    new weights and ``z`` written into ``cc``; otherwise ``cc`` is left
+    exactly as it was.
     """
     k = len(cc.entries)
     cols = np.column_stack([e.witnessed.column for e in cc.entries])
@@ -602,19 +599,6 @@ def _reweight_to_dual(cc: ConvexCombination) -> bool:
     return True
 
 
-def _vanishing_column(w: WitnessedColumn, m: int, iterations: int,
-                      oracle_calls: int) -> BasicProcedureResult:
-    """The ``dual`` result for an oracle column that is exactly zero.
-
-    No ``y`` satisfies ``0^T y > 0``, so the witness alone, with weight 1,
-    certifies the alternative.  A built-in oracle returns such a column
-    for a nonzero cone vector that the instance maps to zero.
-    """
-    cc = ConvexCombination(m)
-    cc.add_term(w, np.zeros(m), 1.0, 1.0)
-    return BasicProcedureResult("dual", None, cc, iterations, oracle_calls)
-
-
 def basic_procedure(
     instance: ProblemInstance,
     state: RescalingState,
@@ -624,8 +608,9 @@ def basic_procedure(
 
     Queries the oracle first at ``M 1`` (the all-ones direction mapped
     through the dense map ``state.M``), then repeatedly at the mapped
-    aggregate ``M z``, taking the minimum-norm step toward each violated
-    column.  Every step increases ``1/||z||^2`` by at least 1, so
+    aggregate ``M z``.  The first violated column becomes ``z``, with
+    weight 1; each later one is an iteration, the minimum-norm step toward
+    it.  Every step increases ``1/||z||^2`` by at least 1, so
     within ``ceil((m+1)^2 / mu^2)`` iterations one of two things happens:
     the oracle accepts a query (feasible), or ``||z|| <= mu/(m+1)``.
 
@@ -657,10 +642,11 @@ def basic_procedure(
     is dependent in the original space to rounding alone, such as the
     nearly antipodal columns the closed semicircle offers after many
     contractions.  Otherwise it returns ``small_aggregate`` with the
-    combination untouched.  This is the only exit that returns ``dual``.
+    combination untouched.
 
-    A column that is exactly zero (a nonzero cone vector that the
-    instance maps to zero) ends the run with ``dual`` at once: no ``y``
+    The only other exit that returns ``dual`` is a column that is exactly
+    zero (a nonzero cone vector that the instance maps to zero), which
+    ends the run at once with that witness at weight 1: no ``y``
     satisfies ``0^T y > 0``, so that witness alone is the certificate.
 
     An oracle may reject a query within a tolerance band, as the Sdp
@@ -678,75 +664,60 @@ def basic_procedure(
     m = instance.m
     if not (0.0 < mu):
         raise ConfigError("mu must be positive")
-    y0 = np.ones(m)
     bound = math.ceil((m + 1) ** 2 / mu**2) + 1
     small_threshold = mu / (m + 1)
     cycle_floor = MINOR_CYCLE_GUARD * small_threshold
     # at s = 0 the scales are the instance's own column norms, the default
     scales = state.column_norms(instance.columns) \
         if isinstance(instance, FiniteLp) and state.s > 0 else None
-    oracle_calls = 1
-    w = query(instance, state.apply(y0), scales)
-    if w is None:
-        return BasicProcedureResult("feasible", y0, None, 0, oracle_calls)
+    y = np.ones(m)
     cc = ConvexCombination(m)
-    try:
-        a_scaled, nrm = state.normalize(w.column)
-    except DegenerateColumn:
-        if w.column.any():
-            raise
-        return _vanishing_column(w, m, 0, oracle_calls)
-    cc.add_term(w, a_scaled, nrm, 1.0)
-    cc.z = a_scaled.copy()
-    z_norm = math.sqrt(cc.z @ cc.z)
-    iterations = 0
+    oracle_calls = iterations = 0
     while True:
-        if z_norm <= small_threshold:
-            status = "dual" if _reweight_to_dual(cc) else "small_aggregate"
-            return BasicProcedureResult(status, None, cc, iterations,
-                                        oracle_calls)
         oracle_calls += 1
-        w = query(instance, state.apply(cc.z), scales)
+        w = query(instance, state.apply(y), scales)
         if w is None:
-            return BasicProcedureResult("feasible", cc.z.copy(), cc,
-                                        iterations, oracle_calls)
-        iterations += 1
-        if iterations > bound:
-            raise IterationBoundViolated(
-                f"{iterations} iterations exceed the bound {bound}"
-            )
+            return BasicProcedureResult("feasible", y, cc, iterations,
+                                        oracle_calls)
+        if cc.entries:
+            iterations += 1
+            if iterations > bound:
+                raise IterationBoundViolated(
+                    f"{iterations} iterations exceed the bound {bound}"
+                )
         try:
             a_scaled, nrm = state.normalize(w.column)
         except DegenerateColumn:
             if w.column.any():
                 raise
-            return _vanishing_column(w, m, iterations, oracle_calls)
-        if float(a_scaled @ cc.z) >= z_norm**2:
+            cc = ConvexCombination(m)
+            cc.add_term(w, np.zeros(m), 1.0, 1.0)
+            return BasicProcedureResult("dual", None, cc, iterations,
+                                        oracle_calls)
+        if not cc.entries:
+            cc.add_term(w, a_scaled, nrm, 1.0)
+            cc.z = a_scaled.copy()
+        elif float(a_scaled @ cc.z) >= z_norm**2:
             return BasicProcedureResult("stalled", None, cc, iterations,
                                         oracle_calls)
-        alpha, z_new = step_alpha(cc.z, a_scaled)
-        cc.scale_weights(alpha)
-        cc.z = z_new
-        cc.add_term(w, a_scaled, nrm, 1.0 - alpha)
+        else:
+            alpha, z_new = step_alpha(cc.z, a_scaled)
+            cc.scale_weights(alpha)
+            cc.z = z_new
+            cc.add_term(w, a_scaled, nrm, 1.0 - alpha)
         z_norm = math.sqrt(cc.z @ cc.z)
         if z_norm > cycle_floor and cc.G is not None \
                 and len(cc.entries) == m + 1:
             z_norm = cc.minor_cycle(z_norm, cycle_floor)
+        if z_norm <= small_threshold:
+            status = "dual" if _reweight_to_dual(cc) else "small_aggregate"
+            return BasicProcedureResult(status, None, cc, iterations,
+                                        oracle_calls)
+        y = cc.z
 
 
 # ---------------------------------------------------------------------------
 # outer loop
-
-
-@dataclass
-class SolverConfig:
-    """Tuning knob for :func:`main_algorithm`.
-
-    ``max_rescalings`` (at least 0) caps the contraction budget, and the
-    declared epsilon is then the value actually certified.
-    """
-
-    max_rescalings: int | None = None
 
 
 @dataclass
@@ -776,7 +747,8 @@ class SolveOutcome:
     ``epsilon`` is the declared bound actually certified, ``s_star`` the
     full contraction budget for the requested epsilon.  ``verification``
     embeds the re-check of the returned artifact.  Every field is a
-    function of the instance, the requested epsilon and the config alone.
+    function of the instance, the requested epsilon and ``max_rescalings``
+    alone.
     """
 
     status: str
@@ -791,33 +763,28 @@ class SolveOutcome:
 def main_algorithm(
     instance: ProblemInstance,
     epsilon: float = 1e-6,
-    config: SolverConfig | None = None,
+    max_rescalings: int | None = None,
 ) -> SolveOutcome:
     """Decide feasibility, produce a dual certificate, or declare epsilon.
 
     Runs the inner procedure against a growing product of rank-one
     contractions.  Every returned artifact is re-verified before it is
     reported; a dual candidate that fails verification never escapes.
-    A ``stalled`` inner run ends the solve with the epsilon that the
-    contractions completed so far certify, as ``max_rescalings`` does.
+    ``max_rescalings`` (at least 0) caps the contraction budget; the
+    declared epsilon is then the one the contractions completed certify.
+    A ``stalled`` inner run ends the solve the same way.
 
     Raises
     ------
     ConfigError
-        If ``epsilon`` is outside (0, 1) or the config is inconsistent.
+        If ``epsilon`` is outside (0, 1) or ``max_rescalings`` is negative.
     """
-    if config is None:
-        config = SolverConfig()
-    if not (0.0 < epsilon < 1.0):
-        raise ConfigError("epsilon must lie strictly between 0 and 1")
-    m = instance.m
-    mu = 1.0 / math.sqrt(3.0 * m)
-    if config.max_rescalings is not None and config.max_rescalings < 0:
+    budget = rescale_budget(epsilon)
+    if max_rescalings is not None and max_rescalings < 0:
         raise ConfigError("max_rescalings must be at least 0")
-    budget = rescale_budget(epsilon, m)
-    loops = budget if config.max_rescalings is None \
-        else min(budget, config.max_rescalings)
-    state = RescalingState(m)
+    loops = budget if max_rescalings is None else min(budget, max_rescalings)
+    state = RescalingState(instance.m)
+    mu = 1.0 / math.sqrt(3.0 * state.m)
     counters = SolveCounters()
     for _ in range(loops):
         result = basic_procedure(instance, state, mu)

@@ -67,7 +67,7 @@ class SolveProbe:
     * ``runs``: ``iterations`` of each ``basic_procedure`` result;
     * ``steps``: ``(1/||z||^2, 1/||z_new||^2)`` of each ``step_alpha`` call;
     * ``eliminations``: an :class:`Elimination` after each ``_reduce``
-      call, taken before ``add_term`` drops negligible weights;
+      call;
     * ``largest_support``: the most terms a ``ConvexCombination`` held
       after any ``add_term`` call;
     * ``contractions``: ``(||z||, mu, x_h)`` for each inner run that ended

@@ -19,7 +19,6 @@ from prfeas.oracle import (
 )
 from prfeas.solver import (
     ConfigError,
-    SolverConfig,
     main_algorithm,
 )
 
@@ -148,7 +147,7 @@ class TestMainAlgorithmOutcomes:
     def test_negative_max_rescalings_rejected(self):
         with pytest.raises(ConfigError):
             main_algorithm(FiniteLp(np.eye(2)), epsilon=0.5,
-                           config=SolverConfig(max_rescalings=-3))
+                           max_rescalings=-3)
 
     def test_custom_dual_certificate_reverifies(self):
         # a custom oracle over the columns +-e1, +-e2: the returned
@@ -237,8 +236,7 @@ class TestSemiInfiniteOracles:
 
     def test_rescaling_cap_reports_certified_epsilon(self):
         inst = CustomOracle(2, make_semicircle(True))
-        out = main_algorithm(inst, epsilon=1e-2,
-                             config=SolverConfig(max_rescalings=5))
+        out = main_algorithm(inst, epsilon=1e-2, max_rescalings=5)
         assert out.status == "epsilon_declared"
         assert out.counters.rescalings == 5
         assert out.s_star == 24

@@ -10,7 +10,8 @@ REMOVED = ("normalize_column", "apply_scaling", "rescale_matrix",
            "certifying_cholesky", "Singular", "SingularUpdate",
            "smw_inverse_update", "dstar_lower_bound", "ConvexCombination",
            "SolveTrace", "BasicProcedureResult", "step_alpha",
-           "resolve_witness_column", "lp_query", "sdp_query", "socp_query")
+           "resolve_witness_column", "lp_query", "sdp_query", "socp_query",
+           "SolverConfig")
 
 
 def test_every_exported_name_resolves():
