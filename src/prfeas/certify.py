@@ -9,7 +9,7 @@ used on external input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -69,13 +69,7 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "kind": self.kind,
-            "accepted": self.accepted,
-            "residual": self.residual,
-            "details": self.details,
-        }
+        return {"schema": 1, **asdict(self)}
 
 
 @dataclass

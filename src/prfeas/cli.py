@@ -29,6 +29,7 @@ import json
 import logging
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Union
 
@@ -224,12 +225,7 @@ def solve_report(outcome: SolveOutcome, wall_ms: float | None) -> dict:
         "weights": weights,
         "epsilon": outcome.epsilon,
         "s_star": outcome.s_star,
-        "counters": {
-            "bp_calls": outcome.counters.bp_calls,
-            "bp_iterations": outcome.counters.bp_iterations,
-            "oracle_calls": outcome.counters.oracle_calls,
-            "rescalings": outcome.counters.rescalings,
-        },
+        "counters": asdict(outcome.counters),
         "verification": None if outcome.verification is None
         else outcome.verification.to_json_dict(),
         "wall_ms": wall_ms,

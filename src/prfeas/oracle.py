@@ -149,7 +149,11 @@ class SocpVector:
 
 @dataclass(frozen=True)
 class CustomWitness:
-    """Witness minted by a user oracle; the label is opaque to the solver."""
+    """Witness minted by a user oracle: any label; never hashed.
+
+    The solver only carries the label into the certificate; the support
+    identifies terms by their columns.
+    """
 
     label: object
 

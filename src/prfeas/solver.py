@@ -108,7 +108,7 @@ MINOR_CYCLE_GUARD = 8.0
 
 
 class ConfigError(ValueError):
-    """An invalid solver argument: epsilon, mu, max_rescalings or the
+    """An invalid solver argument: epsilon, max_rescalings or the
     dimension m."""
 
 
@@ -271,27 +271,6 @@ def inverse_with_factorization(B: np.ndarray) -> np.ndarray | None:
     return G if size * LU_PIVOT_TOL < 1.0 else None
 
 
-class _WitnessKey:
-    """A witness with its hash computed once, for the support's index.
-
-    Sdp and Socp witnesses are tuples of n floats, so a dict keyed by the
-    witness itself would rehash them on every lookup, insertion and
-    deletion.  Equality still compares the witnesses themselves.
-    """
-
-    __slots__ = ("witness", "hash")
-
-    def __init__(self, witness: Witness):
-        self.witness = witness
-        self.hash = hash(witness)
-
-    def __hash__(self) -> int:
-        return self.hash
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _WitnessKey) and self.witness == other.witness
-
-
 @dataclass(eq=False)
 class ActiveTerm:
     """One support term.  ``basis_col`` is ``[a_scaled; 1]``, built once
@@ -299,7 +278,6 @@ class ActiveTerm:
     entries."""
 
     witnessed: WitnessedColumn
-    key: _WitnessKey
     basis_col: np.ndarray
     scale_norm: float
     a_scaled: np.ndarray = field(init=False, repr=False)
@@ -327,10 +305,14 @@ class ConvexCombination:
     terms are affinely dependent, so that no ``G`` exists, the null vector
     comes from an SVD instead.
 
-    Each term keeps its basis column ``[a_t; 1]`` and its witness key;
-    ``weights`` is a view into a buffer of ``m + 2`` entries, room for a
-    full support and the incoming term, so each weight update is a single
-    array operation.
+    Terms are keyed by the bytes of their original column, since equal
+    columns are one point of the hull: weight added on a column already in
+    the support, under any witness, goes to that term, whose first witness
+    names the column in a certificate.  Witnesses are never hashed, so a
+    custom label may be any value.  Each term keeps its basis column
+    ``[a_t; 1]``; ``weights`` is a view into a buffer of ``m + 2`` entries,
+    room for a full support and the incoming term, so each weight update
+    is a single array operation.
 
     :meth:`minor_cycle` may empty one basis slot, leaving its term in
     place with weight 0 so that ``G`` stays the basis inverse; the next
@@ -343,7 +325,7 @@ class ConvexCombination:
         self._w = np.zeros(m + 2)
         self.z = np.zeros(m)
         self.G: np.ndarray | None = None
-        self._by_witness: dict[_WitnessKey, ActiveTerm] = {}
+        self._by_column: dict[bytes, ActiveTerm] = {}
         self._reductions = 0
         self._vacant: int | None = None
 
@@ -382,9 +364,13 @@ class ConvexCombination:
 
     def add_term(self, witnessed: WitnessedColumn, a_scaled: np.ndarray,
                  scale_norm: float, add_weight: float) -> None:
-        """Add weight on a witnessed column, reducing past m+1 terms."""
-        key = _WitnessKey(witnessed.witness)
-        existing = self._by_witness.get(key)
+        """Add weight on a witnessed column, reducing past m+1 terms.
+
+        Weight on a column bitwise equal to a term's adds to that term,
+        which keeps its witness.
+        """
+        key = witnessed.column.tobytes()
+        existing = self._by_column.get(key)
         if existing is not None:
             self._w[self.entries.index(existing)] += add_weight
             return
@@ -392,9 +378,9 @@ class ConvexCombination:
         basis_col[:-1] = a_scaled
         basis_col[-1] = 1.0
         self._w[len(self.entries)] = add_weight
-        term = ActiveTerm(witnessed, key, basis_col, scale_norm)
+        term = ActiveTerm(witnessed, basis_col, scale_norm)
         self.entries.append(term)
-        self._by_witness[key] = term
+        self._by_column[key] = term
         if len(self.entries) > self.m + 1:
             self._reduce()
 
@@ -463,7 +449,7 @@ class ConvexCombination:
         if theta > 0.0:
             w -= theta * g
         leaving = self.entries[t]
-        del self._by_witness[leaving.key]
+        del self._by_column[leaving.witnessed.column.tobytes()]
         if self.G is None or t == k:
             self._pop(t)
         else:
@@ -541,12 +527,6 @@ class BasicProcedureResult:
     oracle_calls: int
 
 
-def _unscaled_weights(cc: ConvexCombination) -> list[tuple[ActiveTerm, float]]:
-    """Map weights back through the rescaling: x_t / ||M^T a_t||."""
-    return [(e, x / e.scale_norm)
-            for e, x in zip(cc.entries, cc.weights.tolist()) if x > 0.0]
-
-
 def _dual_residual(pairs: list[tuple[ActiveTerm, float]]) -> float:
     """Relative residual of the unscaled positive combination."""
     num = sum(u * e.witnessed.column for e, u in pairs)
@@ -602,7 +582,6 @@ def _reweight_to_dual(cc: ConvexCombination) -> bool:
 def basic_procedure(
     instance: ProblemInstance,
     state: RescalingState,
-    mu: float,
 ) -> BasicProcedureResult:
     """Drive the aggregate of rescaled columns toward zero.
 
@@ -610,9 +589,10 @@ def basic_procedure(
     through the dense map ``state.M``), then repeatedly at the mapped
     aggregate ``M z``.  The first violated column becomes ``z``, with
     weight 1; each later one is an iteration, the minimum-norm step toward
-    it.  Every step increases ``1/||z||^2`` by at least 1, so
-    within ``ceil((m+1)^2 / mu^2)`` iterations one of two things happens:
-    the oracle accepts a query (feasible), or ``||z|| <= mu/(m+1)``.
+    it.  Every step increases ``1/||z||^2`` by at least 1, so with the
+    fixed ``mu = 1/sqrt(3m)`` one of two things happens within
+    ``ceil((m+1)^2 / mu^2)`` iterations: the oracle accepts a query
+    (feasible), or ``||z|| <= mu/(m+1)``.
 
     After a step that leaves exactly ``m + 1`` terms with ``G`` valid, the
     run takes one minor cycle (:meth:`ConvexCombination.minor_cycle`),
@@ -662,8 +642,7 @@ def basic_procedure(
         defect rather than a property of the instance.
     """
     m = instance.m
-    if not (0.0 < mu):
-        raise ConfigError("mu must be positive")
+    mu = 1.0 / math.sqrt(3.0 * m)
     bound = math.ceil((m + 1) ** 2 / mu**2) + 1
     small_threshold = mu / (m + 1)
     cycle_floor = MINOR_CYCLE_GUARD * small_threshold
@@ -784,10 +763,9 @@ def main_algorithm(
         raise ConfigError("max_rescalings must be at least 0")
     loops = budget if max_rescalings is None else min(budget, max_rescalings)
     state = RescalingState(instance.m)
-    mu = 1.0 / math.sqrt(3.0 * state.m)
     counters = SolveCounters()
     for _ in range(loops):
-        result = basic_procedure(instance, state, mu)
+        result = basic_procedure(instance, state)
         counters.bp_calls += 1
         counters.bp_iterations += result.iterations
         counters.oracle_calls += result.oracle_calls
@@ -803,7 +781,10 @@ def main_algorithm(
                                 counters, report)
         if result.status == "dual":
             cc = result.combination
-            pairs = [(e.witnessed, u) for e, u in _unscaled_weights(cc)]
+            # map the weights back through the rescaling: x_t / ||M^T a_t||
+            pairs = [(e.witnessed, x / e.scale_norm)
+                     for e, x in zip(cc.entries, cc.weights.tolist())
+                     if x > 0.0]
             report = certify.verify_p_certificate(instance, pairs)
             if not report.accepted:
                 raise OracleInconsistency(

@@ -7,6 +7,7 @@ per-contraction invariants without the solver carrying any
 instrumentation of its own.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,12 +72,14 @@ class SolveProbe:
     * ``largest_support``: the most terms a ``ConvexCombination`` held
       after any ``add_term`` call;
     * ``contractions``: ``(||z||, mu, x_h)`` for each inner run that ended
-      ``small_aggregate``, with ``x_h`` its heaviest weight;
+      ``small_aggregate``, with ``mu = 1/sqrt(3m)`` the threshold the run
+      derives for itself and ``x_h`` its heaviest weight;
     * ``rescales``: a copy of each direction ``RescalingState.rescale``
       contracts along;
     * ``cycles``: ``(record, mu, z_norm)`` for each minor cycle that moved
       the weights, with the :class:`Elimination` record of the support
-      after it, the ``mu`` of its inner run and the ``||z||`` it returned.
+      after it, the ``mu`` of its inner run (``1/sqrt(3m)``, as above) and
+      the ``||z||`` it returned.
     """
 
     def __init__(self, monkeypatch):
@@ -89,9 +92,9 @@ class SolveProbe:
         minor_cycle = ConvexCombination.minor_cycle
         add_term = ConvexCombination.add_term
 
-        def recording_basic_procedure(instance, state, mu):
-            self._mu = mu
-            result = basic_procedure(instance, state, mu)
+        def recording_basic_procedure(instance, state):
+            self._mu = mu = 1.0 / math.sqrt(3.0 * instance.m)
+            result = basic_procedure(instance, state)
             self.runs.append(result.iterations)
             if result.status == "small_aggregate":
                 cc = result.combination

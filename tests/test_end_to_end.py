@@ -19,6 +19,7 @@ from prfeas.oracle import (
 )
 from prfeas.solver import (
     ConfigError,
+    OracleInconsistency,
     main_algorithm,
 )
 
@@ -171,6 +172,36 @@ class TestMainAlgorithmOutcomes:
         report = verify_p_certificate(inst, out.weights)
         assert report.accepted
         assert report.residual == out.verification.residual
+
+    def test_unhashable_custom_labels(self):
+        # the support keys its terms by column, so a label may be any
+        # value; list labels cannot be hashed
+        def fn(y):
+            if y[0] > 0.0:
+                return WitnessedColumn(CustomWitness([1]),
+                                       np.array([-1.0, 0.0]))
+            return WitnessedColumn(CustomWitness([0]), np.array([1.0, 0.0]))
+
+        inst = CustomOracle(2, fn)
+        out = main_algorithm(inst, epsilon=1e-2)
+        assert out.status == "dual_certificate"
+        assert sorted(wc.witness.label for wc, _ in out.weights) == [[0], [1]]
+        assert verify_p_certificate(inst, out.weights).accepted
+
+    def test_rejected_reverification_raises(self):
+        # the oracle accepts the first query, then rejects the same
+        # direction when the solver re-verifies it
+        calls = []
+
+        def fn(y):
+            calls.append(y)
+            if len(calls) == 1:
+                return None
+            return WitnessedColumn(CustomWitness("flip"), -y)
+
+        with pytest.raises(OracleInconsistency):
+            main_algorithm(CustomOracle(2, fn), epsilon=1e-2)
+        assert len(calls) == 2
 
 
 class TestSdpScalingInvariance:

@@ -63,7 +63,7 @@ class ListConvexCombination:
         self.entries = []
         self.z = np.zeros(m)
         self.G = None
-        self._by_witness = {}
+        self._by_column = {}
         self._reductions = 0
         self._vacant = None
         self.events = Counter()
@@ -99,7 +99,7 @@ class ListConvexCombination:
             e.weight *= alpha
 
     def add_term(self, witnessed, a_scaled, scale_norm, add_weight):
-        existing = self._by_witness.get(witnessed.witness)
+        existing = self._by_column.get(witnessed.column.tobytes())
         if existing is not None:
             self.events["repeated"] += 1
             existing.weight += add_weight
@@ -107,7 +107,7 @@ class ListConvexCombination:
         term = ListTerm(witnessed, np.asarray(a_scaled, dtype=float).copy(),
                         scale_norm, add_weight)
         self.entries.append(term)
-        self._by_witness[witnessed.witness] = term
+        self._by_column[witnessed.column.tobytes()] = term
         if len(self.entries) > self.m + 1:
             self._reduce()
 
@@ -141,7 +141,7 @@ class ListConvexCombination:
         for j, e in enumerate(self.entries):
             e.weight -= theta * g[j]
         leaving = self.entries[t]
-        del self._by_witness[leaving.witnessed.witness]
+        del self._by_column[leaving.witnessed.column.tobytes()]
         if self.G is None or t == k:
             del self.entries[t]
         else:
@@ -192,8 +192,10 @@ def support_sequence(rng, m, steps=160):
     The first steps lie in a subspace where no m+1 columns are affinely
     independent, so the support reduces by null steps; about one step in
     six repeats an earlier witness (half of them as an equal, distinct
-    witness object); about one in twelve scales the old weights by 1e-17;
-    about one in three asks for a minor cycle after the insertion.
+    witness object), and for m = 1 every column is +-1, so distinct
+    witnesses repeat a column too; about one in twelve scales the old
+    weights by 1e-17; about one in three asks for a minor cycle after the
+    insertion.
     """
     flat = 4 + int(rng.integers(0, 4))
     seen = []
@@ -418,17 +420,24 @@ class TestConvexCombinationElimination:
         assert np.linalg.norm(cc.combination() - cc.z) <= 1e-12
         assert cc.g_residual() <= 1e-8
 
-    def test_rank_deficient_insertions_take_null_steps(self):
-        # all columns on one line: no invertible basis exists, so each
-        # insertion past m+1 terms drops one by a null step, keeping z
-        m = 2
+    def test_equal_columns_merge(self):
+        # two witnesses of one column are one point of the hull: the
+        # first witness keeps the summed weight
+        cc = self.build(2, [("a", [1.0, 0.0], 0.25), ("b", [1.0, 0.0], 0.75)])
+        assert self.weights_by_label(cc) == {"a": 1.0}
+        assert_allclose(cc.z, cc.combination(), atol=0)
+
+    def test_rank_deficient_insertions_take_null_steps(self, solve_probe):
+        # distinct unit columns in the e1-e2 plane: no invertible basis
+        # exists, so each insertion past m+1 terms drops one by a null
+        # step, keeping z
+        m = 3
+        columns = [[math.cos(t), math.sin(t), 0.0] for t in
+                   (0.0, math.pi, math.pi / 2, 3 * math.pi / 2,
+                    math.pi / 4, 5 * math.pi / 4)] + [[0.0, 0.0, 1.0]]
         cc = ConvexCombination(m)
-        for i, (label, vec) in enumerate([("a", [1.0, 0.0]),
-                                          ("b", [-1.0, 0.0]),
-                                          ("c", [1.0, 0.0]),
-                                          ("e", [-1.0, 0.0]),
-                                          ("f", [0.0, 1.0])]):
-            wc, v, _ = term(label, vec, 0.0)
+        for i, vec in enumerate(columns):
+            wc, v, _ = term(i, vec, 0.0)
             if i == 0:
                 cc.add_term(wc, v, 1.0, 1.0)
                 cc.z = v.copy()
@@ -440,7 +449,9 @@ class TestConvexCombinationElimination:
             assert len(cc.entries) <= m + 1
             assert cc.weight_sum() == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.norm(cc.combination() - cc.z) <= 1e-12
-        assert_allclose(cc.z, np.array([0.0, 0.2]), atol=1e-12)
+        # the six plane columns sum to zero
+        assert_allclose(cc.z, np.array([0.0, 0.0, 1.0 / 7.0]), atol=1e-12)
+        assert any(rec.null_step for rec in solve_probe.eliminations)
 
     def test_random_stress_keeps_invariants(self, solve_probe):
         rng = np.random.default_rng(5)
@@ -529,20 +540,15 @@ class TestBasicProcedure:
     def test_immediate_feasible(self):
         inst = FiniteLp(np.eye(2))
         state = RescalingState(2)
-        res = basic_procedure(inst, state, mu=1.0 / math.sqrt(6.0))
+        res = basic_procedure(inst, state)
         assert res.status == "feasible"
         assert_allclose(res.y_scaled, np.array([1.0, 1.0]), atol=0)
         assert res.iterations == 0
 
-    @pytest.mark.parametrize("mu", [0.0, -1.0])
-    def test_nonpositive_mu_rejected(self, mu):
-        with pytest.raises(ConfigError):
-            basic_procedure(FiniteLp(np.eye(2)), RescalingState(2), mu)
-
     def test_antipodal_columns_give_dual(self):
         inst = FiniteLp(np.array([[1.0, -1.0], [0.0, 0.0]]))
         state = RescalingState(2)
-        res = basic_procedure(inst, state, mu=1.0 / math.sqrt(6.0))
+        res = basic_procedure(inst, state)
         assert res.status == "dual"
         cc = res.combination
         weights = {e.witnessed.witness: x
@@ -553,8 +559,7 @@ class TestBasicProcedure:
     def test_terminates_within_bound_on_thin_instance(self, solve_probe):
         inst = FiniteLp(np.array([[1.0, -1.0], [1e-3, 1e-3]]))
         state = RescalingState(2)
-        res = prfeas.solver.basic_procedure(inst, state,
-                                            mu=1.0 / math.sqrt(6.0))
+        res = prfeas.solver.basic_procedure(inst, state)
         assert res.status in ("feasible", "dual", "small_aggregate")
         assert res.iterations <= 54  # ceil((m+1)^2 / mu^2) with m = 2
         assert solve_probe.runs == [res.iterations]
@@ -564,8 +569,7 @@ class TestBasicProcedure:
         # lambda_min = 1e-7 of diag(1e6, 1e-7) lies inside the Sdp oracle's
         # band, so its column's margin equals ||z||^2 = 1 and cuts nothing
         inst = Sdp(np.array([np.diag([1e6, 1e-7])]))
-        res = basic_procedure(inst, RescalingState(1),
-                              mu=1.0 / math.sqrt(3.0))
+        res = basic_procedure(inst, RescalingState(1))
         assert res.status == "stalled"
         assert res.iterations == 1 and res.oracle_calls == 2
 
@@ -579,7 +583,7 @@ class TestBasicProcedure:
             cols[:, j] += 0.05 * y_star
         inst = FiniteLp(cols)
         state = RescalingState(4)
-        basic_procedure(inst, state, mu=1.0 / math.sqrt(12.0))
+        basic_procedure(inst, state)
         steps = solve_probe.steps
         assert steps
         for before, after in steps:
@@ -614,7 +618,7 @@ class TestDeepestCut:
 
         monkeypatch.setattr(state, "apply", recording_apply)
         monkeypatch.setattr(prfeas.solver, "query", recording_query)
-        basic_procedure(inst, state, mu=1.0 / math.sqrt(3.0 * m))
+        basic_procedure(inst, state)
         assert len(picks) == len(points) > 3
         for z, w in zip(points, picks):
             if w is not None:
