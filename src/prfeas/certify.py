@@ -114,7 +114,10 @@ def verify_d_solution(instance: ProblemInstance, y: np.ndarray) -> VerificationR
 
     A margin of exactly zero, or one that is not a number, counts as a
     violation.  A reported margin that is not finite at ``y`` is taken at
-    ``y`` scaled by a power of two to below unit norm instead.
+    ``y`` scaled by a power of two to below unit norm instead.  The
+    violation of a rejected ``y`` is reported as at most 0: a margin that
+    comes out positive is rounding (or inside the oracle's tolerance
+    band) on a true margin of about 0, and reads as 0.
     """
     y = np.asarray(y, dtype=float)
     w = query(instance, y)
@@ -134,6 +137,7 @@ def verify_d_solution(instance: ProblemInstance, y: np.ndarray) -> VerificationR
     violation = float(w.column @ y)
     if not math.isfinite(violation):
         violation = float(w.column @ _unit_scaled(y))
+    violation = min(violation, 0.0)
     return VerificationReport(
         kind="d",
         accepted=False,

@@ -21,8 +21,12 @@ Built-in instance kinds, each with the violated constraint it selects:
   eigenvector, the most violated unit ``v``.
 * :class:`Socp` -- ``A^T y`` interior to a product of second-order cones;
   witnesses are block-supported cone vectors and the column is ``A v``.
-  The query returns the first violated block, found in one array pass
-  over all blocks (:meth:`Socp.tail_norms`).
+  The query returns the deepest violated block, ``argmin_b margin_b /
+  ||A v_b||`` for the witness ``v_b`` of block ``b`` (lowest index on
+  ties), scored for every block in one array pass over the block Gram
+  entries of ``A`` (:meth:`Socp.cut_depths`).  The solver passes those
+  of ``M^T A`` instead, which makes the pick the deepest cut at the
+  rescaled point, as for a FiniteLp.
 * :class:`CustomOracle` -- user callback, re-checked at every query.
 
 Boundary convention: ``a_t^T y = 0`` counts as a violation, so ``None`` means
@@ -258,12 +262,26 @@ class Socp:
     ``A`` is (m, n); ``blocks`` partitions the n coordinates of x into
     consecutive cones of positive integer sizes.  Within each block
     ``(x0, xt)`` feasibility means ``x0 > ||xt||``.  ``starts`` holds the
-    index of each block's leading coordinate ``x0``.
+    index of each block's leading coordinate ``x0``, and ``gram`` the
+    block Gram data of ``A`` itself (:meth:`block_gram`), the scales
+    :func:`socp_query` ranks the violated blocks by unless it is given
+    those of a rescaled ``M^T A``.
     """
 
     A: np.ndarray
     blocks: tuple[int, ...]
     starts: np.ndarray = field(init=False, repr=False)
+    gram: np.ndarray = field(init=False, repr=False)
+    # the block of each coordinate; for each offset d, the coordinates i
+    # whose i + d lies in the same block of at most m + 1 coordinates; the
+    # (i, j, block) of every such pair, in that order; the wider blocks,
+    # their columns, and the offsets of those blocks within their columns
+    _owner: np.ndarray = field(init=False, repr=False)
+    _diagonals: tuple = field(init=False, repr=False)
+    _pairs: np.ndarray = field(init=False, repr=False)
+    _wide: np.ndarray = field(init=False, repr=False)
+    _wide_cols: np.ndarray = field(init=False, repr=False)
+    _wide_offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         A = np.asarray(self.A, dtype=float)
@@ -276,10 +294,29 @@ class Socp:
             raise ValueError("blocks must be positive sizes")
         if sum(blocks) != A.shape[1]:
             raise ValueError("block sizes must sum to the column count of A")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "starts",
-                           np.cumsum((0,) + blocks[:-1], dtype=np.intp))
+        starts = np.cumsum((0,) + blocks[:-1], dtype=np.intp)
+        sizes = np.array(blocks, dtype=np.intp)
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        wide = sizes > A.shape[0] + 1
+        # coordinates from i to the end of its block, none in a wide block
+        ends = np.where(wide, 0, starts + sizes)
+        reach = ends[owner] - np.arange(A.shape[1])
+        diagonals = tuple(np.flatnonzero(reach > d)
+                          for d in range(int(reach.max())))
+        rows = np.concatenate(diagonals + (np.empty(0, np.intp),))
+        cols = rows + np.repeat(np.arange(len(diagonals)),
+                                [i.size for i in diagonals])
+        fields = {
+            "A": A, "blocks": blocks, "starts": starts, "_owner": owner,
+            "_diagonals": diagonals,
+            "_pairs": np.stack([rows, cols, owner[rows]]),
+            "_wide": np.flatnonzero(wide),
+            "_wide_cols": np.flatnonzero(wide[owner]),
+            "_wide_offsets": np.cumsum(sizes[wide]) - sizes[wide],
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "gram", self.block_gram(A))
 
     @property
     def m(self) -> int:
@@ -309,6 +346,68 @@ class Socp:
         # reduceat sums sq[starts[b]:starts[b+1]]; an empty block would get
         # sq[starts[b]] instead of 0, which __post_init__ rules out
         return np.sqrt(np.add.reduceat(sq, self.starts))
+
+    def block_gram(self, C: np.ndarray) -> np.ndarray:
+        """The data that gives ``||C_b v_b||`` for every block ``b`` of an
+        (m, n) matrix ``C`` (``M^T A`` for a rescaling map ``M``).
+
+        Each block's columns are first multiplied by ``2^-e_b``, the power
+        of two that brings their largest entry into [1/2, 1) (never by
+        more than ``2^1000``), so no product below can overflow.  The
+        result holds, one after the other:
+
+        * the factors ``2^-e_b``, one per block;
+        * for the blocks of at most ``m + 1`` coordinates, their Gram
+          entries ``(C^T C)_{ij}``, ``i <= j`` in one block, those off the
+          diagonal doubled (exactly), in the order of ``_pairs``: offset
+          ``d = j - i`` by offset, each from one product of ``C`` with
+          itself shifted by ``d`` columns;
+        * the columns of the wider blocks, an (m, k) array raveled: they
+          hold the same quadratic form in ``m s`` numbers instead of
+          ``s^2``.
+
+        Powers of two are exact, so a block scaled by one gives the same
+        Gram entries bit for bit.
+        """
+        peak = np.maximum.reduceat(np.max(np.abs(C), axis=0), self.starts)
+        exps = np.maximum(np.frexp(peak)[1], -1000)
+        C = np.ldexp(C, -exps[self._owner])
+        parts = [np.ldexp(1.0, -exps)]
+        for d, rows in enumerate(self._diagonals):
+            gram = np.einsum("ki,ki->i", C[:, : self.n - d], C[:, d:])[rows]
+            parts.append(gram if d == 0 else 2.0 * gram)
+        parts.append(C[:, self._wide_cols].ravel())
+        return np.concatenate(parts)
+
+    def cut_depths(self, x: np.ndarray, tails: np.ndarray,
+                   gram: np.ndarray) -> np.ndarray:
+        """``margin_b / ||C v_b||`` for every block, from one pass over the
+        block Gram data ``gram`` of ``C`` (:meth:`block_gram`).
+
+        ``tails`` are the :meth:`tail_norms` of ``x = A^T y``, ``margin_b =
+        x0_b - ||xt_b||`` and ``v_b = (1, -xt_b/||xt_b||)``, or ``(1, 0,
+        ...)`` for a zero tail.  ``||C v_b||^2 = sum_{i,j} v_i v_j (C^T
+        C)_{ij}`` is summed over each block's Gram entries ``i <= j`` by
+        one ``bincount``; a wide block's ``C_b v_b`` is formed from its
+        columns.  A block whose norm is zero (its column vanishes, which
+        alone certifies the alternative) or not a number gets ``-inf``.
+        """
+        nb = len(self.blocks)
+        inv = np.divide(-1.0, tails, out=np.zeros(nb), where=tails > 0.0)
+        v = x * inv[self._owner]
+        v[self.starts] = 1.0
+        rows, cols, owner = self._pairs
+        entries = gram[nb : nb + rows.size]
+        sq = np.bincount(owner, v[rows] * v[cols] * entries, minlength=nb)
+        if self._wide.size:
+            Cw = gram[nb + rows.size :].reshape(self.m, -1)
+            Cv = np.add.reduceat(Cw * v[self._wide_cols], self._wide_offsets,
+                                 axis=1)
+            sq[self._wide] = np.einsum("kb,kb->b", Cv, Cv)
+        norms = np.sqrt(np.maximum(sq, 0.0))
+        margins = (x[self.starts] - tails) * gram[:nb]
+        return np.divide(margins, norms, out=np.full(nb, -np.inf),
+                         where=norms > 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,22 +506,38 @@ def sdp_query(instance: Sdp, y: np.ndarray) -> WitnessedColumn | None:
     return WitnessedColumn(SdpVector(tuple(v.tolist())), column)
 
 
-def socp_query(instance: Socp, y: np.ndarray) -> WitnessedColumn | None:
-    """Check every cone block of x = A^T y; witness the first violated one.
+def socp_query(instance: Socp, y: np.ndarray,
+               scales: np.ndarray | None = None) -> WitnessedColumn | None:
+    """Check every cone block of x = A^T y; witness the deepest violated one.
 
-    All tail norms come from one :meth:`Socp.tail_norms` pass, and the
-    first block with ``x0 <= ||xt||`` is taken.  Its witness vector
-    carries ``(1, -xt/||xt||)`` on that block (or ``(1, 0, ...)`` when
-    ``xt = 0``), with ``||xt||`` recomputed by ``np.linalg.norm``, and
-    zeros on every other block; its column is ``A v``, with value
-    ``v^T x = x0 - ||xt||  <= 0``.
+    All tail norms come from one :meth:`Socp.tail_norms` pass.  Among the
+    blocks with ``x0 <= ||xt||`` this picks the argmin of ``margin_b /
+    ||C v_b||`` (:meth:`Socp.cut_depths`), taking the lowest index on
+    ties.  ``scales`` is the block Gram data of ``C`` (:meth:`Socp.
+    block_gram`) and defaults to ``instance.gram``, that of ``C = A``.
+    A depth that is not a number (its margin overflowed) ranks first.
+
+    The witness vector carries ``(1, -xt/||xt||)`` on the picked block (or
+    ``(1, 0, ...)`` when ``xt = 0``), with ``||xt||`` recomputed by
+    ``np.linalg.norm``, and zeros on every other block; its column is
+    ``A v``, with value ``v^T x = x0 - ||xt||  <= 0``.
     """
     y = _checked_direction(y, instance.m)
+    if scales is None:
+        scales = instance.gram
+    else:
+        scales = np.asarray(scales, dtype=float)
+        if scales.shape != instance.gram.shape:
+            raise InvalidQuery(
+                f"scales must have shape {instance.gram.shape}")
     x = instance.A.T @ y
-    bad = np.flatnonzero(x[instance.starts] <= instance.tail_norms(x))
-    if bad.size == 0:
+    tails = instance.tail_norms(x)
+    violated = x[instance.starts] <= tails
+    if not violated.any():
         return None
-    sl = instance.block_slice(int(bad[0]))
+    depths = instance.cut_depths(x, tails, scales)
+    depths[~violated] = np.inf
+    sl = instance.block_slice(int(np.argmin(depths)))
     tail = x[sl.start + 1 : sl.stop]
     tail_norm = float(np.linalg.norm(tail))
     v = np.zeros(instance.n)
@@ -438,29 +553,31 @@ def query(instance: ProblemInstance, y: np.ndarray,
 
     Returns ``None`` when ``y`` is strictly feasible for the instance,
     otherwise a sound :class:`WitnessedColumn`.  ``scales`` are the column
-    scales of :func:`lp_query`; only a FiniteLp accepts them.
+    scales of :func:`lp_query` for a FiniteLp, or the block Gram data of
+    :func:`socp_query` for a Socp; no other instance accepts them.
 
     Raises
     ------
     InvalidQuery
-        If ``y`` is zero, non-finite, or mis-shaped, or ``scales`` is given
-        for an instance that is not a FiniteLp.
+        If ``y`` is zero, non-finite, or mis-shaped, or ``scales`` is
+        mis-shaped or given for an instance that is neither a FiniteLp nor
+        a Socp.
     OracleContractViolation
         If the (custom) oracle's answer fails the separation check.
     """
     band = 0.0
     if isinstance(instance, FiniteLp):
         w = lp_query(instance, y, scales)
+    elif isinstance(instance, Socp):
+        w = socp_query(instance, y, scales)
     elif scales is not None:
-        raise InvalidQuery("column scales apply to FiniteLp instances only")
+        raise InvalidQuery("scales apply to FiniteLp and Socp instances only")
     elif isinstance(instance, Sdp):
         w = sdp_query(instance, y)
         if w is not None:
             # sdp_query rejects lambda_min(X) = c^T y up to this band
             band = _sdp_band(
                 y @ np.diagonal(instance.matrices, axis1=1, axis2=2))
-    elif isinstance(instance, Socp):
-        w = socp_query(instance, y)
     elif isinstance(instance, CustomOracle):
         y = _checked_direction(y, instance.m)
         w = instance.fn(y)

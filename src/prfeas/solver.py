@@ -52,6 +52,7 @@ from .oracle import (
     CustomWitness,
     FiniteLp,
     ProblemInstance,
+    Socp,
     Witness,
     WitnessedColumn,
     column_norms,
@@ -611,7 +612,10 @@ def basic_procedure(
       scales ``||M^T a_t||`` are computed once per call (once per
       rescaling) and passed to the query;
     * Sdp: the eigenvector of ``lambda_min(sum_i y_i A_i)``;
-    * Socp: the first violated cone block;
+    * Socp: the violated cone block minimizing ``z^T c_b / ||c_b||`` for
+      its rescaled column ``c_b = M^T A v_b``; once ``state.s > 0`` the
+      block Gram entries of ``M^T A`` are computed once per call and
+      passed to the query (:meth:`Socp.block_gram`);
     * CustomOracle: whatever violated column the callback returns.
 
     When ``||z|| <= mu/(m+1)`` the run returns ``dual`` if the exact
@@ -646,9 +650,12 @@ def basic_procedure(
     bound = math.ceil((m + 1) ** 2 / mu**2) + 1
     small_threshold = mu / (m + 1)
     cycle_floor = MINOR_CYCLE_GUARD * small_threshold
-    # at s = 0 the scales are the instance's own column norms, the default
-    scales = state.column_norms(instance.columns) \
-        if isinstance(instance, FiniteLp) and state.s > 0 else None
+    # at s = 0 the scales are the instance's own, the default
+    scales = None
+    if state.s > 0 and isinstance(instance, FiniteLp):
+        scales = state.column_norms(instance.columns)
+    elif state.s > 0 and isinstance(instance, Socp):
+        scales = instance.block_gram(state.M.T @ instance.A)
     y = np.ones(m)
     cc = ConvexCombination(m)
     oracle_calls = iterations = 0

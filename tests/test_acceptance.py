@@ -16,12 +16,10 @@ from prfeas.certify import generate_planted, verify_p_certificate
 from prfeas.cli import main as cli_main
 from prfeas.oracle import (
     CustomOracle,
-    CustomWitness,
     FiniteLp,
     LpIndex,
     Sdp,
     Socp,
-    WitnessedColumn,
     query,
 )
 from prfeas.solver import (
@@ -29,8 +27,7 @@ from prfeas.solver import (
     main_algorithm,
     step_alpha,
 )
-
-TWO_PI = 2.0 * math.pi
+from semicircle import make_semicircle
 
 
 def verdict(capsys, n, ok, detail=""):
@@ -40,39 +37,6 @@ def verdict(capsys, n, ok, detail=""):
     with capsys.disabled():
         print("\n" + line)
     assert ok, line
-
-
-def make_semicircle(include_pi):
-    """Oracle over unit directions (cos t, sin t) for t in a half arc."""
-
-    def in_domain(t):
-        return 0.0 < t <= math.pi if include_pi else 0.0 < t < math.pi
-
-    def fn(y):
-        y1, y2 = float(y[0]), float(y[1])
-        phi = math.atan2(y2, y1)
-        candidates = [
-            (phi + math.pi) % TWO_PI,
-            (phi + 0.5 * math.pi) % TWO_PI,
-            (phi - 0.5 * math.pi) % TWO_PI,
-        ]
-        if include_pi:
-            candidates.append(math.pi)
-        tol = 1e-14 * (abs(y1) + abs(y2))
-        best = None
-        for t in candidates:
-            if not in_domain(t):
-                continue
-            val = y1 * math.cos(t) + y2 * math.sin(t)
-            if val <= tol and (best is None or val < best[1]):
-                best = (t, val)
-        if best is None:
-            return None
-        t = best[0]
-        return WitnessedColumn(CustomWitness(t),
-                               np.array([math.cos(t), math.sin(t)]))
-
-    return fn
 
 
 def planted_lp_corpus():
@@ -289,11 +253,28 @@ def test_criterion_07_builtin_oracle_agreement(capsys):
                 ok, detail = False, f"socp trial {trial}: missed violation"
                 break
             if w is not None:
+                # the witness sits on the deepest violated block: least
+                # margin_b / ||A v_b|| for v_b = (1, -xt/||xt||)
+                depths = {}
+                for b, sl in enumerate(inst.block_slices()):
+                    if margins[b] > 0.0:
+                        continue
+                    tail = x[sl][1:]
+                    vb = np.concatenate(
+                        [[1.0], -tail / max(np.linalg.norm(tail), 1e-300)])
+                    norm = float(np.linalg.norm(inst.A[:, sl] @ vb))
+                    depths[b] = margins[b] / norm if norm > 0.0 else -np.inf
+                picked = int(np.searchsorted(
+                    inst.starts, np.flatnonzero(np.asarray(w.witness.v))[0],
+                    side="right")) - 1
                 val = float(w.column @ y)
-                first_bad = next(v for v in margins if v <= 0.0)
-                if abs(val - first_bad) > 1e-10 * scale:
+                deepest = min(depths.values(), default=None)
+                tie = 1e-10 * (1.0 + np.linalg.norm(y))
+                if picked not in depths \
+                        or abs(val - margins[picked]) > 1e-10 * scale \
+                        or depths[picked] > deepest + tie:
                     ok, detail = False, \
-                        f"socp trial {trial}: value off by {val - first_bad:.1e}"
+                        f"socp trial {trial}: not the deepest violated block"
                     break
     verdict(capsys, 7, ok, detail or "1500 queries agree with direct checks")
 

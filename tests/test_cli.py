@@ -559,6 +559,9 @@ class TestVerifyCommand:
 
         report = json.loads(out, parse_constant=reject_constant)
         assert report["accepted"] is False
+        # the margin at the unit-scaled y is rounding on a true 0
+        assert report["details"]["violation"] <= 0.0
+        assert report["residual"] <= 0.0
 
     def test_margin_that_overflows_to_infinity_is_reported_finite(
             self, tmp_path, capsys):

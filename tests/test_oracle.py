@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -27,6 +29,7 @@ from prfeas.oracle import (
     witness_from_json,
     witness_to_json,
 )
+from prfeas.solver import main_algorithm
 
 
 class TestFiniteLpQuery:
@@ -260,9 +263,15 @@ class TestSocpQuery:
         assert inst.starts.tolist() == [0, 2]
 
 
-# The per-block loops that socp_query, _accepted_margin and
-# resolve_witness_column ran before the single array pass; the array pass
-# must reproduce them bit for bit.
+# Per-block loops for socp_query, _accepted_margin and
+# resolve_witness_column; the array passes must reproduce them.
+
+#: Two depths this close, relative to ||y||, which bounds every depth
+#: |margin_b / ||A v_b||| = |(A v_b)^T y| / ||A v_b||, count as a tie:
+#: the kernel takes each block's norm from Gram entries, the loop from the
+#: block's column, and the two may round differently.
+DEPTH_TIE_RTOL = 1e-12
+
 
 def loop_slices(instance):
     out, start = [], 0
@@ -272,8 +281,14 @@ def loop_slices(instance):
     return out
 
 
-def loop_socp_query(instance, y):
+def loop_socp_depths(instance, y):
+    """(depth, witnessed column) of every violated block, in block order.
+
+    The depth is ``margin_b / ||A_b v_b||``, with the norm taken from the
+    block's own columns, and ``-inf`` when that column vanishes.
+    """
     x = instance.A.T @ y
+    out = []
     for sl in loop_slices(instance):
         xb = x[sl]
         x0 = xb[0]
@@ -285,9 +300,37 @@ def loop_socp_query(instance, y):
         v[sl.start] = 1.0
         if tail_norm > 0.0:
             v[sl.start + 1 : sl.stop] = -tail / tail_norm
-        return WitnessedColumn(SocpVector(tuple(float(t) for t in v)),
-                               instance.A @ v)
-    return None
+        norm = float(np.linalg.norm(instance.A[:, sl] @ v[sl]))
+        depth = (x0 - tail_norm) / norm if norm > 0.0 else -np.inf
+        out.append((depth, WitnessedColumn(
+            SocpVector(tuple(float(t) for t in v)), instance.A @ v)))
+    return out
+
+
+def loop_socp_query(instance, y):
+    """The deepest violated block, lowest index on ties."""
+    depths = loop_socp_depths(instance, y)
+    if not depths:
+        return None
+    return min(depths, key=lambda d: d[0])[1]
+
+
+def assert_matches_loop(inst, y, w):
+    """``w`` is the loop's pick, bit for bit, or a block whose loop depth
+    ties the deepest within ``DEPTH_TIE_RTOL``."""
+    depths = loop_socp_depths(inst, y)
+    assert (w is None) == (not depths)
+    if w is None:
+        return
+    best, ref = min(depths, key=lambda d: d[0])
+    if w.witness != ref.witness:
+        mine = [d for d, r in depths if r.witness == w.witness]
+        assert len(mine) == 1
+        assert abs(mine[0] - best) <= DEPTH_TIE_RTOL * np.linalg.norm(y)
+        return
+    assert np.asarray(w.witness.v).tobytes() == \
+        np.asarray(ref.witness.v).tobytes()
+    assert w.column.tobytes() == ref.column.tobytes()
 
 
 def loop_accepted_margin(instance, y):
@@ -348,13 +391,7 @@ class TestSocpKernelMatchesLoop:
         ys = [np.eye(inst.m)[0]] + [rng.standard_normal(inst.m)
                                     for _ in range(5)]
         for y in ys:
-            w, ref = socp_query(inst, y), loop_socp_query(inst, y)
-            assert (w is None) == (ref is None)
-            if w is not None:
-                assert w.witness == ref.witness
-                assert np.asarray(w.witness.v).tobytes() == \
-                    np.asarray(ref.witness.v).tobytes()
-                assert w.column.tobytes() == ref.column.tobytes()
+            assert_matches_loop(inst, y, socp_query(inst, y))
             assert _accepted_margin(inst, y) == loop_accepted_margin(inst, y)
 
     def test_boundary_block_is_violated(self):
@@ -411,6 +448,100 @@ class TestSocpKernelMatchesLoop:
             except UnresolvableWitness:
                 accepted = False
             assert accepted == loop_resolves(inst, v)
+
+
+class TestSocpDeepestCut:
+    def test_pick_is_deepest_violated_block(self):
+        # x = (-1, 3 | -1, 1 | 0.5, 2) at y = 1: every block is violated,
+        # with margins -4, -2, -1.5 and depths -4/sqrt(10), -2/sqrt(2) and
+        # -1.5/sqrt(4.25); neither the first block nor the largest margin
+        A = np.array([[-1.0, 0.0, -1.0, 0.0, 0.5, 0.0],
+                      [0.0, 3.0, 0.0, 1.0, 0.0, 2.0]])
+        inst = Socp(A, (2, 2, 2))
+        w = socp_query(inst, np.ones(2))
+        assert w.witness == SocpVector((0.0, 0.0, 1.0, -1.0, 0.0, 0.0))
+        assert_matches_loop(inst, np.ones(2), w)
+        assert query(inst, np.ones(2), inst.gram).witness == w.witness
+        with pytest.raises(InvalidQuery):
+            query(inst, np.ones(2), inst.gram[:-1])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_power_of_two_block_scaling_keeps_the_pick(self, seed):
+        rng = np.random.default_rng(seed)
+        inst = random_socp(rng)
+        k = rng.integers(-3, 4, len(inst.blocks))
+        scaled = Socp(inst.A * np.repeat(np.ldexp(1.0, k), inst.blocks),
+                      inst.blocks)
+        M = np.eye(inst.m)
+        for _ in range(2):
+            a = rng.standard_normal(inst.m)
+            a /= np.linalg.norm(a)
+            M = M @ (np.eye(inst.m) - 0.5 * np.outer(a, a))
+        rescaled = inst.block_gram(M.T @ inst.A)
+        rescaled_scaled = scaled.block_gram(M.T @ scaled.A)
+        for y in [np.eye(inst.m)[0]] + [rng.standard_normal(inst.m)
+                                        for _ in range(5)]:
+            for w, ws in [(socp_query(inst, y), socp_query(scaled, y)),
+                          (socp_query(inst, y, rescaled),
+                           socp_query(scaled, y, rescaled_scaled))]:
+                assert (w is None) == (ws is None)
+                if w is None:
+                    continue
+                assert ws.witness == w.witness
+                b = int(np.searchsorted(inst.starts, np.flatnonzero(
+                    np.asarray(w.witness.v))[0], side="right")) - 1
+                assert ws.column.tobytes() == \
+                    np.ldexp(w.column, k[b]).tobytes()
+
+    def test_vanishing_block_ranks_first(self):
+        # block 0 is violated with a nonzero column; block 1 holds the
+        # column (1, 1) twice, so x = (s, s) and its witness (1, -1) maps
+        # to zero: that block alone is a dual certificate
+        A = np.array([[-1.0, 0.0, 1.0, 1.0], [0.0, 0.5, 1.0, 1.0]])
+        inst = Socp(A, (2, 2))
+        y = np.ones(2)
+        assert len(loop_socp_depths(inst, y)) == 2
+        with np.errstate(divide="raise", invalid="raise"):
+            depths = inst.cut_depths(inst.A.T @ y,
+                                     inst.tail_norms(inst.A.T @ y), inst.gram)
+            w = socp_query(inst, y)
+        assert not np.isnan(depths).any()
+        assert w.witness == SocpVector((0.0, 0.0, 1.0, -1.0))
+        assert not w.column.any()
+        out = main_algorithm(inst, epsilon=1e-6)
+        assert out.status == "dual_certificate"
+        assert out.verification.accepted
+        assert out.weights == [(w.witness, 1.0)]
+
+    def test_entries_near_float_max(self):
+        # x = (3e308, 0 | 3, 4, 0) at y = 1: blocks 1 and 2 are violated,
+        # and the Gram entry of block 0 would overflow unscaled; the
+        # first-violated-block oracle declares epsilon here too
+        A = np.array([[1.5e308, 1e308, 1.0, 3.0, 1.0],
+                      [1.5e308, -1e308, 2.0, 1.0, -1.0]])
+        inst = Socp(A, (1, 1, 3))
+        assert np.all(np.isfinite(inst.gram))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert len(loop_socp_depths(inst, np.ones(2))) == 2
+            out = main_algorithm(inst, epsilon=1e-6)
+        assert out.status == "epsilon_declared"
+
+    def test_wide_block_is_not_gram_expanded(self):
+        # the Gram of the 2,000-coordinate block alone would take 32 MB
+        rng = np.random.default_rng(7)
+        blocks = (3, 2000, 1, 4, 2)
+        A = rng.standard_normal((10, sum(blocks)))
+        ys = [rng.standard_normal(10) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            inst = Socp(A, blocks)
+            picks = [socp_query(inst, y) for y in ys]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        for y, w in zip(ys, picks):
+            assert_matches_loop(inst, y, w)
 
 
 class TestQueryDispatch:

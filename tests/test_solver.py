@@ -624,6 +624,51 @@ class TestDeepestCut:
             if w is not None:
                 assert w.witness == LpIndex(int(np.argmin(z @ a_hat)))
 
+    def test_socp_pick_is_deepest_rescaled_cut(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        inst = generate_planted("socp", 5, 40, 3, "feasible_p")[0]
+        state = RescalingState(inst.m)
+        for _ in range(3):
+            a = rng.standard_normal(inst.m)
+            state.rescale(a / np.linalg.norm(a))
+        M = state.M.copy()
+
+        points, picks = [], []
+        apply, query = state.apply, prfeas.solver.query
+
+        def recording_apply(z):
+            points.append(np.array(z))
+            return apply(z)
+
+        def recording_query(*args):
+            picks.append(query(*args))
+            return picks[-1]
+
+        monkeypatch.setattr(state, "apply", recording_apply)
+        monkeypatch.setattr(prfeas.solver, "query", recording_query)
+        basic_procedure(inst, state)
+        assert len(picks) == len(points) > 3
+        for z, w in zip(points, picks):
+            x = inst.A.T @ (M @ z)
+            depths = {}
+            for b, sl in enumerate(inst.block_slices()):
+                tail = x[sl][1:]
+                norm = np.linalg.norm(tail)
+                if x[sl][0] > norm:
+                    continue
+                v = np.zeros(inst.n)
+                v[sl.start] = 1.0
+                if norm > 0.0:
+                    v[sl.start + 1 : sl.stop] = -tail / norm
+                c = M.T @ (inst.A @ v)
+                depths[b] = z @ c / np.linalg.norm(c)
+            if w is None:
+                assert not depths
+                continue
+            picked = int(np.searchsorted(inst.starts, np.flatnonzero(
+                np.asarray(w.witness.v))[0], side="right")) - 1
+            assert depths[picked] <= min(depths.values()) + 1e-12
+
     def test_column_norms_match_per_column_normalization(self):
         rng = np.random.default_rng(29)
         cols = rng.standard_normal((4, 9))
@@ -653,6 +698,29 @@ class TestDeepestCut:
         assert out.status == "dual_certificate"
         assert verify_p_certificate(inst, out.weights).accepted
         assert out.counters.oracle_calls <= 2 * 85
+
+    def test_socp_feasible_count_guard(self):
+        # planted-d socp m=60 n=1000, seed 106: 178 oracle calls with the
+        # first violated block, 107 with the deepest one
+        inst = generate_planted("socp", 60, 1000, 106, "feasible_d")[0]
+        out = main_algorithm(inst, epsilon=1e-6)
+        assert out.status == "feasible"
+        assert out.counters.oracle_calls <= 120
+
+    @pytest.mark.parametrize("m,n,seed,calls", [
+        # 203 oracle calls with the first violated block, 14 with the
+        # deepest one
+        (5, 40, 104, 20),
+        # 971 oracle calls with the first violated block, 83 with the
+        # deepest one
+        (20, 200, 1, 200),
+    ])
+    def test_socp_dual_count_guard(self, m, n, seed, calls):
+        inst = generate_planted("socp", m, n, seed, "feasible_p")[0]
+        out = main_algorithm(inst, epsilon=1e-6)
+        assert out.status == "dual_certificate"
+        assert verify_p_certificate(inst, out.weights).accepted
+        assert out.counters.oracle_calls <= calls
 
     def test_full_budget_count_guard(self):
         # thin LP m=10 n=200, seed 106: Gaussian columns in the hyperplane
@@ -755,7 +823,8 @@ class TestMinorCycle:
 
         monkeypatch.setattr(prfeas.solver, "inverse_with_factorization",
                             counting_inverse)
-        inst = generate_planted("socp", 20, 200, 105, "feasible_d")[0]
+        # planted-d socp m=60 n=1000, seed 105: 24 cycles, one inversion
+        inst = generate_planted("socp", 60, 1000, 105, "feasible_d")[0]
         assert main_algorithm(inst, epsilon=1e-6).status == "feasible"
         assert len(solve_probe.cycles) >= 15
         assert len(rebuilds) <= 2
