@@ -12,8 +12,9 @@ Built-in instance kinds, each with the violated constraint it selects:
   the most violated column after normalization, ``argmin_t a_t^T y / s_t``
   over the violated ``t`` (lowest index on ties).  The scale ``s_t``
   defaults to ``||a_t||``; the solver passes ``||M^T a_t||`` for its
-  rescaling map ``M``, which makes the pick the deepest cut
-  ``argmin_t z^T (M^T a_t / ||M^T a_t||)`` at the rescaled point ``z``.
+  rescaling map ``M`` (:func:`rescaled_scales`), which makes the pick the
+  deepest cut ``argmin_t z^T (M^T a_t / ||M^T a_t||)`` at the rescaled
+  point ``z``.
 * :class:`Sdp` -- ``sum_i y_i A_i`` positive definite; witnesses are unit
   vectors ``v`` with ``v^T X v <= 0`` and the column is ``(v^T A_i v)_i``.
   One symmetric eigendecomposition of ``X`` answers the query: it decides
@@ -25,8 +26,8 @@ Built-in instance kinds, each with the violated constraint it selects:
   ||A v_b||`` for the witness ``v_b`` of block ``b`` (lowest index on
   ties), scored for every block in one array pass over the block Gram
   entries of ``A`` (:meth:`Socp.cut_depths`).  The solver passes those
-  of ``M^T A`` instead, which makes the pick the deepest cut at the
-  rescaled point, as for a FiniteLp.
+  of ``M^T A`` instead (:func:`rescaled_scales`), which makes the pick
+  the deepest cut at the rescaled point, as for a FiniteLp.
 * :class:`CustomOracle` -- user callback, re-checked at every query.
 
 Boundary convention: ``a_t^T y = 0`` counts as a violation, so ``None`` means
@@ -84,9 +85,10 @@ def vector_norm(v: np.ndarray) -> float:
     """Euclidean norm of ``v`` that does not overflow for finite entries.
 
     Returns ``sqrt(v @ v)``, bit for bit, whenever that square is finite.
-    Only when it overflows and every entry is finite is ``v`` divided by
-    ``max|v|`` before squaring, so vectors with entries near the float
-    maximum keep a finite norm.
+    Only when it overflows and every entry is finite is ``v`` multiplied by
+    the power of two ``2^-e`` that brings ``max|v|`` into [1/2, 1) before
+    squaring, so vectors with entries near the float maximum keep a finite
+    norm, and ``2^k v`` gets exactly ``2^k`` times the norm of ``v``.
     """
     sq = float(v @ v)
     if sq < math.inf:
@@ -94,8 +96,9 @@ def vector_norm(v: np.ndarray) -> float:
     peak = float(np.max(np.abs(v), initial=0.0))
     if not peak < math.inf:
         return math.sqrt(sq)  # an infinite or NaN entry
-    u = v / peak
-    return peak * math.sqrt(u @ u)
+    e = math.frexp(peak)[1]
+    u = np.ldexp(v, -e)
+    return float(np.ldexp(math.sqrt(u @ u), e))
 
 
 def column_norms(X: np.ndarray) -> np.ndarray:
@@ -266,11 +269,20 @@ class Socp:
     block Gram data of ``A`` itself (:meth:`block_gram`), the scales
     :func:`socp_query` ranks the violated blocks by unless it is given
     those of a rescaled ``M^T A``.
+
+    ``scale`` holds, for each coordinate, the power of two ``2^-e_b`` that
+    brings the largest entry of its block's columns of ``A`` into [1/2, 1)
+    (never more than ``2^1000``), fixed once here.  The oracle ranks on
+    ``x = (A^T y) scale`` and :meth:`block_gram` scales every ``C`` by the
+    same factors, so no square or Gram product overflows; a power of two
+    scales a block's margin, tail norm and ``||C v_b||`` exactly alike and
+    changes no pick.
     """
 
     A: np.ndarray
     blocks: tuple[int, ...]
     starts: np.ndarray = field(init=False, repr=False)
+    scale: np.ndarray = field(init=False, repr=False)
     gram: np.ndarray = field(init=False, repr=False)
     # the block of each coordinate; for each offset d, the coordinates i
     # whose i + d lies in the same block of at most m + 1 coordinates; the
@@ -300,6 +312,8 @@ class Socp:
         wide = sizes > A.shape[0] + 1
         # coordinates from i to the end of its block, none in a wide block
         ends = np.where(wide, 0, starts + sizes)
+        peak = np.maximum.reduceat(np.max(np.abs(A), axis=0), starts)
+        exps = np.maximum(np.frexp(peak)[1], -1000)
         reach = ends[owner] - np.arange(A.shape[1])
         diagonals = tuple(np.flatnonzero(reach > d)
                           for d in range(int(reach.max())))
@@ -308,6 +322,7 @@ class Socp:
                                 [i.size for i in diagonals])
         fields = {
             "A": A, "blocks": blocks, "starts": starts, "_owner": owner,
+            "scale": np.ldexp(1.0, -exps)[owner],
             "_diagonals": diagonals,
             "_pairs": np.stack([rows, cols, owner[rows]]),
             "_wide": np.flatnonzero(wide),
@@ -351,12 +366,11 @@ class Socp:
         """The data that gives ``||C_b v_b||`` for every block ``b`` of an
         (m, n) matrix ``C`` (``M^T A`` for a rescaling map ``M``).
 
-        Each block's columns are first multiplied by ``2^-e_b``, the power
-        of two that brings their largest entry into [1/2, 1) (never by
-        more than ``2^1000``), so no product below can overflow.  The
-        result holds, one after the other:
+        ``C`` is first multiplied by ``scale``, the powers of two taken
+        from ``A``.  ``M`` is a product of contractions, so the entries of
+        ``M^T A`` scaled so stay below ``sqrt(m)`` and no product below can
+        overflow.  The result holds, one after the other:
 
-        * the factors ``2^-e_b``, one per block;
         * for the blocks of at most ``m + 1`` coordinates, their Gram
           entries ``(C^T C)_{ij}``, ``i <= j`` in one block, those off the
           diagonal doubled (exactly), in the order of ``_pairs``: offset
@@ -366,13 +380,11 @@ class Socp:
           hold the same quadratic form in ``m s`` numbers instead of
           ``s^2``.
 
-        Powers of two are exact, so a block scaled by one gives the same
-        Gram entries bit for bit.
+        Powers of two are exact, so a block of ``A`` scaled by one gives
+        the same Gram entries bit for bit.
         """
-        peak = np.maximum.reduceat(np.max(np.abs(C), axis=0), self.starts)
-        exps = np.maximum(np.frexp(peak)[1], -1000)
-        C = np.ldexp(C, -exps[self._owner])
-        parts = [np.ldexp(1.0, -exps)]
+        C = C * self.scale
+        parts = []
         for d, rows in enumerate(self._diagonals):
             gram = np.einsum("ki,ki->i", C[:, : self.n - d], C[:, d:])[rows]
             parts.append(gram if d == 0 else 2.0 * gram)
@@ -384,7 +396,8 @@ class Socp:
         """``margin_b / ||C v_b||`` for every block, from one pass over the
         block Gram data ``gram`` of ``C`` (:meth:`block_gram`).
 
-        ``tails`` are the :meth:`tail_norms` of ``x = A^T y``, ``margin_b =
+        ``tails`` are the :meth:`tail_norms` of ``x = (A^T y) scale``, whose
+        factors cancel against those of the Gram data, ``margin_b =
         x0_b - ||xt_b||`` and ``v_b = (1, -xt_b/||xt_b||)``, or ``(1, 0,
         ...)`` for a zero tail.  ``||C v_b||^2 = sum_{i,j} v_i v_j (C^T
         C)_{ij}`` is summed over each block's Gram entries ``i <= j`` by
@@ -397,15 +410,15 @@ class Socp:
         v = x * inv[self._owner]
         v[self.starts] = 1.0
         rows, cols, owner = self._pairs
-        entries = gram[nb : nb + rows.size]
+        entries = gram[: rows.size]
         sq = np.bincount(owner, v[rows] * v[cols] * entries, minlength=nb)
         if self._wide.size:
-            Cw = gram[nb + rows.size :].reshape(self.m, -1)
+            Cw = gram[rows.size :].reshape(self.m, -1)
             Cv = np.add.reduceat(Cw * v[self._wide_cols], self._wide_offsets,
                                  axis=1)
             sq[self._wide] = np.einsum("kb,kb->b", Cv, Cv)
         norms = np.sqrt(np.maximum(sq, 0.0))
-        margins = (x[self.starts] - tails) * gram[:nb]
+        margins = x[self.starts] - tails
         return np.divide(margins, norms, out=np.full(nb, -np.inf),
                          where=norms > 0.0)
 
@@ -510,10 +523,12 @@ def socp_query(instance: Socp, y: np.ndarray,
                scales: np.ndarray | None = None) -> WitnessedColumn | None:
     """Check every cone block of x = A^T y; witness the deepest violated one.
 
-    All tail norms come from one :meth:`Socp.tail_norms` pass.  Among the
-    blocks with ``x0 <= ||xt||`` this picks the argmin of ``margin_b /
-    ||C v_b||`` (:meth:`Socp.cut_depths`), taking the lowest index on
-    ties.  ``scales`` is the block Gram data of ``C`` (:meth:`Socp.
+    Each block of ``x`` is taken times its power of two ``Socp.scale``,
+    which scales its margin and tail norm exactly and keeps their squares
+    finite.  All tail norms come from one :meth:`Socp.tail_norms` pass.
+    Among the blocks with ``x0 <= ||xt||`` this picks the argmin of
+    ``margin_b / ||C v_b||`` (:meth:`Socp.cut_depths`), taking the lowest
+    index on ties.  ``scales`` is the block Gram data of ``C`` (:meth:`Socp.
     block_gram`) and defaults to ``instance.gram``, that of ``C = A``.
     A depth that is not a number (its margin overflowed) ranks first.
 
@@ -530,7 +545,7 @@ def socp_query(instance: Socp, y: np.ndarray,
         if scales.shape != instance.gram.shape:
             raise InvalidQuery(
                 f"scales must have shape {instance.gram.shape}")
-    x = instance.A.T @ y
+    x = (instance.A.T @ y) * instance.scale
     tails = instance.tail_norms(x)
     violated = x[instance.starts] <= tails
     if not violated.any():
@@ -595,6 +610,19 @@ def query(instance: ProblemInstance, y: np.ndarray,
     if w is not None:
         _check_soundness(w, np.asarray(y, dtype=float), band)
     return w
+
+
+def rescaled_scales(instance: ProblemInstance,
+                    M: np.ndarray) -> np.ndarray | None:
+    """The ``scales`` that make :func:`query` pick the deepest cut in the
+    space rescaled by the map ``M``: ``||M^T a_t||`` for every column of a
+    FiniteLp, the block Gram data of ``M^T A`` (:meth:`Socp.block_gram`)
+    for a Socp, and None for every other instance."""
+    if isinstance(instance, FiniteLp):
+        return column_norms(M.T @ instance.columns)
+    if isinstance(instance, Socp):
+        return instance.block_gram(M.T @ instance.A)
+    return None
 
 
 def witness_to_json(w: Witness, column: np.ndarray | None = None) -> dict:

@@ -6,8 +6,9 @@ oracle, between three outcomes:
 * ``feasible`` -- a direction ``y`` with ``a_t^T y > 0`` for every
   constraint, verified by a final oracle query;
 * ``dual_certificate`` -- finitely many positive weights on violated
-  constraints whose columns combine to (numerically) zero, verified against
-  a relative-residual bound;
+  constraints whose columns combine to (numerically) zero, verified once,
+  by ``certify.verify_p_certificate``, inside the inner run that found
+  them;
 * ``epsilon_declared`` -- a certified bound: the set of feasible directions
   inside the unit box is so thin that every m-tuple drawn from it has
   absolute determinant at most epsilon.
@@ -50,13 +51,12 @@ import numpy as np
 from . import certify
 from .oracle import (
     CustomWitness,
-    FiniteLp,
     ProblemInstance,
-    Socp,
     Witness,
     WitnessedColumn,
     column_norms,
     query,
+    rescaled_scales,
     vector_norm,
 )
 
@@ -161,11 +161,6 @@ class RescalingState:
     def apply_transpose(self, a_col: np.ndarray) -> np.ndarray:
         """Return ``M^T a``."""
         return self.M.T @ a_col
-
-    def column_norms(self, columns: np.ndarray) -> np.ndarray:
-        """Return ``||M^T a_t||`` for every column of ``columns`` at once,
-        overflow-safe (:func:`prfeas.oracle.column_norms`)."""
-        return column_norms(self.M.T @ columns)
 
     def normalize(self, a_col: np.ndarray) -> tuple[np.ndarray, float]:
         """Return ``(M^T a / ||M^T a||, ||M^T a||)``.
@@ -511,14 +506,15 @@ class BasicProcedureResult:
     """Outcome of one inner run against a fixed rescaling map.
 
     ``status`` is ``"feasible"`` (``y_scaled`` passes the oracle after
-    mapping through M), ``"dual"`` (the combination's weights certify the
-    alternative system: the exact weights on the support of a small
-    aggregate make it vanish), ``"small_aggregate"`` (||z|| fell below
-    mu/(m+1) and the support holds no certificate; the heaviest term
-    indicates the contraction direction), or ``"stalled"`` (the oracle
-    rejected ``M z`` with a column that does not cut the aggregate, so no
-    step can shrink ``z``).  ``combination`` is empty when the first query
-    is accepted.
+    mapping through M), ``"dual"`` (``certificate`` holds (witnessed
+    column, weight) pairs on the original columns that certify the
+    alternative system, and ``verification`` the accepted
+    ``certify.verify_p_certificate`` report on them), ``"small_aggregate"``
+    (||z|| fell below mu/(m+1) and the support holds no certificate; the
+    heaviest term indicates the contraction direction), or ``"stalled"``
+    (the oracle rejected ``M z`` with a column that does not cut the
+    aggregate, so no step can shrink ``z``).  ``combination`` is the
+    support as the run left it, empty when the first query is accepted.
     """
 
     status: str
@@ -526,38 +522,35 @@ class BasicProcedureResult:
     combination: ConvexCombination
     iterations: int
     oracle_calls: int
+    certificate: list[tuple[WitnessedColumn, float]] | None = None
+    verification: certify.VerificationReport | None = None
 
 
-def _dual_residual(pairs: list[tuple[ActiveTerm, float]]) -> float:
-    """Relative residual of the unscaled positive combination."""
-    num = sum(u * e.witnessed.column for e, u in pairs)
-    den = sum(u * vector_norm(e.witnessed.column) for e, u in pairs)
-    if den == 0.0:
-        return math.inf
-    return vector_norm(num) / den
-
-
-def _reweight_to_dual(cc: ConvexCombination) -> bool:
-    """Replace the weights by a vanishing combination of the support, if any.
+def _reweight_to_dual(
+    instance: ProblemInstance, cc: ConvexCombination,
+) -> tuple[list | None, certify.VerificationReport | None]:
+    """The vanishing combination of the support, if any, as a certificate.
 
     Solves ``[a_hat_1 ... a_hat_k; 1 ... 1] x = e_{m+1}`` by least squares
     over the original normalized columns ``a_hat_t = a_t / ||a_t||``.  When
-    every ``x_t`` is positive, the rescaled weights ``x_t ||M^T a_t|| /
-    ||a_t||``, normalized to sum 1, must pass the zero-aggregate test:
-    rescaled aggregate at most ``ZERO_AGGREGATE_TOL`` and original-space
-    residual at most ``DUAL_RESIDUAL_TOL``.  The latter alone cannot tell
-    a finite certificate from columns that only approach dependence: the
-    closed semicircle's ``(1, 4.4e-16)`` and ``(-1, 1.2e-16)`` give 3e-16
-    there, but mapped through ``M^T`` their combination stays far from
-    zero.
+    every ``x_t`` is positive, the rescaled weights ``w_t = x_t ||M^T
+    a_t|| / ||a_t||``, normalized to sum 1, must leave a rescaled
+    aggregate of at most ``ZERO_AGGREGATE_TOL``; then the weights mapped
+    back to the original columns, ``w_t / ||M^T a_t||``, must pass
+    ``certify.verify_p_certificate``.  That original-space test alone
+    cannot tell a finite certificate from columns that only approach
+    dependence: the closed semicircle's ``(1, 4.4e-16)`` and ``(-1,
+    1.2e-16)`` give a residual of 3e-16 there, but mapped through ``M^T``
+    their combination stays far from zero.  A weight that is not positive
+    and finite makes ``verify_p_certificate`` raise ValueError.
 
     The support has at most ``m + 1`` terms, but they may be affinely
     dependent (SOCP supports on few cone blocks, the degenerate LP); the
     system is then underdetermined and ``lstsq`` returns its minimum-norm
     solution, which can have a negative entry while a positive solution
-    exists, so such a support is not certified here.  Returns True with the
-    new weights and ``z`` written into ``cc``; otherwise ``cc`` is left
-    exactly as it was.
+    exists, so such a support is not certified here.  Returns the accepted
+    (witnessed column, weight) pairs and their report, or ``(None,
+    None)``; ``cc`` is left as it was either way.
     """
     k = len(cc.entries)
     cols = np.column_stack([e.witnessed.column for e in cc.entries])
@@ -567,17 +560,18 @@ def _reweight_to_dual(cc: ConvexCombination) -> bool:
     x = np.linalg.lstsq(np.vstack([cols / norms, np.ones(k)]), rhs,
                         rcond=None)[0]
     if not np.all(x > 0.0):
-        return False
+        return None, None
     w = x * np.array([e.scale_norm for e in cc.entries]) / norms
     w /= w.sum()
     z = np.column_stack([e.a_scaled for e in cc.entries]) @ w
-    pairs = [(e, wt / e.scale_norm) for e, wt in zip(cc.entries, w)]
-    if float(np.linalg.norm(z)) > ZERO_AGGREGATE_TOL or \
-            _dual_residual(pairs) > certify.DUAL_RESIDUAL_TOL:
-        return False
-    cc.weights[:] = w
-    cc.z = z
-    return True
+    if float(np.linalg.norm(z)) > ZERO_AGGREGATE_TOL:
+        return None, None
+    pairs = [(e.witnessed, wt / e.scale_norm)
+             for e, wt in zip(cc.entries, w.tolist())]
+    report = certify.verify_p_certificate(instance, pairs)
+    if not report.accepted:
+        return None, None
+    return pairs, report
 
 
 def basic_procedure(
@@ -608,30 +602,31 @@ def basic_procedure(
     in the rescaled space where that is cheap:
 
     * FiniteLp: the column minimizing ``z^T a_hat_t`` with
-      ``a_hat_t = M^T a_t / ||M^T a_t||``; once ``state.s > 0`` the ``n``
-      scales ``||M^T a_t||`` are computed once per call (once per
-      rescaling) and passed to the query;
+      ``a_hat_t = M^T a_t / ||M^T a_t||``;
     * Sdp: the eigenvector of ``lambda_min(sum_i y_i A_i)``;
     * Socp: the violated cone block minimizing ``z^T c_b / ||c_b||`` for
-      its rescaled column ``c_b = M^T A v_b``; once ``state.s > 0`` the
-      block Gram entries of ``M^T A`` are computed once per call and
-      passed to the query (:meth:`Socp.block_gram`);
+      its rescaled column ``c_b = M^T A v_b``;
     * CustomOracle: whatever violated column the callback returns.
+
+    Once ``state.s > 0`` the FiniteLp and Socp scales are those of the
+    rescaled space, built once per call (once per rescaling) by
+    :func:`prfeas.oracle.rescaled_scales` and passed to every query.
 
     When ``||z|| <= mu/(m+1)`` the run returns ``dual`` if the exact
     weights on the support (:func:`_reweight_to_dual`) pass the
-    zero-aggregate test, in both spaces: rescaled aggregate at most
-    ``ZERO_AGGREGATE_TOL`` and original-space residual at most
-    ``DUAL_RESIDUAL_TOL``.  Only the rescaled test rejects a support that
-    is dependent in the original space to rounding alone, such as the
-    nearly antipodal columns the closed semicircle offers after many
-    contractions.  Otherwise it returns ``small_aggregate`` with the
-    combination untouched.
+    zero-aggregate test in both spaces: rescaled aggregate at most
+    ``ZERO_AGGREGATE_TOL``, then ``certify.verify_p_certificate`` on the
+    original columns, whose report the result carries.  Only the rescaled
+    test rejects a support that is dependent in the original space to
+    rounding alone, such as the nearly antipodal columns the closed
+    semicircle offers after many contractions.  Otherwise it returns
+    ``small_aggregate`` with the combination untouched.
 
     The only other exit that returns ``dual`` is a column that is exactly
     zero (a nonzero cone vector that the instance maps to zero), which
-    ends the run at once with that witness at weight 1: no ``y``
-    satisfies ``0^T y > 0``, so that witness alone is the certificate.
+    ends the run at once with that witness at weight 1, accepted by the
+    same ``verify_p_certificate``: no ``y`` satisfies ``0^T y > 0``, so
+    that witness alone is the certificate.
 
     An oracle may reject a query within a tolerance band, as the Sdp
     oracle does for ``0 < lambda_min(X) <= 1e-12 max diag X``; its column
@@ -651,11 +646,7 @@ def basic_procedure(
     small_threshold = mu / (m + 1)
     cycle_floor = MINOR_CYCLE_GUARD * small_threshold
     # at s = 0 the scales are the instance's own, the default
-    scales = None
-    if state.s > 0 and isinstance(instance, FiniteLp):
-        scales = state.column_norms(instance.columns)
-    elif state.s > 0 and isinstance(instance, Socp):
-        scales = instance.block_gram(state.M.T @ instance.A)
+    scales = rescaled_scales(instance, state.M) if state.s > 0 else None
     y = np.ones(m)
     cc = ConvexCombination(m)
     oracle_calls = iterations = 0
@@ -676,10 +667,10 @@ def basic_procedure(
         except DegenerateColumn:
             if w.column.any():
                 raise
-            cc = ConvexCombination(m)
-            cc.add_term(w, np.zeros(m), 1.0, 1.0)
-            return BasicProcedureResult("dual", None, cc, iterations,
-                                        oracle_calls)
+            pairs = [(w, 1.0)]
+            return BasicProcedureResult(
+                "dual", None, cc, iterations, oracle_calls, pairs,
+                certify.verify_p_certificate(instance, pairs))
         if not cc.entries:
             cc.add_term(w, a_scaled, nrm, 1.0)
             cc.z = a_scaled.copy()
@@ -696,9 +687,10 @@ def basic_procedure(
                 and len(cc.entries) == m + 1:
             z_norm = cc.minor_cycle(z_norm, cycle_floor)
         if z_norm <= small_threshold:
-            status = "dual" if _reweight_to_dual(cc) else "small_aggregate"
+            pairs, report = _reweight_to_dual(instance, cc)
+            status = "small_aggregate" if report is None else "dual"
             return BasicProcedureResult(status, None, cc, iterations,
-                                        oracle_calls)
+                                        oracle_calls, pairs, report)
         y = cc.z
 
 
@@ -754,8 +746,11 @@ def main_algorithm(
     """Decide feasibility, produce a dual certificate, or declare epsilon.
 
     Runs the inner procedure against a growing product of rank-one
-    contractions.  Every returned artifact is re-verified before it is
-    reported; a dual candidate that fails verification never escapes.
+    contractions.  Every returned artifact is verified before it is
+    reported: a feasible ``y`` by a final oracle query here, a dual
+    certificate by the ``verify_p_certificate`` call of the inner run
+    that found it, whose report becomes the outcome's ``verification``;
+    a dual candidate that fails it never leaves that run.
     ``max_rescalings`` (at least 0) caps the contraction budget; the
     declared epsilon is then the one the contractions completed certify.
     A ``stalled`` inner run ends the solve the same way.
@@ -764,6 +759,9 @@ def main_algorithm(
     ------
     ConfigError
         If ``epsilon`` is outside (0, 1) or ``max_rescalings`` is negative.
+    OracleInconsistency
+        If the final query rejects a direction the inner run found
+        feasible.
     """
     budget = rescale_budget(epsilon)
     if max_rescalings is not None and max_rescalings < 0:
@@ -787,20 +785,10 @@ def main_algorithm(
             return SolveOutcome("feasible", y, None, epsilon, budget,
                                 counters, report)
         if result.status == "dual":
-            cc = result.combination
-            # map the weights back through the rescaling: x_t / ||M^T a_t||
-            pairs = [(e.witnessed, x / e.scale_norm)
-                     for e, x in zip(cc.entries, cc.weights.tolist())
-                     if x > 0.0]
-            report = certify.verify_p_certificate(instance, pairs)
-            if not report.accepted:
-                raise OracleInconsistency(
-                    "dual certificate verification rejected the candidate"
-                )
             weights = [(wc if isinstance(wc.witness, CustomWitness)
-                        else wc.witness, u) for wc, u in pairs]
+                        else wc.witness, u) for wc, u in result.certificate]
             return SolveOutcome("dual_certificate", None, weights, epsilon,
-                                budget, counters, report)
+                                budget, counters, result.verification)
         if result.status == "stalled":
             break
         # small aggregate: contract along the heaviest term's direction

@@ -15,6 +15,7 @@ from prfeas.oracle import (
     FiniteLp,
     LpIndex,
     Sdp,
+    Socp,
     WitnessedColumn,
 )
 from prfeas.solver import (
@@ -193,6 +194,46 @@ class TestSdpScalingInvariance:
         assert seen_k == seen
         if out.y is not None:
             assert_array_equal(out_k.y, out.y)
+
+
+class TestSocpScalingInvariance:
+    """Scaling A by 2**k scales every column, margin and Gram entry
+    exactly, and the per-block powers of two that Socp fixes at
+    construction take the factor back out, so no square overflows near
+    the float maximum and the scaled solve repeats the original one."""
+
+    @pytest.mark.parametrize("seed,target,calls", [
+        (1, "feasible_d", 11), (1, "feasible_p", 11),
+        (2, "feasible_d", 14), (2, "feasible_p", 15)])
+    @pytest.mark.parametrize("k", [531, 664, 996])
+    def test_power_of_two_scaling_near_float_max(self, seed, target, calls,
+                                                 k):
+        base, _ = generate_planted("socp", m=5, n=40, seed=seed,
+                                   target=target)
+        out = main_algorithm(base)
+        out_k = main_algorithm(Socp(np.ldexp(base.A, k), base.blocks))
+        assert out.counters.oracle_calls == calls
+        assert out_k.status == out.status
+        assert out_k.counters == out.counters
+        assert out_k.verification.accepted
+        if out.status == "feasible":
+            margin = out.verification.details["min_margin"]
+            assert out_k.verification.details["min_margin"] == \
+                math.ldexp(margin, k)
+
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+        "the witness column (1.5e308, 1.5e308) has a norm above the float "
+        "maximum, so normalize yields a zero a_scaled and the support's "
+        "weights are not finite"))
+    def test_size_one_blocks_near_float_max_give_dual(self):
+        # the same columns as a FiniteLp give a verified 2-atom dual
+        inst = Socp(np.array([[1.5e308, -1.5e308, 1.0],
+                              [1.5e308, -1.5e308, 0.0]]), (1, 1, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = main_algorithm(inst)
+        assert out.status == "dual_certificate"
+        assert len(out.weights) == 2
+        assert verify_p_certificate(inst, out.weights).accepted
 
 
 class TestSemiInfiniteOracles:

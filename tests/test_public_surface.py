@@ -34,3 +34,10 @@ def test_linalg_module_folded_away():
     for module in (prfeas.certify, prfeas.oracle, prfeas.solver):
         for name in ("Singular", "SingularUpdate"):
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_solver_leaves_dual_checks_and_scales_to_their_modules():
+    # certify.verify_p_certificate is the only residual test, and
+    # oracle.rescaled_scales the only builder of rescaled query scales
+    assert not hasattr(prfeas.solver, "_dual_residual")
+    assert not hasattr(prfeas.solver.RescalingState, "column_norms")

@@ -9,12 +9,14 @@ from numpy.testing import assert_allclose
 import prfeas.solver
 from prfeas.certify import generate_planted, verify_p_certificate
 from prfeas.oracle import (
+    CustomOracle,
     CustomWitness,
     FiniteLp,
     LpIndex,
     Sdp,
     SocpVector,
     WitnessedColumn,
+    rescaled_scales,
 )
 from prfeas.solver import (
     G_RECHECK_INTERVAL,
@@ -550,11 +552,10 @@ class TestBasicProcedure:
         state = RescalingState(2)
         res = basic_procedure(inst, state)
         assert res.status == "dual"
-        cc = res.combination
-        weights = {e.witnessed.witness: x
-                   for e, x in zip(cc.entries, cc.weights.tolist())}
+        weights = {wc.witness: x for wc, x in res.certificate}
         assert weights[LpIndex(0)] == pytest.approx(0.5)
         assert weights[LpIndex(1)] == pytest.approx(0.5)
+        assert res.verification.accepted
 
     def test_terminates_within_bound_on_thin_instance(self, solve_probe):
         inst = FiniteLp(np.array([[1.0, -1.0], [1e-3, 1e-3]]))
@@ -671,23 +672,51 @@ class TestDeepestCut:
 
     def test_column_norms_match_per_column_normalization(self):
         rng = np.random.default_rng(29)
-        cols = rng.standard_normal((4, 9))
+        inst = FiniteLp(rng.standard_normal((4, 9)))
         state = RescalingState(4)
         for _ in range(3):
             a = rng.standard_normal(4)
             state.rescale(a / np.linalg.norm(a))
-        expected = [state.normalize(c)[1] for c in cols.T]
-        assert_allclose(state.column_norms(cols), expected, rtol=1e-14)
+        expected = [state.normalize(c)[1] for c in inst.columns.T]
+        assert_allclose(rescaled_scales(inst, state.M), expected, rtol=1e-14)
 
     def test_column_norms_survive_overflowing_squares(self):
         state = RescalingState(2)
         state.rescale(np.array([0.6, 0.8]))
-        cols = np.array([[1e200, 1.0], [1e200, 0.0]])
-        expected = [state.normalize(c)[1] for c in cols.T]
+        # FiniteLp stores these columns times 2^-64, whose squares of
+        # 5.4e180 still overflow
+        inst = FiniteLp(np.array([[1e200, 1.0], [1e200, 0.0]]))
+        expected = [state.normalize(c)[1] for c in inst.columns.T]
         with np.errstate(over="ignore"):
-            norms = state.column_norms(cols)
+            norms = rescaled_scales(inst, state.M)
         assert np.all(np.isfinite(norms))
         assert_allclose(norms, expected, rtol=1e-14)
+
+    def test_rescaled_scales_of_each_instance_kind(self):
+        state = RescalingState(3)
+        state.rescale(np.array([0.6, 0.8, 0.0]))
+        inst = generate_planted("socp", 3, 12, 5)[0]
+        assert rescaled_scales(inst, state.M).tobytes() == \
+            inst.block_gram(state.M.T @ inst.A).tobytes()
+        sdp = Sdp(np.array([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)]))
+        assert rescaled_scales(sdp, state.M) is None
+        custom = CustomOracle(3, lambda y: None)
+        assert rescaled_scales(custom, state.M) is None
+
+    def test_dual_verification_is_the_inner_runs_report(self, monkeypatch):
+        results = []
+        run = prfeas.solver.basic_procedure
+
+        def recording(instance, state):
+            results.append(run(instance, state))
+            return results[-1]
+
+        monkeypatch.setattr(prfeas.solver, "basic_procedure", recording)
+        out = main_algorithm(generate_planted("lp", 5, 50, 1, "feasible_p")[0])
+        assert out.status == "dual_certificate"
+        assert results[-1].status == "dual"
+        assert out.verification is results[-1].verification
+        assert out.verification.accepted
 
     def test_oracle_call_count_guard(self):
         # planted-p LP m=10 n=200, seed 101: the support holds a verified
