@@ -89,18 +89,7 @@ def _accepted_margin(instance: ProblemInstance, y: np.ndarray) -> float | None:
         X = np.tensordot(y, instance.matrices, axes=(0, 0))
         return float(np.min(np.linalg.eigvalsh(X)))
     if isinstance(instance, Socp):
-        # x is scaled per block as the oracle scales it, so no square
-        # overflows; the margins are divided back, exactly, since the
-        # factors are powers of two
-        x = (instance.A.T @ y) * instance.scale
-        f = instance.scale[instance.starts]
-        b = int(np.argmin((x[instance.starts] - instance.tail_norms(x)) / f))
-        # the reported margin takes the block's tail norm from
-        # np.linalg.norm, as the oracle's witness does, so reports keep
-        # their bits whatever order the array pass sums in
-        sl = instance.block_slice(b)
-        return float((x[sl.start] - np.linalg.norm(x[sl.start + 1 : sl.stop]))
-                     / f[b])
+        return instance.min_margin(y)
     return None
 
 

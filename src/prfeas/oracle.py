@@ -84,14 +84,16 @@ OVERFLOW_SCALE = 2.0**-64
 def vector_norm(v: np.ndarray) -> float:
     """Euclidean norm of ``v`` that does not overflow for finite entries.
 
-    Returns ``sqrt(v @ v)``, bit for bit, whenever that square is finite.
-    Only when it overflows and every entry is finite is ``v`` multiplied by
-    the power of two ``2^-e`` that brings ``max|v|`` into [1/2, 1) before
-    squaring, so vectors with entries near the float maximum keep a finite
-    norm, and ``2^k v`` gets exactly ``2^k`` times the norm of ``v``.
+    Returns ``sqrt(v @ v)``, bit for bit, whenever that square is a finite
+    normal float.  Only when it overflows or falls below the normal range
+    and every entry is finite is ``v`` multiplied by the power of two
+    ``2^-e`` that brings ``max|v|`` into [1/2, 1) before squaring, so
+    vectors with entries near the float maximum keep a finite norm, tiny
+    ones an accurate one, and ``2^k v`` gets exactly ``2^k`` times the
+    norm of ``v``.
     """
     sq = float(v @ v)
-    if sq < math.inf:
+    if 2.0**-1022 <= sq < math.inf:
         return math.sqrt(sq)
     peak = float(np.max(np.abs(v), initial=0.0))
     if not peak < math.inf:
@@ -270,19 +272,16 @@ class Socp:
     :func:`socp_query` ranks the violated blocks by unless it is given
     those of a rescaled ``M^T A``.
 
-    ``scale`` holds, for each coordinate, the power of two ``2^-e_b`` that
-    brings the largest entry of its block's columns of ``A`` into [1/2, 1)
-    (never more than ``2^1000``), fixed once here.  The oracle ranks on
-    ``x = (A^T y) scale`` and :meth:`block_gram` scales every ``C`` by the
-    same factors, so no square or Gram product overflows; a power of two
-    scales a block's margin, tail norm and ``||C v_b||`` exactly alike and
-    changes no pick.
+    Blocks are scaled by powers of two taken from their own entries: those
+    of ``C`` in its Gram data, those of ``A^T y`` when a query's squares
+    leave the normal range (:meth:`image`).  So no square or Gram product
+    overflows, and a power of two applied to a block of ``A`` changes no
+    pick.
     """
 
     A: np.ndarray
     blocks: tuple[int, ...]
     starts: np.ndarray = field(init=False, repr=False)
-    scale: np.ndarray = field(init=False, repr=False)
     gram: np.ndarray = field(init=False, repr=False)
     # the block of each coordinate; for each offset d, the coordinates i
     # whose i + d lies in the same block of at most m + 1 coordinates; the
@@ -312,8 +311,6 @@ class Socp:
         wide = sizes > A.shape[0] + 1
         # coordinates from i to the end of its block, none in a wide block
         ends = np.where(wide, 0, starts + sizes)
-        peak = np.maximum.reduceat(np.max(np.abs(A), axis=0), starts)
-        exps = np.maximum(np.frexp(peak)[1], -1000)
         reach = ends[owner] - np.arange(A.shape[1])
         diagonals = tuple(np.flatnonzero(reach > d)
                           for d in range(int(reach.max())))
@@ -322,7 +319,6 @@ class Socp:
                                 [i.size for i in diagonals])
         fields = {
             "A": A, "blocks": blocks, "starts": starts, "_owner": owner,
-            "scale": np.ldexp(1.0, -exps)[owner],
             "_diagonals": diagonals,
             "_pairs": np.stack([rows, cols, owner[rows]]),
             "_wide": np.flatnonzero(wide),
@@ -350,6 +346,43 @@ class Socp:
         start = int(self.starts[b])
         return slice(start, start + self.blocks[b])
 
+    def image(self, y: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``x = A^T y`` as the oracle ranks it, its :meth:`tail_norms`, and
+        one exponent ``e_b`` per block: block ``b`` of this ``x`` is that
+        of ``A^T y`` times ``2^-e_b``, so ``np.ldexp(x0_b - ||xt_b||,
+        e_b)`` is the margin of ``A^T y``, bit for bit while both are
+        normal floats.
+
+        Every ``e_b`` is 0 unless some tail norm is not finite (a square
+        overflowed) or some block has ``|x0_b|`` and ``||xt_b||`` both
+        below ``2^-500`` (its squares may have underflowed).  Then each
+        block of ``x`` is scaled by ``2^-e_b``, the power of two that
+        brings its largest entry into [1/2, 1): no square overflows, and
+        one underflows only for an entry below ``2^-537`` times the
+        block's largest, which changes neither whether the block is
+        violated nor its margin.
+        """
+        x = self.A.T @ y
+        tails = self.tail_norms(x)
+        peak = np.maximum(np.abs(x[self.starts]), tails)
+        if 2.0**-500 < peak.min() <= peak.max() < math.inf:
+            return x, tails, np.zeros(len(self.blocks), int)
+        exps = np.frexp(np.maximum.reduceat(np.abs(x), self.starts))[1]
+        x = np.ldexp(x, -exps[self._owner])
+        return x, self.tail_norms(x), exps
+
+    def min_margin(self, y: np.ndarray) -> float:
+        """The least block margin ``x0_b - ||xt_b||`` of ``x = A^T y``.
+
+        The least block's tail norm is retaken by :func:`vector_norm`, as
+        the oracle's witness takes it, so the value keeps its bits
+        whatever order :meth:`tail_norms` sums in.
+        """
+        x, tails, exps = self.image(y)
+        b = int(np.argmin(np.ldexp(x[self.starts] - tails, exps)))
+        xb = x[self.block_slice(b)]
+        return float(np.ldexp(xb[0] - vector_norm(xb[1:]), exps[b]))
+
     def tail_norms(self, x: np.ndarray) -> np.ndarray:
         """Per-block tail norms ``||xt_b||`` of a length-n vector, in one pass.
 
@@ -366,11 +399,12 @@ class Socp:
         """The data that gives ``||C_b v_b||`` for every block ``b`` of an
         (m, n) matrix ``C`` (``M^T A`` for a rescaling map ``M``).
 
-        ``C`` is first multiplied by ``scale``, the powers of two taken
-        from ``A``.  ``M`` is a product of contractions, so the entries of
-        ``M^T A`` scaled so stay below ``sqrt(m)`` and no product below can
-        overflow.  The result holds, one after the other:
+        Each block's columns are first multiplied by ``2^-e_b``, the power
+        of two that brings their largest entry into [1/2, 1) (never by
+        more than ``2^1000``), so no product below can overflow.  The
+        result holds, one after the other:
 
+        * the factors ``2^-e_b``, one per block;
         * for the blocks of at most ``m + 1`` coordinates, their Gram
           entries ``(C^T C)_{ij}``, ``i <= j`` in one block, those off the
           diagonal doubled (exactly), in the order of ``_pairs``: offset
@@ -380,45 +414,48 @@ class Socp:
           hold the same quadratic form in ``m s`` numbers instead of
           ``s^2``.
 
-        Powers of two are exact, so a block of ``A`` scaled by one gives
-        the same Gram entries bit for bit.
+        Powers of two are exact, so a block scaled by one gives the same
+        Gram entries bit for bit.
         """
-        C = C * self.scale
-        parts = []
+        peak = np.maximum.reduceat(np.max(np.abs(C), axis=0), self.starts)
+        exps = np.maximum(np.frexp(peak)[1], -1000)
+        C = np.ldexp(C, -exps[self._owner])
+        parts = [np.ldexp(1.0, -exps)]
         for d, rows in enumerate(self._diagonals):
             gram = np.einsum("ki,ki->i", C[:, : self.n - d], C[:, d:])[rows]
             parts.append(gram if d == 0 else 2.0 * gram)
         parts.append(C[:, self._wide_cols].ravel())
         return np.concatenate(parts)
 
-    def cut_depths(self, x: np.ndarray, tails: np.ndarray,
+    def cut_depths(self, x: np.ndarray, tails: np.ndarray, exps: np.ndarray,
                    gram: np.ndarray) -> np.ndarray:
         """``margin_b / ||C v_b||`` for every block, from one pass over the
         block Gram data ``gram`` of ``C`` (:meth:`block_gram`).
 
-        ``tails`` are the :meth:`tail_norms` of ``x = (A^T y) scale``, whose
-        factors cancel against those of the Gram data, ``margin_b =
-        x0_b - ||xt_b||`` and ``v_b = (1, -xt_b/||xt_b||)``, or ``(1, 0,
-        ...)`` for a zero tail.  ``||C v_b||^2 = sum_{i,j} v_i v_j (C^T
-        C)_{ij}`` is summed over each block's Gram entries ``i <= j`` by
-        one ``bincount``; a wide block's ``C_b v_b`` is formed from its
-        columns.  A block whose norm is zero (its column vanishes, which
-        alone certifies the alternative) or not a number gets ``-inf``.
+        ``x``, ``tails`` and ``exps`` are the scaled :meth:`image` of ``y``;
+        ``margin_b = x0_b - ||xt_b||`` is taken back to the scale of ``A^T
+        y``, then to that of the Gram data, and ``v_b = (1,
+        -xt_b/||xt_b||)``, or ``(1, 0, ...)`` for a zero tail.  ``||C
+        v_b||^2 = sum_{i,j} v_i v_j (C^T C)_{ij}`` is summed over each
+        block's Gram entries ``i <= j`` by one ``bincount``; a wide
+        block's ``C_b v_b`` is formed from its columns.  A block whose norm
+        is zero (its column vanishes, which alone certifies the
+        alternative) or not a number gets ``-inf``.
         """
         nb = len(self.blocks)
         inv = np.divide(-1.0, tails, out=np.zeros(nb), where=tails > 0.0)
         v = x * inv[self._owner]
         v[self.starts] = 1.0
         rows, cols, owner = self._pairs
-        entries = gram[: rows.size]
+        entries = gram[nb : nb + rows.size]
         sq = np.bincount(owner, v[rows] * v[cols] * entries, minlength=nb)
         if self._wide.size:
-            Cw = gram[rows.size :].reshape(self.m, -1)
+            Cw = gram[nb + rows.size :].reshape(self.m, -1)
             Cv = np.add.reduceat(Cw * v[self._wide_cols], self._wide_offsets,
                                  axis=1)
             sq[self._wide] = np.einsum("kb,kb->b", Cv, Cv)
         norms = np.sqrt(np.maximum(sq, 0.0))
-        margins = x[self.starts] - tails
+        margins = np.ldexp(x[self.starts] - tails, exps) * gram[:nb]
         return np.divide(margins, norms, out=np.full(nb, -np.inf),
                          where=norms > 0.0)
 
@@ -523,18 +560,18 @@ def socp_query(instance: Socp, y: np.ndarray,
                scales: np.ndarray | None = None) -> WitnessedColumn | None:
     """Check every cone block of x = A^T y; witness the deepest violated one.
 
-    Each block of ``x`` is taken times its power of two ``Socp.scale``,
-    which scales its margin and tail norm exactly and keeps their squares
-    finite.  All tail norms come from one :meth:`Socp.tail_norms` pass.
-    Among the blocks with ``x0 <= ||xt||`` this picks the argmin of
-    ``margin_b / ||C v_b||`` (:meth:`Socp.cut_depths`), taking the lowest
-    index on ties.  ``scales`` is the block Gram data of ``C`` (:meth:`Socp.
-    block_gram`) and defaults to ``instance.gram``, that of ``C = A``.
+    ``x`` and its tail norms come from :meth:`Socp.image`, which scales a
+    block by a power of two where its squares would overflow or
+    underflow; that scales its margin and tail norm exactly.  Among the blocks with ``x0 <= ||xt||``
+    this picks the argmin of ``margin_b / ||C v_b||`` (:meth:`Socp.
+    cut_depths`), taking the lowest index on ties.  ``scales`` is the block
+    Gram data of ``C`` (:meth:`Socp.block_gram`) and defaults to
+    ``instance.gram``, that of ``C = A``.
     A depth that is not a number (its margin overflowed) ranks first.
 
     The witness vector carries ``(1, -xt/||xt||)`` on the picked block (or
     ``(1, 0, ...)`` when ``xt = 0``), with ``||xt||`` recomputed by
-    ``np.linalg.norm``, and zeros on every other block; its column is
+    :func:`vector_norm`, and zeros on every other block; its column is
     ``A v``, with value ``v^T x = x0 - ||xt||  <= 0``.
     """
     y = _checked_direction(y, instance.m)
@@ -545,16 +582,15 @@ def socp_query(instance: Socp, y: np.ndarray,
         if scales.shape != instance.gram.shape:
             raise InvalidQuery(
                 f"scales must have shape {instance.gram.shape}")
-    x = (instance.A.T @ y) * instance.scale
-    tails = instance.tail_norms(x)
+    x, tails, exps = instance.image(y)
     violated = x[instance.starts] <= tails
     if not violated.any():
         return None
-    depths = instance.cut_depths(x, tails, scales)
+    depths = instance.cut_depths(x, tails, exps, scales)
     depths[~violated] = np.inf
     sl = instance.block_slice(int(np.argmin(depths)))
     tail = x[sl.start + 1 : sl.stop]
-    tail_norm = float(np.linalg.norm(tail))
+    tail_norm = vector_norm(tail)
     v = np.zeros(instance.n)
     v[sl.start] = 1.0
     if tail_norm > 0.0:

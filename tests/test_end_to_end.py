@@ -198,9 +198,10 @@ class TestSdpScalingInvariance:
 
 class TestSocpScalingInvariance:
     """Scaling A by 2**k scales every column, margin and Gram entry
-    exactly, and the per-block powers of two that Socp fixes at
-    construction take the factor back out, so no square overflows near
-    the float maximum and the scaled solve repeats the original one."""
+    exactly, and the per-block powers of two that Socp takes from A^T y
+    and from its Gram data take the factor back out, so no square
+    overflows near the float maximum and the scaled solve repeats the
+    original one."""
 
     @pytest.mark.parametrize("seed,target,calls", [
         (1, "feasible_d", 11), (1, "feasible_p", 11),

@@ -184,6 +184,13 @@ class TestVectorNorm:
             nrm = vector_norm(np.array([1.5e308, -1.5e308, 0.0]))
         assert nrm == pytest.approx(1.5e308 * math.sqrt(2.0), rel=1e-15)
 
+    def test_tiny_entries_keep_an_accurate_norm(self):
+        # the squares are subnormal: sqrt(v @ v) would be off by ~1e-4
+        v = np.array([3e-165, 4e-165])
+        assert vector_norm(v) == pytest.approx(5e-165, rel=1e-15)
+        assert vector_norm(np.ldexp(v, 600)) == math.ldexp(vector_norm(v), 600)
+        assert vector_norm(np.zeros(3)) == 0.0
+
     def test_non_finite_entries_stay_non_finite(self):
         with np.errstate(over="ignore", invalid="ignore"):
             assert vector_norm(np.array([math.inf, 1.0])) == math.inf

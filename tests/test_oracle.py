@@ -8,6 +8,7 @@ from prfeas.certify import (
     UnresolvableWitness,
     _accepted_margin,
     resolve_witness_column,
+    verify_d_solution,
 )
 from prfeas.oracle import (
     OVERFLOW_SCALE,
@@ -502,8 +503,7 @@ class TestSocpDeepestCut:
         y = np.ones(2)
         assert len(loop_socp_depths(inst, y)) == 2
         with np.errstate(divide="raise", invalid="raise"):
-            depths = inst.cut_depths(inst.A.T @ y,
-                                     inst.tail_norms(inst.A.T @ y), inst.gram)
+            depths = inst.cut_depths(*inst.image(y), inst.gram)
             w = socp_query(inst, y)
         assert not np.isnan(depths).any()
         assert w.witness == SocpVector((0.0, 0.0, 1.0, -1.0))
@@ -525,6 +525,40 @@ class TestSocpDeepestCut:
             assert len(loop_socp_depths(inst, np.ones(2))) == 2
             out = main_algorithm(inst, epsilon=1e-6)
         assert out.status == "epsilon_declared"
+
+    def test_block_scale_follows_x_not_a(self):
+        # x = (1, 2, 0) at y = (0, 1): the block is violated by 1 - 2 = -1,
+        # although its largest entry of A is 1e200; scaled by a power of
+        # two from that entry, the tail's squares would underflow to 0
+        inst = Socp(np.array([[0.0, 0.0, 1e200], [1.0, 2.0, 0.0]]), (3,))
+        y = np.array([0.0, 1.0])
+        w = query(inst, y)
+        assert w is not None
+        assert w.witness == SocpVector((1.0, -1.0, 0.0))
+        assert w.column.tolist() == [0.0, -1.0]
+        report = verify_d_solution(inst, y)
+        assert not report.accepted
+        assert report.residual == -1.0
+
+    def test_tiny_block_beside_a_normal_one_is_violated(self):
+        # x = (1, 0 | 1e-200, 2e-200) at y = 1: block 1 is violated by
+        # -1e-200, but its tail's square underflows to 0 unscaled
+        inst = Socp(np.array([[1.0, 0.0, 1e-200, 2e-200]]), (2, 2))
+        w = query(inst, np.ones(1))
+        assert w is not None
+        assert w.witness == SocpVector((0.0, 0.0, 1.0, -1.0))
+        assert not verify_d_solution(inst, np.ones(1)).accepted
+
+    def test_tiny_tail_gives_a_unit_witness(self):
+        # x = (-1, 3e-170, 4e-170): the tail's squares underflow to 0, so
+        # sqrt(xt @ xt) would read 0 and the witness would lose its tail
+        inst = Socp(np.array([[-1.0, 3e-170, 4e-170]]), (3,))
+        w = query(inst, np.ones(1))
+        v = np.asarray(w.witness.v)
+        assert v[0] == 1.0
+        assert v[1:] == pytest.approx([-0.6, -0.8], rel=1e-15)
+        assert np.linalg.norm(v[1:]) == pytest.approx(1.0, rel=1e-15)
+        resolve_witness_column(inst, w.witness)
 
     def test_wide_block_is_not_gram_expanded(self):
         # the Gram of the 2,000-coordinate block alone would take 32 MB
