@@ -214,6 +214,14 @@ def verify_p_certificate(
     is 0: no ``y`` satisfies ``0^T y > 0``.  A custom witness's column
     never counts as such.
 
+    When the scale ``sum x_t ||a_t||`` overflows, both sums are taken
+    again over the terms ``x_t a_t 2^-E``: each weight is brought into
+    [1/2, 1) by its own power of two and the column takes the rest of
+    ``2^-E``, where ``E`` is the largest exponent of ``x_t max|a_t|``.
+    Powers of two scale exactly, so the residual is that of the weights
+    as given; the report's ``absolute_residual`` and ``scale`` are then
+    those of the scaled terms, and ``scale_exponent`` holds ``E``.
+
     Raises
     ------
     ValueError
@@ -228,17 +236,24 @@ def verify_p_certificate(
             f"certificate has {len(weights)} atoms; at most m+1 = "
             f"{instance.m + 1} allowed"
         )
-    num = np.zeros(instance.m)
-    den = 0.0
+    terms = []
     vanishing = True
     for witness, x in weights:
         if not (x > 0.0 and math.isfinite(x)):
             raise ValueError("certificate weights must be positive and finite")
         resolved, column = resolve_witness_column(instance, witness)
-        num += x * column
-        den += x * vector_norm(column)
+        terms.append((x, column))
         vanishing = vanishing and not column.any() \
             and not isinstance(resolved, CustomWitness)
+    num, den = _combination(terms)
+    details = {}
+    if den == math.inf:
+        f = [math.frexp(x)[1] for x, _ in terms]
+        top = max(e + math.frexp(np.max(np.abs(c)))[1]
+                  for e, (_, c) in zip(f, terms))
+        num, den = _combination([(math.ldexp(x, -e), np.ldexp(c, e - top))
+                                 for e, (x, c) in zip(f, terms)])
+        details["scale_exponent"] = top
     absolute = vector_norm(num)
     if den > 0.0:
         residual = absolute / den
@@ -252,8 +267,15 @@ def verify_p_certificate(
             "absolute_residual": absolute,
             "scale": den,
             "support": len(weights),
+            **details,
         },
     )
+
+
+def _combination(terms: list[tuple[float, np.ndarray]]) -> tuple:
+    """``sum x_t a_t`` and ``sum x_t ||a_t||``, summed in term order."""
+    return (sum(x * c for x, c in terms),
+            sum(x * vector_norm(c) for x, c in terms))
 
 
 # ---------------------------------------------------------------------------

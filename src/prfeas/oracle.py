@@ -75,9 +75,10 @@ SDP_SYMMETRY_TOL = 1e-12
 SDP_DEFINITENESS_TOL = 1e-12
 
 #: Power of two by which a FiniteLp scales its columns when a column norm
-#: overflows.  Scaled entries stay below 2^960, so their norms, and the
-#: margins ``y^T a_t`` of the solver's queries, stay finite; only entries
-#: below about 1e-304 underflow.
+#: overflows, and a Socp each block whose sum of column norms does.
+#: Scaled entries stay below 2^960, so their norms, and the margins
+#: ``y^T a_t`` of the solver's queries, stay finite; only entries below
+#: about 1e-304 underflow.
 OVERFLOW_SCALE = 2.0**-64
 
 
@@ -273,10 +274,18 @@ class Socp:
     those of a rescaled ``M^T A``.
 
     Blocks are scaled by powers of two taken from their own entries: those
-    of ``C`` in its Gram data, those of ``A^T y`` when a query's squares
-    leave the normal range (:meth:`image`).  So no square or Gram product
+    of ``C`` in its Gram data, those of ``A^T y`` when a query's entries
+    could make its squares leave the normal range (:meth:`image`).  So no square or Gram product
     overflows, and a power of two applied to a block of ``A`` changes no
-    pick.
+    pick.  Each block whose sum of column norms ``sum_j ||A e_j||``, a
+    bound on the norm of each of its witness columns ``A v``, overflows
+    is stored multiplied by ``OVERFLOW_SCALE``; the other blocks are kept
+    as given.  A power of two on one cone block changes neither which
+    ``y`` are feasible nor the block's witnesses, only the weight a
+    certificate puts on them: for the blocks as given, the weights on a
+    scaled block's witnesses are multiplied by ``OVERFLOW_SCALE``.  A
+    scaled block must be exact, so one whose entries would round (below
+    about 1e-289) raises ValueError.
     """
 
     A: np.ndarray
@@ -307,6 +316,16 @@ class Socp:
             raise ValueError("block sizes must sum to the column count of A")
         starts = np.cumsum((0,) + blocks[:-1], dtype=np.intp)
         sizes = np.array(blocks, dtype=np.intp)
+        with np.errstate(over="ignore"):  # an overflow is what is sought
+            norms = np.add.reduceat(column_norms(A), starts)
+        over = np.repeat(~(norms < math.inf), sizes)
+        if over.any():
+            scaled = A[:, over] * OVERFLOW_SCALE
+            if not np.array_equal(scaled / OVERFLOW_SCALE, A[:, over]):
+                raise ValueError("a block whose column norms overflow holds "
+                                 "entries too small to scale exactly")
+            A = A.copy()
+            A[:, over] = scaled
         owner = np.repeat(np.arange(sizes.size), sizes)
         wide = sizes > A.shape[0] + 1
         # coordinates from i to the end of its block, none in a wide block
@@ -353,20 +372,22 @@ class Socp:
         e_b)`` is the margin of ``A^T y``, bit for bit while both are
         normal floats.
 
-        Every ``e_b`` is 0 unless some tail norm is not finite (a square
-        overflowed) or some block has ``|x0_b|`` and ``||xt_b||`` both
-        below ``2^-500`` (its squares may have underflowed).  Then each
-        block of ``x`` is scaled by ``2^-e_b``, the power of two that
-        brings its largest entry into [1/2, 1): no square overflows, and
-        one underflows only for an entry below ``2^-537`` times the
-        block's largest, which changes neither whether the block is
-        violated nor its margin.
+        Every ``e_b`` is 0 unless some entry of ``x`` reaches ``2^500``
+        (below that, squares stay under ``2^1000``, so no block of fewer
+        than ``2^24`` coordinates overflows its sum: the range is decided
+        before any square is taken) or some block has ``|x0_b|`` and
+        ``||xt_b||`` both below ``2^-500`` (its squares may have
+        underflowed).  Then each block of ``x`` is scaled by ``2^-e_b``,
+        the power of two that brings its largest entry into [1/2, 1): no
+        square overflows, and one underflows only for an entry below
+        ``2^-537`` times the block's largest, which changes neither
+        whether the block is violated nor its margin.
         """
         x = self.A.T @ y
-        tails = self.tail_norms(x)
-        peak = np.maximum(np.abs(x[self.starts]), tails)
-        if 2.0**-500 < peak.min() <= peak.max() < math.inf:
-            return x, tails, np.zeros(len(self.blocks), int)
+        if np.abs(x).max() < 2.0**500:
+            tails = self.tail_norms(x)
+            if np.maximum(np.abs(x[self.starts]), tails).min() > 2.0**-500:
+                return x, tails, np.zeros(len(self.blocks), int)
         exps = np.frexp(np.maximum.reduceat(np.abs(x), self.starts))[1]
         x = np.ldexp(x, -exps[self._owner])
         return x, self.tail_norms(x), exps

@@ -4,7 +4,8 @@ The solver decides, for a constraint family presented through a separation
 oracle, between three outcomes:
 
 * ``feasible`` -- a direction ``y`` with ``a_t^T y > 0`` for every
-  constraint, verified by a final oracle query;
+  constraint, verified by a final oracle query inside the inner run that
+  found it;
 * ``dual_certificate`` -- finitely many positive weights on violated
   constraints whose columns combine to (numerically) zero, verified once,
   by ``certify.verify_p_certificate``, inside the inner run that found
@@ -505,25 +506,41 @@ class ConvexCombination:
 class BasicProcedureResult:
     """Outcome of one inner run against a fixed rescaling map.
 
-    ``status`` is ``"feasible"`` (``y_scaled`` passes the oracle after
-    mapping through M), ``"dual"`` (``certificate`` holds (witnessed
-    column, weight) pairs on the original columns that certify the
-    alternative system, and ``verification`` the accepted
-    ``certify.verify_p_certificate`` report on them), ``"small_aggregate"``
-    (||z|| fell below mu/(m+1) and the support holds no certificate; the
-    heaviest term indicates the contraction direction), or ``"stalled"``
-    (the oracle rejected ``M z`` with a column that does not cut the
-    aggregate, so no step can shrink ``z``).  ``combination`` is the
-    support as the run left it, empty when the first query is accepted.
+    ``status`` is ``"feasible"`` (``y``, in the original space, passed the
+    oracle, and ``verification`` is the accepted
+    ``certify.verify_d_solution`` report on it), ``"dual"``
+    (``certificate`` holds (witness, weight) pairs on the original columns
+    that certify the alternative system, in the form of
+    :attr:`SolveOutcome.weights`, and ``verification`` the accepted
+    ``certify.verify_p_certificate`` report on them),
+    ``"small_aggregate"`` (||z|| fell below mu/(m+1) and the support holds
+    no certificate; the heaviest term indicates the contraction
+    direction), or ``"stalled"`` (the oracle rejected ``M z`` with a
+    column that does not cut the aggregate, so no step can shrink ``z``).
+    Only a decided run carries a ``verification``.  ``combination`` is
+    the support as the run left it, empty when the first query is
+    accepted.
     """
 
     status: str
-    y_scaled: np.ndarray | None
+    y: np.ndarray | None
     combination: ConvexCombination
     iterations: int
     oracle_calls: int
-    certificate: list[tuple[WitnessedColumn, float]] | None = None
+    certificate: list[tuple[Witness | WitnessedColumn, float]] | None = None
     verification: certify.VerificationReport | None = None
+
+
+def _accepted_dual(
+    instance: ProblemInstance, pairs: list[tuple[WitnessedColumn, float]],
+) -> tuple[list | None, certify.VerificationReport | None]:
+    """``pairs`` in the form of :attr:`SolveOutcome.weights` and their
+    ``certify.verify_p_certificate`` report, or ``(None, None)`` when the
+    report rejects them."""
+    weights = [(wc if isinstance(wc.witness, CustomWitness) else wc.witness,
+                x) for wc, x in pairs]
+    report = certify.verify_p_certificate(instance, weights)
+    return (weights, report) if report.accepted else (None, None)
 
 
 def _reweight_to_dual(
@@ -549,8 +566,8 @@ def _reweight_to_dual(
     system is then underdetermined and ``lstsq`` returns its minimum-norm
     solution, which can have a negative entry while a positive solution
     exists, so such a support is not certified here.  Returns the accepted
-    (witnessed column, weight) pairs and their report, or ``(None,
-    None)``; ``cc`` is left as it was either way.
+    pairs, in the outcome's form (:func:`_accepted_dual`), and their
+    report, or ``(None, None)``; ``cc`` is left as it was either way.
     """
     k = len(cc.entries)
     cols = np.column_stack([e.witnessed.column for e in cc.entries])
@@ -566,12 +583,8 @@ def _reweight_to_dual(
     z = np.column_stack([e.a_scaled for e in cc.entries]) @ w
     if float(np.linalg.norm(z)) > ZERO_AGGREGATE_TOL:
         return None, None
-    pairs = [(e.witnessed, wt / e.scale_norm)
-             for e, wt in zip(cc.entries, w.tolist())]
-    report = certify.verify_p_certificate(instance, pairs)
-    if not report.accepted:
-        return None, None
-    return pairs, report
+    return _accepted_dual(instance, [(e.witnessed, wt / e.scale_norm)
+                                     for e, wt in zip(cc.entries, w.tolist())])
 
 
 def basic_procedure(
@@ -626,7 +639,13 @@ def basic_procedure(
     zero (a nonzero cone vector that the instance maps to zero), which
     ends the run at once with that witness at weight 1, accepted by the
     same ``verify_p_certificate``: no ``y`` satisfies ``0^T y > 0``, so
-    that witness alone is the certificate.
+    that witness alone is the certificate.  Both dual exits hand back
+    the pairs in the form of :attr:`SolveOutcome.weights`.
+
+    A query that the oracle accepts ends the run with that direction,
+    ``y = M z`` in the original space, once ``certify.verify_d_solution``
+    has queried it again; that query counts in the run's
+    ``oracle_calls``, and its report is the run's ``verification``.
 
     An oracle may reject a query within a tolerance band, as the Sdp
     oracle does for ``0 < lambda_min(X) <= 1e-12 max diag X``; its column
@@ -639,6 +658,9 @@ def basic_procedure(
     IterationBoundViolated
         If the loop exceeds its proven bound; indicates an implementation
         defect rather than a property of the instance.
+    OracleInconsistency
+        If ``verify_d_solution`` rejects a direction the oracle accepted,
+        or ``verify_p_certificate`` a zero column the oracle returned.
     """
     m = instance.m
     mu = 1.0 / math.sqrt(3.0 * m)
@@ -647,15 +669,20 @@ def basic_procedure(
     cycle_floor = MINOR_CYCLE_GUARD * small_threshold
     # at s = 0 the scales are the instance's own, the default
     scales = rescaled_scales(instance, state.M) if state.s > 0 else None
-    y = np.ones(m)
+    point = np.ones(m)
     cc = ConvexCombination(m)
     oracle_calls = iterations = 0
     while True:
         oracle_calls += 1
-        w = query(instance, state.apply(y), scales)
+        y = state.apply(point)
+        w = query(instance, y, scales)
         if w is None:
+            oracle_calls += 1
+            report = certify.verify_d_solution(instance, y)
+            if not report.accepted:
+                raise OracleInconsistency("the final query rejected y")
             return BasicProcedureResult("feasible", y, cc, iterations,
-                                        oracle_calls)
+                                        oracle_calls, verification=report)
         if cc.entries:
             iterations += 1
             if iterations > bound:
@@ -667,10 +694,11 @@ def basic_procedure(
         except DegenerateColumn:
             if w.column.any():
                 raise
-            pairs = [(w, 1.0)]
-            return BasicProcedureResult(
-                "dual", None, cc, iterations, oracle_calls, pairs,
-                certify.verify_p_certificate(instance, pairs))
+            pairs, report = _accepted_dual(instance, [(w, 1.0)])
+            if report is None:
+                raise OracleInconsistency("the zero column was rejected")
+            return BasicProcedureResult("dual", None, cc, iterations,
+                                        oracle_calls, pairs, report)
         if not cc.entries:
             cc.add_term(w, a_scaled, nrm, 1.0)
             cc.z = a_scaled.copy()
@@ -691,7 +719,7 @@ def basic_procedure(
             status = "small_aggregate" if report is None else "dual"
             return BasicProcedureResult(status, None, cc, iterations,
                                         oracle_calls, pairs, report)
-        y = cc.z
+        point = cc.z
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +766,10 @@ class SolveOutcome:
     verification: "certify.VerificationReport | None"
 
 
+#: the outcome status of each inner-run status that decides the solve
+_DECIDED = {"feasible": "feasible", "dual": "dual_certificate"}
+
+
 def main_algorithm(
     instance: ProblemInstance,
     epsilon: float = 1e-6,
@@ -746,22 +778,21 @@ def main_algorithm(
     """Decide feasibility, produce a dual certificate, or declare epsilon.
 
     Runs the inner procedure against a growing product of rank-one
-    contractions.  Every returned artifact is verified before it is
-    reported: a feasible ``y`` by a final oracle query here, a dual
-    certificate by the ``verify_p_certificate`` call of the inner run
-    that found it, whose report becomes the outcome's ``verification``;
-    a dual candidate that fails it never leaves that run.
-    ``max_rescalings`` (at least 0) caps the contraction budget; the
-    declared epsilon is then the one the contractions completed certify.
-    A ``stalled`` inner run ends the solve the same way.
+    contractions and stops at the first decided run (``feasible`` or
+    ``dual``), which carries a verification: each run verifies what it
+    returns (:func:`basic_procedure`), a feasible ``y`` by a final oracle
+    query, a dual certificate by ``verify_p_certificate``, and its ``y``
+    or weights and that report become the outcome's.  ``max_rescalings`` (at least 0) caps the
+    contraction budget; the declared epsilon is then the one the
+    contractions completed certify.  A ``stalled`` inner run ends the
+    solve the same way.
 
     Raises
     ------
     ConfigError
         If ``epsilon`` is outside (0, 1) or ``max_rescalings`` is negative.
     OracleInconsistency
-        If the final query rejects a direction the inner run found
-        feasible.
+        If the final query rejects a direction the oracle accepted.
     """
     budget = rescale_budget(epsilon)
     if max_rescalings is not None and max_rescalings < 0:
@@ -774,21 +805,10 @@ def main_algorithm(
         counters.bp_calls += 1
         counters.bp_iterations += result.iterations
         counters.oracle_calls += result.oracle_calls
-        if result.status == "feasible":
-            y = state.apply(result.y_scaled)
-            report = certify.verify_d_solution(instance, y)
-            counters.oracle_calls += 1
-            if not report.accepted:
-                raise OracleInconsistency(
-                    "final feasibility verification rejected the solution"
-                )
-            return SolveOutcome("feasible", y, None, epsilon, budget,
-                                counters, report)
-        if result.status == "dual":
-            weights = [(wc if isinstance(wc.witness, CustomWitness)
-                        else wc.witness, u) for wc, u in result.certificate]
-            return SolveOutcome("dual_certificate", None, weights, epsilon,
-                                budget, counters, result.verification)
+        if result.status in _DECIDED:
+            return SolveOutcome(_DECIDED[result.status], result.y,
+                                result.certificate, epsilon, budget, counters,
+                                result.verification)
         if result.status == "stalled":
             break
         # small aggregate: contract along the heaviest term's direction

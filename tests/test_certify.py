@@ -141,6 +141,41 @@ class TestVerifyPCertificate:
         assert not rep.accepted
         assert rep.residual == pytest.approx(1.0)
 
+    @staticmethod
+    def assert_finite_report(rep):
+        assert math.isfinite(rep.residual)
+        assert all(math.isfinite(v) for v in rep.details.values())
+
+    @pytest.mark.parametrize("inst,x", [
+        (Sdp(np.array([[[1.5e308, 0.0], [0.0, -1.5e308]],
+                       [[1.5e308, 0.0], [0.0, -1.0e308]]])), 1.0),
+        (Socp(np.array([[1e200, -1e200], [1e200, -0.5e200]]), (1, 1)),
+         1e108)])
+    def test_overflowing_scale_still_rejects(self, inst, x):
+        # sum x_t ||a_t|| overflows while sum x_t a_t = (0, 5e307) does
+        # not; a scale of inf would make any combination pass
+        witness = SdpVector if isinstance(inst, Sdp) else SocpVector
+        with np.errstate(over="ignore"):
+            rep = verify_p_certificate(inst, [(witness((1.0, 0.0)), x),
+                                              (witness((0.0, 1.0)), x)])
+        assert not rep.accepted
+        assert rep.residual > 0.1
+        self.assert_finite_report(rep)
+
+    def test_overflowing_scale_keeps_a_cancelling_pair(self):
+        inst = Socp(np.array([[1e200, -1e200]]), (1, 1))
+        weights = [(SocpVector((1.0, 0.0)), 1e108),
+                   (SocpVector((0.0, 1.0)), 1e108)]
+        rep = verify_p_certificate(inst, weights)
+        assert rep.accepted
+        assert rep.residual == 0.0
+        self.assert_finite_report(rep)
+        # the scaled terms are those of the weights 2^-E x_t
+        e = rep.details["scale_exponent"]
+        scaled = [(w, math.ldexp(x, -e)) for w, x in weights]
+        assert verify_p_certificate(inst, scaled).details["scale"] == \
+            rep.details["scale"]
+
     def test_custom_witness_needs_stored_column(self):
         inst = CustomOracle(2, lambda y: None)
         with pytest.raises(UnresolvableWitness):

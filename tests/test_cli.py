@@ -450,6 +450,25 @@ class TestSolveCommand:
         assert code == 0
         assert json.loads(out)["accepted"] is True
 
+    def test_socp_columns_near_float_max_give_dual(self, tmp_path, capsys):
+        # ||(1.5e308, 1.5e308)|| overflows, so A is stored times
+        # OVERFLOW_SCALE; blocks 0 and 1 cancel
+        prob = write_json(tmp_path / "socp_huge.json", {
+            "schema": 1, "type": "socp", "m": 2, "blocks": [1, 1, 1],
+            "A": [[1.5e308, -1.5e308, 1.0], [1.5e308, -1.5e308, 0.0]],
+        })
+        cert = str(tmp_path / "socp_huge.cert.json")
+        code, out = invoke(capsys, "solve", "--input", prob,
+                           "--certificate", cert)
+        report = json.loads(out)
+        assert code == EXIT_DUAL
+        assert len(report["weights"]) == 2
+        assert report["verification"]["accepted"] is True
+        code, out = invoke(capsys, "verify", "--input", prob,
+                           "--certificate", cert)
+        assert code == 0
+        assert json.loads(out)["accepted"] is True
+
     def test_vanishing_socp_block_gives_one_atom_dual(self, tmp_path,
                                                       capsys):
         # A^T y = (5, 3, 4) y lies on the cone's boundary for y > 0, and
@@ -562,6 +581,30 @@ class TestVerifyCommand:
         # the margin at the unit-scaled y is rounding on a true 0
         assert report["details"]["violation"] <= 0.0
         assert report["residual"] <= 0.0
+
+    def test_combination_whose_scale_overflows_is_rejected(self, tmp_path,
+                                                           capsys):
+        # the witnesses e1 and e2 give the columns (1.5e308, 1.5e308) and
+        # (-1.5e308, -1e308): sum x_t ||a_t|| overflows, the sum does not
+        inp = write_json(tmp_path / "p.json", {
+            "schema": 1, "type": "sdp", "m": 2, "n": 2,
+            "matrices": [[[1.5e308, 0], [0, -1.5e308]],
+                         [[1.5e308, 0], [0, -1.0e308]]]})
+        cert = write_json(tmp_path / "c.json", {
+            "schema": 1, "kind": "p", "weights": [
+                {"witness": {"type": "sdp_vector", "v": [1, 0]}, "x": 1},
+                {"witness": {"type": "sdp_vector", "v": [0, 1]}, "x": 1}]})
+        with np.errstate(over="ignore"):
+            code, out = invoke(capsys, "verify", "--input", inp,
+                               "--certificate", cert)
+        assert code == EXIT_REJECTED
+
+        def reject_constant(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        report = json.loads(out, parse_constant=reject_constant)
+        assert report["accepted"] is False
+        assert report["residual"] > 0.1
 
     def test_margin_that_overflows_to_infinity_is_reported_finite(
             self, tmp_path, capsys):

@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import prfeas.certify
 from prfeas import oracle
-from prfeas.certify import generate_planted, verify_p_certificate
+from prfeas.certify import (
+    VerificationReport,
+    generate_planted,
+    verify_d_solution,
+    verify_p_certificate,
+)
 from prfeas.oracle import (
+    OVERFLOW_SCALE,
     CustomOracle,
     CustomWitness,
     FiniteLp,
@@ -160,6 +167,16 @@ class TestMainAlgorithmOutcomes:
             main_algorithm(CustomOracle(2, fn), epsilon=1e-2)
         assert len(calls) == 2
 
+    def test_rejected_zero_column_raises(self, monkeypatch):
+        # x = (5, 3, 4) y lies on the cone's boundary, so the first query
+        # returns a zero column; a verifier that rejects it is an
+        # inconsistency, not a dual
+        rejected = VerificationReport("p", False, math.inf, {})
+        monkeypatch.setattr(prfeas.certify, "verify_p_certificate",
+                            lambda instance, weights: rejected)
+        with pytest.raises(OracleInconsistency):
+            main_algorithm(Socp(np.array([[5.0, 3.0, 4.0]]), (3,)))
+
 
 class TestSdpScalingInvariance:
     """Scaling every matrix by 4**k scales X = sum_i y_i A_i and its
@@ -222,19 +239,37 @@ class TestSocpScalingInvariance:
             assert out_k.verification.details["min_margin"] == \
                 math.ldexp(margin, k)
 
-    @pytest.mark.xfail(strict=True, raises=ValueError, reason=(
-        "the witness column (1.5e308, 1.5e308) has a norm above the float "
-        "maximum, so normalize yields a zero a_scaled and the support's "
-        "weights are not finite"))
     def test_size_one_blocks_near_float_max_give_dual(self):
-        # the same columns as a FiniteLp give a verified 2-atom dual
+        # the witness column (1.5e308, 1.5e308) has a norm above the float
+        # maximum, so Socp stores A times OVERFLOW_SCALE; the same columns
+        # as a FiniteLp give a verified 2-atom dual too
         inst = Socp(np.array([[1.5e308, -1.5e308, 1.0],
                               [1.5e308, -1.5e308, 0.0]]), (1, 1, 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = main_algorithm(inst)
+        assert inst.A[0, 0] == 1.5e308 * OVERFLOW_SCALE
+        out = main_algorithm(inst)
         assert out.status == "dual_certificate"
+        assert out.counters.oracle_calls == 2
         assert len(out.weights) == 2
         assert verify_p_certificate(inst, out.weights).accepted
+
+    def test_only_blocks_whose_norms_overflow_are_scaled(self):
+        # block 0's sum of column norms overflows and block 1's does not:
+        # scaling all of A would round block 1's column (1e-306, 0) to
+        # zero, a false one-atom dual; y = (1, 0) gives margins 1.5e308
+        # and 1e-306
+        A = np.array([[1.5e308, 0.0, 1e-306], [0.0, 1.5e308, 0.0]])
+        inst = Socp(A, (2, 1))
+        assert_array_equal(inst.A[:, :2], A[:, :2] * OVERFLOW_SCALE)
+        assert inst.A[:, 2].tobytes() == A[:, 2].tobytes()
+        assert main_algorithm(inst).status == "feasible"
+        assert verify_d_solution(inst, np.array([1.0, 0.0])).accepted
+
+    def test_block_that_scaling_would_round_is_rejected(self):
+        # (1e-306, 0) shares a block with columns whose norms overflow;
+        # times OVERFLOW_SCALE it would round to zero
+        with pytest.raises(ValueError, match="scale exactly"):
+            Socp(np.array([[1e-306, 0.0, 0.0],
+                           [0.0, 1.5e308, 1.5e308]]), (3,))
 
 
 class TestSemiInfiniteOracles:

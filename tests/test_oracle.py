@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from prfeas.certify import (
     _accepted_margin,
     resolve_witness_column,
     verify_d_solution,
+    verify_p_certificate,
 )
 from prfeas.oracle import (
     OVERFLOW_SCALE,
@@ -515,16 +517,36 @@ class TestSocpDeepestCut:
 
     def test_entries_near_float_max(self):
         # x = (3e308, 0 | 3, 4, 0) at y = 1: blocks 1 and 2 are violated,
-        # and the Gram entry of block 0 would overflow unscaled; the
-        # first-violated-block oracle declares epsilon here too
+        # and the Gram entry of block 0 would overflow unscaled; the norm
+        # of block 0's column overflows, so A is stored times
+        # OVERFLOW_SCALE, and a 3-atom certificate on blocks 1 and 2
+        # verifies
         A = np.array([[1.5e308, 1e308, 1.0, 3.0, 1.0],
                       [1.5e308, -1e308, 2.0, 1.0, -1.0]])
         inst = Socp(A, (1, 1, 3))
         assert np.all(np.isfinite(inst.gram))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert len(loop_socp_depths(inst, np.ones(2))) == 2
-            out = main_algorithm(inst, epsilon=1e-6)
-        assert out.status == "epsilon_declared"
+        assert len(loop_socp_depths(inst, np.ones(2))) == 2
+        out = main_algorithm(inst, epsilon=1e-6)
+        assert out.status == "dual_certificate"
+        assert len(out.weights) <= inst.m + 1
+        assert out.verification.accepted
+        assert verify_p_certificate(inst, out.weights).accepted
+
+    def test_image_decides_the_range_before_squaring(self):
+        # x = (1e200, 3e200, 4e200 | 2e200, 3e199, 4e199) at y = 1: every
+        # square overflows unscaled, so no square is taken before the
+        # blocks are scaled
+        inst = Socp(np.array([[1e200, 3e200, 4e200, 2e200, 3e199, 4e199]]),
+                    (3, 3))
+        y = np.ones(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x, tails, exps = inst.image(y)
+            margin = inst.min_margin(y)
+        assert np.all(exps > 0)
+        assert_allclose(np.ldexp(x[inst.starts] - tails, exps),
+                        [-4e200, 1.5e200], rtol=1e-15)
+        assert margin == pytest.approx(-4e200, rel=1e-15)
 
     def test_block_scale_follows_x_not_a(self):
         # x = (1, 2, 0) at y = (0, 1): the block is violated by 1 - 2 = -1,

@@ -41,3 +41,16 @@ def test_solver_leaves_dual_checks_and_scales_to_their_modules():
     # oracle.rescaled_scales the only builder of rescaled query scales
     assert not hasattr(prfeas.solver, "_dual_residual")
     assert not hasattr(prfeas.solver.RescalingState, "column_norms")
+
+
+def test_main_algorithm_is_only_the_outer_loop():
+    # each inner run verifies what it returns, in the original space, and
+    # hands back the outcome's weights, so the outer loop neither maps y
+    # through M nor calls a verifier
+    names = prfeas.solver.main_algorithm.__code__.co_names
+    for name in ("verify_d_solution", "verify_p_certificate", "apply",
+                 "certify"):
+        assert name not in names, name
+    fields = prfeas.solver.BasicProcedureResult.__dataclass_fields__
+    assert "y" in fields
+    assert "y_scaled" not in fields

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import prfeas.certify
 import prfeas.solver
 from prfeas.certify import generate_planted, verify_p_certificate
 from prfeas.oracle import (
@@ -544,15 +545,19 @@ class TestBasicProcedure:
         state = RescalingState(2)
         res = basic_procedure(inst, state)
         assert res.status == "feasible"
-        assert_allclose(res.y_scaled, np.array([1.0, 1.0]), atol=0)
+        assert_allclose(res.y, np.array([1.0, 1.0]), atol=0)
         assert res.iterations == 0
+        # the accepted query and its re-check by verify_d_solution
+        assert res.oracle_calls == 2
+        assert res.verification.accepted
 
     def test_antipodal_columns_give_dual(self):
         inst = FiniteLp(np.array([[1.0, -1.0], [0.0, 0.0]]))
         state = RescalingState(2)
         res = basic_procedure(inst, state)
         assert res.status == "dual"
-        weights = {wc.witness: x for wc, x in res.certificate}
+        # built-in witnesses stand alone, as in SolveOutcome.weights
+        weights = dict(res.certificate)
         assert weights[LpIndex(0)] == pytest.approx(0.5)
         assert weights[LpIndex(1)] == pytest.approx(0.5)
         assert res.verification.accepted
@@ -717,6 +722,32 @@ class TestDeepestCut:
         assert results[-1].status == "dual"
         assert out.verification is results[-1].verification
         assert out.verification.accepted
+
+    def test_feasible_verification_is_the_inner_runs_report(
+            self, monkeypatch):
+        results, checks = [], []
+        run = prfeas.solver.basic_procedure
+        verify = prfeas.certify.verify_d_solution
+
+        def recording(instance, state):
+            results.append(run(instance, state))
+            return results[-1]
+
+        def counting(instance, y):
+            checks.append(verify(instance, y))
+            return checks[-1]
+
+        monkeypatch.setattr(prfeas.solver, "basic_procedure", recording)
+        monkeypatch.setattr(prfeas.certify, "verify_d_solution", counting)
+        out = main_algorithm(generate_planted("lp", 5, 50, 1)[0])
+        assert out.status == "feasible"
+        assert results[-1].status == "feasible"
+        assert len(checks) == 1
+        assert out.verification is results[-1].verification is checks[0]
+        assert out.verification.accepted
+        assert out.y is results[-1].y
+        assert out.counters.oracle_calls == \
+            sum(r.oracle_calls for r in results)
 
     def test_oracle_call_count_guard(self):
         # planted-p LP m=10 n=200, seed 101: the support holds a verified
