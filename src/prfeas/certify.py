@@ -150,8 +150,8 @@ def resolve_witness_column(
     ------
     UnresolvableWitness
         If the witness does not belong to the instance (wrong kind, index
-        out of range, non-finite or malformed vector, missing custom
-        column).
+        out of range, non-finite or malformed vector, missing or
+        non-finite custom column).
     """
     stored: np.ndarray | None = None
     if isinstance(witness, WitnessedColumn):
@@ -197,6 +197,8 @@ def resolve_witness_column(
             raise UnresolvableWitness("custom witness carries no column")
         if stored.shape != (instance.m,):
             raise UnresolvableWitness("custom witness column has wrong shape")
+        if not np.all(np.isfinite(stored)):
+            raise UnresolvableWitness("custom witness column must be finite")
         return witness, stored
     raise UnresolvableWitness(f"unknown witness type {type(witness).__name__}")
 
@@ -220,7 +222,10 @@ def verify_p_certificate(
     ``2^-E``, where ``E`` is the largest exponent of ``x_t max|a_t|``.
     Powers of two scale exactly, so the residual is that of the weights
     as given; the report's ``absolute_residual`` and ``scale`` are then
-    those of the scaled terms, and ``scale_exponent`` holds ``E``.
+    those of the scaled terms, and ``scale_exponent`` holds ``E``.  Before
+    that, when an Sdp column ``v^T A_i v`` overflows, every column is
+    taken again from the matrices times ``2^-e``, with ``2^-e max|A_i|`` in
+    [1/2, 1), and ``column_exponent`` holds ``e``.
 
     Raises
     ------
@@ -245,8 +250,17 @@ def verify_p_certificate(
         terms.append((x, column))
         vanishing = vanishing and not column.any() \
             and not isinstance(resolved, CustomWitness)
-    num, den = _combination(terms)
     details = {}
+    if isinstance(instance, Sdp) \
+            and not all(np.all(np.isfinite(c)) for _, c in terms):
+        # a column v^T A_i v overflowed: retake every column from the
+        # matrices times 2^-e, which leaves the residual as it is
+        e = math.frexp(np.max(np.abs(instance.matrices)))[1]
+        scaled = Sdp(np.ldexp(instance.matrices, -e))
+        terms = [(x, resolve_witness_column(scaled, witness)[1])
+                 for witness, x in weights]
+        details["column_exponent"] = e
+    num, den = _combination(terms)
     if den == math.inf:
         f = [math.frexp(x)[1] for x, _ in terms]
         top = max(e + math.frexp(np.max(np.abs(c)))[1]

@@ -81,6 +81,10 @@ SDP_DEFINITENESS_TOL = 1e-12
 #: about 1e-304 underflow.
 OVERFLOW_SCALE = 2.0**-64
 
+#: :func:`face_atoms` accepts a projected ``S`` with ``lambda_min(S)`` above
+#: this multiple of ``lambda_max(S)``.
+FACE_DEFINITENESS_TOL = 1e-9
+
 
 def vector_norm(v: np.ndarray) -> float:
     """Euclidean norm of ``v`` that does not overflow for finite entries.
@@ -680,6 +684,45 @@ def rescaled_scales(instance: ProblemInstance,
     if isinstance(instance, Socp):
         return instance.block_gram(M.T @ instance.A)
     return None
+
+
+def face_atoms(
+    instance: ProblemInstance, support: list[WitnessedColumn],
+    weights: np.ndarray,
+) -> list[tuple[WitnessedColumn, float]] | None:
+    """Atoms of a dual certificate on the face that an Sdp support spans.
+
+    The alternative system of an Sdp is ``Y`` positive semidefinite with
+    ``<A_i, Y> = 0`` for every ``i``; each witness ``v`` of ``support``
+    gives the extreme ray ``v v^T``.  With ``Q`` an orthonormal basis of
+    the span of those ``v_t`` (by SVD), ``S0 = Q^T (sum_t x_t v_t v_t^T)
+    Q`` for the nonnegative ``weights`` ``x_t`` is projected, in the
+    Frobenius metric, onto ``{S : <Q^T A_i Q, S> = 0 for every i}`` by one
+    least-squares solve.  When the projection ``S`` keeps ``lambda_min(S)
+    > FACE_DEFINITENESS_TOL * lambda_max(S)``, its eigenpairs ``(lambda_j,
+    u_j)`` give the atoms: witness ``Q u_j`` with weight ``lambda_j``, as
+    many as the rank of the span, so at most ``len(support)``.  Returns
+    None otherwise, and for every other instance kind; the caller must
+    still verify the atoms.
+    """
+    if not isinstance(instance, Sdp):
+        return None
+    V = np.array([wc.witness.v for wc in support]).T
+    U, sv, _ = np.linalg.svd(V, full_matrices=False)
+    Q = U[:, : int(np.sum(sv > sv[0] * max(V.shape) * np.finfo(float).eps))]
+    W = Q.T @ V
+    s0 = ((W * (weights / np.max(weights))) @ W.T).ravel()
+    # one power of two on every A_i scales Q^T A_i Q, not their span
+    mats = instance.matrices
+    mats = np.ldexp(mats, -math.frexp(np.max(np.abs(mats)))[1])
+    B = (Q.T @ mats @ Q).reshape(instance.m, -1).T
+    S = s0 - B @ np.linalg.lstsq(B, s0, rcond=None)[0]
+    lam, vecs = np.linalg.eigh(S.reshape(W.shape[0], -1))
+    if not lam[0] > FACE_DEFINITENESS_TOL * lam[-1]:
+        return None
+    return [(WitnessedColumn(SdpVector(tuple(v.tolist())), np.einsum(
+        "ijk,j,k->i", instance.matrices, v, v)), x)
+        for x, v in zip(lam.tolist(), (Q @ vecs).T)]
 
 
 def witness_to_json(w: Witness, column: np.ndarray | None = None) -> dict:

@@ -35,11 +35,18 @@ contracts along.
 
 An inner run that ends with a small aggregate first asks whether its
 support already holds a dual certificate: one least-squares solve gives
-the exact weights that make the support's columns vanish.  If they do not
-certify, the run supplies a direction along which the space is contracted
-by one half, which inflates the (rescaled) feasible cone until either
-outcome becomes easy to find or the budget of contractions certifies the
-epsilon declaration.
+the exact weights that make the support's columns vanish.  When they do
+not certify, an Sdp run looks on the face its witnesses span (the face
+step, :func:`prfeas.oracle.face_atoms`): the support's weighted witnesses
+``sum_t x_t v_t v_t^T``, projected in the span's coordinates onto the
+matrices orthogonal to every ``A_i``, are a certificate when the
+projection stays positive definite, and its eigenvectors are the atoms.
+Either way the atoms become the answer only once
+``certify.verify_p_certificate`` accepts them.  If nothing certifies, the
+run supplies a direction along which the space is contracted by one
+half, which inflates the (rescaled) feasible cone until either outcome
+becomes easy to find or the budget of contractions certifies the epsilon
+declaration.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from .oracle import (
     Witness,
     WitnessedColumn,
     column_norms,
+    face_atoms,
     query,
     rescaled_scales,
     vector_norm,
@@ -632,8 +640,17 @@ def basic_procedure(
     original columns, whose report the result carries.  Only the rescaled
     test rejects a support that is dependent in the original space to
     rounding alone, such as the nearly antipodal columns the closed
-    semicircle offers after many contractions.  Otherwise it returns
-    ``small_aggregate`` with the combination untouched.
+    semicircle offers after many contractions.  When those weights do
+    not certify, an Sdp run tries the face step
+    (:func:`prfeas.oracle.face_atoms`, which finds nothing for the other
+    kinds): the support's witness vectors span a face of the
+    semidefinite cone, and the projection of the support's weighted
+    witnesses onto the matrices in that face orthogonal to every ``A_i``
+    gives at most ``m + 1`` atoms when it stays positive definite.  Those
+    atoms too pass ``certify.verify_p_certificate``, with
+    ``DUAL_RESIDUAL_TOL`` as for any dual, before the run returns
+    ``dual``.  Otherwise it returns ``small_aggregate`` with the
+    combination untouched.
 
     The only other exit that returns ``dual`` is a column that is exactly
     zero (a nonzero cone vector that the instance maps to zero), which
@@ -716,6 +733,13 @@ def basic_procedure(
             z_norm = cc.minor_cycle(z_norm, cycle_floor)
         if z_norm <= small_threshold:
             pairs, report = _reweight_to_dual(instance, cc)
+            if report is None:
+                # the weights mapped back to the original columns
+                atoms = face_atoms(
+                    instance, [e.witnessed for e in cc.entries],
+                    cc.weights / [e.scale_norm for e in cc.entries])
+                if atoms is not None:
+                    pairs, report = _accepted_dual(instance, atoms)
             status = "small_aggregate" if report is None else "dual"
             return BasicProcedureResult(status, None, cc, iterations,
                                         oracle_calls, pairs, report)

@@ -146,6 +146,22 @@ class TestVerifyPCertificate:
         assert math.isfinite(rep.residual)
         assert all(math.isfinite(v) for v in rep.details.values())
 
+    def test_overflowing_sdp_column_is_retaken_scaled(self):
+        # v^T A v = 3e308 overflows for v = (2^-1/2, 2^-1/2); every column
+        # is taken again from the matrices times 2^-1024
+        mats = np.full((1, 2, 2), 1.5e308)
+        weights = [(SdpVector((2**-0.5, 2**-0.5)), 1.0),
+                   (SdpVector((1.0, 0.0)), 1.0)]
+        rep = verify_p_certificate(Sdp(mats), weights)
+        assert not rep.accepted
+        assert rep.residual == 1.0
+        self.assert_finite_report(rep)
+        assert rep.details["column_exponent"] == 1024
+        scaled = verify_p_certificate(Sdp(np.ldexp(mats, -1024)), weights)
+        assert scaled.residual == rep.residual
+        assert scaled.details["scale"] == rep.details["scale"]
+        assert "column_exponent" not in scaled.details
+
     @pytest.mark.parametrize("inst,x", [
         (Sdp(np.array([[[1.5e308, 0.0], [0.0, -1.5e308]],
                        [[1.5e308, 0.0], [0.0, -1.0e308]]])), 1.0),
@@ -218,6 +234,12 @@ class TestResolveWitnessColumn:
         with pytest.raises(UnresolvableWitness):
             # tail longer than the lead violates the cone bound
             resolve_witness_column(inst2, SocpVector((1.0, 2.0, 0.0)))
+
+    def test_custom_column_must_be_finite(self):
+        inst = CustomOracle(2, lambda y: None)
+        bad = WitnessedColumn(CustomWitness("c"), np.array([math.inf, 0.0]))
+        with pytest.raises(UnresolvableWitness):
+            resolve_witness_column(inst, bad)
 
     def test_custom_witness_on_builtin_rejected(self):
         with pytest.raises(UnresolvableWitness):

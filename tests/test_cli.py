@@ -606,6 +606,31 @@ class TestVerifyCommand:
         assert report["accepted"] is False
         assert report["residual"] > 0.1
 
+    def test_sdp_column_that_overflows_is_reported_finite(self, tmp_path,
+                                                          capsys):
+        # v^T A v = 3e308 overflows for v = (2^-1/2, 2^-1/2); the residual
+        # of the columns taken at 2^-1024 times the matrices is that of the
+        # matrices as given
+        inp = write_json(tmp_path / "p.json", {
+            "schema": 1, "type": "sdp", "m": 1, "n": 2,
+            "matrices": [[[1.5e308, 1.5e308], [1.5e308, 1.5e308]]]})
+        cert = write_json(tmp_path / "c.json", {
+            "schema": 1, "kind": "p", "weights": [
+                {"witness": {"type": "sdp_vector", "v": [2**-0.5, 2**-0.5]},
+                 "x": 1},
+                {"witness": {"type": "sdp_vector", "v": [1, 0]}, "x": 1}]})
+        with np.errstate(over="ignore"):
+            code, out = invoke(capsys, "verify", "--input", inp,
+                               "--certificate", cert)
+        assert code == EXIT_REJECTED
+
+        def reject_constant(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        report = json.loads(out, parse_constant=reject_constant)
+        assert report["accepted"] is False
+        assert report["residual"] == 1.0
+
     def test_margin_that_overflows_to_infinity_is_reported_finite(
             self, tmp_path, capsys):
         # y @ a = 2e308 overflows; the margin is reported at y scaled by

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import prfeas.certify
+import prfeas.solver
 from prfeas import oracle
 from prfeas.certify import (
     VerificationReport,
@@ -363,6 +364,49 @@ class TestDualExtraction:
         res = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
+
+
+class TestSdpFaceStep:
+    """A small-aggregate exit of an Sdp run whose support holds no
+    vanishing combination tries the face its witnesses span."""
+
+    @pytest.mark.parametrize("m,n,seed,rescalings", [
+        (4, 10, 1, 0), (4, 10, 2, 0), (4, 10, 3, 0),
+        (8, 20, 1, 0), (8, 20, 2, 0), (8, 20, 3, 0),
+        (20, 40, 1, 0), (20, 40, 2, 1), (20, 40, 3, 0)])
+    def test_planted_p_dual_in_first_runs(self, m, n, seed, rescalings):
+        inst, _ = generate_planted("sdp", m, n, seed, "feasible_p")
+        out = main_algorithm(inst)
+        assert out.status == "dual_certificate"
+        assert out.counters.rescalings == rescalings
+        assert len(out.weights) <= m + 1
+        assert verify_p_certificate(inst, out.weights).accepted
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("m,n", [(8, 20), (20, 40)])
+    def test_planted_d_never_dual(self, m, n, seed):
+        inst, _ = generate_planted("sdp", m, n, seed, "feasible_d")
+        assert main_algorithm(inst).status == "feasible"
+
+    def test_shrunk_margin_feasible_sdp_never_dual(self, monkeypatch):
+        # y* keeps lambda_min(sum_i y*_i A_i) at 1e-3 of its planted value,
+        # so the solve contracts and the face step runs and finds nothing
+        inst, cert = generate_planted("sdp", 8, 20, 1, "feasible_d")
+        y = cert.y
+        lam = np.linalg.eigvalsh(np.tensordot(y, inst.matrices, (0, 0)))[0]
+        shrunk = Sdp(inst.matrices
+                     - 0.999 * lam * y[:, None, None] * np.eye(20))
+        found = []
+
+        def recording(*args):
+            found.append(oracle.face_atoms(*args))
+            return found[-1]
+
+        monkeypatch.setattr(prfeas.solver, "face_atoms", recording)
+        out = main_algorithm(shrunk)
+        assert out.status == "feasible"
+        assert out.counters.rescalings > 0
+        assert found and all(atoms is None for atoms in found)
 
 
 class TestContractionProperties:

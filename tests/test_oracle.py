@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from prfeas.certify import (
     UnresolvableWitness,
     _accepted_margin,
+    generate_planted,
     resolve_witness_column,
     verify_d_solution,
     verify_p_certificate,
@@ -25,6 +26,7 @@ from prfeas.oracle import (
     Socp,
     SocpVector,
     WitnessedColumn,
+    face_atoms,
     lp_query,
     query,
     sdp_query,
@@ -653,6 +655,38 @@ class TestQueryDispatch:
             WitnessedColumn(CustomWitness("c"), np.zeros(2))
         for witness in (SdpVector((1.0, 0.0)), SocpVector((1.0, 0.0))):
             assert not WitnessedColumn(witness, np.zeros(2)).column.any()
+
+
+class TestFaceAtoms:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_planted_face_gives_verified_atoms(self, seed):
+        # the planted C = sum x_t v_t v_t^T already has <A_i, C> = 0
+        inst, cert = generate_planted("sdp", 4, 10, seed, "feasible_p")
+        support = [WitnessedColumn(*resolve_witness_column(inst, v))
+                   for v, _ in cert.weights]
+        atoms = face_atoms(inst, support,
+                           np.array([x for _, x in cert.weights]))
+        assert atoms is not None and len(atoms) <= inst.m + 1
+        for wc, x in atoms:
+            assert x > 0.0
+            assert_allclose(np.linalg.norm(wc.witness.v), 1.0)
+        assert verify_p_certificate(
+            inst, [(wc.witness, x) for wc, x in atoms]).accepted
+
+    def test_feasible_face_gives_none(self):
+        # <diag(1, 2), S> = 0 leaves no nonzero semidefinite S
+        inst = Sdp(np.array([np.diag([1.0, 2.0])]))
+        support = [WitnessedColumn(SdpVector(v), np.array([c]))
+                   for v, c in [((1.0, 0.0), 1.0), ((0.0, 1.0), 2.0)]]
+        assert face_atoms(inst, support, np.array([1.0, 1.0])) is None
+
+    def test_other_kinds_give_none(self):
+        support = [WitnessedColumn(LpIndex(0), np.array([1.0, 0.0])),
+                   WitnessedColumn(LpIndex(1), np.array([-1.0, 0.0]))]
+        for inst in (FiniteLp(np.array([[1.0, -1.0], [0.0, 0.0]])),
+                     Socp(np.array([[1.0, -1.0], [0.0, 0.0]]), (1, 1)),
+                     CustomOracle(2, lambda y: None)):
+            assert face_atoms(inst, support, np.array([0.5, 0.5])) is None
 
 
 class TestWitnessJson:
