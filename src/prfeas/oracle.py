@@ -110,10 +110,10 @@ def vector_norm(v: np.ndarray) -> float:
 
 def column_norms(X: np.ndarray) -> np.ndarray:
     """Euclidean norms of the columns of ``X``, as ``np.linalg.norm`` takes
-    them; a norm whose sum of squares overflows is taken by
-    :func:`vector_norm` instead."""
+    them; a norm whose sum of squares overflows or falls below the normal
+    range is taken by :func:`vector_norm` instead."""
     norms = np.linalg.norm(X, axis=0)
-    for t in np.flatnonzero(norms == math.inf):
+    for t in np.flatnonzero(~((norms >= 2.0**-511) & (norms < math.inf))):
         norms[t] = vector_norm(X[:, t])
     return norms
 
