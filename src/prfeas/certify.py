@@ -225,7 +225,12 @@ def verify_p_certificate(
     those of the scaled terms, and ``scale_exponent`` holds ``E``.  Before
     that, when an Sdp column ``v^T A_i v`` overflows, every column is
     taken again from the matrices times ``2^-e``, with ``2^-e max|A_i|`` in
-    [1/2, 1), and ``column_exponent`` holds ``e``.
+    [1/2, 1), and ``column_exponent`` holds ``e``.  That keeps the
+    residual only if ``2^-e`` scales every matrix entry exactly and the
+    retaken columns, times ``2^e``, give back every column entry that did
+    not overflow; when either fails, the certificate is rejected with
+    residual 1, a bound that every combination meets, and the report
+    carries only ``support`` and ``column_exponent``.
 
     Raises
     ------
@@ -254,11 +259,22 @@ def verify_p_certificate(
     if isinstance(instance, Sdp) \
             and not all(np.all(np.isfinite(c)) for _, c in terms):
         # a column v^T A_i v overflowed: retake every column from the
-        # matrices times 2^-e, which leaves the residual as it is
+        # matrices times 2^-e, which leaves the residual as it is only
+        # when that power of two scales every matrix entry exactly and
+        # reproduces every column entry that did not overflow
         e = math.frexp(np.max(np.abs(instance.matrices)))[1]
         scaled = Sdp(np.ldexp(instance.matrices, -e))
-        terms = [(x, resolve_witness_column(scaled, witness)[1])
-                 for witness, x in weights]
+        retaken = [resolve_witness_column(scaled, w)[1] for w, _ in weights]
+        exact = np.array_equal(np.ldexp(scaled.matrices, e),
+                               instance.matrices) and all(
+            np.array_equal(np.ldexp(r[f], e), c[f])
+            for r, (_, c) in zip(retaken, terms)
+            for f in [np.isfinite(c)])
+        if not exact:
+            return VerificationReport(
+                kind="p", accepted=False, residual=1.0,
+                details={"support": len(weights), "column_exponent": e})
+        terms = [(x, r) for (x, _), r in zip(terms, retaken)]
         details["column_exponent"] = e
     num, den = _combination(terms)
     if den == math.inf:

@@ -110,10 +110,10 @@ def vector_norm(v: np.ndarray) -> float:
 
 def column_norms(X: np.ndarray) -> np.ndarray:
     """Euclidean norms of the columns of ``X``, as ``np.linalg.norm`` takes
-    them; a norm whose sum of squares overflows or falls below the normal
-    range is taken by :func:`vector_norm` instead."""
+    them; a norm whose sum of squares overflows is taken by
+    :func:`vector_norm` instead."""
     norms = np.linalg.norm(X, axis=0)
-    for t in np.flatnonzero(~((norms >= 2.0**-511) & (norms < math.inf))):
+    for t in np.flatnonzero(norms == math.inf):
         norms[t] = vector_norm(X[:, t])
     return norms
 
@@ -689,7 +689,7 @@ def rescaled_scales(instance: ProblemInstance,
 def face_atoms(
     instance: ProblemInstance, support: list[WitnessedColumn],
     weights: np.ndarray,
-) -> list[tuple[WitnessedColumn, float]] | None:
+) -> list[tuple[SdpVector, float]] | None:
     """Atoms of a dual certificate on the face that an Sdp support spans.
 
     The alternative system of an Sdp is ``Y`` positive semidefinite with
@@ -700,7 +700,7 @@ def face_atoms(
     Frobenius metric, onto ``{S : <Q^T A_i Q, S> = 0 for every i}`` by one
     least-squares solve.  When the projection ``S`` keeps ``lambda_min(S)
     > FACE_DEFINITENESS_TOL * lambda_max(S)``, its eigenpairs ``(lambda_j,
-    u_j)`` give the atoms: witness ``Q u_j`` with weight ``lambda_j``, as
+    u_j)`` give the atoms: ``SdpVector(Q u_j)`` with weight ``lambda_j``, as
     many as the rank of the span, so at most ``len(support)``.  Returns
     None otherwise, and for every other instance kind; the caller must
     still verify the atoms.
@@ -720,9 +720,8 @@ def face_atoms(
     lam, vecs = np.linalg.eigh(S.reshape(W.shape[0], -1))
     if not lam[0] > FACE_DEFINITENESS_TOL * lam[-1]:
         return None
-    return [(WitnessedColumn(SdpVector(tuple(v.tolist())), np.einsum(
-        "ijk,j,k->i", instance.matrices, v, v)), x)
-        for x, v in zip(lam.tolist(), (Q @ vecs).T)]
+    return [(SdpVector(tuple(v.tolist())), x)
+            for x, v in zip(lam.tolist(), (Q @ vecs).T)]
 
 
 def witness_to_json(w: Witness, column: np.ndarray | None = None) -> dict:

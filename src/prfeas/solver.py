@@ -540,13 +540,12 @@ class BasicProcedureResult:
 
 
 def _accepted_dual(
-    instance: ProblemInstance, pairs: list[tuple[WitnessedColumn, float]],
+    instance: ProblemInstance, weights: list[tuple],
 ) -> tuple[list | None, certify.VerificationReport | None]:
-    """``pairs`` in the form of :attr:`SolveOutcome.weights` and their
-    ``certify.verify_p_certificate`` report, or ``(None, None)`` when the
-    report rejects them."""
-    weights = [(wc if isinstance(wc.witness, CustomWitness) else wc.witness,
-                x) for wc, x in pairs]
+    """``weights``, in the form of :attr:`SolveOutcome.weights` (a built-in
+    witness alone, a ``CustomWitness`` inside its ``WitnessedColumn``), and
+    their ``certify.verify_p_certificate`` report, or ``(None, None)`` when
+    the report rejects them."""
     report = certify.verify_p_certificate(instance, weights)
     return (weights, report) if report.accepted else (None, None)
 
@@ -591,8 +590,10 @@ def _reweight_to_dual(
     z = np.column_stack([e.a_scaled for e in cc.entries]) @ w
     if float(np.linalg.norm(z)) > ZERO_AGGREGATE_TOL:
         return None, None
-    return _accepted_dual(instance, [(e.witnessed, wt / e.scale_norm)
-                                     for e, wt in zip(cc.entries, w.tolist())])
+    weights = [(e.witnessed if isinstance(e.witnessed.witness, CustomWitness)
+                else e.witnessed.witness, wt / e.scale_norm)
+               for e, wt in zip(cc.entries, w.tolist())]
+    return _accepted_dual(instance, weights)
 
 
 def basic_procedure(
@@ -711,7 +712,7 @@ def basic_procedure(
         except DegenerateColumn:
             if w.column.any():
                 raise
-            pairs, report = _accepted_dual(instance, [(w, 1.0)])
+            pairs, report = _accepted_dual(instance, [(w.witness, 1.0)])
             if report is None:
                 raise OracleInconsistency("the zero column was rejected")
             return BasicProcedureResult("dual", None, cc, iterations,

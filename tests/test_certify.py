@@ -162,6 +162,31 @@ class TestVerifyPCertificate:
         assert scaled.details["scale"] == rep.details["scale"]
         assert "column_exponent" not in scaled.details
 
+    @pytest.mark.parametrize("n,small,atom", [
+        # 1e-16 I rounds to zero at 2^-1024
+        (5, 1e-16, (0.0,) * 4 + (1.0,)),
+        # 2^-49 I scales exactly, but v^T A_2 v underflows to zero there
+        (10, 2.0**-49, (0.0,) * 4 + (6**-0.5,) * 6)])
+    def test_retake_that_rounds_rejects(self, n, small, atom):
+        # the two huge columns cancel and the third vanishes once taken
+        # at 2^-1024, while the true residual is above 0.03; y = (0, 1)
+        # is feasible, so no dual may be accepted
+        big = np.zeros((n, n))
+        big[:2, :2], big[2:4, 2:4] = 1.5e308, -1.5e308
+        inst = Sdp(np.array([big, small * np.eye(n)]))
+        pad = (0.0,) * (n - 4)
+        s = 2**-0.5
+        weights = [(SdpVector((s, s, 0.0, 0.0) + pad), 5e-324),
+                   (SdpVector((0.0, 0.0, s, s) + pad), 5e-324),
+                   (SdpVector(atom), 1.0)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = verify_p_certificate(inst, weights)
+        assert not rep.accepted
+        assert rep.residual == 1.0
+        self.assert_finite_report(rep)
+        assert rep.details["column_exponent"] == 1024
+        assert verify_d_solution(inst, np.array([0.0, 1.0])).accepted
+
     @pytest.mark.parametrize("inst,x", [
         (Sdp(np.array([[[1.5e308, 0.0], [0.0, -1.5e308]],
                        [[1.5e308, 0.0], [0.0, -1.0e308]]])), 1.0),

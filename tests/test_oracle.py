@@ -667,11 +667,10 @@ class TestFaceAtoms:
         atoms = face_atoms(inst, support,
                            np.array([x for _, x in cert.weights]))
         assert atoms is not None and len(atoms) <= inst.m + 1
-        for wc, x in atoms:
+        for v, x in atoms:
             assert x > 0.0
-            assert_allclose(np.linalg.norm(wc.witness.v), 1.0)
-        assert verify_p_certificate(
-            inst, [(wc.witness, x) for wc, x in atoms]).accepted
+            assert_allclose(np.linalg.norm(v.v), 1.0)
+        assert verify_p_certificate(inst, atoms).accepted
 
     def test_feasible_face_gives_none(self):
         # <diag(1, 2), S> = 0 leaves no nonzero semidefinite S
