@@ -27,6 +27,7 @@ from .oracle import (
     Witness,
     WitnessedColumn,
     query,
+    range_exponents,
     vector_norm,
 )
 
@@ -82,12 +83,13 @@ class Certificate:
 
 
 def _accepted_margin(instance: ProblemInstance, y: np.ndarray) -> float | None:
-    """Strict margin of an accepted direction, where cheaply computable."""
+    """Strict margin of an accepted direction, where cheaply computable,
+    for the data as given."""
     if isinstance(instance, FiniteLp):
-        return float(np.min(y @ instance.columns))
+        return float(np.ldexp(y @ instance.columns, instance.exponents).min())
     if isinstance(instance, Sdp):
         X = np.tensordot(y, instance.matrices, axes=(0, 0))
-        return float(np.min(np.linalg.eigvalsh(X)))
+        return float(np.ldexp(np.linalg.eigvalsh(X)[0], instance.exponent))
     if isinstance(instance, Socp):
         return instance.min_margin(y)
     return None
@@ -107,30 +109,37 @@ def verify_d_solution(instance: ProblemInstance, y: np.ndarray) -> VerificationR
     """Re-query the oracle at ``y``; accept only strict feasibility.
 
     A margin of exactly zero, or one that is not a number, counts as a
-    violation.  A reported margin that is not finite at ``y`` is taken at
-    ``y`` scaled by a power of two to below unit norm instead.  The
-    violation of a rejected ``y`` is reported as at most 0: a margin that
-    comes out positive is rounding (or inside the oracle's tolerance
-    band) on a true margin of about 0, and reads as 0.
+    violation.  Margins and violations are those of the data as given,
+    mapped back from the stored data by its exponents.  A reported margin
+    that is not finite at ``y`` is taken at ``y`` scaled by a power of two
+    to below unit norm instead.  The violation of a rejected ``y`` is
+    reported as at most 0: a margin that comes out positive is rounding
+    (or inside the oracle's tolerance band) on a true margin of about 0,
+    and reads as 0.
     """
     y = np.asarray(y, dtype=float)
-    w = query(instance, y)
-    if w is None:
-        margin = _accepted_margin(instance, y)
-        if margin is not None and not math.isfinite(margin):
-            margin = _accepted_margin(instance, _unit_scaled(y))
-        details: dict = {}
-        if margin is not None:
-            details["min_margin"] = margin
-        return VerificationReport(
-            kind="d",
-            accepted=True,
-            residual=0.0 if margin is None else margin,
-            details=details,
-        )
-    violation = float(w.column @ y)
-    if not math.isfinite(violation):
-        violation = float(w.column @ _unit_scaled(y))
+    # a y from outside may overflow a square or a margin: the oracle reads
+    # a margin that is not a number as violated, and one that is not
+    # finite is taken again below
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = query(instance, y)
+        if w is None:
+            margin = _accepted_margin(instance, y)
+            if margin is not None and not math.isfinite(margin):
+                margin = _accepted_margin(instance, _unit_scaled(y))
+            details: dict = {}
+            if margin is not None:
+                details["min_margin"] = margin
+            return VerificationReport(
+                kind="d",
+                accepted=True,
+                residual=0.0 if margin is None else margin,
+                details=details,
+            )
+        violation = float(np.ldexp(w.column @ y, w.exponent))
+        if not math.isfinite(violation):
+            violation = float(np.ldexp(w.column @ _unit_scaled(y),
+                                       w.exponent))
     violation = min(violation, 0.0)
     return VerificationReport(
         kind="d",
@@ -143,15 +152,20 @@ def verify_d_solution(instance: ProblemInstance, y: np.ndarray) -> VerificationR
 def resolve_witness_column(
     instance: ProblemInstance,
     witness: Union[Witness, WitnessedColumn],
-) -> tuple[Witness, np.ndarray]:
+) -> tuple[Witness, np.ndarray, int]:
     """Map a certificate witness to its constraint column on the instance.
+
+    Returns the witness, its column as the instance stores it and the
+    exponent ``e`` of that column's unit (:func:`prfeas.oracle.in_range`):
+    the column of the data as given is the stored one times ``2^e``.
 
     Raises
     ------
     UnresolvableWitness
         If the witness does not belong to the instance (wrong kind, index
         out of range, non-finite or malformed vector, missing or
-        non-finite custom column).
+        non-finite custom column), or is a cone vector on blocks stored at
+        different exponents.
     """
     stored: np.ndarray | None = None
     if isinstance(witness, WitnessedColumn):
@@ -165,7 +179,8 @@ def resolve_witness_column(
             raise UnresolvableWitness("lp_index witness on a non-LP instance")
         if not 0 <= witness.i < instance.n:
             raise UnresolvableWitness(f"column index {witness.i} out of range")
-        return witness, instance.columns[:, witness.i].copy()
+        return (witness, instance.columns[:, witness.i].copy(),
+                int(instance.exponents[witness.i]))
     if isinstance(witness, SdpVector):
         if not isinstance(instance, Sdp):
             raise UnresolvableWitness("sdp_vector witness on a non-SDP instance")
@@ -174,7 +189,8 @@ def resolve_witness_column(
             raise UnresolvableWitness("sdp witness has the wrong dimension")
         if abs(np.linalg.norm(v) - 1.0) > 1e-6:
             raise UnresolvableWitness("sdp witness must be a unit vector")
-        return witness, np.einsum("ijk,j,k->i", instance.matrices, v, v)
+        return (witness, np.einsum("ijk,j,k->i", instance.matrices, v, v),
+                instance.exponent)
     if isinstance(witness, SocpVector):
         if not isinstance(instance, Socp):
             raise UnresolvableWitness("socp_vector witness on a non-SOCP instance")
@@ -189,7 +205,11 @@ def resolve_witness_column(
             raise UnresolvableWitness(
                 "socp witness block must be (1, u) with ||u|| <= 1"
             )
-        return witness, instance.A @ v
+        exps = set(instance.exponents[active].tolist())
+        if len(exps) > 1:
+            raise UnresolvableWitness(
+                "socp witness spans blocks stored at different exponents")
+        return witness, instance.A @ v, exps.pop()
     if isinstance(witness, CustomWitness):
         if not isinstance(instance, CustomOracle):
             raise UnresolvableWitness("custom witness on a built-in instance")
@@ -199,7 +219,7 @@ def resolve_witness_column(
             raise UnresolvableWitness("custom witness column has wrong shape")
         if not np.all(np.isfinite(stored)):
             raise UnresolvableWitness("custom witness column must be finite")
-        return witness, stored
+        return witness, stored, 0
     raise UnresolvableWitness(f"unknown witness type {type(witness).__name__}")
 
 
@@ -216,21 +236,20 @@ def verify_p_certificate(
     is 0: no ``y`` satisfies ``0^T y > 0``.  A custom witness's column
     never counts as such.
 
-    When the scale ``sum x_t ||a_t||`` overflows, both sums are taken
-    again over the terms ``x_t a_t 2^-E``: each weight is brought into
-    [1/2, 1) by its own power of two and the column takes the rest of
-    ``2^-E``, where ``E`` is the largest exponent of ``x_t max|a_t|``.
-    Powers of two scale exactly, so the residual is that of the weights
-    as given; the report's ``absolute_residual`` and ``scale`` are then
-    those of the scaled terms, and ``scale_exponent`` holds ``E``.  Before
-    that, when an Sdp column ``v^T A_i v`` overflows, every column is
-    taken again from the matrices times ``2^-e``, with ``2^-e max|A_i|`` in
-    [1/2, 1), and ``column_exponent`` holds ``e``.  That keeps the
-    residual only if ``2^-e`` scales every matrix entry exactly and the
-    retaken columns, times ``2^e``, give back every column entry that did
-    not overflow; when either fails, the certificate is rejected with
-    residual 1, a bound that every combination meets, and the report
-    carries only ``support`` and ``column_exponent``.
+    The weights are those of the data as given.  The sums are taken over
+    the stored columns ``c_t`` (:func:`resolve_witness_column`), each
+    weight multiplied by ``2^e_t`` of its column's unit.  When the largest
+    term ``x_t 2^e_t ||c_t||`` so mapped lies outside the range, every
+    weight is multiplied by one more power of two ``2^-E``, the one that
+    the range rule gives that term
+    (:func:`prfeas.oracle.range_exponents`), so no square of the
+    combination overflows and only a term below about ``2^-800`` times
+    the largest can underflow.  The mapping is done in exponent arithmetic,
+    so no weight overflows on the way.  Powers of two scale exactly, so
+    the residual is that of the weights as given; the report's
+    ``absolute_residual`` and ``scale`` are those of the terms ``x_t 2^-E
+    a_t`` of the data as given, and ``scale_exponent`` holds ``E`` when it
+    is not 0.
 
     Raises
     ------
@@ -251,61 +270,32 @@ def verify_p_certificate(
     for witness, x in weights:
         if not (x > 0.0 and math.isfinite(x)):
             raise ValueError("certificate weights must be positive and finite")
-        resolved, column = resolve_witness_column(instance, witness)
-        terms.append((x, column))
+        resolved, column, e = resolve_witness_column(instance, witness)
+        terms.append((x, column, e))
         vanishing = vanishing and not column.any() \
             and not isinstance(resolved, CustomWitness)
-    details = {}
-    if isinstance(instance, Sdp) \
-            and not all(np.all(np.isfinite(c)) for _, c in terms):
-        # a column v^T A_i v overflowed: retake every column from the
-        # matrices times 2^-e, which leaves the residual as it is only
-        # when that power of two scales every matrix entry exactly and
-        # reproduces every column entry that did not overflow
-        e = math.frexp(np.max(np.abs(instance.matrices)))[1]
-        scaled = Sdp(np.ldexp(instance.matrices, -e))
-        retaken = [resolve_witness_column(scaled, w)[1] for w, _ in weights]
-        exact = np.array_equal(np.ldexp(scaled.matrices, e),
-                               instance.matrices) and all(
-            np.array_equal(np.ldexp(r[f], e), c[f])
-            for r, (_, c) in zip(retaken, terms)
-            for f in [np.isfinite(c)])
-        if not exact:
-            return VerificationReport(
-                kind="p", accepted=False, residual=1.0,
-                details={"support": len(weights), "column_exponent": e})
-        terms = [(x, r) for (x, _), r in zip(terms, retaken)]
-        details["column_exponent"] = e
-    num, den = _combination(terms)
-    if den == math.inf:
-        f = [math.frexp(x)[1] for x, _ in terms]
-        top = max(e + math.frexp(np.max(np.abs(c)))[1]
-                  for e, (_, c) in zip(f, terms))
-        num, den = _combination([(math.ldexp(x, -e), np.ldexp(c, e - top))
-                                 for e, (x, c) in zip(f, terms)])
-        details["scale_exponent"] = top
+    norms = [vector_norm(c) for _, c, _ in terms]
+    mants, exps = np.frexp([x for x, _, _ in terms])
+    exps += [e for _, _, e in terms]
+    top = int(range_exponents(np.max(exps + np.frexp(norms)[1])))
+    xs = np.ldexp(mants, exps - top).tolist()
+    num = sum(x * c for x, (_, c, _) in zip(xs, terms))
+    den = sum(x * nrm for x, nrm in zip(xs, norms))
     absolute = vector_norm(num)
     if den > 0.0:
         residual = absolute / den
     else:
         residual = 0.0 if vanishing else math.inf
+    details = {"absolute_residual": absolute, "scale": den,
+               "support": len(weights)}
+    if top:
+        details["scale_exponent"] = top
     return VerificationReport(
         kind="p",
         accepted=residual <= DUAL_RESIDUAL_TOL,
         residual=residual,
-        details={
-            "absolute_residual": absolute,
-            "scale": den,
-            "support": len(weights),
-            **details,
-        },
+        details=details,
     )
-
-
-def _combination(terms: list[tuple[float, np.ndarray]]) -> tuple:
-    """``sum x_t a_t`` and ``sum x_t ||a_t||``, summed in term order."""
-    return (sum(x * c for x, c in terms),
-            sum(x * vector_norm(c) for x, c in terms))
 
 
 # ---------------------------------------------------------------------------

@@ -74,12 +74,13 @@ SDP_SYMMETRY_TOL = 1e-12
 #: Sdp definiteness threshold on lambda_min(X), relative to max(diag(X), 0).
 SDP_DEFINITENESS_TOL = 1e-12
 
-#: Power of two by which a FiniteLp scales its columns when a column norm
-#: overflows, and a Socp each block whose sum of column norms does.
-#: Scaled entries stay below 2^960, so their norms, and the margins
-#: ``y^T a_t`` of the solver's queries, stay finite; only entries below
-#: about 1e-304 underflow.
-OVERFLOW_SCALE = 2.0**-64
+#: Built-in instances store each unit of their data (an LP column, a SOCP
+#: cone block, the SDP stack) with its largest magnitude in
+#: ``[2^-RANGE_EXPONENT, 2^RANGE_EXPONENT)`` (:func:`in_range`).  Then no
+#: square, Gram entry or margin ``y^T a_t`` at a solver query (``||y|| <=
+#: sqrt(m)``) can overflow, and no square of a unit's largest entry
+#: underflows.
+RANGE_EXPONENT = 256
 
 #: :func:`face_atoms` accepts a projected ``S`` with ``lambda_min(S)`` above
 #: this multiple of ``lambda_max(S)``.
@@ -108,14 +109,39 @@ def vector_norm(v: np.ndarray) -> float:
     return float(np.ldexp(math.sqrt(u @ u), e))
 
 
-def column_norms(X: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the columns of ``X``, as ``np.linalg.norm`` takes
-    them; a norm whose sum of squares overflows is taken by
-    :func:`vector_norm` instead."""
-    norms = np.linalg.norm(X, axis=0)
-    for t in np.flatnonzero(norms == math.inf):
-        norms[t] = vector_norm(X[:, t])
-    return norms
+def range_exponents(e: np.ndarray, step: int = 1) -> np.ndarray:
+    """The range rule: for units whose largest magnitudes lie in ``[2^(e-1),
+    2^e)`` (the exponents ``np.frexp`` gives), the exponents ``k`` such
+    that each unit times ``2^-k`` has its largest magnitude just inside
+    ``[2^-RANGE_EXPONENT, 2^RANGE_EXPONENT)``; 0 for a unit already
+    inside.  Each ``k`` is a multiple of ``step``, rounded away from 0.
+    """
+    k = np.maximum(e, RANGE_EXPONENT) + np.minimum(e, 1 - RANGE_EXPONENT) - 1
+    return k + np.sign(k) * (k % step)
+
+
+def in_range(data: np.ndarray, peaks: np.ndarray, owner=Ellipsis,
+             step: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """``(stored, exponents)`` for ``data`` under :func:`range_exponents`.
+
+    ``peaks`` holds each unit's largest magnitude, and ``exponents[owner]``
+    broadcasts against ``data``, so that ``data == np.ldexp(stored,
+    exponents[owner])`` bit for bit: by default a unit is one entry of the
+    last axis (an LP column), ``owner`` maps the last axis onto its units
+    (the blocks of a SOCP), and a single peak makes all of ``data`` one
+    unit (an SDP stack).  Data whose units are all in range is returned as
+    it is, not copied.  Powers of two are exact unless an entry leaves the
+    normal range, so a scaling that would round an entry (one far below
+    its unit's largest) raises ValueError.
+    """
+    exps = range_exponents(np.frexp(peaks)[1], step)
+    if not exps.any():
+        return data, exps
+    stored = np.ldexp(data, -exps[owner])
+    if not np.array_equal(np.ldexp(stored, exps[owner]), data):
+        raise ValueError("a unit whose largest entry lies outside the float "
+                         "range holds entries too small to scale exactly")
+    return stored, exps
 
 
 class InvalidQuery(ValueError):
@@ -177,10 +203,15 @@ Witness = Union[LpIndex, SdpVector, SocpVector, CustomWitness]
 
 @dataclass(eq=False)
 class WitnessedColumn:
-    """A violated constraint: its coefficient column and identifying witness."""
+    """A violated constraint: its coefficient column and identifying witness.
+
+    A built-in query returns the column as its instance stores it, times
+    ``2^-exponent`` that of the data as given (:func:`in_range`).
+    """
 
     witness: Witness
     column: np.ndarray
+    exponent: int = 0
 
     def __post_init__(self) -> None:
         self.column = np.asarray(self.column, dtype=float)
@@ -197,31 +228,33 @@ class FiniteLp:
     """Finitely many constraint columns, stored as an (m, n) array.
 
     Column ``t`` of ``columns`` is the coefficient vector of constraint
-    ``a_t^T y > 0``; ``column_norms`` holds the ``||a_t||``.  When some
-    ``||a_t||`` overflows (entries near the float maximum), every column
-    is stored multiplied by ``OVERFLOW_SCALE``.  One power of two applied
-    to all columns is exact and changes neither the feasible ``y`` nor
-    which weights certify the alternative, so every answer holds for the
-    columns as given.
+    ``a_t^T y > 0``, stored by the range rule (:func:`in_range`): a column
+    whose largest magnitude lies outside ``[2^-RANGE_EXPONENT,
+    2^RANGE_EXPONENT)`` is stored times ``2^-exponents[t]``, which brings
+    it just inside, and every other column as given, with exponent 0.  A
+    positive factor on a column changes neither the feasible ``y`` nor
+    which columns a certificate combines, only its weight on that column,
+    which the verifiers map back.  ``column_norms`` holds the norms of the
+    stored columns.
     """
 
     columns: np.ndarray
+    exponents: np.ndarray = field(init=False, repr=False)
     column_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         cols = np.asarray(self.columns, dtype=float)
         if cols.ndim != 2 or cols.shape[1] == 0:
             raise ValueError("columns must be a nonempty (m, n) array")
-        if not np.all(np.isfinite(cols)):
+        peaks = np.max(np.abs(cols), axis=0, initial=0.0)
+        if not np.all(np.isfinite(peaks)):
             raise ValueError("columns must be finite")
-        norms = np.linalg.norm(cols, axis=0)
-        if not np.all(norms < math.inf):
-            cols = cols * OVERFLOW_SCALE
-            norms = column_norms(cols)
-        if not np.all(np.any(cols != 0.0, axis=0)):
+        if not np.all(peaks > 0.0):
             raise ValueError("every constraint column must be nonzero")
+        cols, exps = in_range(cols, peaks)
         object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "column_norms", norms)
+        object.__setattr__(self, "exponents", exps)
+        object.__setattr__(self, "column_norms", np.linalg.norm(cols, axis=0))
 
     @property
     def m(self) -> int:
@@ -236,25 +269,33 @@ class FiniteLp:
 class Sdp:
     """Linear matrix inequality: sum_i y_i A_i positive definite.
 
-    ``matrices`` is an (m, n, n) stack of symmetric coefficient matrices.
+    ``matrices`` is an (m, n, n) stack of symmetric coefficient matrices,
+    stored as one unit of the range rule (:func:`in_range`): times
+    ``2^-exponent``, a power of four, when its largest magnitude lies
+    outside the range, so that eigenvalues and witness columns scale
+    exactly; as given otherwise.  One positive factor on the whole stack
+    changes neither the feasible ``y`` nor the certificates.
     """
 
     matrices: np.ndarray
+    exponent: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         mats = np.asarray(self.matrices, dtype=float)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or 0 in mats.shape:
             raise ValueError("matrices must be a nonempty (m, n, n) stack")
-        if not np.all(np.isfinite(mats)):
+        peak = np.max(np.abs(mats))
+        if not np.isfinite(peak):
             raise ValueError("matrices must be finite")
-        scale = np.max(np.abs(mats), initial=0.0)
-        skew = np.max(np.abs(mats - mats.transpose(0, 2, 1)), initial=0.0)
-        if skew > SDP_SYMMETRY_TOL * max(scale, 1.0):
+        mats, e = in_range(mats, peak, step=2)
+        # the tolerance is relative to max(max|A_i|, 1) for the data as
+        # given, which the stored data holds times 2^-e
+        skew = np.max(np.abs(mats - mats.transpose(0, 2, 1)))
+        if skew > SDP_SYMMETRY_TOL * np.ldexp(max(peak, 1.0), -e):
             raise ValueError("constraint matrices must be symmetric")
-        # halved before the sum, which cannot then overflow; halving is
-        # exact above the subnormal range, so the bits match 0.5 * (a + b)
-        mats = 0.5 * mats + 0.5 * mats.transpose(0, 2, 1)
+        mats = 0.5 * (mats + mats.transpose(0, 2, 1))
         object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "exponent", int(e))
 
     @property
     def m(self) -> int:
@@ -277,25 +318,22 @@ class Socp:
     :func:`socp_query` ranks the violated blocks by unless it is given
     those of a rescaled ``M^T A``.
 
-    Blocks are scaled by powers of two taken from their own entries: those
-    of ``C`` in its Gram data, those of ``A^T y`` when a query's entries
-    could make its squares leave the normal range (:meth:`image`).  So no square or Gram product
-    overflows, and a power of two applied to a block of ``A`` changes no
-    pick.  Each block whose sum of column norms ``sum_j ||A e_j||``, a
-    bound on the norm of each of its witness columns ``A v``, overflows
-    is stored multiplied by ``OVERFLOW_SCALE``; the other blocks are kept
-    as given.  A power of two on one cone block changes neither which
-    ``y`` are feasible nor the block's witnesses, only the weight a
-    certificate puts on them: for the blocks as given, the weights on a
-    scaled block's witnesses are multiplied by ``OVERFLOW_SCALE``.  A
-    scaled block must be exact, so one whose entries would round (below
-    about 1e-289) raises ValueError.
+    Each cone block of ``A`` is a unit of the range rule
+    (:func:`in_range`): a block whose largest magnitude lies outside the
+    range is stored times ``2^-exponents[b]``, every other one as given.
+    A positive factor on one block changes neither which ``y`` are
+    feasible nor the block's witnesses, only the weight a certificate puts
+    on them, which the verifiers map back; and a power of two on a block
+    changes no pick.  The blocks of ``A^T y`` are scaled by powers of two
+    from their own entries when a query's entries could make their squares
+    leave the normal range (:meth:`image`).
     """
 
     A: np.ndarray
     blocks: tuple[int, ...]
     starts: np.ndarray = field(init=False, repr=False)
     gram: np.ndarray = field(init=False, repr=False)
+    exponents: np.ndarray = field(init=False, repr=False)
     # the block of each coordinate; for each offset d, the coordinates i
     # whose i + d lies in the same block of at most m + 1 coordinates; the
     # (i, j, block) of every such pair, in that order; the wider blocks,
@@ -312,7 +350,8 @@ class Socp:
         blocks = tuple(strict_int(b, "block size") for b in self.blocks)
         if A.ndim != 2 or A.shape[0] == 0:
             raise ValueError("A must be a nonempty (m, n) array")
-        if not np.all(np.isfinite(A)):
+        peaks = np.max(np.abs(A), axis=0)
+        if not np.all(np.isfinite(peaks)):
             raise ValueError("A must be finite")
         if not blocks or any(b < 1 for b in blocks):
             raise ValueError("blocks must be positive sizes")
@@ -320,17 +359,8 @@ class Socp:
             raise ValueError("block sizes must sum to the column count of A")
         starts = np.cumsum((0,) + blocks[:-1], dtype=np.intp)
         sizes = np.array(blocks, dtype=np.intp)
-        with np.errstate(over="ignore"):  # an overflow is what is sought
-            norms = np.add.reduceat(column_norms(A), starts)
-        over = np.repeat(~(norms < math.inf), sizes)
-        if over.any():
-            scaled = A[:, over] * OVERFLOW_SCALE
-            if not np.array_equal(scaled / OVERFLOW_SCALE, A[:, over]):
-                raise ValueError("a block whose column norms overflow holds "
-                                 "entries too small to scale exactly")
-            A = A.copy()
-            A[:, over] = scaled
         owner = np.repeat(np.arange(sizes.size), sizes)
+        A, exps = in_range(A, np.maximum.reduceat(peaks, starts), owner)
         wide = sizes > A.shape[0] + 1
         # coordinates from i to the end of its block, none in a wide block
         ends = np.where(wide, 0, starts + sizes)
@@ -341,8 +371,8 @@ class Socp:
         cols = rows + np.repeat(np.arange(len(diagonals)),
                                 [i.size for i in diagonals])
         fields = {
-            "A": A, "blocks": blocks, "starts": starts, "_owner": owner,
-            "_diagonals": diagonals,
+            "A": A, "blocks": blocks, "starts": starts, "exponents": exps,
+            "_owner": owner, "_diagonals": diagonals,
             "_pairs": np.stack([rows, cols, owner[rows]]),
             "_wide": np.flatnonzero(wide),
             "_wide_cols": np.flatnonzero(wide[owner]),
@@ -370,11 +400,11 @@ class Socp:
         return slice(start, start + self.blocks[b])
 
     def image(self, y: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``x = A^T y`` as the oracle ranks it, its :meth:`tail_norms`, and
-        one exponent ``e_b`` per block: block ``b`` of this ``x`` is that
-        of ``A^T y`` times ``2^-e_b``, so ``np.ldexp(x0_b - ||xt_b||,
-        e_b)`` is the margin of ``A^T y``, bit for bit while both are
-        normal floats.
+        """``x = A^T y``, for ``A`` as stored, as the oracle ranks it, its
+        :meth:`tail_norms`, and one exponent ``e_b`` per block: block ``b``
+        of this ``x`` is that of ``A^T y`` times ``2^-e_b``, so
+        ``np.ldexp(x0_b - ||xt_b||, e_b)`` is the margin of ``A^T y``, bit
+        for bit while both are normal floats.
 
         Every ``e_b`` is 0 unless some entry of ``x`` reaches ``2^500``
         (below that, squares stay under ``2^1000``, so no block of fewer
@@ -397,13 +427,15 @@ class Socp:
         return x, self.tail_norms(x), exps
 
     def min_margin(self, y: np.ndarray) -> float:
-        """The least block margin ``x0_b - ||xt_b||`` of ``x = A^T y``.
+        """The least block margin ``x0_b - ||xt_b||`` of ``x = A^T y``, for
+        ``A`` as given.
 
         The least block's tail norm is retaken by :func:`vector_norm`, as
         the oracle's witness takes it, so the value keeps its bits
         whatever order :meth:`tail_norms` sums in.
         """
         x, tails, exps = self.image(y)
+        exps = exps + self.exponents
         b = int(np.argmin(np.ldexp(x[self.starts] - tails, exps)))
         xb = x[self.block_slice(b)]
         return float(np.ldexp(xb[0] - vector_norm(xb[1:]), exps[b]))
@@ -424,12 +456,8 @@ class Socp:
         """The data that gives ``||C_b v_b||`` for every block ``b`` of an
         (m, n) matrix ``C`` (``M^T A`` for a rescaling map ``M``).
 
-        Each block's columns are first multiplied by ``2^-e_b``, the power
-        of two that brings their largest entry into [1/2, 1) (never by
-        more than ``2^1000``), so no product below can overflow.  The
-        result holds, one after the other:
+        The result holds, one after the other:
 
-        * the factors ``2^-e_b``, one per block;
         * for the blocks of at most ``m + 1`` coordinates, their Gram
           entries ``(C^T C)_{ij}``, ``i <= j`` in one block, those off the
           diagonal doubled (exactly), in the order of ``_pairs``: offset
@@ -439,13 +467,10 @@ class Socp:
           hold the same quadratic form in ``m s`` numbers instead of
           ``s^2``.
 
-        Powers of two are exact, so a block scaled by one gives the same
-        Gram entries bit for bit.
+        The stored ``A`` is in range (:func:`in_range`) and ``||M|| <= 1``,
+        so no product overflows.
         """
-        peak = np.maximum.reduceat(np.max(np.abs(C), axis=0), self.starts)
-        exps = np.maximum(np.frexp(peak)[1], -1000)
-        C = np.ldexp(C, -exps[self._owner])
-        parts = [np.ldexp(1.0, -exps)]
+        parts = []
         for d, rows in enumerate(self._diagonals):
             gram = np.einsum("ki,ki->i", C[:, : self.n - d], C[:, d:])[rows]
             parts.append(gram if d == 0 else 2.0 * gram)
@@ -459,28 +484,27 @@ class Socp:
 
         ``x``, ``tails`` and ``exps`` are the scaled :meth:`image` of ``y``;
         ``margin_b = x0_b - ||xt_b||`` is taken back to the scale of ``A^T
-        y``, then to that of the Gram data, and ``v_b = (1,
-        -xt_b/||xt_b||)``, or ``(1, 0, ...)`` for a zero tail.  ``||C
-        v_b||^2 = sum_{i,j} v_i v_j (C^T C)_{ij}`` is summed over each
-        block's Gram entries ``i <= j`` by one ``bincount``; a wide
-        block's ``C_b v_b`` is formed from its columns.  A block whose norm
-        is zero (its column vanishes, which alone certifies the
-        alternative) or not a number gets ``-inf``.
+        y``, and ``v_b = (1, -xt_b/||xt_b||)``, or ``(1, 0, ...)`` for a
+        zero tail.  ``||C v_b||^2 = sum_{i,j} v_i v_j (C^T C)_{ij}`` is
+        summed over each block's Gram entries ``i <= j`` by one
+        ``bincount``; a wide block's ``C_b v_b`` is formed from its
+        columns.  A block whose norm is zero (its column vanishes, which
+        alone certifies the alternative) or not a number gets ``-inf``.
         """
         nb = len(self.blocks)
         inv = np.divide(-1.0, tails, out=np.zeros(nb), where=tails > 0.0)
         v = x * inv[self._owner]
         v[self.starts] = 1.0
         rows, cols, owner = self._pairs
-        entries = gram[nb : nb + rows.size]
+        entries = gram[: rows.size]
         sq = np.bincount(owner, v[rows] * v[cols] * entries, minlength=nb)
         if self._wide.size:
-            Cw = gram[nb + rows.size :].reshape(self.m, -1)
+            Cw = gram[rows.size :].reshape(self.m, -1)
             Cv = np.add.reduceat(Cw * v[self._wide_cols], self._wide_offsets,
                                  axis=1)
             sq[self._wide] = np.einsum("kb,kb->b", Cv, Cv)
         norms = np.sqrt(np.maximum(sq, 0.0))
-        margins = np.ldexp(x[self.starts] - tails, exps) * gram[:nb]
+        margins = np.ldexp(x[self.starts] - tails, exps)
         return np.divide(margins, norms, out=np.full(nb, -np.inf),
                          where=norms > 0.0)
 
@@ -557,7 +581,8 @@ def lp_query(instance: FiniteLp, y: np.ndarray,
     t = int(np.argmin(np.where(violated, margins / scales, np.inf)))
     if not violated[t]:
         return None
-    return WitnessedColumn(LpIndex(t), instance.columns[:, t].copy())
+    return WitnessedColumn(LpIndex(t), instance.columns[:, t].copy(),
+                           int(instance.exponents[t]))
 
 
 def sdp_query(instance: Sdp, y: np.ndarray) -> WitnessedColumn | None:
@@ -578,7 +603,8 @@ def sdp_query(instance: Sdp, y: np.ndarray) -> WitnessedColumn | None:
     if v[np.argmax(np.abs(v))] < 0.0:
         v = -v
     column = np.einsum("ijk,j,k->i", instance.matrices, v, v)
-    return WitnessedColumn(SdpVector(tuple(v.tolist())), column)
+    return WitnessedColumn(SdpVector(tuple(v.tolist())), column,
+                           instance.exponent)
 
 
 def socp_query(instance: Socp, y: np.ndarray,
@@ -613,14 +639,16 @@ def socp_query(instance: Socp, y: np.ndarray,
         return None
     depths = instance.cut_depths(x, tails, exps, scales)
     depths[~violated] = np.inf
-    sl = instance.block_slice(int(np.argmin(depths)))
+    b = int(np.argmin(depths))
+    sl = instance.block_slice(b)
     tail = x[sl.start + 1 : sl.stop]
     tail_norm = vector_norm(tail)
     v = np.zeros(instance.n)
     v[sl.start] = 1.0
     if tail_norm > 0.0:
         v[sl.start + 1 : sl.stop] = -tail / tail_norm
-    return WitnessedColumn(SocpVector(tuple(v.tolist())), instance.A @ v)
+    return WitnessedColumn(SocpVector(tuple(v.tolist())), instance.A @ v,
+                           int(instance.exponents[b]))
 
 
 def query(instance: ProblemInstance, y: np.ndarray,
@@ -680,7 +708,7 @@ def rescaled_scales(instance: ProblemInstance,
     FiniteLp, the block Gram data of ``M^T A`` (:meth:`Socp.block_gram`)
     for a Socp, and None for every other instance."""
     if isinstance(instance, FiniteLp):
-        return column_norms(M.T @ instance.columns)
+        return np.linalg.norm(M.T @ instance.columns, axis=0)
     if isinstance(instance, Socp):
         return instance.block_gram(M.T @ instance.A)
     return None
@@ -712,10 +740,7 @@ def face_atoms(
     Q = U[:, : int(np.sum(sv > sv[0] * max(V.shape) * np.finfo(float).eps))]
     W = Q.T @ V
     s0 = ((W * (weights / np.max(weights))) @ W.T).ravel()
-    # one power of two on every A_i scales Q^T A_i Q, not their span
-    mats = instance.matrices
-    mats = np.ldexp(mats, -math.frexp(np.max(np.abs(mats)))[1])
-    B = (Q.T @ mats @ Q).reshape(instance.m, -1).T
+    B = (Q.T @ instance.matrices @ Q).reshape(instance.m, -1).T
     S = s0 - B @ np.linalg.lstsq(B, s0, rcond=None)[0]
     lam, vecs = np.linalg.eigh(S.reshape(W.shape[0], -1))
     if not lam[0] > FACE_DEFINITENESS_TOL * lam[-1]:

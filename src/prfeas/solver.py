@@ -62,9 +62,9 @@ from .oracle import (
     ProblemInstance,
     Witness,
     WitnessedColumn,
-    column_norms,
     face_atoms,
     query,
+    range_exponents,
     rescaled_scales,
     vector_norm,
 )
@@ -560,13 +560,16 @@ def _reweight_to_dual(
     every ``x_t`` is positive, the rescaled weights ``w_t = x_t ||M^T
     a_t|| / ||a_t||``, normalized to sum 1, must leave a rescaled
     aggregate of at most ``ZERO_AGGREGATE_TOL``; then the weights mapped
-    back to the original columns, ``w_t / ||M^T a_t||``, must pass
-    ``certify.verify_p_certificate``.  That original-space test alone
-    cannot tell a finite certificate from columns that only approach
-    dependence: the closed semicircle's ``(1, 4.4e-16)`` and ``(-1,
-    1.2e-16)`` give a residual of 3e-16 there, but mapped through ``M^T``
-    their combination stays far from zero.  A weight that is not positive
-    and finite makes ``verify_p_certificate`` raise ValueError.
+    back to the original columns, ``w_t / ||M^T a_t||``, and to the data
+    as given, times ``2^-e_t`` for the exponent ``e_t`` of each witnessed
+    column (and all times one power of two when the largest would leave
+    the range), must pass ``certify.verify_p_certificate``.  That
+    original-space test alone cannot tell a finite certificate from
+    columns that only approach dependence: the closed semicircle's ``(1,
+    4.4e-16)`` and ``(-1, 1.2e-16)`` give a residual of 3e-16 there, but
+    mapped through ``M^T`` their combination stays far from zero.  A
+    weight that is not positive and finite makes ``verify_p_certificate``
+    raise ValueError.
 
     The support has at most ``m + 1`` terms, but they may be affinely
     dependent (SOCP supports on few cone blocks, the degenerate LP); the
@@ -578,7 +581,7 @@ def _reweight_to_dual(
     """
     k = len(cc.entries)
     cols = np.column_stack([e.witnessed.column for e in cc.entries])
-    norms = column_norms(cols)
+    norms = np.linalg.norm(cols, axis=0)
     rhs = np.zeros(cc.m + 1)
     rhs[-1] = 1.0
     x = np.linalg.lstsq(np.vstack([cols / norms, np.ones(k)]), rhs,
@@ -590,9 +593,15 @@ def _reweight_to_dual(
     z = np.column_stack([e.a_scaled for e in cc.entries]) @ w
     if float(np.linalg.norm(z)) > ZERO_AGGREGATE_TOL:
         return None, None
+    # the weights on the data as given, in exponent arithmetic, times one
+    # power of two when the largest leaves the range: a certificate times
+    # any positive factor is one
+    mants, exps = np.frexp(w / [e.scale_norm for e in cc.entries])
+    exps -= [e.witnessed.exponent for e in cc.entries]
+    x = np.ldexp(mants, exps - range_exponents(exps.max())).tolist()
     weights = [(e.witnessed if isinstance(e.witnessed.witness, CustomWitness)
-                else e.witnessed.witness, wt / e.scale_norm)
-               for e, wt in zip(cc.entries, w.tolist())]
+                else e.witnessed.witness, wt)
+               for e, wt in zip(cc.entries, x)]
     return _accepted_dual(instance, weights)
 
 

@@ -130,7 +130,7 @@ class TestVerifyPCertificate:
         # (1, -3/5, -4/5) is a nonzero cone vector that A maps to zero
         inst = Socp(np.array([[5.0, 3.0, 4.0]]), blocks=(3,))
         zero = SocpVector((1.0, -0.6, -0.8))
-        _, column = resolve_witness_column(inst, zero)
+        _, column, _ = resolve_witness_column(inst, zero)
         assert not column.any()
         rep = verify_p_certificate(inst, [(zero, 1.0)])
         assert rep.accepted
@@ -147,8 +147,9 @@ class TestVerifyPCertificate:
         assert all(math.isfinite(v) for v in rep.details.values())
 
     def test_overflowing_sdp_column_is_retaken_scaled(self):
-        # v^T A v = 3e308 overflows for v = (2^-1/2, 2^-1/2); every column
-        # is taken again from the matrices times 2^-1024
+        # v^T A v = 3e308 overflows for v = (2^-1/2, 2^-1/2); Sdp stores
+        # the matrices times 2^-768, and the weights 1 mapped to 2^768
+        # are brought back into range by 2^-E
         mats = np.full((1, 2, 2), 1.5e308)
         weights = [(SdpVector((2**-0.5, 2**-0.5)), 1.0),
                    (SdpVector((1.0, 0.0)), 1.0)]
@@ -156,11 +157,13 @@ class TestVerifyPCertificate:
         assert not rep.accepted
         assert rep.residual == 1.0
         self.assert_finite_report(rep)
-        assert rep.details["column_exponent"] == 1024
         scaled = verify_p_certificate(Sdp(np.ldexp(mats, -1024)), weights)
         assert scaled.residual == rep.residual
-        assert scaled.details["scale"] == rep.details["scale"]
-        assert "column_exponent" not in scaled.details
+        # both scales are those of the data as given, times 2^-E and
+        # 2^-1024
+        assert rep.details["scale"] == math.ldexp(
+            scaled.details["scale"], 1024 - rep.details["scale_exponent"])
+        assert "scale_exponent" not in scaled.details
 
     @pytest.mark.parametrize("n,small,atom", [
         # 1e-16 I rounds to zero at 2^-1024
@@ -168,9 +171,11 @@ class TestVerifyPCertificate:
         # 2^-49 I scales exactly, but v^T A_2 v underflows to zero there
         (10, 2.0**-49, (0.0,) * 4 + (6**-0.5,) * 6)])
     def test_retake_that_rounds_rejects(self, n, small, atom):
-        # the two huge columns cancel and the third vanishes once taken
-        # at 2^-1024, while the true residual is above 0.03; y = (0, 1)
-        # is feasible, so no dual may be accepted
+        # the two huge columns cancel and the third would vanish if taken
+        # at 2^-1024; the stack is stored times 2^-768, which keeps it,
+        # and the tiny weights are kept beside the weight 1, so the true
+        # residual is reported; y = (0, 1) is feasible, so no dual may be
+        # accepted
         big = np.zeros((n, n))
         big[:2, :2], big[2:4, 2:4] = 1.5e308, -1.5e308
         inst = Sdp(np.array([big, small * np.eye(n)]))
@@ -179,12 +184,24 @@ class TestVerifyPCertificate:
         weights = [(SdpVector((s, s, 0.0, 0.0) + pad), 5e-324),
                    (SdpVector((0.0, 0.0, s, s) + pad), 5e-324),
                    (SdpVector(atom), 1.0)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            rep = verify_p_certificate(inst, weights)
+        rep = verify_p_certificate(inst, weights)
         assert not rep.accepted
-        assert rep.residual == 1.0
+        assert rep.residual == pytest.approx({5: 0.0326, 10: 0.3747}[n],
+                                             abs=5e-5)
         self.assert_finite_report(rep)
-        assert rep.details["column_exponent"] == 1024
+        assert verify_d_solution(inst, np.array([0.0, 1.0])).accepted
+
+    def test_subnormal_weights_keep_their_columns(self):
+        # 5e-324 * 0.1 underflows to 0, which would cancel the columns
+        # (1, 0.1) and (-1, 0.1) exactly; brought into range first, the
+        # weights leave (0, 0.2) of the scale 2 * sqrt(1.01), and y =
+        # (0, 1) is feasible
+        inst = FiniteLp(np.array([[1.0, -1.0], [0.1, 0.1]]))
+        rep = verify_p_certificate(inst, [(LpIndex(0), 5e-324),
+                                          (LpIndex(1), 5e-324)])
+        assert not rep.accepted
+        assert rep.residual == pytest.approx(0.1 / math.sqrt(1.01),
+                                             rel=1e-15)
         assert verify_d_solution(inst, np.array([0.0, 1.0])).accepted
 
     @pytest.mark.parametrize("inst,x", [
@@ -245,7 +262,7 @@ class TestResolveWitnessColumn:
             resolve_witness_column(indefinite_sdp(), SdpVector((1.0,)))
 
     def test_sdp_column_is_quadratic_form(self):
-        _, col = resolve_witness_column(indefinite_sdp(),
+        _, col, _ = resolve_witness_column(indefinite_sdp(),
                                         SdpVector((0.0, 1.0)))
         assert_allclose(col, np.array([-1.0, 1.0]), atol=0)
 
@@ -259,6 +276,20 @@ class TestResolveWitnessColumn:
         with pytest.raises(UnresolvableWitness):
             # tail longer than the lead violates the cone bound
             resolve_witness_column(inst2, SocpVector((1.0, 2.0, 0.0)))
+
+    def test_socp_witness_on_blocks_of_different_exponents(self):
+        # block 0 is stored times 2^-768, blocks 1 and 2 as given: a
+        # witness on blocks 0 and 1 has no single column scale, one on
+        # blocks 1 and 2 maps back by 2^0
+        inst = Socp(np.array([[1.5e308, 1.0, -1.0]]), blocks=(1, 1, 1))
+        with pytest.raises(UnresolvableWitness, match="exponents"):
+            resolve_witness_column(inst, SocpVector((1.0, 1.0, 0.0)))
+        _, column, e = resolve_witness_column(inst,
+                                              SocpVector((0.0, 1.0, 1.0)))
+        assert column.tolist() == [0.0] and e == 0
+        _, column, e = resolve_witness_column(inst,
+                                              SocpVector((1.0, 0.0, 0.0)))
+        assert np.ldexp(column, e).tolist() == [1.5e308]
 
     def test_custom_column_must_be_finite(self):
         inst = CustomOracle(2, lambda y: None)

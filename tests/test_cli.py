@@ -82,6 +82,26 @@ class TestProblemFileFormat:
         assert again.blocks == inst.blocks
         assert np.array_equal(again.A, inst.A)
 
+    @pytest.mark.parametrize("doc", [
+        {"schema": 1, "type": "lp", "m": 2,
+         "columns": [[1.5e308, 1.5e308], [-1.5e308, -1.5e308]]},
+        {"schema": 1, "type": "lp", "m": 2,
+         "columns": [[1.5e308, 1.0], [3e-300, 4e-300], [1.0, 2.0]]},
+        {"schema": 1, "type": "sdp", "m": 2, "n": 2,
+         "matrices": [[[1.5e308, 0.0], [0.0, -1.5e308]],
+                      [[0.25, 1.0], [1.0, 0.0]]]},
+        {"schema": 1, "type": "sdp", "m": 1, "n": 2,
+         "matrices": [[[3e-300, 1e-310], [1e-310, -4e-300]]]},
+        {"schema": 1, "type": "socp", "m": 2, "blocks": [1, 2, 1],
+         "A": [[1.5e308, 3e-300, 0.0, 1.0], [1.5e308, 0.0, 4e-300, 2.0]]}])
+    def test_data_out_of_range_round_trips_as_given(self, doc):
+        # the instance stores out-of-range units scaled into range, and
+        # writes them back as given
+        inst = load_problem(doc)
+        assert dump_problem(inst) == doc
+        assert json.dumps(dump_problem(load_problem(dump_problem(inst)))) \
+            == json.dumps(doc)
+
     def test_lp_file_round_trip_is_exact(self, tmp_path):
         cols = np.random.default_rng(3).standard_normal((20, 2000))
         inst = FiniteLp(cols)
@@ -416,16 +436,15 @@ class TestSolveCommand:
         def reject_constant(name):
             raise AssertionError(f"non-standard JSON constant {name}")
 
-        with np.errstate(over="ignore"):
-            code, out = invoke(capsys, "solve", "--input", prob,
-                               "--certificate", cert)
-            report = json.loads(out, parse_constant=reject_constant)
-            assert code == EXIT_DUAL
-            assert report["status"] == "dual_certificate"
-            assert len(report["weights"]) == 2
-            assert report["verification"]["accepted"] is True
-            code, out = invoke(capsys, "verify", "--input", prob,
-                               "--certificate", cert)
+        code, out = invoke(capsys, "solve", "--input", prob,
+                           "--certificate", cert)
+        report = json.loads(out, parse_constant=reject_constant)
+        assert code == EXIT_DUAL
+        assert report["status"] == "dual_certificate"
+        assert len(report["weights"]) == 2
+        assert report["verification"]["accepted"] is True
+        code, out = invoke(capsys, "verify", "--input", prob,
+                           "--certificate", cert)
         assert code == 0
         assert json.loads(out, parse_constant=reject_constant)["accepted"]
 
@@ -436,23 +455,22 @@ class TestSolveCommand:
             "columns": [[1.5e308, 1.5e308], [-1.5e308, -1.5e308]],
         })
         cert = str(tmp_path / "lp_huge.cert.json")
-        with np.errstate(over="ignore"):
-            code, out = invoke(capsys, "solve", "--input", prob,
-                               "--certificate", cert)
-            report = json.loads(out)
-            assert code == EXIT_DUAL
-            assert report["status"] == "dual_certificate"
-            assert sorted(w["witness"]["i"] for w in report["weights"]) \
-                == [0, 1]
-            assert report["verification"]["accepted"] is True
-            code, out = invoke(capsys, "verify", "--input", prob,
-                               "--certificate", cert)
+        code, out = invoke(capsys, "solve", "--input", prob,
+                           "--certificate", cert)
+        report = json.loads(out)
+        assert code == EXIT_DUAL
+        assert report["status"] == "dual_certificate"
+        assert sorted(w["witness"]["i"] for w in report["weights"]) \
+            == [0, 1]
+        assert report["verification"]["accepted"] is True
+        code, out = invoke(capsys, "verify", "--input", prob,
+                           "--certificate", cert)
         assert code == 0
         assert json.loads(out)["accepted"] is True
 
     def test_socp_columns_near_float_max_give_dual(self, tmp_path, capsys):
-        # ||(1.5e308, 1.5e308)|| overflows, so A is stored times
-        # OVERFLOW_SCALE; blocks 0 and 1 cancel
+        # ||(1.5e308, 1.5e308)|| overflows, so blocks 0 and 1 are stored
+        # scaled into range; they cancel
         prob = write_json(tmp_path / "socp_huge.json", {
             "schema": 1, "type": "socp", "m": 2, "blocks": [1, 1, 1],
             "A": [[1.5e308, -1.5e308, 1.0], [1.5e308, -1.5e308, 0.0]],
@@ -594,9 +612,8 @@ class TestVerifyCommand:
             "schema": 1, "kind": "p", "weights": [
                 {"witness": {"type": "sdp_vector", "v": [1, 0]}, "x": 1},
                 {"witness": {"type": "sdp_vector", "v": [0, 1]}, "x": 1}]})
-        with np.errstate(over="ignore"):
-            code, out = invoke(capsys, "verify", "--input", inp,
-                               "--certificate", cert)
+        code, out = invoke(capsys, "verify", "--input", inp,
+                           "--certificate", cert)
         assert code == EXIT_REJECTED
 
         def reject_constant(name):
@@ -609,8 +626,8 @@ class TestVerifyCommand:
     def test_sdp_column_that_overflows_is_reported_finite(self, tmp_path,
                                                           capsys):
         # v^T A v = 3e308 overflows for v = (2^-1/2, 2^-1/2); the residual
-        # of the columns taken at 2^-1024 times the matrices is that of the
-        # matrices as given
+        # of the columns taken from the matrices stored times 2^-768 is
+        # that of the matrices as given
         inp = write_json(tmp_path / "p.json", {
             "schema": 1, "type": "sdp", "m": 1, "n": 2,
             "matrices": [[[1.5e308, 1.5e308], [1.5e308, 1.5e308]]]})
@@ -619,9 +636,8 @@ class TestVerifyCommand:
                 {"witness": {"type": "sdp_vector", "v": [2**-0.5, 2**-0.5]},
                  "x": 1},
                 {"witness": {"type": "sdp_vector", "v": [1, 0]}, "x": 1}]})
-        with np.errstate(over="ignore"):
-            code, out = invoke(capsys, "verify", "--input", inp,
-                               "--certificate", cert)
+        code, out = invoke(capsys, "verify", "--input", inp,
+                           "--certificate", cert)
         assert code == EXIT_REJECTED
 
         def reject_constant(name):

@@ -17,7 +17,6 @@ from prfeas.certify import (
     verify_p_certificate,
 )
 from prfeas.oracle import (
-    OVERFLOW_SCALE,
     CustomOracle,
     CustomWitness,
     FiniteLp,
@@ -242,11 +241,15 @@ class TestSocpScalingInvariance:
 
     def test_size_one_blocks_near_float_max_give_dual(self):
         # the witness column (1.5e308, 1.5e308) has a norm above the float
-        # maximum, so Socp stores A times OVERFLOW_SCALE; the same columns
-        # as a FiniteLp give a verified 2-atom dual too
-        inst = Socp(np.array([[1.5e308, -1.5e308, 1.0],
-                              [1.5e308, -1.5e308, 0.0]]), (1, 1, 1))
-        assert inst.A[0, 0] == 1.5e308 * OVERFLOW_SCALE
+        # maximum; blocks 0 and 1 peak at 2^1023.7 and are stored times
+        # 2^-768, block 2 as given; the same columns as a FiniteLp give a
+        # verified 2-atom dual too
+        A = np.array([[1.5e308, -1.5e308, 1.0], [1.5e308, -1.5e308, 0.0]])
+        inst = Socp(A, (1, 1, 1))
+        assert inst.exponents.tolist() == [768, 768, 0]
+        assert np.ldexp(inst.A, np.repeat(inst.exponents, inst.blocks)
+                        ).tobytes() == A.tobytes()
+        assert inst.A[:, 2].tobytes() == A[:, 2].tobytes()
         out = main_algorithm(inst)
         assert out.status == "dual_certificate"
         assert out.counters.oracle_calls == 2
@@ -254,16 +257,22 @@ class TestSocpScalingInvariance:
         assert verify_p_certificate(inst, out.weights).accepted
 
     def test_only_blocks_whose_norms_overflow_are_scaled(self):
-        # block 0's sum of column norms overflows and block 1's does not:
-        # scaling all of A would round block 1's column (1e-306, 0) to
-        # zero, a false one-atom dual; y = (1, 0) gives margins 1.5e308
-        # and 1e-306
-        A = np.array([[1.5e308, 0.0, 1e-306], [0.0, 1.5e308, 0.0]])
-        inst = Socp(A, (2, 1))
-        assert_array_equal(inst.A[:, :2], A[:, :2] * OVERFLOW_SCALE)
-        assert inst.A[:, 2].tobytes() == A[:, 2].tobytes()
+        # each block is scaled by its own power of two: block 0 peaks at
+        # 1.5e308 and block 1 at 1e-306, both outside the range, and block
+        # 2 is in range and kept; scaling all of A by block 0's power
+        # would round block 1's column (1e-306, 0) to zero, a false
+        # one-atom dual; y = (1, 0) gives margins 1.5e308, 1e-306 and 1
+        A = np.array([[1.5e308, 0.0, 1e-306, 1.0], [0.0, 1.5e308, 0.0, 0.0]])
+        inst = Socp(A, (2, 1, 1))
+        assert inst.exponents[0] == 768 and inst.exponents[1] < 0
+        assert inst.exponents[2] == 0
+        assert np.ldexp(inst.A, np.repeat(inst.exponents, inst.blocks)
+                        ).tobytes() == A.tobytes()
+        assert inst.A[:, 3].tobytes() == A[:, 3].tobytes()
         assert main_algorithm(inst).status == "feasible"
-        assert verify_d_solution(inst, np.array([1.0, 0.0])).accepted
+        report = verify_d_solution(inst, np.array([1.0, 0.0]))
+        assert report.accepted
+        assert report.details["min_margin"] == 1e-306
 
     def test_block_that_scaling_would_round_is_rejected(self):
         # (1e-306, 0) shares a block with columns whose norms overflow;
@@ -271,6 +280,53 @@ class TestSocpScalingInvariance:
         with pytest.raises(ValueError, match="scale exactly"):
             Socp(np.array([[1e-306, 0.0, 0.0],
                            [0.0, 1.5e308, 1.5e308]]), (3,))
+
+
+def scaled_instance(inst, k):
+    """``inst`` with its data as given times ``2^k``."""
+    if isinstance(inst, FiniteLp):
+        return FiniteLp(np.ldexp(inst.columns, k))
+    if isinstance(inst, Sdp):
+        return Sdp(np.ldexp(inst.matrices, k))
+    return Socp(np.ldexp(inst.A, k), inst.blocks)
+
+
+class TestPowerOfTwoScalingInvariance:
+    """Data times a power of two far outside the float range that the
+    built-in instances keep (an SDP stack times a power of four) is stored
+    scaled back into it, so the solve repeats the unscaled one step for
+    step, and its margin is the unscaled one times that power."""
+
+    @pytest.mark.parametrize("k", [531, 996, -600, -1000])
+    @pytest.mark.parametrize("target", ["feasible_d", "feasible_p"])
+    @pytest.mark.parametrize("kind,m,n", [("lp", 5, 40), ("sdp", 4, 10),
+                                          ("socp", 5, 40)])
+    def test_scaled_solve_repeats_the_unscaled_one(self, kind, m, n, target,
+                                                   k):
+        if kind == "sdp":
+            k -= k % 2
+        base, _ = generate_planted(kind, m, n, 1, target)
+        out = main_algorithm(base)
+        out_k = main_algorithm(scaled_instance(base, k))
+        assert out_k.status == out.status
+        assert out_k.counters == out.counters
+        assert out_k.verification.accepted
+        if out.status == "feasible":
+            margin = out.verification.details["min_margin"]
+            assert out_k.verification.details["min_margin"] == \
+                math.ldexp(margin, k)
+
+    @pytest.mark.parametrize("kind,m,n", [("lp", 5, 40), ("sdp", 1, 6),
+                                          ("socp", 5, 40)])
+    def test_subnormal_data_gives_a_verified_dual(self, kind, m, n):
+        # at 2^-1040 most entries are subnormal, and the dual weights on
+        # the data as given would exceed the float range; the solver
+        # hands them back times one power of two
+        base, _ = generate_planted(kind, m, n, 1, "feasible_p")
+        out = main_algorithm(scaled_instance(base, -1040))
+        assert out.status == "dual_certificate"
+        assert out.verification.accepted
+        assert all(0.0 < x < 2.0**256 for _, x in out.weights)
 
 
 class TestSemiInfiniteOracles:

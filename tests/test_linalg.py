@@ -1,5 +1,5 @@
 """Dense linear-algebra kernels: the support's rank-one inverse update and
-checked inverse (``prfeas.solver``), the overflow-safe norms
+checked inverse (``prfeas.solver``), the overflow-safe norm
 (``prfeas.oracle``) and the Sdp oracle's definiteness test."""
 
 import math
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from prfeas.oracle import Sdp, column_norms, sdp_query, vector_norm
+from prfeas.oracle import Sdp, sdp_query, vector_norm
 from prfeas.solver import inverse_with_factorization, smw_inverse_update
 
 
@@ -195,21 +195,3 @@ class TestVectorNorm:
         with np.errstate(over="ignore", invalid="ignore"):
             assert vector_norm(np.array([math.inf, 1.0])) == math.inf
             assert math.isnan(vector_norm(np.array([math.nan, 1.0])))
-
-
-class TestColumnNorms:
-    def test_matches_numpy_norm_bit_for_bit(self):
-        rng = np.random.default_rng(19)
-        for _ in range(50):
-            X = rng.standard_normal((rng.integers(1, 20), rng.integers(1, 20)))
-            X *= 10.0 ** rng.uniform(-100, 100)
-            expected = np.linalg.norm(X, axis=0)
-            assert column_norms(X).tobytes() == expected.tobytes()
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_overflowing_column_is_taken_by_vector_norm(self):
-        X = np.array([[1.5e308, 3.0], [1.5e308, 4.0]])
-        norms = column_norms(X)
-        assert norms[0] == vector_norm(X[:, 0])
-        assert norms[0] == pytest.approx(1.5e308 * math.sqrt(2.0), rel=1e-15)
-        assert norms[1] == 5.0

@@ -14,7 +14,6 @@ from prfeas.certify import (
     verify_p_certificate,
 )
 from prfeas.oracle import (
-    OVERFLOW_SCALE,
     CustomOracle,
     CustomWitness,
     FiniteLp,
@@ -88,20 +87,54 @@ class TestFiniteLpQuery:
             FiniteLp(np.array([[1.0, 0.0], [0.0, 0.0]]))  # zero column
 
     def test_columns_whose_norm_overflows_are_scaled(self):
+        # columns 0 and 1 peak at 1.5e308 = 2^1023.7 and are stored times
+        # 2^-768, just below 2^256; column 2 is in range and kept
         cols = np.array([[1.5e308, -1.5e308, 1.0], [1.5e308, -1.5e308, 0.0]])
-        with np.errstate(over="ignore"):
-            inst = FiniteLp(cols)
-            w = lp_query(inst, np.array([1.0, 1.0]))
-        assert_allclose(inst.columns, cols * OVERFLOW_SCALE, rtol=0, atol=0)
+        inst = FiniteLp(cols)
+        w = lp_query(inst, np.array([1.0, 1.0]))
+        assert inst.exponents.tolist() == [768, 768, 0]
+        assert np.ldexp(inst.columns, inst.exponents).tobytes() == \
+            cols.tobytes()
+        assert inst.columns[:, 2].tobytes() == cols[:, 2].tobytes()
+        assert np.all(np.abs(inst.columns) < 2.0**256)
         assert np.all(np.isfinite(inst.column_norms))
         assert w.witness == LpIndex(1)
+        assert w.exponent == 768
 
     def test_columns_with_finite_norms_are_kept(self):
+        # 1e150 = 2^498.3 is out of range, -1 and 2 are not; the in-range
+        # column keeps its bytes and its norm
         cols = np.array([[1e150, -1.0], [1e150, 2.0]])
         inst = FiniteLp(cols)
-        assert inst.columns.tobytes() == cols.tobytes()
-        assert inst.column_norms.tobytes() == \
-            np.linalg.norm(cols, axis=0).tobytes()
+        assert inst.exponents.tolist() == [499 - 256, 0]
+        assert np.ldexp(inst.columns, inst.exponents).tobytes() == \
+            cols.tobytes()
+        assert inst.columns[:, 1].tobytes() == cols[:, 1].tobytes()
+        assert inst.column_norms[1] == np.linalg.norm(cols[:, 1])
+
+    def test_tiny_columns_are_scaled_up(self):
+        cols = np.array([[3e-300, 1.0], [4e-300, 0.0]])
+        inst = FiniteLp(cols)
+        assert inst.exponents[0] < 0 and inst.exponents[1] == 0
+        assert 2.0**-256 <= np.max(np.abs(inst.columns[:, 0])) < 2.0**-255
+        assert np.ldexp(inst.columns, inst.exponents).tobytes() == \
+            cols.tobytes()
+
+    def test_column_that_would_round_is_rejected(self):
+        # 1e-300 shares a column with 1.5e308; times 2^-768 it would round
+        with pytest.raises(ValueError, match="scale exactly"):
+            FiniteLp(np.array([[1.5e308, 1.0], [1e-300, 0.0]]))
+
+    def test_in_range_data_is_stored_as_given(self):
+        # no copy, no rescan: the stored arrays are the given ones
+        cols = np.random.default_rng(3).standard_normal((4, 9))
+        inst = FiniteLp(cols)
+        assert np.shares_memory(inst.columns, cols)
+        assert not inst.exponents.any()
+        A = np.random.default_rng(4).standard_normal((3, 7))
+        socp = Socp(A, (3, 1, 3))
+        assert np.shares_memory(socp.A, A)
+        assert not socp.exponents.any()
 
 
 class TestSdpQuery:
@@ -446,7 +479,7 @@ class TestSocpKernelMatchesLoop:
         candidates.append(np.zeros(inst.n))
         for v in candidates:
             try:
-                _, column = resolve_witness_column(
+                _, column, _ = resolve_witness_column(
                     inst, SocpVector(tuple(v.tolist())))
                 accepted = True
                 assert column.tobytes() == (inst.A @ v).tobytes()
@@ -519,9 +552,9 @@ class TestSocpDeepestCut:
 
     def test_entries_near_float_max(self):
         # x = (3e308, 0 | 3, 4, 0) at y = 1: blocks 1 and 2 are violated,
-        # and the Gram entry of block 0 would overflow unscaled; the norm
-        # of block 0's column overflows, so A is stored times
-        # OVERFLOW_SCALE, and a 3-atom certificate on blocks 1 and 2
+        # and the Gram entry of block 0 would overflow unscaled; blocks 0
+        # and 1 peak near the float maximum, so they are stored scaled
+        # into range, and a 3-atom certificate on blocks 1 and 2
         # verifies
         A = np.array([[1.5e308, 1e308, 1.0, 3.0, 1.0],
                       [1.5e308, -1e308, 2.0, 1.0, -1.0]])
@@ -535,12 +568,11 @@ class TestSocpDeepestCut:
         assert verify_p_certificate(inst, out.weights).accepted
 
     def test_image_decides_the_range_before_squaring(self):
-        # x = (1e200, 3e200, 4e200 | 2e200, 3e199, 4e199) at y = 1: every
-        # square overflows unscaled, so no square is taken before the
-        # blocks are scaled
-        inst = Socp(np.array([[1e200, 3e200, 4e200, 2e200, 3e199, 4e199]]),
-                    (3, 3))
-        y = np.ones(1)
+        # x = (1e200, 3e200, 4e200 | 2e200, 3e199, 4e199) at y = 1e200:
+        # every square overflows unscaled, so no square is taken before
+        # the blocks are scaled
+        inst = Socp(np.array([[1.0, 3.0, 4.0, 2.0, 0.3, 0.4]]), (3, 3))
+        y = np.array([1e200])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             x, tails, exps = inst.image(y)
@@ -553,13 +585,14 @@ class TestSocpDeepestCut:
     def test_block_scale_follows_x_not_a(self):
         # x = (1, 2, 0) at y = (0, 1): the block is violated by 1 - 2 = -1,
         # although its largest entry of A is 1e200; scaled by a power of
-        # two from that entry, the tail's squares would underflow to 0
+        # two from that entry into [1/2, 1), the tail's squares would
+        # underflow to 0
         inst = Socp(np.array([[0.0, 0.0, 1e200], [1.0, 2.0, 0.0]]), (3,))
         y = np.array([0.0, 1.0])
         w = query(inst, y)
         assert w is not None
         assert w.witness == SocpVector((1.0, -1.0, 0.0))
-        assert w.column.tolist() == [0.0, -1.0]
+        assert np.ldexp(w.column, w.exponent).tolist() == [0.0, -1.0]
         report = verify_d_solution(inst, y)
         assert not report.accepted
         assert report.residual == -1.0
