@@ -20,6 +20,7 @@ from .oracle import (
     FiniteLp,
     LpIndex,
     ProblemInstance,
+    RANGE_EXPONENT,
     Sdp,
     SdpVector,
     Socp,
@@ -82,27 +83,22 @@ class Certificate:
     weights: list[tuple[Union[Witness, WitnessedColumn], float]] | None = None
 
 
-def _accepted_margin(instance: ProblemInstance, y: np.ndarray) -> float | None:
-    """Strict margin of an accepted direction, where cheaply computable,
-    for the data as given."""
-    if isinstance(instance, FiniteLp):
-        return float(np.ldexp(y @ instance.columns, instance.exponents).min())
-    if isinstance(instance, Sdp):
-        X = np.tensordot(y, instance.matrices, axes=(0, 0))
-        return float(np.ldexp(np.linalg.eigvalsh(X)[0], instance.exponent))
-    if isinstance(instance, Socp):
-        return instance.min_margin(y)
-    return None
-
-
-def _unit_scaled(y: np.ndarray) -> np.ndarray:
-    """``y`` times the power of two that brings ``||y||`` into [1/2, 1).
+def _finite_at(margin, y: np.ndarray) -> float:
+    """``margin(y)``, a margin of the data as given; when it is not finite,
+    taken at ``y`` times the power of two that brings ``||y||`` into [1/2,
+    1), and when it is still not finite, times ``2^-RANGE_EXPONENT`` more.
 
     Every margin is homogeneous in ``y``, and a power of two scales it
-    exactly, so a margin that overflowed at ``y`` can be taken here, where
-    Cauchy-Schwarz bounds it by the column norm.
+    exactly.  At unit norm Cauchy-Schwarz bounds it by a column norm of
+    the data as given, which can exceed the float maximum only for data
+    near it; the last factor brings that bound far inside the range.
     """
-    return np.ldexp(y, -math.frexp(vector_norm(y))[1])
+    value = margin(y)
+    for k in (0, RANGE_EXPONENT):
+        if math.isfinite(value):
+            break
+        value = margin(np.ldexp(y, -math.frexp(vector_norm(y))[1] - k))
+    return value
 
 
 def verify_d_solution(instance: ProblemInstance, y: np.ndarray) -> VerificationReport:
@@ -112,10 +108,10 @@ def verify_d_solution(instance: ProblemInstance, y: np.ndarray) -> VerificationR
     violation.  Margins and violations are those of the data as given,
     mapped back from the stored data by its exponents.  A reported margin
     that is not finite at ``y`` is taken at ``y`` scaled by a power of two
-    to below unit norm instead.  The violation of a rejected ``y`` is
-    reported as at most 0: a margin that comes out positive is rounding
-    (or inside the oracle's tolerance band) on a true margin of about 0,
-    and reads as 0.
+    to below unit norm instead (:func:`_finite_at`).  The violation of a
+    rejected ``y`` is reported as at most 0: a margin that comes out
+    positive is rounding (or inside the oracle's tolerance band) on a true
+    margin of about 0, and reads as 0.
     """
     y = np.asarray(y, dtype=float)
     # a y from outside may overflow a square or a margin: the oracle reads
@@ -124,22 +120,14 @@ def verify_d_solution(instance: ProblemInstance, y: np.ndarray) -> VerificationR
     with np.errstate(over="ignore", invalid="ignore"):
         w = query(instance, y)
         if w is None:
-            margin = _accepted_margin(instance, y)
-            if margin is not None and not math.isfinite(margin):
-                margin = _accepted_margin(instance, _unit_scaled(y))
-            details: dict = {}
-            if margin is not None:
-                details["min_margin"] = margin
+            margin = None if isinstance(instance, CustomOracle) \
+                else _finite_at(instance.min_margin, y)
             return VerificationReport(
-                kind="d",
-                accepted=True,
+                kind="d", accepted=True,
                 residual=0.0 if margin is None else margin,
-                details=details,
-            )
-        violation = float(np.ldexp(w.column @ y, w.exponent))
-        if not math.isfinite(violation):
-            violation = float(np.ldexp(w.column @ _unit_scaled(y),
-                                       w.exponent))
+                details={} if margin is None else {"min_margin": margin})
+        violation = _finite_at(
+            lambda z: float(np.ldexp(w.column @ z, w.exponent)), y)
     violation = min(violation, 0.0)
     return VerificationReport(
         kind="d",
@@ -155,22 +143,24 @@ def resolve_witness_column(
 ) -> tuple[Witness, np.ndarray, int]:
     """Map a certificate witness to its constraint column on the instance.
 
-    Returns the witness, its column as the instance stores it and the
-    exponent ``e`` of that column's unit (:func:`prfeas.oracle.in_range`):
-    the column of the data as given is the stored one times ``2^e``.
+    Returns the witness, its column in range and an exponent ``e``: the
+    column of the data as given is that one times ``2^e``.  A built-in
+    instance's column is taken from its stored data
+    (:func:`prfeas.oracle.in_range`); a cone vector on blocks stored at
+    different exponents gets the largest, its other blocks' parts scaled
+    down to match.  A custom column is brought into range as a query
+    brings it (:meth:`prfeas.oracle.WitnessedColumn.in_range`).
 
     Raises
     ------
     UnresolvableWitness
         If the witness does not belong to the instance (wrong kind, index
         out of range, non-finite or malformed vector, missing or
-        non-finite custom column), or is a cone vector on blocks stored at
-        different exponents.
+        non-finite custom column).
     """
-    stored: np.ndarray | None = None
+    given: WitnessedColumn | None = None
     if isinstance(witness, WitnessedColumn):
-        stored = witness.column
-        witness = witness.witness
+        given, witness = witness, witness.witness
     if isinstance(witness, (SdpVector, SocpVector)) \
             and not np.all(np.isfinite(witness.v)):
         raise UnresolvableWitness("witness vector must be finite")
@@ -205,21 +195,20 @@ def resolve_witness_column(
             raise UnresolvableWitness(
                 "socp witness block must be (1, u) with ||u|| <= 1"
             )
-        exps = set(instance.exponents[active].tolist())
-        if len(exps) > 1:
-            raise UnresolvableWitness(
-                "socp witness spans blocks stored at different exponents")
-        return witness, instance.A @ v, exps.pop()
+        top = int(instance.exponents[active].max())
+        v = np.ldexp(v, np.repeat(instance.exponents, instance.blocks) - top)
+        return witness, instance.A @ v, top
     if isinstance(witness, CustomWitness):
         if not isinstance(instance, CustomOracle):
             raise UnresolvableWitness("custom witness on a built-in instance")
-        if stored is None:
+        if given is None:
             raise UnresolvableWitness("custom witness carries no column")
-        if stored.shape != (instance.m,):
+        if given.column.shape != (instance.m,):
             raise UnresolvableWitness("custom witness column has wrong shape")
-        if not np.all(np.isfinite(stored)):
+        if not np.all(np.isfinite(given.column)):
             raise UnresolvableWitness("custom witness column must be finite")
-        return witness, stored, 0
+        given = given.in_range()
+        return witness, given.column, given.exponent
     raise UnresolvableWitness(f"unknown witness type {type(witness).__name__}")
 
 
@@ -237,14 +226,14 @@ def verify_p_certificate(
     never counts as such.
 
     The weights are those of the data as given.  The sums are taken over
-    the stored columns ``c_t`` (:func:`resolve_witness_column`), each
-    weight multiplied by ``2^e_t`` of its column's unit.  When the largest
-    term ``x_t 2^e_t ||c_t||`` so mapped lies outside the range, every
-    weight is multiplied by one more power of two ``2^-E``, the one that
-    the range rule gives that term
-    (:func:`prfeas.oracle.range_exponents`), so no square of the
-    combination overflows and only a term below about ``2^-800`` times
-    the largest can underflow.  The mapping is done in exponent arithmetic,
+    the columns ``c_t`` in range (:func:`resolve_witness_column`), each
+    weight multiplied by ``2^e_t`` of its column.  When the largest term
+    ``x_t 2^e_t ||c_t||`` so mapped lies outside the range, every weight
+    is multiplied by one more power of two ``2^-E``, the one that the
+    range rule gives that term (:func:`prfeas.oracle.range_exponents`), so
+    no square of the combination overflows and only a weight on a term
+    below about ``2^-250`` times the largest can underflow, far below
+    what the residual resolves.  The mapping is done in exponent arithmetic,
     so no weight overflows on the way.  Powers of two scale exactly, so
     the residual is that of the weights as given; the report's
     ``absolute_residual`` and ``scale`` are those of the terms ``x_t 2^-E

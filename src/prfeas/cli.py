@@ -129,34 +129,30 @@ def load_problem(data: object) -> ProblemInstance:
 def dump_problem(instance: ProblemInstance) -> dict:
     """Inverse of :func:`load_problem` for the built-in instance kinds.
 
-    Writes the data as given: the stored data times two to the exponents
-    of its units (:func:`prfeas.oracle.in_range`)."""
+    Writes the data as given, not as stored
+    (:func:`prfeas.oracle.in_range`)."""
     if isinstance(instance, FiniteLp):
-        cols = np.ldexp(instance.columns, instance.exponents)
         return {
             "schema": 1,
             "type": "lp",
             "m": instance.m,
-            "columns": cols.T.tolist(),
+            "columns": instance.as_given().T.tolist(),
         }
     if isinstance(instance, Sdp):
-        mats = np.ldexp(instance.matrices, instance.exponent)
         return {
             "schema": 1,
             "type": "sdp",
             "m": instance.m,
             "n": instance.n,
-            "matrices": mats.tolist(),
+            "matrices": instance.as_given().tolist(),
         }
     if isinstance(instance, Socp):
-        A = np.ldexp(instance.A, np.repeat(instance.exponents,
-                                           instance.blocks))
         return {
             "schema": 1,
             "type": "socp",
             "m": instance.m,
             "blocks": list(instance.blocks),
-            "A": A.tolist(),
+            "A": instance.as_given().tolist(),
         }
     raise TypeError("only lp/sdp/socp instances have a file encoding")
 

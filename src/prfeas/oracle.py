@@ -76,11 +76,15 @@ SDP_DEFINITENESS_TOL = 1e-12
 
 #: Built-in instances store each unit of their data (an LP column, a SOCP
 #: cone block, the SDP stack) with its largest magnitude in
-#: ``[2^-RANGE_EXPONENT, 2^RANGE_EXPONENT)`` (:func:`in_range`).  Then no
-#: square, Gram entry or margin ``y^T a_t`` at a solver query (``||y|| <=
-#: sqrt(m)``) can overflow, and no square of a unit's largest entry
-#: underflows.
-RANGE_EXPONENT = 256
+#: ``[2^-RANGE_EXPONENT, 2^RANGE_EXPONENT)`` (:func:`in_range`), and
+#: queries hand out custom columns so (:meth:`WitnessedColumn.in_range`).
+#: Then no square, Gram entry or margin ``y^T a_t`` at a solver query
+#: (``||y|| <= sqrt(m)``) can overflow, no square of a unit's largest entry
+#: underflows, and an ``Sdp``'s ``sum_i y_i A_i`` at such a ``y`` stays
+#: below the ``2^485`` above which LAPACK's ``eigh`` rescales.  A unit near
+#: the float maximum shifts by ``2^-640``, so its entries down to about
+#: ``2^-382`` keep their bits.
+RANGE_EXPONENT = 384
 
 #: :func:`face_atoms` accepts a projected ``S`` with ``lambda_min(S)`` above
 #: this multiple of ``lambda_max(S)``.
@@ -205,8 +209,9 @@ Witness = Union[LpIndex, SdpVector, SocpVector, CustomWitness]
 class WitnessedColumn:
     """A violated constraint: its coefficient column and identifying witness.
 
-    A built-in query returns the column as its instance stores it, times
-    ``2^-exponent`` that of the data as given (:func:`in_range`).
+    :func:`query` returns the column in range: as a built-in instance
+    stores it (:func:`in_range`), and a custom oracle's under
+    :meth:`in_range`; it is ``2^-exponent`` times the column as given.
     """
 
     witness: Witness
@@ -221,6 +226,18 @@ class WitnessedColumn:
                 self.column.any()
                 or isinstance(self.witness, (SdpVector, SocpVector))):
             raise ValueError("witnessed column must be a nonzero vector")
+
+    def in_range(self) -> WitnessedColumn:
+        """This column under the range rule, as one unit: itself when it is
+        in range, else times ``2^-k`` (:func:`range_exponents`) with ``k``
+        added to its exponent.  Unlike instance data the column is not
+        kept, so an entry that the scaling rounds (one below about
+        ``2^-1400`` times the largest) is let round: no residual moves."""
+        e = math.frexp(np.abs(self.column).max())[1]
+        k = 0 if -RANGE_EXPONENT < e <= RANGE_EXPONENT \
+            else int(range_exponents(e))
+        return self if not k else WitnessedColumn(
+            self.witness, np.ldexp(self.column, -k), self.exponent + k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,6 +281,14 @@ class FiniteLp:
     def n(self) -> int:
         return self.columns.shape[1]
 
+    def as_given(self) -> np.ndarray:
+        """The columns as given: the stored ones times ``2^exponents``."""
+        return np.ldexp(self.columns, self.exponents)
+
+    def min_margin(self, y: np.ndarray) -> float:
+        """The least margin ``a_t^T y`` of the columns as given."""
+        return float(np.ldexp(y @ self.columns, self.exponents).min())
+
 
 @dataclass(frozen=True, eq=False)
 class Sdp:
@@ -304,6 +329,15 @@ class Sdp:
     @property
     def n(self) -> int:
         return self.matrices.shape[1]
+
+    def as_given(self) -> np.ndarray:
+        """The matrices as given: the stored ones times ``2^exponent``."""
+        return np.ldexp(self.matrices, self.exponent)
+
+    def min_margin(self, y: np.ndarray) -> float:
+        """``lambda_min(sum_i y_i A_i)`` for the matrices as given."""
+        X = np.tensordot(y, self.matrices, axes=(0, 0))
+        return float(np.ldexp(np.linalg.eigvalsh(X)[0], self.exponent))
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,6 +423,10 @@ class Socp:
     @property
     def n(self) -> int:
         return self.A.shape[1]
+
+    def as_given(self) -> np.ndarray:
+        """``A`` as given: each stored block times ``2^exponents[b]``."""
+        return np.ldexp(self.A, self.exponents[self._owner])
 
     def block_slices(self) -> list[slice]:
         return [slice(int(s), int(s) + b)
@@ -694,6 +732,7 @@ def query(instance: ProblemInstance, y: np.ndarray,
                 raise OracleContractViolation(
                     "custom oracle column has wrong shape or non-finite entries"
                 )
+            w = w.in_range()
     else:
         raise TypeError(f"unknown instance type {type(instance).__name__}")
     if w is not None:

@@ -73,6 +73,25 @@ class TestVerifyDSolution:
         assert rep.accepted
         assert rep.residual == pytest.approx(0.7)
 
+    @pytest.mark.parametrize("inst", [
+        FiniteLp(np.array([[1.5e308], [1.5e308]])),
+        Socp(np.array([[1.5e308], [1.5e308]]), blocks=(1,)),
+        Sdp(np.full((2, 1, 1), 1.5e308))], ids=["lp", "socp", "sdp"])
+    def test_margin_of_data_near_float_max_is_reported_finite(self, inst):
+        # the margin at y is 1.8e308, and at y of unit norm too; it is
+        # reported at y times 2^-384 more, finite and exactly scaled
+        rep = verify_d_solution(inst, np.array([0.6, 0.6]))
+        assert rep.accepted
+        assert rep.details["min_margin"] == rep.residual == \
+            math.ldexp(0.9e308, 1 - 384)
+
+    def test_violation_of_data_near_float_max_is_reported_finite(self):
+        inst = FiniteLp(np.array([[-1.5e308], [-1.5e308]]))
+        rep = verify_d_solution(inst, np.array([0.6, 0.6]))
+        assert not rep.accepted
+        assert rep.details["violation"] == rep.residual == \
+            math.ldexp(-0.9e308, 1 - 384)
+
     def test_json_payload_round_trips(self):
         rep = verify_d_solution(axes_lp(), np.array([1.0, 2.0]))
         d = rep.to_json_dict()
@@ -146,9 +165,25 @@ class TestVerifyPCertificate:
         assert math.isfinite(rep.residual)
         assert all(math.isfinite(v) for v in rep.details.values())
 
+    @pytest.mark.parametrize("b,residual", [
+        # the combination (0, 1.5e308) of the scale (sqrt 2 + 1) 1.5e308
+        ((-1.5e308, 0.0), 1.0 / (1.0 + math.sqrt(2.0))),
+        ((-1.5e308, -1.5e308), 0.0)])
+    def test_custom_columns_near_float_max(self, b, residual):
+        # custom columns are brought into range as built-in data is:
+        # their norms overflow as given, which must neither hide the
+        # combination of the pair nor cancel it
+        inst = CustomOracle(2, lambda y: None)
+        weights = [(WitnessedColumn(CustomWitness(label), np.array(c)), 1.0)
+                   for label, c in [("a", (1.5e308, 1.5e308)), ("b", b)]]
+        rep = verify_p_certificate(inst, weights)
+        assert rep.accepted == (residual == 0.0)
+        assert rep.residual == pytest.approx(residual, abs=1e-15)
+        self.assert_finite_report(rep)
+
     def test_overflowing_sdp_column_is_retaken_scaled(self):
         # v^T A v = 3e308 overflows for v = (2^-1/2, 2^-1/2); Sdp stores
-        # the matrices times 2^-768, and the weights 1 mapped to 2^768
+        # the matrices times 2^-640, and the weights 1 mapped to 2^640
         # are brought back into range by 2^-E
         mats = np.full((1, 2, 2), 1.5e308)
         weights = [(SdpVector((2**-0.5, 2**-0.5)), 1.0),
@@ -172,7 +207,7 @@ class TestVerifyPCertificate:
         (10, 2.0**-49, (0.0,) * 4 + (6**-0.5,) * 6)])
     def test_retake_that_rounds_rejects(self, n, small, atom):
         # the two huge columns cancel and the third would vanish if taken
-        # at 2^-1024; the stack is stored times 2^-768, which keeps it,
+        # at 2^-1024; the stack is stored times 2^-640, which keeps it,
         # and the tiny weights are kept beside the weight 1, so the true
         # residual is reported; y = (0, 1) is feasible, so no dual may be
         # accepted
@@ -278,18 +313,25 @@ class TestResolveWitnessColumn:
             resolve_witness_column(inst2, SocpVector((1.0, 2.0, 0.0)))
 
     def test_socp_witness_on_blocks_of_different_exponents(self):
-        # block 0 is stored times 2^-768, blocks 1 and 2 as given: a
-        # witness on blocks 0 and 1 has no single column scale, one on
-        # blocks 1 and 2 maps back by 2^0
-        inst = Socp(np.array([[1.5e308, 1.0, -1.0]]), blocks=(1, 1, 1))
-        with pytest.raises(UnresolvableWitness, match="exponents"):
-            resolve_witness_column(inst, SocpVector((1.0, 1.0, 0.0)))
+        # blocks 0 and 1 are stored times 2^-17 and 2^-7, block 2 as
+        # given: a witness on blocks 0 and 1 gets the larger exponent and
+        # maps back to the column as given, one on blocks 1 and 2 maps
+        # back by 2^7
+        big = 2.0**400 + 2.0**390
+        inst = Socp(np.array([[2.0**400, 2.0**390, -1.0]]), blocks=(1, 1, 1))
+        assert inst.exponents.tolist() == [17, 7, 0]
+        _, column, e = resolve_witness_column(inst,
+                                              SocpVector((1.0, 1.0, 0.0)))
+        assert e == 17 and np.ldexp(column, e).tolist() == [big]
         _, column, e = resolve_witness_column(inst,
                                               SocpVector((0.0, 1.0, 1.0)))
-        assert column.tolist() == [0.0] and e == 0
-        _, column, e = resolve_witness_column(inst,
-                                              SocpVector((1.0, 0.0, 0.0)))
-        assert np.ldexp(column, e).tolist() == [1.5e308]
+        assert e == 7 and np.ldexp(column, e).tolist() == [2.0**390 - 1.0]
+        # the two blocks against a third that cancels them exactly
+        cancel = Socp(np.array([[2.0**400, 2.0**390, -big]]), (1, 1, 1))
+        rep = verify_p_certificate(cancel, [
+            (SocpVector((1.0, 1.0, 0.0)), 1.0),
+            (SocpVector((0.0, 0.0, 1.0)), 1.0)])
+        assert rep.accepted and rep.residual == 0.0
 
     def test_custom_column_must_be_finite(self):
         inst = CustomOracle(2, lambda y: None)

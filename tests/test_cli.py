@@ -626,7 +626,7 @@ class TestVerifyCommand:
     def test_sdp_column_that_overflows_is_reported_finite(self, tmp_path,
                                                           capsys):
         # v^T A v = 3e308 overflows for v = (2^-1/2, 2^-1/2); the residual
-        # of the columns taken from the matrices stored times 2^-768 is
+        # of the columns taken from the matrices stored times 2^-640 is
         # that of the matrices as given
         inp = write_json(tmp_path / "p.json", {
             "schema": 1, "type": "sdp", "m": 1, "n": 2,
@@ -666,6 +666,27 @@ class TestVerifyCommand:
         report = json.loads(out, parse_constant=reject_constant)
         assert report["accepted"] is True
         assert 0.0 < report["residual"] <= 2.0
+
+    def test_margin_of_data_near_float_max_is_reported_finite(
+            self, tmp_path, capsys):
+        # the column as given is (1.5e308, 1.5e308): its margin 1.8e308
+        # at y, of norm below 1, overflows; it is reported at y times
+        # 2^-384, standard JSON
+        inp = write_json(tmp_path / "p.json", {
+            "schema": 1, "type": "lp", "m": 2,
+            "columns": [[1.5e308, 1.5e308]]})
+        cert = write_json(tmp_path / "c.json", {
+            "schema": 1, "kind": "d", "y": [0.6, 0.6]})
+        code, out = invoke(capsys, "verify", "--input", inp,
+                           "--certificate", cert)
+        assert code == 0
+
+        def reject_constant(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        report = json.loads(out, parse_constant=reject_constant)
+        assert report["accepted"] is True
+        assert report["residual"] == report["details"]["min_margin"] > 0.0
 
     def test_unknown_witness_type_is_data_error(self, tmp_path, capsys):
         cert = write_json(tmp_path / "c.json", {

@@ -242,11 +242,11 @@ class TestSocpScalingInvariance:
     def test_size_one_blocks_near_float_max_give_dual(self):
         # the witness column (1.5e308, 1.5e308) has a norm above the float
         # maximum; blocks 0 and 1 peak at 2^1023.7 and are stored times
-        # 2^-768, block 2 as given; the same columns as a FiniteLp give a
+        # 2^-640, block 2 as given; the same columns as a FiniteLp give a
         # verified 2-atom dual too
         A = np.array([[1.5e308, -1.5e308, 1.0], [1.5e308, -1.5e308, 0.0]])
         inst = Socp(A, (1, 1, 1))
-        assert inst.exponents.tolist() == [768, 768, 0]
+        assert inst.exponents.tolist() == [640, 640, 0]
         assert np.ldexp(inst.A, np.repeat(inst.exponents, inst.blocks)
                         ).tobytes() == A.tobytes()
         assert inst.A[:, 2].tobytes() == A[:, 2].tobytes()
@@ -264,7 +264,7 @@ class TestSocpScalingInvariance:
         # one-atom dual; y = (1, 0) gives margins 1.5e308, 1e-306 and 1
         A = np.array([[1.5e308, 0.0, 1e-306, 1.0], [0.0, 1.5e308, 0.0, 0.0]])
         inst = Socp(A, (2, 1, 1))
-        assert inst.exponents[0] == 768 and inst.exponents[1] < 0
+        assert inst.exponents[0] == 640 and inst.exponents[1] < 0
         assert inst.exponents[2] == 0
         assert np.ldexp(inst.A, np.repeat(inst.exponents, inst.blocks)
                         ).tobytes() == A.tobytes()
@@ -274,9 +274,44 @@ class TestSocpScalingInvariance:
         assert report.accepted
         assert report.details["min_margin"] == 1e-306
 
+    @pytest.mark.parametrize("kind,data,exponent", [
+        ("lp", [[1e200], [1e-200]], 281),
+        ("socp", [[1.5e308, 1e-100]], 640)])
+    def test_units_with_entries_far_below_their_largest(self, kind, data,
+                                                        exponent):
+        # 1e200 = 2^664.4 and 1.5e308 = 2^1023.7 are stored just below
+        # 2^384, where 1e-200 and 1e-100 stay normal floats: the data as
+        # given is kept bit for bit and solves
+        data = np.array(data)
+        inst = FiniteLp(data) if kind == "lp" else Socp(data, (2,))
+        assert inst.exponents.tolist() == [exponent]
+        assert inst.as_given().tobytes() == data.tobytes()
+        out = main_algorithm(inst)
+        assert out.status == "feasible"
+        assert out.verification.accepted
+
+    def test_custom_columns_near_float_max_give_dual(self):
+        # the columns of the size-one blocks above, handed out as given by
+        # a custom oracle: the queries bring them into range, and the dual
+        # is verified on the columns as given
+        cols = np.array([[1.5e308, -1.5e308, 1.0], [1.5e308, -1.5e308, 0.0]])
+        lp = FiniteLp(cols)
+
+        def fn(y):
+            w = oracle.query(lp, y)
+            return None if w is None else WitnessedColumn(
+                CustomWitness(w.witness.i), cols[:, w.witness.i])
+
+        inst = CustomOracle(2, fn)
+        out = main_algorithm(inst)
+        assert out.status == "dual_certificate"
+        assert sorted(wc.witness.label for wc, _ in out.weights) == [0, 1]
+        assert all(math.isfinite(x) for _, x in out.weights)
+        assert verify_p_certificate(inst, out.weights).accepted
+
     def test_block_that_scaling_would_round_is_rejected(self):
-        # (1e-306, 0) shares a block with columns whose norms overflow;
-        # times OVERFLOW_SCALE it would round to zero
+        # (1e-306, 0) shares a block with 1.5e308; times 2^-640 it would
+        # round to zero
         with pytest.raises(ValueError, match="scale exactly"):
             Socp(np.array([[1e-306, 0.0, 0.0],
                            [0.0, 1.5e308, 1.5e308]]), (3,))
@@ -326,7 +361,7 @@ class TestPowerOfTwoScalingInvariance:
         out = main_algorithm(scaled_instance(base, -1040))
         assert out.status == "dual_certificate"
         assert out.verification.accepted
-        assert all(0.0 < x < 2.0**256 for _, x in out.weights)
+        assert all(0.0 < x < 2.0**384 for _, x in out.weights)
 
 
 class TestSemiInfiniteOracles:

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from prfeas.certify import (
     UnresolvableWitness,
-    _accepted_margin,
     generate_planted,
     resolve_witness_column,
     verify_d_solution,
@@ -88,25 +87,26 @@ class TestFiniteLpQuery:
 
     def test_columns_whose_norm_overflows_are_scaled(self):
         # columns 0 and 1 peak at 1.5e308 = 2^1023.7 and are stored times
-        # 2^-768, just below 2^256; column 2 is in range and kept
+        # 2^-640, just below 2^384; column 2 is in range and kept
         cols = np.array([[1.5e308, -1.5e308, 1.0], [1.5e308, -1.5e308, 0.0]])
         inst = FiniteLp(cols)
         w = lp_query(inst, np.array([1.0, 1.0]))
-        assert inst.exponents.tolist() == [768, 768, 0]
+        assert inst.exponents.tolist() == [640, 640, 0]
         assert np.ldexp(inst.columns, inst.exponents).tobytes() == \
             cols.tobytes()
+        assert inst.as_given().tobytes() == cols.tobytes()
         assert inst.columns[:, 2].tobytes() == cols[:, 2].tobytes()
-        assert np.all(np.abs(inst.columns) < 2.0**256)
+        assert np.all(np.abs(inst.columns) < 2.0**384)
         assert np.all(np.isfinite(inst.column_norms))
         assert w.witness == LpIndex(1)
-        assert w.exponent == 768
+        assert w.exponent == 640
 
     def test_columns_with_finite_norms_are_kept(self):
         # 1e150 = 2^498.3 is out of range, -1 and 2 are not; the in-range
         # column keeps its bytes and its norm
         cols = np.array([[1e150, -1.0], [1e150, 2.0]])
         inst = FiniteLp(cols)
-        assert inst.exponents.tolist() == [499 - 256, 0]
+        assert inst.exponents.tolist() == [499 - 384, 0]
         assert np.ldexp(inst.columns, inst.exponents).tobytes() == \
             cols.tobytes()
         assert inst.columns[:, 1].tobytes() == cols[:, 1].tobytes()
@@ -116,12 +116,12 @@ class TestFiniteLpQuery:
         cols = np.array([[3e-300, 1.0], [4e-300, 0.0]])
         inst = FiniteLp(cols)
         assert inst.exponents[0] < 0 and inst.exponents[1] == 0
-        assert 2.0**-256 <= np.max(np.abs(inst.columns[:, 0])) < 2.0**-255
+        assert 2.0**-384 <= np.max(np.abs(inst.columns[:, 0])) < 2.0**-383
         assert np.ldexp(inst.columns, inst.exponents).tobytes() == \
             cols.tobytes()
 
     def test_column_that_would_round_is_rejected(self):
-        # 1e-300 shares a column with 1.5e308; times 2^-768 it would round
+        # 1e-300 shares a column with 1.5e308; times 2^-640 it would round
         with pytest.raises(ValueError, match="scale exactly"):
             FiniteLp(np.array([[1.5e308, 1.0], [1e-300, 0.0]]))
 
@@ -301,7 +301,7 @@ class TestSocpQuery:
         assert inst.starts.tolist() == [0, 2]
 
 
-# Per-block loops for socp_query, _accepted_margin and
+# Per-block loops for socp_query, Socp.min_margin and
 # resolve_witness_column; the array passes must reproduce them.
 
 #: Two depths this close, relative to ||y||, which bounds every depth
@@ -430,7 +430,7 @@ class TestSocpKernelMatchesLoop:
                                     for _ in range(5)]
         for y in ys:
             assert_matches_loop(inst, y, socp_query(inst, y))
-            assert _accepted_margin(inst, y) == loop_accepted_margin(inst, y)
+            assert inst.min_margin(y) == loop_accepted_margin(inst, y)
 
     def test_boundary_block_is_violated(self):
         A = np.zeros((2, 5))
@@ -449,7 +449,7 @@ class TestSocpKernelMatchesLoop:
         y = np.ones(1)
         assert socp_query(inst, y) is None
         assert loop_socp_query(inst, y) is None
-        assert _accepted_margin(inst, y) == loop_accepted_margin(inst, y)
+        assert inst.min_margin(y) == loop_accepted_margin(inst, y)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_witness_validation(self, seed):
@@ -678,6 +678,19 @@ class TestQueryDispatch:
         )
         with pytest.raises(OracleContractViolation):
             query(bad, np.array([1.0, 1.0]))
+
+    def test_custom_column_is_handed_out_in_range(self):
+        # a column as given near the float maximum is handed out times
+        # 2^-640 with exponent 640, its label kept; one in range is
+        # handed out as the oracle returned it
+        big = WitnessedColumn(CustomWitness("big"),
+                              np.array([-1.5e308, 1e-100]))
+        w = query(CustomOracle(2, lambda y: big), np.array([1.0, 0.0]))
+        assert w.witness == big.witness and w.exponent == 640
+        assert np.ldexp(w.column, 640).tobytes() == big.column.tobytes()
+        small = WitnessedColumn(CustomWitness("small"), np.array([-1.0, 0.0]))
+        assert query(CustomOracle(2, lambda y: small),
+                     np.array([1.0, 0.0])) is small
 
     def test_witnessed_column_must_be_nonzero(self):
         with pytest.raises(ValueError):
