@@ -94,20 +94,23 @@ FACE_DEFINITENESS_TOL = 1e-9
 def vector_norm(v: np.ndarray) -> float:
     """Euclidean norm of ``v`` that does not overflow for finite entries.
 
-    Returns ``sqrt(v @ v)``, bit for bit, whenever that square is a finite
-    normal float.  Only when it overflows or falls below the normal range
-    and every entry is finite is ``v`` multiplied by the power of two
+    The range is decided before anything is squared.  When every entry
+    lies below ``2^500`` in magnitude, no square overflows, nor does their
+    sum over fewer than ``2^24`` entries, and the result is ``sqrt(v @
+    v)``, bit for bit, whenever that sum is a normal float.  Otherwise, when
+    every entry is finite, ``v`` is multiplied by the power of two
     ``2^-e`` that brings ``max|v|`` into [1/2, 1) before squaring, so
     vectors with entries near the float maximum keep a finite norm, tiny
     ones an accurate one, and ``2^k v`` gets exactly ``2^k`` times the
-    norm of ``v``.
+    norm of ``v``.  An infinite or NaN entry gives an infinite or NaN norm.
     """
-    sq = float(v @ v)
-    if 2.0**-1022 <= sq < math.inf:
-        return math.sqrt(sq)
-    peak = float(np.max(np.abs(v), initial=0.0))
-    if not peak < math.inf:
-        return math.sqrt(sq)  # an infinite or NaN entry
+    peak = float(abs(v).max(initial=0.0))
+    if peak < 2.0**500:
+        sq = float(v @ v)
+        if sq >= 2.0**-1022:
+            return math.sqrt(sq)
+    elif not peak < math.inf:
+        return peak  # sqrt(v @ v), without the overflowing squares
     e = math.frexp(peak)[1]
     u = np.ldexp(v, -e)
     return float(np.ldexp(math.sqrt(u @ u), e))
@@ -587,9 +590,10 @@ def _check_soundness(w: WitnessedColumn, y: np.ndarray,
                      band: float = 0.0) -> None:
     """Require ``column^T y <= 0`` up to rounding and the oracle's ``band``."""
     val = float(w.column @ y)
-    scale = 1.0 + vector_norm(w.column) * vector_norm(y)
-    tol = SOUNDNESS_TOL * scale + band
-    if val > tol:
+    # the tolerance is at least SOUNDNESS_TOL + band, so the norms are
+    # taken only for a column that comes that close
+    if val > SOUNDNESS_TOL + band and val > SOUNDNESS_TOL * (
+            1.0 + vector_norm(w.column) * vector_norm(y)) + band:
         raise OracleContractViolation(
             f"returned column has positive inner product {val:.3e} with the query"
         )

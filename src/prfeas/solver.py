@@ -29,9 +29,16 @@ shrinks z further without an oracle call: G e_{m+1} gives the affine
 weights that make the basis vanish, and the weights move toward them until
 one reaches zero; the next insertion takes that empty slot.  The cycle
 runs only while the shrunk ||z|| stays above MINOR_CYCLE_GUARD times the
-exit threshold mu/(m+1), so it never ends a run itself; a smaller guard
-lets cycles reach the threshold and change which direction a run
-contracts along.
+threshold mu/(m+1), so it never reaches that exit itself; a smaller guard
+lets cycles reach it and change which direction a run contracts along.
+
+A run ends with a small aggregate at ||z|| <= mu/(m+1) or, once the map
+holds a contraction (s > 0, so an earlier run found no certificate), at
+||z|| <= mu x_h for its heaviest weight x_h.  Either exit bounds the slab
+the contraction needs: every feasible y has x_h a_h^T y <= z^T y <=
+||z|| ||y||, so a_h^T y <= mu ||y||; the first is the second at its worst
+case, x_h = 1/(m+1).  The second can lie above the cycle's floor, so
+after a contraction a cycle may end a run.
 
 An inner run that ends with a small aggregate first asks whether its
 support already holds a dual certificate: one least-squares solve gives
@@ -521,10 +528,12 @@ class BasicProcedureResult:
     that certify the alternative system, in the form of
     :attr:`SolveOutcome.weights`, and ``verification`` the accepted
     ``certify.verify_p_certificate`` report on them),
-    ``"small_aggregate"`` (||z|| fell below mu/(m+1) and the support holds
-    no certificate; the heaviest term indicates the contraction
-    direction), or ``"stalled"`` (the oracle rejected ``M z`` with a
-    column that does not cut the aggregate, so no step can shrink ``z``).
+    ``"small_aggregate"`` (||z|| fell to ``mu/(m+1)``, or, once
+    ``state.s > 0``, to ``mu x_h`` for the heaviest weight ``x_h``, and the
+    support holds no certificate; the heaviest term indicates the
+    contraction direction), or ``"stalled"`` (the oracle rejected ``M z``
+    with a column that does not cut the aggregate, so no step can shrink
+    ``z``).
     Only a decided run carries a ``verification``.  ``combination`` is
     the support as the run left it, empty when the first query is
     accepted.
@@ -618,7 +627,15 @@ def basic_procedure(
     it.  Every step increases ``1/||z||^2`` by at least 1, so with the
     fixed ``mu = 1/sqrt(3m)`` one of two things happens within
     ``ceil((m+1)^2 / mu^2)`` iterations: the oracle accepts a query
-    (feasible), or ``||z|| <= mu/(m+1)``.
+    (feasible), or ``||z|| <= mu/(m+1)``.  Once ``state.s > 0`` the run
+    also ends at ``||z|| <= mu x_h``, with ``x_h`` the largest of the
+    weights: that bounds ``a_h^T y <= mu ||y||`` for every feasible ``y``
+    (``x_h a_h^T y <= z^T y``), which is all the contraction along the
+    heaviest term needs, and since ``x_h >= 1/(m+1)`` it never comes
+    later.  At ``s = 0`` the run keeps to ``mu/(m+1)``: the first run's
+    support, converged that far, is what the certificate tests below
+    most often certify (the relaxed exit there took a planted sdp m=8
+    n=20, seed 103, from 5 oracle calls to 58).
 
     After a step that leaves exactly ``m + 1`` terms with ``G`` valid, the
     run takes one minor cycle (:meth:`ConvexCombination.minor_cycle`),
@@ -626,7 +643,9 @@ def basic_procedure(
     skipped unless ``||z|| > MINOR_CYCLE_GUARD mu/(m+1)``, tested before
     anything is computed, and unless the cycled ``||z||`` stays above that
     floor.  ``||z||`` only shrinks, so the iteration bound and the ``m + 1``
-    support hold as before, and no run ends on a cycle.
+    support hold as before.  No cycle reaches ``mu/(m+1)``, but once
+    ``state.s > 0`` one may take ``||z||`` to ``mu x_h`` and so end the
+    run.
 
     That bound holds for any violated column, but a step gains most from
     the most violated one, so the built-in oracles return their deepest cut
@@ -643,7 +662,7 @@ def basic_procedure(
     rescaled space, built once per call (once per rescaling) by
     :func:`prfeas.oracle.rescaled_scales` and passed to every query.
 
-    When ``||z|| <= mu/(m+1)`` the run returns ``dual`` if the exact
+    At either small-aggregate exit the run returns ``dual`` if the exact
     weights on the support (:func:`_reweight_to_dual`) pass the
     zero-aggregate test in both spaces: rescaled aggregate at most
     ``ZERO_AGGREGATE_TOL``, then ``certify.verify_p_certificate`` on the
@@ -741,7 +760,10 @@ def basic_procedure(
         if z_norm > cycle_floor and cc.G is not None \
                 and len(cc.entries) == m + 1:
             z_norm = cc.minor_cycle(z_norm, cycle_floor)
-        if z_norm <= small_threshold:
+        # after a contraction, ||z|| <= mu x_h is enough: it bounds the
+        # slab a_h^T y <= mu ||y|| that the next contraction needs
+        if z_norm <= small_threshold or state.s > 0 \
+                and z_norm <= mu * float(cc.weights.max()):
             pairs, report = _reweight_to_dual(instance, cc)
             if report is None:
                 # the weights mapped back to the original columns

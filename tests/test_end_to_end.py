@@ -221,8 +221,8 @@ class TestSocpScalingInvariance:
     original one."""
 
     @pytest.mark.parametrize("seed,target,calls", [
-        (1, "feasible_d", 11), (1, "feasible_p", 11),
-        (2, "feasible_d", 14), (2, "feasible_p", 15)])
+        (1, "feasible_d", 11), (1, "feasible_p", 35),
+        (2, "feasible_d", 14), (2, "feasible_p", 38)])
     @pytest.mark.parametrize("k", [531, 664, 996])
     def test_power_of_two_scaling_near_float_max(self, seed, target, calls,
                                                  k):
@@ -464,7 +464,7 @@ class TestSdpFaceStep:
     @pytest.mark.parametrize("m,n,seed,rescalings", [
         (4, 10, 1, 0), (4, 10, 2, 0), (4, 10, 3, 0),
         (8, 20, 1, 0), (8, 20, 2, 0), (8, 20, 3, 0),
-        (20, 40, 1, 0), (20, 40, 2, 1), (20, 40, 3, 0)])
+        (20, 40, 1, 0), (20, 40, 2, 3), (20, 40, 3, 0)])
     def test_planted_p_dual_in_first_runs(self, m, n, seed, rescalings):
         inst, _ = generate_planted("sdp", m, n, seed, "feasible_p")
         out = main_algorithm(inst)
@@ -524,6 +524,34 @@ class TestContractionProperties:
             assert val > 0.0
             assert val <= mu * n_y + 1e-9 * n_y
             y_tilde = y_tilde + a * (a @ y_tilde)  # (I - a a^T / 2)^-1
+
+    @pytest.mark.parametrize("lift,calls", [(1e-2, 2963), (1e-3, 4262)])
+    def test_relaxed_exit_contracts_along_a_slab(self, solve_probe, lift,
+                                                 calls):
+        # Gaussian columns projected onto y_perp, plus lift * y: y is
+        # feasible with a_t^T y = lift.  A run that ends at ||z|| <= mu x_h
+        # contracts along a column a_hat with a_hat^T y' <= mu ||y'|| for
+        # y' = M^-1 y under the map as it stood before that contraction
+        m, n = 10, 200
+        rng = np.random.default_rng(1)
+        y = rng.standard_normal(m)
+        y /= np.linalg.norm(y)
+        cols = rng.standard_normal((m, n))
+        cols -= np.outer(y, y @ cols)
+        out = main_algorithm(FiniteLp(cols + lift * y[:, None]))
+        assert out.status == "feasible"
+        assert out.counters.oracle_calls == calls
+        assert len(solve_probe.rescales) == len(solve_probe.contractions) \
+            == out.counters.rescalings > 0
+        relaxed = 0
+        for (z_norm, mu, x_h), a in zip(solve_probe.contractions,
+                                        solve_probe.rescales):
+            assert z_norm <= mu * x_h
+            relaxed += z_norm > mu / (m + 1)
+            n_y = np.linalg.norm(y)
+            assert 0.0 < float(a @ y) <= mu * n_y * (1.0 + 1e-9)
+            y = y + a * (a @ y)  # (I - a a^T / 2)^-1
+        assert relaxed > 0
 
     def test_feasible_points_grow_slowly_under_inverse_contraction(
             self, solve_probe):

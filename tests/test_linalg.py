@@ -3,6 +3,7 @@ checked inverse (``prfeas.solver``), the overflow-safe norm
 (``prfeas.oracle``) and the Sdp oracle's definiteness test."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,14 @@ class TestVectorNorm:
         assert vector_norm(v) == pytest.approx(5e-165, rel=1e-15)
         assert vector_norm(np.ldexp(v, 600)) == math.ldexp(vector_norm(v), 600)
         assert vector_norm(np.zeros(3)) == 0.0
+
+    def test_decides_the_range_before_squaring(self):
+        # the square of 2^512 overflows, so it is never taken
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert vector_norm(np.array([-1.0, 2.0**512])) == 2.0**512
+            assert vector_norm(np.array([0.0, -2.0**600, 2.0**600])) \
+                == math.ldexp(math.sqrt(2.0), 600)
 
     def test_non_finite_entries_stay_non_finite(self):
         with np.errstate(over="ignore", invalid="ignore"):

@@ -645,6 +645,13 @@ class TestQueryDispatch:
         with pytest.raises(InvalidQuery):
             query(inst, np.array([1.0, 1.0, 1.0]))
 
+    def test_direction_with_huge_entries_warns_nothing(self):
+        # the soundness check of the answer takes no square of 2^512
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w = query(FiniteLp(np.eye(2)), np.array([-1.0, 2.0**512]))
+        assert w.witness == LpIndex(0)
+
     def test_custom_oracle_contract_enforced(self):
         lying = CustomOracle(
             2, lambda y: WitnessedColumn(CustomWitness("x"), y.copy())

@@ -599,7 +599,9 @@ class TestBasicProcedure:
 class TestDeepestCut:
     def test_lp_pick_is_most_violated_rescaled_column(self, monkeypatch):
         rng = np.random.default_rng(23)
-        m, n = 5, 40
+        # m = 10, so that the run after three contractions, which may end
+        # at ||z|| <= mu x_h, still makes more than three picks
+        m, n = 10, 40
         inst = FiniteLp(rng.standard_normal((m, n)))
         state = RescalingState(m)
         M = np.eye(m)
@@ -632,7 +634,8 @@ class TestDeepestCut:
 
     def test_socp_pick_is_deepest_rescaled_cut(self, monkeypatch):
         rng = np.random.default_rng(31)
-        inst = generate_planted("socp", 5, 40, 3, "feasible_p")[0]
+        # m = 10, as in the LP test above
+        inst = generate_planted("socp", 10, 80, 3, "feasible_p")[0]
         state = RescalingState(inst.m)
         for _ in range(3):
             a = rng.standard_normal(inst.m)
