@@ -40,14 +40,26 @@ the contraction needs: every feasible y has x_h a_h^T y <= z^T y <=
 case, x_h = 1/(m+1).  The second can lie above the cycle's floor, so
 after a contraction a cycle may end a run.
 
+The first run starts at M 1.  Each later run starts from the support
+the previous run ended on, mapped through the new map: every term keeps
+its column and its weight on that column, and only the unit columns and
+the normalized weights change.  That support's aggregate is still a
+convex combination of unit columns, so ||z|| <= 1 and the run's
+iteration bound holds as for a run from M 1; it only starts lower.  A
+warm run queries at the mapped aggregate and takes one oracle step
+before its first exit test.
+
 An inner run that ends with a small aggregate first asks whether its
 support already holds a dual certificate: one least-squares solve gives
-the exact weights that make the support's columns vanish.  When they do
-not certify, an Sdp run looks on the face its witnesses span (the face
-step, :func:`prfeas.oracle.face_atoms`): the support's weighted witnesses
-``sum_t x_t v_t v_t^T``, projected in the span's coordinates onto the
-matrices orthogonal to every ``A_i``, are a certificate when the
-projection stays positive definite, and its eigenvectors are the atoms.
+the exact weights that make the support's columns vanish, and when the
+support is affinely dependent, so that the solve has many solutions, a
+nonnegative least-squares solve looks for one without a negative
+weight.  When they do not certify, an Sdp run looks on the face its
+witnesses span (the face step, :func:`prfeas.oracle.face_atoms`): the
+support's weighted witnesses ``sum_t x_t v_t v_t^T``, projected in the
+span's coordinates onto the matrices orthogonal to every ``A_i``, are a
+certificate when the projection stays positive definite, and its
+eigenvectors are the atoms.
 Either way the atoms become the answer only once
 ``certify.verify_p_certificate`` accepts them.  If nothing certifies, the
 run supplies a direction along which the space is contracted by one
@@ -512,6 +524,29 @@ class ConvexCombination:
         self._vacant = t
         return (1.0 - theta) * z_norm
 
+    def remapped(self, state: RescalingState) -> ConvexCombination:
+        """This support's terms of positive weight under the map ``state``.
+
+        Each term keeps its column ``c_t`` and its weight on it, ``x_t /
+        ||M^T c_t||`` for the map ``M`` it was built under, so its new unit
+        column is ``a'_t = M'^T c_t / ||M'^T c_t||`` and its new weight
+        ``x'_t`` is proportional to ``x_t ||M'^T c_t|| / ||M^T c_t||``,
+        normalized to sum 1.  The new aggregate ``z' = sum x'_t a'_t`` is
+        ``M'^T`` times the old one's original-space combination, scaled,
+        so it vanishes only when the old ``z`` did; then the result is
+        empty.  Term order is kept, and ``G`` is rebuilt at the first
+        reduction.
+        """
+        out = ConvexCombination(self.m)
+        for e, x in zip(self.entries, self.weights.tolist()):
+            if x > 0.0:
+                a_scaled, nrm = state.normalize(e.witnessed.column)
+                out.add_term(e.witnessed, a_scaled, nrm,
+                             x / e.scale_norm * nrm)
+        out._w[: len(out.entries)] /= out.weight_sum()
+        out.z = out.combination()
+        return out if out.z.any() else ConvexCombination(self.m)
+
 
 # ---------------------------------------------------------------------------
 # inner procedure
@@ -535,8 +570,8 @@ class BasicProcedureResult:
     with a column that does not cut the aggregate, so no step can shrink
     ``z``).
     Only a decided run carries a ``verification``.  ``combination`` is
-    the support as the run left it, empty when the first query is
-    accepted.
+    the support as the run left it: empty when a run from ``M 1`` has its
+    first query accepted, the remapped support when a warm run has.
     """
 
     status: str
@@ -557,6 +592,51 @@ def _accepted_dual(
     the report rejects them."""
     report = certify.verify_p_certificate(instance, weights)
     return (weights, report) if report.accepted else (None, None)
+
+
+def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lawson and Hanson's active-set NNLS: ``argmin ||A x - b||``, ``x >= 0``.
+
+    The passive set ``P`` starts empty.  Each outer step moves into ``P``
+    the index outside it with the largest gradient entry ``w = A^T (b - A
+    x)`` and solves the least-squares problem over the columns in ``P``
+    (``lstsq``, so a rank-deficient ``A`` is handled).  While that solution
+    ``s`` has an entry in ``P`` at or below the tolerance, ``x`` moves
+    toward ``s`` until the first such entry reaches zero, and every entry
+    of ``x`` at or below the tolerance leaves ``P``; each pass empties one
+    more, so this inner loop ends.  The outer loop stops when no ``w``
+    outside ``P`` exceeds the tolerance ``10 eps ||A||_1 max(A.shape)``
+    (Lawson & Hanson, *Solving Least Squares Problems*, 1974, ch. 23), or
+    after ``3 n`` steps.
+
+    The result is nonnegative and zero off ``P``; it is a candidate that
+    its callers verify, not a certificate by itself.
+    """
+    n = A.shape[1]
+    tol = 10.0 * np.finfo(float).eps * np.linalg.norm(A, 1) * max(A.shape)
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        w = A.T @ (b - A @ x)
+        if passive.all() or not np.any(w[~passive] > tol):
+            break
+        passive[np.argmax(np.where(passive, -np.inf, w))] = True
+        while True:
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+            low = passive & (s <= tol)
+            if not low.any():
+                break
+            # an entry with x_j <= s_j (the one just moved in, at 0)
+            # blocks the move at once
+            gap = x[low] - s[low]
+            ratios = np.divide(x[low], gap, out=np.zeros(gap.size),
+                               where=gap > 0.0)
+            x += ratios.min() * (s - x)
+            x[np.flatnonzero(low)[np.argmin(ratios)]] = 0.0
+            passive &= x > tol
+        x = s
+    return x
 
 
 def _reweight_to_dual(
@@ -581,51 +661,74 @@ def _reweight_to_dual(
     raise ValueError.
 
     The support has at most ``m + 1`` terms, but they may be affinely
-    dependent (SOCP supports on few cone blocks, the degenerate LP); the
-    system is then underdetermined and ``lstsq`` returns its minimum-norm
-    solution, which can have a negative entry while a positive solution
-    exists, so such a support is not certified here.  Returns the accepted
-    pairs, in the outcome's form (:func:`_accepted_dual`), and their
-    report, or ``(None, None)``; ``cc`` is left as it was either way.
+    dependent (SOCP supports on few cone blocks, the degenerate LP, the
+    supports a warm run resumes); the system is then underdetermined and
+    ``lstsq`` returns its minimum-norm solution, which can have a negative
+    entry while a nonnegative one exists.  So when ``lstsq`` reports a
+    rank below ``k`` and an ``x`` that is not positive, the same system
+    goes to the NNLS (:func:`_nnls`), and the terms it leaves at zero
+    weight are dropped before the tests above.  A full-rank support has
+    one solution, and a non-positive one ends the test there, without
+    the NNLS.  Returns the accepted pairs, in the outcome's form
+    (:func:`_accepted_dual`), and their report, or ``(None, None)``;
+    ``cc`` is left as it was either way.
     """
     k = len(cc.entries)
     cols = np.column_stack([e.witnessed.column for e in cc.entries])
     norms = np.linalg.norm(cols, axis=0)
+    A = np.vstack([cols / norms, np.ones(k)])
     rhs = np.zeros(cc.m + 1)
     rhs[-1] = 1.0
-    x = np.linalg.lstsq(np.vstack([cols / norms, np.ones(k)]), rhs,
-                        rcond=None)[0]
+    x, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
     if not np.all(x > 0.0):
+        if rank == k:
+            return None, None
+        x = _nnls(A, rhs)
+    keep = x > 0.0
+    if not keep.any():
         return None, None
-    w = x * np.array([e.scale_norm for e in cc.entries]) / norms
+    terms = [e for e, kept in zip(cc.entries, keep.tolist()) if kept]
+    scale_norms = np.array([e.scale_norm for e in terms])
+    w = x[keep] * scale_norms / norms[keep]
     w /= w.sum()
-    z = np.column_stack([e.a_scaled for e in cc.entries]) @ w
+    z = np.column_stack([e.a_scaled for e in terms]) @ w
     if float(np.linalg.norm(z)) > ZERO_AGGREGATE_TOL:
         return None, None
     # the weights on the data as given, in exponent arithmetic, times one
     # power of two when the largest leaves the range: a certificate times
     # any positive factor is one
-    mants, exps = np.frexp(w / [e.scale_norm for e in cc.entries])
-    exps -= [e.witnessed.exponent for e in cc.entries]
+    mants, exps = np.frexp(w / scale_norms)
+    exps -= [e.witnessed.exponent for e in terms]
     x = np.ldexp(mants, exps - range_exponents(exps.max())).tolist()
     weights = [(e.witnessed if isinstance(e.witnessed.witness, CustomWitness)
                 else e.witnessed.witness, wt)
-               for e, wt in zip(cc.entries, x)]
+               for e, wt in zip(terms, x)]
     return _accepted_dual(instance, weights)
 
 
 def basic_procedure(
     instance: ProblemInstance,
     state: RescalingState,
+    support: ConvexCombination | None = None,
 ) -> BasicProcedureResult:
     """Drive the aggregate of rescaled columns toward zero.
 
-    Queries the oracle first at ``M 1`` (the all-ones direction mapped
-    through the dense map ``state.M``), then repeatedly at the mapped
-    aggregate ``M z``.  The first violated column becomes ``z``, with
-    weight 1; each later one is an iteration, the minimum-norm step toward
-    it.  Every step increases ``1/||z||^2`` by at least 1, so with the
-    fixed ``mu = 1/sqrt(3m)`` one of two things happens within
+    Without a ``support`` the run queries the oracle first at ``M 1``
+    (the all-ones direction mapped through the dense map ``state.M``),
+    then repeatedly at the mapped aggregate ``M z``; the first violated
+    column becomes ``z``, with weight 1.  With one (the support the
+    previous run ended on, under the map before its contraction) the run
+    starts from it, remapped (:meth:`ConvexCombination.remapped`): each
+    term ``c_t`` of positive weight gets the unit column ``M^T c_t /
+    ||M^T c_t||`` and keeps its weight on ``c_t``, normalized to sum 1,
+    and the first query is at ``M z`` for that support's ``z``.  When that
+    ``z`` vanishes, which happens only when the old one did, the run
+    starts at ``M 1`` instead: ``y = 0`` is no query.  Either way each
+    violated column after ``z`` exists is an iteration, the minimum-norm
+    step toward it, so a warm run steps at least once before its first
+    exit test.  Every step increases ``1/||z||^2`` by at least 1 and a
+    remapped ``z`` is still a convex combination of unit columns, so with
+    the fixed ``mu = 1/sqrt(3m)`` one of two things happens within
     ``ceil((m+1)^2 / mu^2)`` iterations: the oracle accepts a query
     (feasible), or ``||z|| <= mu/(m+1)``.  Once ``state.s > 0`` the run
     also ends at ``||z|| <= mu x_h``, with ``x_h`` the largest of the
@@ -715,8 +818,9 @@ def basic_procedure(
     cycle_floor = MINOR_CYCLE_GUARD * small_threshold
     # at s = 0 the scales are the instance's own, the default
     scales = rescaled_scales(instance, state.M) if state.s > 0 else None
-    point = np.ones(m)
-    cc = ConvexCombination(m)
+    cc = ConvexCombination(m) if support is None else support.remapped(state)
+    point = cc.z if cc.entries else np.ones(m)
+    z_norm = math.sqrt(cc.z @ cc.z)
     oracle_calls = iterations = 0
     while True:
         oracle_calls += 1
@@ -838,10 +942,11 @@ def main_algorithm(
     ``dual``), which carries a verification: each run verifies what it
     returns (:func:`basic_procedure`), a feasible ``y`` by a final oracle
     query, a dual certificate by ``verify_p_certificate``, and its ``y``
-    or weights and that report become the outcome's.  ``max_rescalings`` (at least 0) caps the
-    contraction budget; the declared epsilon is then the one the
-    contractions completed certify.  A ``stalled`` inner run ends the
-    solve the same way.
+    or weights and that report become the outcome's.  After each
+    contraction the next run starts from the support the last one ended
+    on.  ``max_rescalings`` (at least 0) caps the contraction budget; the
+    declared epsilon is then the one the contractions completed certify.
+    A ``stalled`` inner run ends the solve the same way.
 
     Raises
     ------
@@ -856,8 +961,9 @@ def main_algorithm(
     loops = budget if max_rescalings is None else min(budget, max_rescalings)
     state = RescalingState(instance.m)
     counters = SolveCounters()
+    support = None
     for _ in range(loops):
-        result = basic_procedure(instance, state)
+        result = basic_procedure(instance, state, support)
         counters.bp_calls += 1
         counters.bp_iterations += result.iterations
         counters.oracle_calls += result.oracle_calls
@@ -873,6 +979,7 @@ def main_algorithm(
         heaviest = int(np.argmax(cc.weights))
         state.rescale(cc.entries[heaviest].a_scaled)
         counters.rescalings += 1
+        support = cc
 
     certified = epsilon if counters.rescalings == budget \
         else (math.sqrt(math.e) / 2.0) ** counters.rescalings

@@ -92,9 +92,9 @@ class SolveProbe:
         minor_cycle = ConvexCombination.minor_cycle
         add_term = ConvexCombination.add_term
 
-        def recording_basic_procedure(instance, state):
+        def recording_basic_procedure(instance, state, *args):
             self._mu = mu = 1.0 / math.sqrt(3.0 * instance.m)
-            result = basic_procedure(instance, state)
+            result = basic_procedure(instance, state, *args)
             self.runs.append(result.iterations)
             if result.status == "small_aggregate":
                 cc = result.combination

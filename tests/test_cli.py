@@ -59,6 +59,15 @@ def wedge_problem(tmp_path, name="wedge.json"):
     })
 
 
+def thin_cone_problem(tmp_path):
+    # a triangular cone around (0, 0, 1), too thin for four contractions;
+    # the wedge above becomes feasible after one
+    return write_json(tmp_path / "thin_cone.json", {
+        "schema": 1, "type": "lp", "m": 3,
+        "columns": [[1.0, 0.0, 1e-3], [-1.0, 1.0, 1e-3], [0.0, -1.0, 1e-3]],
+    })
+
+
 class TestProblemFileFormat:
     def test_lp_round_trip(self):
         inst = FiniteLp(np.array([[1.0, -2.0, 0.5], [0.0, 1.0, 3.0]]))
@@ -342,7 +351,7 @@ class TestSolveCommand:
 
     def test_epsilon_exit_two(self, tmp_path, capsys):
         code, out = invoke(capsys, "solve", "--input",
-                           wedge_problem(tmp_path), "--epsilon", "0.5")
+                           thin_cone_problem(tmp_path), "--epsilon", "0.5")
         report = json.loads(out)
         assert code == EXIT_EPSILON
         assert report["status"] == "epsilon_declared"

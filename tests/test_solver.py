@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -714,8 +715,8 @@ class TestDeepestCut:
         results = []
         run = prfeas.solver.basic_procedure
 
-        def recording(instance, state):
-            results.append(run(instance, state))
+        def recording(instance, state, *args):
+            results.append(run(instance, state, *args))
             return results[-1]
 
         monkeypatch.setattr(prfeas.solver, "basic_procedure", recording)
@@ -731,8 +732,8 @@ class TestDeepestCut:
         run = prfeas.solver.basic_procedure
         verify = prfeas.certify.verify_d_solution
 
-        def recording(instance, state):
-            results.append(run(instance, state))
+        def recording(instance, state, *args):
+            results.append(run(instance, state, *args))
             return results[-1]
 
         def counting(instance, y):
@@ -899,3 +900,182 @@ class TestMinorCycle:
         assert out.status == "feasible"
         assert out.counters.bp_calls == 1
         assert out.counters.oracle_calls <= 150
+
+
+def lp_support(columns, weights, state=None):
+    """The support of the columns of ``FiniteLp(columns)`` with the weights
+    given, under ``state`` (the identity when None)."""
+    columns = np.asarray(columns, dtype=float)
+    state = RescalingState(columns.shape[0]) if state is None else state
+    cc = ConvexCombination(columns.shape[0])
+    for j, weight in enumerate(weights):
+        a_scaled, nrm = state.normalize(columns[:, j])
+        cc.add_term(WitnessedColumn(LpIndex(j), columns[:, j]), a_scaled,
+                    nrm, weight)
+    cc.z = cc.combination()
+    return FiniteLp(columns), cc
+
+
+class TestWarmStart:
+    def test_remap_keeps_each_terms_weight_on_its_column(self):
+        # x'_t is proportional to (x_t / ||M^T c_t||) ||M'^T c_t||, and a
+        # term of weight 0 (a slot a minor cycle emptied) is left out
+        cols = np.array([[2.0, 0.0, -1.0, 1.0], [0.0, 3.0, -1.0, 1.0]])
+        state = RescalingState(2)
+        state.rescale(np.array([0.6, 0.8]))
+        _, cc = lp_support(cols, [0.5, 0.2, 0.3, 0.0], state)
+        state.rescale(np.array([1.0, 0.0]))
+        warm = cc.remapped(state)
+        assert [e.witnessed.witness for e in warm.entries] == \
+            [LpIndex(0), LpIndex(1), LpIndex(2)]
+        M = state.M
+        unscaled = np.array([0.5, 0.2, 0.3]) / np.linalg.norm(
+            (np.eye(2) - 0.5 * np.outer([0.6, 0.8], [0.6, 0.8])).T
+            @ cols[:, :3], axis=0)
+        mapped = M.T @ cols[:, :3]
+        x = unscaled * np.linalg.norm(mapped, axis=0)
+        x /= x.sum()
+        assert_allclose(warm.weights, x, rtol=1e-14)
+        for e, c in zip(warm.entries, mapped.T):
+            assert_allclose(e.a_scaled, c / np.linalg.norm(c), atol=1e-15)
+            assert e.scale_norm == pytest.approx(np.linalg.norm(c),
+                                                 rel=1e-14)
+        assert_allclose(warm.z, warm.combination(), atol=0)
+        # z' is M'^T times the old support's original-space combination
+        assert_allclose(warm.z, M.T @ (cols[:, :3] @ unscaled)
+                        / np.sum(unscaled * np.linalg.norm(mapped, axis=0)),
+                        atol=1e-15)
+
+    def test_vanishing_remapped_aggregate_gives_an_empty_support(self):
+        # antipodal columns at weight 1/2 leave z = 0, and so z' = 0
+        _, cc = lp_support([[1.0, -1.0], [0.0, 0.0]], [0.5, 0.5])
+        assert not cc.z.any()
+        state = RescalingState(2)
+        state.rescale(np.array([1.0, 0.0]))
+        assert cc.remapped(state).entries == []
+
+    def test_run_after_a_vanishing_aggregate_starts_at_m_one(self,
+                                                             monkeypatch):
+        # querying M' z' = 0 would raise InvalidQuery
+        _, cc = lp_support([[1.0, -1.0], [0.0, 0.0]], [0.5, 0.5])
+        state = RescalingState(2)
+        state.rescale(np.array([1.0, 0.0]))
+        points = []
+        apply = state.apply
+
+        def recording_apply(z):
+            points.append(np.array(z))
+            return apply(z)
+
+        monkeypatch.setattr(state, "apply", recording_apply)
+        res = basic_procedure(FiniteLp(np.eye(2)), state, cc)
+        assert res.status == "feasible"
+        assert_allclose(points[0], np.ones(2), atol=0)
+
+    def test_warm_run_steps_before_its_first_exit_test(self):
+        # the remapped aggregate (2e-9, 0) already lies below mu/(m+1),
+        # yet the warm run first queries M' z' and steps to (1, 0) and
+        # (-1, 0) at weight 1/2 each, a certificate
+        inst, cc = lp_support([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]],
+                              [0.5 + 1e-9, 0.5 - 1e-9])
+        state = RescalingState(2)
+        state.rescale(np.array([0.0, 1.0]))
+        res = basic_procedure(inst, state, cc)
+        assert res.status == "dual"
+        assert res.iterations == res.oracle_calls == 1
+        assert res.verification.accepted
+
+
+def brute_force_nnls(A, b):
+    """Least squares on every subset of columns; the best nonnegative."""
+    best, best_res = np.zeros(A.shape[1]), np.linalg.norm(b)
+    for r in range(1, A.shape[1] + 1):
+        for subset in itertools.combinations(range(A.shape[1]), r):
+            cols = list(subset)
+            x_s = np.linalg.lstsq(A[:, cols], b, rcond=None)[0]
+            if np.all(x_s >= 0.0):
+                res = np.linalg.norm(A[:, cols] @ x_s - b)
+                if res < best_res - 1e-13:
+                    best = np.zeros(A.shape[1])
+                    best[cols] = x_s
+                    best_res = res
+    return best, best_res
+
+
+class TestNnls:
+    @pytest.mark.parametrize("rows,k", [(3, 2), (4, 4), (6, 5), (8, 7)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_full_rank_matches_brute_force(self, rows, k, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((rows, k))
+        b = rng.standard_normal(rows)
+        x = prfeas.solver._nnls(A, b)
+        ref, ref_res = brute_force_nnls(A, b)
+        assert np.all(x >= 0.0)
+        assert_allclose(x, ref, atol=1e-10)
+        assert np.linalg.norm(A @ x - b) == pytest.approx(ref_res, abs=1e-12)
+
+    @pytest.mark.parametrize("k,rank,extra", [(4, 2, 2), (5, 2, 2),
+                                              (6, 3, 2), (7, 3, 3),
+                                              (7, 4, 2)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rank_deficient_with_a_nonnegative_exact_solution(
+            self, k, rank, extra, seed):
+        # [B; 1^T] x = e for k columns in a subspace of dimension `rank`,
+        # rank + 1 < k: the first k - extra lie in a hyperplane S of it
+        # and combine to zero with positive weights, the others lie on one
+        # side of S, so every nonnegative exact solution is zero on them.
+        # lstsq's minimum-norm answer is exact but spreads over them, with
+        # a negative entry; the NNLS answer is exact and nonnegative
+        rng = np.random.default_rng(seed)
+        m = 6
+        Q = np.linalg.qr(rng.standard_normal((m, rank)))[0]
+        p = k - extra
+        B = Q[:, :rank - 1] @ rng.standard_normal((rank - 1, k))
+        x_star = rng.uniform(0.1, 1.0, p)
+        B[:, p - 1] = -(B[:, :p - 1] @ x_star[:-1]) / x_star[-1]
+        B[:, p:] += np.outer(Q[:, rank - 1], rng.uniform(0.5, 1.0, extra))
+        A = np.vstack([B, np.ones(k)])
+        b = np.eye(m + 1)[-1]
+        x_min, _, lstsq_rank, _ = np.linalg.lstsq(A, b, rcond=None)
+        assert lstsq_rank < k and not np.all(x_min > 0.0)
+        assert np.linalg.norm(A @ x_min - b) <= 1e-12
+        x = prfeas.solver._nnls(A, b)
+        _, ref_res = brute_force_nnls(A, b)
+        assert ref_res <= 1e-12
+        assert np.all(x >= 0.0) and not x[p:].any()
+        assert np.linalg.norm(A @ x - b) <= 1e-12
+
+
+class TestReweightToDual:
+    def test_dependent_support_is_certified_by_nnls(self):
+        # columns in a plane of R^3: the 4 x 4 system has rank 3, and its
+        # minimum-norm solution is negative on the last two columns; the
+        # only nonnegative one is 1/2 on each of the antipodal pair
+        cols = np.array([[1.0, -1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0],
+                         [0.0, 0.0, 0.0, 0.0]])
+        inst, cc = lp_support(cols, [0.25, 0.25, 0.25, 0.25])
+        A = np.vstack([cols / np.linalg.norm(cols, axis=0), np.ones(4)])
+        x, _, rank, _ = np.linalg.lstsq(A, np.eye(4)[-1], rcond=None)
+        assert rank == 3 and not np.all(x > 0.0)
+        pairs, report = prfeas.solver._reweight_to_dual(inst, cc)
+        assert report.accepted
+        assert [w for w, _ in pairs] == [LpIndex(0), LpIndex(1)]
+        assert [x for _, x in pairs] == pytest.approx([0.5, 0.5])
+
+    def test_full_rank_support_never_reaches_nnls(self, monkeypatch):
+        # (1, 0), (0, 1), (1, 1): full rank, lstsq's unique x is negative
+        # on the third column, so there is no certificate to find
+        def refused(A, b):
+            raise AssertionError("a full-rank support reached the NNLS")
+
+        monkeypatch.setattr(prfeas.solver, "_nnls", refused)
+        inst, cc = lp_support([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
+                              [0.4, 0.4, 0.2])
+        assert prfeas.solver._reweight_to_dual(inst, cc) == (None, None)
+        # generic planted LP columns give full-rank supports, so these
+        # solves never call it either and keep their bits
+        for seed in range(3):
+            out = main_algorithm(
+                generate_planted("lp", 5, 50, seed, "feasible_p")[0])
+            assert out.status == "dual_certificate"
