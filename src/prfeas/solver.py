@@ -28,9 +28,12 @@ Once the support is a full basis with G at hand, Wolfe's minor cycle
 shrinks z further without an oracle call: G e_{m+1} gives the affine
 weights that make the basis vanish, and the weights move toward them until
 one reaches zero; the next insertion takes that empty slot.  The cycle
-runs only while the shrunk ||z|| stays above MINOR_CYCLE_GUARD times the
-threshold mu/(m+1), so it never reaches that exit itself; a smaller guard
-lets cycles reach it and change which direction a run contracts along.
+runs only while the shrunk ||z|| stays above MINOR_CYCLE_GUARD = 2 times
+the threshold mu/(m+1), so it never reaches that exit itself; a guard
+of 1 or less would let cycles reach it and change which direction a run
+contracts along.  A floor of 8 times the threshold was dead code at m <=
+2, where it lies above 1 >= ||z||, and stopped the cycle just where
+planted feasible SDP runs spend their oracle calls.
 
 A run ends with a small aggregate at ||z|| <= mu/(m+1) or, once the map
 holds a contraction (s > 0, so an earlier run found no certificate), at
@@ -38,7 +41,8 @@ holds a contraction (s > 0, so an earlier run found no certificate), at
 the contraction needs: every feasible y has x_h a_h^T y <= z^T y <=
 ||z|| ||y||, so a_h^T y <= mu ||y||; the first is the second at its worst
 case, x_h = 1/(m+1).  The second can lie above the cycle's floor, so
-after a contraction a cycle may end a run.
+after a contraction a cycle may end a run (two runs of a nearly degenerate
+LP, m = 10 and n = 200, end so).
 
 The first run starts at M 1.  Each later run starts from the support
 the previous run ended on, mapped through the new map: every term keeps
@@ -132,8 +136,11 @@ SMW_TOL = 1e-10
 LU_PIVOT_TOL = 1e-13
 
 #: A minor cycle runs only while the cycled ``||z||`` stays above this
-#: multiple of the small-aggregate threshold ``mu/(m+1)``.
-MINOR_CYCLE_GUARD = 8.0
+#: multiple of the small-aggregate threshold ``mu/(m+1)``.  Above 1, so no
+#: cycle takes a run to that exit.  At 8 the floor lay above ``||z|| <= 1``
+#: for m <= 2 and cut cycles short on SDP runs; at 2 no benchmark count is
+#: higher than at 8 (2.5 and 1.5 each add inner runs).
+MINOR_CYCLE_GUARD = 2.0
 
 
 class ConfigError(ValueError):
@@ -710,6 +717,7 @@ def basic_procedure(
     instance: ProblemInstance,
     state: RescalingState,
     support: ConvexCombination | None = None,
+    scales: np.ndarray | None = None,
 ) -> BasicProcedureResult:
     """Drive the aggregate of rescaled columns toward zero.
 
@@ -748,7 +756,10 @@ def basic_procedure(
     floor.  ``||z||`` only shrinks, so the iteration bound and the ``m + 1``
     support hold as before.  No cycle reaches ``mu/(m+1)``, but once
     ``state.s > 0`` one may take ``||z||`` to ``mu x_h`` and so end the
-    run.
+    run.  The guard is 2: at 8 the floor lay above ``||z|| <= 1`` for
+    ``m <= 2``, so no cycle ran there, and it stopped cycling where
+    planted feasible SDP runs spend their calls (sdp m=8 n=20, seed 203:
+    65 oracle calls at 8, 16 at 2).
 
     That bound holds for any violated column, but a step gains most from
     the most violated one, so the built-in oracles return their deepest cut
@@ -762,8 +773,9 @@ def basic_procedure(
     * CustomOracle: whatever violated column the callback returns.
 
     Once ``state.s > 0`` the FiniteLp and Socp scales are those of the
-    rescaled space, built once per call (once per rescaling) by
-    :func:`prfeas.oracle.rescaled_scales` and passed to every query.
+    rescaled space (:func:`prfeas.oracle.rescaled_scales`), passed to
+    every query: ``scales`` when given, as :func:`main_algorithm` gives
+    them, updated after each contraction, else built once per call.
 
     At either small-aggregate exit the run returns ``dual`` if the exact
     weights on the support (:func:`_reweight_to_dual`) pass the
@@ -817,7 +829,8 @@ def basic_procedure(
     small_threshold = mu / (m + 1)
     cycle_floor = MINOR_CYCLE_GUARD * small_threshold
     # at s = 0 the scales are the instance's own, the default
-    scales = rescaled_scales(instance, state.M) if state.s > 0 else None
+    if scales is None and state.s > 0:
+        scales = rescaled_scales(instance, state.M)
     cc = ConvexCombination(m) if support is None else support.remapped(state)
     point = cc.z if cc.entries else np.ones(m)
     z_norm = math.sqrt(cc.z @ cc.z)
@@ -944,7 +957,9 @@ def main_algorithm(
     query, a dual certificate by ``verify_p_certificate``, and its ``y``
     or weights and that report become the outcome's.  After each
     contraction the next run starts from the support the last one ended
-    on.  ``max_rescalings`` (at least 0) caps the contraction budget; the
+    on, with the query scales of the new map, which
+    :func:`prfeas.oracle.rescaled_scales` updates from the last run's.
+    ``max_rescalings`` (at least 0) caps the contraction budget; the
     declared epsilon is then the one the contractions completed certify.
     A ``stalled`` inner run ends the solve the same way.
 
@@ -961,9 +976,9 @@ def main_algorithm(
     loops = budget if max_rescalings is None else min(budget, max_rescalings)
     state = RescalingState(instance.m)
     counters = SolveCounters()
-    support = None
+    support = scales = None
     for _ in range(loops):
-        result = basic_procedure(instance, state, support)
+        result = basic_procedure(instance, state, support, scales)
         counters.bp_calls += 1
         counters.bp_iterations += result.iterations
         counters.oracle_calls += result.oracle_calls
@@ -977,7 +992,9 @@ def main_algorithm(
         cc = result.combination
         # argmax takes the first maximum: the lowest index on ties
         heaviest = int(np.argmax(cc.weights))
-        state.rescale(cc.entries[heaviest].a_scaled)
+        a = cc.entries[heaviest].a_scaled
+        state.rescale(a)
+        scales = rescaled_scales(instance, state.M, a, scales)
         counters.rescalings += 1
         support = cc
 

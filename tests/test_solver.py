@@ -37,6 +37,8 @@ from prfeas.solver import (
     step_alpha,
 )
 
+from semicircle import make_semicircle
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -689,6 +691,22 @@ class TestDeepestCut:
         expected = [state.normalize(c)[1] for c in inst.columns.T]
         assert_allclose(rescaled_scales(inst, state.M), expected, rtol=1e-14)
 
+    def test_contraction_updates_the_lp_scales(self):
+        # ||M'^T c||^2 = ||M^T c||^2 - 3/4 ((M a)^T c)^2 for M' = M (I -
+        # a a^T / 2), chained from the instance's own column norms over
+        # the contraction budget at epsilon = 1e-2
+        rng = np.random.default_rng(37)
+        inst = FiniteLp(rng.standard_normal((10, 50)))
+        state = RescalingState(10)
+        scales = None
+        for _ in range(rescale_budget(1e-2)):
+            a = rng.standard_normal(10)
+            a /= np.linalg.norm(a)
+            state.rescale(a)
+            scales = rescaled_scales(inst, state.M, a, scales)
+            fresh = np.linalg.norm(state.M.T @ inst.columns, axis=0)
+            assert_allclose(scales, fresh, rtol=1e-12)
+
     def test_column_norms_survive_overflowing_squares(self):
         state = RescalingState(2)
         state.rescale(np.array([0.6, 0.8]))
@@ -892,14 +910,32 @@ class TestMinorCycle:
         assert len(solve_probe.cycles) >= 15
         assert len(rebuilds) <= 2
 
-    def test_oracle_call_count_guard(self):
-        # planted-d LP m=60 n=5000, seed 102: 276 oracle calls without the
-        # minor cycle, 105 with it
-        inst = generate_planted("lp", 60, 5000, 102, "feasible_d")[0]
+    @pytest.mark.parametrize("kind,m,n,seed,most", [
+        # 276 oracle calls without the minor cycle, 105 with it
+        ("lp", 60, 5000, 102, 150),
+        # 55 and 65 calls with the cycle floor at 8 mu/(m+1), 29 and 16
+        # at 2 mu/(m+1)
+        ("sdp", 20, 40, 104, 35),
+        ("sdp", 8, 20, 203, 20),
+    ])
+    def test_oracle_call_count_guard(self, kind, m, n, seed, most):
+        inst = generate_planted(kind, m, n, seed, "feasible_d")[0]
         out = main_algorithm(inst, epsilon=1e-6)
         assert out.status == "feasible"
         assert out.counters.bp_calls == 1
-        assert out.counters.oracle_calls <= 150
+        assert out.counters.oracle_calls <= most
+
+    def test_cycles_run_in_two_dimensions(self, solve_probe):
+        # a floor of 8 mu/(m+1) lies above 1 >= ||z|| at m = 2, so no cycle
+        # ever ran there; the open semicircle takes 7 at 2 mu/(m+1)
+        out = main_algorithm(CustomOracle(2, make_semicircle(False)),
+                             epsilon=1e-6)
+        assert out.status == "feasible"
+        assert solve_probe.cycles
+        for rec, _, _ in solve_probe.cycles:
+            assert rec.size == 3
+            assert rec.min_weight >= 0.0
+            assert rec.combination_error <= 1e-10
 
 
 def lp_support(columns, weights, state=None):
