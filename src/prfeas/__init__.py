@@ -10,17 +10,16 @@ semidefinite, and second-order cone families are built in.
 
 from .certify import (
     Certificate,
-    UnresolvableWitness,
     VerificationReport,
     generate_planted,
     verify_d_solution,
     verify_p_certificate,
 )
 from .oracle import (
+    ConfigError,
     CustomOracle,
     CustomWitness,
     FiniteLp,
-    InvalidQuery,
     LpIndex,
     OracleContractViolation,
     ProblemInstance,
@@ -33,32 +32,26 @@ from .oracle import (
     query,
 )
 from .solver import (
-    CoincidentPoints,
-    ConfigError,
-    DegenerateColumn,
-    IterationBoundViolated,
-    OracleInconsistency,
+    InvariantViolated,
     RescalingState,
     SolveCounters,
     SolveOutcome,
     basic_procedure,
     main_algorithm,
-    rescale_budget,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Certificate",
-    "UnresolvableWitness",
     "VerificationReport",
     "generate_planted",
     "verify_d_solution",
     "verify_p_certificate",
+    "ConfigError",
     "CustomOracle",
     "CustomWitness",
     "FiniteLp",
-    "InvalidQuery",
     "LpIndex",
     "OracleContractViolation",
     "ProblemInstance",
@@ -69,15 +62,10 @@ __all__ = [
     "Witness",
     "WitnessedColumn",
     "query",
-    "CoincidentPoints",
-    "ConfigError",
-    "DegenerateColumn",
-    "IterationBoundViolated",
-    "OracleInconsistency",
+    "InvariantViolated",
     "RescalingState",
     "SolveCounters",
     "SolveOutcome",
     "basic_procedure",
     "main_algorithm",
-    "rescale_budget",
 ]

@@ -15,6 +15,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .oracle import (
+    ConfigError,
     CustomOracle,
     CustomWitness,
     FiniteLp,
@@ -33,7 +34,6 @@ from .oracle import (
 )
 
 __all__ = [
-    "UnresolvableWitness",
     "VerificationReport",
     "Certificate",
     "verify_d_solution",
@@ -49,10 +49,6 @@ DUAL_RESIDUAL_TOL = 1e-9
 
 #: Interior margin planted into generated feasible instances.
 PLANTED_MARGIN = 0.1
-
-
-class UnresolvableWitness(ValueError):
-    """A certificate witness does not belong to the given instance."""
 
 
 @dataclass
@@ -153,7 +149,7 @@ def resolve_witness_column(
 
     Raises
     ------
-    UnresolvableWitness
+    ValueError
         If the witness does not belong to the instance (wrong kind, index
         out of range, non-finite or malformed vector, missing or
         non-finite custom column).
@@ -163,36 +159,36 @@ def resolve_witness_column(
         given, witness = witness, witness.witness
     if isinstance(witness, (SdpVector, SocpVector)) \
             and not np.all(np.isfinite(witness.v)):
-        raise UnresolvableWitness("witness vector must be finite")
+        raise ValueError("witness vector must be finite")
     if isinstance(witness, LpIndex):
         if not isinstance(instance, FiniteLp):
-            raise UnresolvableWitness("lp_index witness on a non-LP instance")
+            raise ValueError("lp_index witness on a non-LP instance")
         if not 0 <= witness.i < instance.n:
-            raise UnresolvableWitness(f"column index {witness.i} out of range")
+            raise ValueError(f"column index {witness.i} out of range")
         return (witness, instance.columns[:, witness.i].copy(),
                 int(instance.exponents[witness.i]))
     if isinstance(witness, SdpVector):
         if not isinstance(instance, Sdp):
-            raise UnresolvableWitness("sdp_vector witness on a non-SDP instance")
+            raise ValueError("sdp_vector witness on a non-SDP instance")
         v = np.asarray(witness.v, dtype=float)
         if v.shape != (instance.n,):
-            raise UnresolvableWitness("sdp witness has the wrong dimension")
+            raise ValueError("sdp witness has the wrong dimension")
         if abs(np.linalg.norm(v) - 1.0) > 1e-6:
-            raise UnresolvableWitness("sdp witness must be a unit vector")
+            raise ValueError("sdp witness must be a unit vector")
         return (witness, np.einsum("ijk,j,k->i", instance.matrices, v, v),
                 instance.exponent)
     if isinstance(witness, SocpVector):
         if not isinstance(instance, Socp):
-            raise UnresolvableWitness("socp_vector witness on a non-SOCP instance")
+            raise ValueError("socp_vector witness on a non-SOCP instance")
         v = np.asarray(witness.v, dtype=float)
         if v.shape != (instance.n,):
-            raise UnresolvableWitness("socp witness has the wrong dimension")
+            raise ValueError("socp witness has the wrong dimension")
         active = np.logical_or.reduceat(v != 0.0, instance.starts)
         if not np.any(active):
-            raise UnresolvableWitness("socp witness is identically zero")
+            raise ValueError("socp witness is identically zero")
         if np.any(np.abs(v[instance.starts][active] - 1.0) > 1e-12) or \
                 np.any(instance.tail_norms(v)[active] > 1.0 + 1e-12):
-            raise UnresolvableWitness(
+            raise ValueError(
                 "socp witness block must be (1, u) with ||u|| <= 1"
             )
         top = int(instance.exponents[active].max())
@@ -200,16 +196,16 @@ def resolve_witness_column(
         return witness, instance.A @ v, top
     if isinstance(witness, CustomWitness):
         if not isinstance(instance, CustomOracle):
-            raise UnresolvableWitness("custom witness on a built-in instance")
+            raise ValueError("custom witness on a built-in instance")
         if given is None:
-            raise UnresolvableWitness("custom witness carries no column")
+            raise ValueError("custom witness carries no column")
         if given.column.shape != (instance.m,):
-            raise UnresolvableWitness("custom witness column has wrong shape")
+            raise ValueError("custom witness column has wrong shape")
         if not np.all(np.isfinite(given.column)):
-            raise UnresolvableWitness("custom witness column must be finite")
+            raise ValueError("custom witness column must be finite")
         given = given.in_range()
         return witness, given.column, given.exponent
-    raise UnresolvableWitness(f"unknown witness type {type(witness).__name__}")
+    raise ValueError(f"unknown witness type {type(witness).__name__}")
 
 
 def verify_p_certificate(
@@ -243,9 +239,8 @@ def verify_p_certificate(
     Raises
     ------
     ValueError
-        If weights are empty, non-positive, or more than m+1 of them.
-    UnresolvableWitness
-        If any witness cannot be mapped to a column of the instance.
+        If weights are empty, non-positive, or more than m+1 of them, or
+        any witness cannot be mapped to a column of the instance.
     """
     if len(weights) == 0:
         raise ValueError("certificate has no weights")
@@ -315,7 +310,7 @@ def _planted_lp(rng, m, n, target):
             cols[:, j] = tangential + margin * y_star
         return FiniteLp(cols), Certificate("d", y=y_star)
     if n < 2:
-        raise ValueError("feasible_p needs at least two columns")
+        raise ConfigError("feasible_p needs at least two columns")
     support = min(m, n - 1)
     cols = np.empty((m, n))
     for j in range(n - 1):
@@ -435,17 +430,23 @@ def generate_planted(
     -------
     (instance, certificate)
         The certificate always verifies on the instance.
+
+    Raises
+    ------
+    ConfigError
+        If ``kind`` or ``target`` is unknown, ``m`` or ``n`` is below 1,
+        or a ``feasible_p`` target has ``n < 2``.
     """
     if kind not in ("lp", "sdp", "socp"):
-        raise ValueError(f"unknown kind {kind!r}")
+        raise ConfigError(f"unknown kind {kind!r}")
     if target not in ("feasible_d", "feasible_p"):
-        raise ValueError(f"unknown target {target!r}")
+        raise ConfigError(f"unknown target {target!r}")
     if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
+        raise ConfigError("m and n must be positive")
     if target == "feasible_p" and kind in ("sdp", "socp") and n < 2:
         # with a one-dimensional cone every witness yields the same
         # column, so no positive combination can vanish
-        raise ValueError(f"{kind} feasible_p requires n >= 2")
+        raise ConfigError(f"{kind} feasible_p requires n >= 2")
     rng = np.random.default_rng(seed)
     if kind == "lp":
         return _planted_lp(rng, m, n, target)

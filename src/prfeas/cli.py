@@ -18,8 +18,12 @@ Nesting depth is limited: a file nested too deeply is malformed input
 (exit 65).  Output is written with Python's ``json`` module.
 
 Exit codes: 0 feasible / verified / generated, 1 dual certificate,
-2 epsilon declaration, 3 certificate rejected, 64 usage error,
-65 malformed input, 70 internal error.
+2 epsilon declaration, 3 certificate rejected, 64 usage error, 65
+malformed input, 70 internal error.  A usage error is a bad command line
+or a ``ConfigError`` (an argument out of range, such as ``--epsilon 2``
+or ``generate --m 0``); malformed input is any other ``ValueError``.
+Everything else exits 70: only built-in oracles run here, so an
+``OracleContractViolation`` or ``InvariantViolated`` is a defect.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .certify import (
     verify_p_certificate,
 )
 from .oracle import (
+    ConfigError,
     FiniteLp,
     ProblemInstance,
     Sdp,
@@ -52,7 +57,7 @@ from .oracle import (
     witness_from_json,
     witness_to_json,
 )
-from .solver import ConfigError, SolveOutcome, main_algorithm
+from .solver import SolveOutcome, main_algorithm
 
 log = logging.getLogger("prfeas.cli")
 
@@ -63,10 +68,6 @@ EXIT_REJECTED = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_INTERNAL = 70
-
-
-class DataError(ValueError):
-    """A problem or certificate file violates the documented format."""
 
 
 class _UsageError(Exception):
@@ -88,21 +89,21 @@ def load_problem(data: object) -> ProblemInstance:
 
     Raises
     ------
-    DataError
-        If the document structure is wrong; value-level validation
-        errors propagate from the instance constructors.
+    ValueError
+        If the document structure is wrong, or an instance constructor
+        rejects a value.
     """
     if not isinstance(data, dict):
-        raise DataError("problem document must be a JSON object")
+        raise ValueError("problem document must be a JSON object")
     if data.get("schema") != 1:
-        raise DataError("problem document must carry \"schema\": 1")
+        raise ValueError("problem document must carry \"schema\": 1")
     kind = data.get("type")
     try:
         if kind == "lp":
             m = strict_int(data["m"], "m")
             cols = np.asarray(data["columns"], dtype=float)
             if cols.ndim != 2 or cols.shape[1] != m:
-                raise DataError(
+                raise ValueError(
                     "\"columns\" must be a list of length-m columns")
             return FiniteLp(cols.T)
         if kind == "sdp":
@@ -110,20 +111,20 @@ def load_problem(data: object) -> ProblemInstance:
             n = strict_int(data["n"], "n")
             mats = np.asarray(data["matrices"], dtype=float)
             if mats.shape != (m, n, n):
-                raise DataError("\"matrices\" must be m matrices of size n*n")
+                raise ValueError("\"matrices\" must be m matrices of size n*n")
             return Sdp(mats)
         if kind == "socp":
             m = strict_int(data["m"], "m")
             A = np.asarray(data["A"], dtype=float)
             if A.ndim != 2 or A.shape[0] != m:
-                raise DataError("\"A\" must be an m-row matrix")
+                raise ValueError("\"A\" must be an m-row matrix")
             return Socp(A, data["blocks"])
     except KeyError as exc:
-        raise DataError(f"problem document is missing {exc.args[0]!r}") from exc
+        raise ValueError(f"problem document is missing {exc.args[0]!r}") from exc
     except (TypeError, OverflowError) as exc:
-        raise DataError(f"problem document has a field of the wrong type: "
-                        f"{exc}") from exc
-    raise DataError(f"unknown problem type {kind!r}")
+        raise ValueError(f"problem document has a field of the wrong type: "
+                         f"{exc}") from exc
+    raise ValueError(f"unknown problem type {kind!r}")
 
 
 def dump_problem(instance: ProblemInstance) -> dict:
@@ -179,23 +180,23 @@ def dump_certificate(cert: Certificate) -> dict:
 
 def load_certificate(data: object) -> Certificate:
     if not isinstance(data, dict):
-        raise DataError("certificate document must be a JSON object")
+        raise ValueError("certificate document must be a JSON object")
     if data.get("schema") != 1:
-        raise DataError("certificate document must carry \"schema\": 1")
+        raise ValueError("certificate document must carry \"schema\": 1")
     kind = data.get("kind")
     if kind == "d":
         try:
             y = np.asarray(data.get("y", []), dtype=float)
         except TypeError as exc:
-            raise DataError(f"\"y\" must be a vector of numbers: {exc}") \
+            raise ValueError(f"\"y\" must be a vector of numbers: {exc}") \
                 from exc
         if y.ndim != 1 or y.size == 0:
-            raise DataError("\"y\" must be a nonempty vector")
+            raise ValueError("\"y\" must be a nonempty vector")
         return Certificate(kind="d", y=y, weights=None)
     if kind == "p":
         entries = data.get("weights")
         if not isinstance(entries, list) or not entries:
-            raise DataError("\"weights\" must be a nonempty list")
+            raise ValueError("\"weights\" must be a nonempty list")
         weights = []
         for e in entries:
             try:
@@ -203,13 +204,13 @@ def load_certificate(data: object) -> Certificate:
                 x = float(e["x"])
             except (KeyError, TypeError, ValueError, OverflowError,
                     AttributeError) as exc:
-                raise DataError(f"malformed weight entry: {exc}") from exc
+                raise ValueError(f"malformed weight entry: {exc}") from exc
             if column is not None:
                 weights.append((WitnessedColumn(witness, column), x))
             else:
                 weights.append((witness, x))
         return Certificate(kind="p", y=None, weights=weights)
-    raise DataError(f"unknown certificate kind {kind!r}")
+    raise ValueError(f"unknown certificate kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +244,13 @@ def _read_json(path: str) -> object:
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     # deferred: the import costs ~10 MB and ~55 ms, paid only to read a file
     from pydantic_core import from_json
     try:
         return from_json(data)
     except ValueError as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _write_json(path: str, doc: dict, indent: int | None) -> None:
@@ -290,7 +291,7 @@ def cmd_verify(args) -> int:
     instance = load_problem(_read_json(args.input))
     cert = load_certificate(_read_json(args.certificate))
     if args.kind is not None and args.kind != cert.kind:
-        raise DataError(
+        raise ValueError(
             f"certificate is of kind {cert.kind!r}, not {args.kind!r}")
     if cert.kind == "d":
         report = verify_d_solution(instance, cert.y)
@@ -386,7 +387,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _emit({"schema": 1, "error": str(exc)}, args.json_indent)
         return EXIT_USAGE
-    except (DataError, ValueError) as exc:
+    except ValueError as exc:
         _emit({"schema": 1, "error": str(exc)}, args.json_indent)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001  last-resort contract

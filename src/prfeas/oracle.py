@@ -44,7 +44,7 @@ from typing import Callable, Union
 import numpy as np
 
 __all__ = [
-    "InvalidQuery",
+    "ConfigError",
     "OracleContractViolation",
     "LpIndex",
     "SdpVector",
@@ -151,12 +151,15 @@ def in_range(data: np.ndarray, peaks: np.ndarray, owner=Ellipsis,
     return stored, exps
 
 
-class InvalidQuery(ValueError):
-    """Query direction is zero, non-finite, or has the wrong dimension."""
+class ConfigError(ValueError):
+    """An invalid argument: the solver's epsilon, max_rescalings or
+    dimension m, or the kind, target or size of a planted instance."""
 
 
 class OracleContractViolation(RuntimeError):
-    """An oracle returned a column that does not separate the queried point."""
+    """An oracle broke its contract: its answer is not a finite
+    :class:`WitnessedColumn` of shape ``(m,)`` that separates the query, or
+    the re-check of what it answered fails."""
 
 
 def strict_int(value: object, what: str) -> int:
@@ -573,11 +576,11 @@ ProblemInstance = Union[FiniteLp, Sdp, Socp, CustomOracle]
 def _checked_direction(y: np.ndarray, m: int) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (m,):
-        raise InvalidQuery(f"query direction must have shape ({m},), got {y.shape}")
+        raise ValueError(f"query direction must have shape ({m},), got {y.shape}")
     if not np.isfinite(y).all():
-        raise InvalidQuery("query direction must be finite")
+        raise ValueError("query direction must be finite")
     if not y.any():
-        raise InvalidQuery("query direction must be nonzero")
+        raise ValueError("query direction must be nonzero")
     return y
 
 
@@ -617,7 +620,7 @@ def lp_query(instance: FiniteLp, y: np.ndarray,
     else:
         scales = np.asarray(scales, dtype=float)
         if scales.shape != (instance.n,):
-            raise InvalidQuery(f"scales must have shape ({instance.n},)")
+            raise ValueError(f"scales must have shape ({instance.n},)")
     margins = y @ instance.columns
     violated = ~(margins > 0.0)
     t = int(np.argmin(np.where(violated, margins / scales, np.inf)))
@@ -673,7 +676,7 @@ def socp_query(instance: Socp, y: np.ndarray,
     else:
         scales = np.asarray(scales, dtype=float)
         if scales.shape != instance.gram.shape:
-            raise InvalidQuery(
+            raise ValueError(
                 f"scales must have shape {instance.gram.shape}")
     x, tails, exps = instance.image(y)
     violated = x[instance.starts] <= tails
@@ -704,12 +707,13 @@ def query(instance: ProblemInstance, y: np.ndarray,
 
     Raises
     ------
-    InvalidQuery
+    ValueError
         If ``y`` is zero, non-finite, or mis-shaped, or ``scales`` is
         mis-shaped or given for an instance that is neither a FiniteLp nor
         a Socp.
     OracleContractViolation
-        If the (custom) oracle's answer fails the separation check.
+        If a custom oracle's answer is not a finite ``WitnessedColumn`` of
+        shape ``(m,)``, or any answer fails the separation check.
     """
     band = 0.0
     if isinstance(instance, FiniteLp):
@@ -717,7 +721,7 @@ def query(instance: ProblemInstance, y: np.ndarray,
     elif isinstance(instance, Socp):
         w = socp_query(instance, y, scales)
     elif scales is not None:
-        raise InvalidQuery("scales apply to FiniteLp and Socp instances only")
+        raise ValueError("scales apply to FiniteLp and Socp instances only")
     elif isinstance(instance, Sdp):
         w = sdp_query(instance, y)
         if w is not None:

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from prfeas.certify import (
     Certificate,
-    UnresolvableWitness,
     generate_planted,
     resolve_witness_column,
     verify_d_solution,
@@ -271,7 +270,8 @@ class TestVerifyPCertificate:
 
     def test_custom_witness_needs_stored_column(self):
         inst = CustomOracle(2, lambda y: None)
-        with pytest.raises(UnresolvableWitness):
+        with pytest.raises(ValueError,
+                           match="custom witness carries no column"):
             verify_p_certificate(inst, [(CustomWitness(0.5), 1.0)])
         wc1 = WitnessedColumn(CustomWitness(0.5), np.array([1.0, 0.0]))
         wc2 = WitnessedColumn(CustomWitness(1.5), np.array([-1.0, 0.0]))
@@ -281,19 +281,23 @@ class TestVerifyPCertificate:
 
 class TestResolveWitnessColumn:
     def test_lp_index_out_of_range(self):
-        with pytest.raises(UnresolvableWitness):
+        with pytest.raises(ValueError, match="column index 2 out of range"):
             resolve_witness_column(axes_lp(), LpIndex(2))
 
     def test_cross_kind_witness_rejected(self):
-        with pytest.raises(UnresolvableWitness):
+        with pytest.raises(ValueError,
+                           match="lp_index witness on a non-LP instance"):
             resolve_witness_column(indefinite_sdp(), LpIndex(0))
-        with pytest.raises(UnresolvableWitness):
+        with pytest.raises(ValueError,
+                           match="sdp_vector witness on a non-SDP instance"):
             resolve_witness_column(axes_lp(), SdpVector((1.0, 0.0)))
 
     def test_sdp_vector_must_be_unit(self):
-        with pytest.raises(UnresolvableWitness):
+        with pytest.raises(ValueError,
+                           match="sdp witness must be a unit vector"):
             resolve_witness_column(indefinite_sdp(), SdpVector((2.0, 0.0)))
-        with pytest.raises(UnresolvableWitness):
+        with pytest.raises(ValueError,
+                           match="sdp witness has the wrong dimension"):
             resolve_witness_column(indefinite_sdp(), SdpVector((1.0,)))
 
     def test_sdp_column_is_quadratic_form(self):
@@ -303,12 +307,15 @@ class TestResolveWitnessColumn:
 
     def test_socp_block_structure_enforced(self):
         inst = Socp(np.array([[1.0, -1.0]]), blocks=(1, 1))
-        with pytest.raises(UnresolvableWitness):
+        with pytest.raises(ValueError,
+                           match="socp witness is identically zero"):
             resolve_witness_column(inst, SocpVector((0.0, 0.0)))
-        with pytest.raises(UnresolvableWitness):
+        block_rule = (r"socp witness block must be \(1, u\) "
+                      r"with \|\|u\|\| <= 1")
+        with pytest.raises(ValueError, match=block_rule):
             resolve_witness_column(inst, SocpVector((2.0, 0.0)))
         inst2 = Socp(np.array([[1.0, 0.0, 0.5]]), blocks=(3,))
-        with pytest.raises(UnresolvableWitness):
+        with pytest.raises(ValueError, match=block_rule):
             # tail longer than the lead violates the cone bound
             resolve_witness_column(inst2, SocpVector((1.0, 2.0, 0.0)))
 
@@ -336,19 +343,21 @@ class TestResolveWitnessColumn:
     def test_custom_column_must_be_finite(self):
         inst = CustomOracle(2, lambda y: None)
         bad = WitnessedColumn(CustomWitness("c"), np.array([math.inf, 0.0]))
-        with pytest.raises(UnresolvableWitness):
+        with pytest.raises(ValueError,
+                           match="custom witness column must be finite"):
             resolve_witness_column(inst, bad)
 
     def test_custom_witness_on_builtin_rejected(self):
-        with pytest.raises(UnresolvableWitness):
+        with pytest.raises(ValueError,
+                           match="custom witness on a built-in instance"):
             resolve_witness_column(axes_lp(), CustomWitness(1.0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_vector_rejected(self, bad):
-        with pytest.raises(UnresolvableWitness):
+        with pytest.raises(ValueError, match="witness vector must be finite"):
             resolve_witness_column(indefinite_sdp(), SdpVector((bad, 1.0)))
         socp = Socp(np.array([[1.0, 0.5]]), blocks=(2,))
-        with pytest.raises(UnresolvableWitness):
+        with pytest.raises(ValueError, match="witness vector must be finite"):
             resolve_witness_column(socp, SocpVector((1.0, bad)))
 
 

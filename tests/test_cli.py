@@ -268,7 +268,7 @@ CERTIFICATE_DOCS = st.one_of(
 
 def rejects(loader, doc):
     """True when ``loader`` rejects ``doc``; any error but ValueError
-    (DataError is one) escapes and fails the calling test."""
+    escapes and fails the calling test."""
     try:
         loader(doc)
     except ValueError:
@@ -740,11 +740,21 @@ class TestGenerateCommand:
                            "--m", "3", "--n", "8", "--seed", "4")
         assert first == second
 
-    def test_unsatisfiable_request_is_data_error(self, capsys):
-        code, _ = invoke(capsys, "generate", "--kind", "sdp",
-                         "--m", "2", "--n", "1",
-                         "--target", "feasible_p")
-        assert code == EXIT_DATA
+    @pytest.mark.parametrize("argv,message", [
+        (("lp", "0", "5", "feasible_d"), "m and n must be positive"),
+        (("lp", "2", "1", "feasible_p"),
+         "feasible_p needs at least two columns"),
+        (("sdp", "2", "1", "feasible_p"), "sdp feasible_p requires n >= 2"),
+        (("socp", "2", "1", "feasible_p"), "socp feasible_p requires n >= 2"),
+    ])
+    def test_bad_argument_is_usage_error(self, capsys, argv, message):
+        # an argument out of range is a usage error, not malformed input:
+        # generate reads no input
+        kind, m, n, target = argv
+        code, out = invoke(capsys, "generate", "--kind", kind, "--m", m,
+                           "--n", n, "--target", target)
+        assert code == EXIT_USAGE
+        assert json.loads(out)["error"] == message
 
 
 class TestUsageErrors:

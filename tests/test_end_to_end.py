@@ -21,13 +21,13 @@ from prfeas.oracle import (
     CustomWitness,
     FiniteLp,
     LpIndex,
+    OracleContractViolation,
     Sdp,
     Socp,
     WitnessedColumn,
 )
 from prfeas.solver import (
     ConfigError,
-    OracleInconsistency,
     main_algorithm,
 )
 from semicircle import make_semicircle
@@ -167,7 +167,8 @@ class TestMainAlgorithmOutcomes:
                 return None
             return WitnessedColumn(CustomWitness("flip"), -y)
 
-        with pytest.raises(OracleInconsistency):
+        with pytest.raises(OracleContractViolation,
+                           match="the final query rejected y"):
             main_algorithm(CustomOracle(2, fn), epsilon=1e-2)
         assert len(calls) == 2
 
@@ -178,7 +179,8 @@ class TestMainAlgorithmOutcomes:
         rejected = VerificationReport("p", False, math.inf, {})
         monkeypatch.setattr(prfeas.certify, "verify_p_certificate",
                             lambda instance, weights: rejected)
-        with pytest.raises(OracleInconsistency):
+        with pytest.raises(OracleContractViolation,
+                           match="the zero column was rejected"):
             main_algorithm(Socp(np.array([[5.0, 3.0, 4.0]]), (3,)))
 
 

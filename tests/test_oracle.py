@@ -1,12 +1,14 @@
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from prfeas.certify import (
-    UnresolvableWitness,
     generate_planted,
     resolve_witness_column,
     verify_d_solution,
@@ -16,7 +18,6 @@ from prfeas.oracle import (
     CustomOracle,
     CustomWitness,
     FiniteLp,
-    InvalidQuery,
     LpIndex,
     OracleContractViolation,
     Sdp,
@@ -69,7 +70,7 @@ class TestFiniteLpQuery:
         w = lp_query(inst, y, np.array([1.0, 0.1, 1.0]))
         assert w.witness == LpIndex(1)
         assert query(inst, y, np.array([1.0, 0.1, 1.0])).witness == LpIndex(1)
-        with pytest.raises(InvalidQuery):
+        with pytest.raises(ValueError, match=r"scales must have shape \(3,\)"):
             lp_query(inst, y, np.ones(2))
 
     def test_repeat_queries_identical(self):
@@ -200,7 +201,8 @@ class TestSdpQuery:
 
     def test_scales_rejected(self):
         inst = Sdp(np.array([np.eye(2)]))
-        with pytest.raises(InvalidQuery):
+        with pytest.raises(ValueError, match="scales apply to FiniteLp and "
+                                             "Socp instances only"):
             query(inst, np.array([-1.0]), np.ones(1))
 
     def test_symmetry_validation(self):
@@ -483,7 +485,8 @@ class TestSocpKernelMatchesLoop:
                     inst, SocpVector(tuple(v.tolist())))
                 accepted = True
                 assert column.tobytes() == (inst.A @ v).tobytes()
-            except UnresolvableWitness:
+            except ValueError as exc:
+                assert str(exc).startswith("socp witness"), exc
                 accepted = False
             assert accepted == loop_resolves(inst, v)
 
@@ -500,7 +503,7 @@ class TestSocpDeepestCut:
         assert w.witness == SocpVector((0.0, 0.0, 1.0, -1.0, 0.0, 0.0))
         assert_matches_loop(inst, np.ones(2), w)
         assert query(inst, np.ones(2), inst.gram).witness == w.witness
-        with pytest.raises(InvalidQuery):
+        with pytest.raises(ValueError, match="scales must have shape"):
             query(inst, np.ones(2), inst.gram[:-1])
 
     @pytest.mark.parametrize("seed", range(10))
@@ -638,11 +641,13 @@ class TestSocpDeepestCut:
 class TestQueryDispatch:
     def test_invalid_queries(self):
         inst = FiniteLp(np.eye(2))
-        with pytest.raises(InvalidQuery):
+        with pytest.raises(ValueError,
+                           match="query direction must be nonzero"):
             query(inst, np.zeros(2))
-        with pytest.raises(InvalidQuery):
+        with pytest.raises(ValueError, match="query direction must be finite"):
             query(inst, np.array([1.0, np.nan]))
-        with pytest.raises(InvalidQuery):
+        with pytest.raises(ValueError, match=r"query direction must have "
+                                             r"shape \(2,\), got \(3,\)"):
             query(inst, np.array([1.0, 1.0, 1.0]))
 
     def test_direction_with_huge_entries_warns_nothing(self):
@@ -685,6 +690,47 @@ class TestQueryDispatch:
         )
         with pytest.raises(OracleContractViolation):
             query(bad, np.array([1.0, 1.0]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 4), honest=st.integers(0, 1),
+           fault=st.sampled_from(["non-finite", "wrong shape",
+                                  "not witnessed", "unsound", "flip"]),
+           data=st.data())
+    def test_misbehaving_custom_oracle_breaks_the_contract(
+            self, m, honest, fault, data):
+        # after `honest` sound answers the oracle misbehaves once: a NaN
+        # or infinite entry, a column of another length, an answer that
+        # is not a WitnessedColumn, a column on the query's side, or an
+        # accepted y that the re-query then rejects; whatever the solver
+        # is doing, that is an OracleContractViolation and nothing else
+        calls = []
+
+        def fn(y):
+            calls.append(y)
+            sound = WitnessedColumn(CustomWitness("sound"), -y)
+            if len(calls) <= honest or len(calls) > honest + 1:
+                return sound
+            if fault == "flip":
+                return None
+            column = -y / np.linalg.norm(y)
+            if fault == "non-finite":
+                column[data.draw(st.integers(0, m - 1))] = data.draw(
+                    st.sampled_from([math.nan, math.inf, -math.inf]))
+            elif fault == "wrong shape":
+                size = data.draw(st.integers(1, m + 3).filter(
+                    lambda k: k != m))
+                column = np.full(size, -1.0)
+            elif fault == "not witnessed":
+                return data.draw(st.sampled_from(
+                    [column, column.tolist(), CustomWitness("c"),
+                     (sound.witness, sound.column)]))
+            else:
+                column = -data.draw(st.floats(1e-3, 1e3)) * column
+            return WitnessedColumn(CustomWitness("bad"), column)
+
+        with pytest.raises(OracleContractViolation):
+            main_algorithm(CustomOracle(m, fn), epsilon=1e-2)
+        assert len(calls) == honest + 1 + (fault == "flip")
 
     def test_custom_column_is_handed_out_in_range(self):
         # a column as given near the float maximum is handed out times

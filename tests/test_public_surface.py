@@ -1,7 +1,9 @@
 import importlib.util
+import inspect
 
 import prfeas
 import prfeas.certify
+import prfeas.cli
 import prfeas.oracle
 import prfeas.solver
 
@@ -11,7 +13,9 @@ REMOVED = ("normalize_column", "apply_scaling", "rescale_matrix",
            "smw_inverse_update", "dstar_lower_bound", "ConvexCombination",
            "SolveTrace", "BasicProcedureResult", "step_alpha",
            "resolve_witness_column", "lp_query", "sdp_query", "socp_query",
-           "SolverConfig")
+           "SolverConfig", "InvalidQuery", "UnresolvableWitness",
+           "DegenerateColumn", "CoincidentPoints", "IterationBoundViolated",
+           "OracleInconsistency", "DataError", "rescale_budget")
 
 
 def test_every_exported_name_resolves():
@@ -27,6 +31,23 @@ def test_removed_names_absent():
     for name in REMOVED:
         assert name not in prfeas.__all__
         assert not hasattr(prfeas, name), name
+
+
+def test_three_public_exception_classes():
+    # the caller's argument (ConfigError, a ValueError; other bad input is
+    # a plain ValueError), the oracle's contract and a proven bound
+    defined = {
+        name for module in (prfeas.oracle, prfeas.certify, prfeas.solver,
+                            prfeas.cli)
+        for name, obj in vars(module).items()
+        if inspect.isclass(obj) and issubclass(obj, Exception)
+        and obj.__module__ == module.__name__}
+    assert defined == {"ConfigError", "OracleContractViolation",
+                       "InvariantViolated", "_UsageError"}
+    assert issubclass(prfeas.ConfigError, ValueError)
+    assert issubclass(prfeas.OracleContractViolation, RuntimeError)
+    assert issubclass(prfeas.InvariantViolated, RuntimeError)
+    assert len(prfeas.__all__) <= 25
 
 
 def test_linalg_module_folded_away():

@@ -24,10 +24,9 @@ from prfeas.solver import (
     G_RECHECK_INTERVAL,
     G_RESIDUAL_TOL,
     REFILL_PIVOT_RATIO,
-    CoincidentPoints,
     ConfigError,
     ConvexCombination,
-    DegenerateColumn,
+    InvariantViolated,
     RescalingState,
     basic_procedure,
     inverse_with_factorization,
@@ -247,7 +246,8 @@ class TestStepAlpha:
 
     def test_coincident_points_rejected(self):
         v = np.array([1.0, 0.0])
-        with pytest.raises(CoincidentPoints):
+        with pytest.raises(InvariantViolated, match="incoming column "
+                           "coincides with the aggregate"):
             step_alpha(v, v.copy())
 
     def test_minimum_norm_property(self):
@@ -354,7 +354,8 @@ class TestRescalingState:
 
     def test_degenerate_column(self):
         state = RescalingState(2)
-        with pytest.raises(DegenerateColumn):
+        with pytest.raises(InvariantViolated,
+                           match="rescaled column norm underflowed"):
             state.normalize(np.array([1e-308, 0.0]))
 
 
@@ -573,6 +574,21 @@ class TestBasicProcedure:
         assert res.iterations <= 54  # ceil((m+1)^2 / mu^2) with m = 2
         assert solve_probe.runs == [res.iterations]
         assert len(solve_probe.steps) == res.iterations
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_steps_without_progress_break_the_iteration_bound(
+            self, m, monkeypatch):
+        # every step leaves z where it was, so ||z|| never reaches an exit
+        # and the run passes the proven bound ceil((m+1)^2/mu^2)+1
+        monkeypatch.setattr(prfeas.solver, "step_alpha",
+                            lambda z, a: (1.0, z))
+        inst = CustomOracle(m, lambda y: WitnessedColumn(
+            CustomWitness("back"), -y / np.linalg.norm(y)))
+        mu = 1.0 / math.sqrt(3.0 * m)
+        bound = math.ceil((m + 1) ** 2 / mu**2) + 1
+        with pytest.raises(InvariantViolated, match=f"^{bound + 1} "
+                           f"iterations exceed the bound {bound}$"):
+            basic_procedure(inst, RescalingState(m))
 
     def test_column_inside_the_oracle_band_stalls(self):
         # lambda_min = 1e-7 of diag(1e6, 1e-7) lies inside the Sdp oracle's
@@ -992,7 +1008,7 @@ class TestWarmStart:
 
     def test_run_after_a_vanishing_aggregate_starts_at_m_one(self,
                                                              monkeypatch):
-        # querying M' z' = 0 would raise InvalidQuery
+        # querying M' z' = 0 would raise ValueError
         _, cc = lp_support([[1.0, -1.0], [0.0, 0.0]], [0.5, 0.5])
         state = RescalingState(2)
         state.rescale(np.array([1.0, 0.0]))
