@@ -19,9 +19,10 @@ Nesting depth is limited: a file nested too deeply is malformed input
 
 Exit codes: 0 feasible / verified / generated, 1 dual certificate,
 2 epsilon declaration, 3 certificate rejected, 64 usage error, 65
-malformed input, 70 internal error.  A usage error is a bad command line
-or a ``ConfigError`` (an argument out of range, such as ``--epsilon 2``
-or ``generate --m 0``); malformed input is any other ``ValueError``.
+malformed input, 70 internal error.  A usage error is a ``ConfigError``:
+a bad command line (also reported on stderr, and emitted compact) or an
+argument out of range, such as ``--epsilon 2`` or ``generate --m 0``;
+malformed input is any other ``ValueError``.
 Everything else exits 70: only built-in oracles run here, so an
 ``OracleContractViolation`` or ``InvariantViolated`` is a defect.
 """
@@ -47,15 +48,17 @@ from .certify import (
 )
 from .oracle import (
     ConfigError,
+    CustomWitness,
     FiniteLp,
+    LpIndex,
     ProblemInstance,
     Sdp,
+    SdpVector,
     Socp,
+    SocpVector,
     Witness,
     WitnessedColumn,
     strict_int,
-    witness_from_json,
-    witness_to_json,
 )
 from .solver import SolveOutcome, main_algorithm
 
@@ -70,14 +73,11 @@ EXIT_DATA = 65
 EXIT_INTERNAL = 70
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # replace argparse's sys.exit(2) so usage failures map to exit 64
     def error(self, message):
-        raise _UsageError(message)
+        sys.stderr.write(f"usage error: {message}\n")
+        raise ConfigError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -98,33 +98,31 @@ def load_problem(data: object) -> ProblemInstance:
     if data.get("schema") != 1:
         raise ValueError("problem document must carry \"schema\": 1")
     kind = data.get("type")
+    if kind not in ("lp", "sdp", "socp"):
+        raise ValueError(f"unknown problem type {kind!r}")
     try:
+        m = strict_int(data["m"], "m")
         if kind == "lp":
-            m = strict_int(data["m"], "m")
             cols = np.asarray(data["columns"], dtype=float)
             if cols.ndim != 2 or cols.shape[1] != m:
                 raise ValueError(
                     "\"columns\" must be a list of length-m columns")
             return FiniteLp(cols.T)
         if kind == "sdp":
-            m = strict_int(data["m"], "m")
             n = strict_int(data["n"], "n")
             mats = np.asarray(data["matrices"], dtype=float)
             if mats.shape != (m, n, n):
                 raise ValueError("\"matrices\" must be m matrices of size n*n")
             return Sdp(mats)
-        if kind == "socp":
-            m = strict_int(data["m"], "m")
-            A = np.asarray(data["A"], dtype=float)
-            if A.ndim != 2 or A.shape[0] != m:
-                raise ValueError("\"A\" must be an m-row matrix")
-            return Socp(A, data["blocks"])
+        A = np.asarray(data["A"], dtype=float)
+        if A.ndim != 2 or A.shape[0] != m:
+            raise ValueError("\"A\" must be an m-row matrix")
+        return Socp(A, data["blocks"])
     except KeyError as exc:
         raise ValueError(f"problem document is missing {exc.args[0]!r}") from exc
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"problem document has a field of the wrong type: "
                          f"{exc}") from exc
-    raise ValueError(f"unknown problem type {kind!r}")
 
 
 def dump_problem(instance: ProblemInstance) -> dict:
@@ -162,12 +160,47 @@ def dump_problem(instance: ProblemInstance) -> dict:
 # certificate format
 
 
+def witness_to_json(w: Union[Witness, WitnessedColumn]) -> dict:
+    """Encode a witness for a certificate file.
+
+    A custom witness carries its column, as given (``2^exponent`` times
+    the column in range), when ``w`` is a :class:`WitnessedColumn`, and
+    only its label when ``w`` is bare.  Other witnesses identify their
+    column on the instance, so only the witness is written."""
+    witness = w.witness if isinstance(w, WitnessedColumn) else w
+    if isinstance(witness, LpIndex):
+        return {"type": "lp_index", "i": witness.i}
+    if isinstance(witness, SdpVector):
+        return {"type": "sdp_vector", "v": list(witness.v)}
+    if isinstance(witness, SocpVector):
+        return {"type": "socp_vector", "v": list(witness.v)}
+    if isinstance(witness, CustomWitness):
+        out = {"type": "custom", "label": witness.label}
+        if witness is not w:
+            out["column"] = np.ldexp(w.column, w.exponent).tolist()
+        return out
+    raise TypeError(f"unknown witness type {type(witness).__name__}")
+
+
+def witness_from_json(obj: dict) -> Union[Witness, WitnessedColumn]:
+    """Inverse of :func:`witness_to_json`: a bare witness, or a
+    :class:`WitnessedColumn` for a custom witness that carries a column."""
+    kind = obj.get("type")
+    if kind == "lp_index":
+        return LpIndex(strict_int(obj["i"], "column index"))
+    if kind == "sdp_vector":
+        return SdpVector(tuple(float(t) for t in obj["v"]))
+    if kind == "socp_vector":
+        return SocpVector(tuple(float(t) for t in obj["v"]))
+    if kind == "custom":
+        witness = CustomWitness(obj.get("label"))
+        column = obj.get("column")
+        return witness if column is None else WitnessedColumn(witness, column)
+    raise ValueError(f"unknown witness type {kind!r}")
+
+
 def _weight_entry(witness: Union[Witness, WitnessedColumn], x: float) -> dict:
-    if isinstance(witness, WitnessedColumn):
-        enc = witness_to_json(witness.witness, witness.column)
-    else:
-        enc = witness_to_json(witness)
-    return {"witness": enc, "x": float(x)}
+    return {"witness": witness_to_json(witness), "x": float(x)}
 
 
 def dump_certificate(cert: Certificate) -> dict:
@@ -197,18 +230,12 @@ def load_certificate(data: object) -> Certificate:
         entries = data.get("weights")
         if not isinstance(entries, list) or not entries:
             raise ValueError("\"weights\" must be a nonempty list")
-        weights = []
-        for e in entries:
-            try:
-                witness, column = witness_from_json(e["witness"])
-                x = float(e["x"])
-            except (KeyError, TypeError, ValueError, OverflowError,
-                    AttributeError) as exc:
-                raise ValueError(f"malformed weight entry: {exc}") from exc
-            if column is not None:
-                weights.append((WitnessedColumn(witness, column), x))
-            else:
-                weights.append((witness, x))
+        try:
+            weights = [(witness_from_json(e["witness"]), float(e["x"]))
+                       for e in entries]
+        except (KeyError, TypeError, ValueError, OverflowError,
+                AttributeError) as exc:
+            raise ValueError(f"malformed weight entry: {exc}") from exc
         return Certificate(kind="p", y=None, weights=weights)
     raise ValueError(f"unknown certificate kind {kind!r}")
 
@@ -219,9 +246,8 @@ def load_certificate(data: object) -> Certificate:
 
 def solve_report(outcome: SolveOutcome, wall_ms: float | None) -> dict:
     """The solve report; ``wall_ms`` is the solve's time, or None."""
-    weights = None
-    if outcome.weights is not None:
-        weights = [_weight_entry(w, x) for w, x in outcome.weights]
+    weights = None if outcome.weights is None else [
+        _weight_entry(w, x) for w, x in outcome.weights]
     return {
         "schema": 1,
         "status": outcome.status,
@@ -373,28 +399,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    indent = None  # compact until the command line parses
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        _emit({"schema": 1, "error": str(exc)}, None)
-        return EXIT_USAGE
-    logging.basicConfig(stream=sys.stderr,
-                        level=getattr(logging, args.log_level.upper()))
-    try:
+        args = build_parser().parse_args(argv)
+        indent = args.json_indent
+        logging.basicConfig(stream=sys.stderr,
+                            level=getattr(logging, args.log_level.upper()))
         return args.func(args)
     except ConfigError as exc:
-        _emit({"schema": 1, "error": str(exc)}, args.json_indent)
-        return EXIT_USAGE
+        code, error = EXIT_USAGE, str(exc)
     except ValueError as exc:
-        _emit({"schema": 1, "error": str(exc)}, args.json_indent)
-        return EXIT_DATA
+        code, error = EXIT_DATA, str(exc)
     except Exception as exc:  # noqa: BLE001  last-resort contract
         log.exception("internal error")
-        _emit({"schema": 1, "error": f"internal error: {exc}"},
-              args.json_indent)
-        return EXIT_INTERNAL
+        code, error = EXIT_INTERNAL, f"internal error: {exc}"
+    _emit({"schema": 1, "error": error}, indent)
+    return code
 
 
 if __name__ == "__main__":

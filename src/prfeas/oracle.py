@@ -61,8 +61,6 @@ __all__ = [
     "lp_query",
     "sdp_query",
     "socp_query",
-    "witness_to_json",
-    "witness_from_json",
 ]
 
 #: Scaled tolerance for the soundness check column^T y <= 0 at query return.
@@ -240,6 +238,8 @@ class WitnessedColumn:
         kept, so an entry that the scaling rounds (one below about
         ``2^-1400`` times the largest) is let round: no residual moves."""
         e = math.frexp(np.abs(self.column).max())[1]
+        # range_exponents gives 0 in range too, but its numpy scalar
+        # arithmetic costs every custom query a few microseconds
         k = 0 if -RANGE_EXPONENT < e <= RANGE_EXPONENT \
             else int(range_exponents(e))
         return self if not k else WitnessedColumn(
@@ -814,35 +814,3 @@ def face_atoms(
         return None
     return [(SdpVector(tuple(v.tolist())), x)
             for x, v in zip(lam.tolist(), (Q @ vecs).T)]
-
-
-def witness_to_json(w: Witness, column: np.ndarray | None = None) -> dict:
-    """Serialize a witness to the JSON certificate encoding."""
-    if isinstance(w, LpIndex):
-        return {"type": "lp_index", "i": w.i}
-    if isinstance(w, SdpVector):
-        return {"type": "sdp_vector", "v": list(w.v)}
-    if isinstance(w, SocpVector):
-        return {"type": "socp_vector", "v": list(w.v)}
-    if isinstance(w, CustomWitness):
-        out = {"type": "custom", "label": w.label}
-        if column is not None:
-            out["column"] = [float(t) for t in column]
-        return out
-    raise TypeError(f"unknown witness type {type(w).__name__}")
-
-
-def witness_from_json(obj: dict) -> tuple[Witness, np.ndarray | None]:
-    """Parse the JSON certificate encoding; returns (witness, column-or-None)."""
-    kind = obj.get("type")
-    if kind == "lp_index":
-        return LpIndex(strict_int(obj["i"], "column index")), None
-    if kind == "sdp_vector":
-        return SdpVector(tuple(float(t) for t in obj["v"])), None
-    if kind == "socp_vector":
-        return SocpVector(tuple(float(t) for t in obj["v"])), None
-    if kind == "custom":
-        column = obj.get("column")
-        arr = None if column is None else np.asarray(column, dtype=float)
-        return CustomWitness(obj.get("label")), arr
-    raise ValueError(f"unknown witness type {kind!r}")

@@ -31,9 +31,8 @@ one reaches zero; the next insertion takes that empty slot.  The cycle
 runs only while the shrunk ||z|| stays above MINOR_CYCLE_GUARD = 2 times
 the threshold mu/(m+1), so it never reaches that exit itself; a guard
 of 1 or less would let cycles reach it and change which direction a run
-contracts along.  A floor of 8 times the threshold was dead code at m <=
-2, where it lies above 1 >= ||z||, and stopped the cycle just where
-planted feasible SDP runs spend their oracle calls.
+contracts along.  The floor 2 mu/(m+1) lies below 1 >= ||z|| for every
+m >= 1, so a cycle can run at every size.
 
 A run ends with a small aggregate at ||z|| <= mu/(m+1) or, once the map
 holds a contraction (s > 0, so an earlier run found no certificate), at
@@ -134,10 +133,9 @@ SMW_TOL = 1e-10
 LU_PIVOT_TOL = 1e-13
 
 #: A minor cycle runs only while the cycled ``||z||`` stays above this
-#: multiple of the small-aggregate threshold ``mu/(m+1)``.  Above 1, so no
-#: cycle takes a run to that exit.  At 8 the floor lay above ``||z|| <= 1``
-#: for m <= 2 and cut cycles short on SDP runs; at 2 no benchmark count is
-#: higher than at 8 (2.5 and 1.5 each add inner runs).
+#: multiple of the small-aggregate threshold ``mu/(m+1)``.  It must exceed
+#: 1, so that no cycle takes a run to that exit, and keep the floor below
+#: ``||z|| <= 1`` at every m, which 2 does: ``2 mu/(m+1) <= 1/sqrt(3)``.
 MINOR_CYCLE_GUARD = 2.0
 
 
@@ -737,12 +735,10 @@ def basic_procedure(
     skipped unless ``||z|| > MINOR_CYCLE_GUARD mu/(m+1)``, tested before
     anything is computed, and unless the cycled ``||z||`` stays above that
     floor.  ``||z||`` only shrinks, so the iteration bound and the ``m + 1``
-    support hold as before.  No cycle reaches ``mu/(m+1)``, but once
-    ``state.s > 0`` one may take ``||z||`` to ``mu x_h`` and so end the
-    run.  The guard is 2: at 8 the floor lay above ``||z|| <= 1`` for
-    ``m <= 2``, so no cycle ran there, and it stopped cycling where
-    planted feasible SDP runs spend their calls (sdp m=8 n=20, seed 203:
-    65 oracle calls at 8, 16 at 2).
+    support hold as before.  The guard exceeds 1, so no cycle reaches
+    ``mu/(m+1)``, but once ``state.s > 0`` one may take ``||z||`` to ``mu
+    x_h`` and so end the run.  The floor lies below ``||z|| <= 1`` at
+    every ``m``, so cycles run at every size.
 
     That bound holds for any violated column, but a step gains most from
     the most violated one, so the built-in oracles return their deepest cut

@@ -19,12 +19,28 @@ from prfeas.cli import (
     EXIT_REJECTED,
     EXIT_USAGE,
     _read_json,
+    dump_certificate,
     dump_problem,
     load_certificate,
     load_problem,
     main,
+    solve_report,
+    witness_from_json,
+    witness_to_json,
 )
-from prfeas.oracle import FiniteLp, Sdp, Socp
+from prfeas.certify import Certificate, verify_p_certificate
+from prfeas.oracle import (
+    CustomOracle,
+    CustomWitness,
+    FiniteLp,
+    LpIndex,
+    Sdp,
+    SdpVector,
+    Socp,
+    SocpVector,
+    WitnessedColumn,
+)
+from prfeas.solver import main_algorithm
 
 
 def invoke(capsys, *argv):
@@ -318,6 +334,56 @@ class TestLoaderProperties:
         # a certificate that loads may still name no column of the problem
         assert code in (0, EXIT_REJECTED, EXIT_DATA)
         assert code == EXIT_DATA or not rejected
+
+
+class TestCertificateFormat:
+    @pytest.mark.parametrize("w", [
+        LpIndex(3),
+        SdpVector((0.6, 0.8)),
+        SocpVector((1.0, -0.5, 0.0)),
+        CustomWitness(0.25),
+    ])
+    def test_bare_witness_round_trip(self, w):
+        assert witness_from_json(witness_to_json(w)) == w
+
+    def test_built_in_column_is_not_written(self):
+        wc = WitnessedColumn(LpIndex(3), np.array([1.0, -1.0]), exponent=5)
+        assert witness_to_json(wc) == {"type": "lp_index", "i": 3}
+
+    def test_custom_column_round_trip(self):
+        wc = WitnessedColumn(CustomWitness(0.25), np.array([1.0, -1.0]))
+        back = witness_from_json(witness_to_json(wc))
+        assert isinstance(back, WitnessedColumn)
+        assert back.witness == wc.witness and back.exponent == 0
+        assert np.array_equal(back.column, wc.column)
+
+    def test_custom_column_is_written_as_given(self):
+        wc = WitnessedColumn(CustomWitness("t"),
+                             np.array([-1e200, 1.0])).in_range()
+        assert wc.exponent == 281
+        assert witness_to_json(wc)["column"] == [-1e200, 1.0]
+
+    def test_unknown_witness_type_rejected(self):
+        with pytest.raises(ValueError):
+            witness_from_json({"type": "bogus"})
+
+    def test_range_scaled_custom_dual_survives_json_round_trip(self):
+        # the oracle hands out -1e200 as -1e200 * 2^-281; the file carries
+        # weights on the columns as given, so it must carry those columns
+        def fn(y):
+            return WitnessedColumn(CustomWitness("t"), np.array(
+                [-1e200 if y[0] > 0 else 1.0]))
+
+        inst = CustomOracle(1, fn)
+        out = main_algorithm(inst)
+        assert out.status == "dual_certificate"
+        assert any(w.exponent for w, _ in out.weights)
+        assert verify_p_certificate(inst, out.weights).accepted
+        doc = dump_certificate(Certificate(kind="p", y=None,
+                                           weights=out.weights))
+        assert solve_report(out, None)["weights"] == doc["weights"]
+        cert = load_certificate(json.loads(json.dumps(doc)))
+        assert verify_p_certificate(inst, cert.weights).accepted
 
 
 class TestSolveCommand:
@@ -770,6 +836,15 @@ class TestUsageErrors:
     def test_bad_choice(self, capsys):
         assert invoke(capsys, "generate", "--kind", "milp",
                       "--m", "2", "--n", "2")[0] == EXIT_USAGE
+
+    def test_unparsed_command_line_is_compact_and_on_stderr(self, capsys):
+        # --json-indent is not read before the command line parses
+        code = main(["solve", "--json-indent", "4"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        error = json.loads(captured.out)["error"]
+        assert captured.out == json.dumps({"schema": 1, "error": error}) + "\n"
+        assert captured.err == f"usage error: {error}\n"
 
     def test_solve_help_lists_no_mode(self, capsys):
         with pytest.raises(SystemExit) as exc:

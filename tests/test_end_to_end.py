@@ -30,6 +30,7 @@ from prfeas.solver import (
     ConfigError,
     main_algorithm,
 )
+from hyperplane import hyperplane_lp
 from semicircle import make_semicircle
 
 
@@ -452,12 +453,7 @@ class TestDualExtraction:
         # affinely dependent, and only the NNLS finds their certificate
         # (without it both solves declare epsilon)
         m = 10
-        rng = np.random.default_rng(seed)
-        y = rng.standard_normal(m)
-        y /= np.linalg.norm(y)
-        cols = rng.standard_normal((m, 200))
-        cols -= np.outer(y, y @ cols)
-        inst = FiniteLp(cols)
+        inst = hyperplane_lp(m, 200, seed, 0.0)
         out = main_algorithm(inst)
         assert out.status == "dual_certificate"
         assert len(out.weights) <= m + 1
@@ -567,13 +563,10 @@ class TestContractionProperties:
         # feasible with a_t^T y = lift.  A run that ends at ||z|| <= mu x_h
         # contracts along a column a_hat with a_hat^T y' <= mu ||y'|| for
         # y' = M^-1 y under the map as it stood before that contraction
-        m, n = 10, 200
-        rng = np.random.default_rng(1)
-        y = rng.standard_normal(m)
+        m = 10
+        y = np.random.default_rng(1).standard_normal(m)  # the LP's first draw
         y /= np.linalg.norm(y)
-        cols = rng.standard_normal((m, n))
-        cols -= np.outer(y, y @ cols)
-        out = main_algorithm(FiniteLp(cols + lift * y[:, None]))
+        out = main_algorithm(hyperplane_lp(m, 200, 1, lift))
         assert out.status == "feasible"
         assert out.counters.oracle_calls == calls
         assert len(solve_probe.rescales) == len(solve_probe.contractions) \

@@ -30,8 +30,6 @@ from prfeas.oracle import (
     query,
     sdp_query,
     socp_query,
-    witness_from_json,
-    witness_to_json,
 )
 from prfeas.solver import main_algorithm
 
@@ -785,24 +783,3 @@ class TestFaceAtoms:
                      Socp(np.array([[1.0, -1.0], [0.0, 0.0]]), (1, 1)),
                      CustomOracle(2, lambda y: None)):
             assert face_atoms(inst, support, np.array([0.5, 0.5])) is None
-
-
-class TestWitnessJson:
-    @pytest.mark.parametrize("w,col", [
-        (LpIndex(3), None),
-        (SdpVector((0.6, 0.8)), None),
-        (SocpVector((1.0, -0.5, 0.0)), None),
-        (CustomWitness(0.25), np.array([1.0, -1.0])),
-    ])
-    def test_round_trip(self, w, col):
-        obj = witness_to_json(w, col)
-        back, back_col = witness_from_json(obj)
-        assert back == w
-        if col is None:
-            assert back_col is None
-        else:
-            assert_allclose(back_col, col, atol=0)
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ValueError):
-            witness_from_json({"type": "bogus"})

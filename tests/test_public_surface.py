@@ -43,7 +43,7 @@ def test_three_public_exception_classes():
         if inspect.isclass(obj) and issubclass(obj, Exception)
         and obj.__module__ == module.__name__}
     assert defined == {"ConfigError", "OracleContractViolation",
-                       "InvariantViolated", "_UsageError"}
+                       "InvariantViolated"}
     assert issubclass(prfeas.ConfigError, ValueError)
     assert issubclass(prfeas.OracleContractViolation, RuntimeError)
     assert issubclass(prfeas.InvariantViolated, RuntimeError)

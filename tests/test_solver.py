@@ -36,6 +36,7 @@ from prfeas.solver import (
     step_alpha,
 )
 
+from hyperplane import hyperplane_lp
 from semicircle import make_semicircle
 
 SQRT2 = math.sqrt(2.0)
@@ -409,6 +410,22 @@ class TestConvexCombinationElimination:
         assert w["c"] == pytest.approx(0.25 * (2.0 * SQRT2 - 1.0), abs=1e-12)
         assert cc.weight_sum() == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(cc.combination() - cc.z) <= 1e-12
+
+    def test_residual_check_rebuilds_a_drifted_g(self):
+        # the recovery a reduction runs after a small pivot and every
+        # G_RECHECK_INTERVAL reductions: G drifted past G_RESIDUAL_TOL is
+        # rebuilt, and nothing else of the support moves
+        cc = self.build(2, self.basis_with_weights([0.25, 0.25, 0.5]))
+        cc.G = np.linalg.inv(cc.basis_matrix()) + 1e-6
+        assert cc.g_residual() > G_RESIDUAL_TOL
+        entries = list(cc.entries)
+        weights, z = cc.weights.tobytes(), cc.z.tobytes()
+        cc._check_residual()
+        assert cc.g_residual() <= G_RESIDUAL_TOL
+        assert len(cc.entries) == len(entries)
+        assert all(a is b for a, b in zip(cc.entries, entries))
+        assert cc.weights.tobytes() == weights
+        assert cc.z.tobytes() == z
 
     def test_blocking_term_swapped_out(self):
         # beta* = 0.05 (sqrt2 + 1) < 0.85: witness "b" leaves, the incoming
@@ -824,12 +841,7 @@ class TestDeepestCut:
         # y^perp lifted by 1e-5 y leave a cone thinner than epsilon and no
         # finite certificate, so every candidate support must be rejected
         # and every contraction runs; 1,470 oracle calls
-        rng = np.random.default_rng(106)
-        y = rng.standard_normal(10)
-        y /= np.linalg.norm(y)
-        cols = rng.standard_normal((10, 200))
-        cols -= np.outer(y, y @ cols)
-        out = main_algorithm(FiniteLp(cols + 1e-5 * y[:, None]),
+        out = main_algorithm(hyperplane_lp(10, 200, 106, 1e-5),
                              epsilon=1e-6)
         assert out.status == "epsilon_declared"
         assert out.counters.rescalings == 72
