@@ -166,7 +166,9 @@ def witness_to_json(w: Union[Witness, WitnessedColumn]) -> dict:
     A custom witness carries its column, as given (``2^exponent`` times
     the column in range), when ``w`` is a :class:`WitnessedColumn`, and
     only its label when ``w`` is bare.  Other witnesses identify their
-    column on the instance, so only the witness is written."""
+    column on the instance, so only the witness is written.  A label
+    round-trips as its JSON value: a numpy scalar label is written as its
+    Python value (``.item()``), and a tuple comes back as a list."""
     witness = w.witness if isinstance(w, WitnessedColumn) else w
     if isinstance(witness, LpIndex):
         return {"type": "lp_index", "i": witness.i}
@@ -175,7 +177,9 @@ def witness_to_json(w: Union[Witness, WitnessedColumn]) -> dict:
     if isinstance(witness, SocpVector):
         return {"type": "socp_vector", "v": list(witness.v)}
     if isinstance(witness, CustomWitness):
-        out = {"type": "custom", "label": witness.label}
+        label = witness.label
+        out = {"type": "custom", "label": label.item()
+               if isinstance(label, np.generic) else label}
         if witness is not w:
             out["column"] = np.ldexp(w.column, w.exponent).tolist()
         return out

@@ -227,8 +227,8 @@ class WitnessedColumn:
         # a cone vector that the instance maps to zero is a sound witness,
         # and alone a dual certificate; every other column must not vanish
         if self.column.ndim != 1 or not (
-                self.column.any()
-                or isinstance(self.witness, (SdpVector, SocpVector))):
+                isinstance(self.witness, (SdpVector, SocpVector))
+                or self.column.any()):
             raise ValueError("witnessed column must be a nonzero vector")
 
     def in_range(self) -> WitnessedColumn:
@@ -548,7 +548,9 @@ class Socp:
                                  axis=1)
             sq[self._wide] = np.einsum("kb,kb->b", Cv, Cv)
         norms = np.sqrt(np.maximum(sq, 0.0))
-        margins = np.ldexp(x[self.starts] - tails, exps)
+        margins = x[self.starts] - tails
+        if exps.any():
+            margins = np.ldexp(margins, exps)
         return np.divide(margins, norms, out=np.full(nb, -np.inf),
                          where=norms > 0.0)
 
@@ -577,9 +579,11 @@ def _checked_direction(y: np.ndarray, m: int) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (m,):
         raise ValueError(f"query direction must have shape ({m},), got {y.shape}")
-    if not np.isfinite(y).all():
+    # one pass decides both: a NaN peak fails the first test, as inf does
+    peak = abs(y).max()
+    if not peak < math.inf:
         raise ValueError("query direction must be finite")
-    if not y.any():
+    if not peak > 0.0:
         raise ValueError("query direction must be nonzero")
     return y
 
@@ -609,9 +613,13 @@ def lp_query(instance: FiniteLp, y: np.ndarray,
     Among the columns with ``a_t^T y <= 0`` this picks the argmin of
     ``a_t^T y / s_t``, taking the lowest index on ties.  ``scales`` holds
     one positive ``s_t`` per column and defaults to the column norms
-    ``||a_t||``.  One argmin runs over all ratios, with the columns that
-    are not violated set to infinity.  A margin that is not a number
-    (its products overflowed with both signs) counts as violated, and the
+    ``||a_t||``.  One argmin runs over all the ratios: when the least is
+    negative, its column is violated and every column that is not has a
+    ratio of at least 0, so it is the pick.  Only when no ratio is
+    negative does the argmin run again with the columns that are not
+    violated set to infinity, which tells a zero margin from a positive
+    one whose ratio underflowed to 0.  A margin that is not a number (its
+    products overflowed with both signs) counts as violated, and the
     first such column is returned.
     """
     y = _checked_direction(y, instance.m)
@@ -622,10 +630,13 @@ def lp_query(instance: FiniteLp, y: np.ndarray,
         if scales.shape != (instance.n,):
             raise ValueError(f"scales must have shape ({instance.n},)")
     margins = y @ instance.columns
-    violated = ~(margins > 0.0)
-    t = int(np.argmin(np.where(violated, margins / scales, np.inf)))
-    if not violated[t]:
-        return None
+    ratios = margins / scales
+    t = int(ratios.argmin())
+    if not ratios[t] < 0.0:
+        violated = ~(margins > 0.0)
+        t = int(np.where(violated, ratios, np.inf).argmin())
+        if not violated[t]:
+            return None
     return WitnessedColumn(LpIndex(t), instance.columns[:, t].copy(),
                            int(instance.exponents[t]))
 
@@ -640,7 +651,7 @@ def sdp_query(instance: Sdp, y: np.ndarray) -> WitnessedColumn | None:
     ``c^T y = v^T X v = lambda_min(X)``.
     """
     y = _checked_direction(y, instance.m)
-    X = np.tensordot(y, instance.matrices, axes=(0, 0))
+    X = (y @ instance.matrices.reshape(instance.m, -1)).reshape(instance.n, -1)
     eigvals, eigvecs = np.linalg.eigh(X)
     if eigvals[0] > _sdp_band(np.diag(X)):
         return None
@@ -692,7 +703,10 @@ def socp_query(instance: Socp, y: np.ndarray,
     v[sl.start] = 1.0
     if tail_norm > 0.0:
         v[sl.start + 1 : sl.stop] = -tail / tail_norm
-    return WitnessedColumn(SocpVector(tuple(v.tolist())), instance.A @ v,
+    # the zeros off the block are padded in, not converted one by one
+    witness = SocpVector((0.0,) * sl.start + tuple(v[sl].tolist())
+                         + (0.0,) * (instance.n - sl.stop))
+    return WitnessedColumn(witness, instance.A @ v,
                            int(instance.exponents[b]))
 
 
@@ -736,7 +750,7 @@ def query(instance: ProblemInstance, y: np.ndarray,
                 raise OracleContractViolation(
                     "custom oracle must return WitnessedColumn or None"
                 )
-            if w.column.shape != (instance.m,) or not np.all(np.isfinite(w.column)):
+            if w.column.shape != (instance.m,) or not abs(w.column).max() < math.inf:
                 raise OracleContractViolation(
                     "custom oracle column has wrong shape or non-finite entries"
                 )

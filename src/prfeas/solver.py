@@ -257,7 +257,8 @@ def smw_inverse_update(G: np.ndarray, u: np.ndarray,
     """
     Gu = G @ u
     denom = 1.0 + Gu[e_idx]
-    scale = 1.0 + np.linalg.norm(G, np.inf) * np.max(np.abs(u), initial=0.0)
+    # ||G||_inf as np.linalg.norm sums it, without the wrapper's checks
+    scale = 1.0 + abs(G).sum(axis=1).max() * abs(u).max()
     if abs(denom) < SMW_TOL * scale:
         return None
     return G - np.outer(Gu, G[e_idx]) / denom
@@ -335,6 +336,7 @@ class ConvexCombination:
         self.m = m
         self.entries: list[ActiveTerm] = []
         self._w = np.zeros(m + 2)
+        self._ratios = np.empty(m + 2)  # the ratio tests' scratch
         self.z = np.zeros(m)
         self.G: np.ndarray | None = None
         self._by_column: dict[bytes, ActiveTerm] = {}
@@ -454,9 +456,10 @@ class ConvexCombination:
         if vacant is not None and w[vacant] == 0.0:
             t, theta = vacant, 0.0
         else:
-            ratios = np.divide(w, g, out=np.full(k + 1, np.inf),
-                               where=g > 0.0)
-            t = int(np.argmin(ratios))
+            ratios = self._ratios
+            ratios.fill(np.inf)
+            np.divide(w, g, out=ratios, where=g > 0.0)
+            t = int(ratios.argmin())
             theta = float(ratios[t])
         if theta > 0.0:
             w -= theta * g
@@ -470,7 +473,7 @@ class ConvexCombination:
             self.G = smw_inverse_update(
                 self.G, self.entries[t].basis_col - leaving.basis_col, t)
             if self.G is None \
-                    or abs(g[t]) * REFILL_PIVOT_RATIO < np.max(np.abs(g)):
+                    or abs(g[t]) * REFILL_PIVOT_RATIO < abs(g).max():
                 self._check_residual()
         self._reductions += 1
         if self.G is not None and self._reductions % G_RECHECK_INTERVAL == 0:
@@ -499,9 +502,10 @@ class ConvexCombination:
         lam = self.G[:, self.m]
         w = self.weights
         gap = w - lam
-        ratios = np.divide(w, gap, out=np.full(w.size, np.inf),
-                           where=gap > 0.0)
-        t = int(np.argmin(ratios))
+        ratios = self._ratios[: w.size]
+        ratios.fill(np.inf)
+        np.divide(w, gap, out=ratios, where=gap > 0.0)
+        t = int(ratios.argmin())
         theta = float(ratios[t])
         if not (theta > 0.0 and (1.0 - theta) * z_norm > floor):
             return z_norm

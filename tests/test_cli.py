@@ -385,6 +385,33 @@ class TestCertificateFormat:
         cert = load_certificate(json.loads(json.dumps(doc)))
         assert verify_p_certificate(inst, cert.weights).accepted
 
+    def test_numpy_scalar_label_is_written_as_its_value(self):
+        # columns (1, 0), (-1, 0) and (0, 1): the first two cancel
+        cols = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+
+        def fn(y):
+            margins = y @ cols
+            t = np.argmin(margins)
+            if margins[t] > 0.0:
+                return None
+            return WitnessedColumn(CustomWitness(t), cols[:, t])
+
+        inst = CustomOracle(2, fn)
+        out = main_algorithm(inst)
+        assert out.status == "dual_certificate"
+        assert out.verification.accepted
+        doc = json.loads(json.dumps(solve_report(out, None)))
+        labels = [e["witness"]["label"] for e in doc["weights"]]
+        assert labels and all(type(t) is int for t in labels)
+        cert = load_certificate({"schema": 1, "kind": "p",
+                                 "weights": doc["weights"]})
+        assert [w.witness.label for w, _ in cert.weights] == labels
+        assert verify_p_certificate(inst, cert.weights).accepted
+
+    def test_tuple_label_comes_back_as_a_list(self):
+        doc = json.loads(json.dumps(witness_to_json(CustomWitness((0.5, 2)))))
+        assert witness_from_json(doc) == CustomWitness([0.5, 2])
+
 
 class TestSolveCommand:
     def test_feasible_exit_zero(self, tmp_path, capsys):

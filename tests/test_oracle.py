@@ -71,6 +71,30 @@ class TestFiniteLpQuery:
         with pytest.raises(ValueError, match=r"scales must have shape \(3,\)"):
             lp_query(inst, y, np.ones(2))
 
+    def test_ratio_that_underflows_to_zero_is_not_picked(self):
+        # margins (1e-300, 0) over scales (1e300, 1): both ratios are 0.0,
+        # and the first belongs to a column that is not violated
+        inst = FiniteLp(np.eye(2))
+        y = np.array([1e-300, 0.0])
+        w = lp_query(inst, y, np.array([1e300, 1.0]))
+        assert w.witness == LpIndex(1)
+
+    def test_nan_margin_ranks_first(self):
+        # a margin whose products overflow with both signs is NaN or
+        # infinite, as the BLAS kernel sums them; a NaN entry planted in
+        # the stored columns gives the margins (-2, nan, 2) on any kernel
+        inst = FiniteLp(np.array([[-2.0, 1.0, 2.0], [0.0, 1.0, 0.0]]))
+        inst.columns[1, 1] = np.nan
+        w = lp_query(inst, np.array([1.0, 1.0]))
+        assert w.witness == LpIndex(1)
+
+    def test_positive_margins_give_none(self):
+        # the first ratio underflows to 0.0, yet its margin is positive
+        inst = FiniteLp(np.eye(2))
+        y = np.array([1e-300, 1.0])
+        assert lp_query(inst, y, np.array([1e300, 1.0])) is None
+        assert lp_query(inst, y) is None
+
     def test_repeat_queries_identical(self):
         rng = np.random.default_rng(4)
         inst = FiniteLp(rng.standard_normal((3, 10)))
@@ -276,6 +300,24 @@ class TestSocpQuery:
         v = np.asarray(w.witness.v)
         assert np.all(v[:2] == 0.0)
         assert v[2] == 1.0
+
+    def test_witness_is_padded_with_zeros_off_its_block(self):
+        # blocks (2, 3, 2); only the middle one is violated at y
+        A = np.zeros((2, 7))
+        A[0, [0, 5]] = 4.0
+        A[0, 2], A[1, 3], A[0, 4] = 1.0, 3.0, -4.0
+        inst = Socp(A, (2, 3, 2))
+        y = np.array([1.0, 1.0])
+        w = socp_query(inst, y)
+        x = A.T @ y
+        v = np.zeros(7)
+        v[2] = 1.0
+        v[3:5] = -x[3:5] / np.linalg.norm(x[3:5])
+        assert len(w.witness.v) == 7
+        assert all(type(t) is float for t in w.witness.v)
+        assert w.witness.v == tuple(v.tolist())
+        assert np.array(w.witness.v).tobytes() == v.tobytes()
+        assert w.column.tobytes() == (A @ v).tobytes()
 
     def test_size_one_blocks(self):
         A = np.array([[1.0, -1.0], [0.5, 0.5]])
@@ -636,17 +678,40 @@ class TestSocpDeepestCut:
             assert_matches_loop(inst, y, w)
 
 
+#: one instance of each kind with m = 2
+KINDS = [FiniteLp(np.eye(2)), Sdp(np.array([np.eye(2), np.diag([1.0, -1.0])])),
+         Socp(np.array([[1.0, 0.0], [0.0, 1.0]]), (1, 1)),
+         CustomOracle(2, lambda y: WitnessedColumn(CustomWitness("c"), -y))]
+
+
 class TestQueryDispatch:
     def test_invalid_queries(self):
-        inst = FiniteLp(np.eye(2))
-        with pytest.raises(ValueError,
-                           match="query direction must be nonzero"):
-            query(inst, np.zeros(2))
-        with pytest.raises(ValueError, match="query direction must be finite"):
-            query(inst, np.array([1.0, np.nan]))
-        with pytest.raises(ValueError, match=r"query direction must have "
-                                             r"shape \(2,\), got \(3,\)"):
-            query(inst, np.array([1.0, 1.0, 1.0]))
+        for inst in KINDS:
+            with pytest.raises(ValueError,
+                               match="query direction must be nonzero"):
+                query(inst, np.zeros(2))
+            for bad in ([1.0, np.nan], [0.0, np.nan], [np.inf, 1.0],
+                        [-np.inf, np.nan]):
+                with pytest.raises(ValueError,
+                                   match="query direction must be finite"):
+                    query(inst, np.array(bad))
+            with pytest.raises(ValueError, match=r"query direction must "
+                               r"have shape \(2,\), got \(3,\)"):
+                query(inst, np.array([1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("inst", KINDS)
+    def test_list_direction_is_accepted(self, inst):
+        y = [-0.5, 1.0]
+        w = query(inst, y)
+        assert w is not None and w.column @ np.array(y) <= 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_custom_column_is_named(self, bad):
+        oracle = CustomOracle(2, lambda y: WitnessedColumn(
+            CustomWitness("c"), np.array([-1.0, bad])))
+        with pytest.raises(OracleContractViolation, match="custom oracle "
+                           "column has wrong shape or non-finite entries"):
+            query(oracle, np.array([1.0, 0.0]))
 
     def test_direction_with_huge_entries_warns_nothing(self):
         # the soundness check of the answer takes no square of 2^512
