@@ -333,6 +333,38 @@ def scaled_instance(inst, k):
     return Socp(np.ldexp(inst.A, k), inst.blocks)
 
 
+class TestLpScreenLeavesTheSolve:
+    """At the size ``lp_query`` screens in float32, a solve with the screen
+    repeats the solve without it bit for bit."""
+
+    @pytest.mark.parametrize("target", ["feasible_d", "feasible_p"])
+    def test_screened_solve_repeats_the_exact_one(self, monkeypatch, target):
+        inst, _ = generate_planted("lp", 60, 5000, 1, target)
+        assert inst.columns.size >= oracle.LP_SCREEN_MIN_ENTRIES
+        screen, answers = oracle._screened_pick, []
+
+        def recorded(instance, y, scales):
+            t = screen(instance, y, scales)
+            answers.append((t is not None, scales is not None))
+            return t
+
+        monkeypatch.setattr(oracle, "_screened_pick", recorded)
+        out = main_algorithm(inst)
+        screened = list(answers)
+        monkeypatch.setattr(oracle, "LP_SCREEN_MIN_ENTRIES", math.inf)
+        exact = main_algorithm(inst)
+        assert answers == screened  # the second solve never screened
+        # the screen decided nearly every query; past the first
+        # contraction it ranked by the rescaled scales
+        assert sum(d for d, _ in screened) >= 0.9 * len(screened)
+        assert any(s for _, s in screened) == (target == "feasible_p")
+        assert out.status == exact.status
+        assert out.counters == exact.counters
+        assert out.weights == exact.weights
+        if out.y is not None:
+            assert out.y.tobytes() == exact.y.tobytes()
+
+
 class TestPowerOfTwoScalingInvariance:
     """Data times a power of two far outside the float range that the
     built-in instances keep (an SDP stack times a power of four) is stored

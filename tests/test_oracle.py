@@ -14,6 +14,7 @@ from prfeas.certify import (
     verify_d_solution,
     verify_p_certificate,
 )
+from prfeas import oracle
 from prfeas.oracle import (
     CustomOracle,
     CustomWitness,
@@ -28,6 +29,7 @@ from prfeas.oracle import (
     face_atoms,
     lp_query,
     query,
+    rescaled_scales,
     sdp_query,
     socp_query,
 )
@@ -72,28 +74,45 @@ class TestFiniteLpQuery:
             lp_query(inst, y, np.ones(2))
 
     def test_ratio_that_underflows_to_zero_is_not_picked(self):
-        # margins (1e-300, 0) over scales (1e300, 1): both ratios are 0.0,
-        # and the first belongs to a column that is not violated
-        inst = FiniteLp(np.eye(2))
-        y = np.array([1e-300, 0.0])
+        # ranked at y / 2, the margins are (5e-101, 0); over the scales
+        # (1e300, 1) both ratios are 0.0, and the first belongs to a
+        # column that is not violated
+        inst = FiniteLp(np.diag([1e-100, 1.0]))
+        y = np.array([1.0, 0.0])
         w = lp_query(inst, y, np.array([1e300, 1.0]))
         assert w.witness == LpIndex(1)
 
     def test_nan_margin_ranks_first(self):
-        # a margin whose products overflow with both signs is NaN or
-        # infinite, as the BLAS kernel sums them; a NaN entry planted in
-        # the stored columns gives the margins (-2, nan, 2) on any kernel
+        # at max|y_i| < 1 no product of stored columns overflows, so only
+        # a NaN entry planted in them, bypassing construction, gives the
+        # margins (-1, nan, 1)
         inst = FiniteLp(np.array([[-2.0, 1.0, 2.0], [0.0, 1.0, 0.0]]))
         inst.columns[1, 1] = np.nan
         w = lp_query(inst, np.array([1.0, 1.0]))
         assert w.witness == LpIndex(1)
 
     def test_positive_margins_give_none(self):
-        # the first ratio underflows to 0.0, yet its margin is positive
+        # ranked at y / 2, the first ratio underflows to 0.0, yet its
+        # margin is positive
         inst = FiniteLp(np.eye(2))
         y = np.array([1e-300, 1.0])
         assert lp_query(inst, y, np.array([1e300, 1.0])) is None
         assert lp_query(inst, y) is None
+
+    def test_direction_near_float_max_picks_as_scaled(self):
+        # at y = 1e308 (1, 1, 1, 1) column 0's margin is -3e307, and the
+        # products of column 2 overflow with both signs, though its margin
+        # is 1e307; ranked at 2^-1024 y, as lp_query ranks it, nothing
+        # overflows and only column 0 is violated
+        cols = np.array([[0.5, 1.0, 2.0], [-1.0, 0.0, -2.0],
+                         [0.1, 0.0, 2.0], [0.1, 0.0, -1.9]])
+        inst = FiniteLp(cols)
+        y = np.full(4, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w = lp_query(inst, y)
+        assert w.witness == LpIndex(0)
+        assert w.witness == lp_query(inst, np.ldexp(y, -1024)).witness
 
     def test_repeat_queries_identical(self):
         rng = np.random.default_rng(4)
@@ -158,6 +177,76 @@ class TestFiniteLpQuery:
         socp = Socp(A, (3, 1, 3))
         assert np.shares_memory(socp.A, A)
         assert not socp.exponents.any()
+
+
+class TestLpScreen:
+    """The float32 screen (``oracle._screened_pick``), called directly on
+    instances far below the size at which ``lp_query`` runs it: whenever
+    it decides, with a column or with -1 for None, the float64 ranking
+    (``oracle._exact_pick``) at the same direction decides the same."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_a_decided_screen_is_the_exact_pick(self, data):
+        draw = data.draw
+        m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        # small integers give exact zero margins and exact ties
+        ints = draw(st.booleans())
+        cols = rng.integers(-3, 4, (m, n)).astype(float) if ints \
+            else rng.standard_normal((m, n))
+        cols[0, ~cols.any(axis=0)] = 1.0
+        for _ in range(draw(st.integers(0, 3))):
+            # a copy of another column: the same, one ulp away, or moved
+            # by about float32's resolution, which float32 may misorder
+            j, k = rng.integers(0, n, 2)
+            p = draw(st.sampled_from([0, 1, 20, 24, 28]))
+            col = cols[:, j]
+            if p == 1:
+                col = np.nextafter(col, np.inf)
+            elif p:
+                col = col * (1.0 + rng.choice([-1.0, 1.0], m) * 2.0**-p)
+            cols[:, k] = col
+        if draw(st.booleans()):
+            # columns stored by the range rule, with exponents != 0
+            cols = np.ldexp(cols, rng.choice([-900, -500, 0, 500, 900], n))
+        inst = FiniteLp(cols)
+
+        y = rng.integers(-3, 4, m).astype(float) if ints \
+            else rng.standard_normal(m)
+        y[0] += not y.any()
+        if draw(st.booleans()):
+            # y orthogonal to a column up to rounding: a margin near 0
+            a = inst.columns[:, rng.integers(0, n)]
+            y -= (y @ a) / (a @ a) * a
+            y[0] += not y.any()
+        # entries that float32 flushes to zero, beside normal ones
+        tiny = draw(st.sampled_from([1.0, 1e-50, 2.0**-160, 1e-300]))
+        y[rng.random(m) < 0.5] *= tiny
+        y = np.ldexp(y, -math.frexp(abs(y).max())[1])
+
+        kind = draw(st.sampled_from(["none", "random", "extreme",
+                                     "rescaled"]))
+        if kind == "none":
+            scales = None
+        elif kind == "random":
+            scales = inst.column_norms * rng.uniform(0.25, 4.0, n)
+        elif kind == "extreme":
+            scales = np.ldexp(1.0, rng.integers(-1070, 1020, n))
+        else:
+            # the scales the solver passes after random contractions
+            M, scales = np.eye(m), None
+            for _ in range(draw(st.integers(1, 12))):
+                a = rng.standard_normal(m)
+                a /= np.linalg.norm(a)
+                M = M @ (np.eye(m) - 0.5 * np.outer(a, a))
+                scales = rescaled_scales(inst, M, a, scales)
+
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # extreme scales overflow c_t = n_t / s_t on purpose
+            got = oracle._screened_pick(inst, y, scales)
+            if got is not None:
+                assert got == oracle._exact_pick(inst, y, scales)
 
 
 class TestSdpQuery:
