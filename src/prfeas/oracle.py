@@ -202,9 +202,36 @@ class SdpVector:
 
 @dataclass(frozen=True)
 class SocpVector:
-    """Witness for Socp: cone vector supported on the separating block."""
+    """Witness for Socp: cone vector supported on the separating block.
+
+    :func:`socp_query` keeps only the block it picked (:meth:`_on_block`)
+    and builds the n entries of ``v`` when ``v`` is first read, so a solve
+    that never writes a certificate never builds them; such a witness
+    equals, hashes and prints as the same vector given whole.
+    """
 
     v: tuple[float, ...]
+
+    @classmethod
+    def _on_block(cls, n: int, start: int, entries: np.ndarray) -> SocpVector:
+        """The witness that is ``entries`` from ``start`` and 0 elsewhere
+        among ``n`` coordinates, ``v`` not yet built."""
+        witness = object.__new__(cls)
+        object.__setattr__(witness, "_block", (n, start, entries))
+        return witness
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute not set, so ``v`` of _on_block
+        block = self.__dict__.get("_block") if name == "v" else None
+        if block is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        n, start, entries = block
+        # the zeros off the block are padded in, not converted one by one
+        v = (0.0,) * start + tuple(entries.tolist()) \
+            + (0.0,) * (n - start - entries.size)
+        object.__setattr__(self, "v", v)
+        return v
 
 
 @dataclass(frozen=True)
@@ -462,11 +489,12 @@ class Socp:
         return slice(start, start + self.blocks[b])
 
     def image(self, y: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``x = A^T y``, for ``A`` as stored, as the oracle ranks it, its
-        :meth:`tail_norms`, and one exponent ``e_b`` per block: block ``b``
-        of this ``x`` is that of ``A^T y`` times ``2^-e_b``, so
-        ``np.ldexp(x0_b - ||xt_b||, e_b)`` is the margin of ``A^T y``, bit
-        for bit while both are normal floats.
+        """``x = A^T y``, for ``A`` as stored, as the oracle ranks it, the
+        blocks' leading entries ``x0 = x[starts]``, their
+        :meth:`tail_norms`, and one exponent ``e_b`` per block (None when
+        every ``e_b`` is 0): block ``b`` of this ``x`` is that of ``A^T y``
+        times ``2^-e_b``, so ``np.ldexp(x0_b - ||xt_b||, e_b)`` is the
+        margin of ``A^T y``, bit for bit while both are normal floats.
 
         Every ``e_b`` is 0 unless some entry of ``x`` reaches ``2^500``
         (below that, squares stay under ``2^1000``, so no block of fewer
@@ -480,13 +508,14 @@ class Socp:
         whether the block is violated nor its margin.
         """
         x = self.A.T @ y
-        if np.abs(x).max() < 2.0**500:
+        if abs(x).max() < 2.0**500:
             tails = self.tail_norms(x)
-            if np.maximum(np.abs(x[self.starts]), tails).min() > 2.0**-500:
-                return x, tails, np.zeros(len(self.blocks), int)
-        exps = np.frexp(np.maximum.reduceat(np.abs(x), self.starts))[1]
+            x0 = x[self.starts]
+            if np.maximum(abs(x0), tails).min() > 2.0**-500:
+                return x, x0, tails, None
+        exps = np.frexp(np.maximum.reduceat(abs(x), self.starts))[1]
         x = np.ldexp(x, -exps[self._owner])
-        return x, self.tail_norms(x), exps
+        return x, x[self.starts], self.tail_norms(x), exps
 
     def min_margin(self, y: np.ndarray) -> float:
         """The least block margin ``x0_b - ||xt_b||`` of ``x = A^T y``, for
@@ -496,9 +525,9 @@ class Socp:
         the oracle's witness takes it, so the value keeps its bits
         whatever order :meth:`tail_norms` sums in.
         """
-        x, tails, exps = self.image(y)
-        exps = exps + self.exponents
-        b = int(np.argmin(np.ldexp(x[self.starts] - tails, exps)))
+        x, x0, tails, exps = self.image(y)
+        exps = self.exponents if exps is None else exps + self.exponents
+        b = int(np.argmin(np.ldexp(x0 - tails, exps)))
         xb = x[self.block_slice(b)]
         return float(np.ldexp(xb[0] - vector_norm(xb[1:]), exps[b]))
 
@@ -539,16 +568,16 @@ class Socp:
         parts.append(C[:, self._wide_cols].ravel())
         return np.concatenate(parts)
 
-    def cut_depths(self, x: np.ndarray, tails: np.ndarray, exps: np.ndarray,
-                   gram: np.ndarray) -> np.ndarray:
+    def cut_depths(self, x: np.ndarray, x0: np.ndarray, tails: np.ndarray,
+                   exps: np.ndarray | None, gram: np.ndarray) -> np.ndarray:
         """``margin_b / ||C v_b||`` for every block, from one pass over the
         block Gram data ``gram`` of ``C`` (:meth:`block_gram`).
 
-        ``x``, ``tails`` and ``exps`` are the scaled :meth:`image` of ``y``;
-        ``margin_b = x0_b - ||xt_b||`` is taken back to the scale of ``A^T
-        y``, and ``v_b = (1, -xt_b/||xt_b||)``, or ``(1, 0, ...)`` for a
-        zero tail.  ``||C v_b||^2 = sum_{i,j} v_i v_j (C^T C)_{ij}`` is
-        summed over each block's Gram entries ``i <= j`` by one
+        ``x``, ``x0``, ``tails`` and ``exps`` are the scaled :meth:`image`
+        of ``y``; ``margin_b = x0_b - ||xt_b||`` is taken back to the scale
+        of ``A^T y``, and ``v_b = (1, -xt_b/||xt_b||)``, or ``(1, 0, ...)``
+        for a zero tail.  ``||C v_b||^2 = sum_{i,j} v_i v_j (C^T C)_{ij}``
+        is summed over each block's Gram entries ``i <= j`` by one
         ``bincount``; a wide block's ``C_b v_b`` is formed from its
         columns.  A block whose norm is zero (its column vanishes, which
         alone certifies the alternative) or not a number gets ``-inf``.
@@ -559,15 +588,17 @@ class Socp:
         v[self.starts] = 1.0
         rows, cols, owner = self._pairs
         entries = gram[: rows.size]
-        sq = np.bincount(owner, v[rows] * v[cols] * entries, minlength=nb)
+        # bincount returns integers when there are no pairs, all blocks wide
+        sq = np.bincount(owner, v[rows] * v[cols] * entries,
+                         minlength=nb).astype(float, copy=False)
         if self._wide.size:
             Cw = gram[rows.size :].reshape(self.m, -1)
             Cv = np.add.reduceat(Cw * v[self._wide_cols], self._wide_offsets,
                                  axis=1)
             sq[self._wide] = np.einsum("kb,kb->b", Cv, Cv)
         norms = np.sqrt(np.maximum(sq, 0.0))
-        margins = x[self.starts] - tails
-        if exps.any():
+        margins = x0 - tails
+        if exps is not None:
             margins = np.ldexp(margins, exps)
         return np.divide(margins, norms, out=np.full(nb, -np.inf),
                          where=norms > 0.0)
@@ -613,17 +644,38 @@ def _sdp_band(diag_x: np.ndarray) -> float:
     return SDP_DEFINITENESS_TOL * max(float(np.max(diag_x)), 0.0)
 
 
-def _check_soundness(w: WitnessedColumn, y: np.ndarray,
-                     band: float = 0.0) -> None:
-    """Require ``column^T y <= 0`` up to rounding and the oracle's ``band``."""
-    val = float(w.column @ y)
+def _check_soundness(w: WitnessedColumn, y: np.ndarray, peak: float,
+                     band: float = 0.0) -> WitnessedColumn:
+    """``w`` once it has ``column^T y <= 0`` up to rounding and the
+    oracle's ``band``; ``peak`` is ``max|y_i|``, as
+    :func:`_checked_direction` gives it.
+
+    The range is decided before the product is taken.  Every column that
+    :func:`query` hands out has entries below ``2^448``: data in range
+    (below ``2^RANGE_EXPONENT``), or a SOCP's ``A v`` and an Sdp's
+    ``v^T A_i v``, which weigh fewer than ``2^63`` such entries by at most
+    1.  So while ``peak`` stays below ``2^500``, no partial sum of the
+    product overflows, and the check runs at ``y`` as given.  Otherwise
+    it runs at ``2^-k y``, the power of two that brings ``peak`` into
+    [1/2, 1), against the tolerance times ``2^-k``.
+    """
+    k = 0
+    if not peak < 2.0**500:
+        k = math.frexp(peak)[1]
+        y = np.ldexp(y, -k)
+    scale = math.ldexp(1.0, -k)
+    # ndarray.dot takes the same BLAS dot as @, without the ufunc's
+    # overhead of about 0.7 us
+    val = float(w.column.dot(y))
     # the tolerance is at least SOUNDNESS_TOL + band, so the norms are
     # taken only for a column that comes that close
-    if val > SOUNDNESS_TOL + band and val > SOUNDNESS_TOL * (
-            1.0 + vector_norm(w.column) * vector_norm(y)) + band:
+    if val > scale * (SOUNDNESS_TOL + band) and val > SOUNDNESS_TOL * (
+            scale + vector_norm(w.column) * vector_norm(y)) + scale * band:
+        times = f" times 2^{k}" if k else ""
         raise OracleContractViolation(
-            f"returned column has positive inner product {val:.3e} with the query"
-        )
+            f"returned column has positive inner product {val:.3e}{times} "
+            "with the query")
+    return w
 
 
 def lp_query(instance: FiniteLp, y: np.ndarray,
@@ -647,16 +699,17 @@ def lp_query(instance: FiniteLp, y: np.ndarray,
         scales = np.asarray(scales, dtype=float)
         if scales.shape != (instance.n,):
             raise ValueError(f"scales must have shape ({instance.n},)")
-    y = np.ldexp(y, -math.frexp(peak)[1])
+    scaled = np.ldexp(y, -math.frexp(peak)[1])
     t = None
     if instance.columns.size >= LP_SCREEN_MIN_ENTRIES:
-        t = _screened_pick(instance, y, scales)
+        t = _screened_pick(instance, scaled, scales)
     if t is None:
-        t = _exact_pick(instance, y, scales)
+        t = _exact_pick(instance, scaled, scales)
     if t < 0:
         return None
-    return WitnessedColumn(LpIndex(t), instance.columns[:, t].copy(),
-                           int(instance.exponents[t]))
+    return _check_soundness(WitnessedColumn(
+        LpIndex(t), instance.columns[:, t].copy(),
+        int(instance.exponents[t])), y, peak)
 
 
 def _exact_pick(instance: FiniteLp, y: np.ndarray,
@@ -737,19 +790,28 @@ def _screened_pick(instance: FiniteLp, y: np.ndarray,
         np.divide(instance.columns, instance.column_norms, out=unit,
                   dtype=float)
         object.__setattr__(instance, "_unit32", unit)
-    r = (y.astype(np.float32) @ instance._unit32).astype(float)
+    r = y.astype(np.float32) @ instance._unit32
     u = 2.0**-24
     g = m * u / (1.0 - m * u)
     K = (1.0 + 2.0**-20) * (math.sqrt(y @ y) * (g + 3.0 * u) + m * 2.0**-146)
     if scales is None:
+        # float32 -> float64 is exact and rounding is monotone, so
+        # min_t fl(r_t - B) = fl(min_t r_t - B): the least r_t and the
+        # runner-up decide, and only they are converted
         B = K + 2.0**-1060
-    else:
-        B = instance.column_norms / scales  # c_t, then B_t in place
-        r *= B
-        B *= K
-        B += 2.0**-1060
+        t = int(r.argmin())
+        hi = float(r[t]) + B
+        if not hi < 0.0:
+            return -1 if float(r[t]) - B > 0.0 else None
+        r[t] = np.inf
+        return t if float(r.min()) - B > hi else None
+    r = r.astype(float)
+    B = instance.column_norms / scales  # c_t, then B_t in place
+    r *= B
+    B *= K
+    B += 2.0**-1060
     t = int(r.argmin())
-    hi = r[t] + (B if scales is None else B[t])
+    hi = r[t] + B[t]
     lo = np.subtract(r, B, out=r)
     if hi < 0.0:
         lo[t] = np.inf
@@ -766,7 +828,7 @@ def sdp_query(instance: Sdp, y: np.ndarray) -> WitnessedColumn | None:
     positive.  The returned column is ``c_i = v^T A_i v``, so
     ``c^T y = v^T X v = lambda_min(X)``.
     """
-    y, _ = _checked_direction(y, instance.m)
+    y, peak = _checked_direction(y, instance.m)
     X = (y @ instance.matrices.reshape(instance.m, -1)).reshape(instance.n, -1)
     eigvals, eigvecs = np.linalg.eigh(X)
     if eigvals[0] > _sdp_band(np.diag(X)):
@@ -775,29 +837,34 @@ def sdp_query(instance: Sdp, y: np.ndarray) -> WitnessedColumn | None:
     if v[np.argmax(np.abs(v))] < 0.0:
         v = -v
     column = np.einsum("ijk,j,k->i", instance.matrices, v, v)
-    return WitnessedColumn(SdpVector(tuple(v.tolist())), column,
-                           instance.exponent)
+    # the column's value c^T y = lambda_min(X) is accepted up to this band
+    band = _sdp_band(y @ np.diagonal(instance.matrices, axis1=1, axis2=2))
+    return _check_soundness(WitnessedColumn(
+        SdpVector(tuple(v.tolist())), column, instance.exponent),
+        y, peak, band)
 
 
 def socp_query(instance: Socp, y: np.ndarray,
                scales: np.ndarray | None = None) -> WitnessedColumn | None:
     """Check every cone block of x = A^T y; witness the deepest violated one.
 
-    ``x`` and its tail norms come from :meth:`Socp.image`, which scales a
-    block by a power of two where its squares would overflow or
-    underflow; that scales its margin and tail norm exactly.  Among the blocks with ``x0 <= ||xt||``
-    this picks the argmin of ``margin_b / ||C v_b||`` (:meth:`Socp.
-    cut_depths`), taking the lowest index on ties.  ``scales`` is the block
-    Gram data of ``C`` (:meth:`Socp.block_gram`) and defaults to
-    ``instance.gram``, that of ``C = A``.
-    A depth that is not a number (its margin overflowed) ranks first.
+    One :meth:`Socp.image` gives ``x``, the blocks' leading entries ``x0``
+    and tail norms, each once, scaling a block by a power of two where its
+    squares would overflow or underflow, which scales its margin and tail
+    norm exactly.  Among the blocks with ``x0 <= ||xt||`` this picks the
+    argmin of ``margin_b / ||C v_b||`` (:meth:`Socp.cut_depths`, from the
+    same values), taking the lowest index on ties.  ``scales`` is the
+    block Gram data of ``C`` (:meth:`Socp.block_gram`) and defaults to
+    ``instance.gram``, that of ``C = A``.  A depth that is not a number
+    (its margin overflowed) ranks first.
 
     The witness vector carries ``(1, -xt/||xt||)`` on the picked block (or
     ``(1, 0, ...)`` when ``xt = 0``), with ``||xt||`` recomputed by
     :func:`vector_norm`, and zeros on every other block; its column is
-    ``A v``, with value ``v^T x = x0 - ||xt||  <= 0``.
+    ``A v``, with value ``v^T x = x0 - ||xt||  <= 0``.  The witness keeps
+    only the block and builds its n entries when they are first read.
     """
-    y, _ = _checked_direction(y, instance.m)
+    y, peak = _checked_direction(y, instance.m)
     if scales is None:
         scales = instance.gram
     else:
@@ -805,25 +872,25 @@ def socp_query(instance: Socp, y: np.ndarray,
         if scales.shape != instance.gram.shape:
             raise ValueError(
                 f"scales must have shape {instance.gram.shape}")
-    x, tails, exps = instance.image(y)
-    violated = x[instance.starts] <= tails
+    x, x0, tails, exps = instance.image(y)
+    violated = x0 <= tails
     if not violated.any():
         return None
-    depths = instance.cut_depths(x, tails, exps, scales)
+    depths = instance.cut_depths(x, x0, tails, exps, scales)
     depths[~violated] = np.inf
     b = int(np.argmin(depths))
     sl = instance.block_slice(b)
     tail = x[sl.start + 1 : sl.stop]
     tail_norm = vector_norm(tail)
-    v = np.zeros(instance.n)
-    v[sl.start] = 1.0
+    vb = np.zeros(sl.stop - sl.start)
+    vb[0] = 1.0
     if tail_norm > 0.0:
-        v[sl.start + 1 : sl.stop] = -tail / tail_norm
-    # the zeros off the block are padded in, not converted one by one
-    witness = SocpVector((0.0,) * sl.start + tuple(v[sl].tolist())
-                         + (0.0,) * (instance.n - sl.stop))
-    return WitnessedColumn(witness, instance.A @ v,
-                           int(instance.exponents[b]))
+        vb[1:] = -tail / tail_norm
+    v = np.zeros(instance.n)
+    v[sl] = vb
+    return _check_soundness(WitnessedColumn(
+        SocpVector._on_block(instance.n, sl.start, vb), instance.A @ v,
+        int(instance.exponents[b])), y, peak)
 
 
 def query(instance: ProblemInstance, y: np.ndarray,
@@ -833,7 +900,10 @@ def query(instance: ProblemInstance, y: np.ndarray,
     Returns ``None`` when ``y`` is strictly feasible for the instance,
     otherwise a sound :class:`WitnessedColumn`.  ``scales`` are the column
     scales of :func:`lp_query` for a FiniteLp, or the block Gram data of
-    :func:`socp_query` for a Socp; no other instance accepts them.
+    :func:`socp_query` for a Socp; no other instance accepts them.  The
+    built-in oracles check their answers' soundness at the direction they
+    validated, and this function a custom oracle's, so no direction is
+    scanned twice.
 
     Raises
     ------
@@ -845,37 +915,29 @@ def query(instance: ProblemInstance, y: np.ndarray,
         If a custom oracle's answer is not a finite ``WitnessedColumn`` of
         shape ``(m,)``, or any answer fails the separation check.
     """
-    band = 0.0
     if isinstance(instance, FiniteLp):
-        w = lp_query(instance, y, scales)
-    elif isinstance(instance, Socp):
-        w = socp_query(instance, y, scales)
-    elif scales is not None:
+        return lp_query(instance, y, scales)
+    if isinstance(instance, Socp):
+        return socp_query(instance, y, scales)
+    if scales is not None:
         raise ValueError("scales apply to FiniteLp and Socp instances only")
-    elif isinstance(instance, Sdp):
-        w = sdp_query(instance, y)
-        if w is not None:
-            # sdp_query rejects lambda_min(X) = c^T y up to this band
-            band = _sdp_band(
-                y @ np.diagonal(instance.matrices, axis1=1, axis2=2))
-    elif isinstance(instance, CustomOracle):
-        y, _ = _checked_direction(y, instance.m)
-        w = instance.fn(y)
-        if w is not None:
-            if not isinstance(w, WitnessedColumn):
-                raise OracleContractViolation(
-                    "custom oracle must return WitnessedColumn or None"
-                )
-            if w.column.shape != (instance.m,) or not abs(w.column).max() < math.inf:
-                raise OracleContractViolation(
-                    "custom oracle column has wrong shape or non-finite entries"
-                )
-            w = w.in_range()
-    else:
+    if isinstance(instance, Sdp):
+        return sdp_query(instance, y)
+    if not isinstance(instance, CustomOracle):
         raise TypeError(f"unknown instance type {type(instance).__name__}")
-    if w is not None:
-        _check_soundness(w, np.asarray(y, dtype=float), band)
-    return w
+    y, peak = _checked_direction(y, instance.m)
+    w = instance.fn(y)
+    if w is None:
+        return None
+    if not isinstance(w, WitnessedColumn):
+        raise OracleContractViolation(
+            "custom oracle must return WitnessedColumn or None"
+        )
+    if w.column.shape != (instance.m,) or not abs(w.column).max() < math.inf:
+        raise OracleContractViolation(
+            "custom oracle column has wrong shape or non-finite entries"
+        )
+    return _check_soundness(w.in_range(), y, peak)
 
 
 def rescaled_scales(instance: ProblemInstance, M: np.ndarray,

@@ -28,7 +28,8 @@ from prfeas.cli import (
     witness_from_json,
     witness_to_json,
 )
-from prfeas.certify import Certificate, verify_p_certificate
+from prfeas.certify import Certificate, generate_planted, verify_p_certificate
+from prfeas import oracle
 from prfeas.oracle import (
     CustomOracle,
     CustomWitness,
@@ -569,6 +570,32 @@ class TestSolveCommand:
                            "--certificate", cert)
         assert code == 0
         assert json.loads(out)["accepted"] is True
+
+    def test_socp_witness_built_on_read_writes_the_same_bytes(
+            self, tmp_path, capsys, monkeypatch):
+        # socp_query's witnesses build their entries when the certificate
+        # reads them; a solve whose witnesses are built whole at the query,
+        # from all n entries, must write the same file
+        inst = generate_planted("socp", 20, 200, 1, "feasible_p")[0]
+        prob = write_json(tmp_path / "socp.json", dump_problem(inst))
+
+        def whole(cls, n, start, entries):
+            v = np.zeros(n)
+            v[start : start + entries.size] = entries
+            return cls(tuple(v.tolist()))
+
+        files = []
+        for eager in (False, True):
+            if eager:
+                monkeypatch.setattr(oracle.SocpVector, "_on_block",
+                                    classmethod(whole))
+            cert = tmp_path / f"cert{int(eager)}.json"
+            code, out = invoke(capsys, "solve", "--input", prob,
+                               "--certificate", str(cert))
+            assert code == EXIT_DUAL
+            files.append(cert.read_bytes())
+        assert files[0] == files[1]
+        assert len(json.loads(files[0])["weights"][0]["witness"]["v"]) == 200
 
     def test_socp_columns_near_float_max_give_dual(self, tmp_path, capsys):
         # ||(1.5e308, 1.5e308)|| overflows, so blocks 0 and 1 are stored

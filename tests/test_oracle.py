@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -32,6 +34,7 @@ from prfeas.oracle import (
     rescaled_scales,
     sdp_query,
     socp_query,
+    vector_norm,
 )
 from prfeas.solver import main_algorithm
 
@@ -248,6 +251,60 @@ class TestLpScreen:
             if got is not None:
                 assert got == oracle._exact_pick(inst, y, scales)
 
+    @staticmethod
+    def screen_and_exact(cols, y):
+        inst = FiniteLp(np.array(cols, dtype=float))
+        y = np.array(y, dtype=float)
+        assert 0.5 <= abs(y).max() < 1.0
+        return (oracle._screened_pick(inst, y, None),
+                oracle._exact_pick(inst, y, None))
+
+    def test_float32_tie_is_left_to_the_exact_pick(self):
+        # columns 1 and 3 are the same direction, 3 at twice the length:
+        # their unit columns and float32 ratios are equal, so the screen
+        # cannot order them, and the exact pick takes the lower index
+        cols = [[1.0, -1.0, 0.5, -2.0], [0.0, 0.25, 1.0, 0.5]]
+        assert self.screen_and_exact(cols, [0.75, 0.5]) == (None, 1)
+
+    def test_float32_near_tie_is_left_to_the_exact_pick(self):
+        # column 2 is column 1 turned by 2^-40 rad: float32 rounds both
+        # unit columns alike, float64 ranks column 2 deeper
+        t = math.atan2(0.25, -1.0) - 2.0**-40
+        cols = [[1.0, -1.0, math.cos(t)], [0.0, 0.25, math.sin(t)]]
+        assert self.screen_and_exact(cols, [0.75, -0.5]) == (None, 2)
+
+    def test_least_interval_touching_zero_is_left_to_the_exact_pick(self):
+        # column 1 . y = 0 exactly: its interval straddles 0, and a zero
+        # margin counts as violated
+        cols = [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+        assert self.screen_and_exact(cols, [0.75, 0.0]) == (None, 1)
+        # a margin of -2^-41: negative, but within the float32 bound of 0
+        cols = [[1.0, 1.0], [0.0, -(1.0 + 2.0**-40)]]
+        assert self.screen_and_exact(cols, [0.5, 0.5]) == (None, 1)
+
+    def test_positive_least_ratio_within_its_bound_is_left_open(self):
+        # column 1 . y = 2^-23: its float32 ratio, about 9e-8, is positive
+        # but within the bound (about 2.7e-7) of 0
+        cols = [[1.0, 1.0], [1.0, -(1.0 - 2.0**-22)]]
+        assert self.screen_and_exact(cols, [0.5, 0.5]) == (None, -1)
+
+    def test_runner_up_within_twice_the_bound_is_left_open(self):
+        # the ratios of columns 0 and 1 differ by about 4e-7: more than
+        # one bound, less than the two that separate their intervals
+        e = 8e-7
+        cols = [[-1.0, -math.cos(e), 1.0], [0.0, math.sin(e), 0.0]]
+        assert self.screen_and_exact(cols, [0.75, 0.5]) == (None, 0)
+
+    def test_all_ratios_positive_give_none(self):
+        cols = [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+        assert self.screen_and_exact(cols, [0.75, 0.5]) == (-1, -1)
+
+    def test_unique_least_ratio_is_decided(self):
+        # one column, whose runner-up is +inf, and three well apart
+        assert self.screen_and_exact([[-1.0], [0.5]], [0.75, 0.5]) == (0, 0)
+        cols = [[1.0, -1.0, -1.0], [0.0, 0.5, -0.5]]
+        assert self.screen_and_exact(cols, [0.75, 0.75]) == (2, 2)
+
 
 class TestSdpQuery:
     def test_interior_identity_bundle(self):
@@ -432,6 +489,53 @@ class TestSocpQuery:
         assert inst.starts.tolist() == [0, 2]
 
 
+class TestSocpWitnessBuiltOnRead:
+    """socp_query's witness keeps its block and builds ``v`` when read."""
+
+    def fresh(self):
+        """A query's witness, not yet read, and the same vector whole."""
+        inst = random_socp(np.random.default_rng(5))
+        y = np.eye(inst.m)[0]
+        whole = loop_socp_query(inst, y).witness
+        assert socp_query(inst, y).witness.v == whole.v
+        return lambda: socp_query(inst, y).witness, whole, inst.n
+
+    def test_v_is_built_when_first_read(self):
+        query_witness, whole, n = self.fresh()
+        w = query_witness()
+        assert "v" not in vars(w)
+        v = w.v
+        assert vars(w)["v"] is v and w.v is v
+        assert type(v) is tuple and len(v) == n
+        assert all(type(t) is float for t in v)
+        assert np.array(v).tobytes() == np.array(whole.v).tobytes()
+
+    def test_equals_hashes_and_prints_as_the_whole_vector(self):
+        query_witness, whole, _ = self.fresh()
+        assert query_witness() == whole
+        assert whole == query_witness()
+        assert query_witness() != SocpVector(whole.v[:-1] + (2.0,))
+        assert hash(query_witness()) == hash(whole)
+        assert {query_witness(): 1}[whole] == 1
+        assert repr(query_witness()) == repr(whole)
+        assert dataclasses.asdict(query_witness()) == {"v": whole.v}
+        assert pickle.loads(pickle.dumps(query_witness())) == whole
+
+    def test_cannot_be_mutated(self):
+        query_witness, whole, _ = self.fresh()
+        for read in (False, True):
+            w = query_witness()
+            if read:
+                w.v
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                w.v = whole.v
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del w.v
+            assert w == whole
+        with pytest.raises(AttributeError, match="no attribute 'u'"):
+            query_witness().u
+
+
 # Per-block loops for socp_query, Socp.min_margin and
 # resolve_witness_column; the array passes must reproduce them.
 
@@ -450,44 +554,49 @@ def loop_slices(instance):
     return out
 
 
-def loop_socp_depths(instance, y):
+def loop_socp_depths(instance, y, C=None):
     """(depth, witnessed column) of every violated block, in block order.
 
-    The depth is ``margin_b / ||A_b v_b||``, with the norm taken from the
-    block's own columns, and ``-inf`` when that column vanishes.
+    The depth is ``margin_b / ||C_b v_b||``, with the norm taken from the
+    block's own columns of ``C`` (``A`` by default), and ``-inf`` when that
+    column vanishes.  The tail norm is taken by ``vector_norm``, as the
+    oracle's witness takes it, which neither overflows nor underflows.
     """
+    C = instance.A if C is None else C
     x = instance.A.T @ y
     out = []
     for sl in loop_slices(instance):
         xb = x[sl]
         x0 = xb[0]
         tail = xb[1:]
-        tail_norm = float(np.linalg.norm(tail))
+        tail_norm = vector_norm(tail)
         if x0 > tail_norm:
             continue
         v = np.zeros(instance.n)
         v[sl.start] = 1.0
         if tail_norm > 0.0:
             v[sl.start + 1 : sl.stop] = -tail / tail_norm
-        norm = float(np.linalg.norm(instance.A[:, sl] @ v[sl]))
+        norm = float(np.linalg.norm(C[:, sl] @ v[sl]))
         depth = (x0 - tail_norm) / norm if norm > 0.0 else -np.inf
         out.append((depth, WitnessedColumn(
             SocpVector(tuple(float(t) for t in v)), instance.A @ v)))
     return out
 
 
-def loop_socp_query(instance, y):
+def loop_socp_query(instance, y, C=None):
     """The deepest violated block, lowest index on ties."""
-    depths = loop_socp_depths(instance, y)
+    depths = loop_socp_depths(instance, y, C)
     if not depths:
         return None
     return min(depths, key=lambda d: d[0])[1]
 
 
-def assert_matches_loop(inst, y, w):
+def assert_matches_loop(inst, y, w, C=None, bound=None):
     """``w`` is the loop's pick, bit for bit, or a block whose loop depth
-    ties the deepest within ``DEPTH_TIE_RTOL``."""
-    depths = loop_socp_depths(inst, y)
+    ties the deepest within ``DEPTH_TIE_RTOL`` times ``bound``, a bound
+    on every depth: ``||y||`` by default, ``||M^-1 y||`` for ``C = M^T
+    A``."""
+    depths = loop_socp_depths(inst, y, C)
     assert (w is None) == (not depths)
     if w is None:
         return
@@ -495,7 +604,8 @@ def assert_matches_loop(inst, y, w):
     if w.witness != ref.witness:
         mine = [d for d, r in depths if r.witness == w.witness]
         assert len(mine) == 1
-        assert abs(mine[0] - best) <= DEPTH_TIE_RTOL * np.linalg.norm(y)
+        bound = vector_norm(y) if bound is None else bound
+        assert abs(mine[0] - best) <= DEPTH_TIE_RTOL * bound
         return
     assert np.asarray(w.witness.v).tobytes() == \
         np.asarray(ref.witness.v).tobytes()
@@ -562,6 +672,49 @@ class TestSocpKernelMatchesLoop:
         for y in ys:
             assert_matches_loop(inst, y, socp_query(inst, y))
             assert inst.min_margin(y) == loop_accepted_margin(inst, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_query_matches_loop_on_wide_scaled_and_rescaled_blocks(
+            self, data):
+        # blocks wider than m + 1 and of size 1, zero tails, each block
+        # and y times a power of two, so that some blocks of A^T y reach
+        # 2^500 or have x0 and ||xt|| below 2^-500 (Socp.image's exponent
+        # path), and the Gram data of M^T A after random contractions
+        draw = data.draw
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        m = draw(st.integers(1, 4))
+        blocks = draw(st.lists(st.integers(1, m + 4), min_size=1,
+                               max_size=8))
+        A = rng.standard_normal((m, sum(blocks)))
+        inst = Socp(A, blocks)
+        for sl in inst.block_slices():
+            if rng.random() < 0.3:
+                A[:, sl.start + 1 : sl.stop] = 0.0
+        powers = draw(st.lists(st.sampled_from([-300, -40, 0, 40, 300]),
+                               min_size=len(blocks), max_size=len(blocks)))
+        A *= np.repeat(np.ldexp(1.0, powers), blocks)
+        inst = Socp(A, blocks)
+        assert not inst.exponents.any()
+        M = np.eye(m)
+        for _ in range(draw(st.integers(0, 6))):
+            a = rng.standard_normal(m)
+            a /= np.linalg.norm(a)
+            M = M @ (np.eye(m) - 0.5 * np.outer(a, a))
+        scales = rescaled_scales(inst, M)
+        ys = [np.ldexp(rng.standard_normal(m), draw(st.sampled_from(
+            [-300, 0, 300]))) for _ in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for y in ys:
+                assert_matches_loop(inst, y, socp_query(inst, y))
+                assert_matches_loop(inst, y, socp_query(inst, y, scales),
+                                    M.T @ inst.A,
+                                    vector_norm(np.linalg.solve(M, y)))
+                x = inst.A.T @ y
+                assert inst.min_margin(y) == min(
+                    x[sl][0] - vector_norm(x[sl][1:])
+                    for sl in inst.block_slices())
 
     def test_boundary_block_is_violated(self):
         A = np.zeros((2, 5))
@@ -707,10 +860,11 @@ class TestSocpDeepestCut:
         y = np.array([1e200])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            x, tails, exps = inst.image(y)
+            x, x0, tails, exps = inst.image(y)
             margin = inst.min_margin(y)
         assert np.all(exps > 0)
-        assert_allclose(np.ldexp(x[inst.starts] - tails, exps),
+        assert x0.tobytes() == x[inst.starts].tobytes()
+        assert_allclose(np.ldexp(x0 - tails, exps),
                         [-4e200, 1.5e200], rtol=1e-15)
         assert margin == pytest.approx(-4e200, rel=1e-15)
 
@@ -748,6 +902,20 @@ class TestSocpDeepestCut:
         assert v[1:] == pytest.approx([-0.6, -0.8], rel=1e-15)
         assert np.linalg.norm(v[1:]) == pytest.approx(1.0, rel=1e-15)
         resolve_witness_column(inst, w.witness)
+
+    def test_blocks_all_wider_than_m_plus_1(self):
+        # with no block of at most m + 1 coordinates there are no Gram
+        # pairs, and bincount's integer zeros truncated the wide blocks'
+        # squared norms: block 0 (depth -0.83) was picked over block 1
+        # (depth -0.93)
+        A = np.random.default_rng(0).standard_normal((2, 8))
+        inst = Socp(A, (4, 4))
+        y = np.array([1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w = socp_query(inst, y)
+        assert np.flatnonzero(np.asarray(w.witness.v))[0] == 4
+        assert_matches_loop(inst, y, w)
 
     def test_wide_block_is_not_gram_expanded(self):
         # the Gram of the 2,000-coordinate block alone would take 32 MB
@@ -808,6 +976,45 @@ class TestQueryDispatch:
             warnings.simplefilter("error", RuntimeWarning)
             w = query(FiniteLp(np.eye(2)), np.array([-1.0, 2.0**512]))
         assert w.witness == LpIndex(0)
+
+    def test_soundness_check_at_a_huge_direction_warns_nothing(self):
+        # column 0 . y = -5e307 at y = 1e308 (1, 1, 1, 1) is sound, but
+        # its first product, 2e308, overflows: the check runs at y times
+        # a power of two instead
+        inst = FiniteLp(np.array([[2.0, 1.0], [-2.5, 1.0], [0.0, 1.0],
+                                  [0.0, 1.0]]))
+        y = np.full(4, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w = query(inst, y)
+            assert w.witness == LpIndex(0)
+            honest = CustomOracle(4, lambda y: WitnessedColumn(
+                CustomWitness("sound"), np.array([-1.0, 0.0, 0.0, 0.0])))
+            assert query(honest, y).witness.label == "sound"
+
+    def test_unsound_answer_at_a_huge_direction_is_rejected(self):
+        # (1, 1, 0, 0) . y = 2e308 overflowed to +inf, which the tolerance
+        # (+inf too, from ||y||) let pass
+        y = np.full(4, 1e308)
+        lying = CustomOracle(4, lambda y: WitnessedColumn(
+            CustomWitness("x"), np.array([1.0, 1.0, 0.0, 0.0])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OracleContractViolation,
+                               match=r"inner product 1.113e\+00 times 2\^1024"):
+                query(lying, y)
+        # columns near the float maximum against a direction there: the
+        # one off the query's side by 1e-9 is sound, its mirror is not
+        y = np.array([1e300, 1e300])
+        for sign in (1.0, -1.0):
+            column = sign * np.array([1e300 * (1.0 - 1e-9), -1e300])
+            tilted = CustomOracle(2, lambda y: WitnessedColumn(
+                CustomWitness("t"), column))
+            if sign > 0.0:
+                assert query(tilted, y).exponent > 0
+                continue
+            with pytest.raises(OracleContractViolation):
+                query(tilted, y)
 
     def test_custom_oracle_contract_enforced(self):
         lying = CustomOracle(
