@@ -270,13 +270,16 @@ class WitnessedColumn:
                 or self.column.any()):
             raise ValueError("witnessed column must be a nonzero vector")
 
-    def in_range(self) -> WitnessedColumn:
+    def in_range(self, peak: float | None = None) -> WitnessedColumn:
         """This column under the range rule, as one unit: itself when it is
         in range, else times ``2^-k`` (:func:`range_exponents`) with ``k``
-        added to its exponent.  Unlike instance data the column is not
-        kept, so an entry that the scaling rounds (one below about
-        ``2^-1400`` times the largest) is let round: no residual moves."""
-        e = math.frexp(np.abs(self.column).max())[1]
+        added to its exponent.  ``peak`` is ``max|column|`` when the caller
+        has taken it.  Unlike instance data the column is not kept, so an
+        entry that the scaling rounds (one below about ``2^-1400`` times
+        the largest) is let round: no residual moves."""
+        if peak is None:
+            peak = np.abs(self.column).max()
+        e = math.frexp(peak)[1]
         # range_exponents gives 0 in range too, but its numpy scalar
         # arithmetic costs every custom query a few microseconds
         k = 0 if -RANGE_EXPONENT < e <= RANGE_EXPONENT \
@@ -386,9 +389,11 @@ class Sdp:
         return np.ldexp(self.matrices, self.exponent)
 
     def min_margin(self, y: np.ndarray) -> float:
-        """``lambda_min(sum_i y_i A_i)`` for the matrices as given."""
+        """``lambda_min(sum_i y_i A_i)`` for the matrices as given, taken
+        at ``2^-k y`` (:func:`_scaled_direction`) so that ``X`` is finite."""
+        y, k = _scaled_direction(y, abs(y).max())
         X = np.tensordot(y, self.matrices, axes=(0, 0))
-        return float(np.ldexp(np.linalg.eigvalsh(X)[0], self.exponent))
+        return float(np.ldexp(np.linalg.eigvalsh(X)[0], self.exponent + k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -639,38 +644,48 @@ def _checked_direction(y: np.ndarray, m: int) -> tuple[np.ndarray, float]:
     return y, peak
 
 
+def _scaled_direction(y: np.ndarray, peak: float) -> tuple[np.ndarray, int]:
+    """``(2^-k y, k)`` for a query direction ``y`` with ``max|y_i| =
+    peak``: ``k = 0`` while ``peak`` stays below ``2^500``, else the power
+    of two that brings ``peak`` into [1/2, 1).
+
+    Every column that :func:`query` hands out, and every stored unit of a
+    built-in instance, has entries below ``2^448``: data in range (below
+    ``2^RANGE_EXPONENT``), or a SOCP's ``A v`` and an Sdp's ``v^T A_i v``,
+    which weigh fewer than ``2^63`` such entries by at most 1.  So at the
+    direction returned no partial sum of a product with them overflows:
+    ``A^T y``, ``sum_i y_i A_i`` and ``column^T y`` stay finite, and a
+    direction in range keeps its exact arithmetic.
+    """
+    if peak < 2.0**500:
+        return y, 0
+    k = math.frexp(peak)[1]
+    return np.ldexp(y, -k), k
+
+
 def _sdp_band(diag_x: np.ndarray) -> float:
     """Band of ``lambda_min(X)`` values that count as not definite."""
     return SDP_DEFINITENESS_TOL * max(float(np.max(diag_x)), 0.0)
 
 
-def _check_soundness(w: WitnessedColumn, y: np.ndarray, peak: float,
+def _check_soundness(w: WitnessedColumn, y: np.ndarray, k: int,
                      band: float = 0.0) -> WitnessedColumn:
     """``w`` once it has ``column^T y <= 0`` up to rounding and the
-    oracle's ``band``; ``peak`` is ``max|y_i|``, as
-    :func:`_checked_direction` gives it.
+    oracle's ``band``.
 
-    The range is decided before the product is taken.  Every column that
-    :func:`query` hands out has entries below ``2^448``: data in range
-    (below ``2^RANGE_EXPONENT``), or a SOCP's ``A v`` and an Sdp's
-    ``v^T A_i v``, which weigh fewer than ``2^63`` such entries by at most
-    1.  So while ``peak`` stays below ``2^500``, no partial sum of the
-    product overflows, and the check runs at ``y`` as given.  Otherwise
-    it runs at ``2^-k y``, the power of two that brings ``peak`` into
-    [1/2, 1), against the tolerance times ``2^-k``.
+    ``y`` is ``2^-k`` times the query direction, as
+    :func:`_scaled_direction` gives it, so the range is decided before the
+    product is taken and no partial sum overflows; the tolerance is taken
+    times ``2^-k`` with it, and ``band`` is the oracle's at this ``y``.
     """
-    k = 0
-    if not peak < 2.0**500:
-        k = math.frexp(peak)[1]
-        y = np.ldexp(y, -k)
     scale = math.ldexp(1.0, -k)
     # ndarray.dot takes the same BLAS dot as @, without the ufunc's
     # overhead of about 0.7 us
     val = float(w.column.dot(y))
-    # the tolerance is at least SOUNDNESS_TOL + band, so the norms are
-    # taken only for a column that comes that close
-    if val > scale * (SOUNDNESS_TOL + band) and val > SOUNDNESS_TOL * (
-            scale + vector_norm(w.column) * vector_norm(y)) + scale * band:
+    # the second tolerance is at least the first, so the norms are taken
+    # only for a column that comes that close
+    if val > scale * SOUNDNESS_TOL + band and val > SOUNDNESS_TOL * (
+            scale + vector_norm(w.column) * vector_norm(y)) + band:
         times = f" times 2^{k}" if k else ""
         raise OracleContractViolation(
             f"returned column has positive inner product {val:.3e}{times} "
@@ -709,7 +724,7 @@ def lp_query(instance: FiniteLp, y: np.ndarray,
         return None
     return _check_soundness(WitnessedColumn(
         LpIndex(t), instance.columns[:, t].copy(),
-        int(instance.exponents[t])), y, peak)
+        int(instance.exponents[t])), *_scaled_direction(y, peak))
 
 
 def _exact_pick(instance: FiniteLp, y: np.ndarray,
@@ -826,9 +841,12 @@ def sdp_query(instance: Sdp, y: np.ndarray) -> WitnessedColumn | None:
     * max(diag(X), 0)``; otherwise the witness ``v`` is the unit eigenvector
     of ``lambda_min(X)``, signed so that its largest-magnitude entry is
     positive.  The returned column is ``c_i = v^T A_i v``, so
-    ``c^T y = v^T X v = lambda_min(X)``.
+    ``c^T y = v^T X v = lambda_min(X)``.  A direction with an entry of
+    ``2^500`` or more is taken at ``2^-k y`` (:func:`_scaled_direction`),
+    which scales ``X``, its band and ``lambda_min(X)`` by ``2^-k`` and
+    keeps ``X`` finite.
     """
-    y, peak = _checked_direction(y, instance.m)
+    y, k = _scaled_direction(*_checked_direction(y, instance.m))
     X = (y @ instance.matrices.reshape(instance.m, -1)).reshape(instance.n, -1)
     eigvals, eigvecs = np.linalg.eigh(X)
     if eigvals[0] > _sdp_band(np.diag(X)):
@@ -841,7 +859,7 @@ def sdp_query(instance: Sdp, y: np.ndarray) -> WitnessedColumn | None:
     band = _sdp_band(y @ np.diagonal(instance.matrices, axis1=1, axis2=2))
     return _check_soundness(WitnessedColumn(
         SdpVector(tuple(v.tolist())), column, instance.exponent),
-        y, peak, band)
+        y, k, band)
 
 
 def socp_query(instance: Socp, y: np.ndarray,
@@ -851,9 +869,11 @@ def socp_query(instance: Socp, y: np.ndarray,
     One :meth:`Socp.image` gives ``x``, the blocks' leading entries ``x0``
     and tail norms, each once, scaling a block by a power of two where its
     squares would overflow or underflow, which scales its margin and tail
-    norm exactly.  Among the blocks with ``x0 <= ||xt||`` this picks the
-    argmin of ``margin_b / ||C v_b||`` (:meth:`Socp.cut_depths`, from the
-    same values), taking the lowest index on ties.  ``scales`` is the
+    norm exactly.  A direction with an entry of ``2^500`` or more is taken
+    at ``2^-k y`` (:func:`_scaled_direction`), so ``x`` stays finite.
+    Among the blocks with ``x0 <= ||xt||`` this picks the argmin of
+    ``margin_b / ||C v_b||`` (:meth:`Socp.cut_depths`, from the same
+    values), taking the lowest index on ties.  ``scales`` is the
     block Gram data of ``C`` (:meth:`Socp.block_gram`) and defaults to
     ``instance.gram``, that of ``C = A``.  A depth that is not a number
     (its margin overflowed) ranks first.
@@ -864,7 +884,7 @@ def socp_query(instance: Socp, y: np.ndarray,
     ``A v``, with value ``v^T x = x0 - ||xt||  <= 0``.  The witness keeps
     only the block and builds its n entries when they are first read.
     """
-    y, peak = _checked_direction(y, instance.m)
+    y, k = _scaled_direction(*_checked_direction(y, instance.m))
     if scales is None:
         scales = instance.gram
     else:
@@ -890,7 +910,7 @@ def socp_query(instance: Socp, y: np.ndarray,
     v[sl] = vb
     return _check_soundness(WitnessedColumn(
         SocpVector._on_block(instance.n, sl.start, vb), instance.A @ v,
-        int(instance.exponents[b])), y, peak)
+        int(instance.exponents[b])), y, k)
 
 
 def query(instance: ProblemInstance, y: np.ndarray,
@@ -933,11 +953,14 @@ def query(instance: ProblemInstance, y: np.ndarray,
         raise OracleContractViolation(
             "custom oracle must return WitnessedColumn or None"
         )
-    if w.column.shape != (instance.m,) or not abs(w.column).max() < math.inf:
+    # one peak decides finiteness and the range rule
+    top = abs(w.column).max() if w.column.shape == (instance.m,) \
+        else math.nan
+    if not top < math.inf:
         raise OracleContractViolation(
             "custom oracle column has wrong shape or non-finite entries"
         )
-    return _check_soundness(w.in_range(), y, peak)
+    return _check_soundness(w.in_range(top), *_scaled_direction(y, peak))
 
 
 def rescaled_scales(instance: ProblemInstance, M: np.ndarray,

@@ -74,7 +74,7 @@ declaration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,16 +170,27 @@ class RescalingState:
         self.M = self.M - 0.5 * np.outer(self.M @ a, a)
         self.s += 1
 
+    # ndarray.dot takes the same BLAS gemv as @, without the ufunc's
+    # dispatch; at m = 1, where @ takes a dot, the two differ only in the
+    # sign of a zero result, which no nonzero z or column gives
     def apply(self, z: np.ndarray) -> np.ndarray:
         """Return ``M z``."""
-        return self.M @ z
+        return self.M.dot(z)
 
     def apply_transpose(self, a_col: np.ndarray) -> np.ndarray:
         """Return ``M^T a``."""
-        return self.M.T @ a_col
+        return self.M.T.dot(a_col)
 
     def normalize(self, a_col: np.ndarray) -> tuple[np.ndarray, float]:
-        """Return ``(M^T a / ||M^T a||, ||M^T a||)``.
+        """Return ``(M^T a / ||M^T a||, ||M^T a||)`` for a column ``a`` as
+        :func:`prfeas.oracle.query` hands it out.
+
+        Such a column has entries below ``2^448``, and ``||M|| <= 1``, so
+        every entry of ``v = M^T a`` lies below ``sqrt(m) 2^448`` and no
+        square overflows: the norm is ``sqrt(v^T v)``, which is
+        ``vector_norm``'s bit for bit whenever that sum is a normal float,
+        and ``vector_norm`` itself, which scales before squaring, for a
+        subnormal sum.
 
         Raises
         ------
@@ -187,7 +198,8 @@ class RescalingState:
             If ``||M^T a||`` is below ``DEGENERATE_COLUMN_TOL``.
         """
         v = self.apply_transpose(a_col)
-        nrm = vector_norm(v)
+        sq = float(v.dot(v))
+        nrm = math.sqrt(sq) if sq >= 2.0**-1022 else vector_norm(v)
         if nrm < DEGENERATE_COLUMN_TOL:
             raise InvariantViolated("rescaled column norm underflowed")
         return v / nrm, nrm
@@ -231,11 +243,14 @@ def step_alpha(z: np.ndarray, a: np.ndarray) -> tuple[float, np.ndarray]:
         and ``||a|| = 1``.
     """
     diff = a - z
-    denom = float(diff @ diff)
+    denom = float(diff.dot(diff))
     if denom < COINCIDENT_TOL**2:
         raise InvariantViolated("incoming column coincides with the aggregate")
-    alpha = float(a @ diff) / denom
-    return alpha, alpha * z + (1.0 - alpha) * a
+    alpha = float(a.dot(diff)) / denom
+    # alpha z + (1 - alpha) a, the second product taking diff's buffer
+    z_new = z * alpha
+    z_new += np.multiply(a, 1.0 - alpha, out=diff)
+    return alpha, z_new
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +270,18 @@ def smw_inverse_update(G: np.ndarray, u: np.ndarray,
     ||G||_inf ||u||_inf)``, i.e. the updated matrix is singular to working
     precision.
     """
-    Gu = G @ u
+    Gu = G.dot(u)
     denom = 1.0 + Gu[e_idx]
-    # ||G||_inf as np.linalg.norm sums it, without the wrapper's checks
-    scale = 1.0 + abs(G).sum(axis=1).max() * abs(u).max()
+    # ||G||_inf as np.linalg.norm sums it, without the wrapper's checks;
+    # |G| takes the buffer that becomes the result
+    out = np.abs(G)
+    scale = 1.0 + out.sum(axis=1).max() * abs(u).max()
     if abs(denom) < SMW_TOL * scale:
         return None
-    return G - np.outer(Gu, G[e_idx]) / denom
+    # G - (Gu G[e_idx]^T) / denom, each step in that buffer
+    np.multiply(Gu[:, None], G[e_idx], out=out)
+    out /= denom
+    return np.subtract(G, out, out=out)
 
 
 def inverse_with_factorization(B: np.ndarray) -> np.ndarray | None:
@@ -284,19 +304,21 @@ def inverse_with_factorization(B: np.ndarray) -> np.ndarray | None:
     return G if size * LU_PIVOT_TOL < 1.0 else None
 
 
-@dataclass(eq=False)
 class ActiveTerm:
     """One support term.  ``basis_col`` is ``[a_scaled; 1]``, built once
     when the term is inserted; ``a_scaled`` is a view of its first m
-    entries."""
+    entries, and ``key`` the bytes of the witnessed column, which key the
+    support."""
 
-    witnessed: WitnessedColumn
-    basis_col: np.ndarray
-    scale_norm: float
-    a_scaled: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("witnessed", "basis_col", "scale_norm", "a_scaled", "key")
 
-    def __post_init__(self) -> None:
-        self.a_scaled = self.basis_col[:-1]
+    def __init__(self, witnessed: WitnessedColumn, basis_col: np.ndarray,
+                 scale_norm: float, key: bytes):
+        self.witnessed = witnessed
+        self.basis_col = basis_col
+        self.scale_norm = scale_norm
+        self.a_scaled = basis_col[:-1]
+        self.key = key
 
 
 class ConvexCombination:
@@ -388,15 +410,20 @@ class ConvexCombination:
         if existing is not None:
             self._w[self.entries.index(existing)] += add_weight
             return
+        self._append(witnessed, a_scaled, scale_norm, add_weight, key)
+        if len(self.entries) > self.m + 1:
+            self._reduce()
+
+    def _append(self, witnessed: WitnessedColumn, a_scaled: np.ndarray,
+                scale_norm: float, weight: float, key: bytes) -> None:
+        """Append a term under a ``key`` no term holds, without reducing."""
         basis_col = np.empty(self.m + 1)
         basis_col[:-1] = a_scaled
         basis_col[-1] = 1.0
-        self._w[len(self.entries)] = add_weight
-        term = ActiveTerm(witnessed, basis_col, scale_norm)
+        self._w[len(self.entries)] = weight
+        term = ActiveTerm(witnessed, basis_col, scale_norm, key)
         self.entries.append(term)
         self._by_column[key] = term
-        if len(self.entries) > self.m + 1:
-            self._reduce()
 
     def _pop(self, pos: int) -> ActiveTerm:
         """Remove the term at ``pos`` from ``entries`` and ``weights``."""
@@ -448,7 +475,7 @@ class ConvexCombination:
                 g = -g
         else:
             g = np.empty(k + 1)  # (G (a_in; 1), -1), then negated in place
-            np.matmul(self.G, self.entries[k].basis_col, out=g[:k])
+            np.dot(self.G, self.entries[k].basis_col, out=g[:k])
             g[k] = -1.0
             np.negative(g, out=g)
         w = self.weights
@@ -464,7 +491,7 @@ class ConvexCombination:
         if theta > 0.0:
             w -= theta * g
         leaving = self.entries[t]
-        del self._by_column[leaving.witnessed.column.tobytes()]
+        del self._by_column[leaving.key]
         if self.G is None or t == k:
             self._pop(t)
         else:
@@ -526,15 +553,16 @@ class ConvexCombination:
         normalized to sum 1.  The new aggregate ``z' = sum x'_t a'_t`` is
         ``M'^T`` times the old one's original-space combination, scaled,
         so it vanishes only when the old ``z`` did; then the result is
-        empty.  Term order is kept, and ``G`` is rebuilt at the first
+        empty.  Term order and keys are kept, so the terms are appended
+        as they are, with no key lookup, and ``G`` is rebuilt at the first
         reduction.
         """
         out = ConvexCombination(self.m)
         for e, x in zip(self.entries, self.weights.tolist()):
             if x > 0.0:
                 a_scaled, nrm = state.normalize(e.witnessed.column)
-                out.add_term(e.witnessed, a_scaled, nrm,
-                             x / e.scale_norm * nrm)
+                out._append(e.witnessed, a_scaled, nrm,
+                            x / e.scale_norm * nrm, e.key)
         out._w[: len(out.entries)] /= out.weight_sum()
         out.z = out.combination()
         return out if out.z.any() else ConvexCombination(self.m)
@@ -816,7 +844,7 @@ def basic_procedure(
         scales = rescaled_scales(instance, state.M)
     cc = ConvexCombination(m) if support is None else support.remapped(state)
     point = cc.z if cc.entries else np.ones(m)
-    z_norm = math.sqrt(cc.z @ cc.z)
+    z_norm = math.sqrt(cc.z.dot(cc.z))
     oracle_calls = iterations = 0
     while True:
         oracle_calls += 1
@@ -846,7 +874,7 @@ def basic_procedure(
         if not cc.entries:
             cc.add_term(w, a_scaled, nrm, 1.0)
             cc.z = a_scaled.copy()
-        elif float(a_scaled @ cc.z) >= z_norm**2:
+        elif float(a_scaled.dot(cc.z)) >= z_norm**2:
             return BasicProcedureResult("stalled", None, cc, iterations,
                                         oracle_calls)
         else:
@@ -854,7 +882,7 @@ def basic_procedure(
             cc.scale_weights(alpha)
             cc.z = z_new
             cc.add_term(w, a_scaled, nrm, 1.0 - alpha)
-        z_norm = math.sqrt(cc.z @ cc.z)
+        z_norm = math.sqrt(cc.z.dot(cc.z))
         if z_norm > cycle_floor and cc.G is not None \
                 and len(cc.entries) == m + 1:
             z_norm = cc.minor_cycle(z_norm, cycle_floor)

@@ -640,6 +640,22 @@ class TestSolveCommand:
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize("kind,m,n", [("socp", 5, 40), ("sdp", 4, 6),
+                                          ("lp", 5, 40)])
+    def test_planted_direction_near_float_max_is_accepted(
+            self, tmp_path, capsys, kind, m, n):
+        # A^T y and sum_i y_i A_i overflow at this y as given; the queries
+        # take it at 2^-1024 y, as the LP query ranks it
+        inst, cert = generate_planted(kind, m, n, 1, "feasible_d")
+        y = cert.y / abs(cert.y).max() * 1.7e308
+        prob = write_json(tmp_path / "p.json", dump_problem(inst))
+        cert = write_json(tmp_path / "c.json",
+                          {"schema": 1, "kind": "d", "y": y.tolist()})
+        code, out = invoke(capsys, "verify", "--input", prob,
+                           "--certificate", cert)
+        assert code == 0, out
+        assert json.loads(out)["details"]["min_margin"] > 0.0
+
     def test_rejected_certificate_exit_three(self, tmp_path, capsys):
         cert = write_json(tmp_path / "c.json",
                           {"schema": 1, "kind": "d", "y": [1.0, 0.0]})

@@ -992,6 +992,22 @@ class TestQueryDispatch:
                 CustomWitness("sound"), np.array([-1.0, 0.0, 0.0, 0.0])))
             assert query(honest, y).witness.label == "sound"
 
+    @pytest.mark.parametrize("inst", [
+        Socp(np.array([[1.0, 3.0, 4.0], [0.5, 0.0, 1.0]]), (3,)),
+        Sdp(np.array([[[1.0, 0.0], [0.0, -1.0]],
+                      [[0.5, 0.2], [0.2, -2.0]]]))])
+    def test_cone_query_at_a_huge_direction_is_finite_and_sound(self, inst):
+        # A^T y and sum_i y_i A_i overflow at y as given; the query takes
+        # them at 2^-1024 y, where the answer is the same
+        y = np.full(2, 1e308)
+        scaled = np.ldexp(y, -1024)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w = query(inst, y)
+        assert np.isfinite(w.column).all()
+        assert w.column @ scaled < 0.0
+        assert w.witness == query(inst, scaled).witness
+
     def test_unsound_answer_at_a_huge_direction_is_rejected(self):
         # (1, 1, 0, 0) . y = 2e308 overflowed to +inf, which the tolerance
         # (+inf too, from ||y||) let pass

@@ -5,6 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import prfeas.certify
@@ -19,11 +22,14 @@ from prfeas.oracle import (
     SocpVector,
     WitnessedColumn,
     rescaled_scales,
+    vector_norm,
 )
 from prfeas.solver import (
+    DEGENERATE_COLUMN_TOL,
     G_RECHECK_INTERVAL,
     G_RESIDUAL_TOL,
     REFILL_PIVOT_RATIO,
+    SMW_TOL,
     ConfigError,
     ConvexCombination,
     InvariantViolated,
@@ -1143,3 +1149,150 @@ class TestReweightToDual:
             out = main_algorithm(
                 generate_planted("lp", 5, 50, seed, "feasible_p")[0])
             assert out.status == "dual_certificate"
+
+
+# ---------------------------------------------------------------------------
+# the step's kernels against the one-expression forms they replace: each
+# issues fewer numpy calls and must keep every bit
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def entries(size, bound=1.0):
+    return arrays(np.float64, size, elements=st.floats(-bound, bound))
+
+
+def random_map(m, seed, contractions):
+    """A map of ``contractions`` seeded random factors."""
+    rng = np.random.default_rng(seed)
+    state = RescalingState(m)
+    for _ in range(contractions):
+        state.rescale(unit(rng.standard_normal(m)))
+    return state
+
+
+def step_alpha_one_expression(z, a):
+    diff = a - z
+    denom = float(diff @ diff)
+    alpha = float(a @ diff) / denom
+    return alpha, alpha * z + (1.0 - alpha) * a
+
+
+def smw_one_expression(G, u, e_idx):
+    Gu = G @ u
+    denom = 1.0 + Gu[e_idx]
+    scale = 1.0 + abs(G).sum(axis=1).max() * abs(u).max()
+    if abs(denom) < SMW_TOL * scale:
+        return None
+    return G - np.outer(Gu, G[e_idx]) / denom
+
+
+def remapped_by_add_term(cc, state):
+    out = ConvexCombination(cc.m)
+    for e, x in zip(cc.entries, cc.weights.tolist()):
+        if x > 0.0:
+            a_scaled, nrm = state.normalize(e.witnessed.column)
+            out.add_term(e.witnessed, a_scaled, nrm, x / e.scale_norm * nrm)
+    out._w[: len(out.entries)] /= out.weight_sum()
+    out.z = out.combination()
+    return out if out.z.any() else ConvexCombination(cc.m)
+
+
+#: the exponent ranges of the normalized columns: in range, entries up to
+#: the 2^448 that a SOCP or SDP column reaches, and small enough that the
+#: sum of squares of ``M^T a`` is subnormal, with m <= 8
+NORMALIZE_EXPONENTS = {"in_range": (-383, 384), "near_2^448": (440, 448),
+                       "subnormal_sum": (-990, -515)}
+
+
+class TestLeanStepIsBitIdentical:
+    @pytest.mark.parametrize("regime", list(NORMALIZE_EXPONENTS))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), seed=SEEDS)
+    def test_normalize_and_the_map_products(self, regime, data, seed):
+        m = data.draw(st.integers(1, 8))
+        state = random_map(m, seed, data.draw(st.integers(0, 6)))
+        e = data.draw(st.integers(*NORMALIZE_EXPONENTS[regime]))
+        column = np.ldexp(data.draw(entries(m)), e)
+        z = data.draw(entries(m))
+        v = state.M.T @ column
+        # at m = 1, @ takes BLAS's dot and .dot its gemv, which differ in
+        # the sign of a zero result only; the solver maps no zero vector
+        if m > 1 or (state.M @ z).all():
+            assert state.apply(z).tobytes() == (state.M @ z).tobytes()
+        if m > 1 or v.all():
+            assert state.apply_transpose(column).tobytes() == v.tobytes()
+        if regime == "subnormal_sum":
+            assert v @ v < 2.0**-1022
+        nrm = vector_norm(v)
+        if nrm < DEGENERATE_COLUMN_TOL:
+            with pytest.raises(InvariantViolated):
+                state.normalize(column)
+            return
+        a_scaled, got = state.normalize(column)
+        assert a_scaled.tobytes() == (v / nrm).tobytes()
+        assert float(got).hex() == nrm.hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_step_alpha(self, data):
+        m = data.draw(st.integers(1, 60))
+        z = data.draw(entries(m))
+        a = data.draw(entries(m))
+        assume(np.linalg.norm(a) >= 2.0**-20)
+        a = unit(a)
+        assume(float((a - z) @ (a - z)) >= 1e-28)
+        alpha, z_new = step_alpha(z, a)
+        ref_alpha, ref_z = step_alpha_one_expression(z, a)
+        assert alpha.hex() == ref_alpha.hex()
+        assert z_new.tobytes() == ref_z.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), seed=SEEDS)
+    def test_smw_inverse_update(self, data, seed):
+        # a singular update replaces column e by a multiple of another
+        k = data.draw(st.integers(2, 12))
+        B = np.random.default_rng(seed).standard_normal((k, k))
+        G = np.linalg.inv(B)
+        e_idx = data.draw(st.integers(0, k - 1))
+        if data.draw(st.booleans()):
+            u = data.draw(entries(k, 2.0))
+        else:
+            j = (e_idx + data.draw(st.integers(1, k - 1))) % k
+            u = data.draw(st.floats(-2.0, 2.0)) * B[:, j] - B[:, e_idx]
+        got = smw_inverse_update(G, u, e_idx)
+        ref = smw_one_expression(G, u, e_idx)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert got.tobytes() == ref.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), seed=SEEDS)
+    def test_remapped(self, data, seed):
+        # a support of up to m + 1 seeded columns, some at weight 0, built
+        # under a map that then takes one more contraction
+        m = data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(1, m + 1))
+        rng = np.random.default_rng(seed)
+        columns = np.ldexp(rng.standard_normal((m, k)),
+                           rng.integers(-3, 4, k))
+        weights = data.draw(arrays(np.float64, k, elements=st.one_of(
+            st.just(0.0), st.floats(1e-12, 1.0))))
+        assume(weights.any())
+        state = random_map(m, seed, data.draw(st.integers(0, 4)))
+        _, cc = lp_support(columns, weights.tolist(), state)
+        state.rescale(unit(rng.standard_normal(m)))
+        got = cc.remapped(state)
+        ref = remapped_by_add_term(cc, state)
+        assert [e.witnessed for e in got.entries] == \
+            [e.witnessed for e in ref.entries]
+        assert got.weights.tobytes() == ref.weights.tobytes()
+        assert [e.basis_col.tobytes() for e in got.entries] == \
+            [e.basis_col.tobytes() for e in ref.entries]
+        assert [e.scale_norm for e in got.entries] == \
+            [e.scale_norm for e in ref.entries]
+        assert got.z.tobytes() == ref.z.tobytes()
+        assert list(got._by_column) == list(ref._by_column)
+        for e in got.entries:
+            assert got._by_column[e.key] is e
+            assert e.key == e.witnessed.column.tobytes()
