@@ -30,6 +30,7 @@ from .oracle import (
     WitnessedColumn,
     query,
     range_exponents,
+    unit_direction,
     vector_norm,
 )
 
@@ -79,21 +80,20 @@ class Certificate:
     weights: list[tuple[Union[Witness, WitnessedColumn], float]] | None = None
 
 
-def _finite_at(margin, y: np.ndarray) -> float:
-    """``margin(y)``, a margin of the data as given; when it is not finite,
-    taken at ``y`` times the power of two that brings ``||y||`` into [1/2,
-    1), and when it is still not finite, times ``2^-RANGE_EXPONENT`` more.
+def _finite_at(margin, y: np.ndarray, m: int) -> float:
+    """``margin(y)``, a margin of the data as given, which takes ``y`` at
+    its unit direction (:func:`prfeas.oracle.unit_direction`); when it is
+    not finite, taken at that direction times ``2^-RANGE_EXPONENT``.
 
     Every margin is homogeneous in ``y``, and a power of two scales it
-    exactly.  At unit norm Cauchy-Schwarz bounds it by a column norm of
-    the data as given, which can exceed the float maximum only for data
-    near it; the last factor brings that bound far inside the range.
+    exactly.  At the unit direction, which brings ``max|y_i|`` into [1/2,
+    1), it is at most ``sqrt(m)`` times a column norm of the data as
+    given, which can exceed the float maximum only for data near it; the
+    factor brings that bound far inside the range.
     """
     value = margin(y)
-    for k in (0, RANGE_EXPONENT):
-        if math.isfinite(value):
-            break
-        value = margin(np.ldexp(y, -math.frexp(vector_norm(y))[1] - k))
+    if not math.isfinite(value):
+        value = margin(np.ldexp(unit_direction(y, m)[0], -RANGE_EXPONENT))
     return value
 
 
@@ -102,35 +102,37 @@ def verify_d_solution(instance: ProblemInstance, y: np.ndarray) -> VerificationR
 
     A margin of exactly zero, or one that is not a number, counts as a
     violation.  Margins and violations are those of the data as given,
-    mapped back from the stored data by its exponents.  A reported margin
-    that is not finite at ``y`` is taken at ``y`` scaled by a power of two
-    to below unit norm instead (:func:`_finite_at`).  The violation of a
+    mapped back from the stored data by its exponents, each taken at the
+    unit direction of ``y`` (:func:`prfeas.oracle.unit_direction`) and
+    mapped back by its power of two.  A reported margin that overflows is
+    taken at that direction times ``2^-RANGE_EXPONENT`` instead
+    (:func:`_finite_at`).  The violation of a
     rejected ``y`` is reported as at most 0: a margin that comes out
     positive is rounding (or inside the oracle's tolerance band) on a true
     margin of about 0, and reads as 0.
     """
     y = np.asarray(y, dtype=float)
-    # a y from outside may overflow a square or a margin: the oracle reads
-    # a margin that is not a number as violated, and one that is not
-    # finite is taken again below
+    # a custom oracle sees a y from outside as given, where a square or a
+    # margin may overflow, and a margin mapped back to y may overflow too:
+    # one that is not finite is taken again below
     with np.errstate(over="ignore", invalid="ignore"):
         w = query(instance, y)
         if w is None:
             margin = None if isinstance(instance, CustomOracle) \
-                else _finite_at(instance.min_margin, y)
+                else _finite_at(instance.min_margin, y, instance.m)
             return VerificationReport(
                 kind="d", accepted=True,
                 residual=0.0 if margin is None else margin,
                 details={} if margin is None else {"min_margin": margin})
-        violation = _finite_at(
-            lambda z: float(np.ldexp(w.column @ z, w.exponent)), y)
+
+        def violation_at(z):
+            u, e = unit_direction(z, instance.m)
+            return float(np.ldexp(w.column @ u, w.exponent + e))
+
+        violation = _finite_at(violation_at, y, instance.m)
     violation = min(violation, 0.0)
-    return VerificationReport(
-        kind="d",
-        accepted=False,
-        residual=violation,
-        details={"violation": violation},
-    )
+    return VerificationReport(kind="d", accepted=False, residual=violation,
+                              details={"violation": violation})
 
 
 def resolve_witness_column(

@@ -79,10 +79,11 @@ SDP_DEFINITENESS_TOL = 1e-12
 #: cone block, the SDP stack) with its largest magnitude in
 #: ``[2^-RANGE_EXPONENT, 2^RANGE_EXPONENT)`` (:func:`in_range`), and
 #: queries hand out custom columns so (:meth:`WitnessedColumn.in_range`).
-#: Then no square, Gram entry or margin ``y^T a_t`` at a solver query
-#: (``||y|| <= sqrt(m)``) can overflow, no square of a unit's largest entry
-#: underflows, and an ``Sdp``'s ``sum_i y_i A_i`` at such a ``y`` stays
-#: below the ``2^485`` above which LAPACK's ``eigh`` rescales.  A unit near
+#: Then no square, Gram entry or margin ``y^T a_t`` at the unit direction
+#: that every query takes (``max|y_i| < 1``, :func:`unit_direction`) can
+#: overflow, no square of a unit's largest entry underflows, and an
+#: ``Sdp``'s ``sum_i y_i A_i`` at such a ``y`` stays below the ``2^485``
+#: above which LAPACK's ``eigh`` rescales.  A unit near
 #: the float maximum shifts by ``2^-640``, so its entries down to about
 #: ``2^-382`` keep their bits.
 RANGE_EXPONENT = 384
@@ -340,8 +341,10 @@ class FiniteLp:
         return np.ldexp(self.columns, self.exponents)
 
     def min_margin(self, y: np.ndarray) -> float:
-        """The least margin ``a_t^T y`` of the columns as given."""
-        return float(np.ldexp(y @ self.columns, self.exponents).min())
+        """The least margin ``a_t^T y`` of the columns as given, taken at
+        the unit direction (:func:`unit_direction`)."""
+        y, e = unit_direction(y, self.m)
+        return float(np.ldexp(y @ self.columns, self.exponents + e).min())
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,12 +391,17 @@ class Sdp:
         """The matrices as given: the stored ones times ``2^exponent``."""
         return np.ldexp(self.matrices, self.exponent)
 
+    def combination(self, y: np.ndarray) -> np.ndarray:
+        """``X = sum_i y_i A_i`` for the stored matrices, one product with
+        their ``(m, n^2)`` view."""
+        return (y @ self.matrices.reshape(self.m, -1)).reshape(self.n, -1)
+
     def min_margin(self, y: np.ndarray) -> float:
         """``lambda_min(sum_i y_i A_i)`` for the matrices as given, taken
-        at ``2^-k y`` (:func:`_scaled_direction`) so that ``X`` is finite."""
-        y, k = _scaled_direction(y, abs(y).max())
-        X = np.tensordot(y, self.matrices, axes=(0, 0))
-        return float(np.ldexp(np.linalg.eigvalsh(X)[0], self.exponent + k))
+        at the unit direction (:func:`unit_direction`)."""
+        y, e = unit_direction(y, self.m)
+        X = self.combination(y)
+        return float(np.ldexp(np.linalg.eigvalsh(X)[0], self.exponent + e))
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,8 +423,8 @@ class Socp:
     feasible nor the block's witnesses, only the weight a certificate puts
     on them, which the verifiers map back; and a power of two on a block
     changes no pick.  The blocks of ``A^T y`` are scaled by powers of two
-    from their own entries when a query's entries could make their squares
-    leave the normal range (:meth:`image`).
+    from their own entries when their squares could underflow
+    (:meth:`image`).
     """
 
     A: np.ndarray
@@ -501,40 +509,40 @@ class Socp:
         times ``2^-e_b``, so ``np.ldexp(x0_b - ||xt_b||, e_b)`` is the
         margin of ``A^T y``, bit for bit while both are normal floats.
 
-        Every ``e_b`` is 0 unless some entry of ``x`` reaches ``2^500``
-        (below that, squares stay under ``2^1000``, so no block of fewer
-        than ``2^24`` coordinates overflows its sum: the range is decided
-        before any square is taken) or some block has ``|x0_b|`` and
-        ``||xt_b||`` both below ``2^-500`` (its squares may have
-        underflowed).  Then each block of ``x`` is scaled by ``2^-e_b``,
-        the power of two that brings its largest entry into [1/2, 1): no
-        square overflows, and one underflows only for an entry below
-        ``2^-537`` times the block's largest, which changes neither
-        whether the block is violated nor its margin.
+        ``y`` is a unit direction (:func:`unit_direction`), ``max|y_i| <
+        1``: with ``A`` stored in range, every entry of ``x`` lies below
+        ``m 2^RANGE_EXPONENT``, so no square overflows.  Every ``e_b`` is 0
+        unless some block has ``|x0_b|`` and ``||xt_b||`` both below
+        ``2^-500`` (its squares may have underflowed).  Then each block of
+        ``x`` is scaled by ``2^-e_b``, the power of two that brings its
+        largest entry into [1/2, 1), and a square underflows only for an
+        entry below ``2^-537`` times the block's largest, which changes
+        neither whether the block is violated nor its margin.
         """
         x = self.A.T @ y
-        if abs(x).max() < 2.0**500:
-            tails = self.tail_norms(x)
-            x0 = x[self.starts]
-            if np.maximum(abs(x0), tails).min() > 2.0**-500:
-                return x, x0, tails, None
+        tails = self.tail_norms(x)
+        x0 = x[self.starts]
+        if np.maximum(abs(x0), tails).min() > 2.0**-500:
+            return x, x0, tails, None
         exps = np.frexp(np.maximum.reduceat(abs(x), self.starts))[1]
         x = np.ldexp(x, -exps[self._owner])
         return x, x[self.starts], self.tail_norms(x), exps
 
     def min_margin(self, y: np.ndarray) -> float:
         """The least block margin ``x0_b - ||xt_b||`` of ``x = A^T y``, for
-        ``A`` as given.
+        ``A`` as given, taken at the unit direction
+        (:func:`unit_direction`).
 
         The least block's tail norm is retaken by :func:`vector_norm`, as
         the oracle's witness takes it, so the value keeps its bits
         whatever order :meth:`tail_norms` sums in.
         """
+        y, e = unit_direction(y, self.m)
         x, x0, tails, exps = self.image(y)
         exps = self.exponents if exps is None else exps + self.exponents
         b = int(np.argmin(np.ldexp(x0 - tails, exps)))
         xb = x[self.block_slice(b)]
-        return float(np.ldexp(xb[0] - vector_norm(xb[1:]), exps[b]))
+        return float(np.ldexp(xb[0] - vector_norm(xb[1:]), exps[b] + e))
 
     def tail_norms(self, x: np.ndarray) -> np.ndarray:
         """Per-block tail norms ``||xt_b||`` of a length-n vector, in one pass.
@@ -629,9 +637,23 @@ class CustomOracle:
 ProblemInstance = Union[FiniteLp, Sdp, Socp, CustomOracle]
 
 
-def _checked_direction(y: np.ndarray, m: int) -> tuple[np.ndarray, float]:
-    """``y`` as a float array of shape ``(m,)``, finite and nonzero, and
-    its largest magnitude."""
+def unit_direction(y: np.ndarray, m: int,
+                   scale: bool = True) -> tuple[np.ndarray, int]:
+    """``(2^-e y, e)`` for a query direction ``y``, checked to be a float
+    array of shape ``(m,)``, finite and nonzero: ``2^-e`` is the power of
+    two that brings ``max|y_i|`` into [1/2, 1).  With ``scale`` false, ``y``
+    is returned as given, with the same ``e``.
+
+    Every query and margin of a built-in instance is taken at this
+    direction and mapped back by ``2^e``.  The answer depends only on the
+    ray of ``y``, and a power of two scales every margin exactly while it
+    stays a normal float, so no witness changes.  Every stored unit of a
+    built-in instance, and every column that :func:`query` hands out, has
+    entries below ``2^448``: data in range (below ``2^RANGE_EXPONENT``),
+    or a SOCP's ``A v`` and an Sdp's ``v^T A_i v``, which weigh fewer than
+    ``2^63`` such entries by at most 1.  So at this direction no partial
+    sum of a product with them overflows, whatever the size of ``y``.
+    """
     y = np.asarray(y, dtype=float)
     if y.shape != (m,):
         raise ValueError(f"query direction must have shape ({m},), got {y.shape}")
@@ -641,26 +663,8 @@ def _checked_direction(y: np.ndarray, m: int) -> tuple[np.ndarray, float]:
         raise ValueError("query direction must be finite")
     if not peak > 0.0:
         raise ValueError("query direction must be nonzero")
-    return y, peak
-
-
-def _scaled_direction(y: np.ndarray, peak: float) -> tuple[np.ndarray, int]:
-    """``(2^-k y, k)`` for a query direction ``y`` with ``max|y_i| =
-    peak``: ``k = 0`` while ``peak`` stays below ``2^500``, else the power
-    of two that brings ``peak`` into [1/2, 1).
-
-    Every column that :func:`query` hands out, and every stored unit of a
-    built-in instance, has entries below ``2^448``: data in range (below
-    ``2^RANGE_EXPONENT``), or a SOCP's ``A v`` and an Sdp's ``v^T A_i v``,
-    which weigh fewer than ``2^63`` such entries by at most 1.  So at the
-    direction returned no partial sum of a product with them overflows:
-    ``A^T y``, ``sum_i y_i A_i`` and ``column^T y`` stay finite, and a
-    direction in range keeps its exact arithmetic.
-    """
-    if peak < 2.0**500:
-        return y, 0
-    k = math.frexp(peak)[1]
-    return np.ldexp(y, -k), k
+    e = math.frexp(peak)[1]
+    return (np.ldexp(y, -e) if scale else y), e
 
 
 def _sdp_band(diag_x: np.ndarray) -> float:
@@ -673,10 +677,12 @@ def _check_soundness(w: WitnessedColumn, y: np.ndarray, k: int,
     """``w`` once it has ``column^T y <= 0`` up to rounding and the
     oracle's ``band``.
 
-    ``y`` is ``2^-k`` times the query direction, as
-    :func:`_scaled_direction` gives it, so the range is decided before the
-    product is taken and no partial sum overflows; the tolerance is taken
-    times ``2^-k`` with it, and ``band`` is the oracle's at this ``y``.
+    ``y`` is ``2^-k`` times the query direction, the unit direction
+    (:func:`unit_direction`) or, for a custom oracle, the direction as
+    given while ``max|y_i|`` stays below ``2^500``: the range is decided
+    before the product is taken, so no partial sum overflows.  The
+    tolerance is taken times ``2^-k`` with it, and ``band`` is the
+    oracle's at this ``y``.
     """
     scale = math.ldexp(1.0, -k)
     # ndarray.dot takes the same BLAS dot as @, without the ufunc's
@@ -700,31 +706,28 @@ def lp_query(instance: FiniteLp, y: np.ndarray,
     Among the columns with ``a_t^T y <= 0`` this picks the argmin of
     ``a_t^T y / s_t``, taking the lowest index on ties.  ``scales`` holds
     one positive ``s_t`` per column and defaults to the column norms
-    ``||a_t||``.  The ranking runs at ``2^-e y``, the power of two that
-    brings ``max|y_i|`` into [1/2, 1): that changes no margin's sign and
-    no ratio's order while products stay in the normal range, and with
-    the stored columns in range no margin overflows, whatever the size of
-    ``y``.  An instance of at least ``LP_SCREEN_MIN_ENTRIES`` entries is
+    ``||a_t||``.  The ranking runs at the unit direction
+    (:func:`unit_direction`), so no margin overflows, whatever the size
+    of ``y``.  An instance of at least ``LP_SCREEN_MIN_ENTRIES`` entries is
     ranked in float32 first (:func:`_screened_pick`), which decides most
     queries with the pick below; the float64 ranking
     (:func:`_exact_pick`) runs when it does not.
     """
-    y, peak = _checked_direction(y, instance.m)
+    y, e = unit_direction(y, instance.m)
     if scales is not None:
         scales = np.asarray(scales, dtype=float)
         if scales.shape != (instance.n,):
             raise ValueError(f"scales must have shape ({instance.n},)")
-    scaled = np.ldexp(y, -math.frexp(peak)[1])
     t = None
     if instance.columns.size >= LP_SCREEN_MIN_ENTRIES:
-        t = _screened_pick(instance, scaled, scales)
+        t = _screened_pick(instance, y, scales)
     if t is None:
-        t = _exact_pick(instance, scaled, scales)
+        t = _exact_pick(instance, y, scales)
     if t < 0:
         return None
     return _check_soundness(WitnessedColumn(
         LpIndex(t), instance.columns[:, t].copy(),
-        int(instance.exponents[t])), *_scaled_direction(y, peak))
+        int(instance.exponents[t])), y, e)
 
 
 def _exact_pick(instance: FiniteLp, y: np.ndarray,
@@ -841,13 +844,12 @@ def sdp_query(instance: Sdp, y: np.ndarray) -> WitnessedColumn | None:
     * max(diag(X), 0)``; otherwise the witness ``v`` is the unit eigenvector
     of ``lambda_min(X)``, signed so that its largest-magnitude entry is
     positive.  The returned column is ``c_i = v^T A_i v``, so
-    ``c^T y = v^T X v = lambda_min(X)``.  A direction with an entry of
-    ``2^500`` or more is taken at ``2^-k y`` (:func:`_scaled_direction`),
-    which scales ``X``, its band and ``lambda_min(X)`` by ``2^-k`` and
-    keeps ``X`` finite.
+    ``c^T y = v^T X v = lambda_min(X)``.  ``X`` is taken at the unit
+    direction (:func:`unit_direction`), which scales it, its band and
+    ``lambda_min(X)`` by a power of two and keeps ``X`` finite.
     """
-    y, k = _scaled_direction(*_checked_direction(y, instance.m))
-    X = (y @ instance.matrices.reshape(instance.m, -1)).reshape(instance.n, -1)
+    y, e = unit_direction(y, instance.m)
+    X = instance.combination(y)
     eigvals, eigvecs = np.linalg.eigh(X)
     if eigvals[0] > _sdp_band(np.diag(X)):
         return None
@@ -859,18 +861,17 @@ def sdp_query(instance: Sdp, y: np.ndarray) -> WitnessedColumn | None:
     band = _sdp_band(y @ np.diagonal(instance.matrices, axis1=1, axis2=2))
     return _check_soundness(WitnessedColumn(
         SdpVector(tuple(v.tolist())), column, instance.exponent),
-        y, k, band)
+        y, e, band)
 
 
 def socp_query(instance: Socp, y: np.ndarray,
                scales: np.ndarray | None = None) -> WitnessedColumn | None:
     """Check every cone block of x = A^T y; witness the deepest violated one.
 
-    One :meth:`Socp.image` gives ``x``, the blocks' leading entries ``x0``
-    and tail norms, each once, scaling a block by a power of two where its
-    squares would overflow or underflow, which scales its margin and tail
-    norm exactly.  A direction with an entry of ``2^500`` or more is taken
-    at ``2^-k y`` (:func:`_scaled_direction`), so ``x`` stays finite.
+    One :meth:`Socp.image` at the unit direction (:func:`unit_direction`)
+    gives ``x``, the blocks' leading entries ``x0`` and tail norms, each
+    once, scaling a block by a power of two where its squares would
+    underflow, which scales its margin and tail norm exactly.
     Among the blocks with ``x0 <= ||xt||`` this picks the argmin of
     ``margin_b / ||C v_b||`` (:meth:`Socp.cut_depths`, from the same
     values), taking the lowest index on ties.  ``scales`` is the
@@ -884,7 +885,7 @@ def socp_query(instance: Socp, y: np.ndarray,
     ``A v``, with value ``v^T x = x0 - ||xt||  <= 0``.  The witness keeps
     only the block and builds its n entries when they are first read.
     """
-    y, k = _scaled_direction(*_checked_direction(y, instance.m))
+    y, e = unit_direction(y, instance.m)
     if scales is None:
         scales = instance.gram
     else:
@@ -910,7 +911,7 @@ def socp_query(instance: Socp, y: np.ndarray,
     v[sl] = vb
     return _check_soundness(WitnessedColumn(
         SocpVector._on_block(instance.n, sl.start, vb), instance.A @ v,
-        int(instance.exponents[b])), y, k)
+        int(instance.exponents[b])), y, e)
 
 
 def query(instance: ProblemInstance, y: np.ndarray,
@@ -945,7 +946,7 @@ def query(instance: ProblemInstance, y: np.ndarray,
         return sdp_query(instance, y)
     if not isinstance(instance, CustomOracle):
         raise TypeError(f"unknown instance type {type(instance).__name__}")
-    y, peak = _checked_direction(y, instance.m)
+    y, e = unit_direction(y, instance.m, scale=False)
     w = instance.fn(y)
     if w is None:
         return None
@@ -960,7 +961,11 @@ def query(instance: ProblemInstance, y: np.ndarray,
         raise OracleContractViolation(
             "custom oracle column has wrong shape or non-finite entries"
         )
-    return _check_soundness(w.in_range(top), *_scaled_direction(y, peak))
+    # the oracle saw y as given; below 2^500 the check takes it too, so
+    # that a custom query pays no array pass for it, and no product with
+    # a column in range overflows
+    return _check_soundness(w.in_range(top), *(
+        unit_direction(y, instance.m) if e > 500 else (y, 0)))
 
 
 def rescaled_scales(instance: ProblemInstance, M: np.ndarray,

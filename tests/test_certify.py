@@ -76,20 +76,25 @@ class TestVerifyDSolution:
         FiniteLp(np.array([[1.5e308], [1.5e308]])),
         Socp(np.array([[1.5e308], [1.5e308]]), blocks=(1,)),
         Sdp(np.full((2, 1, 1), 1.5e308))], ids=["lp", "socp", "sdp"])
-    def test_margin_of_data_near_float_max_is_reported_finite(self, inst):
-        # the margin at y is 1.8e308, and at y of unit norm too; it is
-        # reported at y times 2^-384 more, finite and exactly scaled
-        rep = verify_d_solution(inst, np.array([0.6, 0.6]))
+    @pytest.mark.parametrize("y", [0.6, 1.7e308])
+    def test_margin_of_data_near_float_max_is_reported_finite(self, inst, y):
+        # the margin overflows at y, and at its unit direction u = 2^-e y
+        # too (||y|| overflows as well at y = 1.7e308); it is reported at
+        # u times 2^-384, finite and exactly scaled
+        u = math.ldexp(y, -math.frexp(y)[1])
+        rep = verify_d_solution(inst, np.array([y, y]))
         assert rep.accepted
         assert rep.details["min_margin"] == rep.residual == \
-            math.ldexp(0.9e308, 1 - 384)
+            math.ldexp(1.5e308 * u, 1 - 384)
 
-    def test_violation_of_data_near_float_max_is_reported_finite(self):
+    @pytest.mark.parametrize("y", [0.6, 1.7e308])
+    def test_violation_of_data_near_float_max_is_reported_finite(self, y):
         inst = FiniteLp(np.array([[-1.5e308], [-1.5e308]]))
-        rep = verify_d_solution(inst, np.array([0.6, 0.6]))
+        u = math.ldexp(y, -math.frexp(y)[1])
+        rep = verify_d_solution(inst, np.array([y, y]))
         assert not rep.accepted
         assert rep.details["violation"] == rep.residual == \
-            math.ldexp(-0.9e308, 1 - 384)
+            math.ldexp(-1.5e308 * u, 1 - 384)
 
     def test_json_payload_round_trips(self):
         rep = verify_d_solution(axes_lp(), np.array([1.0, 2.0]))

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -645,7 +646,8 @@ class TestVerifyCommand:
     def test_planted_direction_near_float_max_is_accepted(
             self, tmp_path, capsys, kind, m, n):
         # A^T y and sum_i y_i A_i overflow at this y as given; the queries
-        # take it at 2^-1024 y, as the LP query ranks it
+        # and the margin take it at its unit direction 2^-1024 y, and the
+        # margin, which is finite, is reported at y
         inst, cert = generate_planted(kind, m, n, 1, "feasible_d")
         y = cert.y / abs(cert.y).max() * 1.7e308
         prob = write_json(tmp_path / "p.json", dump_problem(inst))
@@ -654,7 +656,12 @@ class TestVerifyCommand:
         code, out = invoke(capsys, "verify", "--input", prob,
                            "--certificate", cert)
         assert code == 0, out
-        assert json.loads(out)["details"]["min_margin"] > 0.0
+        # the instance as the CLI reads it, whose memory order the sums
+        # follow
+        inst = load_problem(_read_json(prob))
+        margin = json.loads(out)["details"]["min_margin"]
+        assert margin == math.ldexp(inst.min_margin(np.ldexp(y, -1024)), 1024)
+        assert margin > 1e307
 
     def test_rejected_certificate_exit_three(self, tmp_path, capsys):
         cert = write_json(tmp_path / "c.json",

@@ -34,6 +34,7 @@ from prfeas.oracle import (
     rescaled_scales,
     sdp_query,
     socp_query,
+    unit_direction,
     vector_norm,
 )
 from prfeas.solver import main_algorithm
@@ -678,9 +679,9 @@ class TestSocpKernelMatchesLoop:
     def test_query_matches_loop_on_wide_scaled_and_rescaled_blocks(
             self, data):
         # blocks wider than m + 1 and of size 1, zero tails, each block
-        # and y times a power of two, so that some blocks of A^T y reach
-        # 2^500 or have x0 and ||xt|| below 2^-500 (Socp.image's exponent
-        # path), and the Gram data of M^T A after random contractions
+        # and y times a power of two, so that the blocks of A^T y lie far
+        # apart in size and y far from its unit direction, and the Gram
+        # data of M^T A after random contractions
         draw = data.draw
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         m = draw(st.integers(1, 4))
@@ -854,17 +855,22 @@ class TestSocpDeepestCut:
 
     def test_image_decides_the_range_before_squaring(self):
         # x = (1e200, 3e200, 4e200 | 2e200, 3e199, 4e199) at y = 1e200:
-        # every square overflows unscaled, so no square is taken before
-        # the blocks are scaled
+        # every square overflows at y as given, so the query and the
+        # margin take y at its unit direction before any square, where
+        # image scales no block
         inst = Socp(np.array([[1.0, 3.0, 4.0, 2.0, 0.3, 0.4]]), (3, 3))
         y = np.array([1e200])
+        u, e = unit_direction(y, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            x, x0, tails, exps = inst.image(y)
+            w = socp_query(inst, y)
             margin = inst.min_margin(y)
-        assert np.all(exps > 0)
+            x, x0, tails, exps = inst.image(u)
+        assert w.witness == loop_socp_query(inst, u).witness
+        assert w.witness.v[0] == 1.0 and not any(w.witness.v[3:])
+        assert exps is None
         assert x0.tobytes() == x[inst.starts].tobytes()
-        assert_allclose(np.ldexp(x0 - tails, exps),
+        assert_allclose(np.ldexp(x0 - tails, e),
                         [-4e200, 1.5e200], rtol=1e-15)
         assert margin == pytest.approx(-4e200, rel=1e-15)
 
@@ -933,6 +939,46 @@ class TestSocpDeepestCut:
         assert peak < 16 * 2**20
         for y, w in zip(ys, picks):
             assert_matches_loop(inst, y, w)
+
+
+#: (m, n) of the planted instances of each kind that the scale property
+#: draws from
+PLANTED_SIZES = {"lp": (5, 40), "sdp": (4, 6), "socp": (5, 40)}
+
+
+class TestOneScaleForEveryDirection:
+    """Every built-in query and margin runs at the unit direction of ``y``
+    (:func:`unit_direction`), so a power of two on ``y`` changes no
+    witness and no column, and scales the margin exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(sorted(PLANTED_SIZES)),
+           target=st.sampled_from(["feasible_d", "feasible_p"]),
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_power_of_two_on_y_changes_no_answer(self, kind, target, seed,
+                                                 data):
+        inst, cert = generate_planted(kind, *PLANTED_SIZES[kind], seed,
+                                      target)
+        y = np.random.default_rng(seed).standard_normal(inst.m)
+        if cert.y is not None and data.draw(st.booleans()):
+            y = cert.y
+        # every entry of 2^k y stays a normal float
+        exps = np.frexp(abs(y))[1]
+        k = data.draw(st.integers(-1021 - int(exps.min()),
+                                  1024 - int(exps.max())))
+        scaled = np.ldexp(y, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w, wk = query(inst, y), query(inst, scaled)
+        assert (w is None) == (wk is None)
+        if w is not None:
+            assert wk.witness == w.witness
+            assert wk.column.tobytes() == w.column.tobytes()
+            assert wk.exponent == w.exponent
+        # a margin may leave the float range where y does not
+        with np.errstate(over="ignore"):
+            assert inst.min_margin(scaled) == \
+                np.ldexp(inst.min_margin(y), k)
 
 
 #: one instance of each kind with m = 2
