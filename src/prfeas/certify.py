@@ -83,7 +83,9 @@ class Certificate:
 def _finite_at(margin, y: np.ndarray, m: int) -> float:
     """``margin(y)``, a margin of the data as given, which takes ``y`` at
     its unit direction (:func:`prfeas.oracle.unit_direction`); when it is
-    not finite, taken at that direction times ``2^-RANGE_EXPONENT``.
+    not finite, taken at that direction times ``2^-RANGE_EXPONENT``, not
+    at ``2^-RANGE_EXPONENT y``, which near the float maximum overflows
+    again.
 
     Every margin is homogeneous in ``y``, and a power of two scales it
     exactly.  At the unit direction, which brings ``max|y_i|`` into [1/2,
@@ -106,10 +108,10 @@ def verify_d_solution(instance: ProblemInstance, y: np.ndarray) -> VerificationR
     unit direction of ``y`` (:func:`prfeas.oracle.unit_direction`) and
     mapped back by its power of two.  A reported margin that overflows is
     taken at that direction times ``2^-RANGE_EXPONENT`` instead
-    (:func:`_finite_at`).  The violation of a
-    rejected ``y`` is reported as at most 0: a margin that comes out
-    positive is rounding (or inside the oracle's tolerance band) on a true
-    margin of about 0, and reads as 0.
+    (:func:`_finite_at`).  The violation of a rejected ``y`` is reported
+    as at most 0: a margin that comes out positive is rounding (or inside
+    the oracle's tolerance band) on a true margin of about 0, and reads as
+    0.
     """
     y = np.asarray(y, dtype=float)
     # a custom oracle sees a y from outside as given, where a square or a

@@ -646,8 +646,11 @@ def unit_direction(y: np.ndarray, m: int,
 
     Every query and margin of a built-in instance is taken at this
     direction and mapped back by ``2^e``.  The answer depends only on the
-    ray of ``y``, and a power of two scales every margin exactly while it
-    stays a normal float, so no witness changes.  Every stored unit of a
+    ray of ``y``, and a power of two scales every entry and margin exactly
+    while it stays a normal float, so no witness changes while every entry
+    of ``2^-e y`` is normal.  An entry below ``2^-1021 max|y_i|`` can lose
+    bits there, and one below about ``2^-1074 max|y_i|`` becomes 0, which
+    can change the answer for such a ``y``.  Every stored unit of a
     built-in instance, and every column that :func:`query` hands out, has
     entries below ``2^448``: data in range (below ``2^RANGE_EXPONENT``),
     or a SOCP's ``A v`` and an Sdp's ``v^T A_i v``, which weigh fewer than
@@ -657,8 +660,9 @@ def unit_direction(y: np.ndarray, m: int,
     y = np.asarray(y, dtype=float)
     if y.shape != (m,):
         raise ValueError(f"query direction must have shape ({m},), got {y.shape}")
-    # one pass decides both: a NaN peak fails the first test, as inf does
-    peak = abs(y).max()
+    # one pass decides both: a NaN peak fails the first test, as inf does;
+    # the ufunc's reduce skips ndarray.max's Python wrapper, about 80 ns
+    peak = np.maximum.reduce(abs(y))
     if not peak < math.inf:
         raise ValueError("query direction must be finite")
     if not peak > 0.0:
@@ -684,7 +688,9 @@ def _check_soundness(w: WitnessedColumn, y: np.ndarray, k: int,
     tolerance is taken times ``2^-k`` with it, and ``band`` is the
     oracle's at this ``y``.
     """
-    scale = math.ldexp(1.0, -k)
+    # beyond 2^1023 the tolerance exceeds any product at a unit direction
+    # (every column has entries below 2^448), so the factor stops there
+    scale = math.ldexp(1.0, -k if k > -1024 else 1023)
     # ndarray.dot takes the same BLAS dot as @, without the ufunc's
     # overhead of about 0.7 us
     val = float(w.column.dot(y))
@@ -955,8 +961,8 @@ def query(instance: ProblemInstance, y: np.ndarray,
             "custom oracle must return WitnessedColumn or None"
         )
     # one peak decides finiteness and the range rule
-    top = abs(w.column).max() if w.column.shape == (instance.m,) \
-        else math.nan
+    top = np.maximum.reduce(abs(w.column)) \
+        if w.column.shape == (instance.m,) else math.nan
     if not top < math.inf:
         raise OracleContractViolation(
             "custom oracle column has wrong shape or non-finite entries"
@@ -965,7 +971,7 @@ def query(instance: ProblemInstance, y: np.ndarray,
     # that a custom query pays no array pass for it, and no product with
     # a column in range overflows
     return _check_soundness(w.in_range(top), *(
-        unit_direction(y, instance.m) if e > 500 else (y, 0)))
+        (np.ldexp(y, -e), e) if e > 500 else (y, 0)))
 
 
 def rescaled_scales(instance: ProblemInstance, M: np.ndarray,

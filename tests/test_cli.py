@@ -663,6 +663,26 @@ class TestVerifyCommand:
         assert margin == math.ldexp(inst.min_margin(np.ldexp(y, -1024)), 1024)
         assert margin > 1e307
 
+    @pytest.mark.parametrize("problem", [
+        {"type": "lp", "m": 2, "columns": [[-1.0, -1.0]]},
+        {"type": "socp", "m": 2, "blocks": [1],
+         "A": [[-1.0], [-1.0]]},
+        {"type": "sdp", "m": 2, "n": 1, "matrices": [[[-1.0]], [[-1.0]]]}],
+        ids=["lp", "socp", "sdp"])
+    def test_subnormal_direction_is_rejected(self, tmp_path, capsys,
+                                             problem):
+        # y is taken at its unit direction 2^1074 y, where the column is
+        # violated; the report is standard JSON
+        prob = write_json(tmp_path / "p.json", {"schema": 1, **problem})
+        cert = write_json(tmp_path / "c.json",
+                          {"schema": 1, "kind": "d", "y": [1e-310, 1e-310]})
+        code, out = invoke(capsys, "verify", "--input", prob,
+                           "--certificate", cert)
+        assert code == EXIT_REJECTED, out
+        report = json.loads(out)
+        assert report["accepted"] is False
+        assert report["details"]["violation"] <= 0.0
+
     def test_rejected_certificate_exit_three(self, tmp_path, capsys):
         cert = write_json(tmp_path / "c.json",
                           {"schema": 1, "kind": "d", "y": [1.0, 0.0]})

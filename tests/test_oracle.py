@@ -1054,6 +1054,21 @@ class TestQueryDispatch:
         assert w.column @ scaled < 0.0
         assert w.witness == query(inst, scaled).witness
 
+    @pytest.mark.parametrize("inst", KINDS[:3],
+                             ids=["lp", "sdp", "socp"])
+    def test_query_at_a_subnormal_direction_is_sound(self, inst):
+        # the unit direction is 2^1074 y; the soundness tolerance, taken
+        # times 2^1074 with it, stays a float
+        y = np.array([-1e-310, 5e-311])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w = query(inst, y)
+        at_normal = query(inst, np.ldexp(y, 1074))
+        assert w.witness == at_normal.witness
+        assert w.column.tobytes() == at_normal.column.tobytes()
+        rep = verify_d_solution(inst, y)
+        assert not rep.accepted and rep.residual <= 0.0
+
     def test_unsound_answer_at_a_huge_direction_is_rejected(self):
         # (1, 1, 0, 0) . y = 2e308 overflowed to +inf, which the tolerance
         # (+inf too, from ||y||) let pass
