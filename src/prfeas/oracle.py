@@ -291,7 +291,12 @@ class WitnessedColumn:
 
 @dataclass(frozen=True, eq=False)
 class FiniteLp:
-    """Finitely many constraint columns, stored as an (m, n) array.
+    """Finitely many constraint columns, stored as a C-ordered (m, n) array.
+
+    Products such as ``y @ columns`` sum in memory order, so the columns
+    are copied to C order when given in another: an instance solves to
+    the same bits whatever order its caller's array had (a file's LP, read
+    as rows of columns and transposed, is Fortran-ordered).
 
     Column ``t`` of ``columns`` is the coefficient vector of constraint
     ``a_t^T y > 0``, stored by the range rule (:func:`in_range`): a column
@@ -305,7 +310,7 @@ class FiniteLp:
 
     An instance with at least ``LP_SCREEN_MIN_ENTRIES`` entries also keeps
     a float32 copy of its unit columns ``a_t / ||a_t||``, half the storage
-    of ``columns``, in the same memory order.  :func:`lp_query` builds it
+    of ``columns``, also C-ordered.  :func:`lp_query` builds it
     at its first query and ranks from it first (:func:`_screened_pick`).
     """
 
@@ -315,7 +320,7 @@ class FiniteLp:
     _unit32: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
-        cols = np.asarray(self.columns, dtype=float)
+        cols = np.ascontiguousarray(self.columns, dtype=float)
         if cols.ndim != 2 or cols.shape[1] == 0:
             raise ValueError("columns must be a nonempty (m, n) array")
         peaks = np.max(np.abs(cols), axis=0, initial=0.0)
@@ -408,7 +413,8 @@ class Sdp:
 class Socp:
     """Second-order cone interior constraint on x = A^T y.
 
-    ``A`` is (m, n); ``blocks`` partitions the n coordinates of x into
+    ``A`` is (m, n), stored C-ordered as :class:`FiniteLp` stores its
+    columns; ``blocks`` partitions the n coordinates of x into
     consecutive cones of positive integer sizes.  Within each block
     ``(x0, xt)`` feasibility means ``x0 > ||xt||``.  ``starts`` holds the
     index of each block's leading coordinate ``x0``, and ``gram`` the
@@ -444,7 +450,7 @@ class Socp:
     _wide_offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        A = np.asarray(self.A, dtype=float)
+        A = np.ascontiguousarray(self.A, dtype=float)
         blocks = tuple(strict_int(b, "block size") for b in self.blocks)
         if A.ndim != 2 or A.shape[0] == 0:
             raise ValueError("A must be a nonempty (m, n) array")

@@ -84,6 +84,7 @@ from .oracle import (
     CustomWitness,
     OracleContractViolation,
     ProblemInstance,
+    Sdp,
     Witness,
     WitnessedColumn,
     face_atoms,
@@ -364,6 +365,9 @@ class ConvexCombination:
         self._by_column: dict[bytes, ActiveTerm] = {}
         self._reductions = 0
         self._vacant: int | None = None
+        # the last certificate test's least-squares stage, keyed by its
+        # terms' keys in entry order (_reweight_to_dual)
+        self._lsq: tuple | None = None
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -554,8 +558,9 @@ class ConvexCombination:
         ``M'^T`` times the old one's original-space combination, scaled,
         so it vanishes only when the old ``z`` did; then the result is
         empty.  Term order and keys are kept, so the terms are appended
-        as they are, with no key lookup, and ``G`` is rebuilt at the first
-        reduction.
+        as they are, with no key lookup, ``G`` is rebuilt at the first
+        reduction, and the last certificate test's least-squares stage
+        goes along (:func:`_reweight_to_dual`).
         """
         out = ConvexCombination(self.m)
         for e, x in zip(self.entries, self.weights.tolist()):
@@ -563,6 +568,7 @@ class ConvexCombination:
                 a_scaled, nrm = state.normalize(e.witnessed.column)
                 out._append(e.witnessed, a_scaled, nrm,
                             x / e.scale_norm * nrm, e.key)
+        out._lsq = self._lsq
         out._w[: len(out.entries)] /= out.weight_sum()
         out.z = out.combination()
         return out if out.z.any() else ConvexCombination(self.m)
@@ -691,19 +697,30 @@ def _reweight_to_dual(
     one solution, and a non-positive one ends the test there, without
     the NNLS.  Returns the accepted pairs, in the outcome's form
     (:func:`_accepted_dual`), and their report, or ``(None, None)``;
-    ``cc`` is left as it was either way.
+    ``cc``'s terms and weights are left as they were either way.
+
+    That first stage, ``x`` (None for a rejection) and the norms
+    ``||a_t||``, depends on the ordered original columns alone, so it is
+    kept on ``cc`` under the terms' keys, and
+    :meth:`ConvexCombination.remapped` hands it to the next run: a test
+    on the same columns in the same order reuses it, as LAPACK would give
+    the same bits again, and only the tests after it see the new map.
     """
-    k = len(cc.entries)
-    cols = np.column_stack([e.witnessed.column for e in cc.entries])
-    norms = np.linalg.norm(cols, axis=0)
-    A = np.vstack([cols / norms, np.ones(k)])
-    rhs = np.zeros(cc.m + 1)
-    rhs[-1] = 1.0
-    x, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
-    if not np.all(x > 0.0):
-        if rank == k:
-            return None, None
-        x = _nnls(A, rhs)
+    key = tuple(e.key for e in cc.entries)
+    if cc._lsq is None or cc._lsq[0] != key:
+        k = len(key)
+        cols = np.column_stack([e.witnessed.column for e in cc.entries])
+        norms = np.linalg.norm(cols, axis=0)
+        A = np.vstack([cols / norms, np.ones(k)])
+        rhs = np.zeros(cc.m + 1)
+        rhs[-1] = 1.0
+        x, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
+        if not np.all(x > 0.0):
+            x = None if rank == k else _nnls(A, rhs)
+        cc._lsq = (key, x, norms)
+    _, x, norms = cc._lsq
+    if x is None:
+        return None, None
     keep = x > 0.0
     if not keep.any():
         return None, None
@@ -797,12 +814,12 @@ def basic_procedure(
     rounding alone, such as the nearly antipodal columns the closed
     semicircle offers after many contractions.  When those weights do
     not certify, an Sdp run tries the face step
-    (:func:`prfeas.oracle.face_atoms`, which finds nothing for the other
-    kinds): the support's witness vectors span a face of the
-    semidefinite cone, and the projection of the support's weighted
-    witnesses onto the matrices in that face orthogonal to every ``A_i``
-    gives at most ``m + 1`` atoms when it stays positive definite.  Those
-    atoms too pass ``certify.verify_p_certificate``, with
+    (:func:`prfeas.oracle.face_atoms`; no other kind has one, so no
+    other run builds its arguments): the support's witness vectors span
+    a face of the semidefinite cone, and the projection of the support's
+    weighted witnesses onto the matrices in that face orthogonal to every
+    ``A_i`` gives at most ``m + 1`` atoms when it stays positive definite.
+    Those atoms too pass ``certify.verify_p_certificate``, with
     ``DUAL_RESIDUAL_TOL`` as for any dual, before the run returns
     ``dual``.  Otherwise it returns ``small_aggregate`` with the
     combination untouched.
@@ -891,7 +908,7 @@ def basic_procedure(
         if z_norm <= small_threshold or state.s > 0 \
                 and z_norm <= mu * float(cc.weights.max()):
             pairs, report = _reweight_to_dual(instance, cc)
-            if report is None:
+            if report is None and isinstance(instance, Sdp):
                 # the weights mapped back to the original columns
                 atoms = face_atoms(
                     instance, [e.witnessed for e in cc.entries],

@@ -136,6 +136,25 @@ class TestProblemFileFormat:
         again = load_problem(_read_json(path))
         assert again.columns.tobytes() == inst.columns.tobytes()
 
+    @pytest.mark.parametrize("m,n", [(5, 40), (10, 200)])
+    @pytest.mark.parametrize("target", ["feasible_d", "feasible_p"])
+    def test_loaded_lp_solves_to_the_in_process_bytes(self, m, n, target):
+        # the file holds rows of columns, and the loader transposes them;
+        # the instance stores them C-ordered, as generate_planted does, so
+        # every product sums in the same order
+        for seed in (1, 2, 3):
+            inst = generate_planted("lp", m, n, seed, target)[0]
+            again = load_problem(dump_problem(inst))
+            assert again.columns.flags.c_contiguous
+            assert json.dumps(solve_report(main_algorithm(again), None)) \
+                == json.dumps(solve_report(main_algorithm(inst), None))
+
+    def test_socp_is_stored_c_ordered(self):
+        A = np.random.default_rng(3).standard_normal((4, 12))
+        inst = Socp(np.asfortranarray(A), (3, 4, 5))
+        assert inst.A.flags.c_contiguous
+        assert inst.A.tobytes() == Socp(A, (3, 4, 5)).A.tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                     max_size=40))
@@ -656,8 +675,7 @@ class TestVerifyCommand:
         code, out = invoke(capsys, "verify", "--input", prob,
                            "--certificate", cert)
         assert code == 0, out
-        # the instance as the CLI reads it, whose memory order the sums
-        # follow
+        # the instance as the CLI reads it
         inst = load_problem(_read_json(prob))
         margin = json.loads(out)["details"]["min_margin"]
         assert margin == math.ldexp(inst.min_margin(np.ldexp(y, -1024)), 1024)

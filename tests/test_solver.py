@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ from numpy.testing import assert_allclose
 import prfeas.certify
 import prfeas.solver
 from prfeas.certify import generate_planted, verify_p_certificate
+from prfeas.cli import solve_report
 from prfeas.oracle import (
     CustomOracle,
     CustomWitness,
@@ -1149,6 +1151,84 @@ class TestReweightToDual:
             out = main_algorithm(
                 generate_planted("lp", 5, 50, seed, "feasible_p")[0])
             assert out.status == "dual_certificate"
+
+
+def lstsq_counter(monkeypatch):
+    """A list that gains one entry at each ``np.linalg.lstsq`` call."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
+def carried_lsq_solves():
+    """Solves whose inner runs end on repeated supports, and some whose
+    first run decides: (name, instance, epsilon)."""
+    return [
+        *[(f"hyperplane lift {lift}", hyperplane_lp(10, 200, 1, lift), 1e-6)
+          for lift in (1e-5, 1e-4, 0.0)],
+        *[(f"{kind} seed {seed}",
+           generate_planted(kind, m, n, seed, "feasible_p")[0], 1e-6)
+          for kind, m, n in (("lp", 10, 200), ("socp", 20, 200),
+                             ("sdp", 8, 20))
+          for seed in (1, 2, 3)],
+        *[(f"semicircle closed={closed}",
+           CustomOracle(2, make_semicircle(closed)), 1e-4)
+          for closed in (False, True)],
+    ]
+
+
+class TestCarriedLeastSquares:
+    def test_one_solve_per_run_of_equal_supports(self, monkeypatch):
+        # the thin LP ends its 72 runs on 5 distinct consecutive supports
+        supports = []
+        test = prfeas.solver._reweight_to_dual
+
+        def recording(instance, cc):
+            supports.append(tuple(e.key for e in cc.entries))
+            return test(instance, cc)
+
+        calls = lstsq_counter(monkeypatch)
+        monkeypatch.setattr(prfeas.solver, "_reweight_to_dual", recording)
+        out = main_algorithm(hyperplane_lp(10, 200, 1, 1e-5))
+        assert out.status == "epsilon_declared"
+        distinct = 1 + sum(a != b for a, b in zip(supports, supports[1:]))
+        assert len(supports) == 72 and distinct == 5
+        assert len(calls) <= distinct
+
+    def test_carried_solve_keeps_every_bit(self, monkeypatch):
+        def solve_all():
+            got = []
+            for name, inst, eps in carried_lsq_solves():
+                out = main_algorithm(inst, eps)
+                got.append((name, json.dumps(solve_report(out, None)),
+                            None if out.y is None else out.y.tobytes(),
+                            None if out.weights is None
+                            else [x.hex() for _, x in out.weights]))
+            return got
+
+        calls = lstsq_counter(monkeypatch)
+        carried = solve_all()
+        n_carried = len(calls)
+        remapped = ConvexCombination.remapped
+
+        def dropping(cc, state):
+            out = remapped(cc, state)
+            out._lsq = None
+            return out
+
+        monkeypatch.setattr(ConvexCombination, "remapped", dropping)
+        calls.clear()
+        dropped = solve_all()
+        for a, b in zip(carried, dropped):
+            assert a == b, a[0]
+        # the thin LP alone saves 67 solves
+        assert n_carried + 67 <= len(calls)
 
 
 # ---------------------------------------------------------------------------
