@@ -14,10 +14,10 @@ Built-in instance kinds, each with the violated constraint it selects:
   defaults to ``||a_t||``; the solver passes ``||M^T a_t||`` for its
   rescaling map ``M`` (:func:`rescaled_scales`), which makes the pick the
   deepest cut ``argmin_t z^T (M^T a_t / ||M^T a_t||)`` at the rescaled
-  point ``z``.  A FiniteLp of at least ``LP_SCREEN_MIN_ENTRIES`` entries
-  is ranked from a float32 copy of its unit columns first, and in float64
-  only when a rounding-error bound leaves the pick open, which picks the
-  same column.
+  point ``z``.  At the default scales, a FiniteLp of at least
+  ``LP_SCREEN_MIN_ENTRIES`` entries is ranked from a float32 copy of its
+  unit columns first, and in float64 only when a rounding-error bound
+  leaves the pick open, which picks the same column.
 * :class:`Sdp` -- ``sum_i y_i A_i`` positive definite; witnesses are unit
   vectors ``v`` with ``v^T X v <= 0`` and the column is ``(v^T A_i v)_i``.
   One symmetric eigendecomposition of ``X`` answers the query: it decides
@@ -93,12 +93,14 @@ RANGE_EXPONENT = 384
 FACE_DEFINITENESS_TOL = 1e-9
 
 #: :func:`lp_query` screens a FiniteLp in float32 (:func:`_screened_pick`)
-#: only when its columns hold at least this many entries, 1 MiB of
-#: float64.  Below that the float64 product runs from a 2 MiB L2 cache,
-#: and the screen's extra passes cost about what it saves.  Per query on
-#: one 2 vCPU machine, exact and screened: m=10 n=200 8.4 and 12.1 us,
-#: m=30 n=2000 19.5 and 17.6 us (19.8 and 22.3 with rescaled scales),
-#: m=60 n=5000 105 and 46 us.
+#: only at the default scales and only when its columns hold at least this
+#: many entries, 1 MiB of float64.  Below that the float64 product runs
+#: from a 2 MiB L2 cache, and the screen's extra passes cost about what it
+#: saves.  Per query on one 2 vCPU machine, exact and screened: m=10 n=200
+#: 8.4 and 12.1 us, m=30 n=2000 19.5 and 17.6 us, m=60 n=5000 105 and
+#: 46 us.  Queries with rescaled scales rank in float64 alone: screening
+#: them too sped up only the gated LPs that contract at m = 60, by 2-7%
+#: per solve, and slowed those at m <= 30 by 1-10%.
 LP_SCREEN_MIN_ENTRIES = 2**17
 
 
@@ -310,8 +312,9 @@ class FiniteLp:
 
     An instance with at least ``LP_SCREEN_MIN_ENTRIES`` entries also keeps
     a float32 copy of its unit columns ``a_t / ||a_t||``, half the storage
-    of ``columns``, also C-ordered.  :func:`lp_query` builds it
-    at its first query and ranks from it first (:func:`_screened_pick`).
+    of ``columns``, also C-ordered.  :func:`lp_query` builds it at its
+    first query at the default scales and ranks such queries from it
+    first (:func:`_screened_pick`).
     """
 
     columns: np.ndarray
@@ -720,10 +723,11 @@ def lp_query(instance: FiniteLp, y: np.ndarray,
     one positive ``s_t`` per column and defaults to the column norms
     ``||a_t||``.  The ranking runs at the unit direction
     (:func:`unit_direction`), so no margin overflows, whatever the size
-    of ``y``.  An instance of at least ``LP_SCREEN_MIN_ENTRIES`` entries is
-    ranked in float32 first (:func:`_screened_pick`), which decides most
-    queries with the pick below; the float64 ranking
-    (:func:`_exact_pick`) runs when it does not.
+    of ``y``.  Without ``scales``, an instance of at least
+    ``LP_SCREEN_MIN_ENTRIES`` entries is ranked in float32 first
+    (:func:`_screened_pick`), which decides most queries with the pick
+    below; the float64 ranking (:func:`_exact_pick`) runs when it does
+    not, and for every query with ``scales``.
     """
     y, e = unit_direction(y, instance.m)
     if scales is not None:
@@ -731,8 +735,8 @@ def lp_query(instance: FiniteLp, y: np.ndarray,
         if scales.shape != (instance.n,):
             raise ValueError(f"scales must have shape ({instance.n},)")
     t = None
-    if instance.columns.size >= LP_SCREEN_MIN_ENTRIES:
-        t = _screened_pick(instance, y, scales)
+    if scales is None and instance.columns.size >= LP_SCREEN_MIN_ENTRIES:
+        t = _screened_pick(instance, y)
     if t is None:
         t = _exact_pick(instance, y, scales)
     if t < 0:
@@ -766,20 +770,17 @@ def _exact_pick(instance: FiniteLp, y: np.ndarray,
     return t
 
 
-def _screened_pick(instance: FiniteLp, y: np.ndarray,
-                   scales: np.ndarray | None) -> int | None:
-    """:func:`_exact_pick` at ``y``, decided from a float32 product, or
-    None when that product does not decide it.
+def _screened_pick(instance: FiniteLp, y: np.ndarray) -> int | None:
+    """:func:`_exact_pick` at ``y`` and the default scales, decided from a
+    float32 product, or None when that product does not decide it.
 
     ``y`` has ``max|y_i|`` in [1/2, 1), as :func:`lp_query` passes it.
     The instance's float32 copy holds ``u_t = fl32(a_t / n_t)`` for the
     stored columns ``a_t`` and their norms ``n_t`` (``column_norms``), and
-    ``r_t = c_t d_t``, with ``d_t = fl32(y)^T u_t`` summed in float32 and
-    ``c_t = n_t / s_t`` (1 without ``scales``), estimates the exact
-    ratio ``fl(fl(y^T a_t) / s_t)``.  For positive scales and ``m <
-    2^20`` that ratio lies within
+    ``r_t = fl32(y)^T u_t``, summed in float32, estimates the exact ratio
+    ``fl(fl(y^T a_t) / n_t)``.  For ``m < 2^20`` that ratio lies within
 
-        B_t = c_t K + 2^-1060,   K = (1 + 2^-20) (Y (g_m + 3 u) + m 2^-146)
+        B = K + 2^-1060,   K = (1 + 2^-20) (Y (g_m + 3 u) + m 2^-146)
 
     of ``r_t``, with ``u = 2^-24``, ``g_m = m u / (1 - m u)`` and ``Y``
     the computed ``||y||``.  With ``S_t = sum_i |y_i a_ti| / n_t``, at
@@ -793,22 +794,20 @@ def _screened_pick(instance: FiniteLp, y: np.ndarray,
       Stability of Numerical Algorithms*, section 3.1), plus ``m 2^-148``
       for products that underflow;
     * the float64 product errs by at most ``g'_m S_t n_t``, ``g'_m`` the
-      same for ``2^-53``, plus ``m 2^-1074``, and the division, ``c_t``
-      and ``c_t d_t`` by one rounding each;
+      same for ``2^-53``, plus ``m 2^-1074``, and the division by one
+      rounding;
     * for ``m < 2^20`` the relative terms other than ``g_m + 2u`` add up
-      to less than ``0.8 u``; the float64 path's ``m 2^-1074 / s_t`` is
-      at most ``m 2^-690 n_t / s_t``, as a stored column's norm is at
-      least ``2^-384``; the other absolute terms, from underflow in the
+      to less than ``0.8 u``; the float64 path's ``m 2^-1074 / n_t`` is
+      at most ``m 2^-690``, as a stored column's norm is at least
+      ``2^-384``; the other absolute terms, from underflow in the
       division and the two products, stay below ``2^-1062``; and the
-      factor ``1 + 2^-20`` covers the rounding of ``c_t``, ``K`` and
-      ``B_t``.
+      factor ``1 + 2^-20`` covers the rounding of ``K`` and ``B``.
 
-    Rounding is monotone, so the computed ``[r_t - B_t, r_t + B_t]``
+    Rounding is monotone, so the computed ``[r_t - B, r_t + B]``
     encloses the exact ratio too.  The screen returns the column whose
     interval lies below 0 and strictly below every other interval: the
     exact argmin, unique and negative.  It returns -1 when every interval
-    lies above 0, so every margin is positive.  Otherwise, and on a NaN
-    or an infinite ``c_t``, which make some bound NaN, it returns None.
+    lies above 0, so every margin is positive.  Otherwise it returns None.
     """
     m = instance.m
     if m >= 2**20:
@@ -824,29 +823,16 @@ def _screened_pick(instance: FiniteLp, y: np.ndarray,
     u = 2.0**-24
     g = m * u / (1.0 - m * u)
     K = (1.0 + 2.0**-20) * (math.sqrt(y @ y) * (g + 3.0 * u) + m * 2.0**-146)
-    if scales is None:
-        # float32 -> float64 is exact and rounding is monotone, so
-        # min_t fl(r_t - B) = fl(min_t r_t - B): the least r_t and the
-        # runner-up decide, and only they are converted
-        B = K + 2.0**-1060
-        t = int(r.argmin())
-        hi = float(r[t]) + B
-        if not hi < 0.0:
-            return -1 if float(r[t]) - B > 0.0 else None
-        r[t] = np.inf
-        return t if float(r.min()) - B > hi else None
-    r = r.astype(float)
-    B = instance.column_norms / scales  # c_t, then B_t in place
-    r *= B
-    B *= K
-    B += 2.0**-1060
+    B = K + 2.0**-1060
+    # float32 -> float64 is exact and rounding is monotone, so
+    # min_t fl(r_t - B) = fl(min_t r_t - B): the least r_t and the
+    # runner-up decide, and only they are converted
     t = int(r.argmin())
-    hi = r[t] + B[t]
-    lo = np.subtract(r, B, out=r)
-    if hi < 0.0:
-        lo[t] = np.inf
-        return t if lo.min() > hi else None
-    return -1 if lo.min() > 0.0 else None
+    hi = float(r[t]) + B
+    if not hi < 0.0:
+        return -1 if float(r[t]) - B > 0.0 else None
+    r[t] = np.inf
+    return t if float(r.min()) - B > hi else None
 
 
 def sdp_query(instance: Sdp, y: np.ndarray) -> WitnessedColumn | None:
@@ -995,10 +981,14 @@ def rescaled_scales(instance: ProblemInstance, M: np.ndarray,
 
         ||M^T a_t||^2 = ||M_0^T a_t||^2 - (3/4) p_t^2,
 
-    at least a quarter of the old value, since ``|p_t| <= ||M_0^T a_t||``,
-    so the difference never cancels.  The rounding still adds up over
-    contractions (to about 1e-12 relative after 72 random ones at m =
-    10), but the scales only rank violated columns: it can change which
+    in exact arithmetic at least a quarter of the old value, since ``|p_t|
+    <= ||M_0^T a_t||``.  In floating point the difference cancels for a
+    column along the contraction: at ``|p_t|`` near the old scale it
+    multiplies the old scale's relative error by about 4, so contracting
+    along one direction again and again can take the square below 0.  The
+    new square is therefore kept at least a quarter of the old one, which
+    keeps each scale within ``[old/2, old]``, positive and finite.  The
+    scales only rank violated columns: their rounding can change which
     cut is picked, never what a run certifies.  A Socp's Gram data is
     rebuilt either way.
     """
@@ -1007,7 +997,8 @@ def rescaled_scales(instance: ProblemInstance, M: np.ndarray,
             return np.linalg.norm(M.T @ instance.columns, axis=0)
         old = instance.column_norms if scales is None else scales
         p = 2.0 * ((M @ a) @ instance.columns)
-        return np.sqrt(old * old - 0.75 * (p * p))
+        sq = old * old
+        return np.sqrt(np.maximum(sq - 0.75 * (p * p), 0.25 * sq))
     if isinstance(instance, Socp):
         return instance.block_gram(M.T @ instance.A)
     return None

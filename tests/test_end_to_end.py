@@ -335,29 +335,45 @@ def scaled_instance(inst, k):
 
 class TestLpScreenLeavesTheSolve:
     """At the size ``lp_query`` screens in float32, a solve with the screen
-    repeats the solve without it bit for bit."""
+    repeats the solve without it bit for bit, and only the queries at the
+    default scales are screened: those with rescaled scales rank in
+    float64."""
 
-    @pytest.mark.parametrize("target", ["feasible_d", "feasible_p"])
+    @pytest.mark.parametrize("target", ["feasible_d", "feasible_p", "thin"])
     def test_screened_solve_repeats_the_exact_one(self, monkeypatch, target):
-        inst, _ = generate_planted("lp", 60, 5000, 1, target)
+        # the thin LP contracts after every run, so 71 of its 75 queries
+        # carry rescaled scales
+        inst = hyperplane_lp(10, 20000, 1, 1e-5) if target == "thin" \
+            else generate_planted("lp", 60, 5000, 1, target)[0]
         assert inst.columns.size >= oracle.LP_SCREEN_MIN_ENTRIES
-        screen, answers = oracle._screened_pick, []
+        lp_query, screen = oracle.lp_query, oracle._screened_pick
+        scaled, answers = [], []
 
-        def recorded(instance, y, scales):
-            t = screen(instance, y, scales)
-            answers.append((t is not None, scales is not None))
+        def recorded_query(instance, y, scales=None):
+            scaled.append(scales is not None)
+            return lp_query(instance, y, scales)
+
+        def recorded_screen(*args):
+            # *args: whatever the screen's signature, the query that
+            # reached it is the last one recorded
+            t = screen(*args)
+            answers.append((t is not None, scaled[-1]))
             return t
 
-        monkeypatch.setattr(oracle, "_screened_pick", recorded)
+        monkeypatch.setattr(oracle, "lp_query", recorded_query)
+        monkeypatch.setattr(oracle, "_screened_pick", recorded_screen)
         out = main_algorithm(inst)
-        screened = list(answers)
+        screened, queries = list(answers), list(scaled)
         monkeypatch.setattr(oracle, "LP_SCREEN_MIN_ENTRIES", math.inf)
         exact = main_algorithm(inst)
         assert answers == screened  # the second solve never screened
-        # the screen decided nearly every query; past the first
-        # contraction it ranked by the rescaled scales
+        # the screen decided nearly every query it saw, and it saw only
+        # those at the default scales
         assert sum(d for d, _ in screened) >= 0.9 * len(screened)
-        assert any(s for _, s in screened) == (target == "feasible_p")
+        assert not any(s for _, s in screened)
+        assert len(screened) == queries.count(False)
+        assert sum(queries) == {"feasible_d": 0, "feasible_p": 12,
+                                "thin": 71}[target]
         assert out.status == exact.status
         assert out.counters == exact.counters
         assert out.weights == exact.weights

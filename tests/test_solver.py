@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 
@@ -747,6 +748,33 @@ class TestDeepestCut:
             scales = rescaled_scales(inst, state.M, a, scales)
             fresh = np.linalg.norm(state.M.T @ inst.columns, axis=0)
             assert_allclose(scales, fresh, rtol=1e-12)
+
+    def test_repeated_contraction_keeps_the_lp_scales_in_band(
+            self, monkeypatch):
+        # columns 0 and 1 are antipodal, and the solve contracts along
+        # them again and again: each such update cancels and multiplies
+        # a scale's relative error by about 4, until its square would go
+        # below 0; every scale passed to the oracle stays within [old/2,
+        # old] of the one before, the instance's column norms first
+        cols = np.random.default_rng(17).standard_normal((2, 4))
+        cols[:, 0] = -cols[:, 1]
+        inst = FiniteLp(cols)
+        passed, query = [inst.column_norms], prfeas.solver.query
+
+        def recording_query(instance, y, scales=None):
+            if scales is not None and scales is not passed[-1]:
+                passed.append(scales)
+            return query(instance, y, scales)
+
+        monkeypatch.setattr(prfeas.solver, "query", recording_query)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            main_algorithm(inst, 1e-6)
+        assert len(passed) > 40
+        for old, new in zip(passed, passed[1:]):
+            assert np.all(np.isfinite(new))
+            assert np.all(new >= 0.5 * old * (1.0 - 2.0**-52))
+            assert np.all(new <= old * (1.0 + 2.0**-52))
 
     def test_column_norms_survive_overflowing_squares(self):
         state = RescalingState(2)
