@@ -662,9 +662,11 @@ def unit_direction(y: np.ndarray, m: int,
     can change the answer for such a ``y``.  Every stored unit of a
     built-in instance, and every column that :func:`query` hands out, has
     entries below ``2^448``: data in range (below ``2^RANGE_EXPONENT``),
-    or a SOCP's ``A v`` and an Sdp's ``v^T A_i v``, which weigh fewer than
-    ``2^63`` such entries by at most 1.  So at this direction no partial
-    sum of a product with them overflows, whatever the size of ``y``.
+    or a SOCP's ``A_b v_b`` and an Sdp's ``v^T A_i v``, the product of
+    the stack's ``(m, n^2)`` view with ``vec(v v^T)``: each weighs fewer
+    than ``2^63`` such entries by entries of ``v_b`` or of ``vec(v
+    v^T)``, all at most 1.  So at this direction no partial sum of a
+    product with them overflows, whatever the size of ``y``.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (m,):
@@ -842,7 +844,9 @@ def sdp_query(instance: Sdp, y: np.ndarray) -> WitnessedColumn | None:
     * max(diag(X), 0)``; otherwise the witness ``v`` is the unit eigenvector
     of ``lambda_min(X)``, signed so that its largest-magnitude entry is
     positive.  The returned column is ``c_i = v^T A_i v``, so
-    ``c^T y = v^T X v = lambda_min(X)``.  ``X`` is taken at the unit
+    ``c^T y = v^T X v = lambda_min(X)``, formed as one product of the
+    stack's ``(m, n^2)`` view, the one :meth:`Sdp.combination` takes,
+    with ``vec(v v^T)``.  ``X`` is taken at the unit
     direction (:func:`unit_direction`), which scales it, its band and
     ``lambda_min(X)`` by a power of two and keeps ``X`` finite.
     """
@@ -854,7 +858,7 @@ def sdp_query(instance: Sdp, y: np.ndarray) -> WitnessedColumn | None:
     v = eigvecs[:, 0]
     if v[np.argmax(np.abs(v))] < 0.0:
         v = -v
-    column = np.einsum("ijk,j,k->i", instance.matrices, v, v)
+    column = instance.matrices.reshape(instance.m, -1) @ np.outer(v, v).ravel()
     # the column's value c^T y = lambda_min(X) is accepted up to this band
     band = _sdp_band(y @ np.diagonal(instance.matrices, axis1=1, axis2=2))
     return _check_soundness(WitnessedColumn(
@@ -880,8 +884,9 @@ def socp_query(instance: Socp, y: np.ndarray,
     The witness vector carries ``(1, -xt/||xt||)`` on the picked block (or
     ``(1, 0, ...)`` when ``xt = 0``), with ``||xt||`` recomputed by
     :func:`vector_norm`, and zeros on every other block; its column is
-    ``A v``, with value ``v^T x = x0 - ||xt||  <= 0``.  The witness keeps
-    only the block and builds its n entries when they are first read.
+    ``A v``, with value ``v^T x = x0 - ||xt||  <= 0``, formed from the
+    picked block's columns alone as ``A_b v_b``.  The witness keeps only
+    the block and builds its n entries when they are first read.
     """
     y, e = unit_direction(y, instance.m)
     if scales is None:
@@ -905,11 +910,9 @@ def socp_query(instance: Socp, y: np.ndarray,
     vb[0] = 1.0
     if tail_norm > 0.0:
         vb[1:] = -tail / tail_norm
-    v = np.zeros(instance.n)
-    v[sl] = vb
     return _check_soundness(WitnessedColumn(
-        SocpVector._on_block(instance.n, sl.start, vb), instance.A @ v,
-        int(instance.exponents[b])), y, e)
+        SocpVector._on_block(instance.n, sl.start, vb),
+        instance.A[:, sl] @ vb, int(instance.exponents[b])), y, e)
 
 
 def query(instance: ProblemInstance, y: np.ndarray,

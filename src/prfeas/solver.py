@@ -671,14 +671,15 @@ def _reweight_to_dual(
     """The vanishing combination of the support, if any, as a certificate.
 
     Solves ``[a_hat_1 ... a_hat_k; 1 ... 1] x = e_{m+1}`` by least squares
-    over the original normalized columns ``a_hat_t = a_t / ||a_t||``.  When
-    every ``x_t`` is positive, the rescaled weights ``w_t = x_t ||M^T
-    a_t|| / ||a_t||``, normalized to sum 1, must leave a rescaled
-    aggregate of at most ``ZERO_AGGREGATE_TOL``; then the weights mapped
-    back to the original columns, ``w_t / ||M^T a_t||``, and to the data
-    as given, times ``2^-e_t`` for the exponent ``e_t`` of each witnessed
-    column (and all times one power of two when the largest would leave
-    the range), must pass ``certify.verify_p_certificate``.  That
+    over the original normalized columns ``a_hat_t = a_t / ||a_t||``.  For
+    an ``x`` that is kept (see below), the rescaled weights ``w_t = x_t
+    ||M^T a_t|| / ||a_t||`` of the terms with a positive ``x_t``,
+    normalized to sum 1, must leave a rescaled aggregate of at most
+    ``ZERO_AGGREGATE_TOL``; then the weights mapped back to the original
+    columns, ``w_t / ||M^T a_t||``, and to the data as given, times
+    ``2^-e_t`` for the exponent ``e_t`` of each witnessed column (and all
+    times one power of two when the largest would leave the range), must
+    pass ``certify.verify_p_certificate``.  That
     original-space test alone cannot tell a finite certificate from
     columns that only approach dependence: the closed semicircle's ``(1,
     4.4e-16)`` and ``(-1, 1.2e-16)`` give a residual of 3e-16 there, but
@@ -694,10 +695,15 @@ def _reweight_to_dual(
     rank below ``k`` and an ``x`` that is not positive, the same system
     goes to the NNLS (:func:`_nnls`), and the terms it leaves at zero
     weight are dropped before the tests above.  A full-rank support has
-    one solution, and a non-positive one ends the test there, without
-    the NNLS.  Returns the accepted pairs, in the outcome's form
-    (:func:`_accepted_dual`), and their report, or ``(None, None)``;
-    ``cc``'s terms and weights are left as they were either way.
+    one solution, which never reaches the NNLS: it is kept when its
+    entries that are not positive are of rounding size, at least
+    ``-ZERO_AGGREGATE_TOL`` times its largest magnitude, and those terms
+    are dropped; an antipodal pair among generic columns gets such an
+    ``x``, 1/2 on the pair and rounding elsewhere.  Any other non-positive
+    solution ends the test there.  Returns the accepted pairs, in the
+    outcome's form (:func:`_accepted_dual`), and their report, or
+    ``(None, None)``; ``cc``'s terms and weights are left as they were
+    either way.
 
     That first stage, ``x`` (None for a rejection) and the norms
     ``||a_t||``, depends on the ordered original columns alone, so it is
@@ -716,7 +722,10 @@ def _reweight_to_dual(
         rhs[-1] = 1.0
         x, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
         if not np.all(x > 0.0):
-            x = None if rank == k else _nnls(A, rhs)
+            if rank < k:
+                x = _nnls(A, rhs)
+            elif x.min() < -ZERO_AGGREGATE_TOL * abs(x).max():
+                x = None
         cc._lsq = (key, x, norms)
     _, x, norms = cc._lsq
     if x is None:

@@ -1,11 +1,14 @@
 import dataclasses
 import math
+from fractions import Fraction
 import pickle
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+
+import prfeas.solver
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -542,8 +545,10 @@ def loop_socp_depths(instance, y, C=None):
 
     The depth is ``margin_b / ||C_b v_b||``, with the norm taken from the
     block's own columns of ``C`` (``A`` by default), and ``-inf`` when that
-    column vanishes.  The tail norm is taken by ``vector_norm``, as the
-    oracle's witness takes it, which neither overflows nor underflows.
+    column vanishes.  The witnessed column is ``A_b v_b``, from the same
+    block's columns of ``A``.  The tail norm is taken by ``vector_norm``,
+    as the oracle's witness takes it, which neither overflows nor
+    underflows.
     """
     C = instance.A if C is None else C
     x = instance.A.T @ y
@@ -562,7 +567,8 @@ def loop_socp_depths(instance, y, C=None):
         norm = float(np.linalg.norm(C[:, sl] @ v[sl]))
         depth = (x0 - tail_norm) / norm if norm > 0.0 else -np.inf
         out.append((depth, WitnessedColumn(
-            SocpVector(tuple(float(t) for t in v)), instance.A @ v)))
+            SocpVector(tuple(float(t) for t in v)),
+            instance.A[:, sl] @ v[sl])))
     return out
 
 
@@ -754,6 +760,132 @@ class TestSocpKernelMatchesLoop:
                 assert str(exc).startswith("socp witness"), exc
                 accepted = False
             assert accepted == loop_resolves(inst, v)
+
+
+# The oracles form a witness's column in another summation order than
+# resolve_witness_column: a SOCP's from the picked block's columns, an
+# Sdp's from the stack's (m, n^2) view; each must lie within the error
+# bound of any float64 sum of products of the exact column.
+
+
+def gamma(k):
+    """Higham's ``gamma_k = k u / (1 - k u)``, ``u = 2^-53``."""
+    u = 2.0**-53
+    return k * u / (1.0 - k * u)
+
+
+def exact_column(rows, *factors):
+    """``sum_j rows_ij prod_f factors_f[j]`` for each row ``i``, summed
+    in exact arithmetic and rounded once."""
+    fs = [[Fraction(t) for t in f.tolist()] for f in factors]
+    out = []
+    for r in rows:
+        total = Fraction(0)
+        for j, a in enumerate(r.tolist()):
+            if a:
+                term = Fraction(a)
+                for f in fs:
+                    term *= f[j]
+                total += term
+        out.append(float(total))
+    return np.array(out)
+
+
+def column_products(inst, v):
+    """The rows and factors whose products sum to the column of a witness
+    vector ``v``, and the ``k`` of their bound: ``A`` and ``v``, with ``k
+    = n``, for a Socp; the stack's ``(m, n^2)`` view and ``vec(v v^T)``
+    as two factors, with ``k = n^2 + 1``, for an Sdp."""
+    v = np.asarray(v)
+    if isinstance(inst, Socp):
+        return inst.A, (v,), inst.n
+    n = v.size
+    return (inst.matrices.reshape(inst.m, -1),
+            (np.repeat(v, n), np.tile(v, n)), n * n + 1)
+
+
+def assert_within_product_bound(inst, v, *columns):
+    """Each of ``columns`` lies within ``gamma_k`` times the sum of the
+    products' magnitudes of the exact column of ``v``
+    (:func:`column_products`): the bound on any float64 sum of products
+    in which each product passes through at most ``k`` multiplications
+    and additions (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, section 3.1), whatever its order.  Two more units cover
+    the rounding of the exact column and of the magnitudes, and ``k``
+    times ``2^-1070`` products that underflow."""
+    rows, factors, k = column_products(inst, v)
+    exact = exact_column(rows, *factors)
+    magnitude = np.abs(rows) @ np.prod(np.abs(factors), axis=0)
+    bound = gamma(k + 2) * magnitude + k * 2.0**-1070
+    for got in columns:
+        assert np.all(np.abs(got - exact) <= bound), (got, exact, bound)
+
+
+class TestWitnessColumnOrder:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_socp_block_column_matches_the_full_product(self, data):
+        # blocks of sizes 1 to 8, each times a power of two; the column
+        # A_b v_b of the picked block and the full A v both lie within
+        # gamma_n of the exact column
+        draw = data.draw
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        m = draw(st.integers(1, 5))
+        blocks = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+        powers = draw(st.lists(st.sampled_from([-300, -40, 0, 40, 300]),
+                               min_size=len(blocks), max_size=len(blocks)))
+        A = rng.standard_normal((m, sum(blocks)))
+        inst = Socp(A * np.repeat(np.ldexp(1.0, powers), blocks), blocks)
+        for y in rng.standard_normal((4, m)):
+            w = socp_query(inst, y)
+            if w is None:
+                continue
+            v = np.asarray(w.witness.v)
+            assert_within_product_bound(inst, v, w.column, inst.A @ v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_sdp_stack_column_matches_the_einsum(self, data):
+        # stacks times a power of four; the product with vec(v v^T) and
+        # the einsum over A_i, v and v both lie within gamma_{n^2+1} of
+        # the exact v^T A_i v, each term a product of three factors
+        draw = data.draw
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+        B = rng.standard_normal((m, n, n))
+        power = draw(st.sampled_from([-150, -20, 0, 20, 150]))
+        inst = Sdp(np.ldexp(B + B.transpose(0, 2, 1), 2 * power))
+        for y in rng.standard_normal((4, m)):
+            w = sdp_query(inst, y)
+            if w is None:
+                continue
+            v = np.asarray(w.witness.v)
+            assert_within_product_bound(
+                inst, v, w.column,
+                np.einsum("ijk,j,k->i", inst.matrices, v, v))
+
+    @pytest.mark.parametrize("kind,m,n", [
+        ("socp", 5, 40), ("socp", 20, 200), ("sdp", 4, 10), ("sdp", 8, 20)])
+    def test_planted_witnesses_match_certify(self, kind, m, n, monkeypatch):
+        # every column a planted solve is handed agrees with the one
+        # resolve_witness_column forms from the witness, at its exponent
+        answers, query_ = [], prfeas.solver.query
+
+        def recording_query(instance, y, scales=None):
+            answers.append(query_(instance, y, scales))
+            return answers[-1]
+
+        monkeypatch.setattr(prfeas.solver, "query", recording_query)
+        for seed, target in [(1, "feasible_p"), (2, "feasible_p"),
+                             (1, "feasible_d")]:
+            inst = generate_planted(kind, m, n, seed, target)[0]
+            main_algorithm(inst)
+            for w in filter(None, answers):
+                _, column, exponent = resolve_witness_column(inst, w.witness)
+                assert exponent == w.exponent
+                assert_within_product_bound(inst, w.witness.v, w.column,
+                                            column)
+            answers.clear()
 
 
 class TestSocpDeepestCut:

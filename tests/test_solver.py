@@ -749,27 +749,24 @@ class TestDeepestCut:
             fresh = np.linalg.norm(state.M.T @ inst.columns, axis=0)
             assert_allclose(scales, fresh, rtol=1e-12)
 
-    def test_repeated_contraction_keeps_the_lp_scales_in_band(
-            self, monkeypatch):
-        # columns 0 and 1 are antipodal, and the solve contracts along
-        # them again and again: each such update cancels and multiplies
-        # a scale's relative error by about 4, until its square would go
-        # below 0; every scale passed to the oracle stays within [old/2,
-        # old] of the one before, the instance's column norms first
+    def test_repeated_contraction_keeps_the_lp_scales_in_band(self):
+        # columns 0 and 1 are antipodal, and the map contracts along them
+        # again and again, over the contraction budget at epsilon = 1e-6,
+        # as main_algorithm updates the scales: each such update cancels
+        # and multiplies a scale's relative error by about 4, until its
+        # square would go below 0; every scale stays within [old/2, old]
+        # of the one before, the instance's column norms first
         cols = np.random.default_rng(17).standard_normal((2, 4))
         cols[:, 0] = -cols[:, 1]
         inst = FiniteLp(cols)
-        passed, query = [inst.column_norms], prfeas.solver.query
-
-        def recording_query(instance, y, scales=None):
-            if scales is not None and scales is not passed[-1]:
-                passed.append(scales)
-            return query(instance, y, scales)
-
-        monkeypatch.setattr(prfeas.solver, "query", recording_query)
+        state = RescalingState(2)
+        passed = [inst.column_norms]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            main_algorithm(inst, 1e-6)
+            for k in range(rescale_budget(1e-6)):
+                a = state.normalize(inst.columns[:, k % 2])[0]
+                state.rescale(a)
+                passed.append(rescaled_scales(inst, state.M, a, passed[-1]))
         assert len(passed) > 40
         for old, new in zip(passed, passed[1:]):
             assert np.all(np.isfinite(new))
@@ -1179,6 +1176,20 @@ class TestReweightToDual:
             out = main_algorithm(
                 generate_planted("lp", 5, 50, seed, "feasible_p")[0])
             assert out.status == "dual_certificate"
+
+    def test_small_antipodal_lps_end_in_a_verified_dual(self):
+        # columns 0 and 1 antipodal among generic ones: a full-rank
+        # support holding the pair has the exact solution 1/2 on the pair
+        # and 0 elsewhere, which least squares returns with entries of
+        # rounding size, either sign, in the zeros; those terms are
+        # dropped, and the pair certifies
+        for m, n, seed in itertools.product(range(2, 6), (4, 6, 8),
+                                            range(10)):
+            cols = np.random.default_rng(seed).standard_normal((m, n))
+            cols[:, 0] = -cols[:, 1]
+            out = main_algorithm(FiniteLp(cols), 1e-6)
+            assert out.status == "dual_certificate", (m, n, seed)
+            assert out.verification.accepted
 
 
 def lstsq_counter(monkeypatch):
