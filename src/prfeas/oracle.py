@@ -28,9 +28,9 @@ Built-in instance kinds, each with the violated constraint it selects:
   The query returns the deepest violated block, ``argmin_b margin_b /
   ||A v_b||`` for the witness ``v_b`` of block ``b`` (lowest index on
   ties), scored for every block in one array pass over the block Gram
-  entries of ``A`` (:meth:`Socp.cut_depths`).  The solver passes those
-  of ``M^T A`` instead (:func:`rescaled_scales`), which makes the pick
-  the deepest cut at the rescaled point, as for a FiniteLp.
+  entries of ``A`` (:meth:`Socp.cut_depths`).  Every query ranks on
+  ``A``'s own Gram data, the rescaled solver's runs too: only a
+  FiniteLp's scales follow the rescaling map.
 * :class:`CustomOracle` -- user callback, re-checked at every query.
 
 Boundary convention: ``a_t^T y = 0`` counts as a violation, so ``None`` means
@@ -421,9 +421,20 @@ class Socp:
     consecutive cones of positive integer sizes.  Within each block
     ``(x0, xt)`` feasibility means ``x0 > ||xt||``.  ``starts`` holds the
     index of each block's leading coordinate ``x0``, and ``gram`` the
-    block Gram data of ``A`` itself (:meth:`block_gram`), the scales
-    :func:`socp_query` ranks the violated blocks by unless it is given
-    those of a rescaled ``M^T A``.
+    block Gram data of the stored ``A``, which gives ``||A_b v_b||`` for
+    every block ``b``, and which :func:`socp_query` ranks the violated
+    blocks by (:meth:`cut_depths`).  It holds, one after the other:
+
+    * for the blocks of at most ``m + 1`` coordinates, their Gram entries
+      ``(A^T A)_{ij}``, ``i <= j`` in one block, those off the diagonal
+      doubled (exactly), in the order of ``_pairs``: offset ``d = j - i``
+      by offset, each from one product of ``A`` with itself shifted by
+      ``d`` columns;
+    * the columns of the wider blocks, an (m, k) array raveled: they hold
+      the same quadratic form in ``m s`` numbers instead of ``s^2``.
+
+    The stored ``A`` is in range (:func:`in_range`), so no product
+    overflows.
 
     Each cone block of ``A`` is a unit of the range rule
     (:func:`in_range`): a block whose largest magnitude lies outside the
@@ -441,12 +452,11 @@ class Socp:
     starts: np.ndarray = field(init=False, repr=False)
     gram: np.ndarray = field(init=False, repr=False)
     exponents: np.ndarray = field(init=False, repr=False)
-    # the block of each coordinate; for each offset d, the coordinates i
-    # whose i + d lies in the same block of at most m + 1 coordinates; the
-    # (i, j, block) of every such pair, in that order; the wider blocks,
-    # their columns, and the offsets of those blocks within their columns
+    # the block of each coordinate; the (i, j, block) of every pair i <= j
+    # in one block of at most m + 1 coordinates, by offset j - i; the
+    # wider blocks, their columns, and the offsets of those blocks within
+    # their columns
     _owner: np.ndarray = field(init=False, repr=False)
-    _diagonals: tuple = field(init=False, repr=False)
     _pairs: np.ndarray = field(init=False, repr=False)
     _wide: np.ndarray = field(init=False, repr=False)
     _wide_cols: np.ndarray = field(init=False, repr=False)
@@ -472,22 +482,28 @@ class Socp:
         # coordinates from i to the end of its block, none in a wide block
         ends = np.where(wide, 0, starts + sizes)
         reach = ends[owner] - np.arange(A.shape[1])
-        diagonals = tuple(np.flatnonzero(reach > d)
-                          for d in range(int(reach.max())))
-        rows = np.concatenate(diagonals + (np.empty(0, np.intp),))
+        # for each offset d, the coordinates i whose i + d lies in the same
+        # block, and their Gram entries, from one product of A with itself
+        # shifted by d columns
+        diagonals = [np.flatnonzero(reach > d)
+                     for d in range(int(reach.max()))]
+        gram = [np.einsum("ki,ki->i", A[:, : A.shape[1] - d], A[:, d:])[i]
+                * (2.0 if d else 1.0) for d, i in enumerate(diagonals)]
+        rows = np.concatenate(diagonals + [np.empty(0, np.intp)])
         cols = rows + np.repeat(np.arange(len(diagonals)),
                                 [i.size for i in diagonals])
+        wide_cols = np.flatnonzero(wide[owner])
         fields = {
             "A": A, "blocks": blocks, "starts": starts, "exponents": exps,
-            "_owner": owner, "_diagonals": diagonals,
+            "gram": np.concatenate(gram + [A[:, wide_cols].ravel()]),
+            "_owner": owner,
             "_pairs": np.stack([rows, cols, owner[rows]]),
             "_wide": np.flatnonzero(wide),
-            "_wide_cols": np.flatnonzero(wide[owner]),
+            "_wide_cols": wide_cols,
             "_wide_offsets": np.cumsum(sizes[wide]) - sizes[wide],
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "gram", self.block_gram(A))
 
     @property
     def m(self) -> int:
@@ -565,42 +581,17 @@ class Socp:
         # sq[starts[b]] instead of 0, which __post_init__ rules out
         return np.sqrt(np.add.reduceat(sq, self.starts))
 
-    def block_gram(self, C: np.ndarray) -> np.ndarray:
-        """The data that gives ``||C_b v_b||`` for every block ``b`` of an
-        (m, n) matrix ``C`` (``M^T A`` for a rescaling map ``M``).
-
-        The result holds, one after the other:
-
-        * for the blocks of at most ``m + 1`` coordinates, their Gram
-          entries ``(C^T C)_{ij}``, ``i <= j`` in one block, those off the
-          diagonal doubled (exactly), in the order of ``_pairs``: offset
-          ``d = j - i`` by offset, each from one product of ``C`` with
-          itself shifted by ``d`` columns;
-        * the columns of the wider blocks, an (m, k) array raveled: they
-          hold the same quadratic form in ``m s`` numbers instead of
-          ``s^2``.
-
-        The stored ``A`` is in range (:func:`in_range`) and ``||M|| <= 1``,
-        so no product overflows.
-        """
-        parts = []
-        for d, rows in enumerate(self._diagonals):
-            gram = np.einsum("ki,ki->i", C[:, : self.n - d], C[:, d:])[rows]
-            parts.append(gram if d == 0 else 2.0 * gram)
-        parts.append(C[:, self._wide_cols].ravel())
-        return np.concatenate(parts)
-
     def cut_depths(self, x: np.ndarray, x0: np.ndarray, tails: np.ndarray,
-                   exps: np.ndarray | None, gram: np.ndarray) -> np.ndarray:
-        """``margin_b / ||C v_b||`` for every block, from one pass over the
-        block Gram data ``gram`` of ``C`` (:meth:`block_gram`).
+                   exps: np.ndarray | None) -> np.ndarray:
+        """``margin_b / ||A v_b||`` for every block, from one pass over the
+        block Gram data ``gram``.
 
         ``x``, ``x0``, ``tails`` and ``exps`` are the scaled :meth:`image`
         of ``y``; ``margin_b = x0_b - ||xt_b||`` is taken back to the scale
         of ``A^T y``, and ``v_b = (1, -xt_b/||xt_b||)``, or ``(1, 0, ...)``
-        for a zero tail.  ``||C v_b||^2 = sum_{i,j} v_i v_j (C^T C)_{ij}``
+        for a zero tail.  ``||A v_b||^2 = sum_{i,j} v_i v_j (A^T A)_{ij}``
         is summed over each block's Gram entries ``i <= j`` by one
-        ``bincount``; a wide block's ``C_b v_b`` is formed from its
+        ``bincount``; a wide block's ``A_b v_b`` is formed from its
         columns.  A block whose norm is zero (its column vanishes, which
         alone certifies the alternative) or not a number gets ``-inf``.
         """
@@ -609,15 +600,15 @@ class Socp:
         v = x * inv[self._owner]
         v[self.starts] = 1.0
         rows, cols, owner = self._pairs
-        entries = gram[: rows.size]
+        entries = self.gram[: rows.size]
         # bincount returns integers when there are no pairs, all blocks wide
         sq = np.bincount(owner, v[rows] * v[cols] * entries,
                          minlength=nb).astype(float, copy=False)
         if self._wide.size:
-            Cw = gram[rows.size :].reshape(self.m, -1)
-            Cv = np.add.reduceat(Cw * v[self._wide_cols], self._wide_offsets,
+            Aw = self.gram[rows.size :].reshape(self.m, -1)
+            Av = np.add.reduceat(Aw * v[self._wide_cols], self._wide_offsets,
                                  axis=1)
-            sq[self._wide] = np.einsum("kb,kb->b", Cv, Cv)
+            sq[self._wide] = np.einsum("kb,kb->b", Av, Av)
         norms = np.sqrt(np.maximum(sq, 0.0))
         margins = x0 - tails
         if exps is not None:
@@ -866,8 +857,7 @@ def sdp_query(instance: Sdp, y: np.ndarray) -> WitnessedColumn | None:
         y, e, band)
 
 
-def socp_query(instance: Socp, y: np.ndarray,
-               scales: np.ndarray | None = None) -> WitnessedColumn | None:
+def socp_query(instance: Socp, y: np.ndarray) -> WitnessedColumn | None:
     """Check every cone block of x = A^T y; witness the deepest violated one.
 
     One :meth:`Socp.image` at the unit direction (:func:`unit_direction`)
@@ -875,11 +865,10 @@ def socp_query(instance: Socp, y: np.ndarray,
     once, scaling a block by a power of two where its squares would
     underflow, which scales its margin and tail norm exactly.
     Among the blocks with ``x0 <= ||xt||`` this picks the argmin of
-    ``margin_b / ||C v_b||`` (:meth:`Socp.cut_depths`, from the same
-    values), taking the lowest index on ties.  ``scales`` is the
-    block Gram data of ``C`` (:meth:`Socp.block_gram`) and defaults to
-    ``instance.gram``, that of ``C = A``.  A depth that is not a number
-    (its margin overflowed) ranks first.
+    ``margin_b / ||A v_b||`` (:meth:`Socp.cut_depths`, from the same
+    values and the instance's own Gram data, in every run of the solver),
+    taking the lowest index on ties.  A depth that is not a number (its
+    margin overflowed) ranks first.
 
     The witness vector carries ``(1, -xt/||xt||)`` on the picked block (or
     ``(1, 0, ...)`` when ``xt = 0``), with ``||xt||`` recomputed by
@@ -889,18 +878,11 @@ def socp_query(instance: Socp, y: np.ndarray,
     the block and builds its n entries when they are first read.
     """
     y, e = unit_direction(y, instance.m)
-    if scales is None:
-        scales = instance.gram
-    else:
-        scales = np.asarray(scales, dtype=float)
-        if scales.shape != instance.gram.shape:
-            raise ValueError(
-                f"scales must have shape {instance.gram.shape}")
     x, x0, tails, exps = instance.image(y)
     violated = x0 <= tails
     if not violated.any():
         return None
-    depths = instance.cut_depths(x, x0, tails, exps, scales)
+    depths = instance.cut_depths(x, x0, tails, exps)
     depths[~violated] = np.inf
     b = int(np.argmin(depths))
     sl = instance.block_slice(b)
@@ -921,8 +903,7 @@ def query(instance: ProblemInstance, y: np.ndarray,
 
     Returns ``None`` when ``y`` is strictly feasible for the instance,
     otherwise a sound :class:`WitnessedColumn`.  ``scales`` are the column
-    scales of :func:`lp_query` for a FiniteLp, or the block Gram data of
-    :func:`socp_query` for a Socp; no other instance accepts them.  The
+    scales of :func:`lp_query`, which only a FiniteLp accepts.  The
     built-in oracles check their answers' soundness at the direction they
     validated, and this function a custom oracle's, so no direction is
     scanned twice.
@@ -931,18 +912,17 @@ def query(instance: ProblemInstance, y: np.ndarray,
     ------
     ValueError
         If ``y`` is zero, non-finite, or mis-shaped, or ``scales`` is
-        mis-shaped or given for an instance that is neither a FiniteLp nor
-        a Socp.
+        mis-shaped or given for an instance other than a FiniteLp.
     OracleContractViolation
         If a custom oracle's answer is not a finite ``WitnessedColumn`` of
         shape ``(m,)``, or any answer fails the separation check.
     """
     if isinstance(instance, FiniteLp):
         return lp_query(instance, y, scales)
-    if isinstance(instance, Socp):
-        return socp_query(instance, y, scales)
     if scales is not None:
-        raise ValueError("scales apply to FiniteLp and Socp instances only")
+        raise ValueError("scales apply to FiniteLp instances only")
+    if isinstance(instance, Socp):
+        return socp_query(instance, y)
     if isinstance(instance, Sdp):
         return sdp_query(instance, y)
     if not isinstance(instance, CustomOracle):
@@ -969,18 +949,18 @@ def query(instance: ProblemInstance, y: np.ndarray,
         (np.ldexp(y, -e), e) if e > 500 else (y, 0)))
 
 
-def rescaled_scales(instance: ProblemInstance, M: np.ndarray,
-                    a: np.ndarray | None = None,
-                    scales: np.ndarray | None = None) -> np.ndarray | None:
+def rescaled_scales(instance: ProblemInstance, M: np.ndarray, a: np.ndarray,
+                    scales: np.ndarray | None) -> np.ndarray | None:
     """The ``scales`` that make :func:`query` pick the deepest cut in the
-    space rescaled by the map ``M``: ``||M^T a_t||`` for every column of a
-    FiniteLp, the block Gram data of ``M^T A`` (:meth:`Socp.block_gram`)
-    for a Socp, and None for every other instance.
+    space rescaled by the map ``M``, ``||M^T a_t||`` for every column of a
+    FiniteLp, and None for every other instance: an Sdp's eigenvector
+    does not depend on them, and a Socp ranks its blocks on ``A``'s own
+    Gram data in every run (:func:`socp_query`).
 
-    Given the unit ``a`` of the map's last factor, ``M = M_0 (I - a
-    a^T / 2)``, a FiniteLp's ``scales`` under ``M_0`` (None for ``M_0 =
-    I``, its ``column_norms``) are updated by one product, O(m n) instead
-    of the O(m^2 n) rebuild: with ``p_t = (M_0 a)^T a_t = 2 (M a)^T a_t``,
+    ``a`` is the unit of the map's last factor, ``M = M_0 (I - a a^T /
+    2)``, and ``scales`` are those under ``M_0`` (None for ``M_0 = I``,
+    the ``column_norms``), updated by one product, O(m n) instead of the
+    O(m^2 n) rebuild: with ``p_t = (M_0 a)^T a_t = 2 (M a)^T a_t``,
 
         ||M^T a_t||^2 = ||M_0^T a_t||^2 - (3/4) p_t^2,
 
@@ -992,19 +972,14 @@ def rescaled_scales(instance: ProblemInstance, M: np.ndarray,
     new square is therefore kept at least a quarter of the old one, which
     keeps each scale within ``[old/2, old]``, positive and finite.  The
     scales only rank violated columns: their rounding can change which
-    cut is picked, never what a run certifies.  A Socp's Gram data is
-    rebuilt either way.
+    cut is picked, never what a run certifies.
     """
-    if isinstance(instance, FiniteLp):
-        if a is None:
-            return np.linalg.norm(M.T @ instance.columns, axis=0)
-        old = instance.column_norms if scales is None else scales
-        p = 2.0 * ((M @ a) @ instance.columns)
-        sq = old * old
-        return np.sqrt(np.maximum(sq - 0.75 * (p * p), 0.25 * sq))
-    if isinstance(instance, Socp):
-        return instance.block_gram(M.T @ instance.A)
-    return None
+    if not isinstance(instance, FiniteLp):
+        return None
+    old = instance.column_norms if scales is None else scales
+    p = 2.0 * ((M @ a) @ instance.columns)
+    sq = old * old
+    return np.sqrt(np.maximum(sq - 0.75 * (p * p), 0.25 * sq))
 
 
 def face_atoms(

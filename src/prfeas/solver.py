@@ -798,21 +798,24 @@ def basic_procedure(
     x_h`` and so end the run.  The floor lies below ``||z|| <= 1`` at
     every ``m``, so cycles run at every size.
 
-    That bound holds for any violated column, but a step gains most from
-    the most violated one, so the built-in oracles return their deepest cut
-    in the rescaled space where that is cheap:
+    That bound holds for any violated column, so the space a cut is
+    ranked in is only a speed choice.  The built-in oracles return a deep
+    cut where that is cheap:
 
     * FiniteLp: the column minimizing ``z^T a_hat_t`` with
-      ``a_hat_t = M^T a_t / ||M^T a_t||``;
+      ``a_hat_t = M^T a_t / ||M^T a_t||``, the deepest cut in the
+      rescaled space, at the ``scales`` given;
     * Sdp: the eigenvector of ``lambda_min(sum_i y_i A_i)``;
-    * Socp: the violated cone block minimizing ``z^T c_b / ||c_b||`` for
-      its rescaled column ``c_b = M^T A v_b``;
+    * Socp: the violated cone block minimizing ``margin_b / ||A v_b||``
+      at ``y = M z``, ranked on the instance's own Gram data in every
+      run (rebuilding that of ``M^T A`` after each contraction cost more
+      time than its picks saved);
     * CustomOracle: whatever violated column the callback returns.
 
-    Once ``state.s > 0`` the FiniteLp and Socp scales are those of the
-    rescaled space (:func:`prfeas.oracle.rescaled_scales`), passed to
-    every query: ``scales`` when given, as :func:`main_algorithm` gives
-    them, updated after each contraction, else built once per call.
+    ``scales`` are the FiniteLp's rescaled column norms
+    (:func:`prfeas.oracle.rescaled_scales`), passed to every query, which
+    :func:`main_algorithm` updates after each contraction; without them
+    a FiniteLp ranks at its own column norms.
 
     At either small-aggregate exit the run returns ``dual`` if the exact
     weights on the support (:func:`_reweight_to_dual`) pass the
@@ -865,9 +868,6 @@ def basic_procedure(
     bound = math.ceil((m + 1) ** 2 / mu**2) + 1
     small_threshold = mu / (m + 1)
     cycle_floor = MINOR_CYCLE_GUARD * small_threshold
-    # at s = 0 the scales are the instance's own, the default
-    if scales is None and state.s > 0:
-        scales = rescaled_scales(instance, state.M)
     cc = ConvexCombination(m) if support is None else support.remapped(state)
     point = cc.z if cc.entries else np.ones(m)
     z_norm = math.sqrt(cc.z.dot(cc.z))
@@ -992,7 +992,7 @@ def main_algorithm(
     query, a dual certificate by ``verify_p_certificate``, and its ``y``
     or weights and that report become the outcome's.  After each
     contraction the next run starts from the support the last one ended
-    on, with the query scales of the new map, which
+    on, with a FiniteLp's query scales under the new map, which
     :func:`prfeas.oracle.rescaled_scales` updates from the last run's.
     ``max_rescalings`` (at least 0) caps the contraction budget; the
     declared epsilon is then the one the contractions completed certify.

@@ -228,7 +228,7 @@ class TestSocpScalingInvariance:
     original one."""
 
     @pytest.mark.parametrize("seed,target,calls", [
-        (1, "feasible_d", 11), (1, "feasible_p", 9),
+        (1, "feasible_d", 11), (1, "feasible_p", 10),
         (2, "feasible_d", 14), (2, "feasible_p", 6)])
     @pytest.mark.parametrize("k", [531, 664, 996])
     def test_power_of_two_scaling_near_float_max(self, seed, target, calls,

@@ -34,7 +34,6 @@ from prfeas.oracle import (
     face_atoms,
     lp_query,
     query,
-    rescaled_scales,
     sdp_query,
     socp_query,
     unit_direction,
@@ -354,10 +353,12 @@ class TestSdpQuery:
         assert rejected > 0
 
     def test_scales_rejected(self):
-        inst = Sdp(np.array([np.eye(2)]))
-        with pytest.raises(ValueError, match="scales apply to FiniteLp and "
-                                             "Socp instances only"):
-            query(inst, np.array([-1.0]), np.ones(1))
+        # a Socp ranks on its own Gram data, so it takes no scales either
+        for inst in (Sdp(np.array([np.eye(2)])),
+                     Socp(np.array([[-1.0, 0.0]]), (2,))):
+            with pytest.raises(ValueError, match="scales apply to FiniteLp "
+                                                 "instances only"):
+                query(inst, np.array([-1.0]), np.ones(1))
 
     def test_symmetry_validation(self):
         with pytest.raises(ValueError):
@@ -540,17 +541,15 @@ def loop_slices(instance):
     return out
 
 
-def loop_socp_depths(instance, y, C=None):
+def loop_socp_depths(instance, y):
     """(depth, witnessed column) of every violated block, in block order.
 
-    The depth is ``margin_b / ||C_b v_b||``, with the norm taken from the
-    block's own columns of ``C`` (``A`` by default), and ``-inf`` when that
-    column vanishes.  The witnessed column is ``A_b v_b``, from the same
-    block's columns of ``A``.  The tail norm is taken by ``vector_norm``,
-    as the oracle's witness takes it, which neither overflows nor
-    underflows.
+    The depth is ``margin_b / ||A_b v_b||``, with the norm taken from the
+    block's own columns of ``A``, and ``-inf`` when that column vanishes.
+    The witnessed column is ``A_b v_b``.  The tail norm is taken by
+    ``vector_norm``, as the oracle's witness takes it, which neither
+    overflows nor underflows.
     """
-    C = instance.A if C is None else C
     x = instance.A.T @ y
     out = []
     for sl in loop_slices(instance):
@@ -564,7 +563,7 @@ def loop_socp_depths(instance, y, C=None):
         v[sl.start] = 1.0
         if tail_norm > 0.0:
             v[sl.start + 1 : sl.stop] = -tail / tail_norm
-        norm = float(np.linalg.norm(C[:, sl] @ v[sl]))
+        norm = float(np.linalg.norm(instance.A[:, sl] @ v[sl]))
         depth = (x0 - tail_norm) / norm if norm > 0.0 else -np.inf
         out.append((depth, WitnessedColumn(
             SocpVector(tuple(float(t) for t in v)),
@@ -572,20 +571,19 @@ def loop_socp_depths(instance, y, C=None):
     return out
 
 
-def loop_socp_query(instance, y, C=None):
+def loop_socp_query(instance, y):
     """The deepest violated block, lowest index on ties."""
-    depths = loop_socp_depths(instance, y, C)
+    depths = loop_socp_depths(instance, y)
     if not depths:
         return None
     return min(depths, key=lambda d: d[0])[1]
 
 
-def assert_matches_loop(inst, y, w, C=None, bound=None):
+def assert_matches_loop(inst, y, w):
     """``w`` is the loop's pick, bit for bit, or a block whose loop depth
-    ties the deepest within ``DEPTH_TIE_RTOL`` times ``bound``, a bound
-    on every depth: ``||y||`` by default, ``||M^-1 y||`` for ``C = M^T
-    A``."""
-    depths = loop_socp_depths(inst, y, C)
+    ties the deepest within ``DEPTH_TIE_RTOL`` times ``||y||``, a bound
+    on every depth."""
+    depths = loop_socp_depths(inst, y)
     assert (w is None) == (not depths)
     if w is None:
         return
@@ -593,8 +591,7 @@ def assert_matches_loop(inst, y, w, C=None, bound=None):
     if w.witness != ref.witness:
         mine = [d for d, r in depths if r.witness == w.witness]
         assert len(mine) == 1
-        bound = vector_norm(y) if bound is None else bound
-        assert abs(mine[0] - best) <= DEPTH_TIE_RTOL * bound
+        assert abs(mine[0] - best) <= DEPTH_TIE_RTOL * vector_norm(y)
         return
     assert np.asarray(w.witness.v).tobytes() == \
         np.asarray(ref.witness.v).tobytes()
@@ -664,12 +661,10 @@ class TestSocpKernelMatchesLoop:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
-    def test_query_matches_loop_on_wide_scaled_and_rescaled_blocks(
-            self, data):
+    def test_query_matches_loop_on_wide_and_scaled_blocks(self, data):
         # blocks wider than m + 1 and of size 1, zero tails, each block
         # and y times a power of two, so that the blocks of A^T y lie far
-        # apart in size and y far from its unit direction, and the Gram
-        # data of M^T A after random contractions
+        # apart in size and y far from its unit direction
         draw = data.draw
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         m = draw(st.integers(1, 4))
@@ -685,21 +680,12 @@ class TestSocpKernelMatchesLoop:
         A *= np.repeat(np.ldexp(1.0, powers), blocks)
         inst = Socp(A, blocks)
         assert not inst.exponents.any()
-        M = np.eye(m)
-        for _ in range(draw(st.integers(0, 6))):
-            a = rng.standard_normal(m)
-            a /= np.linalg.norm(a)
-            M = M @ (np.eye(m) - 0.5 * np.outer(a, a))
-        scales = rescaled_scales(inst, M)
         ys = [np.ldexp(rng.standard_normal(m), draw(st.sampled_from(
             [-300, 0, 300]))) for _ in range(3)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for y in ys:
                 assert_matches_loop(inst, y, socp_query(inst, y))
-                assert_matches_loop(inst, y, socp_query(inst, y, scales),
-                                    M.T @ inst.A,
-                                    vector_norm(np.linalg.solve(M, y)))
                 x = inst.A.T @ y
                 assert inst.min_margin(y) == min(
                     x[sl][0] - vector_norm(x[sl][1:])
@@ -899,9 +885,6 @@ class TestSocpDeepestCut:
         w = socp_query(inst, np.ones(2))
         assert w.witness == SocpVector((0.0, 0.0, 1.0, -1.0, 0.0, 0.0))
         assert_matches_loop(inst, np.ones(2), w)
-        assert query(inst, np.ones(2), inst.gram).witness == w.witness
-        with pytest.raises(ValueError, match="scales must have shape"):
-            query(inst, np.ones(2), inst.gram[:-1])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_power_of_two_block_scaling_keeps_the_pick(self, seed):
@@ -910,26 +893,17 @@ class TestSocpDeepestCut:
         k = rng.integers(-3, 4, len(inst.blocks))
         scaled = Socp(inst.A * np.repeat(np.ldexp(1.0, k), inst.blocks),
                       inst.blocks)
-        M = np.eye(inst.m)
-        for _ in range(2):
-            a = rng.standard_normal(inst.m)
-            a /= np.linalg.norm(a)
-            M = M @ (np.eye(inst.m) - 0.5 * np.outer(a, a))
-        rescaled = inst.block_gram(M.T @ inst.A)
-        rescaled_scaled = scaled.block_gram(M.T @ scaled.A)
         for y in [np.eye(inst.m)[0]] + [rng.standard_normal(inst.m)
                                         for _ in range(5)]:
-            for w, ws in [(socp_query(inst, y), socp_query(scaled, y)),
-                          (socp_query(inst, y, rescaled),
-                           socp_query(scaled, y, rescaled_scaled))]:
-                assert (w is None) == (ws is None)
-                if w is None:
-                    continue
-                assert ws.witness == w.witness
-                b = int(np.searchsorted(inst.starts, np.flatnonzero(
-                    np.asarray(w.witness.v))[0], side="right")) - 1
-                assert ws.column.tobytes() == \
-                    np.ldexp(w.column, k[b]).tobytes()
+            w, ws = socp_query(inst, y), socp_query(scaled, y)
+            assert (w is None) == (ws is None)
+            if w is None:
+                continue
+            assert ws.witness == w.witness
+            b = int(np.searchsorted(inst.starts, np.flatnonzero(
+                np.asarray(w.witness.v))[0], side="right")) - 1
+            assert ws.column.tobytes() == \
+                np.ldexp(w.column, k[b]).tobytes()
 
     def test_vanishing_block_ranks_first(self):
         # block 0 is violated with a nonzero column; block 1 holds the
@@ -940,7 +914,7 @@ class TestSocpDeepestCut:
         y = np.ones(2)
         assert len(loop_socp_depths(inst, y)) == 2
         with np.errstate(divide="raise", invalid="raise"):
-            depths = inst.cut_depths(*inst.image(y), inst.gram)
+            depths = inst.cut_depths(*inst.image(y))
             w = socp_query(inst, y)
         assert not np.isnan(depths).any()
         assert w.witness == SocpVector((0.0, 0.0, 1.0, -1.0))

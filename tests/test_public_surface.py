@@ -59,9 +59,20 @@ def test_linalg_module_folded_away():
 
 def test_solver_leaves_dual_checks_and_scales_to_their_modules():
     # certify.verify_p_certificate is the only residual test, and
-    # oracle.rescaled_scales the only builder of rescaled query scales
+    # oracle.rescaled_scales the only builder of rescaled query scales,
+    # called from main_algorithm's chain alone
     assert not hasattr(prfeas.solver, "_dual_residual")
     assert not hasattr(prfeas.solver.RescalingState, "column_norms")
+    assert "rescaled_scales" not in \
+        prfeas.solver.basic_procedure.__code__.co_names
+
+
+def test_socp_query_takes_no_scales():
+    # a Socp ranks its blocks on the Gram data of its own A in every run;
+    # only a FiniteLp's query scales follow the rescaling map
+    params = inspect.signature(prfeas.oracle.socp_query).parameters
+    assert "scales" not in params
+    assert not hasattr(prfeas.oracle.Socp, "block_gram")
 
 
 def test_main_algorithm_is_only_the_outer_loop():

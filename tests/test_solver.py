@@ -650,10 +650,12 @@ class TestDeepestCut:
         inst = FiniteLp(rng.standard_normal((m, n)))
         state = RescalingState(m)
         M = np.eye(m)
+        scales = None
         for _ in range(3):
             a = rng.standard_normal(m)
             a /= np.linalg.norm(a)
             state.rescale(a)
+            scales = rescaled_scales(inst, state.M, a, scales)
             M = M @ (np.eye(m) - 0.5 * np.outer(a, a))
         a_hat = M.T @ inst.columns
         a_hat /= np.linalg.norm(a_hat, axis=0)
@@ -671,13 +673,15 @@ class TestDeepestCut:
 
         monkeypatch.setattr(state, "apply", recording_apply)
         monkeypatch.setattr(prfeas.solver, "query", recording_query)
-        basic_procedure(inst, state)
+        basic_procedure(inst, state, scales=scales)
         assert len(picks) == len(points) > 3
         for z, w in zip(points, picks):
             if w is not None:
                 assert w.witness == LpIndex(int(np.argmin(z @ a_hat)))
 
-    def test_socp_pick_is_deepest_rescaled_cut(self, monkeypatch):
+    def test_socp_pick_is_deepest_cut_at_the_mapped_point(self, monkeypatch):
+        # a Socp ranks its blocks in the original space at y = M z, on
+        # the instance's own Gram data, in a run after contractions too
         rng = np.random.default_rng(31)
         # m = 10, as in the LP test above
         inst = generate_planted("socp", 10, 80, 3, "feasible_p")[0]
@@ -703,7 +707,8 @@ class TestDeepestCut:
         basic_procedure(inst, state)
         assert len(picks) == len(points) > 3
         for z, w in zip(points, picks):
-            x = inst.A.T @ (M @ z)
+            y = M @ z
+            x = inst.A.T @ y
             depths = {}
             for b, sl in enumerate(inst.block_slices()):
                 tail = x[sl][1:]
@@ -714,8 +719,8 @@ class TestDeepestCut:
                 v[sl.start] = 1.0
                 if norm > 0.0:
                     v[sl.start + 1 : sl.stop] = -tail / norm
-                c = M.T @ (inst.A @ v)
-                depths[b] = z @ c / np.linalg.norm(c)
+                c = inst.A @ v
+                depths[b] = y @ c / np.linalg.norm(c)
             if w is None:
                 assert not depths
                 continue
@@ -727,11 +732,14 @@ class TestDeepestCut:
         rng = np.random.default_rng(29)
         inst = FiniteLp(rng.standard_normal((4, 9)))
         state = RescalingState(4)
+        scales = None
         for _ in range(3):
             a = rng.standard_normal(4)
-            state.rescale(a / np.linalg.norm(a))
+            a /= np.linalg.norm(a)
+            state.rescale(a)
+            scales = rescaled_scales(inst, state.M, a, scales)
         expected = [state.normalize(c)[1] for c in inst.columns.T]
-        assert_allclose(rescaled_scales(inst, state.M), expected, rtol=1e-14)
+        assert_allclose(scales, expected, rtol=1e-14)
 
     def test_contraction_updates_the_lp_scales(self):
         # ||M'^T c||^2 = ||M^T c||^2 - 3/4 ((M a)^T c)^2 for M' = M (I -
@@ -775,25 +783,26 @@ class TestDeepestCut:
 
     def test_column_norms_survive_overflowing_squares(self):
         state = RescalingState(2)
-        state.rescale(np.array([0.6, 0.8]))
+        a = np.array([0.6, 0.8])
+        state.rescale(a)
         # squares of 1e200 overflow; FiniteLp stores that column scaled
         # into range, so its rescaled norm needs no fallback
         inst = FiniteLp(np.array([[1e200, 1.0], [1e200, 0.0]]))
         expected = [state.normalize(c)[1] for c in inst.columns.T]
-        norms = rescaled_scales(inst, state.M)
+        norms = rescaled_scales(inst, state.M, a, None)
         assert np.all(np.isfinite(norms))
         assert_allclose(norms, expected, rtol=1e-14)
 
     def test_rescaled_scales_of_each_instance_kind(self):
+        # only a FiniteLp's scales follow the map
         state = RescalingState(3)
-        state.rescale(np.array([0.6, 0.8, 0.0]))
-        inst = generate_planted("socp", 3, 12, 5)[0]
-        assert rescaled_scales(inst, state.M).tobytes() == \
-            inst.block_gram(state.M.T @ inst.A).tobytes()
-        sdp = Sdp(np.array([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)]))
-        assert rescaled_scales(sdp, state.M) is None
-        custom = CustomOracle(3, lambda y: None)
-        assert rescaled_scales(custom, state.M) is None
+        a = np.array([0.6, 0.8, 0.0])
+        state.rescale(a)
+        for inst in (generate_planted("socp", 3, 12, 5)[0],
+                     Sdp(np.array([np.eye(2), np.diag([1.0, -1.0]),
+                                   np.eye(2)])),
+                     CustomOracle(3, lambda y: None)):
+            assert rescaled_scales(inst, state.M, a, None) is None
 
     def test_dual_verification_is_the_inner_runs_report(self, monkeypatch):
         results = []
