@@ -30,6 +30,7 @@ from .oracle import (
     WitnessedColumn,
     query,
     range_exponents,
+    strict_int,
     unit_direction,
     vector_norm,
 )
@@ -167,10 +168,14 @@ def resolve_witness_column(
     if isinstance(witness, LpIndex):
         if not isinstance(instance, FiniteLp):
             raise ValueError("lp_index witness on a non-LP instance")
-        if not 0 <= witness.i < instance.n:
-            raise ValueError(f"column index {witness.i} out of range")
-        return (witness, instance.columns[:, witness.i].copy(),
-                int(instance.exponents[witness.i]))
+        try:
+            i = strict_int(witness.i, "column index")
+        except TypeError as exc:
+            raise ValueError(str(exc)) from None
+        if not 0 <= i < instance.n:
+            raise ValueError(f"column index {i} out of range")
+        return (witness, instance.columns[:, i].copy(),
+                int(instance.exponents[i]))
     if isinstance(witness, SdpVector):
         if not isinstance(instance, Sdp):
             raise ValueError("sdp_vector witness on a non-SDP instance")

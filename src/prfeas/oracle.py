@@ -189,6 +189,14 @@ def strict_int(value: object, what: str) -> int:
     raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
+def real_array(value: object, what: str) -> np.ndarray:
+    """``value`` as a float array.  Complex data raise ValueError: the
+    conversion would take them to their real parts with only a warning."""
+    if np.iscomplexobj(value):
+        raise ValueError(f"{what} must be real")
+    return np.asarray(value, dtype=float)
+
+
 @dataclass(frozen=True)
 class LpIndex:
     """Witness for FiniteLp: 0-based column index."""
@@ -323,7 +331,7 @@ class FiniteLp:
     _unit32: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
-        cols = np.ascontiguousarray(self.columns, dtype=float)
+        cols = np.ascontiguousarray(real_array(self.columns, "columns"))
         if cols.ndim != 2 or cols.shape[1] == 0:
             raise ValueError("columns must be a nonempty (m, n) array")
         peaks = np.max(np.abs(cols), axis=0, initial=0.0)
@@ -371,7 +379,7 @@ class Sdp:
     exponent: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        mats = np.asarray(self.matrices, dtype=float)
+        mats = real_array(self.matrices, "matrices")
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or 0 in mats.shape:
             raise ValueError("matrices must be a nonempty (m, n, n) stack")
         peak = np.max(np.abs(mats))
@@ -463,7 +471,7 @@ class Socp:
     _wide_offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        A = np.ascontiguousarray(self.A, dtype=float)
+        A = np.ascontiguousarray(real_array(self.A, "A"))
         blocks = tuple(strict_int(b, "block size") for b in self.blocks)
         if A.ndim != 2 or A.shape[0] == 0:
             raise ValueError("A must be a nonempty (m, n) array")
@@ -623,13 +631,15 @@ class CustomOracle:
 
     ``fn(y)`` must return a :class:`WitnessedColumn` violating ``y`` or
     ``None`` when ``y`` is strictly feasible.  Answers are re-checked on
-    every query; an unsound answer raises OracleContractViolation.
+    every query; an unsound answer raises OracleContractViolation.  ``m``
+    must be an integer (:func:`strict_int`), at least 1.
     """
 
     m: int
     fn: Callable[[np.ndarray], WitnessedColumn | None] = field(repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m", strict_int(self.m, "m"))
         if self.m < 1:
             raise ValueError("m must be at least 1")
 

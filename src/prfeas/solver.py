@@ -22,7 +22,11 @@ vector g of [A; 1^T] over the m+2 columns, x <- x - theta g, which keeps z
 and empties the weight that blocks the step.  With the inverse G of the
 basis [A; 1^T] over m+1 columns at hand, g costs one product with G and G
 follows the exchange by one rank-one update; when those columns are
-affinely dependent, g comes from an SVD.
+affinely dependent, g comes from an SVD.  The support is kept as aligned
+arrays: the columns [a_t; 1] in one Fortran-ordered buffer, with the
+weights x and the norms ||M^T c_t|| in two more, so the null step, the
+update of G, the minor cycle and the certificate test read slices of
+them, and an insertion writes into them.
 
 Once the support is a full basis with G at hand, Wolfe's minor cycle
 shrinks z further without an oracle call: G e_{m+1} gives the affine
@@ -91,6 +95,7 @@ from .oracle import (
     query,
     range_exponents,
     rescaled_scales,
+    strict_int,
     vector_norm,
 )
 
@@ -305,34 +310,15 @@ def inverse_with_factorization(B: np.ndarray) -> np.ndarray | None:
     return G if size * LU_PIVOT_TOL < 1.0 else None
 
 
-class ActiveTerm:
-    """One support term.  ``basis_col`` is ``[a_scaled; 1]``, built once
-    when the term is inserted; ``a_scaled`` is a view of its first m
-    entries, and ``key`` the bytes of the witnessed column, which key the
-    support."""
-
-    __slots__ = ("witnessed", "basis_col", "scale_norm", "a_scaled", "key")
-
-    def __init__(self, witnessed: WitnessedColumn, basis_col: np.ndarray,
-                 scale_norm: float, key: bytes):
-        self.witnessed = witnessed
-        self.basis_col = basis_col
-        self.scale_norm = scale_norm
-        self.a_scaled = basis_col[:-1]
-        self.key = key
-
-
 class ConvexCombination:
     """Convex combination of unit columns with at most m+1 terms.
 
-    Maintains terms ``a_t`` (the list ``entries``) with weights ``x_t >= 0``
-    and ``sum x_t = 1`` (the float64 array ``weights``, aligned with
-    ``entries``) alongside the aggregate ``z = sum x_t a_t``.  An insertion
-    that makes ``m + 2`` terms is undone by one Caratheodory step
-    (:meth:`_reduce`): along a null vector ``g`` of ``[A; 1^T]`` over all
-    of them the weights move to ``x - theta g``, which keeps ``z`` and the
-    weight sum, and the ratio test that picks ``theta`` empties one term,
-    which leaves.
+    Maintains terms ``a_t`` with weights ``x_t >= 0`` and ``sum x_t = 1``
+    alongside the aggregate ``z = sum x_t a_t``.  An insertion that makes
+    ``m + 2`` terms is undone by one Caratheodory step (:meth:`_reduce`):
+    along a null vector ``g`` of ``[A; 1^T]`` over all of them the weights
+    move to ``x - theta g``, which keeps ``z`` and the weight sum, and the
+    ratio test that picks ``theta`` empties one term, which leaves.
 
     ``G``, the inverse of ``[A; 1^T]`` over the first ``m + 1`` terms,
     gives that null vector at O(m^2) cost, and the incoming term takes the
@@ -341,14 +327,20 @@ class ConvexCombination:
     terms are affinely dependent, so that no ``G`` exists, the null vector
     comes from an SVD instead.
 
+    The support is kept as aligned arrays, position for position, each
+    with room for a full support and the incoming term: ``basis``, the
+    columns ``[a_t; 1]`` of a Fortran-ordered ``(m + 1, m + 2)`` buffer;
+    ``weights``, the ``x_t``; ``scale_norms``, the ``||M^T c_t||`` of the
+    map each term was built under; and the lists ``entries``, the
+    witnessed columns ``c_t``, and ``keys``, the bytes of those columns.
+    Every read of the support is a slice of these buffers and every update
+    a single array operation.
+
     Terms are keyed by the bytes of their original column, since equal
     columns are one point of the hull: weight added on a column already in
     the support, under any witness, goes to that term, whose first witness
     names the column in a certificate.  Witnesses are never hashed, so a
-    custom label may be any value.  Each term keeps its basis column
-    ``[a_t; 1]``; ``weights`` is a view into a buffer of ``m + 2`` entries,
-    room for a full support and the incoming term, so each weight update
-    is a single array operation.
+    custom label may be any value.
 
     :meth:`minor_cycle` may empty one basis slot, leaving its term in
     place with weight 0 so that ``G`` stays the basis inverse; the next
@@ -357,12 +349,14 @@ class ConvexCombination:
 
     def __init__(self, m: int):
         self.m = m
-        self.entries: list[ActiveTerm] = []
+        self.entries: list[WitnessedColumn] = []
+        self.keys: list[bytes] = []
+        self._basis = np.ones((m + 1, m + 2), order="F")
         self._w = np.zeros(m + 2)
+        self._norms = np.empty(m + 2)
         self._ratios = np.empty(m + 2)  # the ratio tests' scratch
         self.z = np.zeros(m)
         self.G: np.ndarray | None = None
-        self._by_column: dict[bytes, ActiveTerm] = {}
         self._reductions = 0
         self._vacant: int | None = None
         # the last certificate test's least-squares stage, keyed by its
@@ -372,24 +366,32 @@ class ConvexCombination:
     # -- bookkeeping ------------------------------------------------------
 
     @property
+    def basis(self) -> np.ndarray:
+        """The columns ``[a_t; 1]`` of ``entries``, position for position."""
+        return self._basis[:, : len(self.entries)]
+
+    @property
     def weights(self) -> np.ndarray:
         """The weights ``x_t`` of ``entries``, position for position."""
         return self._w[: len(self.entries)]
+
+    @property
+    def scale_norms(self) -> np.ndarray:
+        """The ``||M^T c_t||`` of ``entries``, position for position."""
+        return self._norms[: len(self.entries)]
 
     def weight_sum(self) -> float:
         # summed in term order, not pairwise, so the bits are stable
         return float(sum(self.weights.tolist()))
 
     def combination(self) -> np.ndarray:
-        out = np.zeros(self.m)
-        for e, x in zip(self.entries, self.weights.tolist()):
-            out += x * e.a_scaled
-        return out
+        # over Fortran-ordered columns the reduction adds the terms in
+        # order, from 0, as ``out += x_t a_t`` would
+        return np.add.reduce(self.basis[:-1] * self.weights, 1, initial=0.0)
 
     def basis_matrix(self) -> np.ndarray:
         """[A; 1^T] over the first m+1 terms (valid when G is present)."""
-        return np.column_stack(
-            [e.basis_col for e in self.entries[: self.m + 1]])
+        return self._basis[:, : self.m + 1]
 
     def g_residual(self) -> float | None:
         if self.G is None:
@@ -410,9 +412,8 @@ class ConvexCombination:
         which keeps its witness.
         """
         key = witnessed.column.tobytes()
-        existing = self._by_column.get(key)
-        if existing is not None:
-            self._w[self.entries.index(existing)] += add_weight
+        if key in self.keys:
+            self._w[self.keys.index(key)] += add_weight
             return
         self._append(witnessed, a_scaled, scale_norm, add_weight, key)
         if len(self.entries) > self.m + 1:
@@ -421,19 +422,12 @@ class ConvexCombination:
     def _append(self, witnessed: WitnessedColumn, a_scaled: np.ndarray,
                 scale_norm: float, weight: float, key: bytes) -> None:
         """Append a term under a ``key`` no term holds, without reducing."""
-        basis_col = np.empty(self.m + 1)
-        basis_col[:-1] = a_scaled
-        basis_col[-1] = 1.0
-        self._w[len(self.entries)] = weight
-        term = ActiveTerm(witnessed, basis_col, scale_norm, key)
-        self.entries.append(term)
-        self._by_column[key] = term
-
-    def _pop(self, pos: int) -> ActiveTerm:
-        """Remove the term at ``pos`` from ``entries`` and ``weights``."""
         n = len(self.entries)
-        self._w[pos : n - 1] = self._w[pos + 1 : n]
-        return self.entries.pop(pos)
+        self._basis[:-1, n] = a_scaled
+        self._w[n] = weight
+        self._norms[n] = scale_norm
+        self.entries.append(witnessed)
+        self.keys.append(key)
 
     def _reduce(self) -> None:
         """Remove one of the ``m + 2`` terms along a null vector; keep ``z``.
@@ -453,7 +447,7 @@ class ConvexCombination:
         error in ``G`` about that much, so the residual is checked at once,
         as it is every ``G_RECHECK_INTERVAL`` reductions; ``G`` is rebuilt
         when the update is singular or the residual is too large.  Without
-        ``G``, term ``t`` is removed from the list.
+        ``G``, term ``t`` is removed and the terms after it move up.
 
         No weight is dropped for being negligible:
 
@@ -473,13 +467,12 @@ class ConvexCombination:
         if self.G is None:
             self.G = inverse_with_factorization(self.basis_matrix())
         if self.G is None:
-            B = np.column_stack([e.basis_col for e in self.entries])
-            g = np.linalg.svd(B)[2][-1]
+            g = np.linalg.svd(self.basis)[2][-1]
             if g[-1] < 0.0:
                 g = -g
         else:
             g = np.empty(k + 1)  # (G (a_in; 1), -1), then negated in place
-            np.dot(self.G, self.entries[k].basis_col, out=g[:k])
+            np.dot(self.G, self._basis[:, k], out=g[:k])
             g[k] = -1.0
             np.negative(g, out=g)
         w = self.weights
@@ -494,15 +487,17 @@ class ConvexCombination:
             theta = float(ratios[t])
         if theta > 0.0:
             w -= theta * g
-        leaving = self.entries[t]
-        del self._by_column[leaving.key]
         if self.G is None or t == k:
-            self._pop(t)
+            for buf in (self._basis.T, self._w, self._norms):
+                buf[t:k] = buf[t + 1 : k + 1]  # the later terms move up
+            del self.entries[t], self.keys[t]
         else:
-            w[t] = w[k]
-            self.entries[t] = self._pop(k)
-            self.G = smw_inverse_update(
-                self.G, self.entries[t].basis_col - leaving.basis_col, t)
+            u = self._basis[:, k] - self._basis[:, t]
+            for buf in (self._basis.T, self._w, self._norms):
+                buf[t] = buf[k]  # the incoming term takes slot t
+            self.entries[t] = self.entries.pop()
+            self.keys[t] = self.keys.pop()
+            self.G = smw_inverse_update(self.G, u, t)
             if self.G is None \
                     or abs(g[t]) * REFILL_PIVOT_RATIO < abs(g).max():
                 self._check_residual()
@@ -563,11 +558,11 @@ class ConvexCombination:
         goes along (:func:`_reweight_to_dual`).
         """
         out = ConvexCombination(self.m)
-        for e, x in zip(self.entries, self.weights.tolist()):
+        terms = zip(self.entries, self.keys, self.scale_norms.tolist())
+        for (e, key, old), x in zip(terms, self.weights.tolist()):
             if x > 0.0:
-                a_scaled, nrm = state.normalize(e.witnessed.column)
-                out._append(e.witnessed, a_scaled, nrm,
-                            x / e.scale_norm * nrm, e.key)
+                a_scaled, nrm = state.normalize(e.column)
+                out._append(e, a_scaled, nrm, x / old * nrm, key)
         out._lsq = self._lsq
         out._w[: len(out.entries)] /= out.weight_sum()
         out.z = out.combination()
@@ -712,10 +707,10 @@ def _reweight_to_dual(
     on the same columns in the same order reuses it, as LAPACK would give
     the same bits again, and only the tests after it see the new map.
     """
-    key = tuple(e.key for e in cc.entries)
+    key = tuple(cc.keys)
     if cc._lsq is None or cc._lsq[0] != key:
         k = len(key)
-        cols = np.column_stack([e.witnessed.column for e in cc.entries])
+        cols = np.column_stack([e.column for e in cc.entries])
         norms = np.linalg.norm(cols, axis=0)
         A = np.vstack([cols / norms, np.ones(k)])
         rhs = np.zeros(cc.m + 1)
@@ -734,20 +729,19 @@ def _reweight_to_dual(
     if not keep.any():
         return None, None
     terms = [e for e, kept in zip(cc.entries, keep.tolist()) if kept]
-    scale_norms = np.array([e.scale_norm for e in terms])
+    scale_norms = cc.scale_norms[keep]
     w = x[keep] * scale_norms / norms[keep]
     w /= w.sum()
-    z = np.column_stack([e.a_scaled for e in terms]) @ w
+    z = np.ascontiguousarray(cc.basis[:-1, keep]) @ w
     if float(np.linalg.norm(z)) > ZERO_AGGREGATE_TOL:
         return None, None
     # the weights on the data as given, in exponent arithmetic, times one
     # power of two when the largest leaves the range: a certificate times
     # any positive factor is one
     mants, exps = np.frexp(w / scale_norms)
-    exps -= [e.witnessed.exponent for e in terms]
+    exps -= [e.exponent for e in terms]
     x = np.ldexp(mants, exps - range_exponents(exps.max())).tolist()
-    weights = [(e.witnessed if isinstance(e.witnessed.witness, CustomWitness)
-                else e.witnessed.witness, wt)
+    weights = [(e if isinstance(e.witness, CustomWitness) else e.witness, wt)
                for e, wt in zip(terms, x)]
     return _accepted_dual(instance, weights)
 
@@ -919,9 +913,8 @@ def basic_procedure(
             pairs, report = _reweight_to_dual(instance, cc)
             if report is None and isinstance(instance, Sdp):
                 # the weights mapped back to the original columns
-                atoms = face_atoms(
-                    instance, [e.witnessed for e in cc.entries],
-                    cc.weights / [e.scale_norm for e in cc.entries])
+                atoms = face_atoms(instance, cc.entries,
+                                   cc.weights / cc.scale_norms)
                 if atoms is not None:
                     pairs, report = _accepted_dual(instance, atoms)
             status = "small_aggregate" if report is None else "dual"
@@ -994,24 +987,29 @@ def main_algorithm(
     contraction the next run starts from the support the last one ended
     on, with a FiniteLp's query scales under the new map, which
     :func:`prfeas.oracle.rescaled_scales` updates from the last run's.
-    ``max_rescalings`` (at least 0) caps the contraction budget; the
-    declared epsilon is then the one the contractions completed certify.
+    ``max_rescalings`` (an integer, at least 0) caps the contraction
+    budget; the declared epsilon is then the one the contractions
+    completed certify.
     A ``stalled`` inner run ends the solve the same way.
 
     Raises
     ------
     ConfigError
         If ``epsilon`` is outside (0, 1) or ``max_rescalings`` is negative.
+    TypeError
+        If ``max_rescalings`` is neither None nor an integer (an integral
+        float counts as one; a bool does not).
     OracleContractViolation
         If an oracle answer breaks its contract (:func:`prfeas.oracle.query`)
         or fails its re-check (:func:`basic_procedure`).
     InvariantViolated
         If a bound that the analysis proves fails in an inner run.
     """
-    budget = rescale_budget(epsilon)
-    if max_rescalings is not None and max_rescalings < 0:
+    budget = loops = rescale_budget(epsilon)
+    if max_rescalings is not None:
+        loops = min(budget, strict_int(max_rescalings, "max_rescalings"))
+    if loops < 0:
         raise ConfigError("max_rescalings must be at least 0")
-    loops = budget if max_rescalings is None else min(budget, max_rescalings)
     state = RescalingState(instance.m)
     counters = SolveCounters()
     support = scales = None
@@ -1029,8 +1027,7 @@ def main_algorithm(
         # small aggregate: contract along the heaviest term's direction
         cc = result.combination
         # argmax takes the first maximum: the lowest index on ties
-        heaviest = int(np.argmax(cc.weights))
-        a = cc.entries[heaviest].a_scaled
+        a = cc.basis[:-1, np.argmax(cc.weights)]
         state.rescale(a)
         scales = rescaled_scales(instance, state.M, a, scales)
         counters.rescalings += 1

@@ -55,7 +55,7 @@ def observe(support, null_step=False) -> Elimination:
             np.linalg.norm(support.combination() - support.z)),
         g_residual=support.g_residual(),
         null_step=null_step,
-        state=(tuple(e.witnessed for e in support.entries),
+        state=(tuple(support.entries),
                weights.tobytes(), support.z.tobytes(),
                None if support.G is None else support.G.tobytes()),
         support=support,

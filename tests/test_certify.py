@@ -289,6 +289,20 @@ class TestResolveWitnessColumn:
         with pytest.raises(ValueError, match="column index 2 out of range"):
             resolve_witness_column(axes_lp(), LpIndex(2))
 
+    @pytest.mark.parametrize("bad", [0.5, True, "1", None])
+    def test_lp_index_that_is_not_an_integer(self, bad):
+        # a fraction would reach numpy as an index, True as a boolean mask
+        with pytest.raises(ValueError, match="column index must be an "
+                           "integer"):
+            resolve_witness_column(axes_lp(), LpIndex(bad))
+        with pytest.raises(ValueError, match="column index must be an "
+                           "integer"):
+            verify_p_certificate(antipodal_lp(), [(LpIndex(bad), 1.0)])
+
+    def test_integral_float_lp_index_names_its_column(self):
+        _, column, _ = resolve_witness_column(axes_lp(), LpIndex(1.0))
+        assert column.tolist() == [0.0, 1.0]
+
     def test_cross_kind_witness_rejected(self):
         with pytest.raises(ValueError,
                            match="lp_index witness on a non-LP instance"):

@@ -1075,6 +1075,37 @@ KINDS = [FiniteLp(np.eye(2)), Sdp(np.array([np.eye(2), np.diag([1.0, -1.0])])),
          CustomOracle(2, lambda y: WitnessedColumn(CustomWitness("c"), -y))]
 
 
+class TestInputsCheckedWhereTheyEnter:
+    @pytest.mark.parametrize("build", [
+        FiniteLp,
+        lambda a: FiniteLp(a.tolist()),
+        lambda a: Sdp(np.stack([a + a.T] * 2)),
+        lambda a: Socp(a, (1, 1)),
+    ], ids=["lp", "lp list", "sdp", "socp"])
+    def test_complex_data_raise(self, build):
+        # a conversion to float would keep the real parts alone, with only
+        # a ComplexWarning, and solve another problem
+        a = np.array([[1.0, -1.0], [0.5j, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be real"):
+                build(a)
+            build(a.real)  # the same data, real, is an instance
+
+    def test_custom_oracle_dimension_is_an_integer(self):
+        # an integral float is taken as its integer, not left to fail
+        # inside the solver; anything else is refused on construction
+        def fn(y):
+            return None
+
+        inst = CustomOracle(2.0, fn)
+        assert type(inst.m) is int
+        assert main_algorithm(inst).y.tolist() == [1.0, 1.0]
+        for bad in (2.5, True, "2", None):
+            with pytest.raises(TypeError, match="m must be an integer"):
+                CustomOracle(bad, fn)
+
+
 class TestQueryDispatch:
     def test_invalid_queries(self):
         for inst in KINDS:

@@ -1,6 +1,8 @@
 import importlib.util
 import inspect
 
+import numpy as np
+
 import prfeas
 import prfeas.certify
 import prfeas.cli
@@ -86,3 +88,22 @@ def test_main_algorithm_is_only_the_outer_loop():
     fields = prfeas.solver.BasicProcedureResult.__dataclass_fields__
     assert "y" in fields
     assert "y_scaled" not in fields
+
+
+def test_support_is_aligned_arrays():
+    # the support keeps no per-term object and no column dict: each of
+    # its quantities is a view of one buffer, which an insertion writes
+    # into rather than reallocating
+    assert not hasattr(prfeas.solver, "ActiveTerm")
+    cc = prfeas.solver.ConvexCombination(3)
+    assert not hasattr(cc, "_by_column")
+    views = []
+    for t, column in enumerate(np.eye(3)):
+        wc = prfeas.oracle.WitnessedColumn(prfeas.oracle.LpIndex(t), column)
+        cc.add_term(wc, column, 1.0, 1.0 / 3.0)
+        views.append((cc.basis, cc.weights, cc.scale_norms))
+    assert cc.keys == [e.column.tobytes() for e in cc.entries]
+    assert cc.basis.flags.f_contiguous and cc.basis.shape == (4, 3)
+    for first, last in zip(views[0], views[-1]):
+        assert first.base is not None and first.base is last.base
+    assert np.array_equal(cc.basis, np.vstack([np.eye(3), np.ones(3)]))

@@ -75,7 +75,7 @@ class ListTerm:
 class ListConvexCombination:
     def __init__(self, m):
         self.m = m
-        self.entries = []
+        self.terms = []
         self.z = np.zeros(m)
         self.G = None
         self._by_column = {}
@@ -84,22 +84,26 @@ class ListConvexCombination:
         self.events = Counter()
 
     @property
+    def entries(self):
+        return [e.witnessed for e in self.terms]
+
+    @property
     def weights(self):
-        return np.array([e.weight for e in self.entries], dtype=float)
+        return np.array([e.weight for e in self.terms], dtype=float)
 
     def weight_sum(self):
-        return float(sum(e.weight for e in self.entries))
+        return float(sum(e.weight for e in self.terms))
 
     def combination(self):
         out = np.zeros(self.m)
-        for e in self.entries:
+        for e in self.terms:
             out += e.weight * e.a_scaled
         return out
 
     def basis_matrix(self):
         k = self.m + 1
         B = np.ones((k, k))
-        for j, e in enumerate(self.entries[:k]):
+        for j, e in enumerate(self.terms[:k]):
             B[: self.m, j] = e.a_scaled
         return B
 
@@ -110,7 +114,7 @@ class ListConvexCombination:
         return float(np.max(np.abs(R)))
 
     def scale_weights(self, alpha):
-        for e in self.entries:
+        for e in self.terms:
             e.weight *= alpha
 
     def add_term(self, witnessed, a_scaled, scale_norm, add_weight):
@@ -121,9 +125,9 @@ class ListConvexCombination:
             return
         term = ListTerm(witnessed, np.asarray(a_scaled, dtype=float).copy(),
                         scale_norm, add_weight)
-        self.entries.append(term)
+        self.terms.append(term)
         self._by_column[witnessed.column.tobytes()] = term
-        if len(self.entries) > self.m + 1:
+        if len(self.terms) > self.m + 1:
             self._reduce()
 
     def _reduce(self):
@@ -133,35 +137,35 @@ class ListConvexCombination:
         if self.G is None:
             self.events["null_step"] += 1
             B = np.ones((k, k + 1))
-            for j, e in enumerate(self.entries):
+            for j, e in enumerate(self.terms):
                 B[: self.m, j] = e.a_scaled
             g = np.linalg.svd(B)[2][-1].tolist()
             if g[-1] < 0.0:
                 g = [-x for x in g]
         else:
-            gamma = self.G @ np.append(self.entries[k].a_scaled, 1.0)
+            gamma = self.G @ np.append(self.terms[k].a_scaled, 1.0)
             g = [-x for x in gamma.tolist()] + [1.0]
         vacant, self._vacant = self._vacant, None
-        if vacant is not None and self.entries[vacant].weight == 0.0:
+        if vacant is not None and self.terms[vacant].weight == 0.0:
             t, theta = vacant, 0.0
             self.events["refilled, g_t > 0" if g[t] > 0.0
                         else "refilled, g_t <= 0"] += 1
         else:
             t, theta = None, math.inf
-            for j, e in enumerate(self.entries):
+            for j, e in enumerate(self.terms):
                 if g[j] > 0.0 and e.weight / g[j] < theta:
                     t, theta = j, e.weight / g[j]
             if self.G is not None:
                 self.events["absorbed" if t == k else "swapped"] += 1
-        for j, e in enumerate(self.entries):
+        for j, e in enumerate(self.terms):
             e.weight -= theta * g[j]
-        leaving = self.entries[t]
+        leaving = self.terms[t]
         del self._by_column[leaving.witnessed.column.tobytes()]
         if self.G is None or t == k:
-            del self.entries[t]
+            del self.terms[t]
         else:
-            incoming = self.entries.pop()
-            self.entries[t] = incoming
+            incoming = self.terms.pop()
+            self.terms[t] = incoming
             self.G = smw_inverse_update(
                 self.G, np.append(incoming.a_scaled - leaving.a_scaled, 0.0),
                 t)
@@ -179,18 +183,18 @@ class ListConvexCombination:
     def minor_cycle(self, z_norm, floor):
         lam = self.G[:, self.m].tolist()
         t, theta = None, math.inf
-        for j, e in enumerate(self.entries):
+        for j, e in enumerate(self.terms):
             gap = e.weight - lam[j]
             if gap > 0.0 and e.weight / gap < theta:
                 t, theta = j, e.weight / gap
         if not (theta > 0.0 and (1.0 - theta) * z_norm > floor):
             return z_norm
         self.events["cycled"] += 1
-        for j, e in enumerate(self.entries):
+        for j, e in enumerate(self.terms):
             e.weight -= theta * (e.weight - lam[j])
             if e.weight < 0.0:
                 e.weight = 0.0
-        self.entries[t].weight = 0.0
+        self.terms[t].weight = 0.0
         self.z = (1.0 - theta) * self.z
         self._vacant = t
         return (1.0 - theta) * z_norm
@@ -329,6 +333,21 @@ class TestRescaleBudget:
         with pytest.raises(ConfigError):
             rescale_budget(eps)
 
+    @pytest.mark.parametrize("bad", [1.5, True, "1", -1, -1.0])
+    def test_invalid_max_rescalings(self, bad):
+        # True would run as 1, a fraction fail inside the loop
+        inst = FiniteLp(np.eye(2))
+        error = ConfigError if bad in (-1, -1.0) else TypeError
+        with pytest.raises(error, match="max_rescalings must be"):
+            main_algorithm(inst, 1e-6, bad)
+
+    def test_integral_float_max_rescalings(self):
+        inst = hyperplane_lp(10, 200, 1, 1e-5)
+        out = main_algorithm(inst, 1e-6, 2.0)
+        assert out.status == "epsilon_declared"
+        assert out.counters == main_algorithm(inst, 1e-6, 2).counters
+        assert out.counters.rescalings == 2
+
 
 class TestRescalingState:
     def test_factored_transpose_normalization(self):
@@ -381,7 +400,7 @@ class TestConvexCombinationElimination:
         return cc
 
     def weights_by_label(self, cc):
-        return {e.witnessed.witness.label: x
+        return {e.witness.label: x
                 for e, x in zip(cc.entries, cc.weights.tolist())}
 
     def test_duplicate_direction_one_dim(self):
@@ -526,8 +545,7 @@ class TestConvexCombinationElimination:
         events = Counter()
 
         def assert_same(cc, ref):
-            assert [e.witnessed for e in cc.entries] == \
-                [e.witnessed for e in ref.entries]
+            assert cc.entries == ref.entries
             assert cc.weights.tobytes() == ref.weights.tobytes()
             assert cc.z.tobytes() == ref.z.tobytes()
             assert (cc.G is None) == (ref.G is None)
@@ -934,7 +952,7 @@ class TestMinorCycle:
         cc.scale_weights(0.75)
         cc.z = 0.75 * cc.z + 0.25 * v
         cc.add_term(wc, v, 1.0, 0.25)
-        assert [e.witnessed.witness.label for e in cc.entries] == \
+        assert [e.witness.label for e in cc.entries] == \
             ["a", "b", "d"]
         assert_allclose(cc.weights, [0.375, 0.375, 0.25], atol=1e-15)
         assert cc.g_residual() <= 1e-14
@@ -1032,7 +1050,7 @@ class TestWarmStart:
         _, cc = lp_support(cols, [0.5, 0.2, 0.3, 0.0], state)
         state.rescale(np.array([1.0, 0.0]))
         warm = cc.remapped(state)
-        assert [e.witnessed.witness for e in warm.entries] == \
+        assert [e.witness for e in warm.entries] == \
             [LpIndex(0), LpIndex(1), LpIndex(2)]
         M = state.M
         unscaled = np.array([0.5, 0.2, 0.3]) / np.linalg.norm(
@@ -1042,10 +1060,11 @@ class TestWarmStart:
         x = unscaled * np.linalg.norm(mapped, axis=0)
         x /= x.sum()
         assert_allclose(warm.weights, x, rtol=1e-14)
-        for e, c in zip(warm.entries, mapped.T):
-            assert_allclose(e.a_scaled, c / np.linalg.norm(c), atol=1e-15)
-            assert e.scale_norm == pytest.approx(np.linalg.norm(c),
-                                                 rel=1e-14)
+        for i, c in enumerate(mapped.T):
+            assert_allclose(warm.basis[:-1, i], c / np.linalg.norm(c),
+                            atol=1e-15)
+            assert warm.scale_norms[i] == pytest.approx(np.linalg.norm(c),
+                                                        rel=1e-14)
         assert_allclose(warm.z, warm.combination(), atol=0)
         # z' is M'^T times the old support's original-space combination
         assert_allclose(warm.z, M.T @ (cols[:, :3] @ unscaled)
@@ -1238,7 +1257,7 @@ class TestCarriedLeastSquares:
         test = prfeas.solver._reweight_to_dual
 
         def recording(instance, cc):
-            supports.append(tuple(e.key for e in cc.entries))
+            supports.append(tuple(cc.keys))
             return test(instance, cc)
 
         calls = lstsq_counter(monkeypatch)
@@ -1317,10 +1336,11 @@ def smw_one_expression(G, u, e_idx):
 
 def remapped_by_add_term(cc, state):
     out = ConvexCombination(cc.m)
-    for e, x in zip(cc.entries, cc.weights.tolist()):
+    for e, x, old in zip(cc.entries, cc.weights.tolist(),
+                         cc.scale_norms.tolist()):
         if x > 0.0:
-            a_scaled, nrm = state.normalize(e.witnessed.column)
-            out.add_term(e.witnessed, a_scaled, nrm, x / e.scale_norm * nrm)
+            a_scaled, nrm = state.normalize(e.column)
+            out.add_term(e, a_scaled, nrm, x / old * nrm)
     out._w[: len(out.entries)] /= out.weight_sum()
     out.z = out.combination()
     return out if out.z.any() else ConvexCombination(cc.m)
@@ -1396,6 +1416,30 @@ class TestLeanStepIsBitIdentical:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), seed=SEEDS)
+    def test_combination(self, data, seed):
+        # the one reduction over the Fortran-ordered basis adds the terms
+        # in order, from 0, as the loop does: signed zeros included, and
+        # for the m + 2 terms an insertion holds before its reduction
+        m = data.draw(st.integers(1, 60))
+        k = data.draw(st.integers(0, m + 2))
+        rng = np.random.default_rng(seed)
+        a = np.ldexp(rng.standard_normal((k, m)),
+                     rng.integers(-60, 60, (k, m)))
+        x = np.ldexp(rng.random(k), rng.integers(-60, 60, k))
+        for v in (a, x):
+            v[rng.random(v.shape) < 0.2] = 0.0
+            v[rng.random(v.shape) < 0.2] = -0.0
+        cc = ConvexCombination(m)
+        for t in range(k):
+            wc = WitnessedColumn(CustomWitness(t), np.array([t + 1.0]))
+            cc._append(wc, a[t], 1.0, x[t], wc.column.tobytes())
+        out = np.zeros(m)
+        for t in range(k):
+            out += float(x[t]) * a[t]
+        assert cc.combination().tobytes() == out.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), seed=SEEDS)
     def test_remapped(self, data, seed):
         # a support of up to m + 1 seeded columns, some at weight 0, built
         # under a map that then takes one more contraction
@@ -1412,15 +1456,11 @@ class TestLeanStepIsBitIdentical:
         state.rescale(unit(rng.standard_normal(m)))
         got = cc.remapped(state)
         ref = remapped_by_add_term(cc, state)
-        assert [e.witnessed for e in got.entries] == \
-            [e.witnessed for e in ref.entries]
+        assert got.entries == ref.entries
         assert got.weights.tobytes() == ref.weights.tobytes()
-        assert [e.basis_col.tobytes() for e in got.entries] == \
-            [e.basis_col.tobytes() for e in ref.entries]
-        assert [e.scale_norm for e in got.entries] == \
-            [e.scale_norm for e in ref.entries]
+        assert [c.tobytes() for c in got.basis.T] == \
+            [c.tobytes() for c in ref.basis.T]
+        assert got.scale_norms.tolist() == ref.scale_norms.tolist()
         assert got.z.tobytes() == ref.z.tobytes()
-        assert list(got._by_column) == list(ref._by_column)
-        for e in got.entries:
-            assert got._by_column[e.key] is e
-            assert e.key == e.witnessed.column.tobytes()
+        assert got.keys == ref.keys
+        assert got.keys == [e.column.tobytes() for e in got.entries]
