@@ -114,7 +114,6 @@ def verify_d_solution(instance: ProblemInstance, y: np.ndarray) -> VerificationR
     the oracle's tolerance band) on a true margin of about 0, and reads as
     0.
     """
-    y = np.asarray(y, dtype=float)
     # a custom oracle sees a y from outside as given, where a square or a
     # margin may overflow, and a margin mapped back to y may overflow too:
     # one that is not finite is taken again below
@@ -444,14 +443,20 @@ def generate_planted(
     ------
     ConfigError
         If ``kind`` or ``target`` is unknown, ``m`` or ``n`` is below 1,
-        or a ``feasible_p`` target has ``n < 2``.
+        ``seed`` is negative, or a ``feasible_p`` target has ``n < 2``.
+    TypeError
+        If ``m``, ``n`` or ``seed`` is not an integer (an integral float
+        counts as one; a bool does not).
     """
     if kind not in ("lp", "sdp", "socp"):
         raise ConfigError(f"unknown kind {kind!r}")
     if target not in ("feasible_d", "feasible_p"):
         raise ConfigError(f"unknown target {target!r}")
+    m, n, seed = map(strict_int, (m, n, seed), ("m", "n", "seed"))
     if m < 1 or n < 1:
         raise ConfigError("m and n must be positive")
+    if seed < 0:
+        raise ConfigError("seed must be at least 0")
     if target == "feasible_p" and kind in ("sdp", "socp") and n < 2:
         # with a one-dimensional cone every witness yields the same
         # column, so no positive combination can vanish

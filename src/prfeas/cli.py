@@ -84,6 +84,15 @@ class _Parser(argparse.ArgumentParser):
 # problem file format
 
 
+def _check_document(data: object, what: str) -> None:
+    """Raise ValueError unless ``data``, a ``what`` document, is a JSON
+    object that carries ``"schema": 1``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} document must be a JSON object")
+    if data.get("schema") != 1:
+        raise ValueError(f"{what} document must carry \"schema\": 1")
+
+
 def load_problem(data: object) -> ProblemInstance:
     """Build an instance from a parsed problem document.
 
@@ -93,10 +102,7 @@ def load_problem(data: object) -> ProblemInstance:
         If the document structure is wrong, or an instance constructor
         rejects a value.
     """
-    if not isinstance(data, dict):
-        raise ValueError("problem document must be a JSON object")
-    if data.get("schema") != 1:
-        raise ValueError("problem document must carry \"schema\": 1")
+    _check_document(data, "problem")
     kind = data.get("type")
     if kind not in ("lp", "sdp", "socp"):
         raise ValueError(f"unknown problem type {kind!r}")
@@ -216,10 +222,7 @@ def dump_certificate(cert: Certificate) -> dict:
 
 
 def load_certificate(data: object) -> Certificate:
-    if not isinstance(data, dict):
-        raise ValueError("certificate document must be a JSON object")
-    if data.get("schema") != 1:
-        raise ValueError("certificate document must carry \"schema\": 1")
+    _check_document(data, "certificate")
     kind = data.get("kind")
     if kind == "d":
         try:

@@ -115,15 +115,15 @@ def vector_norm(v: np.ndarray) -> float:
     ``2^-e`` that brings ``max|v|`` into [1/2, 1) before squaring, so
     vectors with entries near the float maximum keep a finite norm, tiny
     ones an accurate one, and ``2^k v`` gets exactly ``2^k`` times the
-    norm of ``v``.  An infinite or NaN entry gives an infinite or NaN norm.
+    norm of ``v``.  An infinite or NaN entry gives an infinite or NaN norm
+    on that path: ``frexp`` gives such a peak the exponent 0, so ``u`` is
+    ``v`` and ``u @ u`` is infinite or NaN.
     """
     peak = float(abs(v).max(initial=0.0))
     if peak < 2.0**500:
         sq = float(v @ v)
         if sq >= 2.0**-1022:
             return math.sqrt(sq)
-    elif not peak < math.inf:
-        return peak  # sqrt(v @ v), without the overflowing squares
     e = math.frexp(peak)[1]
     u = np.ldexp(v, -e)
     return float(np.ldexp(math.sqrt(u @ u), e))
@@ -192,9 +192,10 @@ def strict_int(value: object, what: str) -> int:
 def real_array(value: object, what: str) -> np.ndarray:
     """``value`` as a float array.  Complex data raise ValueError: the
     conversion would take them to their real parts with only a warning."""
-    if np.iscomplexobj(value):
+    value = np.asarray(value)
+    if value.dtype.kind == "c":
         raise ValueError(f"{what} must be real")
-    return np.asarray(value, dtype=float)
+    return value.astype(float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,7 @@ class WitnessedColumn:
     exponent: int = 0
 
     def __post_init__(self) -> None:
-        self.column = np.asarray(self.column, dtype=float)
+        self.column = real_array(self.column, "witnessed column")
         # a cone vector that the instance maps to zero is a sound witness,
         # and alone a dual certificate; every other column must not vanish
         if self.column.ndim != 1 or not (
@@ -649,10 +650,10 @@ ProblemInstance = Union[FiniteLp, Sdp, Socp, CustomOracle]
 
 def unit_direction(y: np.ndarray, m: int,
                    scale: bool = True) -> tuple[np.ndarray, int]:
-    """``(2^-e y, e)`` for a query direction ``y``, checked to be a float
-    array of shape ``(m,)``, finite and nonzero: ``2^-e`` is the power of
-    two that brings ``max|y_i|`` into [1/2, 1).  With ``scale`` false, ``y``
-    is returned as given, with the same ``e``.
+    """``(2^-e y, e)`` for a query direction ``y``, checked to be a real
+    array (:func:`real_array`) of shape ``(m,)``, finite and nonzero:
+    ``2^-e`` is the power of two that brings ``max|y_i|`` into [1/2, 1).
+    With ``scale`` false, ``y`` is returned as given, with the same ``e``.
 
     Every query and margin of a built-in instance is taken at this
     direction and mapped back by ``2^e``.  The answer depends only on the
@@ -669,7 +670,7 @@ def unit_direction(y: np.ndarray, m: int,
     v^T)``, all at most 1.  So at this direction no partial sum of a
     product with them overflows, whatever the size of ``y``.
     """
-    y = np.asarray(y, dtype=float)
+    y = real_array(y, "query direction")
     if y.shape != (m,):
         raise ValueError(f"query direction must have shape ({m},), got {y.shape}")
     # one pass decides both: a NaN peak fails the first test, as inf does;
@@ -681,11 +682,6 @@ def unit_direction(y: np.ndarray, m: int,
         raise ValueError("query direction must be nonzero")
     e = math.frexp(peak)[1]
     return (np.ldexp(y, -e) if scale else y), e
-
-
-def _sdp_band(diag_x: np.ndarray) -> float:
-    """Band of ``lambda_min(X)`` values that count as not definite."""
-    return SDP_DEFINITENESS_TOL * max(float(np.max(diag_x)), 0.0)
 
 
 def _check_soundness(w: WitnessedColumn, y: np.ndarray, k: int,
@@ -854,14 +850,15 @@ def sdp_query(instance: Sdp, y: np.ndarray) -> WitnessedColumn | None:
     y, e = unit_direction(y, instance.m)
     X = instance.combination(y)
     eigvals, eigvecs = np.linalg.eigh(X)
-    if eigvals[0] > _sdp_band(np.diag(X)):
+    # lambda_min(X) in this band counts as not definite, and the column's
+    # value c^T y = lambda_min(X) is accepted up to it
+    band = SDP_DEFINITENESS_TOL * max(float(np.max(np.diag(X))), 0.0)
+    if eigvals[0] > band:
         return None
     v = eigvecs[:, 0]
     if v[np.argmax(np.abs(v))] < 0.0:
         v = -v
     column = instance.matrices.reshape(instance.m, -1) @ np.outer(v, v).ravel()
-    # the column's value c^T y = lambda_min(X) is accepted up to this band
-    band = _sdp_band(y @ np.diagonal(instance.matrices, axis1=1, axis2=2))
     return _check_soundness(WitnessedColumn(
         SdpVector(tuple(v.tolist())), column, instance.exponent),
         y, e, band)
@@ -921,8 +918,8 @@ def query(instance: ProblemInstance, y: np.ndarray,
     Raises
     ------
     ValueError
-        If ``y`` is zero, non-finite, or mis-shaped, or ``scales`` is
-        mis-shaped or given for an instance other than a FiniteLp.
+        If ``y`` is complex, zero, non-finite, or mis-shaped, or ``scales``
+        is mis-shaped or given for an instance other than a FiniteLp.
     OracleContractViolation
         If a custom oracle's answer is not a finite ``WitnessedColumn`` of
         shape ``(m,)``, or any answer fails the separation check.

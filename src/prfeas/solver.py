@@ -88,7 +88,6 @@ from .oracle import (
     CustomWitness,
     OracleContractViolation,
     ProblemInstance,
-    Sdp,
     Witness,
     WitnessedColumn,
     face_atoms,
@@ -216,11 +215,12 @@ def rescale_budget(epsilon: float) -> int:
 
     Each failed inner run shrinks the determinant measure by sqrt(e)/2, so
     the budget is ``ceil(ln(1/eps) / ln(2/sqrt(e)))`` (at least 1),
-    whatever the dimension.
+    whatever the dimension.  ``ln(1/eps)`` is taken as ``-ln(eps)``, which
+    stays finite where ``1/eps`` overflows, for a subnormal ``eps``.
     """
     if not (0.0 < epsilon < 1.0):
         raise ConfigError("epsilon must lie strictly between 0 and 1")
-    return max(1, math.ceil(math.log(1.0 / epsilon) / (math.log(2.0) - 0.5)))
+    return max(1, math.ceil(-math.log(epsilon) / (math.log(2.0) - 0.5)))
 
 
 def step_alpha(z: np.ndarray, a: np.ndarray) -> tuple[float, np.ndarray]:
@@ -354,7 +354,7 @@ class ConvexCombination:
         self._basis = np.ones((m + 1, m + 2), order="F")
         self._w = np.zeros(m + 2)
         self._norms = np.empty(m + 2)
-        self._ratios = np.empty(m + 2)  # the ratio tests' scratch
+        self._ratios = np.empty(m + 2)  # _ratio_test's scratch
         self.z = np.zeros(m)
         self.G: np.ndarray | None = None
         self._reductions = 0
@@ -480,11 +480,7 @@ class ConvexCombination:
         if vacant is not None and w[vacant] == 0.0:
             t, theta = vacant, 0.0
         else:
-            ratios = self._ratios
-            ratios.fill(np.inf)
-            np.divide(w, g, out=ratios, where=g > 0.0)
-            t = int(ratios.argmin())
-            theta = float(ratios[t])
+            t, theta = self._ratio_test(g)
         if theta > 0.0:
             w -= theta * g
         if self.G is None or t == k:
@@ -504,6 +500,16 @@ class ConvexCombination:
         self._reductions += 1
         if self.G is not None and self._reductions % G_RECHECK_INTERVAL == 0:
             self._check_residual()
+
+    def _ratio_test(self, d: np.ndarray) -> tuple[int, float]:
+        """``(t, theta)`` for ``theta = min x_t / d_t`` over ``d_t > 0``, the
+        first ``t`` on ties; ``theta`` is infinite when no ``d_t`` is
+        positive."""
+        ratios = self._ratios[: d.size]
+        ratios.fill(np.inf)
+        np.divide(self.weights, d, out=ratios, where=d > 0.0)
+        t = int(ratios.argmin())
+        return t, float(ratios[t])
 
     def _check_residual(self) -> None:
         """Rebuild ``G`` unless it exists with a residual within
@@ -528,11 +534,7 @@ class ConvexCombination:
         lam = self.G[:, self.m]
         w = self.weights
         gap = w - lam
-        ratios = self._ratios[: w.size]
-        ratios.fill(np.inf)
-        np.divide(w, gap, out=ratios, where=gap > 0.0)
-        t = int(ratios.argmin())
-        theta = float(ratios[t])
+        t, theta = self._ratio_test(gap)
         if not (theta > 0.0 and (1.0 - theta) * z_norm > floor):
             return z_norm
         w -= theta * gap
@@ -820,8 +822,8 @@ def basic_procedure(
     rounding alone, such as the nearly antipodal columns the closed
     semicircle offers after many contractions.  When those weights do
     not certify, an Sdp run tries the face step
-    (:func:`prfeas.oracle.face_atoms`; no other kind has one, so no
-    other run builds its arguments): the support's witness vectors span
+    (:func:`prfeas.oracle.face_atoms`, which returns None for every other
+    kind): the support's witness vectors span
     a face of the semidefinite cone, and the projection of the support's
     weighted witnesses onto the matrices in that face orthogonal to every
     ``A_i`` gives at most ``m + 1`` atoms when it stays positive definite.
@@ -911,7 +913,7 @@ def basic_procedure(
         if z_norm <= small_threshold or state.s > 0 \
                 and z_norm <= mu * float(cc.weights.max()):
             pairs, report = _reweight_to_dual(instance, cc)
-            if report is None and isinstance(instance, Sdp):
+            if report is None:
                 # the weights mapped back to the original columns
                 atoms = face_atoms(instance, cc.entries,
                                    cc.weights / cc.scale_norms)
@@ -988,9 +990,10 @@ def main_algorithm(
     on, with a FiniteLp's query scales under the new map, which
     :func:`prfeas.oracle.rescaled_scales` updates from the last run's.
     ``max_rescalings`` (an integer, at least 0) caps the contraction
-    budget; the declared epsilon is then the one the contractions
-    completed certify.
-    A ``stalled`` inner run ends the solve the same way.
+    budget, and a ``stalled`` inner run ends the solve the same way.  The
+    declared epsilon is ``max(epsilon, (sqrt(e)/2)^s)`` for the ``s``
+    contractions completed: ``epsilon`` once the budget is spent, the
+    larger bound they certify when the solve ended before.
 
     Raises
     ------
@@ -1033,7 +1036,6 @@ def main_algorithm(
         counters.rescalings += 1
         support = cc
 
-    certified = epsilon if counters.rescalings == budget \
-        else (math.sqrt(math.e) / 2.0) ** counters.rescalings
+    certified = max(epsilon, (math.sqrt(math.e) / 2.0) ** counters.rescalings)
     return SolveOutcome("epsilon_declared", None, None, certified, budget,
                         counters, None)

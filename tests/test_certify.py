@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from prfeas.certify import (
     verify_p_certificate,
 )
 from prfeas.oracle import (
+    ConfigError,
     CustomOracle,
     CustomWitness,
     FiniteLp,
@@ -52,6 +54,13 @@ class TestVerifyDSolution:
         rep = verify_d_solution(axes_lp(), np.array([1.0, 0.0]))
         assert not rep.accepted
         assert rep.residual == pytest.approx(0.0, abs=1e-15)
+
+    def test_complex_direction_raises(self):
+        # a cast to float would verify the real parts (1, 1), and accept
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be real"):
+                verify_d_solution(axes_lp(), [1 + 5j, 1 - 9j])
 
     def test_negative_margin_rejected(self):
         rep = verify_d_solution(axes_lp(), np.array([-1.0, 1.0]))
@@ -432,6 +441,27 @@ class TestGeneratePlanted:
     def test_invalid_requests_rejected(self, kwargs):
         with pytest.raises(ValueError):
             generate_planted(**kwargs)
+
+    def test_negative_seed_is_a_config_error(self):
+        # numpy would reject it with a plain ValueError, malformed input
+        with pytest.raises(ConfigError, match="seed must be at least 0"):
+            generate_planted("lp", m=3, n=10, seed=-1)
+
+    @pytest.mark.parametrize("name,bad", [("m", 2.5), ("m", True),
+                                          ("n", "10"), ("seed", 1.5)])
+    def test_non_integer_sizes_raise(self, name, bad):
+        # each is refused where it enters, not inside numpy
+        kwargs = dict(kind="lp", m=3, n=10, seed=1)
+        kwargs[name] = bad
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            generate_planted(**kwargs)
+
+    def test_integral_float_sizes_count(self):
+        # an integral float is taken as its integer, as everywhere else
+        a, ca = generate_planted("lp", m=3.0, n=10.0, seed=4.0)
+        b, cb = generate_planted("lp", m=3, n=10, seed=4)
+        assert a.columns.tobytes() == b.columns.tobytes()
+        assert ca.y.tobytes() == cb.y.tobytes()
 
 
 class TestCertificateContainer:

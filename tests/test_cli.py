@@ -496,6 +496,13 @@ class TestSolveCommand:
         assert code == EXIT_USAGE
         assert "error" in json.loads(out)
 
+    def test_least_subnormal_epsilon_solves(self, tmp_path, capsys):
+        # 1/epsilon overflows there; the budget is taken without it
+        code, out = invoke(capsys, "solve", "--input",
+                           axes_problem(tmp_path), "--epsilon", "5e-324")
+        assert code == 0
+        assert json.loads(out)["s_star"] == 3855
+
     def test_negative_max_rescalings_is_usage_error(self, tmp_path, capsys):
         code, out = invoke(capsys, "solve", "--input",
                            axes_problem(tmp_path), "--max-rescalings", "-3")
@@ -922,18 +929,21 @@ class TestGenerateCommand:
         assert first == second
 
     @pytest.mark.parametrize("argv,message", [
-        (("lp", "0", "5", "feasible_d"), "m and n must be positive"),
-        (("lp", "2", "1", "feasible_p"),
+        (("lp", "0", "5", "feasible_d", "0"), "m and n must be positive"),
+        (("lp", "2", "1", "feasible_p", "0"),
          "feasible_p needs at least two columns"),
-        (("sdp", "2", "1", "feasible_p"), "sdp feasible_p requires n >= 2"),
-        (("socp", "2", "1", "feasible_p"), "socp feasible_p requires n >= 2"),
+        (("sdp", "2", "1", "feasible_p", "0"),
+         "sdp feasible_p requires n >= 2"),
+        (("socp", "2", "1", "feasible_p", "0"),
+         "socp feasible_p requires n >= 2"),
+        (("lp", "3", "10", "feasible_d", "-1"), "seed must be at least 0"),
     ])
     def test_bad_argument_is_usage_error(self, capsys, argv, message):
         # an argument out of range is a usage error, not malformed input:
         # generate reads no input
-        kind, m, n, target = argv
+        kind, m, n, target, seed = argv
         code, out = invoke(capsys, "generate", "--kind", kind, "--m", m,
-                           "--n", n, "--target", target)
+                           "--n", n, "--target", target, "--seed", seed)
         assert code == EXIT_USAGE
         assert json.loads(out)["error"] == message
 

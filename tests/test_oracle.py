@@ -1092,6 +1092,32 @@ class TestInputsCheckedWhereTheyEnter:
                 build(a)
             build(a.real)  # the same data, real, is an instance
 
+    def test_complex_column_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be real"):
+                WitnessedColumn(CustomWitness(0), np.array([1.0 + 2j, 0.0]))
+
+    @pytest.mark.parametrize("inst", KINDS, ids=["lp", "sdp", "socp",
+                                                 "custom"])
+    def test_complex_direction_raises(self, inst):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be real"):
+                query(inst, np.array([1.0 + 5j, 1.0 - 9j]))
+
+    def test_custom_callback_with_a_complex_column_raises(self):
+        # the callback's own ValueError goes through the query unchanged,
+        # as any exception raised in the callback does, rather than a
+        # contract violation on the real parts
+        def fn(y):
+            return WitnessedColumn(CustomWitness(0), np.array([-1 + 0j, 1j]))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="witnessed column must be"):
+                main_algorithm(CustomOracle(2, fn))
+
     def test_custom_oracle_dimension_is_an_integer(self):
         # an integral float is taken as its integer, not left to fail
         # inside the solver; anything else is refused on construction

@@ -69,6 +69,17 @@ def test_solver_leaves_dual_checks_and_scales_to_their_modules():
         prfeas.solver.basic_procedure.__code__.co_names
 
 
+def test_each_step_has_one_copy():
+    # the SDP band is computed once per query, the face step's kind test
+    # lives in face_atoms alone, and the support's two ratio tests share
+    # one body
+    assert not hasattr(prfeas.oracle, "_sdp_band")
+    assert "Sdp" not in prfeas.solver.basic_procedure.__code__.co_names
+    cc = prfeas.solver.ConvexCombination
+    for method in (cc._reduce, cc.minor_cycle):
+        assert "_ratio_test" in method.__code__.co_names, method.__name__
+
+
 def test_socp_query_takes_no_scales():
     # a Socp ranks its blocks on the Gram data of its own A in every run;
     # only a FiniteLp's query scales follow the rescaling map

@@ -321,12 +321,25 @@ class TestRescaleBudget:
         assert rescale_budget(eps) == expected
 
     def test_matches_contraction_rate(self):
-        # the budget is the first s with (sqrt(e)/2)^s <= eps
+        # the budget is the first s with (sqrt(e)/2)^s <= eps: the declared
+        # epsilon max(eps, rate^s) is eps exactly once the budget is spent.
+        # At the least subnormal, rate^(s - 1) rounds to eps as well
         rate = math.sqrt(math.e) / 2.0
-        for eps in (0.5, 0.25, 1e-2, 1e-4, 1e-6):
+        tiny = [10.0**-k for k in range(1, 308)] + [1e-310, 5e-324]
+        for eps in [0.5, 0.25] + tiny:
             s = rescale_budget(eps)
-            assert rate**s <= eps + 1e-15
-            assert s == 1 or rate ** (s - 1) > eps
+            assert rate**s <= eps
+            assert s == 1 or rate ** (s - 1) > eps \
+                or rate ** (s - 1) == eps == 5e-324
+        assert rescale_budget(5e-324) == 3855
+
+    def test_least_subnormal_epsilon_solves(self):
+        # 1/eps overflows there, which the budget must not take
+        out = main_algorithm(FiniteLp(np.eye(2)), 5e-324)
+        assert (out.status, out.s_star) == ("feasible", 3855)
+        capped = main_algorithm(hyperplane_lp(10, 200, 1, 1e-5), 5e-324, 2)
+        assert capped.status == "epsilon_declared"
+        assert capped.epsilon == (math.sqrt(math.e) / 2.0) ** 2
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, 2.0])
     def test_invalid_epsilon(self, eps):
