@@ -2,8 +2,9 @@
 
 Nothing here trusts the solver: feasible directions are re-queried through
 the oracle, dual weights are re-combined from the instance's own columns,
-and planted generators emit certificates verifiable by the same code paths
-used on external input.
+each re-formed from its witness and the instance alone, and planted
+generators emit certificates verifiable by the same code paths used on
+external input.
 """
 
 from __future__ import annotations
@@ -146,10 +147,19 @@ def resolve_witness_column(
     Returns the witness, its column in range and an exponent ``e``: the
     column of the data as given is that one times ``2^e``.  A built-in
     instance's column is taken from its stored data
-    (:func:`prfeas.oracle.in_range`); a cone vector on blocks stored at
-    different exponents gets the largest, its other blocks' parts scaled
-    down to match.  A custom column is brought into range as a query
-    brings it (:meth:`prfeas.oracle.WitnessedColumn.in_range`).
+    (:func:`prfeas.oracle.in_range`) by the product the query forms it
+    with, from the instance and the witness alone: an LP's stored column,
+    an Sdp's :meth:`prfeas.oracle.Sdp.column`, and a cone vector's ``A[:,
+    sl] @ v[sl]`` over the blocks from its first nonzero one to its last
+    (:meth:`prfeas.oracle.Socp.block_slice`).  So a column a query hands
+    out and the one re-formed from its witness are the same bits.  A cone
+    vector on blocks stored at different exponents gets the largest, its
+    other blocks' parts scaled down to match (exactly, by powers of two).
+    The range of a vector is checked before anything is squared: an Sdp
+    vector's norm is :func:`prfeas.oracle.vector_norm`, and a cone vector
+    with an entry above ``1 + 1e-12`` in magnitude is no ``(1, u)`` block.
+    A custom column is brought into range as a query brings it
+    (:meth:`prfeas.oracle.WitnessedColumn.in_range`).
 
     Raises
     ------
@@ -161,9 +171,10 @@ def resolve_witness_column(
     given: WitnessedColumn | None = None
     if isinstance(witness, WitnessedColumn):
         given, witness = witness, witness.witness
-    if isinstance(witness, (SdpVector, SocpVector)) \
-            and not np.all(np.isfinite(witness.v)):
-        raise ValueError("witness vector must be finite")
+    if isinstance(witness, (SdpVector, SocpVector)):
+        v = np.asarray(witness.v, dtype=float)
+        if not np.isfinite(v).all():
+            raise ValueError("witness vector must be finite")
     if isinstance(witness, LpIndex):
         if not isinstance(instance, FiniteLp):
             raise ValueError("lp_index witness on a non-LP instance")
@@ -178,30 +189,33 @@ def resolve_witness_column(
     if isinstance(witness, SdpVector):
         if not isinstance(instance, Sdp):
             raise ValueError("sdp_vector witness on a non-SDP instance")
-        v = np.asarray(witness.v, dtype=float)
         if v.shape != (instance.n,):
             raise ValueError("sdp witness has the wrong dimension")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-6:
+        if abs(vector_norm(v) - 1.0) > 1e-6:
             raise ValueError("sdp witness must be a unit vector")
-        return (witness, np.einsum("ijk,j,k->i", instance.matrices, v, v),
-                instance.exponent)
+        return witness, instance.column(v), instance.exponent
     if isinstance(witness, SocpVector):
         if not isinstance(instance, Socp):
             raise ValueError("socp_vector witness on a non-SOCP instance")
-        v = np.asarray(witness.v, dtype=float)
         if v.shape != (instance.n,):
             raise ValueError("socp witness has the wrong dimension")
         active = np.logical_or.reduceat(v != 0.0, instance.starts)
-        if not np.any(active):
+        if not active.any():
             raise ValueError("socp witness is identically zero")
-        if np.any(np.abs(v[instance.starts][active] - 1.0) > 1e-12) or \
-                np.any(instance.tail_norms(v)[active] > 1.0 + 1e-12):
+        # no entry of a valid (1, u) block exceeds 1 + 1e-12, and none
+        # that does is squared
+        if abs(v).max() > 1.0 + 1e-12 or \
+                (abs(v[instance.starts][active] - 1.0) > 1e-12).any() or \
+                (instance.tail_norms(v)[active] > 1.0 + 1e-12).any():
             raise ValueError(
                 "socp witness block must be (1, u) with ||u|| <= 1"
             )
+        # the blocks from the first nonzero one to the last, each scaled
+        # to the top exponent
+        sl = instance.block_slice(*active.nonzero()[0][[0, -1]].tolist())
         top = int(instance.exponents[active].max())
-        v = np.ldexp(v, np.repeat(instance.exponents, instance.blocks) - top)
-        return witness, instance.A @ v, top
+        v = np.ldexp(v[sl], instance.exponents[instance._owner[sl]] - top)
+        return witness, instance.A[:, sl] @ v, top
     if isinstance(witness, CustomWitness):
         if not isinstance(instance, CustomOracle):
             raise ValueError("custom witness on a built-in instance")

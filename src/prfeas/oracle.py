@@ -373,7 +373,8 @@ class Sdp:
     ``2^-exponent``, a power of four, when its largest magnitude lies
     outside the range, so that eigenvalues and witness columns scale
     exactly; as given otherwise.  One positive factor on the whole stack
-    changes neither the feasible ``y`` nor the certificates.
+    changes neither the feasible ``y`` nor the certificates.  A witness
+    ``v``'s column is :meth:`column`, for the query and the verifier.
     """
 
     matrices: np.ndarray
@@ -412,6 +413,13 @@ class Sdp:
         """``X = sum_i y_i A_i`` for the stored matrices, one product with
         their ``(m, n^2)`` view."""
         return (y @ self.matrices.reshape(self.m, -1)).reshape(self.n, -1)
+
+    def column(self, v: np.ndarray) -> np.ndarray:
+        """The column ``(v^T A_i v)_i`` of a witness ``v`` for the stored
+        matrices, one product of their ``(m, n^2)`` view, the one
+        :meth:`combination` takes, with ``vec(v v^T)``: the query and the
+        verifier form it here, so both get the same bits."""
+        return self.matrices.reshape(self.m, -1) @ np.outer(v, v).ravel()
 
     def min_margin(self, y: np.ndarray) -> float:
         """``lambda_min(sum_i y_i A_i)`` for the matrices as given, taken
@@ -530,10 +538,17 @@ class Socp:
         return [slice(int(s), int(s) + b)
                 for s, b in zip(self.starts, self.blocks)]
 
-    def block_slice(self, b: int) -> slice:
-        """The coordinates of block ``b``."""
-        start = int(self.starts[b])
-        return slice(start, start + self.blocks[b])
+    def block_slice(self, first: int, last: int) -> slice:
+        """The coordinates of blocks ``first`` to ``last``, both included.
+
+        A witness ``v``'s column is ``A[:, sl] @ v[sl]`` over the slice
+        ``sl`` from its first nonzero block to its last: the block
+        :func:`socp_query` picks, and the span
+        :func:`prfeas.certify.resolve_witness_column` takes, so both get
+        the same bits for a witness on one block.
+        """
+        return slice(int(self.starts[first]),
+                     int(self.starts[last]) + self.blocks[last])
 
     def image(self, y: np.ndarray) -> tuple[np.ndarray, ...]:
         """``x = A^T y``, for ``A`` as stored, as the oracle ranks it, the
@@ -575,7 +590,7 @@ class Socp:
         x, x0, tails, exps = self.image(y)
         exps = self.exponents if exps is None else exps + self.exponents
         b = int(np.argmin(np.ldexp(x0 - tails, exps)))
-        xb = x[self.block_slice(b)]
+        xb = x[self.block_slice(b, b)]
         return float(np.ldexp(xb[0] - vector_norm(xb[1:]), exps[b] + e))
 
     def tail_norms(self, x: np.ndarray) -> np.ndarray:
@@ -841,9 +856,9 @@ def sdp_query(instance: Sdp, y: np.ndarray) -> WitnessedColumn | None:
     * max(diag(X), 0)``; otherwise the witness ``v`` is the unit eigenvector
     of ``lambda_min(X)``, signed so that its largest-magnitude entry is
     positive.  The returned column is ``c_i = v^T A_i v``, so
-    ``c^T y = v^T X v = lambda_min(X)``, formed as one product of the
-    stack's ``(m, n^2)`` view, the one :meth:`Sdp.combination` takes,
-    with ``vec(v v^T)``.  ``X`` is taken at the unit
+    ``c^T y = v^T X v = lambda_min(X)``, formed by :meth:`Sdp.column`, as
+    :func:`prfeas.certify.resolve_witness_column` forms it from the
+    witness.  ``X`` is taken at the unit
     direction (:func:`unit_direction`), which scales it, its band and
     ``lambda_min(X)`` by a power of two and keeps ``X`` finite.
     """
@@ -858,9 +873,8 @@ def sdp_query(instance: Sdp, y: np.ndarray) -> WitnessedColumn | None:
     v = eigvecs[:, 0]
     if v[np.argmax(np.abs(v))] < 0.0:
         v = -v
-    column = instance.matrices.reshape(instance.m, -1) @ np.outer(v, v).ravel()
     return _check_soundness(WitnessedColumn(
-        SdpVector(tuple(v.tolist())), column, instance.exponent),
+        SdpVector(tuple(v.tolist())), instance.column(v), instance.exponent),
         y, e, band)
 
 
@@ -881,8 +895,10 @@ def socp_query(instance: Socp, y: np.ndarray) -> WitnessedColumn | None:
     ``(1, 0, ...)`` when ``xt = 0``), with ``||xt||`` recomputed by
     :func:`vector_norm`, and zeros on every other block; its column is
     ``A v``, with value ``v^T x = x0 - ||xt||  <= 0``, formed from the
-    picked block's columns alone as ``A_b v_b``.  The witness keeps only
-    the block and builds its n entries when they are first read.
+    picked block's columns alone as ``A_b v_b`` (:meth:`Socp.block_slice`),
+    the product :func:`prfeas.certify.resolve_witness_column` takes over
+    a witness on that one block.  The witness keeps only the block and
+    builds its n entries when they are first read.
     """
     y, e = unit_direction(y, instance.m)
     x, x0, tails, exps = instance.image(y)
@@ -892,7 +908,7 @@ def socp_query(instance: Socp, y: np.ndarray) -> WitnessedColumn | None:
     depths = instance.cut_depths(x, x0, tails, exps)
     depths[~violated] = np.inf
     b = int(np.argmin(depths))
-    sl = instance.block_slice(b)
+    sl = instance.block_slice(b, b)
     tail = x[sl.start + 1 : sl.stop]
     tail_norm = vector_norm(tail)
     vb = np.zeros(sl.stop - sl.start)

@@ -368,6 +368,34 @@ class TestResolveWitnessColumn:
             (SocpVector((0.0, 0.0, 1.0)), 1.0)])
         assert rep.accepted and rep.residual == 0.0
 
+    def test_huge_sdp_vector_rejected_without_overflow(self):
+        # the square of 1e300 overflows: the unit test takes the norm by
+        # vector_norm, which decides the range before squaring
+        inst = Sdp(np.array([[[1.0, 0.0], [0.0, -1.0]]]))
+        huge = SdpVector((1e300, 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for check in (lambda: resolve_witness_column(inst, huge),
+                          lambda: verify_p_certificate(inst, [(huge, 1.0)])):
+                with pytest.raises(ValueError,
+                                   match="sdp witness must be a unit vector"):
+                    check()
+
+    def test_huge_socp_vector_rejected_without_overflow(self):
+        # the square of 1e200 overflows: an entry above 1 + 1e-12 is
+        # rejected before any tail norm is taken
+        inst = Socp(np.array([[1.0, 2.0, 3.0, 4.0, 5.0],
+                              [0.0, 1.0, 0.0, 1.0, 0.0]]), blocks=(3, 2))
+        huge = SocpVector((1.0, 1e200, 1e200, 0.0, 0.0))
+        block_rule = (r"socp witness block must be \(1, u\) "
+                      r"with \|\|u\|\| <= 1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for check in (lambda: resolve_witness_column(inst, huge),
+                          lambda: verify_p_certificate(inst, [(huge, 1.0)])):
+                with pytest.raises(ValueError, match=block_rule):
+                    check()
+
     def test_custom_column_must_be_finite(self):
         inst = CustomOracle(2, lambda y: None)
         bad = WitnessedColumn(CustomWitness("c"), np.array([math.inf, 0.0]))

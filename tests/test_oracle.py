@@ -741,16 +741,17 @@ class TestSocpKernelMatchesLoop:
                 _, column, _ = resolve_witness_column(
                     inst, SocpVector(tuple(v.tolist())))
                 accepted = True
-                assert column.tobytes() == (inst.A @ v).tobytes()
+                assert_within_product_bound(inst, v, column)
             except ValueError as exc:
                 assert str(exc).startswith("socp witness"), exc
                 accepted = False
             assert accepted == loop_resolves(inst, v)
 
 
-# The oracles form a witness's column in another summation order than
-# resolve_witness_column: a SOCP's from the picked block's columns, an
-# Sdp's from the stack's (m, n^2) view; each must lie within the error
+# A witness's column has one formula per kind, which the oracles and
+# resolve_witness_column share: a SOCP's A[:, sl] @ v[sl] over its blocks
+# from the first nonzero one to the last, an Sdp's product of the stack's
+# (m, n^2) view with vec(v v^T).  Each column must lie within the error
 # bound of any float64 sum of products of the exact column.
 
 
@@ -807,53 +808,90 @@ def assert_within_product_bound(inst, v, *columns):
         assert np.all(np.abs(got - exact) <= bound), (got, exact, bound)
 
 
+def scaled_socp(draw, rng, powers):
+    """A Socp of 1 to 6 blocks of sizes 1 to 8, each times a power of two
+    drawn from ``powers``."""
+    m = draw(st.integers(1, 5))
+    blocks = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+    scale = draw(st.lists(st.sampled_from(powers), min_size=len(blocks),
+                          max_size=len(blocks)))
+    A = rng.standard_normal((m, sum(blocks)))
+    return Socp(A * np.repeat(np.ldexp(1.0, scale), blocks), blocks)
+
+
 class TestWitnessColumnOrder:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_socp_block_column_matches_the_full_product(self, data):
-        # blocks of sizes 1 to 8, each times a power of two; the column
-        # A_b v_b of the picked block and the full A v both lie within
-        # gamma_n of the exact column
-        draw = data.draw
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        m = draw(st.integers(1, 5))
-        blocks = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
-        powers = draw(st.lists(st.sampled_from([-300, -40, 0, 40, 300]),
-                               min_size=len(blocks), max_size=len(blocks)))
-        A = rng.standard_normal((m, sum(blocks)))
-        inst = Socp(A * np.repeat(np.ldexp(1.0, powers), blocks), blocks)
-        for y in rng.standard_normal((4, m)):
+    def test_socp_query_column_is_the_resolved_one(self, data):
+        # blocks each times a power of two, some outside the range; the
+        # column A_b v_b of the picked block is the one
+        # resolve_witness_column forms, at the block's exponent, and lies
+        # within gamma_n of the exact column
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        inst = scaled_socp(data.draw, rng, [-500, -300, -40, 0, 40, 300, 500])
+        for y in rng.standard_normal((4, inst.m)):
             w = socp_query(inst, y)
             if w is None:
                 continue
-            v = np.asarray(w.witness.v)
-            assert_within_product_bound(inst, v, w.column, inst.A @ v)
+            _, column, exponent = resolve_witness_column(inst, w.witness)
+            assert column.tobytes() == w.column.tobytes()
+            assert exponent == w.exponent
+            assert_within_product_bound(inst, w.witness.v, w.column)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_sdp_stack_column_matches_the_einsum(self, data):
-        # stacks times a power of four; the product with vec(v v^T) and
-        # the einsum over A_i, v and v both lie within gamma_{n^2+1} of
-        # the exact v^T A_i v, each term a product of three factors
+    def test_socp_witness_on_several_blocks(self, data):
+        # a (1, u) witness on a random set of blocks stored at mixed
+        # exponents: its column is A v over the blocks from the first to
+        # the last, each scaled to the largest exponent, which lies
+        # within gamma_n of the exact column of that scaled v
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        inst = scaled_socp(data.draw, rng, [-500, -420, 0, 420, 500])
+        v = np.zeros(inst.n)
+        picked = data.draw(st.lists(st.integers(0, len(inst.blocks) - 1),
+                                    min_size=1, unique=True))
+        for b in picked:
+            sl = inst.block_slice(b, b)
+            u = rng.standard_normal(sl.stop - sl.start - 1)
+            v[sl.start] = 1.0
+            v[sl.start + 1 : sl.stop] = u * rng.random() \
+                / max(vector_norm(u), 1e-300)
+        _, column, top = resolve_witness_column(inst,
+                                                SocpVector(tuple(v.tolist())))
+        assert top == inst.exponents[picked].max()
+        owner = np.repeat(np.arange(len(inst.blocks)), inst.blocks)
+        scaled = np.ldexp(v, inst.exponents[owner] - top)
+        assert np.array_equal(np.ldexp(scaled, top - inst.exponents[owner]),
+                              v)
+        assert_within_product_bound(inst, scaled, column)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_sdp_query_column_is_the_resolved_one(self, data):
+        # stacks times a power of four, some outside the range; the
+        # product with vec(v v^T) is the one resolve_witness_column
+        # forms and lies within gamma_{n^2+1} of the exact v^T A_i v, each
+        # term a product of three factors
         draw = data.draw
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
         B = rng.standard_normal((m, n, n))
-        power = draw(st.sampled_from([-150, -20, 0, 20, 150]))
+        power = draw(st.sampled_from([-250, -150, -20, 0, 20, 150, 250]))
         inst = Sdp(np.ldexp(B + B.transpose(0, 2, 1), 2 * power))
         for y in rng.standard_normal((4, m)):
             w = sdp_query(inst, y)
             if w is None:
                 continue
-            v = np.asarray(w.witness.v)
-            assert_within_product_bound(
-                inst, v, w.column,
-                np.einsum("ijk,j,k->i", inst.matrices, v, v))
+            _, column, exponent = resolve_witness_column(inst, w.witness)
+            assert column.tobytes() == w.column.tobytes()
+            assert exponent == w.exponent == inst.exponent
+            assert_within_product_bound(inst, w.witness.v, w.column)
 
     @pytest.mark.parametrize("kind,m,n", [
-        ("socp", 5, 40), ("socp", 20, 200), ("sdp", 4, 10), ("sdp", 8, 20)])
+        ("socp", 5, 40), ("socp", 10, 100), ("socp", 20, 200),
+        ("sdp", 4, 10), ("sdp", 8, 20), ("sdp", 20, 40)])
     def test_planted_witnesses_match_certify(self, kind, m, n, monkeypatch):
-        # every column a planted solve is handed agrees with the one
+        # every column a planted solve is handed is, bit for bit, the one
         # resolve_witness_column forms from the witness, at its exponent
         answers, query_ = [], prfeas.solver.query
 
@@ -863,14 +901,15 @@ class TestWitnessColumnOrder:
 
         monkeypatch.setattr(prfeas.solver, "query", recording_query)
         for seed, target in [(1, "feasible_p"), (2, "feasible_p"),
-                             (1, "feasible_d")]:
+                             (104, "feasible_p"), (1, "feasible_d"),
+                             (105, "feasible_d")]:
             inst = generate_planted(kind, m, n, seed, target)[0]
             main_algorithm(inst)
+            assert any(answers)
             for w in filter(None, answers):
                 _, column, exponent = resolve_witness_column(inst, w.witness)
                 assert exponent == w.exponent
-                assert_within_product_bound(inst, w.witness.v, w.column,
-                                            column)
+                assert column.tobytes() == w.column.tobytes()
             answers.clear()
 
 

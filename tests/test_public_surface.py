@@ -118,3 +118,16 @@ def test_support_is_aligned_arrays():
     for first, last in zip(views[0], views[-1]):
         assert first.base is not None and first.base is last.base
     assert np.array_equal(cc.basis, np.vstack([np.eye(3), np.ones(3)]))
+
+
+def test_one_column_per_witness():
+    # the verifier forms an SDP or SOCP witness's column by the query's
+    # product, Sdp.column or A[:, sl] @ v[sl], with no formula of its own
+    resolve = prfeas.certify.resolve_witness_column.__code__.co_names
+    for name in ("einsum", "repeat"):
+        assert name not in resolve, name
+    for function in (prfeas.certify.resolve_witness_column,
+                     prfeas.oracle.sdp_query):
+        names = function.__code__.co_names
+        assert "column" in names and "matrices" not in names, \
+            function.__name__
