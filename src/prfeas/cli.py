@@ -15,7 +15,15 @@ Input files are read as RFC 8259 JSON in UTF-8 by the compiled parser of
 ``NaN``, ``Infinity`` and ``-Infinity`` are accepted by the parser (the
 loaders then reject non-finite numbers where a field must be finite).
 Nesting depth is limited: a file nested too deeply is malformed input
-(exit 65).  Output is written with Python's ``json`` module.
+(exit 65).  The cyclic garbage collector is paused while a file is
+parsed and loaded: a parsed JSON tree holds no reference cycles, so a
+collection then walks every array read so far and frees nothing.
+Output is written with Python's ``json`` module.
+
+A certificate's numbers (``y``, each weight's ``x``, a witness vector's
+entries and a custom witness's column) must be JSON numbers, and its
+vectors JSON arrays: a string or a boolean there is malformed input.
+Problem arrays are converted by numpy and do not yet reject them.
 
 Exit codes: 0 feasible / verified / generated, 1 dual certificate,
 2 epsilon declaration, 3 certificate rejected, 64 usage error, 65
@@ -30,13 +38,14 @@ Everything else exits 70: only built-in oracles run here, so an
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -166,6 +175,23 @@ def dump_problem(instance: ProblemInstance) -> dict:
 # certificate format
 
 
+def _number(value: object) -> float:
+    """``value`` as a float if the parser read it as a JSON number.
+
+    Raises TypeError for any other type, a bool or a string among them,
+    and OverflowError for an integer beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a JSON number, got {type(value).__name__}")
+    return float(value)
+
+
+def _numbers(value: object) -> list[float]:
+    """``value`` as floats if it is a JSON array of JSON numbers."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON array, got {type(value).__name__}")
+    return [_number(t) for t in value]
+
+
 def witness_to_json(w: Union[Witness, WitnessedColumn]) -> dict:
     """Encode a witness for a certificate file.
 
@@ -199,13 +225,15 @@ def witness_from_json(obj: dict) -> Union[Witness, WitnessedColumn]:
     if kind == "lp_index":
         return LpIndex(strict_int(obj["i"], "column index"))
     if kind == "sdp_vector":
-        return SdpVector(tuple(float(t) for t in obj["v"]))
+        return SdpVector(tuple(_numbers(obj["v"])))
     if kind == "socp_vector":
-        return SocpVector(tuple(float(t) for t in obj["v"]))
+        return SocpVector(tuple(_numbers(obj["v"])))
     if kind == "custom":
         witness = CustomWitness(obj.get("label"))
         column = obj.get("column")
-        return witness if column is None else WitnessedColumn(witness, column)
+        if column is None:
+            return witness
+        return WitnessedColumn(witness, _numbers(column))
     raise ValueError(f"unknown witness type {kind!r}")
 
 
@@ -226,19 +254,19 @@ def load_certificate(data: object) -> Certificate:
     kind = data.get("kind")
     if kind == "d":
         try:
-            y = np.asarray(data.get("y", []), dtype=float)
-        except TypeError as exc:
+            y = _numbers(data.get("y", []))
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"\"y\" must be a vector of numbers: {exc}") \
                 from exc
-        if y.ndim != 1 or y.size == 0:
+        if not y:
             raise ValueError("\"y\" must be a nonempty vector")
-        return Certificate(kind="d", y=y, weights=None)
+        return Certificate(kind="d", y=np.array(y), weights=None)
     if kind == "p":
         entries = data.get("weights")
         if not isinstance(entries, list) or not entries:
             raise ValueError("\"weights\" must be a nonempty list")
         try:
-            weights = [(witness_from_json(e["witness"]), float(e["x"]))
+            weights = [(witness_from_json(e["witness"]), _number(e["x"]))
                        for e in entries]
         except (KeyError, TypeError, ValueError, OverflowError,
                 AttributeError) as exc:
@@ -273,17 +301,34 @@ def solve_report(outcome: SolveOutcome, wall_ms: float | None) -> dict:
 # subcommands
 
 
-def _read_json(path: str) -> object:
+def _read_json(path: str, load: Callable[[object], object]) -> object:
+    """``load`` of the JSON document in the file at ``path``.
+
+    The cyclic garbage collector is paused while the file is parsed and
+    loaded.  Parsing allocates one list per JSON array, and every few
+    hundred of them would start a collection that walks the arrays read
+    so far; a parsed document holds no reference cycles, so none can free
+    anything.  Resumed before ``load``, the collector would walk the whole
+    document once more; after it, reference counting alone frees it.
+    """
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     # deferred: the import costs ~10 MB and ~55 ms, paid only to read a file
     from pydantic_core import from_json
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return from_json(data)
-    except ValueError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+        try:
+            doc = from_json(data)
+        except ValueError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+        del data  # so the file's bytes and the loaded arrays never coexist
+        return load(doc)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _write_json(path: str, doc: dict, indent: int | None) -> None:
@@ -295,7 +340,7 @@ def _emit(doc: dict, indent: int | None) -> None:
 
 
 def cmd_solve(args) -> int:
-    instance = load_problem(_read_json(args.input))
+    instance = _read_json(args.input, load_problem)
     start = time.perf_counter()
     outcome = main_algorithm(instance, epsilon=args.epsilon,
                              max_rescalings=args.max_rescalings)
@@ -321,8 +366,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    instance = load_problem(_read_json(args.input))
-    cert = load_certificate(_read_json(args.certificate))
+    instance = _read_json(args.input, load_problem)
+    cert = _read_json(args.certificate, load_certificate)
     if args.kind is not None and args.kind != cert.kind:
         raise ValueError(
             f"certificate is of kind {cert.kind!r}, not {args.kind!r}")

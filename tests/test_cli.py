@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +56,16 @@ def invoke(capsys, *argv):
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def wide_lp_file(tmp_path, capsys):
+    """A problem file of 20,000 columns at m = 3, after a first read has
+    imported the JSON parser."""
+    path = str(tmp_path / "lp.json")
+    invoke(capsys, "generate", "--kind", "lp", "--m", "3", "--n", "20000",
+           "--output", path)
+    _read_json(write_json(tmp_path / "tiny.json", []), lambda doc: doc)
+    return path
 
 
 def axes_problem(tmp_path, name="axes.json"):
@@ -133,7 +145,7 @@ class TestProblemFileFormat:
         cols = np.random.default_rng(3).standard_normal((20, 2000))
         inst = FiniteLp(cols)
         path = write_json(tmp_path / "lp.json", dump_problem(inst))
-        again = load_problem(_read_json(path))
+        again = _read_json(path, load_problem)
         assert again.columns.tobytes() == inst.columns.tobytes()
 
     @pytest.mark.parametrize("m,n", [(5, 40), (10, 200)])
@@ -161,10 +173,63 @@ class TestProblemFileFormat:
     def test_finite_doubles_read_back_bit_identical(self, values):
         with tempfile.TemporaryDirectory() as d:
             path = write_json(Path(d) / "v.json", values)
-            back = _read_json(path)
+            back = _read_json(path, lambda doc: doc)
         assert all(type(v) is float for v in back)
         assert np.array(back, dtype=float).tobytes() == \
             np.array(values, dtype=float).tobytes()
+
+    def test_reading_a_file_starts_no_collection(self, tmp_path, capsys):
+        # 20,000 column lists would start dozens of collections
+        path = wide_lp_file(tmp_path, capsys)
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            _read_json(path, load_problem)
+            collections = len(starts)
+            # the document was freed before the collector resumed, so no
+            # collection is due to walk it
+            pending = gc.get_count()[0]
+        finally:
+            gc.callbacks.remove(count)
+        assert collections == 0
+        assert pending < gc.get_threshold()[0]
+
+    def test_file_bytes_are_not_held_while_loading(self, tmp_path, capsys):
+        path = wide_lp_file(tmp_path, capsys)
+        peaks = []
+        for load in (lambda doc: doc, load_problem):
+            tracemalloc.start()
+            try:
+                _read_json(path, load)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the arrays are built once the bytes are freed, so loading adds
+        # well under the file's size to the parse's own peak
+        assert peaks[1] < peaks[0] + Path(path).stat().st_size / 2
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("malformed", [False, True])
+    def test_reading_restores_the_collector_state(self, tmp_path, capsys,
+                                                   enabled, malformed):
+        path = tmp_path / "doc.json"
+        path.write_text("[[1.0, 2.0]" if malformed else "[[1.0, 2.0]]")
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if malformed:
+                code, _ = invoke(capsys, "solve", "--input", str(path))
+                assert code == EXIT_DATA
+            else:
+                assert _read_json(str(path), lambda doc: doc) == [[1.0, 2.0]]
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     @pytest.mark.parametrize("doc", [
         [],
@@ -210,6 +275,20 @@ class TestProblemFileFormat:
             {"witness": {"type": "lp_index", "i": True}, "x": 1.0}]}),
         ("problem", {"schema": 1, "type": "lp", "m": 2,
                      "columns": [[1.0, float("nan")]]}),
+        # an integer beyond the float range, and strings and booleans
+        # where a certificate needs JSON numbers or arrays
+        ("certificate", {"schema": 1, "kind": "d", "y": [10**400, 1]}),
+        ("certificate", {"schema": 1, "kind": "d", "y": ["1", True]}),
+        ("certificate", {"schema": 1, "kind": "d", "y": [1, True]}),
+        ("certificate", {"schema": 1, "kind": "p", "weights": [
+            {"witness": {"type": "lp_index", "i": 0}, "x": "1"}]}),
+        ("sdp certificate", {"schema": 1, "kind": "p", "weights": [
+            {"witness": {"type": "sdp_vector", "v": "010"}, "x": 1}]}),
+        ("socp certificate", {"schema": 1, "kind": "p", "weights": [
+            {"witness": {"type": "socp_vector", "v": "100"}, "x": 1}]}),
+        ("certificate", {"schema": 1, "kind": "p", "weights": [
+            {"witness": {"type": "custom", "label": 0, "column": ["1", 0]},
+             "x": 1}]}),
     ])
     def test_wrongly_typed_fields_are_data_errors(self, tmp_path, capsys,
                                                   kind, doc):
@@ -217,8 +296,17 @@ class TestProblemFileFormat:
         if kind == "problem":
             argv = ["solve", "--input", path]
         else:
-            argv = ["verify", "--input", axes_problem(tmp_path),
-                    "--certificate", path]
+            with pytest.raises(ValueError):
+                load_certificate(doc)
+            problem = write_json(tmp_path / "problem.json", {
+                "certificate": {"schema": 1, "type": "lp", "m": 2,
+                                "columns": [[1.0, 0.0], [0.0, 1.0]]},
+                "sdp certificate": {"schema": 1, "type": "sdp", "m": 1,
+                                    "n": 3, "matrices": [np.eye(3).tolist()]},
+                "socp certificate": {"schema": 1, "type": "socp", "m": 1,
+                                     "blocks": [3], "A": [[1.0, 0.0, 0.0]]},
+            }[kind])
+            argv = ["verify", "--input", problem, "--certificate", path]
         code, out = invoke(capsys, *argv)
         assert code == EXIT_DATA
         assert "error" in json.loads(out)
@@ -338,7 +426,8 @@ class TestLoaderProperties:
         # the reader, the loader and the exit-code mapping run
         with tempfile.TemporaryDirectory() as d:
             path = write_json(Path(d) / "p.json", doc)
-            rejected = rejects(load_problem, _read_json(path))
+            rejected = rejects(load_problem,
+                               _read_json(path, lambda doc: doc))
             code = run_cli(["solve", "--input", path, "--max-rescalings",
                             "0", "--log-level", "error"])
         assert code == (EXIT_DATA if rejected else EXIT_EPSILON)
@@ -349,7 +438,8 @@ class TestLoaderProperties:
         with tempfile.TemporaryDirectory() as d:
             prob = axes_problem(Path(d))
             path = write_json(Path(d) / "c.json", doc)
-            rejected = rejects(load_certificate, _read_json(path))
+            rejected = rejects(load_certificate,
+                               _read_json(path, lambda doc: doc))
             code = run_cli(["verify", "--input", prob, "--certificate", path,
                             "--log-level", "error"])
         # a certificate that loads may still name no column of the problem
@@ -683,7 +773,7 @@ class TestVerifyCommand:
                            "--certificate", cert)
         assert code == 0, out
         # the instance as the CLI reads it
-        inst = load_problem(_read_json(prob))
+        inst = _read_json(prob, load_problem)
         margin = json.loads(out)["details"]["min_margin"]
         assert margin == math.ldexp(inst.min_margin(np.ldexp(y, -1024)), 1024)
         assert margin > 1e307
