@@ -9,8 +9,6 @@ semidefinite, and second-order cone families are built in.
 """
 
 from .certify import (
-    Certificate,
-    VerificationReport,
     generate_planted,
     verify_d_solution,
     verify_p_certificate,
@@ -22,12 +20,10 @@ from .oracle import (
     FiniteLp,
     LpIndex,
     OracleContractViolation,
-    ProblemInstance,
     Sdp,
     SdpVector,
     Socp,
     SocpVector,
-    Witness,
     WitnessedColumn,
     query,
 )
@@ -43,8 +39,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Certificate",
-    "VerificationReport",
     "generate_planted",
     "verify_d_solution",
     "verify_p_certificate",
@@ -54,12 +48,10 @@ __all__ = [
     "FiniteLp",
     "LpIndex",
     "OracleContractViolation",
-    "ProblemInstance",
     "Sdp",
     "SdpVector",
     "Socp",
     "SocpVector",
-    "Witness",
     "WitnessedColumn",
     "query",
     "InvariantViolated",

@@ -115,9 +115,8 @@ def verify_d_solution(instance: ProblemInstance, y: np.ndarray) -> VerificationR
     the oracle's tolerance band) on a true margin of about 0, and reads as
     0.
     """
-    # a custom oracle sees a y from outside as given, where a square or a
-    # margin may overflow, and a margin mapped back to y may overflow too:
-    # one that is not finite is taken again below
+    # a margin mapped back to a y from outside may overflow: one that is
+    # not finite is taken again below
     with np.errstate(over="ignore", invalid="ignore"):
         w = query(instance, y)
         if w is None:
@@ -178,10 +177,7 @@ def resolve_witness_column(
     if isinstance(witness, LpIndex):
         if not isinstance(instance, FiniteLp):
             raise ValueError("lp_index witness on a non-LP instance")
-        try:
-            i = strict_int(witness.i, "column index")
-        except TypeError as exc:
-            raise ValueError(str(exc)) from None
+        i = witness.i
         if not 0 <= i < instance.n:
             raise ValueError(f"column index {i} out of range")
         return (witness, instance.columns[:, i].copy(),

@@ -38,6 +38,7 @@ Everything else exits 70: only built-in oracles run here, so an
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import logging
@@ -223,7 +224,7 @@ def witness_from_json(obj: dict) -> Union[Witness, WitnessedColumn]:
     :class:`WitnessedColumn` for a custom witness that carries a column."""
     kind = obj.get("type")
     if kind == "lp_index":
-        return LpIndex(strict_int(obj["i"], "column index"))
+        return LpIndex(obj["i"])
     if kind == "sdp_vector":
         return SdpVector(tuple(_numbers(obj["v"])))
     if kind == "socp_vector":
@@ -404,7 +405,10 @@ def cmd_generate(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it
+    as it was."""
     common = _Parser(add_help=False)
     common.add_argument("--log-level", default="warning",
                         choices=["debug", "info", "warning", "error"])
@@ -455,8 +459,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         indent = args.json_indent
-        logging.basicConfig(stream=sys.stderr,
-                            level=getattr(logging, args.log_level.upper()))
+        # basicConfig installs the stderr handler at the first call only,
+        # so the level is set here at every call
+        logging.basicConfig(stream=sys.stderr)
+        log.setLevel(args.log_level.upper())
         return args.func(args)
     except ConfigError as exc:
         code, error = EXIT_USAGE, str(exc)

@@ -39,6 +39,7 @@ strict feasibility.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -200,9 +201,15 @@ def real_array(value: object, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LpIndex:
-    """Witness for FiniteLp: 0-based column index."""
+    """Witness for FiniteLp: 0-based column index, an integer
+    (:func:`strict_int`; an integral float is taken as its int)."""
 
     i: int
+
+    def __post_init__(self) -> None:
+        # lp_query builds one per answer, from an int: that needs no check
+        if type(self.i) is not int:
+            object.__setattr__(self, "i", strict_int(self.i, "column index"))
 
 
 @dataclass(frozen=True)
@@ -329,7 +336,6 @@ class FiniteLp:
     columns: np.ndarray
     exponents: np.ndarray = field(init=False, repr=False)
     column_norms: np.ndarray = field(init=False, repr=False)
-    _unit32: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         cols = np.ascontiguousarray(real_array(self.columns, "columns"))
@@ -356,6 +362,15 @@ class FiniteLp:
     def as_given(self) -> np.ndarray:
         """The columns as given: the stored ones times ``2^exponents``."""
         return np.ldexp(self.columns, self.exponents)
+
+    @functools.cached_property
+    def _unit32(self) -> np.ndarray:
+        """The float32 unit columns, built at their first use."""
+        # float64 quotients rounded to float32 in numpy's buffered cast,
+        # with no (m, n) float64 temporary
+        unit = np.empty_like(self.columns, dtype=np.float32)
+        np.divide(self.columns, self.column_norms, out=unit, dtype=float)
+        return unit
 
     def min_margin(self, y: np.ndarray) -> float:
         """The least margin ``a_t^T y`` of the columns as given, taken at
@@ -646,9 +661,12 @@ class CustomOracle:
     """User-supplied separation callback over an index set of any shape.
 
     ``fn(y)`` must return a :class:`WitnessedColumn` violating ``y`` or
-    ``None`` when ``y`` is strictly feasible.  Answers are re-checked on
-    every query; an unsound answer raises OracleContractViolation.  ``m``
-    must be an integer (:func:`strict_int`), at least 1.
+    ``None`` when ``y`` is strictly feasible.  :func:`query` hands it the
+    unit direction of the query (:func:`unit_direction`), ``max|y_i|`` in
+    [1/2, 1), so a sound answer must depend only on the ray of ``y``.
+    Answers are re-checked on every query; an unsound answer raises
+    OracleContractViolation.  ``m`` must be an integer
+    (:func:`strict_int`), at least 1.
     """
 
     m: int
@@ -663,27 +681,26 @@ class CustomOracle:
 ProblemInstance = Union[FiniteLp, Sdp, Socp, CustomOracle]
 
 
-def unit_direction(y: np.ndarray, m: int,
-                   scale: bool = True) -> tuple[np.ndarray, int]:
+def unit_direction(y: np.ndarray, m: int) -> tuple[np.ndarray, int]:
     """``(2^-e y, e)`` for a query direction ``y``, checked to be a real
     array (:func:`real_array`) of shape ``(m,)``, finite and nonzero:
     ``2^-e`` is the power of two that brings ``max|y_i|`` into [1/2, 1).
-    With ``scale`` false, ``y`` is returned as given, with the same ``e``.
 
-    Every query and margin of a built-in instance is taken at this
-    direction and mapped back by ``2^e``.  The answer depends only on the
-    ray of ``y``, and a power of two scales every entry and margin exactly
-    while it stays a normal float, so no witness changes while every entry
-    of ``2^-e y`` is normal.  An entry below ``2^-1021 max|y_i|`` can lose
-    bits there, and one below about ``2^-1074 max|y_i|`` becomes 0, which
-    can change the answer for such a ``y``.  Every stored unit of a
-    built-in instance, and every column that :func:`query` hands out, has
-    entries below ``2^448``: data in range (below ``2^RANGE_EXPONENT``),
-    or a SOCP's ``A_b v_b`` and an Sdp's ``v^T A_i v``, the product of
-    the stack's ``(m, n^2)`` view with ``vec(v v^T)``: each weighs fewer
-    than ``2^63`` such entries by entries of ``v_b`` or of ``vec(v
-    v^T)``, all at most 1.  So at this direction no partial sum of a
-    product with them overflows, whatever the size of ``y``.
+    Every query and margin is taken at this direction and mapped back by
+    ``2^e``, a custom oracle's too: its callback is handed this direction.
+    A sound answer depends only on the ray of ``y``, and a power of two
+    scales every entry and margin exactly while it stays a normal float,
+    so no witness changes while every entry of ``2^-e y`` is normal.  An
+    entry below ``2^-1021 max|y_i|`` can lose bits there, and one below
+    about ``2^-1074 max|y_i|`` becomes 0, which can change the answer for
+    such a ``y``.  Every stored unit of a built-in instance, and every
+    column that :func:`query` hands out, has entries below ``2^448``: data
+    in range (below ``2^RANGE_EXPONENT``), or a SOCP's ``A_b v_b`` and an
+    Sdp's ``v^T A_i v``, the product of the stack's ``(m, n^2)`` view
+    with ``vec(v v^T)``: each weighs fewer than ``2^63`` such entries by
+    entries of ``v_b`` or of ``vec(v v^T)``, all at most 1.  So at this
+    direction no partial sum of a product with them overflows, whatever
+    the size of ``y``.
     """
     y = real_array(y, "query direction")
     if y.shape != (m,):
@@ -696,7 +713,7 @@ def unit_direction(y: np.ndarray, m: int,
     if not peak > 0.0:
         raise ValueError("query direction must be nonzero")
     e = math.frexp(peak)[1]
-    return (np.ldexp(y, -e) if scale else y), e
+    return np.ldexp(y, -e), e
 
 
 def _check_soundness(w: WitnessedColumn, y: np.ndarray, k: int,
@@ -704,10 +721,8 @@ def _check_soundness(w: WitnessedColumn, y: np.ndarray, k: int,
     """``w`` once it has ``column^T y <= 0`` up to rounding and the
     oracle's ``band``.
 
-    ``y`` is ``2^-k`` times the query direction, the unit direction
-    (:func:`unit_direction`) or, for a custom oracle, the direction as
-    given while ``max|y_i|`` stays below ``2^500``: the range is decided
-    before the product is taken, so no partial sum overflows.  The
+    ``y`` is the unit direction (:func:`unit_direction`), ``2^-k`` times
+    the query direction, so no partial sum of the product overflows.  The
     tolerance is taken times ``2^-k`` with it, and ``band`` is the
     oracle's at this ``y``.
     """
@@ -826,13 +841,6 @@ def _screened_pick(instance: FiniteLp, y: np.ndarray) -> int | None:
     m = instance.m
     if m >= 2**20:
         return None
-    if instance._unit32 is None:
-        # float64 quotients rounded to float32 in numpy's buffered cast,
-        # with no (m, n) float64 temporary
-        unit = np.empty_like(instance.columns, dtype=np.float32)
-        np.divide(instance.columns, instance.column_norms, out=unit,
-                  dtype=float)
-        object.__setattr__(instance, "_unit32", unit)
     r = y.astype(np.float32) @ instance._unit32
     u = 2.0**-24
     g = m * u / (1.0 - m * u)
@@ -926,10 +934,10 @@ def query(instance: ProblemInstance, y: np.ndarray,
 
     Returns ``None`` when ``y`` is strictly feasible for the instance,
     otherwise a sound :class:`WitnessedColumn`.  ``scales`` are the column
-    scales of :func:`lp_query`, which only a FiniteLp accepts.  The
-    built-in oracles check their answers' soundness at the direction they
-    validated, and this function a custom oracle's, so no direction is
-    scanned twice.
+    scales of :func:`lp_query`, which only a FiniteLp accepts.  Every
+    oracle, a custom one's callback too, is queried at the unit direction
+    of ``y`` (:func:`unit_direction`), and its answer's soundness is
+    checked there, so no direction is scanned twice.
 
     Raises
     ------
@@ -950,7 +958,7 @@ def query(instance: ProblemInstance, y: np.ndarray,
         return sdp_query(instance, y)
     if not isinstance(instance, CustomOracle):
         raise TypeError(f"unknown instance type {type(instance).__name__}")
-    y, e = unit_direction(y, instance.m, scale=False)
+    y, e = unit_direction(y, instance.m)
     w = instance.fn(y)
     if w is None:
         return None
@@ -965,11 +973,7 @@ def query(instance: ProblemInstance, y: np.ndarray,
         raise OracleContractViolation(
             "custom oracle column has wrong shape or non-finite entries"
         )
-    # the oracle saw y as given; below 2^500 the check takes it too, so
-    # that a custom query pays no array pass for it, and no product with
-    # a column in range overflows
-    return _check_soundness(w.in_range(top), *(
-        (np.ldexp(y, -e), e) if e > 500 else (y, 0)))
+    return _check_soundness(w.in_range(top), y, e)
 
 
 def rescaled_scales(instance: ProblemInstance, M: np.ndarray, a: np.ndarray,

@@ -1070,6 +1070,53 @@ class TestUsageErrors:
         assert "--mode" not in out
 
 
+class TestRepeatedCalls:
+    """``main`` called many times in one process, as the benchmark and
+    these tests call it."""
+
+    def test_log_level_of_each_call_holds(self, tmp_path):
+        script = textwrap.dedent(f"""
+            import sys
+            import prfeas.cli
+            prob = {str(tmp_path / "p.json")!r}
+            for first, second in (("warning", "info"), ("info", "error")):
+                prfeas.cli.main(["generate", "--kind", "lp", "--m", "3",
+                                 "--n", "10", "--output", prob,
+                                 "--log-level", first])
+                prfeas.cli.main(["solve", "--input", prob,
+                                 "--log-level", second])
+                sys.stderr.write("--\\n")
+        """)
+        res = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        info, error, _ = res.stderr.split("--\n")
+        assert "solve finished" in info
+        assert "solve finished" not in error
+
+    def test_calls_leave_little_for_the_collector(self, tmp_path, capsys):
+        # a parser built per call is a web of reference cycles that only
+        # a collection frees; the parser is built once per process.  The
+        # first call, which may import the JSON parser, is not counted
+        prob = axes_problem(tmp_path)
+        cert = write_json(tmp_path / "c.json",
+                          {"schema": 1, "kind": "d", "y": [1.0, 1.0]})
+        argv = ["verify", "--input", prob, "--certificate", cert]
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            main(argv)
+            gc.collect()
+            codes = [main(argv) for _ in range(10)]
+            left = gc.collect()
+        finally:
+            if was:
+                gc.enable()
+        capsys.readouterr()
+        assert codes == [0] * 10
+        assert left < 500
+
+
 class TestModuleEntry:
     def test_subprocess_single_json_document(self, tmp_path):
         prob = axes_problem(tmp_path)

@@ -290,6 +290,16 @@ class TestLpScreen:
         cols = [[1.0, -1.0, -1.0], [0.0, 0.5, -0.5]]
         assert self.screen_and_exact(cols, [0.75, 0.75]) == (2, 2)
 
+    def test_float32_copy_is_built_at_the_first_screened_query(self):
+        # half the LP's storage, paid only by an LP that is screened
+        n = oracle.LP_SCREEN_MIN_ENTRIES // 4
+        inst = generate_planted("lp", 4, n, 1)[0]
+        y = np.ones(4)
+        lp_query(inst, y, np.ones(n))  # rescaled scales rank in float64
+        assert "_unit32" not in vars(inst)
+        lp_query(inst, y)
+        assert vars(inst)["_unit32"].dtype == np.float32
+
 
 class TestSdpQuery:
     def test_interior_identity_bundle(self):
@@ -1107,6 +1117,23 @@ class TestOneScaleForEveryDirection:
             assert inst.min_margin(scaled) == \
                 np.ldexp(inst.min_margin(y), k)
 
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_custom_callback_is_handed_the_unit_direction(self, k):
+        # as every built-in kernel is, so no square or sum it takes of
+        # the direction overflows or underflows, whatever the query's size
+        seen = []
+
+        def fn(y):
+            seen.append(y)
+            return WitnessedColumn(CustomWitness("c"), -y)
+
+        y = np.ldexp(np.array([1.0, -0.75]), k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w = query(CustomOracle(2, fn), y)
+        assert w.witness == CustomWitness("c")
+        assert seen[0].tolist() == [0.5, -0.375]
+
 
 #: one instance of each kind with m = 2
 KINDS = [FiniteLp(np.eye(2)), Sdp(np.array([np.eye(2), np.diag([1.0, -1.0])])),
@@ -1169,6 +1196,13 @@ class TestInputsCheckedWhereTheyEnter:
         for bad in (2.5, True, "2", None):
             with pytest.raises(TypeError, match="m must be an integer"):
                 CustomOracle(bad, fn)
+
+    def test_lp_index_is_taken_as_its_integer(self):
+        # where the witness is built; one that is not an integer raises
+        # there (test_certify)
+        for given in (2.0, np.int64(2)):
+            i = LpIndex(given).i
+            assert type(i) is int and i == 2
 
 
 class TestQueryDispatch:

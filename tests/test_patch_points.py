@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import prfeas.solver
+from prfeas.certify import generate_planted
 from prfeas.oracle import CustomOracle
 
 from semicircle import make_semicircle
@@ -62,5 +63,24 @@ def test_solver_and_linalg_patch_points_record_calls():
     names = {name for name, _, _ in live_patch_points()
              if name.startswith(("solver.", "linalg."))}
     assert len(names) == 11
+    for name in sorted(names):
+        assert metrics[f"{name}.calls"] > 0, f"{name} recorded no call"
+
+
+def test_oracle_patch_points_record_calls():
+    # a planted lp, sdp and socp and the open semicircle, its callback
+    # traced as the benchmark traces it: a query that bypassed an oracle
+    # function or the callback would zero its metric
+    tracing = import_tracing()
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        for kind, m, n in (("lp", 10, 40), ("sdp", 4, 6), ("socp", 5, 20)):
+            prfeas.solver.main_algorithm(generate_planted(kind, m, n, 1)[0])
+        prfeas.solver.main_algorithm(tracer.traced_instance(
+            CustomOracle(2, make_semicircle(False))))
+    metrics = tracer.metrics()
+    names = {name for name, _, _ in live_patch_points()
+             if name.startswith("oracle.")} | {tracing.CUSTOM_ORACLE}
+    assert len(names) == 5
     for name in sorted(names):
         assert metrics[f"{name}.calls"] > 0, f"{name} recorded no call"

@@ -49,7 +49,7 @@ def test_three_public_exception_classes():
     assert issubclass(prfeas.ConfigError, ValueError)
     assert issubclass(prfeas.OracleContractViolation, RuntimeError)
     assert issubclass(prfeas.InvariantViolated, RuntimeError)
-    assert len(prfeas.__all__) <= 25
+    assert len(prfeas.__all__) == 21
 
 
 def test_linalg_module_folded_away():
