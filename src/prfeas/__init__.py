@@ -8,56 +8,12 @@ Constraint families are presented through separation oracles; finite LP,
 semidefinite, and second-order cone families are built in.
 """
 
-from .certify import (
-    generate_planted,
-    verify_d_solution,
-    verify_p_certificate,
-)
-from .oracle import (
-    ConfigError,
-    CustomOracle,
-    CustomWitness,
-    FiniteLp,
-    LpIndex,
-    OracleContractViolation,
-    Sdp,
-    SdpVector,
-    Socp,
-    SocpVector,
-    WitnessedColumn,
-    query,
-)
-from .solver import (
-    InvariantViolated,
-    RescalingState,
-    SolveCounters,
-    SolveOutcome,
-    basic_procedure,
-    main_algorithm,
-)
+# each module's __all__ names what the package exports from it
+from . import certify, oracle, solver
+from .certify import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "generate_planted",
-    "verify_d_solution",
-    "verify_p_certificate",
-    "ConfigError",
-    "CustomOracle",
-    "CustomWitness",
-    "FiniteLp",
-    "LpIndex",
-    "OracleContractViolation",
-    "Sdp",
-    "SdpVector",
-    "Socp",
-    "SocpVector",
-    "WitnessedColumn",
-    "query",
-    "InvariantViolated",
-    "RescalingState",
-    "SolveCounters",
-    "SolveOutcome",
-    "basic_procedure",
-    "main_algorithm",
-]
+__all__ = certify.__all__ + oracle.__all__ + solver.__all__

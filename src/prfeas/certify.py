@@ -36,15 +36,11 @@ from .oracle import (
     vector_norm,
 )
 
+# the names prfeas re-exports; the rest are reached as prfeas.certify.<name>
 __all__ = [
-    "VerificationReport",
-    "Certificate",
+    "generate_planted",
     "verify_d_solution",
     "verify_p_certificate",
-    "resolve_witness_column",
-    "generate_planted",
-    "DUAL_RESIDUAL_TOL",
-    "PLANTED_MARGIN",
 ]
 
 #: Relative residual at or below which a positive combination is accepted.

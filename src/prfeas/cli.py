@@ -193,6 +193,10 @@ def _numbers(value: object) -> list[float]:
     return [_number(t) for t in value]
 
 
+#: The certificate type name of each vector witness.
+VECTOR_WITNESSES = {"sdp_vector": SdpVector, "socp_vector": SocpVector}
+
+
 def witness_to_json(w: Union[Witness, WitnessedColumn]) -> dict:
     """Encode a witness for a certificate file.
 
@@ -205,10 +209,9 @@ def witness_to_json(w: Union[Witness, WitnessedColumn]) -> dict:
     witness = w.witness if isinstance(w, WitnessedColumn) else w
     if isinstance(witness, LpIndex):
         return {"type": "lp_index", "i": witness.i}
-    if isinstance(witness, SdpVector):
-        return {"type": "sdp_vector", "v": list(witness.v)}
-    if isinstance(witness, SocpVector):
-        return {"type": "socp_vector", "v": list(witness.v)}
+    for name, cls in VECTOR_WITNESSES.items():
+        if isinstance(witness, cls):
+            return {"type": name, "v": list(witness.v)}
     if isinstance(witness, CustomWitness):
         label = witness.label
         out = {"type": "custom", "label": label.item()
@@ -225,10 +228,8 @@ def witness_from_json(obj: dict) -> Union[Witness, WitnessedColumn]:
     kind = obj.get("type")
     if kind == "lp_index":
         return LpIndex(obj["i"])
-    if kind == "sdp_vector":
-        return SdpVector(tuple(_numbers(obj["v"])))
-    if kind == "socp_vector":
-        return SocpVector(tuple(_numbers(obj["v"])))
+    if kind in VECTOR_WITNESSES:
+        return VECTOR_WITNESSES[kind](tuple(_numbers(obj["v"])))
     if kind == "custom":
         witness = CustomWitness(obj.get("label"))
         column = obj.get("column")
@@ -347,18 +348,17 @@ def cmd_solve(args) -> int:
                              max_rescalings=args.max_rescalings)
     wall_ms = (time.perf_counter() - start) * 1000.0 if args.timing else None
     log.info("solve finished with status %s", outcome.status)
+    report = solve_report(outcome, wall_ms)
     if args.certificate:
-        cert = None
-        if outcome.status == "feasible":
-            cert = Certificate(kind="d", y=outcome.y, weights=None)
-        elif outcome.status == "dual_certificate":
-            cert = Certificate(kind="p", y=None, weights=outcome.weights)
-        if cert is None:
+        # the certificate holds the report's own y or weights
+        if outcome.status == "epsilon_declared":
             log.warning("no certificate to write for an epsilon declaration")
         else:
-            _write_json(args.certificate, dump_certificate(cert),
-                        args.json_indent)
-    _emit(solve_report(outcome, wall_ms), args.json_indent)
+            kind, key = ("d", "y") if outcome.status == "feasible" \
+                else ("p", "weights")
+            _write_json(args.certificate, {"schema": 1, "kind": kind,
+                                           key: report[key]}, args.json_indent)
+    _emit(report, args.json_indent)
     return {
         "feasible": EXIT_FEASIBLE,
         "dual_certificate": EXIT_DUAL,

@@ -47,24 +47,20 @@ from typing import Callable, Union
 
 import numpy as np
 
+# the names prfeas re-exports; the rest are reached as prfeas.oracle.<name>
 __all__ = [
     "ConfigError",
-    "OracleContractViolation",
-    "LpIndex",
-    "SdpVector",
-    "SocpVector",
-    "CustomWitness",
-    "Witness",
-    "WitnessedColumn",
-    "FiniteLp",
-    "Sdp",
-    "Socp",
     "CustomOracle",
-    "ProblemInstance",
+    "CustomWitness",
+    "FiniteLp",
+    "LpIndex",
+    "OracleContractViolation",
+    "Sdp",
+    "SdpVector",
+    "Socp",
+    "SocpVector",
+    "WitnessedColumn",
     "query",
-    "lp_query",
-    "sdp_query",
-    "socp_query",
 ]
 
 #: Scaled tolerance for the soundness check column^T y <= 0 at query return.
@@ -274,6 +270,8 @@ class WitnessedColumn:
     :func:`query` returns the column in range: as a built-in instance
     stores it (:func:`in_range`), and a custom oracle's under
     :meth:`in_range`; it is ``2^-exponent`` times the column as given.
+    It keeps its own copy of ``column``, which the solver's support holds
+    across queries, so a callback may write each answer into one array.
     """
 
     witness: Witness
@@ -281,7 +279,7 @@ class WitnessedColumn:
     exponent: int = 0
 
     def __post_init__(self) -> None:
-        self.column = real_array(self.column, "witnessed column")
+        self.column = real_array(self.column, "witnessed column").copy()
         # a cone vector that the instance maps to zero is a sound witness,
         # and alone a dual certificate; every other column must not vanish
         if self.column.ndim != 1 or not (
@@ -314,7 +312,10 @@ class FiniteLp:
     Products such as ``y @ columns`` sum in memory order, so the columns
     are copied to C order when given in another: an instance solves to
     the same bits whatever order its caller's array had (a file's LP, read
-    as rows of columns and transposed, is Fortran-ordered).
+    as rows of columns and transposed, is Fortran-ordered).  A C-ordered
+    float64 array whose columns are all in range is kept as it is, not
+    copied: the instance shares it with the caller, so it must not be
+    changed after construction.
 
     Column ``t`` of ``columns`` is the coefficient vector of constraint
     ``a_t^T y > 0``, stored by the range rule (:func:`in_range`): a column
@@ -449,7 +450,9 @@ class Socp:
     """Second-order cone interior constraint on x = A^T y.
 
     ``A`` is (m, n), stored C-ordered as :class:`FiniteLp` stores its
-    columns; ``blocks`` partitions the n coordinates of x into
+    columns, and like them not copied when it is C-ordered float64 with
+    every block in range, so it must not be changed after construction;
+    ``blocks`` partitions the n coordinates of x into
     consecutive cones of positive integer sizes.  Within each block
     ``(x0, xt)`` feasibility means ``x0 > ||xt||``.  ``starts`` holds the
     index of each block's leading coordinate ``x0``, and ``gram`` the
@@ -771,7 +774,7 @@ def lp_query(instance: FiniteLp, y: np.ndarray,
     if t < 0:
         return None
     return _check_soundness(WitnessedColumn(
-        LpIndex(t), instance.columns[:, t].copy(),
+        LpIndex(t), instance.columns[:, t],
         int(instance.exponents[t])), y, e)
 
 

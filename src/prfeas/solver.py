@@ -98,15 +98,12 @@ from .oracle import (
     vector_norm,
 )
 
+# the names prfeas re-exports; the rest are reached as prfeas.solver.<name>
 __all__ = [
     "InvariantViolated",
     "RescalingState",
-    "ConvexCombination",
     "SolveCounters",
     "SolveOutcome",
-    "BasicProcedureResult",
-    "step_alpha",
-    "rescale_budget",
     "basic_procedure",
     "main_algorithm",
 ]

@@ -1,5 +1,5 @@
-"""The hyperplane LP shared by the solver and end-to-end tests and by the
-count guard of the CI workflow.
+"""The hyperplane LP shared by the solver, end-to-end and count-guard
+tests.
 
 It is bit for bit the instance that ``benchmark/workloads.py`` builds
 under the same name, so a count pinned here is one the benchmark runs.

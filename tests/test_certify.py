@@ -406,6 +406,21 @@ class TestResolveWitnessColumn:
                            match="custom witness on a built-in instance"):
             resolve_witness_column(axes_lp(), CustomWitness(1.0))
 
+    @pytest.mark.parametrize("instance, witness, message", [
+        (axes_lp(), SocpVector((1.0, 0.0)),
+         "socp_vector witness on a non-SOCP instance"),
+        (Socp(np.array([[1.0, -1.0]]), blocks=(1, 1)), SocpVector((1.0,)),
+         "socp witness has the wrong dimension"),
+        (CustomOracle(2, lambda y: None),
+         WitnessedColumn(CustomWitness("c"), np.array([1.0, 0.0, 0.0])),
+         "custom witness column has wrong shape"),
+        (axes_lp(), object(), "unknown witness type object"),
+    ], ids=["socp on lp", "socp dimension", "custom shape", "unknown type"])
+    def test_witness_foreign_to_the_instance_rejected(self, instance,
+                                                      witness, message):
+        with pytest.raises(ValueError, match=message):
+            resolve_witness_column(instance, witness)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_vector_rejected(self, bad):
         with pytest.raises(ValueError, match="witness vector must be finite"):

@@ -19,6 +19,7 @@ from prfeas.cli import (
     EXIT_DATA,
     EXIT_DUAL,
     EXIT_EPSILON,
+    EXIT_INTERNAL,
     EXIT_REJECTED,
     EXIT_USAGE,
     _read_json,
@@ -160,6 +161,10 @@ class TestProblemFileFormat:
             assert again.columns.flags.c_contiguous
             assert json.dumps(solve_report(main_algorithm(again), None)) \
                 == json.dumps(solve_report(main_algorithm(inst), None))
+
+    def test_custom_oracle_has_no_file_encoding(self):
+        with pytest.raises(TypeError, match="only lp/sdp/socp instances"):
+            dump_problem(CustomOracle(2, lambda y: None))
 
     def test_socp_is_stored_c_ordered(self):
         A = np.random.default_rng(3).standard_normal((4, 12))
@@ -478,6 +483,10 @@ class TestCertificateFormat:
         with pytest.raises(ValueError):
             witness_from_json({"type": "bogus"})
 
+    def test_unknown_witness_object_is_not_encoded(self):
+        with pytest.raises(TypeError, match="unknown witness type object"):
+            witness_to_json(object())
+
     def test_range_scaled_custom_dual_survives_json_round_trip(self):
         # the oracle hands out -1e200 as -1e200 * 2^-281; the file carries
         # weights on the columns as given, so it must carry those columns
@@ -552,6 +561,45 @@ class TestSolveCommand:
                            "--certificate", str(cert_path))
         assert code == 0
         assert json.loads(out)["accepted"] is True
+
+    def test_feasible_certificate_is_the_reports_direction(self, tmp_path,
+                                                           capsys):
+        prob = axes_problem(tmp_path)
+        cert_path = tmp_path / "d_cert.json"
+        code, out = invoke(capsys, "solve", "--input", prob,
+                           "--certificate", str(cert_path))
+        assert code == 0
+        cert = json.loads(cert_path.read_text())
+        assert cert == {"schema": 1, "kind": "d", "y": json.loads(out)["y"]}
+        code, out = invoke(capsys, "verify", "--input", prob,
+                           "--certificate", str(cert_path))
+        assert code == 0
+        assert json.loads(out)["accepted"] is True
+
+    def test_epsilon_writes_no_certificate(self, tmp_path):
+        cert_path = tmp_path / "none.json"
+        res = subprocess.run(
+            [sys.executable, "-m", "prfeas.cli", "solve", "--input",
+             thin_cone_problem(tmp_path), "--epsilon", "0.5",
+             "--certificate", str(cert_path)],
+            capture_output=True, text=True)
+        assert res.returncode == EXIT_EPSILON
+        assert json.loads(res.stdout)["status"] == "epsilon_declared"
+        assert "no certificate to write for an epsilon declaration" \
+            in res.stderr
+        assert not cert_path.exists()
+
+    def test_unexpected_exception_is_an_internal_error(self, tmp_path,
+                                                        capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("solver fault")
+
+        monkeypatch.setattr("prfeas.cli.main_algorithm", fail)
+        code, out = invoke(capsys, "solve", "--input",
+                           axes_problem(tmp_path))
+        assert code == EXIT_INTERNAL
+        assert json.loads(out) == {"schema": 1,
+                                   "error": "internal error: solver fault"}
 
     def test_epsilon_exit_two(self, tmp_path, capsys):
         code, out = invoke(capsys, "solve", "--input",

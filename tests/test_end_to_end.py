@@ -1,3 +1,4 @@
+import json
 import math
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from prfeas.certify import (
     verify_d_solution,
     verify_p_certificate,
 )
+from prfeas.cli import solve_report
 from prfeas.oracle import (
     CustomOracle,
     CustomWitness,
@@ -453,6 +455,53 @@ class TestSemiInfiniteOracles:
         assert out.s_star == 24
         assert out.epsilon == pytest.approx(
             (math.sqrt(math.e) / 2.0) ** 5, rel=1e-12)
+
+
+def most_violated(columns):
+    """A callback over ``columns`` that answers with the most violated
+    normalized one, a fresh array at every call."""
+    norms = np.linalg.norm(columns, axis=0)
+
+    def fn(y):
+        ratios = (y @ columns) / norms
+        t = int(ratios.argmin())
+        if ratios[t] > 0.0:
+            return None
+        return WitnessedColumn(CustomWitness(t), columns[:, t].copy())
+
+    return fn
+
+
+def reusing(fn, m):
+    """``fn``'s answers, each written into the one array it hands out."""
+    out = np.empty(m)
+
+    def answer(y):
+        w = fn(y)
+        if w is None:
+            return None
+        out[:] = w.column
+        return WitnessedColumn(w.witness, out)
+
+    return answer
+
+
+class TestCustomOracleMayReuseItsArray:
+    # the support keeps every answer's column across queries, so each
+    # WitnessedColumn must hold its own copy
+    @pytest.mark.parametrize("m, fn, epsilon", [
+        (5, most_violated(generate_planted("lp", 5, 40, 3, "feasible_p")[0]
+                          .columns), 1e-6),
+        (2, make_semicircle(False), 1e-2),
+        (2, make_semicircle(False), 1e-4),
+        (2, make_semicircle(True), 1e-2),
+        (2, make_semicircle(True), 1e-4),
+    ], ids=["lp", "open 1e-2", "open 1e-4", "closed 1e-2", "closed 1e-4"])
+    def test_same_solve_as_with_fresh_arrays(self, m, fn, epsilon):
+        fresh = main_algorithm(CustomOracle(m, fn), epsilon)
+        reused = main_algorithm(CustomOracle(m, reusing(fn, m)), epsilon)
+        assert json.dumps(solve_report(reused, None)) == \
+            json.dumps(solve_report(fresh, None))
 
 
 class TestDualExtraction:

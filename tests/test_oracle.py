@@ -1204,6 +1204,20 @@ class TestInputsCheckedWhereTheyEnter:
             i = LpIndex(given).i
             assert type(i) is int and i == 2
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: FiniteLp(np.zeros((3, 0))),
+         r"columns must be a nonempty \(m, n\) array"),
+        (lambda: Socp(np.zeros((0, 3)), (3,)),
+         r"A must be a nonempty \(m, n\) array"),
+        (lambda: Socp(np.ones((1, 3)), (3, 0)), "blocks must be positive"),
+        (lambda: Socp(np.ones((1, 3)), (4, -1)), "blocks must be positive"),
+        (lambda: CustomOracle(0, lambda y: None), "m must be at least 1"),
+    ], ids=["lp without columns", "socp without rows", "empty block",
+            "negative block", "custom m=0"])
+    def test_empty_instance_raises(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 class TestQueryDispatch:
     def test_invalid_queries(self):
@@ -1225,6 +1239,10 @@ class TestQueryDispatch:
         y = [-0.5, 1.0]
         w = query(inst, y)
         assert w is not None and w.column @ np.array(y) <= 0.0
+
+    def test_unknown_instance_type_raises(self):
+        with pytest.raises(TypeError, match="unknown instance type object"):
+            query(object(), np.array([1.0, 0.0]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_custom_column_is_named(self, bad):

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import inspect
 
@@ -33,6 +34,22 @@ def test_removed_names_absent():
     for name in REMOVED:
         assert name not in prfeas.__all__
         assert not hasattr(prfeas, name), name
+
+
+def test_surface_is_declared_once():
+    # each module's __all__ is the one list of what prfeas exports from
+    # it, and __init__ writes none of those names itself
+    modules = (prfeas.certify, prfeas.oracle, prfeas.solver)
+    assert prfeas.__all__ == [n for m in modules for n in m.__all__]
+    tree = ast.parse(inspect.getsource(prfeas))
+    written = {node.id for node in ast.walk(tree)
+               if isinstance(node, ast.Name)}
+    written |= {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    written |= {node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)}
+    assert not written & set(prfeas.__all__)
 
 
 def test_three_public_exception_classes():

@@ -400,6 +400,11 @@ class TestRescalingState:
                            match="rescaled column norm underflowed"):
             state.normalize(np.array([1e-308, 0.0]))
 
+    def test_dimension_must_be_positive(self):
+        with pytest.raises(ConfigError,
+                           match="dimension m must be at least 1"):
+            RescalingState(0)
+
 
 class TestConvexCombinationElimination:
     def build(self, m, terms):
