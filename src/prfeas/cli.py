@@ -18,7 +18,8 @@ Nesting depth is limited: a file nested too deeply is malformed input
 (exit 65).  The cyclic garbage collector is paused while a file is
 parsed and loaded: a parsed JSON tree holds no reference cycles, so a
 collection then walks every array read so far and frees nothing.
-Output is written with Python's ``json`` module.
+Output is written with Python's ``json`` module, every document
+indented by 2.
 
 A certificate's numbers (``y``, each weight's ``x``, a witness vector's
 entries and a custom witness's column) must be JSON numbers, and its
@@ -28,9 +29,9 @@ Problem arrays are converted by numpy and do not yet reject them.
 Exit codes: 0 feasible / verified / generated, 1 dual certificate,
 2 epsilon declaration, 3 certificate rejected, 64 usage error, 65
 malformed input, 70 internal error.  A usage error is a ``ConfigError``:
-a bad command line (also reported on stderr, and emitted compact) or an
-argument out of range, such as ``--epsilon 2`` or ``generate --m 0``;
-malformed input is any other ``ValueError``.
+a bad command line (also reported on stderr) or an argument out of
+range, such as ``--epsilon 2`` or ``generate --m 0``; malformed input is
+any other ``ValueError``.
 Everything else exits 70: only built-in oracles run here, so an
 ``OracleContractViolation`` or ``InvariantViolated`` is a defect.
 """
@@ -333,12 +334,12 @@ def _read_json(path: str, load: Callable[[object], object]) -> object:
             gc.enable()
 
 
-def _write_json(path: str, doc: dict, indent: int | None) -> None:
-    Path(path).write_text(json.dumps(doc, indent=indent) + "\n")
+def _write_json(path: str, doc: dict) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _emit(doc: dict, indent: int | None) -> None:
-    sys.stdout.write(json.dumps(doc, indent=indent) + "\n")
+def _emit(doc: dict) -> None:
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 def cmd_solve(args) -> int:
@@ -356,9 +357,9 @@ def cmd_solve(args) -> int:
         else:
             kind, key = ("d", "y") if outcome.status == "feasible" \
                 else ("p", "weights")
-            _write_json(args.certificate, {"schema": 1, "kind": kind,
-                                           key: report[key]}, args.json_indent)
-    _emit(report, args.json_indent)
+            _write_json(args.certificate,
+                        {"schema": 1, "kind": kind, key: report[key]})
+    _emit(report)
     return {
         "feasible": EXIT_FEASIBLE,
         "dual_certificate": EXIT_DUAL,
@@ -369,14 +370,11 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     instance = _read_json(args.input, load_problem)
     cert = _read_json(args.certificate, load_certificate)
-    if args.kind is not None and args.kind != cert.kind:
-        raise ValueError(
-            f"certificate is of kind {cert.kind!r}, not {args.kind!r}")
     if cert.kind == "d":
         report = verify_d_solution(instance, cert.y)
     else:
         report = verify_p_certificate(instance, cert.weights)
-    _emit(report.to_json_dict(), args.json_indent)
+    _emit(report.to_json_dict())
     return EXIT_FEASIBLE if report.accepted else EXIT_REJECTED
 
 
@@ -386,18 +384,18 @@ def cmd_generate(args) -> int:
     problem_doc = dump_problem(instance)
     cert_doc = dump_certificate(cert)
     if args.certificate:
-        _write_json(args.certificate, cert_doc, args.json_indent)
+        _write_json(args.certificate, cert_doc)
     if args.output:
-        _write_json(args.output, problem_doc, args.json_indent)
+        _write_json(args.output, problem_doc)
         _emit({
             "schema": 1,
             "written": {
                 "problem": args.output,
                 "certificate": args.certificate or None,
             },
-        }, args.json_indent)
+        })
     else:
-        _emit(problem_doc, args.json_indent)
+        _emit(problem_doc)
     return EXIT_FEASIBLE
 
 
@@ -412,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--log-level", default="warning",
                         choices=["debug", "info", "warning", "error"])
-    common.add_argument("--json-indent", type=int, default=2,
-                        help="indentation of emitted JSON documents")
 
     parser = _Parser(prog="prfeas", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True,
@@ -436,8 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="problem JSON file")
     p.add_argument("--certificate", required=True,
                    help="certificate JSON file")
-    p.add_argument("--kind", choices=["d", "p"], default=None,
-                   help="require the certificate to be of this kind")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("generate", parents=[common],
@@ -455,10 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    indent = None  # compact until the command line parses
     try:
         args = build_parser().parse_args(argv)
-        indent = args.json_indent
         # basicConfig installs the stderr handler at the first call only,
         # so the level is set here at every call
         logging.basicConfig(stream=sys.stderr)
@@ -471,7 +463,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001  last-resort contract
         log.exception("internal error")
         code, error = EXIT_INTERNAL, f"internal error: {exc}"
-    _emit({"schema": 1, "error": error}, indent)
+    _emit({"schema": 1, "error": error})
     return code
 
 

@@ -270,8 +270,10 @@ class WitnessedColumn:
     :func:`query` returns the column in range: as a built-in instance
     stores it (:func:`in_range`), and a custom oracle's under
     :meth:`in_range`; it is ``2^-exponent`` times the column as given.
-    It keeps its own copy of ``column``, which the solver's support holds
-    across queries, so a callback may write each answer into one array.
+    It keeps its own copy of ``column``, and :func:`query` hands the
+    solver's support, which holds answers across queries, a new object
+    (:meth:`in_range`), so a callback may write each answer into one
+    array, and into one ``WitnessedColumn`` that it returns each time.
     """
 
     witness: Witness
@@ -288,12 +290,14 @@ class WitnessedColumn:
             raise ValueError("witnessed column must be a nonzero vector")
 
     def in_range(self, peak: float | None = None) -> WitnessedColumn:
-        """This column under the range rule, as one unit: itself when it is
-        in range, else times ``2^-k`` (:func:`range_exponents`) with ``k``
-        added to its exponent.  ``peak`` is ``max|column|`` when the caller
-        has taken it.  Unlike instance data the column is not kept, so an
-        entry that the scaling rounds (one below about ``2^-1400`` times
-        the largest) is let round: no residual moves."""
+        """A new column of this witness under the range rule, as one unit:
+        this column when it is in range, else it times ``2^-k``
+        (:func:`range_exponents`) with ``k`` added to the exponent.  Never
+        ``self``, so a caller may rewrite this object once it has the new
+        one.  ``peak`` is ``max|column|`` when the caller has taken it.
+        Unlike instance data the column is not kept, so an entry that the
+        scaling rounds (one below about ``2^-1400`` times the largest) is
+        let round: no residual moves."""
         if peak is None:
             peak = np.abs(self.column).max()
         e = math.frexp(peak)[1]
@@ -301,8 +305,8 @@ class WitnessedColumn:
         # arithmetic costs every custom query a few microseconds
         k = 0 if -RANGE_EXPONENT < e <= RANGE_EXPONENT \
             else int(range_exponents(e))
-        return self if not k else WitnessedColumn(
-            self.witness, np.ldexp(self.column, -k), self.exponent + k)
+        column = np.ldexp(self.column, -k) if k else self.column
+        return WitnessedColumn(self.witness, column, self.exponent + k)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -161,6 +162,15 @@ class TestProblemFileFormat:
             assert again.columns.flags.c_contiguous
             assert json.dumps(solve_report(main_algorithm(again), None)) \
                 == json.dumps(solve_report(main_algorithm(inst), None))
+
+    def test_columns_of_the_wrong_length_are_malformed(self, tmp_path,
+                                                       capsys):
+        prob = write_json(tmp_path / "p.json", {
+            "schema": 1, "type": "lp", "m": 3, "columns": [[1, 0], [0, 1]]})
+        code, out = invoke(capsys, "solve", "--input", prob)
+        assert code == EXIT_DATA
+        assert json.loads(out)["error"] == \
+            "\"columns\" must be a list of length-m columns"
 
     def test_custom_oracle_has_no_file_encoding(self):
         with pytest.raises(TypeError, match="only lp/sdp/socp instances"):
@@ -854,14 +864,6 @@ class TestVerifyCommand:
         assert code == EXIT_REJECTED
         assert json.loads(out)["accepted"] is False
 
-    def test_kind_mismatch_is_data_error(self, tmp_path, capsys):
-        cert = write_json(tmp_path / "c.json",
-                          {"schema": 1, "kind": "d", "y": [1.0, 1.0]})
-        code, _ = invoke(capsys, "verify", "--input",
-                         axes_problem(tmp_path), "--certificate", cert,
-                         "--kind", "p")
-        assert code == EXIT_DATA
-
     def test_nonpositive_weight_is_data_error(self, tmp_path, capsys):
         cert = write_json(tmp_path / "c.json", {
             "schema": 1, "kind": "p",
@@ -1055,7 +1057,7 @@ class TestGenerateCommand:
         assert code == 0
         assert json.loads(out)["written"]["problem"] == str(prob)
         code, out = invoke(capsys, "verify", "--input", str(prob),
-                           "--certificate", str(cert), "--kind", "p")
+                           "--certificate", str(cert))
         assert code == 0
         assert json.loads(out)["accepted"] is True
 
@@ -1100,14 +1102,29 @@ class TestUsageErrors:
         assert invoke(capsys, "generate", "--kind", "milp",
                       "--m", "2", "--n", "2")[0] == EXIT_USAGE
 
-    def test_unparsed_command_line_is_compact_and_on_stderr(self, capsys):
-        # --json-indent is not read before the command line parses
-        code = main(["solve", "--json-indent", "4"])
+    def test_unparsed_command_line_is_indented_and_on_stderr(self, capsys):
+        # written like every other document
+        code = main(["solve"])
         captured = capsys.readouterr()
         assert code == EXIT_USAGE
         error = json.loads(captured.out)["error"]
-        assert captured.out == json.dumps({"schema": 1, "error": error}) + "\n"
+        assert captured.out == \
+            json.dumps({"schema": 1, "error": error}, indent=2) + "\n"
         assert captured.err == f"usage error: {error}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--json-indent", "4"],
+        ["verify", "--kind", "p"],
+    ], ids=["json-indent", "verify-kind"])
+    def test_removed_options_are_usage_errors(self, tmp_path, capsys, argv):
+        # every document is indented by 2, and a certificate's own kind
+        # picks its verifier
+        cert = write_json(tmp_path / "c.json",
+                          {"schema": 1, "kind": "d", "y": [1.0, 1.0]})
+        code, out = invoke(capsys, *argv, "--input", axes_problem(tmp_path),
+                           "--certificate", cert)
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments" in json.loads(out)["error"]
 
     def test_solve_help_lists_no_mode(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1196,6 +1213,26 @@ class TestModuleEntry:
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1] == "False False 0 True"
+
+    def test_two_hash_seeds_give_the_same_bytes(self, tmp_path):
+        # no dict or set order reaches a report or a certificate: a solve
+        # of 11 inner runs writes the same bytes under two hash seeds
+        inst = generate_planted("socp", 20, 200, 1, "feasible_p")[0]
+        prob = write_json(tmp_path / "socp.json", dump_problem(inst))
+        outputs = []
+        for seed in ("1", "2"):
+            cert = tmp_path / f"cert{seed}.json"
+            res = subprocess.run(
+                [sys.executable, "-m", "prfeas.cli", "solve", "--input", prob,
+                 "--certificate", str(cert)],
+                capture_output=True, env={**os.environ,
+                                          "PYTHONHASHSEED": seed})
+            assert res.returncode == EXIT_DUAL, res.stderr
+            assert json.loads(res.stdout)["counters"]["bp_calls"] == 11
+            outputs.append((res.stdout, cert.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert main(["verify", "--input", prob,
+                     "--certificate", str(cert)]) == 0
 
     def test_help_exits_zero(self):
         res = subprocess.run(

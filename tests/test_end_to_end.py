@@ -486,9 +486,28 @@ def reusing(fn, m):
     return answer
 
 
+def holding(fn):
+    """``fn``'s answers, each written into the one ``WitnessedColumn`` it
+    hands out."""
+    held = None
+
+    def answer(y):
+        nonlocal held
+        w = fn(y)
+        if w is None:
+            return None
+        if held is None:
+            held = w
+        held.column[:] = w.column
+        held.witness = w.witness
+        return held
+
+    return answer
+
+
 class TestCustomOracleMayReuseItsArray:
-    # the support keeps every answer's column across queries, so each
-    # WitnessedColumn must hold its own copy
+    # the support keeps every answer across queries, so each answer it
+    # keeps must be an object with a column of its own
     @pytest.mark.parametrize("m, fn, epsilon", [
         (5, most_violated(generate_planted("lp", 5, 40, 3, "feasible_p")[0]
                           .columns), 1e-6),
@@ -501,6 +520,20 @@ class TestCustomOracleMayReuseItsArray:
         fresh = main_algorithm(CustomOracle(m, fn), epsilon)
         reused = main_algorithm(CustomOracle(m, reusing(fn, m)), epsilon)
         assert json.dumps(solve_report(reused, None)) == \
+            json.dumps(solve_report(fresh, None))
+
+    @pytest.mark.parametrize("m, fn, epsilon, status, calls", [
+        (2, make_semicircle(False), 1e-2, "epsilon_declared", 466),
+        (2, make_semicircle(False), 1e-4, "feasible", 809),
+        (2, make_semicircle(True), 1e-2, "epsilon_declared", 234),
+        (2, make_semicircle(True), 1e-4, "epsilon_declared", 455),
+    ], ids=["open 1e-2", "open 1e-4", "closed 1e-2", "closed 1e-4"])
+    def test_same_solve_as_with_fresh_answer_objects(self, m, fn, epsilon,
+                                                     status, calls):
+        fresh = main_algorithm(CustomOracle(m, fn), epsilon)
+        held = main_algorithm(CustomOracle(m, holding(fn)), epsilon)
+        assert (fresh.status, fresh.counters.oracle_calls) == (status, calls)
+        assert json.dumps(solve_report(held, None)) == \
             json.dumps(solve_report(fresh, None))
 
 

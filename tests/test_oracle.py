@@ -1407,15 +1407,17 @@ class TestQueryDispatch:
     def test_custom_column_is_handed_out_in_range(self):
         # a column as given near the float maximum is handed out times
         # 2^-640 with exponent 640, its label kept; one in range is
-        # handed out as the oracle returned it
+        # handed out with the oracle's bytes, in an object of its own
         big = WitnessedColumn(CustomWitness("big"),
                               np.array([-1.5e308, 1e-100]))
         w = query(CustomOracle(2, lambda y: big), np.array([1.0, 0.0]))
         assert w.witness == big.witness and w.exponent == 640
         assert np.ldexp(w.column, 640).tobytes() == big.column.tobytes()
         small = WitnessedColumn(CustomWitness("small"), np.array([-1.0, 0.0]))
-        assert query(CustomOracle(2, lambda y: small),
-                     np.array([1.0, 0.0])) is small
+        w = query(CustomOracle(2, lambda y: small), np.array([1.0, 0.0]))
+        assert w is not small and w.column is not small.column
+        assert w.witness is small.witness and w.exponent == 0
+        assert w.column.tobytes() == small.column.tobytes()
 
     def test_witnessed_column_must_be_nonzero(self):
         with pytest.raises(ValueError):

@@ -69,6 +69,23 @@ def test_three_public_exception_classes():
     assert len(prfeas.__all__) == 21
 
 
+def test_cli_options_are_the_ones_in_use():
+    # each subcommand's settable values, help aside: JSON is always
+    # indented by 2, and a certificate's own kind picks its verifier
+    sub = next(a for a in prfeas.cli.build_parser()._actions
+               if a.dest == "command")
+    options = {name: sorted(a.dest for a in parser._actions
+                            if a.dest != "help")
+               for name, parser in sub.choices.items()}
+    assert options == {
+        "solve": ["certificate", "epsilon", "input", "log_level",
+                  "max_rescalings", "timing"],
+        "verify": ["certificate", "input", "log_level"],
+        "generate": ["certificate", "kind", "log_level", "m", "n", "output",
+                     "seed", "target"],
+    }
+
+
 def test_linalg_module_folded_away():
     assert importlib.util.find_spec("prfeas.linalg") is None
     for module in (prfeas.certify, prfeas.oracle, prfeas.solver):
