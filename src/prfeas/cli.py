@@ -28,10 +28,12 @@ Problem arrays are converted by numpy and do not yet reject them.
 
 Exit codes: 0 feasible / verified / generated, 1 dual certificate,
 2 epsilon declaration, 3 certificate rejected, 64 usage error, 65
-malformed input, 70 internal error.  A usage error is a ``ConfigError``:
-a bad command line (also reported on stderr) or an argument out of
-range, such as ``--epsilon 2`` or ``generate --m 0``; malformed input is
-any other ``ValueError``.
+malformed input or a file that cannot be read or written, 70 internal
+error.  A usage error is a ``ConfigError``: a bad command line (also
+reported on stderr) or an argument out of range, such as ``--epsilon 2``
+or ``generate --m 0``; malformed input is any other ``ValueError``, and
+an unreadable or unwritable file an ``OSError``, whose message names
+the path.
 Everything else exits 70: only built-in oracles run here, so an
 ``OracleContractViolation`` or ``InvariantViolated`` is a defect.
 """
@@ -261,8 +263,6 @@ def load_certificate(data: object) -> Certificate:
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"\"y\" must be a vector of numbers: {exc}") \
                 from exc
-        if not y:
-            raise ValueError("\"y\" must be a nonempty vector")
         return Certificate(kind="d", y=np.array(y), weights=None)
     if kind == "p":
         entries = data.get("weights")
@@ -314,10 +314,7 @@ def _read_json(path: str, load: Callable[[object], object]) -> object:
     anything.  Resumed before ``load``, the collector would walk the whole
     document once more; after it, reference counting alone frees it.
     """
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
+    data = Path(path).read_bytes()
     # deferred: the import costs ~10 MB and ~55 ms, paid only to read a file
     from pydantic_core import from_json
     enabled = gc.isenabled()
@@ -458,7 +455,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         code, error = EXIT_USAGE, str(exc)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         code, error = EXIT_DATA, str(exc)
     except Exception as exc:  # noqa: BLE001  last-resort contract
         log.exception("internal error")

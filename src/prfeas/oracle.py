@@ -137,8 +137,8 @@ def range_exponents(e: np.ndarray, step: int = 1) -> np.ndarray:
     return k + np.sign(k) * (k % step)
 
 
-def in_range(data: np.ndarray, peaks: np.ndarray, owner=Ellipsis,
-             step: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def in_range(data: np.ndarray, peaks: np.ndarray, what: str,
+             owner=Ellipsis, step: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """``(stored, exponents)`` for ``data`` under :func:`range_exponents`.
 
     ``peaks`` holds each unit's largest magnitude, and ``exponents[owner]``
@@ -149,8 +149,11 @@ def in_range(data: np.ndarray, peaks: np.ndarray, owner=Ellipsis,
     unit (an SDP stack).  Data whose units are all in range is returned as
     it is, not copied.  Powers of two are exact unless an entry leaves the
     normal range, so a scaling that would round an entry (one far below
-    its unit's largest) raises ValueError.
+    its unit's largest) raises ValueError, as does a unit whose peak is
+    not finite (``"{what} must be finite"``).
     """
+    if not np.isfinite(peaks).all():
+        raise ValueError(f"{what} must be finite")
     exps = range_exponents(np.frexp(peaks)[1], step)
     if not exps.any():
         return data, exps
@@ -347,11 +350,9 @@ class FiniteLp:
         if cols.ndim != 2 or cols.shape[1] == 0:
             raise ValueError("columns must be a nonempty (m, n) array")
         peaks = np.max(np.abs(cols), axis=0, initial=0.0)
-        if not np.all(np.isfinite(peaks)):
-            raise ValueError("columns must be finite")
+        cols, exps = in_range(cols, peaks, "columns")
         if not np.all(peaks > 0.0):
             raise ValueError("every constraint column must be nonzero")
-        cols, exps = in_range(cols, peaks)
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "column_norms", np.linalg.norm(cols, axis=0))
@@ -405,9 +406,7 @@ class Sdp:
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or 0 in mats.shape:
             raise ValueError("matrices must be a nonempty (m, n, n) stack")
         peak = np.max(np.abs(mats))
-        if not np.isfinite(peak):
-            raise ValueError("matrices must be finite")
-        mats, e = in_range(mats, peak, step=2)
+        mats, e = in_range(mats, peak, "matrices", step=2)
         # the tolerance is relative to max(max|A_i|, 1) for the data as
         # given, which the stored data holds times 2^-e
         skew = np.max(np.abs(mats - mats.transpose(0, 2, 1)))
@@ -506,9 +505,6 @@ class Socp:
         blocks = tuple(strict_int(b, "block size") for b in self.blocks)
         if A.ndim != 2 or A.shape[0] == 0:
             raise ValueError("A must be a nonempty (m, n) array")
-        peaks = np.max(np.abs(A), axis=0)
-        if not np.all(np.isfinite(peaks)):
-            raise ValueError("A must be finite")
         if not blocks or any(b < 1 for b in blocks):
             raise ValueError("blocks must be positive sizes")
         if sum(blocks) != A.shape[1]:
@@ -516,7 +512,8 @@ class Socp:
         starts = np.cumsum((0,) + blocks[:-1], dtype=np.intp)
         sizes = np.array(blocks, dtype=np.intp)
         owner = np.repeat(np.arange(sizes.size), sizes)
-        A, exps = in_range(A, np.maximum.reduceat(peaks, starts), owner)
+        peaks = np.maximum.reduceat(np.max(np.abs(A), axis=0), starts)
+        A, exps = in_range(A, peaks, "A", owner)
         wide = sizes > A.shape[0] + 1
         # coordinates from i to the end of its block, none in a wide block
         ends = np.where(wide, 0, starts + sizes)

@@ -658,10 +658,11 @@ class TestSolveCommand:
         assert "error" in json.loads(out)
 
     def test_missing_file_is_data_error(self, tmp_path, capsys):
-        code, out = invoke(capsys, "solve", "--input",
-                           str(tmp_path / "nope.json"))
-        assert code == EXIT_DATA
-        assert "error" in json.loads(out)
+        # as is a directory; the error names the path
+        for path in (str(tmp_path / "nope.json"), str(tmp_path)):
+            code, out = invoke(capsys, "solve", "--input", path)
+            assert code == EXIT_DATA
+            assert path in json.loads(out)["error"]
 
     @pytest.mark.parametrize("text", [
         "{not json",
@@ -863,6 +864,15 @@ class TestVerifyCommand:
                            axes_problem(tmp_path), "--certificate", cert)
         assert code == EXIT_REJECTED
         assert json.loads(out)["accepted"] is False
+
+    def test_empty_direction_is_data_error(self, tmp_path, capsys):
+        # the verifier takes only a y of length m
+        cert = write_json(tmp_path / "c.json",
+                          {"schema": 1, "kind": "d", "y": []})
+        code, out = invoke(capsys, "verify", "--input",
+                           axes_problem(tmp_path), "--certificate", cert)
+        assert code == EXIT_DATA
+        assert json.loads(out).keys() == {"schema", "error"}
 
     def test_nonpositive_weight_is_data_error(self, tmp_path, capsys):
         cert = write_json(tmp_path / "c.json", {
@@ -1233,6 +1243,26 @@ class TestModuleEntry:
         assert outputs[0] == outputs[1]
         assert main(["verify", "--input", prob,
                      "--certificate", str(cert)]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--input", "{prob}", "--certificate", "{missing}"],
+        ["generate", "--kind", "lp", "--m", "3", "--n", "10",
+         "--output", "{missing}"],
+        ["generate", "--kind", "lp", "--m", "3", "--n", "10",
+         "--certificate", "{missing}"],
+    ], ids=["solve certificate", "generate output", "generate certificate"])
+    def test_unwritable_file_is_data_error(self, tmp_path, argv):
+        # one error document names the path; no traceback reaches stderr
+        missing = str(tmp_path / "missing" / "out.json")
+        argv = [a.format(prob=axes_problem(tmp_path), missing=missing)
+                for a in argv]
+        res = subprocess.run([sys.executable, "-m", "prfeas.cli", *argv],
+                             capture_output=True, text=True)
+        assert res.returncode == EXIT_DATA
+        doc = json.loads(res.stdout)
+        assert doc.keys() == {"schema", "error"} and doc["schema"] == 1
+        assert missing in doc["error"]
+        assert res.stderr == ""
 
     def test_help_exits_zero(self):
         res = subprocess.run(

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,14 @@ DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
 @pytest.mark.parametrize("script", sorted(p.name for p in
                                           DEMO_DIR.glob("*.py")))
 def test_demo_runs_clean(script):
+    # the demos, and the CLI processes they start, inherit the warning
+    # filter: a float-range warning fails them as it fails the tests
     res = subprocess.run([sys.executable, str(DEMO_DIR / script)],
-                         capture_output=True, text=True, timeout=120)
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ,
+                              "PYTHONWARNINGS": "error::RuntimeWarning"})
     assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
     assert res.stdout.strip()
 
 

@@ -1172,6 +1172,21 @@ class TestInputsCheckedWhereTheyEnter:
             with pytest.raises(ValueError, match="must be real"):
                 query(inst, np.array([1.0 + 5j, 1.0 - 9j]))
 
+    @pytest.mark.parametrize("build, message", [
+        (FiniteLp, "columns must be finite"),
+        (lambda a: Sdp(np.stack([a + a.T] * 2)), "matrices must be finite"),
+        (lambda a: Socp(a, (1, 2)), "A must be finite"),
+    ], ids=["lp", "sdp", "socp"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_raise(self, build, message, bad):
+        # the third column is zero, which a FiniteLp also rejects: the
+        # non-finite entry is reported first
+        a = np.array([[1.0, -1.0, 0.0], [0.5, bad, 0.0], [2.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                build(a)
+
     def test_custom_callback_with_a_complex_column_raises(self):
         # the callback's own ValueError goes through the query unchanged,
         # as any exception raised in the callback does, rather than a
