@@ -153,15 +153,15 @@ def resolve_witness_column(
     The range of a vector is checked before anything is squared: an Sdp
     vector's norm is :func:`prfeas.oracle.vector_norm`, and a cone vector
     with an entry above ``1 + 1e-12`` in magnitude is no ``(1, u)`` block.
-    A custom column is brought into range as a query brings it
-    (:meth:`prfeas.oracle.WitnessedColumn.in_range`).
+    A custom column is checked and brought into range as a query does
+    both (:meth:`prfeas.oracle.WitnessedColumn.in_range`).
 
     Raises
     ------
     ValueError
         If the witness does not belong to the instance (wrong kind, index
         out of range, non-finite or malformed vector, missing or
-        non-finite custom column).
+        malformed custom column).
     """
     given: WitnessedColumn | None = None
     if isinstance(witness, WitnessedColumn):
@@ -213,11 +213,7 @@ def resolve_witness_column(
             raise ValueError("custom witness on a built-in instance")
         if given is None:
             raise ValueError("custom witness carries no column")
-        if given.column.shape != (instance.m,):
-            raise ValueError("custom witness column has wrong shape")
-        if not np.all(np.isfinite(given.column)):
-            raise ValueError("custom witness column must be finite")
-        given = given.in_range()
+        given = given.in_range(instance.m)
         return witness, given.column, given.exponent
     raise ValueError(f"unknown witness type {type(witness).__name__}")
 
@@ -232,8 +228,8 @@ def verify_p_certificate(
     acceptance means residual <= 1e-9.  When every column is exactly the
     zero vector, which a valid nonzero cone witness of a built-in
     instance can map to, the combination is exactly zero and the residual
-    is 0: no ``y`` satisfies ``0^T y > 0``.  A custom witness's column
-    never counts as such.
+    is 0: no ``y`` satisfies ``0^T y > 0``.  A custom witness's column is
+    never zero (:meth:`prfeas.oracle.WitnessedColumn.in_range`).
 
     The weights are those of the data as given.  The sums are taken over
     the columns ``c_t`` in range (:func:`resolve_witness_column`), each
@@ -268,10 +264,9 @@ def verify_p_certificate(
     for witness, x in weights:
         if not (x > 0.0 and math.isfinite(x)):
             raise ValueError("certificate weights must be positive and finite")
-        resolved, column, e = resolve_witness_column(instance, witness)
+        _, column, e = resolve_witness_column(instance, witness)
         terms.append((x, column, e))
-        vanishing = vanishing and not column.any() \
-            and not isinstance(resolved, CustomWitness)
+        vanishing = vanishing and not column.any()
     norms = [vector_norm(c) for _, c, _ in terms]
     mants, exps = np.frexp([x for x, _, _ in terms])
     exps += [e for _, _, e in terms]

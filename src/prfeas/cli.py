@@ -150,29 +150,16 @@ def dump_problem(instance: ProblemInstance) -> dict:
     Writes the data as given, not as stored
     (:func:`prfeas.oracle.in_range`)."""
     if isinstance(instance, FiniteLp):
-        return {
-            "schema": 1,
-            "type": "lp",
-            "m": instance.m,
-            "columns": instance.as_given().T.tolist(),
-        }
-    if isinstance(instance, Sdp):
-        return {
-            "schema": 1,
-            "type": "sdp",
-            "m": instance.m,
-            "n": instance.n,
-            "matrices": instance.as_given().tolist(),
-        }
-    if isinstance(instance, Socp):
-        return {
-            "schema": 1,
-            "type": "socp",
-            "m": instance.m,
-            "blocks": list(instance.blocks),
-            "A": instance.as_given().tolist(),
-        }
-    raise TypeError("only lp/sdp/socp instances have a file encoding")
+        kind, fields = "lp", {"columns": instance.as_given().T.tolist()}
+    elif isinstance(instance, Sdp):
+        kind, fields = "sdp", {"n": instance.n,
+                               "matrices": instance.as_given().tolist()}
+    elif isinstance(instance, Socp):
+        kind, fields = "socp", {"blocks": list(instance.blocks),
+                                "A": instance.as_given().tolist()}
+    else:
+        raise TypeError("only lp/sdp/socp instances have a file encoding")
+    return {"schema": 1, "type": kind, "m": instance.m, **fields}
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +370,13 @@ def cmd_generate(args) -> int:
     if args.certificate:
         _write_json(args.certificate, cert_doc)
     if args.output:
-        _write_json(args.output, problem_doc)
+        try:
+            _write_json(args.output, problem_doc)
+        except OSError:
+            # no certificate is left behind without its problem file
+            if args.certificate:
+                Path(args.certificate).unlink()
+            raise
         _emit({
             "schema": 1,
             "written": {

@@ -170,7 +170,7 @@ class ConfigError(ValueError):
 
 
 class OracleContractViolation(RuntimeError):
-    """An oracle broke its contract: its answer is not a finite
+    """An oracle broke its contract: its answer is not a finite, nonzero
     :class:`WitnessedColumn` of shape ``(m,)`` that separates the query, or
     the re-check of what it answered fails."""
 
@@ -292,23 +292,29 @@ class WitnessedColumn:
                 or self.column.any()):
             raise ValueError("witnessed column must be a nonzero vector")
 
-    def in_range(self, peak: float | None = None) -> WitnessedColumn:
+    def in_range(self, m: int) -> WitnessedColumn:
         """A new column of this witness under the range rule, as one unit:
         this column when it is in range, else it times ``2^-k``
         (:func:`range_exponents`) with ``k`` added to the exponent.  Never
         ``self``, so a caller may rewrite this object once it has the new
-        one.  ``peak`` is ``max|column|`` when the caller has taken it.
-        Unlike instance data the column is not kept, so an entry that the
-        scaling rounds (one below about ``2^-1400`` times the largest) is
-        let round: no residual moves."""
-        if peak is None:
-            peak = np.abs(self.column).max()
+        one.  This is the one check of a custom column: it must have shape
+        ``(m,)``, finite entries and, as at construction, a nonzero one,
+        else ValueError.  Unlike instance data the column is not kept, so
+        an entry that the scaling rounds (one below about ``2^-1400``
+        times the largest) is let round: no residual moves."""
+        # one peak decides finiteness and the range rule; a NaN peak fails
+        # the test as inf does
+        peak = np.maximum.reduce(abs(self.column)) \
+            if self.column.shape == (m,) else math.nan
+        if not peak < math.inf:
+            raise ValueError("column has wrong shape or non-finite entries")
         e = math.frexp(peak)[1]
         # range_exponents gives 0 in range too, but its numpy scalar
         # arithmetic costs every custom query a few microseconds
         k = 0 if -RANGE_EXPONENT < e <= RANGE_EXPONENT \
             else int(range_exponents(e))
         column = np.ldexp(self.column, -k) if k else self.column
+        # a column rewritten to zero since construction is rejected here
         return WitnessedColumn(self.witness, column, self.exponent + k)
 
 
@@ -949,8 +955,9 @@ def query(instance: ProblemInstance, y: np.ndarray,
         If ``y`` is complex, zero, non-finite, or mis-shaped, or ``scales``
         is mis-shaped or given for an instance other than a FiniteLp.
     OracleContractViolation
-        If a custom oracle's answer is not a finite ``WitnessedColumn`` of
-        shape ``(m,)``, or any answer fails the separation check.
+        If a custom oracle's answer is not a ``WitnessedColumn`` that
+        passes :meth:`WitnessedColumn.in_range`, or any answer fails the
+        separation check.
     """
     if isinstance(instance, FiniteLp):
         return lp_query(instance, y, scales)
@@ -970,14 +977,11 @@ def query(instance: ProblemInstance, y: np.ndarray,
         raise OracleContractViolation(
             "custom oracle must return WitnessedColumn or None"
         )
-    # one peak decides finiteness and the range rule
-    top = np.maximum.reduce(abs(w.column)) \
-        if w.column.shape == (instance.m,) else math.nan
-    if not top < math.inf:
-        raise OracleContractViolation(
-            "custom oracle column has wrong shape or non-finite entries"
-        )
-    return _check_soundness(w.in_range(top), y, e)
+    try:
+        w = w.in_range(instance.m)
+    except ValueError as exc:
+        raise OracleContractViolation(f"custom oracle {exc}") from exc
+    return _check_soundness(w, y, e)
 
 
 def rescaled_scales(instance: ProblemInstance, M: np.ndarray, a: np.ndarray,

@@ -102,8 +102,6 @@ from .oracle import (
 __all__ = [
     "InvariantViolated",
     "RescalingState",
-    "SolveCounters",
-    "SolveOutcome",
     "basic_procedure",
     "main_algorithm",
 ]
@@ -581,8 +579,8 @@ class BasicProcedureResult:
     ``certify.verify_d_solution`` report on it), ``"dual"``
     (``certificate`` holds (witness, weight) pairs on the original columns
     that certify the alternative system, in the form of
-    :attr:`SolveOutcome.weights`, and ``verification`` the accepted
-    ``certify.verify_p_certificate`` report on them),
+    :attr:`prfeas.solver.SolveOutcome.weights`, and ``verification`` the
+    accepted ``certify.verify_p_certificate`` report on them),
     ``"small_aggregate"`` (||z|| fell to ``mu/(m+1)``, or, once
     ``state.s > 0``, to ``mu x_h`` for the heaviest weight ``x_h``, and the
     support holds no certificate; the heaviest term indicates the
@@ -606,10 +604,11 @@ class BasicProcedureResult:
 def _accepted_dual(
     instance: ProblemInstance, weights: list[tuple],
 ) -> tuple[list | None, certify.VerificationReport | None]:
-    """``weights``, in the form of :attr:`SolveOutcome.weights` (a built-in
-    witness alone, a ``CustomWitness`` inside its ``WitnessedColumn``), and
-    their ``certify.verify_p_certificate`` report, or ``(None, None)`` when
-    the report rejects them."""
+    """``weights``, in the form of
+    :attr:`prfeas.solver.SolveOutcome.weights` (a built-in witness alone,
+    a ``CustomWitness`` inside its ``WitnessedColumn``), and their
+    ``certify.verify_p_certificate`` report, or ``(None, None)`` when the
+    report rejects them."""
     report = certify.verify_p_certificate(instance, weights)
     return (weights, report) if report.accepted else (None, None)
 
@@ -834,7 +833,7 @@ def basic_procedure(
     ends the run at once with that witness at weight 1, accepted by the
     same ``verify_p_certificate``: no ``y`` satisfies ``0^T y > 0``, so
     that witness alone is the certificate.  Both dual exits hand back
-    the pairs in the form of :attr:`SolveOutcome.weights`.
+    the pairs in the form of :attr:`prfeas.solver.SolveOutcome.weights`.
 
     A query that the oracle accepts ends the run with that direction,
     ``y = M z`` in the original space, once ``certify.verify_d_solution``
@@ -990,7 +989,9 @@ def main_algorithm(
     budget, and a ``stalled`` inner run ends the solve the same way.  The
     declared epsilon is ``max(epsilon, (sqrt(e)/2)^s)`` for the ``s``
     contractions completed: ``epsilon`` once the budget is spent, the
-    larger bound they certify when the solve ended before.
+    larger bound they certify when the solve ended before.  The outcome
+    is a :class:`prfeas.solver.SolveOutcome`, its counters a
+    :class:`prfeas.solver.SolveCounters`, both reached through the module.
 
     Raises
     ------

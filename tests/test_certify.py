@@ -397,9 +397,20 @@ class TestResolveWitnessColumn:
     def test_custom_column_must_be_finite(self):
         inst = CustomOracle(2, lambda y: None)
         bad = WitnessedColumn(CustomWitness("c"), np.array([math.inf, 0.0]))
-        with pytest.raises(ValueError,
-                           match="custom witness column must be finite"):
+        with pytest.raises(ValueError, match="column has wrong shape or "
+                           "non-finite entries"):
             resolve_witness_column(inst, bad)
+
+    def test_custom_column_zeroed_after_construction_rejected(self):
+        # a custom column is never zero, so it never counts as a vanishing
+        # one: WitnessedColumn.in_range rejects a column zeroed later
+        inst = CustomOracle(2, lambda y: None)
+        zeroed = WitnessedColumn(CustomWitness("c"), np.array([1.0, 0.0]))
+        zeroed.column[:] = 0.0
+        for check in (lambda: resolve_witness_column(inst, zeroed),
+                      lambda: verify_p_certificate(inst, [(zeroed, 1.0)])):
+            with pytest.raises(ValueError, match="nonzero"):
+                check()
 
     def test_custom_witness_on_builtin_rejected(self):
         with pytest.raises(ValueError,
@@ -413,7 +424,7 @@ class TestResolveWitnessColumn:
          "socp witness has the wrong dimension"),
         (CustomOracle(2, lambda y: None),
          WitnessedColumn(CustomWitness("c"), np.array([1.0, 0.0, 0.0])),
-         "custom witness column has wrong shape"),
+         "column has wrong shape or non-finite entries"),
         (axes_lp(), object(), "unknown witness type object"),
     ], ids=["socp on lp", "socp dimension", "custom shape", "unknown type"])
     def test_witness_foreign_to_the_instance_rejected(self, instance,

@@ -485,7 +485,7 @@ class TestCertificateFormat:
 
     def test_custom_column_is_written_as_given(self):
         wc = WitnessedColumn(CustomWitness("t"),
-                             np.array([-1e200, 1.0])).in_range()
+                             np.array([-1e200, 1.0])).in_range(2)
         assert wc.exponent == 281
         assert witness_to_json(wc)["column"] == [-1e200, 1.0]
 
@@ -1077,6 +1077,22 @@ class TestGenerateCommand:
         _, second = invoke(capsys, "generate", "--kind", "lp",
                            "--m", "3", "--n", "8", "--seed", "4")
         assert first == second
+
+    @pytest.mark.parametrize("unwritable", ["--output", "--certificate"])
+    def test_unwritable_file_leaves_no_file(self, tmp_path, capsys,
+                                            unwritable):
+        # both files are written or neither: a problem file without its
+        # certificate, or a certificate without its problem, is left by no
+        # failed run
+        paths = {"--output": tmp_path / "p.json",
+                 "--certificate": tmp_path / "c.json",
+                 unwritable: tmp_path / "missing" / "out.json"}
+        code, out = invoke(capsys, "generate", "--kind", "lp", "--m", "3",
+                           "--n", "10", *(str(t) for kv in paths.items()
+                                          for t in kv))
+        assert code == EXIT_DATA
+        assert str(paths[unwritable]) in json.loads(out)["error"]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv,message", [
         (("lp", "0", "5", "feasible_d", "0"), "m and n must be positive"),

@@ -32,6 +32,7 @@ from prfeas.solver import (
     ConfigError,
     main_algorithm,
 )
+from blas import per_kernel
 from hyperplane import hyperplane_lp
 from semicircle import make_semicircle
 
@@ -686,7 +687,8 @@ class TestContractionProperties:
             assert val <= mu * n_y + 1e-9 * n_y
             y_tilde = y_tilde + a * (a @ y_tilde)  # (I - a a^T / 2)^-1
 
-    @pytest.mark.parametrize("lift,calls", [(1e-2, 1087), (1e-3, 1288)])
+    @pytest.mark.parametrize("lift,calls", [
+        (1e-2, 1087), (1e-3, per_kernel(1288, Haswell=1319))])
     def test_relaxed_exit_contracts_along_a_slab(self, solve_probe, lift,
                                                  calls):
         # Gaussian columns projected onto y_perp, plus lift * y: y is

@@ -1267,6 +1267,23 @@ class TestQueryDispatch:
                            "column has wrong shape or non-finite entries"):
             query(oracle, np.array([1.0, 0.0]))
 
+    def test_custom_answer_zeroed_after_construction_breaks_the_contract(
+            self):
+        # a callback that reuses one WitnessedColumn and writes zeros into
+        # its column hands out no column: the oracle's fault, not bad input
+        answer = WitnessedColumn(CustomWitness("z"), np.array([-1.0, 0.0]))
+
+        def fn(y):
+            answer.column[:] = 0.0
+            return answer
+
+        oracle = CustomOracle(2, fn)
+        for solve in (lambda: query(oracle, np.array([1.0, 0.0])),
+                      lambda: main_algorithm(oracle, epsilon=1e-2)):
+            with pytest.raises(OracleContractViolation, match="custom "
+                               "oracle witnessed column must be a nonzero"):
+                solve()
+
     def test_direction_with_huge_entries_warns_nothing(self):
         # the soundness check of the answer takes no square of 2^512
         with warnings.catch_warnings():

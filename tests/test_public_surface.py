@@ -18,7 +18,8 @@ REMOVED = ("normalize_column", "apply_scaling", "rescale_matrix",
            "resolve_witness_column", "lp_query", "sdp_query", "socp_query",
            "SolverConfig", "InvalidQuery", "UnresolvableWitness",
            "DegenerateColumn", "CoincidentPoints", "IterationBoundViolated",
-           "OracleInconsistency", "DataError", "rescale_budget")
+           "OracleInconsistency", "DataError", "rescale_budget",
+           "SolveCounters", "SolveOutcome")
 
 
 def test_every_exported_name_resolves():
@@ -66,7 +67,7 @@ def test_three_public_exception_classes():
     assert issubclass(prfeas.ConfigError, ValueError)
     assert issubclass(prfeas.OracleContractViolation, RuntimeError)
     assert issubclass(prfeas.InvariantViolated, RuntimeError)
-    assert len(prfeas.__all__) == 21
+    assert len(prfeas.__all__) == 19
 
 
 def test_cli_options_are_the_ones_in_use():
