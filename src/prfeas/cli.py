@@ -329,8 +329,7 @@ def _emit(doc: dict) -> None:
 def cmd_solve(args) -> int:
     instance = _read_json(args.input, load_problem)
     start = time.perf_counter()
-    outcome = main_algorithm(instance, epsilon=args.epsilon,
-                             max_rescalings=args.max_rescalings)
+    outcome = main_algorithm(instance, epsilon=args.epsilon)
     wall_ms = (time.perf_counter() - start) * 1000.0 if args.timing else None
     log.info("solve finished with status %s", outcome.status)
     report = solve_report(outcome, wall_ms)
@@ -411,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1e-6)
     p.add_argument("--certificate",
                    help="write the certificate JSON here when one exists")
-    p.add_argument("--max-rescalings", type=int, default=None)
     p.add_argument("--timing", action="store_true",
                    help="report the solve call's wall clock time (off "
                         "keeps output byte-reproducible)")

@@ -165,8 +165,8 @@ def in_range(data: np.ndarray, peaks: np.ndarray, what: str,
 
 
 class ConfigError(ValueError):
-    """An invalid argument: the solver's epsilon, max_rescalings or
-    dimension m, or the kind, target or size of a planted instance."""
+    """An invalid argument: the solver's epsilon or dimension m, or the
+    kind, target or size of a planted instance."""
 
 
 class OracleContractViolation(RuntimeError):
@@ -297,15 +297,19 @@ class WitnessedColumn:
         this column when it is in range, else it times ``2^-k``
         (:func:`range_exponents`) with ``k`` added to the exponent.  Never
         ``self``, so a caller may rewrite this object once it has the new
-        one.  This is the one check of a custom column: it must have shape
-        ``(m,)``, finite entries and, as at construction, a nonzero one,
-        else ValueError.  Unlike instance data the column is not kept, so
+        one.  This is the one check of a custom column, also of one that a
+        callback rebound since construction: it must be real numbers of
+        shape ``(m,)``, finite and, as at construction, one nonzero, else
+        ValueError (TypeError for an object that numpy cannot take as
+        numbers).  Unlike instance data the column is not kept, so
         an entry that the scaling rounds (one below about ``2^-1400``
         times the largest) is let round: no residual moves."""
+        # a callback may have rebound the column since construction
+        column = real_array(self.column, "witnessed column")
         # one peak decides finiteness and the range rule; a NaN peak fails
         # the test as inf does
-        peak = np.maximum.reduce(abs(self.column)) \
-            if self.column.shape == (m,) else math.nan
+        peak = np.maximum.reduce(abs(column)) \
+            if column.shape == (m,) else math.nan
         if not peak < math.inf:
             raise ValueError("column has wrong shape or non-finite entries")
         e = math.frexp(peak)[1]
@@ -313,7 +317,7 @@ class WitnessedColumn:
         # arithmetic costs every custom query a few microseconds
         k = 0 if -RANGE_EXPONENT < e <= RANGE_EXPONENT \
             else int(range_exponents(e))
-        column = np.ldexp(self.column, -k) if k else self.column
+        column = np.ldexp(column, -k) if k else column
         # a column rewritten to zero since construction is rejected here
         return WitnessedColumn(self.witness, column, self.exponent + k)
 
@@ -979,7 +983,7 @@ def query(instance: ProblemInstance, y: np.ndarray,
         )
     try:
         w = w.in_range(instance.m)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise OracleContractViolation(f"custom oracle {exc}") from exc
     return _check_soundness(w, y, e)
 

@@ -94,15 +94,12 @@ from .oracle import (
     query,
     range_exponents,
     rescaled_scales,
-    strict_int,
     vector_norm,
 )
 
 # the names prfeas re-exports; the rest are reached as prfeas.solver.<name>
 __all__ = [
     "InvariantViolated",
-    "RescalingState",
-    "basic_procedure",
     "main_algorithm",
 ]
 
@@ -952,8 +949,7 @@ class SolveOutcome:
     ``epsilon`` is the declared bound actually certified, ``s_star`` the
     full contraction budget for the requested epsilon.  ``verification``
     embeds the re-check of the returned artifact.  Every field is a
-    function of the instance, the requested epsilon and ``max_rescalings``
-    alone.
+    function of the instance and the requested epsilon alone.
     """
 
     status: str
@@ -972,7 +968,6 @@ _DECIDED = {"feasible": "feasible", "dual": "dual_certificate"}
 def main_algorithm(
     instance: ProblemInstance,
     epsilon: float = 1e-6,
-    max_rescalings: int | None = None,
 ) -> SolveOutcome:
     """Decide feasibility, produce a dual certificate, or declare epsilon.
 
@@ -985,36 +980,29 @@ def main_algorithm(
     contraction the next run starts from the support the last one ended
     on, with a FiniteLp's query scales under the new map, which
     :func:`prfeas.oracle.rescaled_scales` updates from the last run's.
-    ``max_rescalings`` (an integer, at least 0) caps the contraction
-    budget, and a ``stalled`` inner run ends the solve the same way.  The
-    declared epsilon is ``max(epsilon, (sqrt(e)/2)^s)`` for the ``s``
-    contractions completed: ``epsilon`` once the budget is spent, the
-    larger bound they certify when the solve ended before.  The outcome
-    is a :class:`prfeas.solver.SolveOutcome`, its counters a
+    ``epsilon`` alone bounds the solve: it takes at most
+    :func:`rescale_budget` inner runs, and a ``stalled`` run ends it
+    early.  The declared epsilon is ``max(epsilon, (sqrt(e)/2)^s)`` for
+    the ``s`` contractions completed: ``epsilon`` once the budget is
+    spent, the larger bound they certify when a run stalled before.  The
+    outcome is a :class:`prfeas.solver.SolveOutcome`, its counters a
     :class:`prfeas.solver.SolveCounters`, both reached through the module.
 
     Raises
     ------
     ConfigError
-        If ``epsilon`` is outside (0, 1) or ``max_rescalings`` is negative.
-    TypeError
-        If ``max_rescalings`` is neither None nor an integer (an integral
-        float counts as one; a bool does not).
+        If ``epsilon`` is outside (0, 1).
     OracleContractViolation
         If an oracle answer breaks its contract (:func:`prfeas.oracle.query`)
         or fails its re-check (:func:`basic_procedure`).
     InvariantViolated
         If a bound that the analysis proves fails in an inner run.
     """
-    budget = loops = rescale_budget(epsilon)
-    if max_rescalings is not None:
-        loops = min(budget, strict_int(max_rescalings, "max_rescalings"))
-    if loops < 0:
-        raise ConfigError("max_rescalings must be at least 0")
+    budget = rescale_budget(epsilon)
     state = RescalingState(instance.m)
     counters = SolveCounters()
     support = scales = None
-    for _ in range(loops):
+    for _ in range(budget):
         result = basic_procedure(instance, state, support, scales)
         counters.bp_calls += 1
         counters.bp_iterations += result.iterations

@@ -46,7 +46,7 @@ from prfeas.oracle import (
     SocpVector,
     WitnessedColumn,
 )
-from prfeas.solver import main_algorithm
+from prfeas.solver import SolveCounters, SolveOutcome, main_algorithm
 
 
 def invoke(capsys, *argv):
@@ -437,14 +437,19 @@ class TestLoaderProperties:
     @settings(max_examples=100, deadline=None)
     @given(JSON_VALUES | PROBLEM_DOCS)
     def test_solve_exits_65_on_a_rejected_problem(self, doc):
-        # --max-rescalings 0 declares epsilon = 1 without solving, so only
+        # the solver is stubbed by a declaration of epsilon = 1, so only
         # the reader, the loader and the exit-code mapping run
-        with tempfile.TemporaryDirectory() as d:
+        declared = SolveOutcome("epsilon_declared", None, None, 1.0, 72,
+                                SolveCounters(), None)
+        with tempfile.TemporaryDirectory() as d, \
+                pytest.MonkeyPatch.context() as mp:
+            mp.setattr("prfeas.cli.main_algorithm",
+                       lambda instance, epsilon: declared)
             path = write_json(Path(d) / "p.json", doc)
             rejected = rejects(load_problem,
                                _read_json(path, lambda doc: doc))
-            code = run_cli(["solve", "--input", path, "--max-rescalings",
-                            "0", "--log-level", "error"])
+            code = run_cli(["solve", "--input", path, "--log-level",
+                            "error"])
         assert code == (EXIT_DATA if rejected else EXIT_EPSILON)
 
     @settings(max_examples=100, deadline=None)
@@ -650,12 +655,6 @@ class TestSolveCommand:
                            axes_problem(tmp_path), "--epsilon", "5e-324")
         assert code == 0
         assert json.loads(out)["s_star"] == 3855
-
-    def test_negative_max_rescalings_is_usage_error(self, tmp_path, capsys):
-        code, out = invoke(capsys, "solve", "--input",
-                           axes_problem(tmp_path), "--max-rescalings", "-3")
-        assert code == EXIT_USAGE
-        assert "error" in json.loads(out)
 
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         # as is a directory; the error names the path
@@ -1141,10 +1140,11 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["solve", "--json-indent", "4"],
         ["verify", "--kind", "p"],
-    ], ids=["json-indent", "verify-kind"])
+        ["solve", "--max-rescalings", "3"],
+    ], ids=["json-indent", "verify-kind", "max-rescalings"])
     def test_removed_options_are_usage_errors(self, tmp_path, capsys, argv):
-        # every document is indented by 2, and a certificate's own kind
-        # picks its verifier
+        # every document is indented by 2, a certificate's own kind picks
+        # its verifier, and epsilon alone bounds a solve
         cert = write_json(tmp_path / "c.json",
                           {"schema": 1, "kind": "d", "y": [1.0, 1.0]})
         code, out = invoke(capsys, *argv, "--input", axes_problem(tmp_path),
@@ -1157,7 +1157,7 @@ class TestUsageErrors:
             main(["solve", "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert "--max-rescalings" in out
+        assert "--epsilon" in out
         assert "--mode" not in out
 
 

@@ -117,11 +117,6 @@ class TestMainAlgorithmOutcomes:
         with pytest.raises(ConfigError):
             main_algorithm(FiniteLp(np.eye(2)), epsilon=eps)
 
-    def test_negative_max_rescalings_rejected(self):
-        with pytest.raises(ConfigError):
-            main_algorithm(FiniteLp(np.eye(2)), epsilon=0.5,
-                           max_rescalings=-3)
-
     def test_custom_dual_certificate_reverifies(self):
         # a custom oracle over the columns +-e1, +-e2: the returned
         # certificate keeps each custom witness's column, so it can be
@@ -447,15 +442,6 @@ class TestSemiInfiniteOracles:
             assert out.status in allowed
             if out.status == "feasible":
                 assert out.verification.accepted
-
-    def test_rescaling_cap_reports_certified_epsilon(self):
-        inst = CustomOracle(2, make_semicircle(True))
-        out = main_algorithm(inst, epsilon=1e-2, max_rescalings=5)
-        assert out.status == "epsilon_declared"
-        assert out.counters.rescalings == 5
-        assert out.s_star == 24
-        assert out.epsilon == pytest.approx(
-            (math.sqrt(math.e) / 2.0) ** 5, rel=1e-12)
 
 
 def most_violated(columns):

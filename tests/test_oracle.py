@@ -40,6 +40,7 @@ from prfeas.oracle import (
     vector_norm,
 )
 from prfeas.solver import main_algorithm
+from semicircle import make_semicircle
 
 
 class TestFiniteLpQuery:
@@ -1283,6 +1284,32 @@ class TestQueryDispatch:
             with pytest.raises(OracleContractViolation, match="custom "
                                "oracle witnessed column must be a nonzero"):
                 solve()
+
+    def test_custom_column_rebound_since_construction(self):
+        # a callback that rebinds the column of the one WitnessedColumn it
+        # returns: a list answers as the equal array does, and a column
+        # that is not numbers breaks the contract
+        semicircle = make_semicircle(False)
+        answer = WitnessedColumn(CustomWitness("held"), np.array([-1.0, 0.0]))
+
+        def rebinding(convert):
+            def fn(y):
+                w = semicircle(y)
+                if w is None:
+                    return None
+                answer.witness, answer.column = w.witness, convert(w.column)
+                return answer
+            return CustomOracle(2, fn)
+
+        as_array = main_algorithm(CustomOracle(2, semicircle), epsilon=1e-6)
+        as_list = main_algorithm(rebinding(np.ndarray.tolist), epsilon=1e-6)
+        assert (as_list.status, as_list.counters, as_list.epsilon) == \
+            (as_array.status, as_array.counters, as_array.epsilon)
+        assert as_list.y.tobytes() == as_array.y.tobytes()
+        for bad in ("ab", object()):
+            with pytest.raises(OracleContractViolation,
+                               match="^custom oracle"):
+                query(rebinding(lambda column: bad), np.array([1.0, 0.0]))
 
     def test_direction_with_huge_entries_warns_nothing(self):
         # the soundness check of the answer takes no square of 2^512

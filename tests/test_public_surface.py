@@ -19,7 +19,8 @@ REMOVED = ("normalize_column", "apply_scaling", "rescale_matrix",
            "SolverConfig", "InvalidQuery", "UnresolvableWitness",
            "DegenerateColumn", "CoincidentPoints", "IterationBoundViolated",
            "OracleInconsistency", "DataError", "rescale_budget",
-           "SolveCounters", "SolveOutcome")
+           "SolveCounters", "SolveOutcome", "basic_procedure",
+           "RescalingState")
 
 
 def test_every_exported_name_resolves():
@@ -67,7 +68,7 @@ def test_three_public_exception_classes():
     assert issubclass(prfeas.ConfigError, ValueError)
     assert issubclass(prfeas.OracleContractViolation, RuntimeError)
     assert issubclass(prfeas.InvariantViolated, RuntimeError)
-    assert len(prfeas.__all__) == 19
+    assert len(prfeas.__all__) == 17
 
 
 def test_cli_options_are_the_ones_in_use():
@@ -79,8 +80,7 @@ def test_cli_options_are_the_ones_in_use():
                             if a.dest != "help")
                for name, parser in sub.choices.items()}
     assert options == {
-        "solve": ["certificate", "epsilon", "input", "log_level",
-                  "max_rescalings", "timing"],
+        "solve": ["certificate", "epsilon", "input", "log_level", "timing"],
         "verify": ["certificate", "input", "log_level"],
         "generate": ["certificate", "kind", "log_level", "m", "n", "output",
                      "seed", "target"],

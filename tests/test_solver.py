@@ -337,29 +337,11 @@ class TestRescaleBudget:
         # 1/eps overflows there, which the budget must not take
         out = main_algorithm(FiniteLp(np.eye(2)), 5e-324)
         assert (out.status, out.s_star) == ("feasible", 3855)
-        capped = main_algorithm(hyperplane_lp(10, 200, 1, 1e-5), 5e-324, 2)
-        assert capped.status == "epsilon_declared"
-        assert capped.epsilon == (math.sqrt(math.e) / 2.0) ** 2
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, 2.0])
     def test_invalid_epsilon(self, eps):
         with pytest.raises(ConfigError):
             rescale_budget(eps)
-
-    @pytest.mark.parametrize("bad", [1.5, True, "1", -1, -1.0])
-    def test_invalid_max_rescalings(self, bad):
-        # True would run as 1, a fraction fail inside the loop
-        inst = FiniteLp(np.eye(2))
-        error = ConfigError if bad in (-1, -1.0) else TypeError
-        with pytest.raises(error, match="max_rescalings must be"):
-            main_algorithm(inst, 1e-6, bad)
-
-    def test_integral_float_max_rescalings(self):
-        inst = hyperplane_lp(10, 200, 1, 1e-5)
-        out = main_algorithm(inst, 1e-6, 2.0)
-        assert out.status == "epsilon_declared"
-        assert out.counters == main_algorithm(inst, 1e-6, 2).counters
-        assert out.counters.rescalings == 2
 
 
 class TestRescalingState:
@@ -659,6 +641,31 @@ class TestBasicProcedure:
         res = basic_procedure(inst, RescalingState(1))
         assert res.status == "stalled"
         assert res.iterations == 1 and res.oracle_calls == 2
+
+    def test_stalled_run_declares_the_certified_epsilon(self, monkeypatch):
+        # a stalled run ends the solve with max(epsilon, (sqrt(e)/2)^s) for
+        # the s contractions completed: 1 when the first run stalls
+        out = main_algorithm(Sdp(np.array([np.diag([1e6, 1e-7])])), 1e-6)
+        assert (out.status, out.epsilon, out.s_star) == \
+            ("epsilon_declared", 1.0, 72)
+        assert (out.counters.bp_calls, out.counters.rescalings) == (1, 0)
+
+        # and (sqrt(e)/2)^3 when the fourth run stalls after 3 contractions
+        statuses = []
+
+        def stall_fourth(*args):
+            result = basic_procedure(*args)
+            statuses.append(result.status)
+            if len(statuses) == 4:
+                result.status = "stalled"
+            return result
+
+        monkeypatch.setattr(prfeas.solver, "basic_procedure", stall_fourth)
+        out = main_algorithm(hyperplane_lp(10, 200, 1, 1e-5), 1e-6)
+        assert statuses == ["small_aggregate"] * 4
+        assert (out.status, out.s_star) == ("epsilon_declared", 72)
+        assert (out.counters.bp_calls, out.counters.rescalings) == (4, 3)
+        assert out.epsilon == (math.sqrt(math.e) / 2.0) ** 3
 
     def test_potential_increases_by_one_each_step(self, solve_probe):
         rng = np.random.default_rng(17)
