@@ -649,6 +649,16 @@ class TestSolveCommand:
         assert code == EXIT_USAGE
         assert "error" in json.loads(out)
 
+    @pytest.mark.parametrize("eps", ["-3", "0", "1", "nan"])
+    def test_epsilon_outside_the_open_unit_interval(self, tmp_path, capsys,
+                                                    eps):
+        code, out = invoke(capsys, "solve", "--input",
+                           axes_problem(tmp_path), "--epsilon", eps)
+        assert code == EXIT_USAGE
+        assert json.loads(out) == {
+            "schema": 1,
+            "error": "epsilon must lie strictly between 0 and 1"}
+
     def test_least_subnormal_epsilon_solves(self, tmp_path, capsys):
         # 1/epsilon overflows there; the budget is taken without it
         code, out = invoke(capsys, "solve", "--input",

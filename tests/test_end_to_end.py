@@ -117,6 +117,12 @@ class TestMainAlgorithmOutcomes:
         with pytest.raises(ConfigError):
             main_algorithm(FiniteLp(np.eye(2)), epsilon=eps)
 
+    def test_epsilon_is_the_only_bound(self):
+        # no rescaling cap is taken, by keyword or by position
+        for args, kwargs in (((0.5,), {"max_rescalings": 3}), ((0.5, 3), {})):
+            with pytest.raises(TypeError):
+                main_algorithm(FiniteLp(np.eye(2)), *args, **kwargs)
+
     def test_custom_dual_certificate_reverifies(self):
         # a custom oracle over the columns +-e1, +-e2: the returned
         # certificate keeps each custom witness's column, so it can be
@@ -442,6 +448,14 @@ class TestSemiInfiniteOracles:
             assert out.status in allowed
             if out.status == "feasible":
                 assert out.verification.accepted
+
+    def test_epsilon_budget_reports_certified_epsilon(self):
+        eps = (math.sqrt(math.e) / 2.0) ** 5
+        out = main_algorithm(CustomOracle(2, make_semicircle(True)), eps)
+        assert out.status == "epsilon_declared"
+        assert out.counters.rescalings == 5
+        assert out.s_star == 5
+        assert out.epsilon == eps
 
 
 def most_violated(columns):

@@ -338,6 +338,16 @@ class TestRescaleBudget:
         out = main_algorithm(FiniteLp(np.eye(2)), 5e-324)
         assert (out.status, out.s_star) == ("feasible", 3855)
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    def test_budget_bounds_the_inner_runs(self, k):
+        # epsilon = (sqrt(e)/2)^k allows k inner runs: a system that no run
+        # decides spends them all and declares epsilon itself
+        eps = (math.sqrt(math.e) / 2.0) ** k
+        out = main_algorithm(hyperplane_lp(10, 200, 1, 1e-5), eps)
+        assert (out.status, out.s_star, out.epsilon) == \
+            ("epsilon_declared", k, eps)
+        assert (out.counters.bp_calls, out.counters.rescalings) == (k, k)
+
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, 2.0])
     def test_invalid_epsilon(self, eps):
         with pytest.raises(ConfigError):
