@@ -5,6 +5,8 @@ layout, and is not part of a docstring (the string that opens a module,
 class or function body).  Run from the repository root:
 
     python .github/code_lines.py
+
+It prints the total, then each module's count, largest first.
 """
 
 import ast
@@ -38,5 +40,9 @@ def code_lines(source: str) -> int:
 
 
 if __name__ == "__main__":
-    print(sum(code_lines(f.read_text())
-              for f in sorted(Path("src/prfeas").glob("*.py"))))
+    counts = {f.name: code_lines(f.read_text())
+              for f in sorted(Path("src/prfeas").glob("*.py"))}
+    print(sum(counts.values()))
+    print("per module: " + ", ".join(
+        f"{name} {count}" for name, count in
+        sorted(counts.items(), key=lambda item: -item[1])))

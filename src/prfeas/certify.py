@@ -293,6 +293,15 @@ def verify_p_certificate(
 
 # ---------------------------------------------------------------------------
 # planted generators
+#
+# An LP's or SDP's array is drawn by one call, in the order in which a
+# loop over its columns or matrices would draw it, and built by array
+# operations that give that loop's bits (tests/test_certify.py keeps the
+# loops and compares).  A SOCP is drawn by one call per block: one draw
+# for all blocks, and the copy that takes its margins out, would hold
+# three arrays of A's size at once where the loop holds one.  An LP's
+# feasible_p columns, which interleave normal and uniform draws, are
+# built one at a time.
 
 
 def _random_unit(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -303,20 +312,26 @@ def _random_unit(rng: np.random.Generator, m: int) -> np.ndarray:
             return v / nrm
 
 
-def _random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
-    B = rng.standard_normal((n, n))
-    return 0.5 * (B + B.T)
+def _planted_direction(rows: np.ndarray, y_star: np.ndarray,
+                       lift: np.ndarray | float = 0.0) -> np.ndarray:
+    """Columns ``g - (g^T y*) y* + (PLANTED_MARGIN + |r| + lift) y*``, one
+    per row ``(g, r)`` of ``rows``, as an ``(m, k)`` C-ordered array.
+
+    ``np.vecdot`` takes each ``g^T y*`` as ``g @ y_star`` does, bit for
+    bit; ``rows[:, :-1] @ y_star``, one matrix product, does not.
+    """
+    G, r = rows[:, :-1], rows[:, -1]
+    out = np.multiply.outer(y_star, np.vecdot(G, y_star))
+    np.subtract(G.T, out, out=out)
+    out += y_star[:, None] * (PLANTED_MARGIN + abs(r) + lift)
+    return out
 
 
 def _planted_lp(rng, m, n, target):
     if target == "feasible_d":
         y_star = _random_unit(rng, m)
-        cols = np.empty((m, n))
-        for j in range(n):
-            g = rng.standard_normal(m)
-            tangential = g - (g @ y_star) * y_star
-            margin = PLANTED_MARGIN + abs(rng.standard_normal())
-            cols[:, j] = tangential + margin * y_star
+        # column j draws its m entries, then its margin: row j
+        cols = _planted_direction(rng.standard_normal((n, m + 1)), y_star)
         return FiniteLp(cols), Certificate("d", y=y_star)
     if n < 2:
         raise ConfigError("feasible_p needs at least two columns")
@@ -337,7 +352,8 @@ def _planted_sdp(rng, m, n, target):
     if target == "feasible_d":
         y_star = _random_unit(rng, m)
         j_star = int(np.argmax(np.abs(y_star)))
-        mats = np.array([_random_symmetric(rng, n) for _ in range(m)])
+        B = rng.standard_normal((m, n, n))
+        mats = 0.5 * (B + B.transpose(0, 2, 1))
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         d = PLANTED_MARGIN + rng.random(n)
         X_star = Q @ np.diag(d) @ Q.T
@@ -354,10 +370,11 @@ def _planted_sdp(rng, m, n, target):
     for v, x in zip(vs, xs):
         C += x * np.outer(v, v)
     c_norm2 = float(np.sum(C * C))
-    mats = np.empty((m, n, n))
-    for i in range(m):
-        B = _random_symmetric(rng, n)
-        mats[i] = B - (float(np.sum(B * C)) / c_norm2) * C
+    B = rng.standard_normal((m, n, n))
+    B = 0.5 * (B + B.transpose(0, 2, 1))
+    # one pairwise sum per matrix, as np.sum(B_i * C) takes it
+    along = np.sum((B * C).reshape(m, -1), axis=1) / c_norm2
+    mats = B - along[:, None, None] * C
     pairs = [(SdpVector(tuple(v.tolist())), float(x))
              for v, x in zip(vs, xs)]
     return Sdp(mats), Certificate("p", weights=pairs)
@@ -378,15 +395,18 @@ def _planted_socp(rng, m, n, target):
     if target == "feasible_d":
         y_star = _random_unit(rng, m)
         A = np.empty((m, n))
-        for start, size in zip(starts, blocks):
-            for j in range(start + 1, start + size):
-                A[:, j] = rng.standard_normal(m)
-            tail = A[:, start + 1 : start + size].T @ y_star
-            g = rng.standard_normal(m)
-            tangential = g - (g @ y_star) * y_star
-            margin = PLANTED_MARGIN + abs(rng.standard_normal())
-            A[:, start] = tangential + \
-                (float(np.linalg.norm(tail)) + margin) * y_star
+        # block b draws m entries per tail column, then m for a column g
+        # and one for its margin, a row (g, r) of lead; its tail product
+        # is taken alone, as a batched one changes the bits
+        lead = np.empty((len(blocks), m + 1))
+        lift = np.empty(len(blocks))
+        for b, (start, size) in enumerate(zip(starts.tolist(), blocks)):
+            draws = rng.standard_normal(size * m + 1)
+            tail = A[:, start + 1 : start + size]
+            tail[...] = draws[: -m - 1].reshape(size - 1, m).T
+            lift[b] = np.linalg.norm(tail.T @ y_star)
+            lead[b] = draws[-m - 1 :]
+        A[:, starts] = _planted_direction(lead, y_star, lift)
         return Socp(A, blocks), Certificate("d", y=y_star)
     k = min(m + 1, 3) if m > 1 else 2
     vs = []

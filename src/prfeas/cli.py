@@ -23,8 +23,11 @@ indented by 2.
 
 A certificate's numbers (``y``, each weight's ``x``, a witness vector's
 entries and a custom witness's column) must be JSON numbers, and its
-vectors JSON arrays: a string or a boolean there is malformed input.
-Problem arrays are converted by numpy and do not yet reject them.
+vectors JSON arrays: a string or a boolean there is malformed input.  So
+are a string or a boolean in a problem's arrays (an LP's ``columns``, an
+SDP's ``matrices``, a SOCP's ``A``), which numpy would read as numbers; a
+problem file's bytes are screened for them first, and its arrays walked
+only when the screen cannot rule them out (:func:`_may_hold_literals`).
 
 Exit codes: 0 feasible / verified / generated, 1 dual certificate,
 2 epsilon declaration, 3 certificate rejected, 64 usage error, 65
@@ -106,14 +109,63 @@ def _check_document(data: object, what: str) -> None:
         raise ValueError(f"{what} document must carry \"schema\": 1")
 
 
-def load_problem(data: object) -> ProblemInstance:
+def _check_numbers(value: object, where: str) -> None:
+    """Raise ValueError naming the first string or boolean in the nested
+    JSON arrays ``value``, the entry ``where``; numpy would read either as
+    a number.  Other entries are left to the conversion, which rejects
+    them or, for ``null``, gives NaN, which the instance rejects."""
+    if isinstance(value, (str, bool)):
+        raise ValueError(f"problem entry {where} must be a number, got "
+                         f"{json.dumps(value)}")
+    # one pass of map(type) clears a row of numbers
+    if isinstance(value, list) and not {list, str, bool}.isdisjoint(
+            map(type, value)):
+        for i, entry in enumerate(value):
+            _check_numbers(entry, f"{where}[{i}]")
+
+
+def _may_hold_literals(raw: bytes, doc: object) -> bool:
+    """False when the bytes ``raw`` of the parsed document ``doc`` hold no
+    string but its top-level keys and string values, and no ``true`` or
+    ``false``; True when they may.
+
+    A problem document's quotes are those of its keys and its type, about
+    10, so a ``find`` loop counts them and stops one past the count the
+    parsed document gives.  A number holds no ``t`` or ``f``, and ``true``
+    and ``false`` do, so ``find`` looks for them outside the quoted spans.
+    An escaped quote, a nested string or ``Infinity`` also gives True,
+    which costs only a walk of the arrays (:func:`_check_numbers`).
+    """
+    if not isinstance(doc, dict):
+        return True
+    count = 2 * (len(doc) + sum(isinstance(v, str) for v in doc.values()))
+    quotes = []
+    at = raw.find(b'"')
+    while at >= 0 and len(quotes) <= count:
+        quotes.append(at)
+        at = raw.find(b'"', at + 1)
+    if len(quotes) != count:
+        return True
+    # the spans before, between and after the quoted strings
+    spans = zip([0] + [q + 1 for q in quotes[1::2]],
+                quotes[::2] + [len(raw)])
+    return any(raw.find(b"t", a, b) >= 0 or raw.find(b"f", a, b) >= 0
+               for a, b in spans)
+
+
+def load_problem(data: object, walk: bool = True) -> ProblemInstance:
     """Build an instance from a parsed problem document.
+
+    Its array (``columns``, ``matrices`` or ``A``) is walked for a string
+    or a boolean (:func:`_check_numbers`) unless ``walk`` is False, which
+    a reader passes when the document's bytes hold neither
+    (:func:`_may_hold_literals`).
 
     Raises
     ------
     ValueError
-        If the document structure is wrong, or an instance constructor
-        rejects a value.
+        If the document structure is wrong, its array holds a string or a
+        boolean, or an instance constructor rejects a value.
     """
     _check_document(data, "problem")
     kind = data.get("type")
@@ -121,6 +173,9 @@ def load_problem(data: object) -> ProblemInstance:
         raise ValueError(f"unknown problem type {kind!r}")
     try:
         m = strict_int(data["m"], "m")
+        if walk:
+            key = {"lp": "columns", "sdp": "matrices", "socp": "A"}[kind]
+            _check_numbers(data[key], key)
         if kind == "lp":
             cols = np.asarray(data["columns"], dtype=float)
             if cols.ndim != 2 or cols.shape[1] != m:
@@ -291,8 +346,12 @@ def solve_report(outcome: SolveOutcome, wall_ms: float | None) -> dict:
 # subcommands
 
 
-def _read_json(path: str, load: Callable[[object], object]) -> object:
-    """``load`` of the JSON document in the file at ``path``.
+def _read_json(path: str, load: Callable[..., object],
+               screen: Callable[[bytes, object], bool] | None = None
+               ) -> object:
+    """``load`` of the JSON document in the file at ``path``; with a
+    ``screen``, ``load(doc, screen(data, doc))`` of the document and the
+    file's bytes.
 
     The cyclic garbage collector is paused while the file is parsed and
     loaded.  Parsing allocates one list per JSON array, and every few
@@ -311,8 +370,9 @@ def _read_json(path: str, load: Callable[[object], object]) -> object:
             doc = from_json(data)
         except ValueError as exc:
             raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+        args = () if screen is None else (screen(data, doc),)
         del data  # so the file's bytes and the loaded arrays never coexist
-        return load(doc)
+        return load(doc, *args)
     finally:
         if enabled:
             gc.enable()
@@ -327,7 +387,7 @@ def _emit(doc: dict) -> None:
 
 
 def cmd_solve(args) -> int:
-    instance = _read_json(args.input, load_problem)
+    instance = _read_json(args.input, load_problem, _may_hold_literals)
     start = time.perf_counter()
     outcome = main_algorithm(instance, epsilon=args.epsilon)
     wall_ms = (time.perf_counter() - start) * 1000.0 if args.timing else None
@@ -351,7 +411,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    instance = _read_json(args.input, load_problem)
+    instance = _read_json(args.input, load_problem, _may_hold_literals)
     cert = _read_json(args.certificate, load_certificate)
     if cert.kind == "d":
         report = verify_d_solution(instance, cert.y)

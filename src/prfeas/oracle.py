@@ -190,11 +190,16 @@ def strict_int(value: object, what: str) -> int:
 
 
 def real_array(value: object, what: str) -> np.ndarray:
-    """``value`` as a float array.  Complex data raise ValueError: the
-    conversion would take them to their real parts with only a warning."""
+    """``value`` as a float array, taken from integer or float data alone.
+    Complex data raise ValueError (``"{what} must be real"``): the
+    conversion would take them to their real parts with only a warning.
+    Any other kind, booleans, strings or objects among them, raises
+    ValueError too (``"{what} must be numbers"``): the conversion would
+    read ``True`` and ``"1"`` as 1."""
     value = np.asarray(value)
-    if value.dtype.kind == "c":
-        raise ValueError(f"{what} must be real")
+    if value.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be real" if value.dtype.kind == "c"
+                         else f"{what} must be numbers")
     return value.astype(float, copy=False)
 
 
@@ -381,10 +386,18 @@ class FiniteLp:
 
     @functools.cached_property
     def _unit32(self) -> np.ndarray:
-        """The float32 unit columns, built at their first use."""
+        """The float32 unit columns, built at their first use, C-ordered
+        from a 64-byte boundary, sliced from a buffer 64 bytes larger.
+        numpy may place an array of this size at 16 mod 64, where sgemv
+        reads it more slowly: per product on one 2 vCPU machine, m=60
+        n=5000 17.0 us aligned and 20.4 us at 16 mod 64, m=30 n=2000 3.3
+        and 4.7 us."""
+        size = self.columns.size
+        buffer = np.empty(size + 16, dtype=np.float32)
+        skip = -buffer.ctypes.data % 64 // 4
+        unit = buffer[skip : skip + size].reshape(self.columns.shape)
         # float64 quotients rounded to float32 in numpy's buffered cast,
         # with no (m, n) float64 temporary
-        unit = np.empty_like(self.columns, dtype=np.float32)
         np.divide(self.columns, self.column_norms, out=unit, dtype=float)
         return unit
 
@@ -512,7 +525,10 @@ class Socp:
 
     def __post_init__(self) -> None:
         A = np.ascontiguousarray(real_array(self.A, "A"))
-        blocks = tuple(strict_int(b, "block size") for b in self.blocks)
+        # an int is taken as it is, as LpIndex takes one: strict_int's ABC
+        # check costs 0.2 ms on the 385 blocks of a planted n = 1000
+        blocks = tuple(b if type(b) is int else strict_int(b, "block size")
+                       for b in self.blocks)
         if A.ndim != 2 or A.shape[0] == 0:
             raise ValueError("A must be a nonempty (m, n) array")
         if not blocks or any(b < 1 for b in blocks):

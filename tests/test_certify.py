@@ -6,7 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from prfeas.certify import (
+    PLANTED_MARGIN,
     Certificate,
+    _random_blocks,
+    _random_unit,
     generate_planted,
     resolve_witness_column,
     verify_d_solution,
@@ -514,6 +517,145 @@ class TestGeneratePlanted:
         b, cb = generate_planted("lp", m=3, n=10, seed=4)
         assert a.columns.tobytes() == b.columns.tobytes()
         assert ca.y.tobytes() == cb.y.tobytes()
+
+
+# the planted generators as loops over their columns and matrices, each
+# drawn by its own call: the reference that generate_planted, which draws
+# each array at once, reproduces bit for bit
+
+
+def _random_symmetric(rng, n):
+    B = rng.standard_normal((n, n))
+    return 0.5 * (B + B.T)
+
+
+def _loop_lp(rng, m, n, target):
+    if target == "feasible_d":
+        y_star = _random_unit(rng, m)
+        cols = np.empty((m, n))
+        for j in range(n):
+            g = rng.standard_normal(m)
+            tangential = g - (g @ y_star) * y_star
+            margin = PLANTED_MARGIN + abs(rng.standard_normal())
+            cols[:, j] = tangential + margin * y_star
+        return FiniteLp(cols), Certificate("d", y=y_star)
+    support = min(m, n - 1)
+    cols = np.empty((m, n))
+    for j in range(n - 1):
+        cols[:, j] = _random_unit(rng, m) * (0.5 + rng.random())
+    lam = 0.5 + rng.random(support)
+    cols[:, n - 1] = -cols[:, :support] @ lam
+    pairs = [(LpIndex(j), float(lam[j])) for j in range(support)]
+    pairs.append((LpIndex(n - 1), 1.0))
+    return FiniteLp(cols), Certificate("p", weights=pairs)
+
+
+def _loop_sdp(rng, m, n, target):
+    if target == "feasible_d":
+        y_star = _random_unit(rng, m)
+        j_star = int(np.argmax(np.abs(y_star)))
+        mats = np.array([_random_symmetric(rng, n) for _ in range(m)])
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        d = PLANTED_MARGIN + rng.random(n)
+        X_star = Q @ np.diag(d) @ Q.T
+        X_star = 0.5 * (X_star + X_star.T)
+        rest = np.tensordot(y_star, mats, axes=(0, 0)) \
+            - y_star[j_star] * mats[j_star]
+        mats[j_star] = (X_star - rest) / y_star[j_star]
+        mats[j_star] = 0.5 * (mats[j_star] + mats[j_star].T)
+        return Sdp(mats), Certificate("d", y=y_star)
+    k = m + 1
+    vs = [_random_unit(rng, n) for _ in range(k)]
+    xs = 0.5 + rng.random(k)
+    C = np.zeros((n, n))
+    for v, x in zip(vs, xs):
+        C += x * np.outer(v, v)
+    c_norm2 = float(np.sum(C * C))
+    mats = np.empty((m, n, n))
+    for i in range(m):
+        B = _random_symmetric(rng, n)
+        mats[i] = B - (float(np.sum(B * C)) / c_norm2) * C
+    pairs = [(SdpVector(tuple(v.tolist())), float(x))
+             for v, x in zip(vs, xs)]
+    return Sdp(mats), Certificate("p", weights=pairs)
+
+
+def _loop_socp(rng, m, n, target):
+    blocks = _random_blocks(rng, n)
+    starts = np.cumsum([0] + list(blocks))[:-1]
+    if target == "feasible_d":
+        y_star = _random_unit(rng, m)
+        A = np.empty((m, n))
+        for start, size in zip(starts, blocks):
+            for j in range(start + 1, start + size):
+                A[:, j] = rng.standard_normal(m)
+            tail = A[:, start + 1 : start + size].T @ y_star
+            g = rng.standard_normal(m)
+            tangential = g - (g @ y_star) * y_star
+            margin = PLANTED_MARGIN + abs(rng.standard_normal())
+            A[:, start] = tangential + \
+                (float(np.linalg.norm(tail)) + margin) * y_star
+        return Socp(A, blocks), Certificate("d", y=y_star)
+    k = min(m + 1, 3) if m > 1 else 2
+    vs = []
+    for j in range(k):
+        b = j % len(blocks)
+        v = np.zeros(n)
+        v[starts[b]] = 1.0
+        size = blocks[b]
+        if size > 1:
+            u = rng.standard_normal(size - 1)
+            nrm = np.linalg.norm(u)
+            if nrm > 0:
+                u *= 0.9 * rng.random() / nrm
+            v[starts[b] + 1 : starts[b] + size] = u
+        vs.append(v)
+    xs = 0.5 + rng.random(k)
+    w = np.zeros(n)
+    for v, x in zip(vs, xs):
+        w += x * v
+    A = rng.standard_normal((m, n))
+    A -= np.outer(A @ w, w) / float(w @ w)
+    pairs = [(SocpVector(tuple(v.tolist())), float(x))
+             for v, x in zip(vs, xs)]
+    return Socp(A, blocks), Certificate("p", weights=pairs)
+
+
+def planted_bytes(instance, cert) -> bytes:
+    """The stored data, exponents and blocks of an instance and the bytes
+    of its certificate's direction or weights."""
+    parts = [np.asarray(getattr(instance, name)).tobytes()
+             for name in ("columns", "matrices", "A", "exponents",
+                          "exponent", "blocks") if hasattr(instance, name)]
+    if cert.kind == "d":
+        parts.append(cert.y.tobytes())
+    else:
+        parts += [repr(w).encode() + np.float64(x).tobytes()
+                  for w, x in cert.weights]
+    return b"|".join(parts)
+
+
+class TestPlantedBitForBit:
+    LOOPS = {"lp": _loop_lp, "sdp": _loop_sdp, "socp": _loop_socp}
+    SIZES = {
+        "lp": [(1, 2), (2, 2), (7, 3), (3, 10), (20, 7), (1, 50), (5, 40),
+               (10, 200), (30, 2000), (60, 5000)],
+        "sdp": [(1, 2), (2, 2), (12, 3), (3, 4), (1, 5), (8, 20), (20, 40),
+                (5, 60)],
+        "socp": [(1, 2), (2, 2), (4, 3), (7, 9), (3, 12), (1, 30), (5, 40),
+                 (10, 100), (20, 200), (60, 1000)],
+    }
+
+    @pytest.mark.parametrize("kind,m,n", [
+        (k, m, n) for k, sizes in SIZES.items() for m, n in sizes])
+    def test_arrays_drawn_at_once_keep_the_loops_bits(self, kind, m, n):
+        for seed in range(5):
+            for target in ("feasible_d", "feasible_p"):
+                expected = self.LOOPS[kind](np.random.default_rng(seed), m,
+                                            n, target)
+                got = generate_planted(kind, m, n, seed, target)
+                assert planted_bytes(*got) == planted_bytes(*expected), \
+                    (seed, target)
 
 
 class TestCertificateContainer:

@@ -23,6 +23,7 @@ from prfeas.cli import (
     EXIT_INTERNAL,
     EXIT_REJECTED,
     EXIT_USAGE,
+    _may_hold_literals,
     _read_json,
     dump_certificate,
     dump_problem,
@@ -260,6 +261,67 @@ class TestProblemFileFormat:
     def test_malformed_documents_rejected(self, doc):
         with pytest.raises(ValueError):
             load_problem(doc)
+
+    @pytest.mark.parametrize("doc, entry", [
+        ({"schema": 1, "type": "lp", "m": 2,
+          "columns": [["1", True], [0, 1]]}, 'columns[0][0] must be a '
+                                             'number, got "1"'),
+        ({"schema": 1, "type": "lp", "m": 2,
+          "columns": [[1, True], [0, 1]]},
+         "columns[0][1] must be a number, got true"),
+        ({"schema": 1, "type": "sdp", "m": 1, "n": 2,
+          "matrices": [[[1, 0], [0, False]]]},
+         "matrices[0][1][1] must be a number, got false"),
+        ({"schema": 1, "type": "socp", "m": 2, "blocks": [2],
+          "A": [[1, 0], ["0.5", 1]]},
+         'A[1][0] must be a number, got "0.5"'),
+    ], ids=["lp string", "lp boolean", "sdp boolean", "socp string"])
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_strings_and_booleans_in_arrays_exit_65(self, tmp_path, capsys,
+                                                      doc, entry, command):
+        # numpy reads "1" and true as 1: such an LP used to solve feasible
+        prob = write_json(tmp_path / "p.json", doc)
+        cert = write_json(tmp_path / "c.json",
+                          {"schema": 1, "kind": "d", "y": [1.0, 1.0]})
+        argv = ["--input", prob] + (["--certificate", cert]
+                                    if command == "verify" else [])
+        code, out = invoke(capsys, command, *argv)
+        assert code == EXIT_DATA
+        assert json.loads(out) == {"schema": 1,
+                                   "error": f"problem entry {entry}"}
+
+    @pytest.mark.parametrize("kind", ["lp", "sdp", "socp"])
+    def test_written_files_pass_the_byte_screen_unwalked(
+            self, tmp_path, capsys, kind, monkeypatch):
+        # the arrays of a file whose bytes hold no literal are not walked
+        path = str(tmp_path / "p.json")
+        invoke(capsys, "generate", "--kind", kind, "--m", "3", "--n", "12",
+               "--output", path)
+        raw = Path(path).read_bytes()
+        assert not _may_hold_literals(raw, json.loads(raw))
+
+        def walked(value, where):
+            raise AssertionError("the arrays were walked")
+
+        monkeypatch.setattr("prfeas.cli._check_numbers", walked)
+        code, _ = invoke(capsys, "solve", "--input", path)
+        assert code == 0
+
+    @pytest.mark.parametrize("text", [
+        '{"schema": 1, "type": "lp", "m": 1, "columns": [["1"]]}',
+        '{"schema": 1, "type": "lp", "m": 1, "columns": [[true]]}',
+        '{"schema": 1, "type": "lp", "m": 1, "columns": [[false]]}',
+        '{"schema": 1, "type": "lp", "m": 1, "columns": [[Infinity]]}',
+        '{"schema": 1, "type": "lp", "m": 1, "columns": [[1]], "a\\"": 1}',
+        '{"schema": 1, "type": "lp", "m": 1, "columns": [[1]], "x": {"y": 1}}',
+        '{"schema": 1, "type": "lp", "type": "lp", "m": 1, '
+        '"columns": [[1]]}',
+        '[["1"]]',
+    ], ids=["string", "true", "false", "Infinity", "escaped quote",
+            "nested key", "repeated key", "not an object"])
+    def test_byte_screen_fires_on_what_may_hold_literals(self, text):
+        raw = text.encode()
+        assert _may_hold_literals(raw, json.loads(raw))
 
     @pytest.mark.parametrize("kind,doc", [
         ("problem", {"schema": 1, "type": "socp", "m": 1, "blocks": 5,

@@ -302,6 +302,18 @@ class TestLpScreen:
         assert vars(inst)["_unit32"].dtype == np.float32
 
 
+    @pytest.mark.parametrize("m,n", [(60, 5000), (30, 2000), (3, 7)])
+    def test_float32_copy_starts_on_a_64_byte_boundary(self, m, n):
+        # sliced from one buffer 64 bytes larger, not copied to align
+        inst = generate_planted("lp", m, n, 1)[0]
+        unit = inst._unit32
+        assert unit.ctypes.data % 64 == 0
+        assert unit.flags.c_contiguous and unit.shape == (m, n)
+        assert unit.base.size == m * n + 16
+        expected = (inst.columns / inst.column_norms).astype(np.float32)
+        assert unit.tobytes() == expected.tobytes()
+
+
 class TestSdpQuery:
     def test_interior_identity_bundle(self):
         mats = np.array([np.eye(2), np.diag([1.0, -1.0])])
@@ -1158,6 +1170,33 @@ class TestInputsCheckedWhereTheyEnter:
             with pytest.raises(ValueError, match="must be real"):
                 build(a)
             build(a.real)  # the same data, real, is an instance
+
+    @pytest.mark.parametrize("build", [
+        FiniteLp,
+        lambda a: FiniteLp(a.tolist()),
+        lambda a: Sdp(np.stack([a, a.T])),
+        lambda a: Socp(a, (1, 1)),
+    ], ids=["lp", "lp list", "sdp", "socp"])
+    @pytest.mark.parametrize("a", [
+        np.array([["1", "-1"], ["0.5", "2"]]),
+        np.array([[True, False], [False, True]]),
+        np.array([[1.0, None], [0.5, 2.0]], dtype=object),
+    ], ids=["strings", "booleans", "objects"])
+    def test_data_that_are_not_numbers_raise(self, build, a):
+        # a conversion to float would read "1" and True as 1: an LP of
+        # such columns used to build, and solve feasible
+        with pytest.raises(ValueError, match="must be numbers"):
+            build(a)
+
+    @pytest.mark.parametrize("inst", KINDS, ids=["lp", "sdp", "socp",
+                                                 "custom"])
+    def test_direction_of_booleans_raises(self, inst):
+        with pytest.raises(ValueError,
+                           match="query direction must be numbers"):
+            query(inst, np.array([True, True]))
+        with pytest.raises(ValueError,
+                           match="witnessed column must be numbers"):
+            WitnessedColumn(CustomWitness(0), np.array([True, False]))
 
     def test_complex_column_raises(self):
         with warnings.catch_warnings():
