@@ -31,6 +31,7 @@ from .oracle import (
     WitnessedColumn,
     query,
     range_exponents,
+    real_array,
     strict_int,
     unit_direction,
     vector_norm,
@@ -167,7 +168,7 @@ def resolve_witness_column(
     if isinstance(witness, WitnessedColumn):
         given, witness = witness, witness.witness
     if isinstance(witness, (SdpVector, SocpVector)):
-        v = np.asarray(witness.v, dtype=float)
+        v = real_array(witness.v, "witness vector")
         if not np.isfinite(v).all():
             raise ValueError("witness vector must be finite")
     if isinstance(witness, LpIndex):
@@ -262,10 +263,12 @@ def verify_p_certificate(
     terms = []
     vanishing = True
     for witness, x in weights:
-        if not (x > 0.0 and math.isfinite(x)):
+        # one weight at a time: numpy reads [True, 0.5] as two floats
+        x = real_array(x, "certificate weights")
+        if x.shape or not 0.0 < x < math.inf:
             raise ValueError("certificate weights must be positive and finite")
         _, column, e = resolve_witness_column(instance, witness)
-        terms.append((x, column, e))
+        terms.append((float(x), column, e))
         vanishing = vanishing and not column.any()
     norms = [vector_norm(c) for _, c, _ in terms]
     mants, exps = np.frexp([x for x, _, _ in terms])

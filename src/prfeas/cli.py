@@ -5,10 +5,12 @@ problem file, ``verify`` re-checks a stored certificate against a problem
 file, and ``generate`` writes seeded instances with known certificates.
 
 Problem files, solve reports, and certificates are JSON documents with a
-``"schema": 1`` marker.  Exactly one JSON document is written to stdout
-per invocation; diagnostics go to stderr.  A solve report's ``wall_ms``
-is null unless ``solve --timing`` is given, when it is the time of the
-solver call as measured here; the rest of the report is reproducible.
+``"schema": 1`` marker, an integer by the rule of ``m`` and ``n``:
+``1.0`` reads as 1, and ``true`` is malformed input.  Exactly one JSON
+document is written to stdout per invocation; diagnostics go to stderr.
+A solve report's ``wall_ms`` is null unless ``solve --timing`` is given,
+when it is the time of the solver call as measured here; the rest of the
+report is reproducible.
 
 Input files are read as RFC 8259 JSON in UTF-8 by the compiled parser of
 ``pydantic-core``.  As with Python's ``json`` module, the extensions
@@ -22,12 +24,13 @@ Output is written with Python's ``json`` module, every document
 indented by 2.
 
 A certificate's numbers (``y``, each weight's ``x``, a witness vector's
-entries and a custom witness's column) must be JSON numbers, and its
-vectors JSON arrays: a string or a boolean there is malformed input.  So
-are a string or a boolean in a problem's arrays (an LP's ``columns``, an
-SDP's ``matrices``, a SOCP's ``A``), which numpy would read as numbers; a
-problem file's bytes are screened for them first, and its arrays walked
-only when the screen cannot rule them out (:func:`_may_hold_literals`).
+entries and a custom witness's column) and a problem's arrays (an LP's
+``columns``, an SDP's ``matrices``, a SOCP's ``A``) pass one check
+(:func:`_check_numbers`): a string or a boolean there, which numpy and
+``float`` would read as a number, is malformed input, and the error names
+the entry, such as ``certificate entry y[1]``.  A problem file's bytes are
+screened for them first, and its arrays walked only when the screen
+cannot rule them out (:func:`_may_hold_literals`).
 
 Exit codes: 0 feasible / verified / generated, 1 dual certificate,
 2 epsilon declaration, 3 certificate rejected, 64 usage error, 65
@@ -102,26 +105,29 @@ class _Parser(argparse.ArgumentParser):
 
 def _check_document(data: object, what: str) -> None:
     """Raise ValueError unless ``data``, a ``what`` document, is a JSON
-    object that carries ``"schema": 1``."""
+    object that carries ``"schema": 1``, read as :func:`strict_int` reads
+    an integer: ``1.0`` is 1, ``true`` is not."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} document must be a JSON object")
-    if data.get("schema") != 1:
+    if isinstance(data.get("schema"), bool) or data.get("schema") != 1:
         raise ValueError(f"{what} document must carry \"schema\": 1")
 
 
-def _check_numbers(value: object, where: str) -> None:
-    """Raise ValueError naming the first string or boolean in the nested
-    JSON arrays ``value``, the entry ``where``; numpy would read either as
-    a number.  Other entries are left to the conversion, which rejects
-    them or, for ``null``, gives NaN, which the instance rejects."""
+def _check_numbers(value: object, where: str) -> object:
+    """``value``, once no string or boolean is found in it or in its
+    nested JSON arrays; else ValueError naming the first, the entry
+    ``where`` (``"problem entry columns"``, ``"certificate entry y"``):
+    numpy and ``float`` would read either as a number.  Other entries are
+    left to the conversion that follows, which rejects them or, for
+    ``null``, gives NaN, which the instance or the verifier rejects."""
     if isinstance(value, (str, bool)):
-        raise ValueError(f"problem entry {where} must be a number, got "
-                         f"{json.dumps(value)}")
+        raise ValueError(f"{where} must be a number, got {json.dumps(value)}")
     # one pass of map(type) clears a row of numbers
     if isinstance(value, list) and not {list, str, bool}.isdisjoint(
             map(type, value)):
         for i, entry in enumerate(value):
             _check_numbers(entry, f"{where}[{i}]")
+    return value
 
 
 def _may_hold_literals(raw: bytes, doc: object) -> bool:
@@ -175,7 +181,7 @@ def load_problem(data: object, walk: bool = True) -> ProblemInstance:
         m = strict_int(data["m"], "m")
         if walk:
             key = {"lp": "columns", "sdp": "matrices", "socp": "A"}[kind]
-            _check_numbers(data[key], key)
+            _check_numbers(data[key], f"problem entry {key}")
         if kind == "lp":
             cols = np.asarray(data["columns"], dtype=float)
             if cols.ndim != 2 or cols.shape[1] != m:
@@ -221,23 +227,6 @@ def dump_problem(instance: ProblemInstance) -> dict:
 # certificate format
 
 
-def _number(value: object) -> float:
-    """``value`` as a float if the parser read it as a JSON number.
-
-    Raises TypeError for any other type, a bool or a string among them,
-    and OverflowError for an integer beyond the float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a JSON number, got {type(value).__name__}")
-    return float(value)
-
-
-def _numbers(value: object) -> list[float]:
-    """``value`` as floats if it is a JSON array of JSON numbers."""
-    if not isinstance(value, list):
-        raise TypeError(f"expected a JSON array, got {type(value).__name__}")
-    return [_number(t) for t in value]
-
-
 #: The certificate type name of each vector witness.
 VECTOR_WITNESSES = {"sdp_vector": SdpVector, "socp_vector": SocpVector}
 
@@ -269,18 +258,23 @@ def witness_to_json(w: Union[Witness, WitnessedColumn]) -> dict:
 
 def witness_from_json(obj: dict) -> Union[Witness, WitnessedColumn]:
     """Inverse of :func:`witness_to_json`: a bare witness, or a
-    :class:`WitnessedColumn` for a custom witness that carries a column."""
+    :class:`WitnessedColumn` for a custom witness that carries a column.
+    A vector ``v`` and a column are walked by :func:`_check_numbers`,
+    their entries named ``certificate entry v[i]`` and ``certificate
+    entry column[i]``."""
     kind = obj.get("type")
     if kind == "lp_index":
         return LpIndex(obj["i"])
     if kind in VECTOR_WITNESSES:
-        return VECTOR_WITNESSES[kind](tuple(_numbers(obj["v"])))
+        v = _check_numbers(obj["v"], "certificate entry v")
+        return VECTOR_WITNESSES[kind](tuple(np.array(v, dtype=float).tolist()))
     if kind == "custom":
         witness = CustomWitness(obj.get("label"))
         column = obj.get("column")
         if column is None:
             return witness
-        return WitnessedColumn(witness, _numbers(column))
+        return WitnessedColumn(witness, np.array(
+            _check_numbers(column, "certificate entry column"), dtype=float))
     raise ValueError(f"unknown witness type {kind!r}")
 
 
@@ -297,26 +291,29 @@ def dump_certificate(cert: Certificate) -> dict:
 
 
 def load_certificate(data: object) -> Certificate:
+    """Decode a parsed certificate document.  Its numbers (``y``, each
+    weight's ``x`` and its witness's vector or column) are walked by
+    :func:`_check_numbers` before they are converted to floats."""
     _check_document(data, "certificate")
     kind = data.get("kind")
     if kind == "d":
+        y = _check_numbers(data.get("y", []), "certificate entry y")
         try:
-            y = _numbers(data.get("y", []))
-        except (TypeError, OverflowError) as exc:
+            return Certificate(kind="d", y=np.array(y, dtype=float))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"\"y\" must be a vector of numbers: {exc}") \
                 from exc
-        return Certificate(kind="d", y=np.array(y), weights=None)
     if kind == "p":
         entries = data.get("weights")
         if not isinstance(entries, list) or not entries:
             raise ValueError("\"weights\" must be a nonempty list")
         try:
-            weights = [(witness_from_json(e["witness"]), _number(e["x"]))
+            weights = [(witness_from_json(e["witness"]),
+                        float(_check_numbers(e["x"], "certificate entry x")))
                        for e in entries]
-        except (KeyError, TypeError, ValueError, OverflowError,
-                AttributeError) as exc:
+        except (KeyError, TypeError, OverflowError, AttributeError) as exc:
             raise ValueError(f"malformed weight entry: {exc}") from exc
-        return Certificate(kind="p", y=None, weights=weights)
+        return Certificate(kind="p", weights=weights)
     raise ValueError(f"unknown certificate kind {kind!r}")
 
 

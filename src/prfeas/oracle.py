@@ -126,19 +126,19 @@ def vector_norm(v: np.ndarray) -> float:
     return float(np.ldexp(math.sqrt(u @ u), e))
 
 
-def range_exponents(e: np.ndarray, step: int = 1) -> np.ndarray:
+def range_exponents(e: np.ndarray) -> np.ndarray:
     """The range rule: for units whose largest magnitudes lie in ``[2^(e-1),
     2^e)`` (the exponents ``np.frexp`` gives), the exponents ``k`` such
     that each unit times ``2^-k`` has its largest magnitude just inside
     ``[2^-RANGE_EXPONENT, 2^RANGE_EXPONENT)``; 0 for a unit already
-    inside.  Each ``k`` is a multiple of ``step``, rounded away from 0.
+    inside.
     """
-    k = np.maximum(e, RANGE_EXPONENT) + np.minimum(e, 1 - RANGE_EXPONENT) - 1
-    return k + np.sign(k) * (k % step)
+    return (np.maximum(e, RANGE_EXPONENT)
+            + np.minimum(e, 1 - RANGE_EXPONENT) - 1)
 
 
 def in_range(data: np.ndarray, peaks: np.ndarray, what: str,
-             owner=Ellipsis, step: int = 1) -> tuple[np.ndarray, np.ndarray]:
+             owner=Ellipsis) -> tuple[np.ndarray, np.ndarray]:
     """``(stored, exponents)`` for ``data`` under :func:`range_exponents`.
 
     ``peaks`` holds each unit's largest magnitude, and ``exponents[owner]``
@@ -154,7 +154,7 @@ def in_range(data: np.ndarray, peaks: np.ndarray, what: str,
     """
     if not np.isfinite(peaks).all():
         raise ValueError(f"{what} must be finite")
-    exps = range_exponents(np.frexp(peaks)[1], step)
+    exps = range_exponents(np.frexp(peaks)[1])
     if not exps.any():
         return data, exps
     stored = np.ldexp(data, -exps[owner])
@@ -413,12 +413,14 @@ class Sdp:
     """Linear matrix inequality: sum_i y_i A_i positive definite.
 
     ``matrices`` is an (m, n, n) stack of symmetric coefficient matrices,
-    stored as one unit of the range rule (:func:`in_range`): times
-    ``2^-exponent``, a power of four, when its largest magnitude lies
-    outside the range, so that eigenvalues and witness columns scale
-    exactly; as given otherwise.  One positive factor on the whole stack
-    changes neither the feasible ``y`` nor the certificates.  A witness
-    ``v``'s column is :meth:`column`, for the query and the verifier.
+    stored as one unit of the range rule (:func:`in_range`), as an LP
+    column or a cone block is: times ``2^-exponent`` when its largest
+    magnitude lies outside the range, as given otherwise.  A power of two
+    scales ``X``, its eigenvalues and the witness columns exactly and
+    leaves its eigenvectors as they are, so ``eigh`` picks the same
+    witness.  One positive factor on the whole stack changes neither the
+    feasible ``y`` nor the certificates.  A witness ``v``'s column is
+    :meth:`column`, for the query and the verifier.
     """
 
     matrices: np.ndarray
@@ -429,7 +431,7 @@ class Sdp:
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or 0 in mats.shape:
             raise ValueError("matrices must be a nonempty (m, n, n) stack")
         peak = np.max(np.abs(mats))
-        mats, e = in_range(mats, peak, "matrices", step=2)
+        mats, e = in_range(mats, peak, "matrices")
         # the tolerance is relative to max(max|A_i|, 1) for the data as
         # given, which the stored data holds times 2^-e
         skew = np.max(np.abs(mats - mats.transpose(0, 2, 1)))

@@ -134,11 +134,20 @@ class TestVerifyPCertificate:
         with pytest.raises(ValueError):
             verify_p_certificate(axes_lp(), [])
 
-    @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf, True,
+                                     "1", 1j, np.True_, [0.5]])
     def test_bad_weight_values_raise(self, bad):
+        # a comparison would weigh True as 1 and raise TypeError on "1"
         with pytest.raises(ValueError):
             verify_p_certificate(
                 antipodal_lp(), [(LpIndex(0), 0.5), (LpIndex(1), bad)])
+
+    @pytest.mark.parametrize("x", [np.float64(0.5), np.float32(0.5),
+                                   np.int64(2)])
+    def test_numpy_scalar_weights_accepted(self, x):
+        rep = verify_p_certificate(antipodal_lp(),
+                                   [(LpIndex(0), x), (LpIndex(1), x)])
+        assert rep.accepted and rep.residual == 0.0
 
     def test_oversized_support_raises(self):
         weights = [(LpIndex(0), 0.25)] * 4  # m + 1 = 3 allowed
@@ -434,6 +443,21 @@ class TestResolveWitnessColumn:
                                                       witness, message):
         with pytest.raises(ValueError, match=message):
             resolve_witness_column(instance, witness)
+
+    @pytest.mark.parametrize("v, message", [
+        (("1", "0"), "must be numbers"),
+        ((True, False), "must be numbers"),
+        ((1j, 0.0), "must be real"),
+    ], ids=["strings", "booleans", "complex"])
+    def test_vector_that_is_not_real_numbers_rejected(self, v, message):
+        # a conversion to float would read the first two as (1, 0), a
+        # valid witness of both instances, and raise TypeError on 1j
+        socp = Socp(np.array([[1.0, 0.5]]), blocks=(2,))
+        for instance, witness in [(indefinite_sdp(), SdpVector(v)),
+                                  (socp, SocpVector(v))]:
+            with pytest.raises(ValueError,
+                               match=f"witness vector {message}"):
+                resolve_witness_column(instance, witness)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_vector_rejected(self, bad):

@@ -290,6 +290,41 @@ class TestProblemFileFormat:
         assert json.loads(out) == {"schema": 1,
                                    "error": f"problem entry {entry}"}
 
+    @pytest.mark.parametrize("weight, entry", [
+        ({"witness": {"type": "lp_index", "i": 0}, "x": "1"},
+         'x must be a number, got "1"'),
+        ({"witness": {"type": "sdp_vector", "v": [1.0, False]}, "x": 1.0},
+         "v[1] must be a number, got false"),
+        ({"witness": {"type": "custom", "label": "c",
+                      "column": [[1.0], [True]]}, "x": 1.0},
+         "column[1][0] must be a number, got true"),
+    ], ids=["x", "v", "column"])
+    def test_certificate_entry_that_is_not_a_number_is_named(
+            self, tmp_path, capsys, weight, entry):
+        # the walk of a problem's arrays walks a certificate's numbers too
+        docs = [({"schema": 1, "kind": "d", "y": [1.0, True]},
+                 "y[1] must be a number, got true"),
+                ({"schema": 1, "kind": "p", "weights": [weight]}, entry)]
+        prob = axes_problem(tmp_path)
+        for doc, named in docs:
+            cert = write_json(tmp_path / "c.json", doc)
+            code, out = invoke(capsys, "verify", "--input", prob,
+                               "--certificate", cert)
+            assert code == EXIT_DATA
+            assert json.loads(out) == {"schema": 1,
+                                       "error": f"certificate entry {named}"}
+
+    def test_integral_float_schema_marker_is_one(self, tmp_path, capsys):
+        # "schema": 1.0 reads as 1, as "m": 2.0 reads as 2
+        prob = write_json(tmp_path / "p.json", {
+            "schema": 1.0, "type": "lp", "m": 2.0,
+            "columns": [[1.0, 0.0], [0.0, 1.0]]})
+        cert = write_json(tmp_path / "c.json",
+                          {"schema": 1.0, "kind": "d", "y": [1.0, 1.0]})
+        code, _ = invoke(capsys, "verify", "--input", prob,
+                         "--certificate", cert)
+        assert code == 0
+
     @pytest.mark.parametrize("kind", ["lp", "sdp", "socp"])
     def test_written_files_pass_the_byte_screen_unwalked(
             self, tmp_path, capsys, kind, monkeypatch):
@@ -366,6 +401,10 @@ class TestProblemFileFormat:
         ("certificate", {"schema": 1, "kind": "p", "weights": [
             {"witness": {"type": "custom", "label": 0, "column": ["1", 0]},
              "x": 1}]}),
+        # the marker is an integer by strict_int's rule: true is not 1
+        ("problem", {"schema": True, "type": "lp", "m": 1,
+                     "columns": [[1.0]]}),
+        ("certificate", {"schema": True, "kind": "d", "y": [1.0, 1.0]}),
     ])
     def test_wrongly_typed_fields_are_data_errors(self, tmp_path, capsys,
                                                   kind, doc):

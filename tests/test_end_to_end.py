@@ -387,7 +387,7 @@ class TestLpScreenLeavesTheSolve:
 
 class TestPowerOfTwoScalingInvariance:
     """Data times a power of two far outside the float range that the
-    built-in instances keep (an SDP stack times a power of four) is stored
+    built-in instances keep, an SDP stack's too, odd or even, is stored
     scaled back into it, so the solve repeats the unscaled one step for
     step, and its margin is the unscaled one times that power."""
 
@@ -397,8 +397,6 @@ class TestPowerOfTwoScalingInvariance:
                                           ("socp", 5, 40)])
     def test_scaled_solve_repeats_the_unscaled_one(self, kind, m, n, target,
                                                    k):
-        if kind == "sdp":
-            k -= k % 2
         base, _ = generate_planted(kind, m, n, 1, target)
         out = main_algorithm(base)
         out_k = main_algorithm(scaled_instance(base, k))

@@ -383,6 +383,19 @@ class TestSdpQuery:
                                                  "instances only"):
                 query(inst, np.array([-1.0]), np.ones(1))
 
+    def test_stack_out_of_range_is_stored_as_an_lp_column(self):
+        # the peak 2^400 is stored times 2^-17, just inside 2^384, the
+        # power an LP column with that peak gets, odd as it is: eigh's
+        # answer scales by any power of two
+        given = np.ldexp([[[1.0, 0.0], [0.0, -0.5]]], 400)
+        inst = Sdp(given)
+        assert inst.exponent == FiniteLp(given[0]).exponents[0] == 17
+        assert inst.matrices[0, 0, 0] == 2.0**383
+        assert inst.as_given().tobytes() == given.tobytes()
+        w = sdp_query(inst, np.array([1.0]))
+        assert w.witness.v == (0.0, 1.0)
+        assert w.column.tolist() == [-2.0**382] and w.exponent == 17
+
     def test_symmetry_validation(self):
         with pytest.raises(ValueError):
             Sdp(np.array([[[1.0, 2.0], [0.0, 1.0]]]))
@@ -891,16 +904,17 @@ class TestWitnessColumnOrder:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_sdp_query_column_is_the_resolved_one(self, data):
-        # stacks times a power of four, some outside the range; the
-        # product with vec(v v^T) is the one resolve_witness_column
-        # forms and lies within gamma_{n^2+1} of the exact v^T A_i v, each
-        # term a product of three factors
+        # stacks times a power of two, odd or even, some outside the
+        # range; the product with vec(v v^T) is the one
+        # resolve_witness_column forms and lies within gamma_{n^2+1} of
+        # the exact v^T A_i v, each term a product of three factors
         draw = data.draw
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
         B = rng.standard_normal((m, n, n))
-        power = draw(st.sampled_from([-250, -150, -20, 0, 20, 150, 250]))
-        inst = Sdp(np.ldexp(B + B.transpose(0, 2, 1), 2 * power))
+        power = draw(st.sampled_from([-501, -500, -401, -300, -40, -21, 0,
+                                      21, 40, 300, 401, 500, 501]))
+        inst = Sdp(np.ldexp(B + B.transpose(0, 2, 1), power))
         for y in rng.standard_normal((4, m)):
             w = sdp_query(inst, y)
             if w is None:
