@@ -344,8 +344,6 @@ def _planted_lp(rng, m, n, target):
         cols[:, j] = _random_unit(rng, m) * (0.5 + rng.random())
     lam = 0.5 + rng.random(support)
     cols[:, n - 1] = -cols[:, :support] @ lam
-    if not np.any(cols[:, n - 1] != 0.0):  # astronomically unlikely
-        cols[0, n - 1] = -1.0
     pairs = [(LpIndex(j), float(lam[j])) for j in range(support)]
     pairs.append((LpIndex(n - 1), 1.0))
     return FiniteLp(cols), Certificate("p", weights=pairs)

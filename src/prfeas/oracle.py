@@ -189,18 +189,31 @@ def strict_int(value: object, what: str) -> int:
     raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
+def _holds_bool(value: object) -> bool:
+    """Whether ``value`` is a list or tuple with a bool among its entries
+    or those of a list or tuple nested in it; one pass of ``map(type)``
+    clears a row of numbers."""
+    if not isinstance(value, (list, tuple)):
+        return False
+    kinds = set(map(type, value))
+    return not kinds.isdisjoint((bool, np.bool_)) or (
+        not kinds.isdisjoint((list, tuple)) and any(map(_holds_bool, value)))
+
+
 def real_array(value: object, what: str) -> np.ndarray:
     """``value`` as a float array, taken from integer or float data alone.
     Complex data raise ValueError (``"{what} must be real"``): the
     conversion would take them to their real parts with only a warning.
     Any other kind, booleans, strings or objects among them, raises
     ValueError too (``"{what} must be numbers"``): the conversion would
-    read ``True`` and ``"1"`` as 1."""
-    value = np.asarray(value)
-    if value.dtype.kind not in "iuf":
-        raise ValueError(f"{what} must be real" if value.dtype.kind == "c"
+    read ``True`` and ``"1"`` as 1.  So does a bool among numbers in a
+    nested list or tuple (:func:`_holds_bool`), which the conversion
+    would read as a number; an ndarray is not walked."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf" or _holds_bool(value):
+        raise ValueError(f"{what} must be real" if array.dtype.kind == "c"
                          else f"{what} must be numbers")
-    return value.astype(float, copy=False)
+    return array.astype(float, copy=False)
 
 
 @dataclass(frozen=True)

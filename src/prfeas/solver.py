@@ -661,9 +661,14 @@ def _reweight_to_dual(
     """The vanishing combination of the support, if any, as a certificate.
 
     Solves ``[a_hat_1 ... a_hat_k; 1 ... 1] x = e_{m+1}`` by least squares
-    over the original normalized columns ``a_hat_t = a_t / ||a_t||``.  For
-    an ``x`` that is kept (see below), the rescaled weights ``w_t = x_t
-    ||M^T a_t|| / ||a_t||`` of the terms with a positive ``x_t``,
+    over the original normalized columns ``a_hat_t = a_t / ||a_t||``.  The
+    atoms are the terms with ``|x_t|`` above ``ZERO_AGGREGATE_TOL`` times
+    the largest ``|x_t|``: in exact arithmetic a certificate's weights are
+    positive and the others zero, so an entry of rounding size is no
+    atom, whatever its sign, and drops out; an antipodal pair among
+    generic columns gets 1/2 on the pair and rounding elsewhere.  The
+    test ends there when no atom is left or one is negative.  Otherwise
+    the rescaled weights ``w_t = x_t ||M^T a_t|| / ||a_t||`` of the atoms,
     normalized to sum 1, must leave a rescaled aggregate of at most
     ``ZERO_AGGREGATE_TOL``; then the weights mapped back to the original
     columns, ``w_t / ||M^T a_t||``, and to the data as given, times
@@ -682,22 +687,16 @@ def _reweight_to_dual(
     supports a warm run resumes); the system is then underdetermined and
     ``lstsq`` returns its minimum-norm solution, which can have a negative
     entry while a nonnegative one exists.  So when ``lstsq`` reports a
-    rank below ``k`` and an ``x`` that is not positive, the same system
-    goes to the NNLS (:func:`_nnls`), and the terms it leaves at zero
-    weight are dropped before the tests above.  A full-rank support has
-    one solution, which never reaches the NNLS: it is kept when its
-    entries that are not positive are of rounding size, at least
-    ``-ZERO_AGGREGATE_TOL`` times its largest magnitude, and those terms
-    are dropped; an antipodal pair among generic columns gets such an
-    ``x``, 1/2 on the pair and rounding elsewhere.  Any other non-positive
-    solution ends the test there.  Returns the accepted pairs, in the
-    outcome's form (:func:`_accepted_dual`), and their report, or
-    ``(None, None)``; ``cc``'s terms and weights are left as they were
-    either way.
+    rank below ``k`` and an ``x`` that is not positive, ``x`` is the same
+    system's NNLS solution (:func:`_nnls`) instead.  A full-rank support
+    has one solution, which never reaches the NNLS.  Returns the accepted
+    pairs, in the outcome's form (:func:`_accepted_dual`), and their
+    report, or ``(None, None)``; ``cc``'s terms and weights are left as
+    they were either way.
 
-    That first stage, ``x`` (None for a rejection) and the norms
-    ``||a_t||``, depends on the ordered original columns alone, so it is
-    kept on ``cc`` under the terms' keys, and
+    That first stage, ``x`` and the norms ``||a_t||``, depends on the
+    ordered original columns alone, so it is kept on ``cc`` under the
+    terms' keys, and
     :meth:`ConvexCombination.remapped` hands it to the next run: a test
     on the same columns in the same order reuses it, as LAPACK would give
     the same bits again, and only the tests after it see the new map.
@@ -711,17 +710,12 @@ def _reweight_to_dual(
         rhs = np.zeros(cc.m + 1)
         rhs[-1] = 1.0
         x, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
-        if not np.all(x > 0.0):
-            if rank < k:
-                x = _nnls(A, rhs)
-            elif x.min() < -ZERO_AGGREGATE_TOL * abs(x).max():
-                x = None
+        if rank < k and not np.all(x > 0.0):
+            x = _nnls(A, rhs)
         cc._lsq = (key, x, norms)
     _, x, norms = cc._lsq
-    if x is None:
-        return None, None
-    keep = x > 0.0
-    if not keep.any():
+    keep = abs(x) > ZERO_AGGREGATE_TOL * abs(x).max()
+    if not keep.any() or x[keep].min() < 0.0:
         return None, None
     terms = [e for e, kept in zip(cc.entries, keep.tolist()) if kept]
     scale_norms = cc.scale_norms[keep]

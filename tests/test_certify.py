@@ -447,10 +447,11 @@ class TestResolveWitnessColumn:
     @pytest.mark.parametrize("v, message", [
         (("1", "0"), "must be numbers"),
         ((True, False), "must be numbers"),
+        ((True, 0.0), "must be numbers"),
         ((1j, 0.0), "must be real"),
-    ], ids=["strings", "booleans", "complex"])
+    ], ids=["strings", "booleans", "boolean among numbers", "complex"])
     def test_vector_that_is_not_real_numbers_rejected(self, v, message):
-        # a conversion to float would read the first two as (1, 0), a
+        # a conversion to float would read the first three as (1, 0), a
         # valid witness of both instances, and raise TypeError on 1j
         socp = Socp(np.array([[1.0, 0.5]]), blocks=(2,))
         for instance, witness in [(indefinite_sdp(), SdpVector(v)),

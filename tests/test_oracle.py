@@ -1,5 +1,7 @@
 import dataclasses
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 import pickle
 import tracemalloc
@@ -563,9 +565,11 @@ class TestSocpWitnessBuiltOnRead:
 # resolve_witness_column; the array passes must reproduce them.
 
 #: Two depths this close, relative to ||y||, which bounds every depth
-#: |margin_b / ||A v_b||| = |(A v_b)^T y| / ||A v_b||, count as a tie:
-#: the kernel takes each block's norm from Gram entries, the loop from the
-#: block's column, and the two may round differently.
+#: |margin_b / ||A v_b||| = |(A v_b)^T y| / ||A v_b||, count as a tie.
+#: The kernel takes each block's norm from Gram entries, the loop from the
+#: block's column, and both round with cancellation in ``A^T y`` and ``A
+#: v``, so a tie is judged on depths recomputed exactly
+#: (:func:`decimal_socp_depth`).
 DEPTH_TIE_RTOL = 1e-12
 
 
@@ -578,7 +582,8 @@ def loop_slices(instance):
 
 
 def loop_socp_depths(instance, y):
-    """(depth, witnessed column) of every violated block, in block order.
+    """(depth, witnessed column, slice) of every violated block, in block
+    order.
 
     The depth is ``margin_b / ||A_b v_b||``, with the norm taken from the
     block's own columns of ``A``, and ``-inf`` when that column vanishes.
@@ -603,8 +608,23 @@ def loop_socp_depths(instance, y):
         depth = (x0 - tail_norm) / norm if norm > 0.0 else -np.inf
         out.append((depth, WitnessedColumn(
             SocpVector(tuple(float(t) for t in v)),
-            instance.A[:, sl] @ v[sl])))
+            instance.A[:, sl] @ v[sl]), sl))
     return out
+
+
+def decimal_socp_depth(instance, y, sl):
+    """The depth of block ``sl`` at ``y``, as :func:`loop_socp_depths`
+    takes it, recomputed from the float data of ``A`` and ``y`` in
+    50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        A = [[Decimal(a) for a in row] for row in instance.A[:, sl].tolist()]
+        yd = [Decimal(t) for t in y.tolist()]
+        x = [sum(a * t for a, t in zip(col, yd)) for col in zip(*A)]
+        tail = sum((t * t for t in x[1:]), Decimal(0)).sqrt()
+        v = [Decimal(1)] + [-t / tail if tail else Decimal(0) for t in x[1:]]
+        norm = sum(sum(a * t for a, t in zip(row, v)) ** 2 for row in A).sqrt()
+        return (x[0] - tail) / norm if norm else Decimal("-Infinity")
 
 
 def loop_socp_query(instance, y):
@@ -616,18 +636,20 @@ def loop_socp_query(instance, y):
 
 
 def assert_matches_loop(inst, y, w):
-    """``w`` is the loop's pick, bit for bit, or a block whose loop depth
-    ties the deepest within ``DEPTH_TIE_RTOL`` times ``||y||``, a bound
-    on every depth."""
+    """``w`` is the loop's pick, bit for bit, or a violated block whose
+    exact depth (:func:`decimal_socp_depth`) ties that of the loop's pick
+    within ``DEPTH_TIE_RTOL`` times ``||y||``, a bound on every depth."""
     depths = loop_socp_depths(inst, y)
     assert (w is None) == (not depths)
     if w is None:
         return
-    best, ref = min(depths, key=lambda d: d[0])
+    _, ref, ref_slice = min(depths, key=lambda d: d[0])
     if w.witness != ref.witness:
-        mine = [d for d, r in depths if r.witness == w.witness]
+        mine = [sl for _, r, sl in depths if r.witness == w.witness]
         assert len(mine) == 1
-        assert abs(mine[0] - best) <= DEPTH_TIE_RTOL * vector_norm(y)
+        gap = decimal_socp_depth(inst, y, mine[0]) \
+            - decimal_socp_depth(inst, y, ref_slice)
+        assert abs(gap) <= DEPTH_TIE_RTOL * vector_norm(y)
         return
     assert np.asarray(w.witness.v).tobytes() == \
         np.asarray(ref.witness.v).tobytes()
@@ -726,6 +748,34 @@ class TestSocpKernelMatchesLoop:
                 assert inst.min_margin(y) == min(
                     x[sl][0] - vector_norm(x[sl][1:])
                     for sl in inst.block_slices())
+
+    def test_tie_is_judged_on_exact_depths(self):
+        # m = 1 makes Cauchy-Schwarz tight, so every violated block's
+        # exact depth is -|y|; rounded, the kernel's pick (block 1) lies
+        # 1.14e-12 |y| above the loop's (block 3)
+        rng = np.random.default_rng(37)
+        blocks = (1, 3, 5, 2)
+        A = rng.standard_normal((1, 11))
+        for sl in Socp(A, blocks).block_slices():
+            if rng.random() < 0.3:
+                A[:, sl.start + 1 : sl.stop] = 0.0
+        inst = Socp(np.ldexp(A, -300), blocks)
+        y = np.ldexp(rng.standard_normal((3, 1))[2], -300)
+        w = socp_query(inst, y)
+        depths = loop_socp_depths(inst, y)
+        best, ref, _ = min(depths, key=lambda d: d[0])
+        mine = [d for d, r, _ in depths if r.witness == w.witness]
+        assert w.witness != ref.witness
+        assert mine[0] - best > DEPTH_TIE_RTOL * vector_norm(y)
+        assert_matches_loop(inst, y, w)
+
+    def test_shallower_block_is_no_tie(self):
+        # depths -1 and -0.5/sqrt(1.25) at y = e_1
+        inst = Socp(np.array([[-1.0, -0.5], [0.0, 1.0]]), (1, 1))
+        y = np.array([1.0, 0.0])
+        _, shallow, _ = max(loop_socp_depths(inst, y), key=lambda d: d[0])
+        with pytest.raises(AssertionError):
+            assert_matches_loop(inst, y, shallow)
 
     def test_boundary_block_is_violated(self):
         A = np.zeros((2, 5))
@@ -1211,6 +1261,26 @@ class TestInputsCheckedWhereTheyEnter:
         with pytest.raises(ValueError,
                            match="witnessed column must be numbers"):
             WitnessedColumn(CustomWitness(0), np.array([True, False]))
+
+    @pytest.mark.parametrize("build", [
+        lambda: FiniteLp([[True, 0.5]]),
+        lambda: FiniteLp(((1.0, 0.5), [np.True_, 2.0])),
+        lambda: Sdp([[[1.0, 0.0], [0.0, False]]]),
+        lambda: Socp(((1.0, True),), (2,)),
+        lambda: WitnessedColumn(LpIndex(0), [True, 1.0]),
+    ], ids=["lp", "lp nested numpy bool", "sdp", "socp", "witnessed column"])
+    def test_bool_among_numbers_raises(self, build):
+        # numpy reads the list (True, 0.5) as the floats (1, 0.5), so a
+        # bool among numbers is refused before the conversion reads it
+        with pytest.raises(ValueError, match="must be numbers"):
+            build()
+
+    @pytest.mark.parametrize("inst", KINDS, ids=["lp", "sdp", "socp",
+                                                 "custom"])
+    def test_direction_with_a_bool_among_numbers_raises(self, inst):
+        with pytest.raises(ValueError,
+                           match="query direction must be numbers"):
+            query(inst, [True, 0.5])
 
     def test_complex_column_raises(self):
         with warnings.catch_warnings():

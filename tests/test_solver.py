@@ -1253,6 +1253,19 @@ class TestReweightToDual:
             out = main_algorithm(FiniteLp(cols), 1e-6)
             assert out.status == "dual_certificate", (m, n, seed)
             assert out.verification.accepted
+            sizes = [x * np.linalg.norm(cols[:, w.i]) for w, x in out.weights]
+            assert min(sizes) > 1e-12 * max(sizes), (m, n, seed)
+
+    def test_rounding_size_positive_weight_is_no_atom(self):
+        # least squares leaves a positive 1.1e-15 of the heaviest on
+        # column 3, which no exact certificate holds
+        cols = np.random.default_rng(3).standard_normal((2, 4))
+        cols[:, 0] = -cols[:, 1]
+        out = main_algorithm(FiniteLp(cols), 1e-6)
+        assert out.status == "dual_certificate"
+        assert out.verification.accepted
+        assert sorted(w.i for w, _ in out.weights) == [0, 1]
+        assert out.counters.oracle_calls == 5
 
 
 def lstsq_counter(monkeypatch):
